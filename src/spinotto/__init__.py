@@ -63,11 +63,10 @@ from .propagators import (
     WeiNormanPath,
     adiabat_propagator,
     adiabat_propagator_direct,
-    bath_rates,
     compose,
     identity_propagator,
     isochore_propagator,
     wei_norman_alphas,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

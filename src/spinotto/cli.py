@@ -21,20 +21,22 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .algebra import BlochVector, thermal_state, vn_eigenvalues
 from .engine import (
+    CyclePropagator,
     CycleSpec,
+    LimitCycleReport,
     NonUniqueLimitCycleError,
+    compose_cycle,
     energy,
     iterate,
     limit_cycle,
     spectrum,
-    thermo_ledger,
     trajectory,
 )
 from .measures import (
@@ -94,7 +96,13 @@ class RunConfig:
 def _require_number(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}: expected a finite number, got {number!r}")
+    return number
 
 
 def spec_from_engine_dict(engine: dict, path: str = "engine") -> CycleSpec:
@@ -122,7 +130,8 @@ def load_config(path: str) -> RunConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, bad UTF-8, integers past the digit limit, deep nesting
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
@@ -229,7 +238,7 @@ LIMIT_CYCLE_HEADER = _CORNER_COLS + _MU_COLS + _LEDGER_COLS
 
 def limit_cycle_row(spec: CycleSpec) -> list:
     report = limit_cycle(spec)
-    ledger = thermo_ledger(spec)
+    ledger = report.ledger
     row = []
     for corner in (ledger.b_a, ledger.b_b, ledger.b_c, ledger.b_d):
         row.extend(corner.as_array())
@@ -249,10 +258,10 @@ ITERATE_HEADER = (
 )
 
 
-def iterate_rows(spec: CycleSpec, b0: BlochVector, n: int) -> list[list]:
-    b_lc = limit_cycle(spec).b_a
+def iterate_rows(report: LimitCycleReport, b0: BlochVector, n: int) -> list[list]:
+    spec, b_lc = report.propagator.spec, report.b_a
     rows = []
-    for k, b in enumerate(iterate(spec, b0, n)):
+    for k, b in enumerate(iterate(report.propagator, b0, n)):
         rows.append(
             [k, b.b1, b.b2, b.b3, b.b4, b.b5,
              quantum_distance(b, b_lc),
@@ -268,14 +277,15 @@ TRAJECTORY_HEADER = (
 )
 
 
-def trajectory_rows(spec: CycleSpec, b_start: BlochVector, samples: int) -> list[list]:
+def trajectory_rows(prop: CyclePropagator, b_start: BlochVector, samples: int) -> list[list]:
+    j = prop.spec.j
     rows = []
-    for point in trajectory(spec, b_start, samples):
+    for point in trajectory(prop, b_start, samples):
         b = point.state
         rows.append(
             [point.branch, point.t, point.omega, b.b1, b.b2, b.b3, b.b4, b.b5,
-             vn_entropy(b), energy_entropy(b, point.omega, spec.j),
-             energy(b, point.omega, spec.j)]
+             vn_entropy(b), energy_entropy(b, point.omega, j),
+             energy(b, point.omega, j)]
         )
     return rows
 
@@ -296,7 +306,7 @@ def spectrum_row(spec: CycleSpec) -> list:
 # commands
 
 
-def cmd_limit_cycle(config: RunConfig, out_path, threads):
+def cmd_limit_cycle(config: RunConfig, out_path):
     text = render_csv(
         "limit-cycle", {"engine": config.engine_raw, "run": config.run},
         LIMIT_CYCLE_HEADER, [limit_cycle_row(config.spec)],
@@ -305,11 +315,11 @@ def cmd_limit_cycle(config: RunConfig, out_path, threads):
     _emit(text, out_path)
 
 
-def cmd_iterate(config: RunConfig, out_path, threads):
+def cmd_iterate(config: RunConfig, out_path):
     n = config.run.get("n_cycles", 50)
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ConfigError("run.n_cycles: expected a nonnegative integer")
-    rows = iterate_rows(config.spec, _initial_state(config), n)
+    rows = iterate_rows(limit_cycle(config.spec), _initial_state(config), n)
     text = render_csv(
         "iterate", {"engine": config.engine_raw, "run": config.run},
         ITERATE_HEADER, rows, config.output.get("precision", 12),
@@ -317,15 +327,17 @@ def cmd_iterate(config: RunConfig, out_path, threads):
     _emit(text, out_path)
 
 
-def cmd_trajectory(config: RunConfig, out_path, threads):
+def cmd_trajectory(config: RunConfig, out_path):
     samples = config.run.get("samples_per_branch", 50)
     if not isinstance(samples, int) or isinstance(samples, bool) or samples < 2:
         raise ConfigError("run.samples_per_branch: expected an integer >= 2")
     if "initial_state" in config.run:
-        b_start = _initial_state(config)
+        # no fixed point needed, so this also runs without a unique limit cycle
+        prop, b_start = compose_cycle(config.spec), _initial_state(config)
     else:
-        b_start = limit_cycle(config.spec).b_a
-    rows = trajectory_rows(config.spec, b_start, samples)
+        report = limit_cycle(config.spec)
+        prop, b_start = report.propagator, report.b_a
+    rows = trajectory_rows(prop, b_start, samples)
     text = render_csv(
         "trajectory", {"engine": config.engine_raw, "run": config.run},
         TRAJECTORY_HEADER, rows, config.output.get("precision", 12),
@@ -333,7 +345,7 @@ def cmd_trajectory(config: RunConfig, out_path, threads):
     _emit(text, out_path)
 
 
-def cmd_spectrum(config: RunConfig, out_path, threads):
+def cmd_spectrum(config: RunConfig, out_path):
     text = render_csv(
         "spectrum", {"engine": config.engine_raw, "run": config.run},
         SPECTRUM_HEADER, [spectrum_row(config.spec)],
@@ -342,7 +354,7 @@ def cmd_spectrum(config: RunConfig, out_path, threads):
     _emit(text, out_path)
 
 
-def cmd_sweep(config: RunConfig, out_path, threads):
+def cmd_sweep(config: RunConfig, out_path):
     sweep = config.run.get("sweep")
     if not isinstance(sweep, dict):
         raise ConfigError("run.sweep: expected an object with key/from/to/steps")
@@ -368,11 +380,7 @@ def cmd_sweep(config: RunConfig, out_path, threads):
         engine[key] = float(value)
         return [float(value)] + limit_cycle_row(spec_from_engine_dict(engine))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, values))
-    else:
-        rows = [one(v) for v in values]
+    rows = [one(v) for v in values]
     text = render_csv(
         "sweep", {"engine": config.engine_raw, "run": config.run},
         [key] + LIMIT_CYCLE_HEADER, rows, config.output.get("precision", 12),
@@ -380,7 +388,7 @@ def cmd_sweep(config: RunConfig, out_path, threads):
     _emit(text, out_path)
 
 
-def cmd_equilibrium_curve(config: RunConfig, out_path, threads):
+def cmd_equilibrium_curve(config: RunConfig, out_path):
     run = config.run
     lo = _require_number(run.get("omega_from"), "run.omega_from") if "omega_from" in run else None
     hi = _require_number(run.get("omega_to"), "run.omega_to") if "omega_to" in run else None
@@ -462,11 +470,11 @@ def _fig3_engine(case: str) -> dict:
     return engine
 
 
-def figure_preset(name: str, out_path, threads=1, precision=12):
+def figure_preset(name: str, out_path, precision=12):
     """Run one benchmark preset and emit its CSV."""
     if name == "fig1":
-        spec = spec_from_engine_dict(_FIG1_ENGINE)
-        rows = trajectory_rows(spec, limit_cycle(spec).b_a, 200)
+        report = limit_cycle(spec_from_engine_dict(_FIG1_ENGINE))
+        rows = trajectory_rows(report.propagator, report.b_a, 200)
         text = render_csv(
             "figure fig1", {"preset": "fig1", "engine": _FIG1_ENGINE},
             TRAJECTORY_HEADER, rows, precision,
@@ -474,10 +482,11 @@ def figure_preset(name: str, out_path, threads=1, precision=12):
         )
     elif name == "fig2":
         spec = spec_from_engine_dict(_FIG1_ENGINE)
+        report = limit_cycle(spec)
         rows = []
         for label, temp in (("cold", spec.t_cold), ("hot", 100.0)):
             b0 = thermal_state(spec.omega_b, spec.j, temp)
-            rows.extend([label] + row for row in iterate_rows(spec, b0, 15))
+            rows.extend([label] + row for row in iterate_rows(report, b0, 15))
         text = render_csv(
             "figure fig2", {"preset": "fig2", "engine": _FIG1_ENGINE},
             ["start"] + ITERATE_HEADER, rows, precision,
@@ -486,12 +495,11 @@ def figure_preset(name: str, out_path, threads=1, precision=12):
     elif name == "fig3":
         rows = []
         for case in sorted(_FIG3_CASES):
-            spec = spec_from_engine_dict(_fig3_engine(case))
+            report = limit_cycle(spec_from_engine_dict(_fig3_engine(case)))
             # starting from the cycle's own mid-cycle state leaves a purely
             # coherent displacement, which exposes the projected-distance
             # oscillation of the dephasing-free cases
-            b0 = thermo_ledger(spec).b_c
-            for row in iterate_rows(spec, b0, 40):
+            for row in iterate_rows(report, report.ledger.b_c, 40):
                 rows.append([case] + row)
         text = render_csv(
             "figure fig3",
@@ -555,20 +563,20 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
     fig = sub.add_parser("figure")
     fig.add_argument("preset", choices=["fig1", "fig2", "fig3", "fig5", "fig6"])
     fig.add_argument("--out", default=None)
-    fig.add_argument("--threads", type=int, default=1)
+    fig.add_argument("--threads", type=int, default=1, help="accepted and ignored")
 
     args = parser.parse_args(argv)
     try:
         if args.command == "figure":
-            figure_preset(args.preset, args.out, threads=args.threads)
+            figure_preset(args.preset, args.out)
         else:
             config = load_config(args.config)
             out_path = args.out if args.out is not None else config.output.get("path")
-            _COMMANDS[args.command](config, out_path, max(1, args.threads))
+            _COMMANDS[args.command](config, out_path)
     except ConfigError as exc:
         print(_error_record("config", str(exc)), file=sys.stderr)
         return 2

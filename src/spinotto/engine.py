@@ -10,7 +10,6 @@ cycle and the remaining spectrum sets the relaxation rates toward it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -76,6 +75,8 @@ class CycleSpec:
             raise ValueError("dephasing constants must be >= 0")
         if not self.omega_a < self.omega_b:
             raise ValueError("omega_a must be < omega_b")
+        if self.j == 0.0 and 0.0 in (self.omega_a, self.omega_b):
+            raise ValueError("j and a bath-stroke field cannot both vanish")
 
     @property
     def period(self) -> float:
@@ -153,13 +154,15 @@ class CycleSpectrum:
 
 @dataclass(frozen=True, eq=False)
 class LimitCycleReport:
-    """Fixed point at the anchor plus the full relaxation spectrum."""
+    """Fixed point at the anchor, the full relaxation spectrum, the one-period
+    map they were solved from and the thermodynamic ledger at the fixed point."""
 
     b_a: BlochVector
     eigenvalues: np.ndarray
     phi: float
     gap: float
-    unique: bool
+    propagator: CyclePropagator
+    ledger: ThermoLedger
 
 
 @dataclass(frozen=True)
@@ -211,9 +214,9 @@ def compose_cycle(spec: CycleSpec) -> CyclePropagator:
     path_ba = wei_norman_alphas(ad_ba)
     path_ab = wei_norman_alphas(ad_ab)
 
-    u_ish = isochore_propagator_cached(iso_h)
+    u_ish = isochore_propagator(iso_h)
     u_ba = adiabat_propagator(path_ba.final)
-    u_isc = isochore_propagator_cached(iso_c)
+    u_isc = isochore_propagator(iso_c)
     u_ab = adiabat_propagator(path_ab.final)
 
     branches = (
@@ -226,21 +229,6 @@ def compose_cycle(spec: CycleSpec) -> CyclePropagator:
     )
     cycle = compose(u_ab, u_isc, u_ba, u_ish)
     return CyclePropagator(cycle=cycle, branches=branches, spec=spec)
-
-
-# isochore maps are pure functions of their params; a tiny cache makes
-# repeated sweeps cheap
-@lru_cache(maxsize=256)
-def _iso_cached(omega, j, conductance, dephasing, temperature, tau):
-    return isochore_propagator(
-        IsochoreParams(omega, j, BathParams(conductance, dephasing, temperature), tau)
-    )
-
-
-def isochore_propagator_cached(p: IsochoreParams) -> AffinePropagator:
-    return _iso_cached(
-        p.omega, p.j, p.bath.conductance, p.bath.dephasing, p.bath.temperature, p.tau
-    )
 
 
 def _spectrum_of(prop: CyclePropagator) -> CycleSpectrum:
@@ -304,7 +292,7 @@ def _fixed_point(prop: CyclePropagator) -> tuple[BlochVector, CycleSpectrum]:
 
 
 def limit_cycle(spec: CycleSpec) -> LimitCycleReport:
-    """Solve for the cycle's fixed point and report its spectrum.
+    """Compose the cycle once; solve for its fixed point, spectrum and ledger.
 
     Raises :class:`NonUniqueLimitCycleError` when a second eigenvalue sits
     within 1e-9 of unit modulus (for example when no time is allocated to
@@ -318,15 +306,15 @@ def limit_cycle(spec: CycleSpec) -> LimitCycleReport:
         eigenvalues=spec_info.eigenvalues,
         phi=spec_info.phi,
         gap=spec_info.gap,
-        unique=True,
+        propagator=prop,
+        ledger=_ledger(prop, b_a),
     )
 
 
-def iterate(spec: CycleSpec, b0: BlochVector, n: int) -> list[BlochVector]:
+def iterate(prop: CyclePropagator, b0: BlochVector, n: int) -> list[BlochVector]:
     """Anchor-point states b_k for k = 0..n under repeated cycle maps."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    prop = compose_cycle(spec)
     states = [b0]
     b = b0
     for _ in range(n):
@@ -346,7 +334,7 @@ class TrajectorySample:
 
 
 def trajectory(
-    spec: CycleSpec, b_start: BlochVector, samples_per_branch: int
+    prop: CyclePropagator, b_start: BlochVector, samples_per_branch: int
 ) -> list[TrajectorySample]:
     """Densely sampled states over one period, branch by branch.
 
@@ -355,7 +343,6 @@ def trajectory(
     """
     if samples_per_branch < 2:
         raise ValueError("samples_per_branch must be >= 2")
-    prop = compose_cycle(spec)
     out = []
     t0 = 0.0
     state = b_start
@@ -376,8 +363,11 @@ def thermo_ledger(spec: CycleSpec) -> ThermoLedger:
     Requires a unique limit cycle; :class:`NonUniqueLimitCycleError`
     propagates otherwise.
     """
-    prop = compose_cycle(spec)
-    b_a, _ = _fixed_point(prop)
+    return limit_cycle(spec).ledger
+
+
+def _ledger(prop: CyclePropagator, b_a: BlochVector) -> ThermoLedger:
+    spec = prop.spec
     u_ish, u_ba, u_isc, u_ab = (br.prop for br in prop.branches)
     b_b = u_ish.apply(b_a)
     b_c = u_ba.apply(b_b)

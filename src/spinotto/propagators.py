@@ -21,6 +21,9 @@ from .algebra import SQRT2, BlochVector, thermal_state
 # |cos(alpha2)| below this invalidates the angle ODEs (division blows up).
 SINGULARITY_GUARD = 1e-6
 
+# Relative and absolute tolerance of the angle-ODE integration.
+SWEEP_TOLERANCE = 1e-10
+
 
 class AdiabatSingularityError(RuntimeError):
     """The angle ODEs hit the cos(alpha2) ~ 0 singularity.
@@ -76,13 +79,10 @@ class AdiabatParams:
     omega_end: float
     j: float
     tau: float
-    tolerance: float = 1e-10
 
     def __post_init__(self):
         if self.tau < 0.0:
             raise ValueError("tau must be >= 0")
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be > 0")
 
     def omega_at(self, t: float) -> float:
         if self.tau == 0.0:
@@ -179,25 +179,6 @@ def compose(*props: AffinePropagator) -> AffinePropagator:
     return acc
 
 
-def bath_rates(conductance: float, temperature: float, big_omega: float):
-    """Detailed-balance rates (k_up, k_down) with k_up + k_down = Gamma.
-
-    k_up/k_down = exp(-Omega/(sqrt(2) T)): upward transitions across the
-    level spacing Omega/sqrt(2) are Boltzmann suppressed.
-    """
-    if conductance < 0.0:
-        raise ValueError("conductance must be >= 0")
-    if temperature <= 0.0:
-        raise ValueError("temperature must be > 0")
-    if big_omega <= 0.0:
-        raise ValueError("Omega must be > 0")
-    x = big_omega / (SQRT2 * temperature)
-    # exp(-x) <= 1, so this form never overflows
-    w = math.exp(-x)
-    k_up = conductance * w / (1.0 + w)
-    return k_up, conductance - k_up
-
-
 def isochore_propagator(p: IsochoreParams) -> AffinePropagator:
     """Closed-form map of a constant-field bath branch.
 
@@ -282,8 +263,8 @@ def wei_norman_alphas(p: AdiabatParams) -> WeiNormanPath:
         (0.0, p.tau),
         [0.0, 0.0, 0.0],
         method="RK45",
-        rtol=p.tolerance,
-        atol=p.tolerance,
+        rtol=SWEEP_TOLERANCE,
+        atol=SWEEP_TOLERANCE,
         dense_output=True,
         events=crossing,
     )

@@ -230,7 +230,7 @@ def test_criterion_6_monotonicity_suite():
     for _ in range(50):
         spec = random_spec(rng, dephasing=rng.uniform() < 0.3)
         b_lc = limit_cycle(spec).b_a
-        states = iterate(spec, random_bloch(rng), 25)
+        states = iterate(compose_cycle(spec), random_bloch(rng), 25)
         cond = [conditional_entropy(b, b_lc) for b in states]
         dist = [quantum_distance(b, b_lc) for b in states]
         pairs += 1
@@ -243,7 +243,7 @@ def test_criterion_6_monotonicity_suite():
     ledger = thermo_ledger(osc_spec)
     wd = [
         wootters_energy_distance(b, ledger.b_a, osc_spec.omega_b, osc_spec.j)
-        for b in iterate(osc_spec, ledger.b_c, 30)
+        for b in iterate(compose_cycle(osc_spec), ledger.b_c, 30)
     ]
     oscillates = any(wd[k + 1] > wd[k] + 1e-12 for k in range(len(wd) - 1))
 

@@ -76,9 +76,12 @@ def test_load_config_rejects_unknown_keys(tmp_path):
 
 def test_load_config_rejects_bad_json(tmp_path):
     path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    with pytest.raises(ConfigError):
-        load_config(str(path))
+    # a syntax error, an integer past the digit limit, nesting past the recursion limit
+    for text in ("{not json", '{"engine": {"t_hot": 1' + "0" * 5000 + "}}",
+                 "[" * 100000 + "]" * 100000):
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="cannot parse config"):
+            load_config(str(path))
 
 
 def test_load_config_precision_validation(tmp_path):
@@ -339,6 +342,71 @@ def test_exit_code_adiabat_singularity(tmp_path, capsys):
     assert code == 4
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "adiabat-singularity"
+
+
+@pytest.mark.parametrize("section, key, value, path", [
+    ("engine", "t_hot", float("nan"), "engine.t_hot"),
+    ("engine", "tau_cold", float("inf"), "engine.tau_cold"),
+    ("sweep", "from", float("-inf"), "run.sweep.from"),
+    ("engine", "omega_b", 10**400, "engine.omega_b"),
+])
+def test_exit_code_non_finite_number(tmp_path, capsys, section, key, value, path):
+    engine = dict(FIG1_ENGINE)
+    sweep = {"key": "tau_hot", "from": 0.5, "to": 3.0, "steps": 3}
+    if section == "engine":
+        engine[key] = value
+    else:
+        sweep[key] = value
+    # json.dumps writes NaN/Infinity, which json.load accepts back
+    config = write_config(tmp_path, {"engine": engine, "run": {"sweep": sweep}})
+    assert main(["sweep", "--config", config, "--out", str(tmp_path / "o.csv")]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "config"
+    assert path in record["message"]
+
+
+def test_trajectory_from_initial_state_needs_no_unique_limit_cycle(tmp_path):
+    engine = dict(FIG1_ENGINE, tau_hot=0.0, tau_cold=0.0)
+    run = {"samples_per_branch": 3, "initial_state": {"kind": "maximally-mixed"}}
+    out = tmp_path / "traj.csv"
+    config = write_config(tmp_path, {"engine": engine, "run": run})
+    assert main(["trajectory", "--config", config, "--out", str(out)]) == 0
+    _, _, rows = read_csv(out)
+    assert len(rows) == 12
+
+
+def test_each_command_composes_each_spec_once(tmp_path, monkeypatch):
+    import spinotto.cli
+    import spinotto.engine
+
+    calls = []
+    compose_cycle = spinotto.engine.compose_cycle
+
+    def counting(spec):
+        calls.append(spec)
+        return compose_cycle(spec)
+
+    monkeypatch.setattr(spinotto.engine, "compose_cycle", counting)
+    monkeypatch.setattr(spinotto.cli, "compose_cycle", counting)
+    sweep = {"key": "tau_hot", "from": 0.5, "to": 3.0, "steps": 5}
+    initial = {"kind": "thermal", "temperature": 3.0}
+    runs = [
+        (["limit-cycle"], {}, 1),
+        (["iterate"], {"n_cycles": 3}, 1),
+        (["trajectory"], {"samples_per_branch": 3}, 1),
+        (["trajectory"], {"samples_per_branch": 3, "initial_state": initial}, 1),
+        (["sweep"], {"sweep": sweep}, 5),
+        (["figure", "fig2"], None, 1),
+        (["figure", "fig3"], None, 4),
+    ]
+    for argv, run, expected in runs:
+        calls.clear()
+        if run is not None:
+            config = write_config(tmp_path, {"engine": FIG1_ENGINE, "run": run})
+            argv = argv + ["--config", config]
+        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
+        assert len(calls) == expected, argv
+        assert len(set(calls)) == expected, argv
 
 
 def test_spectrum_still_works_for_unitary_cycle(tmp_path):

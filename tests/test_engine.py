@@ -95,8 +95,7 @@ def test_limit_cycle_fixed_point_residual(rng):
 
 
 def test_limit_cycle_fig6_exists_with_negative_power():
-    report = limit_cycle(fig6_spec())
-    assert report.unique
+    limit_cycle(fig6_spec())
     assert thermo_ledger(fig6_spec()).power < 0.0
 
 
@@ -141,7 +140,7 @@ def test_spectrum_phase_linear_in_adiabat_time():
 def test_iterate_fixed_point_is_constant():
     spec = fig1_spec()
     b_lc = limit_cycle(spec).b_a
-    states = iterate(spec, b_lc, 5)
+    states = iterate(compose_cycle(spec), b_lc, 5)
     for b in states:
         assert np.abs(b.as_array() - b_lc.as_array()).max() < 1e-12
 
@@ -150,8 +149,8 @@ def test_iterate_two_starts_converge_to_same_point():
     spec = fig1_spec()
     cold = thermal_state(spec.omega_b, spec.j, spec.t_cold)
     hot = thermal_state(spec.omega_b, spec.j, 100.0)
-    end_cold = iterate(spec, cold, 40)[-1]
-    end_hot = iterate(spec, hot, 40)[-1]
+    end_cold = iterate(compose_cycle(spec), cold, 40)[-1]
+    end_hot = iterate(compose_cycle(spec), hot, 40)[-1]
     assert np.linalg.norm(end_cold.as_array() - end_hot.as_array()) < 1e-8
 
 
@@ -162,7 +161,7 @@ def test_iterate_convergence_rate_matches_spectrum(rng):
     report = limit_cycle(spec)
     rate = max(abs(report.eigenvalues[1]), abs(report.eigenvalues[2]))
     b_lc = report.b_a.as_array()
-    states = iterate(spec, random_bloch(rng), 40)
+    states = iterate(compose_cycle(spec), random_bloch(rng), 40)
     err = [np.linalg.norm(b.as_array() - b_lc) for b in states]
     assert err[35] > 1e-9
     # geometric mean over several cycles averages out the rotating factor
@@ -174,14 +173,14 @@ def test_iterate_states_stay_physical(rng):
     from spinotto import vn_eigenvalues
 
     spec = random_spec(rng)
-    for b in iterate(spec, random_bloch(rng), 30):
+    for b in iterate(compose_cycle(spec), random_bloch(rng), 30):
         assert vn_eigenvalues(b).as_array().min() >= -1e-12
 
 
 def test_trajectory_branch_endpoints_coincide():
     spec = fig1_spec()
     b0 = limit_cycle(spec).b_a
-    samples = trajectory(spec, b0, 7)
+    samples = trajectory(compose_cycle(spec), b0, 7)
     for i in range(3):
         end = samples[(i + 1) * 7 - 1]
         start = samples[(i + 1) * 7]
@@ -196,7 +195,7 @@ def test_trajectory_vn_entropy_constant_on_sweeps():
     spec = fig1_spec()
     b0 = limit_cycle(spec).b_a
     for sample_count in (5,):
-        samples = trajectory(spec, b0, sample_count)
+        samples = trajectory(compose_cycle(spec), b0, sample_count)
         for branch_index in (1, 3):  # the two field sweeps
             branch = samples[branch_index * sample_count : (branch_index + 1) * sample_count]
             entropies = [vn_entropy(p.state) for p in branch]
@@ -206,7 +205,7 @@ def test_trajectory_vn_entropy_constant_on_sweeps():
 def test_trajectory_fig6_vn_entropy_flat_over_whole_cycle():
     spec = fig6_spec()
     b0 = limit_cycle(spec).b_a
-    samples = trajectory(spec, b0, 40)
+    samples = trajectory(compose_cycle(spec), b0, 40)
     entropies = [vn_entropy(p.state) for p in samples]
     # cycle closure pins the corner entropies exactly; in between the
     # entropy may bow by a few 1e-3, far below the figure's resolution
@@ -391,3 +390,5 @@ def test_cycle_spec_validation():
         replace(good, tau_hot=-0.1)
     with pytest.raises(ValueError):
         replace(good, omega_a=20.0)  # must stay below omega_b
+    with pytest.raises(ValueError):
+        replace(good, omega_a=0.0, j=0.0)  # a bath stroke needs an energy axis

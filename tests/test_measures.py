@@ -167,7 +167,7 @@ def test_energy_conditional_entropy_vanishes_only_at_convergence(rng):
     spec = random_spec(rng)
     b_lc = limit_cycle(spec).b_a
     b0 = thermal_state(spec.omega_b, spec.j, spec.t_cold)
-    states = iterate(spec, b0, 40)
+    states = iterate(compose_cycle(spec), b0, 40)
     first = energy_conditional_entropy(states[0], b_lc, spec.omega_b, spec.j)
     last = energy_conditional_entropy(states[-1], b_lc, spec.omega_b, spec.j)
     assert first > 1e-4
@@ -278,7 +278,7 @@ def test_dephasing_collapses_the_two_distances():
     spec = fig3_spec(tau_adiabat=0.01, dephasing_hot=0.01, dephasing_cold=0.03)
     b_lc = limit_cycle(spec).b_a
     b0 = thermal_state(spec.omega_b, spec.j, spec.t_cold)
-    states = iterate(spec, b0, 40)
+    states = iterate(compose_cycle(spec), b0, 40)
     for b in states[25:35]:
         qd = quantum_distance(b, b_lc)
         wd = wootters_energy_distance(b, b_lc, spec.omega_b, spec.j)
@@ -293,7 +293,7 @@ def test_energy_distance_oscillates_without_dephasing():
 
     spec = fig3_spec(tau_adiabat=0.01, dephasing_hot=0.0, dephasing_cold=0.0)
     ledger = thermo_ledger(spec)
-    states = iterate(spec, ledger.b_c, 30)
+    states = iterate(compose_cycle(spec), ledger.b_c, 30)
     wd = [wootters_energy_distance(b, ledger.b_a, spec.omega_b, spec.j) for b in states]
     qd = [quantum_distance(b, ledger.b_a) for b in states]
     increases = sum(1 for k in range(len(wd) - 1) if wd[k + 1] > wd[k] + 1e-12)

@@ -14,7 +14,6 @@ from spinotto import (
     WeiNormanAngles,
     adiabat_propagator,
     adiabat_propagator_direct,
-    bath_rates,
     compose,
     identity_propagator,
     isochore_propagator,
@@ -38,41 +37,6 @@ def axis_angle_rotation(omega, j, angle):
         + math.sin(angle) * cross
         + (1.0 - math.cos(angle)) * np.outer(n, n)
     )
-
-
-# ---------------------------------------------------------------------------
-# bath rates
-
-
-def test_bath_rates_infinite_temperature():
-    k_up, k_down = bath_rates(0.8, 1e12, 10.0)
-    assert abs(k_up - 0.4) < 1e-10
-    assert abs(k_down - 0.4) < 1e-10
-
-
-def test_bath_rates_zero_temperature_limit():
-    k_up, k_down = bath_rates(0.8, 1e-6, 10.0)
-    assert k_up < 1e-300
-    assert abs(k_down - 0.8) < 1e-14
-
-
-def test_bath_rates_closed_form():
-    gamma, temp, omega, j = 0.3423, 7.5, 12.6355, 2.0
-    big = math.hypot(omega, j)
-    k_up, k_down = bath_rates(gamma, temp, big)
-    expected_down = gamma / (1.0 + math.exp(-big / (SQRT2 * temp)))
-    assert abs(k_down - expected_down) < 1e-14
-    assert abs(k_up + k_down - gamma) < 1e-14
-    assert abs(k_up / k_down - math.exp(-big / (SQRT2 * temp))) < 1e-14
-
-
-def test_bath_rates_validation():
-    with pytest.raises(ValueError):
-        bath_rates(-0.1, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        bath_rates(0.1, -1.0, 1.0)
-    with pytest.raises(ValueError):
-        bath_rates(0.1, 1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
