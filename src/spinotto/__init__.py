@@ -55,18 +55,15 @@ from .measures import (
 )
 from .propagators import (
     AdiabatParams,
-    AdiabatSingularityError,
     AffinePropagator,
     BathParams,
     IsochoreParams,
-    WeiNormanAngles,
-    WeiNormanPath,
+    adiabat_partials,
     adiabat_propagator,
     adiabat_propagator_direct,
     compose,
     identity_propagator,
     isochore_propagator,
-    wei_norman_alphas,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

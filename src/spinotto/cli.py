@@ -11,9 +11,8 @@ sweep             one limit-cycle row per point of a one-parameter grid
 equilibrium-curve energy entropy of the thermal state across a field range
 figure            benchmark presets (fig1, fig2, fig3, fig5, fig6)
 
-Exit status: 0 success, 2 config error, 3 no unique limit cycle,
-4 sweep-integrator singularity.  Failures emit a JSON error record on
-stderr.
+Exit status: 0 success, 2 config error, 3 no unique limit cycle (4 is
+reserved; no longer emitted).  Failures emit a JSON error record on stderr.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from .measures import (
     vn_entropy,
     wootters_energy_distance,
 )
-from .propagators import AdiabatSingularityError
 
 SCHEMA_VERSION = 1
 
@@ -590,7 +588,4 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 3
-    except AdiabatSingularityError as exc:
-        print(_error_record("adiabat-singularity", str(exc)), file=sys.stderr)
-        return 4
     return 0

@@ -20,12 +20,12 @@ from .propagators import (
     AffinePropagator,
     BathParams,
     IsochoreParams,
+    adiabat_partials,
     adiabat_propagator,
     compose,
     identity_propagator,
     isochore_propagator,
     partial_isochore,
-    wei_norman_alphas,
 )
 
 # A second unit-modulus eigenvalue within this gap of 1 means the fixed
@@ -77,6 +77,9 @@ class CycleSpec:
             raise ValueError("omega_a must be < omega_b")
         if self.j == 0.0 and 0.0 in (self.omega_a, self.omega_b):
             raise ValueError("j and a bath-stroke field cannot both vanish")
+        # building the sweeps bounds their rotation angle (MAX_SWEEP_ANGLE)
+        self.adiabat_ab()
+        self.adiabat_ba()
 
     @property
     def period(self) -> float:
@@ -115,20 +118,23 @@ class CycleBranch:
     prop: AffinePropagator
     isochore: IsochoreParams = None
     adiabat: AdiabatParams = None
-    _wn_path: object = None
 
     def omega_at(self, t: float) -> float:
         if self.kind == "isochore":
             return self.isochore.omega
         return self.adiabat.omega_at(t)
 
-    def partial(self, t: float) -> AffinePropagator:
-        """Map of the first t time units of this branch."""
+    def partials(self, samples: int) -> list[AffinePropagator]:
+        """Maps of the first t time units of this branch at samples evenly
+        spaced t in [0, duration] (np.linspace)."""
         if self.duration == 0.0:
-            return identity_propagator()
+            return [identity_propagator()] * samples
         if self.kind == "isochore":
-            return partial_isochore(self.isochore, t)
-        return adiabat_propagator(self._wn_path.at(t))
+            return [
+                partial_isochore(self.isochore, float(t))
+                for t in np.linspace(0.0, self.duration, samples)
+            ]
+        return adiabat_partials(self.adiabat, samples)
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,21 +217,16 @@ def compose_cycle(spec: CycleSpec) -> CyclePropagator:
     ad_ba = spec.adiabat_ba()
     ad_ab = spec.adiabat_ab()
 
-    path_ba = wei_norman_alphas(ad_ba)
-    path_ab = wei_norman_alphas(ad_ab)
-
     u_ish = isochore_propagator(iso_h)
-    u_ba = adiabat_propagator(path_ba.final)
+    u_ba = adiabat_propagator(ad_ba)
     u_isc = isochore_propagator(iso_c)
-    u_ab = adiabat_propagator(path_ab.final)
+    u_ab = adiabat_propagator(ad_ab)
 
     branches = (
         CycleBranch("isochore-hot", "isochore", spec.tau_hot, u_ish, isochore=iso_h),
-        CycleBranch("adiabat-hot-cold", "adiabat", spec.tau_ba, u_ba,
-                    adiabat=ad_ba, _wn_path=path_ba),
+        CycleBranch("adiabat-hot-cold", "adiabat", spec.tau_ba, u_ba, adiabat=ad_ba),
         CycleBranch("isochore-cold", "isochore", spec.tau_cold, u_isc, isochore=iso_c),
-        CycleBranch("adiabat-cold-hot", "adiabat", spec.tau_ab, u_ab,
-                    adiabat=ad_ab, _wn_path=path_ab),
+        CycleBranch("adiabat-cold-hot", "adiabat", spec.tau_ab, u_ab, adiabat=ad_ab),
     )
     cycle = compose(u_ab, u_isc, u_ba, u_ish)
     return CyclePropagator(cycle=cycle, branches=branches, spec=spec)
@@ -347,11 +348,11 @@ def trajectory(
     t0 = 0.0
     state = b_start
     for branch in prop.branches:
-        for t in np.linspace(0.0, branch.duration, samples_per_branch):
-            sampled = branch.partial(float(t)).apply(state)
-            out.append(
-                TrajectorySample(branch.name, t0 + float(t), branch.omega_at(float(t)), sampled)
-            )
+        times = np.linspace(0.0, branch.duration, samples_per_branch)
+        for t, partial in zip(times, branch.partials(samples_per_branch)):
+            out.append(TrajectorySample(
+                branch.name, t0 + float(t), branch.omega_at(float(t)), partial.apply(state)
+            ))
         state = branch.prop.apply(state)
         t0 += branch.duration
     return out

@@ -2,10 +2,11 @@
 
 A branch propagator acts on the column (b1, b2, b3, 1) through a 4x4 affine
 matrix whose bottom row is (0, 0, 0, 1), plus a closure rule for the (b4, b5)
-pair.  Constant-field bath branches have a closed form; the driven branches
-(linear field sweep, no bath) are built from three elementary rotation angles
-obtained by integrating a small ODE system, with a brute-force time-ordered
-product as an independent oracle.
+pair.  Constant-field bath branches have a closed form.  The driven branches
+(linear field sweep, no bath) are rotations whose generator is linear in the
+field; they are integrated with a fourth-order Magnus product (Blanes,
+Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)), and a brute-force
+midpoint-field product serves as the independent oracle.
 """
 
 from __future__ import annotations
@@ -14,23 +15,16 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .algebra import SQRT2, BlochVector, thermal_state
 
-# |cos(alpha2)| below this invalidates the angle ODEs (division blows up).
-SINGULARITY_GUARD = 1e-6
+# Error target of the sweep integrator: the step count doubles until the
+# error estimate of the finer product, (change on doubling) / 15, is below it.
+SWEEP_TOLERANCE = 1e-12
 
-# Relative and absolute tolerance of the angle-ODE integration.
-SWEEP_TOLERANCE = 1e-10
-
-
-class AdiabatSingularityError(RuntimeError):
-    """The angle ODEs hit the cos(alpha2) ~ 0 singularity.
-
-    The rotation-product construction is invalid there; fall back to
-    :func:`adiabat_propagator_direct`.
-    """
+# Largest accepted sweep rotation angle sqrt(2) * max Omega * tau in radians;
+# it bounds the integrator work (about 4e4 steps at the limit).
+MAX_SWEEP_ANGLE = 1e4
 
 
 @dataclass(frozen=True)
@@ -83,41 +77,22 @@ class AdiabatParams:
     def __post_init__(self):
         if self.tau < 0.0:
             raise ValueError("tau must be >= 0")
+        if not self.rotation_angle <= MAX_SWEEP_ANGLE:
+            raise ValueError(
+                f"sweep rotation angle {self.rotation_angle:.4g} rad exceeds the "
+                f"limit MAX_SWEEP_ANGLE = {MAX_SWEEP_ANGLE:g} rad"
+            )
+
+    @property
+    def rotation_angle(self) -> float:
+        """Upper bound sqrt(2) * max Omega * tau of the total rotation angle."""
+        big = math.hypot(max(abs(self.omega_start), abs(self.omega_end)), self.j)
+        return SQRT2 * big * self.tau
 
     def omega_at(self, t: float) -> float:
         if self.tau == 0.0:
             return self.omega_end
         return self.omega_start + (self.omega_end - self.omega_start) * t / self.tau
-
-
-@dataclass(frozen=True)
-class WeiNormanAngles:
-    """The three rotation angles of the sweep propagator at a fixed time."""
-
-    alpha1: float
-    alpha2: float
-    alpha3: float
-
-
-@dataclass(frozen=True, eq=False)
-class WeiNormanPath:
-    """Angle solution over a whole sweep, with dense in-branch evaluation."""
-
-    final: WeiNormanAngles
-    max_abs_alpha2: float
-    tau: float
-    _dense: object = None
-
-    def at(self, t: float) -> WeiNormanAngles:
-        """Angles at elapsed time t in [0, tau]."""
-        if not 0.0 <= t <= self.tau:
-            raise ValueError(f"t = {t} outside [0, {self.tau}]")
-        if t == 0.0 or self._dense is None:
-            return WeiNormanAngles(0.0, 0.0, 0.0) if t < self.tau else self.final
-        if t == self.tau:
-            return self.final
-        a1, a2, a3 = self._dense(t)
-        return WeiNormanAngles(float(a1), float(a2), float(a3))
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,7 +168,6 @@ def isochore_propagator(p: IsochoreParams) -> AffinePropagator:
     gam = p.bath.conductance
     big_omega = math.hypot(omega, j)
     k = math.exp(-(gam + 2.0 * p.bath.dephasing * big_omega**2) * tau)
-    x = math.exp(2.0 * p.bath.dephasing * big_omega**2 * tau)
     c = math.cos(SQRT2 * big_omega * tau)
     s = math.sin(SQRT2 * big_omega * tau)
     g = math.exp(-gam * tau)
@@ -201,12 +175,12 @@ def isochore_propagator(p: IsochoreParams) -> AffinePropagator:
     eq = thermal_state(omega, j, p.bath.temperature)
     om2 = big_omega**2
     m = np.array([
-        [k * (x * omega**2 + c * j**2) / om2,
-         k * omega * j * (x - c) / om2,
+        [(g * omega**2 + k * c * j**2) / om2,
+         omega * j * (g - k * c) / om2,
          k * j * s / big_omega,
          eq.b1 * (1.0 - g)],
-        [k * omega * j * (x - c) / om2,
-         k * (x * j**2 + c * omega**2) / om2,
+        [omega * j * (g - k * c) / om2,
+         (g * j**2 + k * c * omega**2) / om2,
          -k * omega * s / big_omega,
          eq.b2 * (1.0 - g)],
         [-k * j * s / big_omega,
@@ -229,90 +203,97 @@ def isochore_propagator(p: IsochoreParams) -> AffinePropagator:
     )
 
 
-def _angle_odes(j: float, omega_of_t):
-    def rhs(t, a):
-        s1, c1 = math.sin(a[0]), math.cos(a[0])
-        s2, c2 = math.sin(a[1]), math.cos(a[1])
-        return (
-            SQRT2 * omega_of_t(t) + SQRT2 * j * s1 * s2 / c2,
-            SQRT2 * j * c1,
-            SQRT2 * j * s1 / c2,
-        )
-    return rhs
+def _rotations(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Rodrigues exponentials exp([r]_x) of the rotation vectors r = (x, y, z)."""
+    theta = np.sqrt(x * x + y * y + z * z)
+    a = np.sinc(theta / np.pi)  # sin(theta) / theta
+    b = 0.5 * np.sinc(theta / (2.0 * np.pi)) ** 2  # (1 - cos(theta)) / theta^2
+    out = np.empty(theta.shape + (3, 3))
+    out[..., 0, 0] = 1.0 - b * (y * y + z * z)
+    out[..., 0, 1] = b * x * y - a * z
+    out[..., 0, 2] = b * x * z + a * y
+    out[..., 1, 0] = b * x * y + a * z
+    out[..., 1, 1] = 1.0 - b * (x * x + z * z)
+    out[..., 1, 2] = b * y * z - a * x
+    out[..., 2, 0] = b * x * z - a * y
+    out[..., 2, 1] = b * y * z + a * x
+    out[..., 2, 2] = 1.0 - b * (x * x + y * y)
+    return out
 
 
-def wei_norman_alphas(p: AdiabatParams) -> WeiNormanPath:
-    """Integrate the coupled angle ODEs over the sweep.
+def _time_ordered_product(blocks: np.ndarray) -> np.ndarray:
+    """Product of the blocks along axis -3, the last index acting last.
 
-    alpha1 accumulates the field rotation, alpha2/alpha3 the coupling-induced
-    tilt.  Raises :class:`AdiabatSingularityError` if |cos(alpha2)| falls
-    below the guard anywhere on the accepted path.
+    Pairwise tree product: each pass multiplies neighbours in one batched
+    matmul, so n blocks take about log2(n) passes.
     """
+    while blocks.shape[-3] > 1:
+        n = blocks.shape[-3]
+        paired = np.matmul(blocks[..., 1 : n - n % 2 : 2, :, :],
+                           blocks[..., 0 : n - n % 2 : 2, :, :])
+        if n % 2:
+            paired = np.concatenate([paired, blocks[..., -1:, :, :]], axis=-3)
+        blocks = paired
+    return blocks[..., 0, :, :]
+
+
+def _magnus_maps(p: AdiabatParams, segments: int, per_segment: int) -> np.ndarray:
+    """Rotation blocks of the first k segments, k = 0..segments.
+
+    The generator sqrt(2) [(omega(t), J, 0)]_x is linear in t, so the
+    fourth-order Magnus exponent of a step of length h is the rotation
+    vector (sqrt(2) omega_mid h, sqrt(2) J h, omega' J h^3 / 6): the field
+    integral plus the one commutator term, both in closed form.
+    """
+    n = segments * per_segment
+    h = p.tau / n
+    sweep = p.omega_end - p.omega_start
+    omega_mid = p.omega_start + sweep * (np.arange(n) + 0.5) / n
+    # omega' h^3 = sweep h^2 / n: no division by a tau that may be subnormal
+    steps = _rotations(
+        SQRT2 * h * omega_mid,
+        np.full(n, SQRT2 * h * p.j),
+        np.full(n, sweep * p.j * h * h / (6.0 * n)),
+    )
+    seg = _time_ordered_product(steps.reshape(segments, per_segment, 3, 3))
+    maps = np.empty((segments + 1, 3, 3))
+    maps[0] = np.eye(3)
+    for k in range(segments):
+        maps[k + 1] = seg[k] @ maps[k]
+    return maps
+
+
+def adiabat_partials(p: AdiabatParams, samples: int) -> list[AffinePropagator]:
+    """Sweep maps of the first t time units at samples evenly spaced t in [0, tau].
+
+    A fourth-order Magnus product over uniform steps.  The total step count
+    starts near the rotation angle and doubles until two successive
+    products differ by at most 15 * SWEEP_TOLERANCE at every sample.  The
+    (b1, b2, b3) blocks are rotations to rounding; (b4, b5) commute with the
+    generator for every field value and stay constant.
+    """
+    if samples < 2:
+        raise ValueError("samples must be >= 2")
+    segments = samples - 1
     if p.tau == 0.0:
-        return WeiNormanPath(WeiNormanAngles(0.0, 0.0, 0.0), 0.0, 0.0)
-
-    # a sign change of cos(alpha2) catches paths that cross the singularity
-    # inside a step; the guard band itself is checked on the accepted nodes
-    def crossing(t, a):
-        return math.cos(a[1])
-
-    crossing.terminal = True
-
-    sol = solve_ivp(
-        _angle_odes(p.j, p.omega_at),
-        (0.0, p.tau),
-        [0.0, 0.0, 0.0],
-        method="RK45",
-        rtol=SWEEP_TOLERANCE,
-        atol=SWEEP_TOLERANCE,
-        dense_output=True,
-        events=crossing,
-    )
-    singular = sol.t_events[0].size > 0 or not sol.success
-    if not singular:
-        nodes = np.abs(np.cos(sol.y[1]))
-        dense = np.abs(np.cos(sol.sol(np.linspace(0.0, p.tau, 257))[1]))
-        singular = min(nodes.min(), dense.min()) < SINGULARITY_GUARD
-    if singular:
-        raise AdiabatSingularityError(
-            f"cos(alpha2) guard hit integrating sweep "
-            f"{p.omega_start} -> {p.omega_end} over tau = {p.tau}"
-        )
-    max_a2 = float(np.max(np.abs(sol.y[1])))
-    a1, a2, a3 = sol.y[:, -1]
-    return WeiNormanPath(
-        final=WeiNormanAngles(float(a1), float(a2), float(a3)),
-        max_abs_alpha2=max_a2,
-        tau=p.tau,
-        _dense=sol.sol,
-    )
+        maps = np.broadcast_to(np.eye(3), (samples, 3, 3))
+    else:
+        per_segment = max(1, math.ceil(p.rotation_angle / segments))
+        coarse, maps = None, _magnus_maps(p, segments, per_segment)
+        while coarse is None or np.abs(maps - coarse).max() > 15.0 * SWEEP_TOLERANCE:
+            per_segment *= 2
+            coarse, maps = maps, _magnus_maps(p, segments, per_segment)
+    out = []
+    for block in maps:
+        m = np.eye(4)
+        m[:3, :3] = block
+        out.append(AffinePropagator(m=m))
+    return out
 
 
-def _axis_rotations(a1: float, a2: float, a3: float) -> np.ndarray:
-    s1, c1 = math.sin(a1), math.cos(a1)
-    s2, c2 = math.sin(a2), math.cos(a2)
-    s3, c3 = math.sin(a3), math.cos(a3)
-    r1 = np.array([[1.0, 0.0, 0.0], [0.0, c1, -s1], [0.0, s1, c1]])
-    r2 = np.array([[c2, 0.0, s2], [0.0, 1.0, 0.0], [-s2, 0.0, c2]])
-    r3 = np.array([[c3, -s3, 0.0], [s3, c3, 0.0], [0.0, 0.0, 1.0]])
-    return r1 @ r2 @ r3
-
-
-def adiabat_propagator(angles: WeiNormanAngles) -> AffinePropagator:
-    """Assemble the sweep propagator from the integrated angles.
-
-    The (b1, b2, b3) block is the rotation product R1(alpha1) @ R2(alpha2)
-    @ R3(-alpha3); the sign of the third angle is fixed by the time-ordered
-    product oracle (the naive ordering only agrees for constant fields).
-    (b4, b5) commute with the generator for every field value and stay
-    constant.
-    """
-    for a in (angles.alpha1, angles.alpha2, angles.alpha3):
-        if not math.isfinite(a):
-            raise ValueError("angles must be finite")
-    m = np.eye(4)
-    m[:3, :3] = _axis_rotations(angles.alpha1, angles.alpha2, -angles.alpha3)
-    return AffinePropagator(m=m)
+def adiabat_propagator(p: AdiabatParams) -> AffinePropagator:
+    """Map of the whole sweep; see :func:`adiabat_partials`."""
+    return adiabat_partials(p, 2)[-1]
 
 
 def adiabat_propagator_direct(p: AdiabatParams, n_steps: int) -> AffinePropagator:
@@ -320,7 +301,8 @@ def adiabat_propagator_direct(p: AdiabatParams, n_steps: int) -> AffinePropagato
 
     Each step is a bath-free constant-field map at the field sampled at the
     step midpoint; the product converges to the true propagator as
-    O(1/n_steps^2).  Independent oracle for :func:`adiabat_propagator`.
+    O(1/n_steps^2).  It shares only the product routine with the Magnus
+    integrator and is the oracle for :func:`adiabat_propagator`.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -343,16 +325,8 @@ def adiabat_propagator_direct(p: AdiabatParams, n_steps: int) -> AffinePropagato
     blocks[:, 2, 0] = -blocks[:, 0, 2]
     blocks[:, 2, 1] = omega * s / big
     blocks[:, 2, 2] = c
-    # pairwise tree product, index order = time order (rightmost acts first)
-    while blocks.shape[0] > 1:
-        n = blocks.shape[0]
-        paired = np.matmul(blocks[1 : n - n % 2 : 2], blocks[0 : n - n % 2 : 2])
-        if n % 2:
-            blocks = np.concatenate([paired, blocks[-1:]], axis=0)
-        else:
-            blocks = paired
     m = np.eye(4)
-    m[:3, :3] = blocks[0]
+    m[:3, :3] = _time_ordered_product(blocks)
     return AffinePropagator(m=m)
 
 

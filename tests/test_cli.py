@@ -2,11 +2,20 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
-from spinotto import energy_entropy, limit_cycle, thermal_state, thermo_ledger
+from spinotto import (
+    AdiabatParams,
+    BlochVector,
+    adiabat_propagator_direct,
+    energy_entropy,
+    limit_cycle,
+    thermal_state,
+    thermo_ledger,
+)
 from spinotto.cli import ConfigError, load_config, main
 from conftest import fig1_spec, fig6_spec
 
@@ -335,13 +344,49 @@ def test_exit_code_non_unique_limit_cycle(tmp_path, capsys):
     assert max(record["eigenvalue_moduli"]) <= 1.0 + 1e-9
 
 
-def test_exit_code_adiabat_singularity(tmp_path, capsys):
-    # a sweep that hugs omega = 0 drives the tilt angle into the guard band
+def test_near_zero_field_sweep_exits_zero(tmp_path):
+    # the sweep hugs omega = 0, where the Wei-Norman angle chart is singular
     engine = dict(FIG1_ENGINE, omega_a=1e-6, omega_b=2e-6, tau_ab=1.0, tau_ba=1.0)
+    out = tmp_path / "lc.csv"
+    code = main(["limit-cycle", "--config", write_config(tmp_path, {"engine": engine}),
+                 "--out", str(out)])
+    assert code == 0
+    _, header, rows = read_csv(out)
+    assert all(math.isfinite(float(v)) for v in rows[0])
+    corner = {c: BlochVector(*(column(header, rows, f"b{i}_{c}")[0] for i in range(1, 6)))
+              for c in "abcd"}
+    e = engine
+    sweeps = [
+        (AdiabatParams(e["omega_b"], e["omega_a"], e["j"], e["tau_ba"]), "b", "c"),
+        (AdiabatParams(e["omega_a"], e["omega_b"], e["j"], e["tau_ab"]), "d", "a"),
+    ]
+    for params, start, end in sweeps:
+        image = adiabat_propagator_direct(params, 20000).apply(corner[start])
+        assert np.abs(image.as_array() - corner[end].as_array()).max() < 1e-9
+
+
+def test_exit_code_sweep_angle_limit(tmp_path, capsys):
+    engine = dict(FIG1_ENGINE, omega_b=1e300)
+    start = time.perf_counter()
     code = main(["limit-cycle", "--config", write_config(tmp_path, {"engine": engine})])
-    assert code == 4
+    assert time.perf_counter() - start < 5.0
+    assert code == 2
     record = json.loads(capsys.readouterr().err)
-    assert record["error"] == "adiabat-singularity"
+    assert record["error"] == "config"
+    assert "MAX_SWEEP_ANGLE" in record["message"]
+
+
+def test_limit_cycle_with_strong_dephasing(tmp_path):
+    # exp(2 * dephasing * Omega^2 * tau_hot) = exp(818) is past the float
+    # range, so the bath stroke must not form it on its own
+    engine = dict(FIG1_ENGINE, dephasing_hot=1.0)
+    out = tmp_path / "lc.csv"
+    code = main(["limit-cycle", "--config", write_config(tmp_path, {"engine": engine}),
+                 "--out", str(out)])
+    assert code == 0
+    _, _, rows = read_csv(out)
+    assert len(rows) == 1
+    assert all(math.isfinite(float(v)) for v in rows[0])
 
 
 @pytest.mark.parametrize("section, key, value, path", [

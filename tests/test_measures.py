@@ -24,7 +24,6 @@ from spinotto import (
     reconstruct_density,
     thermal_state,
     vn_entropy,
-    wei_norman_alphas,
     adiabat_propagator,
     AdiabatParams,
     wootters_energy_distance,
@@ -264,9 +263,7 @@ def test_quantum_distance_contracts_under_cycle_map(rng):
 
 
 def test_vn_entropy_invariant_under_sweep_propagation(rng):
-    prop = adiabat_propagator(
-        wei_norman_alphas(AdiabatParams(12.0, 5.0, 2.0, 0.3)).final
-    )
+    prop = adiabat_propagator(AdiabatParams(12.0, 5.0, 2.0, 0.3))
     for _ in range(50):
         b = random_bloch(rng)
         assert abs(vn_entropy(prop.apply(b)) - vn_entropy(b)) < 1e-12

@@ -4,24 +4,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from spinotto import (
     AdiabatParams,
-    AdiabatSingularityError,
     BathParams,
     BlochVector,
     IsochoreParams,
-    WeiNormanAngles,
     adiabat_propagator,
     adiabat_propagator_direct,
     compose,
+    compose_cycle,
     identity_propagator,
     isochore_propagator,
     thermal_state,
     vn_eigenvalues,
-    wei_norman_alphas,
 )
-from conftest import SQRT2, random_bloch
+from conftest import SQRT2, fig1_spec, random_bloch
 
 
 def axis_angle_rotation(omega, j, angle):
@@ -90,69 +91,140 @@ def test_isochore_semigroup_matrix_level():
 
 
 # ---------------------------------------------------------------------------
-# sweep angles
+# Wei-Norman angles: the paper's construction, kept as a cross-check
+
+
+def wei_norman_map(p: AdiabatParams):
+    """Sweep rotation R1(alpha1) R2(alpha2) R3(-alpha3) from the angle ODEs.
+
+    The chart is singular at cos(alpha2) = 0; returns the block and the
+    largest |alpha2| on the accepted path.
+    """
+    def rhs(t, a):
+        s1, c1 = math.sin(a[0]), math.cos(a[0])
+        s2, c2 = math.sin(a[1]), math.cos(a[1])
+        return (
+            SQRT2 * p.omega_at(t) + SQRT2 * p.j * s1 * s2 / c2,
+            SQRT2 * p.j * c1,
+            SQRT2 * p.j * s1 / c2,
+        )
+
+    sol = solve_ivp(rhs, (0.0, p.tau), [0.0, 0.0, 0.0], method="RK45",
+                    rtol=1e-10, atol=1e-10)
+    assert sol.success
+    a1, a2, a3 = sol.y[:, -1]
+    s1, c1 = math.sin(a1), math.cos(a1)
+    s2, c2 = math.sin(a2), math.cos(a2)
+    s3, c3 = math.sin(-a3), math.cos(-a3)
+    r1 = np.array([[1.0, 0.0, 0.0], [0.0, c1, -s1], [0.0, s1, c1]])
+    r2 = np.array([[c2, 0.0, s2], [0.0, 1.0, 0.0], [-s2, 0.0, c2]])
+    r3 = np.array([[c3, -s3, 0.0], [s3, c3, 0.0], [0.0, 0.0, 1.0]])
+    return r1 @ r2 @ r3, float(np.abs(sol.y[1]).max())
+
+
+def test_reference_sweep_stays_regular():
+    p = AdiabatParams(12.6355, 5.08364, 2.0, 0.01)
+    block, max_abs_alpha2 = wei_norman_map(p)
+    assert max_abs_alpha2 < math.pi / 2
+    assert np.abs(block - adiabat_propagator(p).m[:3, :3]).max() < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# sweep propagator
 
 
 def test_angles_decouple_for_zero_coupling():
+    # with J = 0 the sweep is a pure rotation about axis 1 by the field integral
     p = AdiabatParams(4.0, 10.0, 0.0, 0.5)
-    path = wei_norman_alphas(p)
-    assert abs(path.final.alpha2) < 1e-12
-    assert abs(path.final.alpha3) < 1e-12
-    assert abs(path.final.alpha1 - SQRT2 * (4.0 + 10.0) * 0.5 / 2.0) < 1e-8
+    angle = SQRT2 * (4.0 + 10.0) * 0.5 / 2.0
+    c, s = math.cos(angle), math.sin(angle)
+    expected = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    assert np.abs(adiabat_propagator(p).m[:3, :3] - expected).max() < 1e-12
 
 
 def test_constant_field_sweep_equals_isochore_rotation():
     omega, j, tau = 8.3, 2.0, 0.41
-    path = wei_norman_alphas(AdiabatParams(omega, omega, j, tau))
-    prop = adiabat_propagator(path.final)
+    prop = adiabat_propagator(AdiabatParams(omega, omega, j, tau))
     iso = isochore_propagator(IsochoreParams(omega, j, BathParams(0.0, 0.0, 1.0), tau))
     assert np.abs(prop.m - iso.m).max() < 1e-8
 
 
-def test_reference_sweep_stays_regular():
-    path = wei_norman_alphas(AdiabatParams(12.6355, 5.08364, 2.0, 0.01))
-    assert all(np.isfinite([path.final.alpha1, path.final.alpha2, path.final.alpha3]))
-    assert path.max_abs_alpha2 < math.pi / 2
+def test_zero_field_sweep_integrates():
+    # the Wei-Norman chart is singular here: the tilt angle reaches pi/2
+    omega, j, tau = 0.0, 5.0, 0.4
+    prop = adiabat_propagator(AdiabatParams(omega, omega, j, tau))
+    iso = isochore_propagator(IsochoreParams(omega, j, BathParams(0.0, 0.0, 1.0), tau))
+    assert np.abs(prop.m - iso.m).max() < 1e-12
 
 
-def test_singularity_guard_raises():
-    # with the field held at zero the tilt angle grows linearly and must
-    # reach the guard before pi/2
-    with pytest.raises(AdiabatSingularityError):
-        wei_norman_alphas(AdiabatParams(0.0, 0.0, 5.0, 0.4))
+def test_sweep_samples_end_at_branch_map():
+    prop = compose_cycle(fig1_spec())
+    for branch in (prop.branches[1], prop.branches[3]):
+        for samples in (2, 7, 200):
+            partials = branch.partials(samples)
+            assert len(partials) == samples
+            assert np.abs(partials[0].m - np.eye(4)).max() == 0.0
+            assert np.abs(partials[-1].m - branch.prop.m).max() < 1e-12
 
 
-def test_dense_angles_match_final():
-    p = AdiabatParams(12.0, 5.0, 2.0, 0.3)
-    path = wei_norman_alphas(p)
-    end = path.at(p.tau)
-    assert end == path.final
-    start = path.at(0.0)
-    assert (start.alpha1, start.alpha2, start.alpha3) == (0.0, 0.0, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# sweep propagator vs direct oracle
-
-
-def test_adiabat_zero_angles_is_identity():
-    prop = adiabat_propagator(WeiNormanAngles(0.0, 0.0, 0.0))
+def test_adiabat_zero_time_is_identity():
+    prop = adiabat_propagator(AdiabatParams(5.0, 12.0, 2.0, 0.0))
     assert np.abs(prop.m - np.eye(4)).max() == 0.0
 
 
 def test_adiabat_block_is_special_orthogonal(rng):
     for _ in range(50):
-        angles = WeiNormanAngles(*rng.uniform(-1.2, 1.2, size=3))
-        block = adiabat_propagator(angles).m[:3, :3]
+        p = AdiabatParams(rng.uniform(-15.0, 15.0), rng.uniform(-15.0, 15.0),
+                          rng.uniform(0.0, 4.0), rng.uniform(0.0, 1.0))
+        block = adiabat_propagator(p).m[:3, :3]
         assert np.abs(block @ block.T - np.eye(3)).max() < 1e-12
         assert abs(np.linalg.det(block) - 1.0) < 1e-12
 
 
+def test_sweep_rotation_angle_is_bounded():
+    with pytest.raises(ValueError, match="MAX_SWEEP_ANGLE"):
+        AdiabatParams(0.0, 1e300, 2.0, 1.0)
+    with pytest.raises(ValueError, match="MAX_SWEEP_ANGLE"):
+        AdiabatParams(0.0, 1.0, 2.0, math.nan)
+
+
+def _richardson_direct(p: AdiabatParams, n: int) -> np.ndarray:
+    coarse = adiabat_propagator_direct(p, n).m
+    fine = adiabat_propagator_direct(p, 2 * n).m
+    return (4.0 * fine - coarse) / 3.0
+
+
+@st.composite
+def sweeps(draw):
+    field = st.floats(-15.0, 15.0)
+    omega_start = draw(field)
+    j = draw(st.sampled_from([0.0, 2.0]) | st.floats(0.0, 4.0))
+    if draw(st.booleans()):
+        tau = draw(st.sampled_from([0.0, 1e-9]) | st.floats(0.0, 1.0))
+        omega_end = draw(field)
+    else:  # steep: |d omega / dt| up to 1e6
+        tau = draw(st.floats(1e-9, 1e-3))
+        omega_end = omega_start + draw(st.floats(-1e6, 1e6)) * tau
+    # the oracle divides by the squared field, which must not underflow
+    assume(min(math.hypot(omega_start, j), math.hypot(omega_end, j)) > 1e-6)
+    return AdiabatParams(omega_start, omega_end, j, tau)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sweeps())
+@example(AdiabatParams(0.0, 1.0, 2.0, 2.225073858507e-311))  # subnormal tau
+def test_adiabat_matches_richardson_oracle_property(p):
+    prop = adiabat_propagator(p)
+    block = prop.m[:3, :3]
+    assert np.abs(block @ block.T - np.eye(3)).max() < 1e-13
+    assert np.abs(prop.m - _richardson_direct(p, 20000)).max() < 1e-9
+
+
 def test_adiabat_matches_direct_oracle_reference_sweep():
     p = AdiabatParams(12.6355, 5.08364, 2.0, 0.01)
-    wn = adiabat_propagator(wei_norman_alphas(p).final)
+    magnus = adiabat_propagator(p)
     direct = adiabat_propagator_direct(p, 100000)
-    assert np.abs(wn.m - direct.m).max() < 1e-8
+    assert np.abs(magnus.m - direct.m).max() < 1e-8
 
 
 def test_adiabat_matches_direct_oracle_random(rng):
@@ -162,15 +234,15 @@ def test_adiabat_matches_direct_oracle_random(rng):
             rng.uniform(2.0, 15.0), rng.uniform(2.0, 15.0),
             rng.uniform(0.5, 4.0), rng.uniform(0.005, 0.8),
         )
-        wn = adiabat_propagator(wei_norman_alphas(p).final)
+        magnus = adiabat_propagator(p)
         direct = adiabat_propagator_direct(p, 30000)
-        worst = max(worst, float(np.linalg.norm(wn.m - direct.m)))
+        worst = max(worst, float(np.linalg.norm(magnus.m - direct.m)))
     assert worst < 1e-7
 
 
 def test_direct_oracle_second_order_convergence():
     p = AdiabatParams(12.0, 5.0, 2.0, 0.4)
-    exact = adiabat_propagator(wei_norman_alphas(p).final).m
+    exact = adiabat_propagator(p).m
     err = [np.linalg.norm(adiabat_propagator_direct(p, n).m - exact) for n in (200, 400, 800)]
     assert err[0] / err[1] == pytest.approx(4.0, rel=0.05)
     assert err[1] / err[2] == pytest.approx(4.0, rel=0.05)
@@ -191,7 +263,7 @@ def test_direct_oracle_zero_time_is_identity():
 
 def test_adiabat_preserves_spectrum(rng):
     p = AdiabatParams(11.0, 6.0, 2.0, 0.2)
-    prop = adiabat_propagator(wei_norman_alphas(p).final)
+    prop = adiabat_propagator(p)
     for _ in range(50):
         b = random_bloch(rng)
         before = np.sort(vn_eigenvalues(b).as_array())
@@ -218,7 +290,7 @@ def test_apply_thermal_fixed_point():
 
 def test_composition_associativity(rng):
     p1 = isochore_propagator(_iso(tau=0.3))
-    p2 = adiabat_propagator(wei_norman_alphas(AdiabatParams(9.0, 4.0, 2.0, 0.1)).final)
+    p2 = adiabat_propagator(AdiabatParams(9.0, 4.0, 2.0, 0.1))
     p3 = isochore_propagator(_iso(omega=4.0, temp=1.2, tau=0.5))
     chained = compose(p3, p2, p1)
     for _ in range(20):
@@ -238,10 +310,10 @@ def test_random_branches_preserve_physicality(rng):
                 rng.uniform(0.0, 3.0),
             ))
         else:
-            prop = adiabat_propagator(wei_norman_alphas(AdiabatParams(
+            prop = adiabat_propagator(AdiabatParams(
                 rng.uniform(2.0, 14.0), rng.uniform(2.0, 14.0),
                 rng.uniform(0.3, 4.0), rng.uniform(0.0, 0.6),
-            )).final)
+            ))
         for _ in range(30):
             image = prop.apply(random_bloch(rng))
             assert vn_eigenvalues(image).as_array().min() >= -1e-12
@@ -252,8 +324,8 @@ def test_cycle_b45_rates():
     gamma_c, tau_c = 0.3, 1.4
     u_h = isochore_propagator(_iso(omega=12.0, gamma=gamma_h, temp=7.0, tau=tau_h))
     u_c = isochore_propagator(_iso(omega=5.0, gamma=gamma_c, temp=1.5, tau=tau_c))
-    u_ba = adiabat_propagator(wei_norman_alphas(AdiabatParams(12.0, 5.0, 2.0, 0.04)).final)
-    u_ab = adiabat_propagator(wei_norman_alphas(AdiabatParams(5.0, 12.0, 2.0, 0.03)).final)
+    u_ba = adiabat_propagator(AdiabatParams(12.0, 5.0, 2.0, 0.04))
+    u_ab = adiabat_propagator(AdiabatParams(5.0, 12.0, 2.0, 0.03))
     cycle = compose(u_ab, u_c, u_ba, u_h)
     accumulated = gamma_h * tau_h + gamma_c * tau_c
     assert abs(cycle.b4_scale - math.exp(-accumulated)) < 1e-13
