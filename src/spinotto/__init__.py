@@ -10,16 +10,10 @@ point, the limit cycle, whose spectrum and thermodynamics are analyzed in
 
 from .algebra import (
     BlochVector,
-    EnergyBasisTransform,
     SpectralInfo,
-    energy_basis_transform,
     energy_populations,
-    matrix_function,
-    matrix_log,
-    matrix_sqrt,
     reconstruct_density,
     thermal_state,
-    to_energy_basis,
     vn_eigenvalues,
 )
 from .engine import (
@@ -41,15 +35,11 @@ from .engine import (
     trajectory,
 )
 from .measures import (
-    DistanceIntermediates,
     conditional_entropy,
-    conditional_entropy_closed_form,
-    distance_intermediates,
     energy_conditional_entropy,
     energy_entropy,
     measurement_entropy,
     quantum_distance,
-    quantum_distance_closed_form,
     vn_entropy,
     wootters_energy_distance,
 )
@@ -66,4 +56,4 @@ from .propagators import (
     isochore_propagator,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

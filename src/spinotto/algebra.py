@@ -2,9 +2,9 @@
 
 The 4x4 state of the medium is fully parameterized by five real expectation
 values (b1..b5) of an orthonormal, traceless operator set.  This module
-rebuilds density matrices from them, evaluates their spectrum in closed form,
-changes to the energy eigenbasis of H = omega*B1 + J*B2, and computes matrix
-functions (square root, logarithm) spectrally.
+rebuilds density matrices from them (which defines the operator basis),
+evaluates their spectrum and their populations in the energy eigenbasis of
+H = omega*B1 + J*B2 in closed form, and builds thermal states.
 
 Units: hbar = k_B = 1 throughout; everything is dimensionless.
 """
@@ -22,8 +22,14 @@ SQRT2 = math.sqrt(2.0)
 # expressions stay finite (never NaN) for numerically pure states.
 LOG_EIGENVALUE_FLOOR = 1e-300
 
-# A reconstructed eigenvalue below this marks the state as non-physical.
-PHYSICALITY_TOL = -1e-10
+# Field magnitudes Omega = hypot(omega, J) accepted on a constant-field
+# stroke; the closed forms square Omega, which overflows or underflows
+# outside this range.
+FIELD_RANGE = (1e-150, 1e150)
+
+# A reconstructed eigenvalue (or a measurement probability) below this marks
+# the state as non-physical.
+PHYSICALITY_TOL = -1e-12
 
 
 @dataclass(frozen=True)
@@ -77,42 +83,6 @@ class SpectralInfo:
         return min(self.lam1, self.lam2, self.lam3, self.lam4) >= PHYSICALITY_TOL
 
 
-@dataclass(frozen=True)
-class EnergyBasisTransform:
-    """The symmetric involution C that diagonalizes H = omega*B1 + J*B2.
-
-    Its nontrivial entries are mu = sqrt((Omega - omega)/(2 Omega)) and
-    chi = sqrt((Omega + omega)/(2 Omega)) with Omega = sqrt(omega^2 + J^2);
-    C @ C is the identity.
-    """
-
-    omega: float
-    j: float
-    big_omega: float
-    mu: float
-    chi: float
-
-    def matrix(self) -> np.ndarray:
-        c = np.zeros((4, 4))
-        c[0, 0] = -self.mu
-        c[0, 3] = self.chi
-        c[1, 1] = 1.0
-        c[2, 2] = 1.0
-        c[3, 0] = self.chi
-        c[3, 3] = self.mu
-        return c
-
-
-def energy_basis_transform(omega: float, j: float) -> EnergyBasisTransform:
-    """Build the basis change for field omega and coupling j (Omega > 0)."""
-    big_omega = math.hypot(omega, j)
-    if big_omega == 0.0:
-        raise ValueError("energy basis undefined for omega = J = 0")
-    mu = math.sqrt(max(big_omega - omega, 0.0) / (2.0 * big_omega))
-    chi = math.sqrt((big_omega + omega) / (2.0 * big_omega))
-    return EnergyBasisTransform(omega, j, big_omega, mu, chi)
-
-
 def reconstruct_density(b: BlochVector) -> np.ndarray:
     """Rebuild the 4x4 density matrix (spin-product basis) from b1..b5.
 
@@ -142,12 +112,6 @@ def vn_eigenvalues(b: BlochVector) -> SpectralInfo:
     )
 
 
-def to_energy_basis(b: BlochVector, omega: float, j: float) -> np.ndarray:
-    """Return C rho C, the state expressed in the energy eigenbasis."""
-    c = energy_basis_transform(omega, j).matrix()
-    return c @ reconstruct_density(b) @ c
-
-
 def energy_populations(b: BlochVector, omega: float, j: float) -> np.ndarray:
     """Diagonal of the energy-basis state, in closed form.
 
@@ -168,30 +132,16 @@ def energy_populations(b: BlochVector, omega: float, j: float) -> np.ndarray:
     ])
 
 
-def matrix_function(rho: np.ndarray, f) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix through its spectrum.
-
-    ``f`` receives the (real) eigenvalue array and must return an array of
-    the same shape.
-    """
-    lam, q = np.linalg.eigh(rho)
-    return (q * f(lam)) @ q.conj().T
-
-
-def matrix_sqrt(rho: np.ndarray) -> np.ndarray:
-    """Spectral square root; tiny negative eigenvalues are clipped to zero."""
-    return matrix_function(rho, lambda lam: np.sqrt(np.clip(lam, 0.0, None)))
-
-
-def matrix_log(rho: np.ndarray) -> np.ndarray:
-    """Spectral logarithm with eigenvalues floored at a tiny positive value.
-
-    The floor keeps log of a (numerically) zero eigenvalue finite; callers
-    that need a support check must perform it themselves.
-    """
-    return matrix_function(
-        rho, lambda lam: np.log(np.clip(lam, LOG_EIGENVALUE_FLOOR, None))
-    )
+def field_magnitude(omega: float, j: float) -> float:
+    """Omega = hypot(omega, j); ValueError unless it lies in FIELD_RANGE."""
+    big_omega = math.hypot(omega, j)
+    lo, hi = FIELD_RANGE
+    if not lo <= big_omega <= hi:
+        raise ValueError(
+            f"field magnitude hypot(omega, j) = {big_omega:.4g} is outside "
+            f"FIELD_RANGE = [{lo:g}, {hi:g}]"
+        )
+    return big_omega
 
 
 def thermal_state(omega: float, j: float, temperature: float) -> BlochVector:
@@ -203,9 +153,7 @@ def thermal_state(omega: float, j: float, temperature: float) -> BlochVector:
     """
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
-    big_omega = math.hypot(omega, j)
-    if big_omega == 0.0:
-        raise ValueError("thermal state undefined for omega = J = 0")
+    big_omega = field_magnitude(omega, j)
     # t = tanh(Omega / (2 sqrt(2) T)) parameterizes all Gibbs quantities in
     # an overflow-free way.
     t = math.tanh(big_omega / (2.0 * SQRT2 * temperature))

@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from .algebra import BlochVector, thermal_state, vn_eigenvalues
+from .algebra import BlochVector, field_magnitude, thermal_state, vn_eigenvalues
 from .engine import (
     CyclePropagator,
     CycleSpec,
@@ -394,13 +394,19 @@ def cmd_equilibrium_curve(config: RunConfig, out_path):
         raise ConfigError("equilibrium-curve requires run.omega_from and run.omega_to")
     if lo <= 0.0 or hi <= 0.0:
         raise ConfigError("run.omega_from/omega_to must be > 0")
+    j = config.spec.j
+    try:
+        # Omega grows with omega > 0, so the two ends bound the whole range
+        field_magnitude(lo, j)
+        field_magnitude(hi, j)
+    except ValueError as exc:
+        raise ConfigError(f"run.omega_from/omega_to: {exc}") from exc
     steps = run.get("steps", 100)
     if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
         raise ConfigError("run.steps: expected an integer >= 1")
     temp = _require_number(run.get("temperature", config.spec.t_hot), "run.temperature")
     if temp <= 0.0:
         raise ConfigError("run.temperature must be > 0")
-    j = config.spec.j
     rows = []
     for omega in ([lo] if steps == 1 else np.linspace(lo, hi, steps)):
         omega = float(omega)

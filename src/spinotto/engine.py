@@ -75,11 +75,12 @@ class CycleSpec:
             raise ValueError("dephasing constants must be >= 0")
         if not self.omega_a < self.omega_b:
             raise ValueError("omega_a must be < omega_b")
-        if self.j == 0.0 and 0.0 in (self.omega_a, self.omega_b):
-            raise ValueError("j and a bath-stroke field cannot both vanish")
-        # building the sweeps bounds their rotation angle (MAX_SWEEP_ANGLE)
+        # building the strokes bounds the sweep rotation angles
+        # (MAX_SWEEP_ANGLE) and the bath-stroke fields (FIELD_RANGE)
         self.adiabat_ab()
         self.adiabat_ba()
+        self.hot_isochore()
+        self.cold_isochore()
 
     @property
     def period(self) -> float:

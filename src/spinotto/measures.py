@@ -1,25 +1,23 @@
 """Entropy and distance functionals of working-medium states.
 
 All entropies use the natural logarithm with the 0*log(0) = 0 convention.
-The quantum distance is computed from the matrix sqrt(rho) rho_ref sqrt(rho)
-(the production path); an equivalent closed form in the b-vector variables is
-kept as a cross-check.
+Every state is an outer 2x2 block A plus the inner doublet (lam2, lam3), so
+the relative entropy and the quantum distance reduce to closed forms in the
+b-vector variables and the eigenvalues of :func:`vn_eigenvalues`; no 4x4
+matrix is built.  The tests check both against density-matrix oracles.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import (
     LOG_EIGENVALUE_FLOOR,
-    SQRT2,
+    PHYSICALITY_TOL,
     BlochVector,
     energy_populations,
-    matrix_sqrt,
-    reconstruct_density,
     vn_eigenvalues,
 )
 
@@ -34,7 +32,7 @@ _SUPPORT_TOL = 1e-13
 
 def _validated_probabilities(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
-    if np.any(p < -1e-12):
+    if np.any(p < PHYSICALITY_TOL):
         raise ValueError(f"negative probability in {p}")
     total = p.sum()
     if abs(total - 1.0) > 1e-10:
@@ -67,27 +65,44 @@ def energy_entropy(b: BlochVector, omega: float, j: float) -> float:
     return measurement_entropy(energy_populations(b, omega, j))
 
 
+def _outer_overlap(b: BlochVector, b_ref: BlochVector) -> float:
+    """tr(A A_ref) = 2 r r_ref + (b1, b2, b3) . (b1, b2, b3)_ref of the outer
+    2x2 blocks, with r = 1/4 + b5/2 (half the block trace)."""
+    r = 0.25 + b.b5 / 2.0
+    r_ref = 0.25 + b_ref.b5 / 2.0
+    return 2.0 * r * r_ref + b.b1 * b_ref.b1 + b.b2 * b_ref.b2 + b.b3 * b_ref.b3
+
+
 def conditional_entropy(b: BlochVector, b_ref: BlochVector) -> float:
     """Relative entropy tr{rho (log rho - log rho_ref)}.
 
     Nonnegative (up to ~1e-13 rounding), zero only for equal states, and
     non-increasing under every branch or cycle map.  Returns +inf when rho
     has weight outside the support of rho_ref.
+
+    rho_ref is diagonal in the inner doublet and in the eigenbasis of its
+    outer block, so tr(rho log rho_ref) = sum_i w_i log lam_i(ref) with w_i
+    the weight of rho on each reference eigenvector: lam2 and lam3 on the
+    inner doublet, and on the outer pair the split of tr A fixed by
+    tr(A A_ref) = w1 lam1(ref) + w4 lam4(ref).
     """
-    rho = reconstruct_density(b)
-    ref = reconstruct_density(b_ref)
-    lam_ref, q_ref = np.linalg.eigh(ref)
-    kernel = lam_ref < _SUPPORT_TOL
-    if np.any(kernel):
-        weights = np.real(np.einsum("ij,jk,ki->i", q_ref.conj().T, rho, q_ref))
-        if np.any(weights[kernel] > 1e-12):
+    lam = vn_eigenvalues(b)
+    lam_ref = vn_eigenvalues(b_ref)
+    trace_outer = lam.lam1 + lam.lam4
+    gap_ref = lam_ref.lam4 - lam_ref.lam1
+    if gap_ref > 0.0:
+        w1 = (lam_ref.lam4 * trace_outer - _outer_overlap(b, b_ref)) / gap_ref
+    else:
+        w1 = trace_outer / 2.0
+    weights = (w1, lam.lam2, lam.lam3, trace_outer - w1)
+    out = 0.0
+    for p, w, q in zip(lam.as_array().tolist(), weights, lam_ref.as_array().tolist()):
+        if q < _SUPPORT_TOL and w > 1e-12:
             return math.inf
-    lam = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
-    nz = lam[lam > 0.0]
-    tr_rho_log_rho = float((nz * np.log(nz)).sum())
-    log_ref = (q_ref * np.log(np.clip(lam_ref, LOG_EIGENVALUE_FLOOR, None))) @ q_ref.conj().T
-    tr_rho_log_ref = float(np.real(np.trace(rho @ log_ref)))
-    return tr_rho_log_rho - tr_rho_log_ref
+        if p > 0.0:
+            out += p * math.log(p)
+        out -= w * math.log(max(q, LOG_EIGENVALUE_FLOOR))
+    return out
 
 
 def energy_conditional_entropy(
@@ -129,122 +144,20 @@ def wootters_energy_distance(
 def quantum_distance(b: BlochVector, b_ref: BlochVector) -> float:
     """Metric distance sqrt(2 (1 - tr sqrt(sqrt(rho) rho_ref sqrt(rho)))).
 
-    Computed spectrally from the reconstructed matrices; symmetric in its
-    arguments.  Trace overlaps within rounding noise of 1 report as zero.
+    Both states are an outer 2x2 block plus the inner doublet, so the trace
+    splits blockwise; for 2x2 blocks tr sqrt(sqrt(A) B sqrt(A)) =
+    sqrt(tr AB + 2 sqrt(det A det B)), with det A = lam1 lam4.  Symmetric in
+    its arguments; trace overlaps within rounding noise of 1 report as zero.
     """
-    root = matrix_sqrt(reconstruct_density(b))
-    m = root @ reconstruct_density(b_ref) @ root
-    xi = np.clip(np.linalg.eigvalsh(m), 0.0, None)
-    deficit = 2.0 * (1.0 - float(np.sqrt(xi).sum()))
+    lam = vn_eigenvalues(b)
+    lam_ref = vn_eigenvalues(b_ref)
+    dets = max(lam.lam1 * lam.lam4 * lam_ref.lam1 * lam_ref.lam4, 0.0)
+    fidelity = (
+        math.sqrt(max(_outer_overlap(b, b_ref) + 2.0 * math.sqrt(dets), 0.0))
+        + math.sqrt(max(lam.lam2 * lam_ref.lam2, 0.0))
+        + math.sqrt(max(lam.lam3 * lam_ref.lam3, 0.0))
+    )
+    deficit = 2.0 * (1.0 - fidelity)
     if deficit < _OVERLAP_NOISE:
         return 0.0
     return math.sqrt(deficit)
-
-
-@dataclass(frozen=True)
-class DistanceIntermediates:
-    """Closed-form ingredients of the quantum distance between two states.
-
-    q is half the scalar product of the (b1, b2, b3) blocks; x_n, r_n, y_n
-    describe the first state's outer block (x = sqrt(lam1*lam4), 2r = 1/2 +
-    b5, y = 2(r - x)/D^2); cap_y = r_ref + q*y_n; q_gen = r_n*r_ref + q is
-    the generalized scalar product.  zeta1/zeta4 are the outer-block
-    eigenvalues of sqrt(rho) rho_ref sqrt(rho) and lam2_prod/lam3_prod its
-    inner-block eigenvalues; zeta1 + zeta4 = 2*q_gen.
-    """
-
-    q: float
-    x_n: float
-    r_n: float
-    r_ref: float
-    y_n: float
-    cap_y: float
-    q_gen: float
-    zeta1: float
-    zeta4: float
-    lam2_prod: float
-    lam3_prod: float
-
-
-def distance_intermediates(b: BlochVector, b_ref: BlochVector) -> DistanceIntermediates:
-    """Evaluate the closed-form quantum-distance ingredients."""
-    lam_n = vn_eigenvalues(b)
-    lam_r = vn_eigenvalues(b_ref)
-    vec_n = np.array([b.b1, b.b2, b.b3])
-    vec_r = np.array([b_ref.b1, b_ref.b2, b_ref.b3])
-    q = 0.5 * float(vec_n @ vec_r)
-    x_n = math.sqrt(max(lam_n.lam1 * lam_n.lam4, 0.0))
-    r_n = 0.25 + b.b5 / 2.0
-    r_ref = 0.25 + b_ref.b5 / 2.0
-    d_n = lam_n.d
-    # y carries the outer-block square-root correction; it enters only
-    # multiplied by q, which vanishes with d_n, so the d_n = 0 limit is 0
-    y_n = 2.0 * (r_n - x_n) / d_n**2 if d_n > 0.0 else 0.0
-    cap_y = r_ref + q * y_n
-    q_gen = r_n * r_ref + q
-    d_r = lam_r.d
-    radicand = (cap_y * d_n / SQRT2) ** 2 + (x_n * d_r / SQRT2) ** 2 + 2.0 * x_n * q * cap_y
-    off = math.sqrt(max(radicand, 0.0))
-    return DistanceIntermediates(
-        q=q,
-        x_n=x_n,
-        r_n=r_n,
-        r_ref=r_ref,
-        y_n=y_n,
-        cap_y=cap_y,
-        q_gen=q_gen,
-        zeta1=q_gen - off,
-        zeta4=q_gen + off,
-        lam2_prod=lam_n.lam2 * lam_r.lam2,
-        lam3_prod=lam_n.lam3 * lam_r.lam3,
-    )
-
-
-def quantum_distance_closed_form(b: BlochVector, b_ref: BlochVector) -> float:
-    """Quantum distance evaluated from the closed-form intermediates.
-
-    Cross-check only; :func:`quantum_distance` is the production path.
-    """
-    ints = distance_intermediates(b, b_ref)
-    trace_root = (
-        math.sqrt(max(ints.zeta1, 0.0))
-        + math.sqrt(max(ints.lam2_prod, 0.0))
-        + math.sqrt(max(ints.lam3_prod, 0.0))
-        + math.sqrt(max(ints.zeta4, 0.0))
-    )
-    deficit = 2.0 * (1.0 - trace_root)
-    if deficit < _OVERLAP_NOISE:
-        return 0.0
-    return math.sqrt(deficit)
-
-
-def conditional_entropy_closed_form(b: BlochVector, b_ref: BlochVector) -> float:
-    """Relative entropy from the closed-form b-vector expression.
-
-    Cross-check for :func:`conditional_entropy` on pairs where the reference
-    has full support.
-    """
-    lam_n = vn_eigenvalues(b)
-    lam_r = vn_eigenvalues(b_ref)
-    vec_n = np.array([b.b1, b.b2, b.b3])
-    vec_r = np.array([b_ref.b1, b_ref.b2, b_ref.b3])
-    q = 0.5 * float(vec_n @ vec_r)
-    r_n = 0.25 + b.b5 / 2.0
-    d_r = lam_r.d
-    lams = np.clip(lam_r.as_array(), LOG_EIGENVALUE_FLOOR, None)
-    log1, log2, log3, log4 = np.log(lams)
-    if d_r > 0.0:
-        ratio = (log4 - log1) / d_r
-    else:
-        # lam4 - lam1 = sqrt(2) d, so the log difference ratio tends to
-        # sqrt(2)/lam1 as d -> 0
-        ratio = SQRT2 / max(lam_r.lam1, LOG_EIGENVALUE_FLOOR)
-    tr_rho_log_ref = (
-        r_n * (log1 + log4)
-        + SQRT2 * q * ratio
-        + lam_n.lam2 * log2
-        + lam_n.lam3 * log3
-    )
-    lam_clipped = np.clip(lam_n.as_array(), 0.0, None)
-    nz = lam_clipped[lam_clipped > 0.0]
-    return float((nz * np.log(nz)).sum()) - tr_rho_log_ref

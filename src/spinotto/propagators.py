@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import SQRT2, BlochVector, thermal_state
+from .algebra import SQRT2, BlochVector, field_magnitude, thermal_state
 
 # Error target of the sweep integrator: the step count doubles until the
 # error estimate of the finer product, (change on doubling) / 15, is below it.
@@ -61,8 +61,7 @@ class IsochoreParams:
     def __post_init__(self):
         if self.tau < 0.0:
             raise ValueError("tau must be >= 0")
-        if math.hypot(self.omega, self.j) == 0.0:
-            raise ValueError("omega and J cannot both vanish")
+        field_magnitude(self.omega, self.j)
 
 
 @dataclass(frozen=True)
@@ -167,7 +166,9 @@ def isochore_propagator(p: IsochoreParams) -> AffinePropagator:
     omega, j, tau = p.omega, p.j, p.tau
     gam = p.bath.conductance
     big_omega = math.hypot(omega, j)
-    k = math.exp(-(gam + 2.0 * p.bath.dephasing * big_omega**2) * tau)
+    transverse_rate = gam + 2.0 * p.bath.dephasing * big_omega**2
+    # tau = 0 is no decay even when the rate overflows to inf (inf * 0 is NaN)
+    k = math.exp(-transverse_rate * tau) if tau > 0.0 else 1.0
     c = math.cos(SQRT2 * big_omega * tau)
     s = math.sin(SQRT2 * big_omega * tau)
     g = math.exp(-gam * tau)

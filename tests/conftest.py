@@ -1,12 +1,14 @@
 """Shared samplers and oracles for the test suite."""
 
 import math
+from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
 
-from spinotto import BlochVector, CycleSpec
+from spinotto import BlochVector, CycleSpec, reconstruct_density
 
 SQRT2 = math.sqrt(2.0)
 
@@ -64,6 +66,145 @@ def gibbs_matrix(omega: float, j: float, temperature: float) -> np.ndarray:
     """Independent Gibbs-state oracle exp(-H/T)/Z."""
     g = scipy.linalg.expm(-hamiltonian_matrix(omega, j) / temperature)
     return g / np.trace(g)
+
+
+# ---------------------------------------------------------------------------
+# matrix oracles: 4x4 density matrices, independent of the b-vector closed forms
+
+
+@dataclass(frozen=True)
+class EnergyBasisTransform:
+    """The symmetric involution C that diagonalizes H = omega*B1 + J*B2.
+
+    Its nontrivial entries are mu = sqrt((Omega - omega)/(2 Omega)) and
+    chi = sqrt((Omega + omega)/(2 Omega)) with Omega = sqrt(omega^2 + J^2);
+    C @ C is the identity.
+    """
+
+    omega: float
+    j: float
+    big_omega: float
+    mu: float
+    chi: float
+
+    def matrix(self) -> np.ndarray:
+        c = np.zeros((4, 4))
+        c[0, 0] = -self.mu
+        c[0, 3] = self.chi
+        c[1, 1] = 1.0
+        c[2, 2] = 1.0
+        c[3, 0] = self.chi
+        c[3, 3] = self.mu
+        return c
+
+
+def energy_basis_transform(omega: float, j: float) -> EnergyBasisTransform:
+    """Build the basis change for field omega and coupling j (Omega > 0)."""
+    big_omega = math.hypot(omega, j)
+    if big_omega == 0.0:
+        raise ValueError("energy basis undefined for omega = J = 0")
+    mu = math.sqrt(max(big_omega - omega, 0.0) / (2.0 * big_omega))
+    chi = math.sqrt((big_omega + omega) / (2.0 * big_omega))
+    return EnergyBasisTransform(omega, j, big_omega, mu, chi)
+
+
+def to_energy_basis(b: BlochVector, omega: float, j: float) -> np.ndarray:
+    """Return C rho C, the state expressed in the energy eigenbasis."""
+    c = energy_basis_transform(omega, j).matrix()
+    return c @ reconstruct_density(b) @ c
+
+
+def matrix_function(rho: np.ndarray, f) -> np.ndarray:
+    """Apply a scalar function to a Hermitian matrix through its spectrum.
+
+    ``f`` receives the (real) eigenvalue array and must return an array of
+    the same shape.
+    """
+    lam, q = np.linalg.eigh(rho)
+    return (q * f(lam)) @ q.conj().T
+
+
+def matrix_sqrt(rho: np.ndarray) -> np.ndarray:
+    """Spectral square root; tiny negative eigenvalues are clipped to zero."""
+    return matrix_function(rho, lambda lam: np.sqrt(np.clip(lam, 0.0, None)))
+
+
+def matrix_log(rho: np.ndarray) -> np.ndarray:
+    """Spectral logarithm with eigenvalues floored at 1e-300."""
+    return matrix_function(rho, lambda lam: np.log(np.clip(lam, 1e-300, None)))
+
+
+def fidelity_matrix(b: BlochVector, b_ref: BlochVector) -> float:
+    """tr sqrt(sqrt(rho) rho_ref sqrt(rho)) from the reconstructed matrices."""
+    root = matrix_sqrt(reconstruct_density(b))
+    m = root @ reconstruct_density(b_ref) @ root
+    return float(np.sqrt(np.clip(np.linalg.eigvalsh(m), 0.0, None)).sum())
+
+
+def quantum_distance_matrix(b: BlochVector, b_ref: BlochVector) -> float:
+    """sqrt(2 (1 - fidelity)), zero within 1e-12 of unit fidelity."""
+    deficit = 2.0 * (1.0 - fidelity_matrix(b, b_ref))
+    return math.sqrt(deficit) if deficit >= 1e-12 else 0.0
+
+
+def conditional_entropy_matrix(b: BlochVector, b_ref: BlochVector) -> float:
+    """tr rho (log rho - log rho_ref) from the matrices; inf when rho has
+    weight on a reference eigenvector with eigenvalue below 1e-13."""
+    rho = reconstruct_density(b)
+    lam_ref, q_ref = np.linalg.eigh(reconstruct_density(b_ref))
+    weights = np.real(np.einsum("ij,jk,ki->i", q_ref.conj().T, rho, q_ref))
+    if np.any(weights[lam_ref < 1e-13] > 1e-12):
+        return math.inf
+    lam = np.linalg.eigvalsh(rho)
+    lam = lam[lam > 0.0]
+    log_ref = np.log(np.clip(lam_ref, 1e-300, None))
+    return float((lam * np.log(lam)).sum() - (weights * log_ref).sum())
+
+
+# 50-digit oracles: the float inputs are taken as exact and every step runs
+# in mpmath, so their error is far below double-precision rounding
+
+
+def density_mp(b: BlochVector):
+    """reconstruct_density in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        b1, b2, b3, b4, b5 = (mpmath.mpf(float(v)) for v in b.as_array())
+        s2, q = mpmath.sqrt(2), mpmath.mpf(1) / 4
+        rho = mpmath.zeros(4, 4)
+        rho[0, 0] = q + b1 / s2 + b5 / 2
+        rho[1, 1] = q + b4 / s2 - b5 / 2
+        rho[2, 2] = q - b4 / s2 - b5 / 2
+        rho[3, 3] = q - b1 / s2 + b5 / 2
+        rho[0, 3] = mpmath.mpc(b2, -b3) / s2
+        rho[3, 0] = mpmath.mpc(b2, b3) / s2
+        return rho
+
+
+def quantum_distance_mp(b: BlochVector, b_ref: BlochVector) -> float:
+    with mpmath.workdps(50):
+        lam, q = mpmath.eighe(density_mp(b))
+        root = q * mpmath.diag([mpmath.sqrt(max(x, 0)) for x in lam]) * q.H
+        m = root * density_mp(b_ref) * root
+        xi, _ = mpmath.eighe((m + m.H) / 2)
+        fidelity = sum(mpmath.sqrt(max(x, 0)) for x in xi)
+        return float(mpmath.sqrt(max(2 * (1 - fidelity), 0)))
+
+
+def conditional_entropy_mp(b: BlochVector, b_ref: BlochVector) -> float:
+    with mpmath.workdps(50):
+        rho = density_mp(b)
+        lam, _ = mpmath.eighe(rho)
+        mu, q = mpmath.eighe(density_mp(b_ref))
+        out = sum(x * mpmath.log(x) for x in lam if x > 0)
+        for i in range(4):
+            v = q[:, i]
+            weight = mpmath.re((v.H * rho * v)[0, 0])
+            if mu[i] <= 0:
+                if weight > 0:
+                    return math.inf
+                continue
+            out -= weight * mpmath.log(mu[i])
+        return float(out)
 
 
 def fig1_spec() -> CycleSpec:

@@ -37,13 +37,10 @@ from spinotto import (
     adiabat_propagator_direct,
     compose_cycle,
     conditional_entropy,
-    distance_intermediates,
     isochore_propagator,
     iterate,
     limit_cycle,
-    matrix_sqrt,
     quantum_distance,
-    quantum_distance_closed_form,
     reconstruct_density,
     spectrum,
     thermal_state,
@@ -59,7 +56,9 @@ from conftest import (
     fig3_spec,
     fig5_spec,
     fig6_spec,
+    fidelity_matrix,
     linear_fit,
+    quantum_distance_matrix,
     random_bloch,
     random_spec,
 )
@@ -269,14 +268,9 @@ def test_criterion_7_oracle_equivalences():
     worst_dist = worst_zeta = 0.0
     for _ in range(1000):
         x, y = random_bloch(rng), random_bloch(rng)
-        worst_dist = max(
-            worst_dist, abs(quantum_distance(x, y) - quantum_distance_closed_form(x, y))
-        )
-        ints = distance_intermediates(x, y)
-        root = matrix_sqrt(reconstruct_density(x))
-        m = root @ reconstruct_density(y) @ root
-        outer_trace = float(np.real(m[0, 0] + m[3, 3]))
-        worst_zeta = max(worst_zeta, abs(ints.zeta1 + ints.zeta4 - outer_trace))
+        dist = quantum_distance(x, y)
+        worst_dist = max(worst_dist, abs(dist - quantum_distance_matrix(x, y)))
+        worst_zeta = max(worst_zeta, abs(1.0 - dist * dist / 2.0 - fidelity_matrix(x, y)))
 
     worst_eig = 0.0
     for _ in range(10000):
@@ -289,7 +283,7 @@ def test_criterion_7_oracle_equivalences():
     _verdict(
         7, ok,
         f"sweep propagator vs product oracle <= {worst_prop:.2e}, "
-        f"closed-form distance deviation {worst_dist:.2e} (zeta trace "
+        f"distance vs matrix oracle {worst_dist:.2e} (fidelity trace "
         f"<= {worst_zeta:.2e}), eigenvalue closed form <= {worst_eig:.2e}",
     )
 

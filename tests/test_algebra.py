@@ -1,4 +1,8 @@
-"""State reconstruction, spectra, basis changes and matrix functions."""
+"""State reconstruction, spectra, energy populations and thermal states.
+
+The energy-basis change and the spectral matrix functions are test oracles
+(conftest); their own tests here pin them before they are trusted.
+"""
 
 import math
 
@@ -9,17 +13,21 @@ from spinotto import (
     BathParams,
     BlochVector,
     IsochoreParams,
-    energy_basis_transform,
     energy_populations,
     isochore_propagator,
-    matrix_log,
-    matrix_sqrt,
     reconstruct_density,
     thermal_state,
-    to_energy_basis,
     vn_eigenvalues,
 )
-from conftest import SQRT2, gibbs_matrix, random_bloch
+from conftest import (
+    SQRT2,
+    energy_basis_transform,
+    gibbs_matrix,
+    matrix_log,
+    matrix_sqrt,
+    random_bloch,
+    to_energy_basis,
+)
 
 
 def test_reconstruct_maximally_mixed():

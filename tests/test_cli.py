@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -387,6 +390,61 @@ def test_limit_cycle_with_strong_dephasing(tmp_path):
     _, _, rows = read_csv(out)
     assert len(rows) == 1
     assert all(math.isfinite(float(v)) for v in rows[0])
+
+
+@pytest.mark.parametrize("command, engine_overrides, run", [
+    ("limit-cycle", {"omega_b": 1e300}, {}),
+    ("limit-cycle", {"omega_b": 1e300, "j": 1e300}, {}),
+    ("limit-cycle", {"omega_a": -1e300}, {}),
+    ("limit-cycle", {"omega_a": 1e-200, "omega_b": 2e-200, "j": 0.0}, {}),
+    ("equilibrium-curve", {}, {"omega_from": 1.0, "omega_to": 1e300, "steps": 3}),
+])
+def test_exit_code_field_range(tmp_path, capsys, command, engine_overrides, run):
+    # zero-length sweeps pass the sweep-angle limit, so only the field bound
+    # stands between these fields and an overflowing Omega**2
+    engine = dict(FIG1_ENGINE, tau_ab=0.0, tau_ba=0.0, **engine_overrides)
+    config = write_config(tmp_path, {"engine": engine, "run": run})
+    assert main([command, "--config", config, "--out", str(tmp_path / "o.csv")]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "config"
+    assert "FIELD_RANGE" in record["message"]
+
+
+def test_zero_time_stroke_with_overflowing_dephasing_rate(tmp_path):
+    # 2 * dephasing * Omega^2 overflows to inf, which a zero-length stroke
+    # must not turn into NaN
+    engine = dict(FIG1_ENGINE, dephasing_hot=1e308, tau_hot=0.0)
+    out = tmp_path / "lc.csv"
+    code = main(["limit-cycle", "--config", write_config(tmp_path, {"engine": engine}),
+                 "--out", str(out)])
+    assert code == 0
+    _, _, rows = read_csv(out)
+    assert all(math.isfinite(float(v)) for v in rows[0])
+
+
+def test_trajectory_rejects_initial_state_the_measures_reject(tmp_path, capsys):
+    # lam1 = -5e-11: accepted by a looser loader, this state ended in a
+    # "negative probability" traceback from the entropy column
+    b = [math.sqrt(2.0) * (0.5 + 5e-11), 0.0, 0.0, 0.0, 0.5]
+    run = {"samples_per_branch": 3, "initial_state": {"kind": "bloch", "b": b}}
+    config = write_config(tmp_path, {"engine": FIG1_ENGINE, "run": run})
+    assert main(["trajectory", "--config", config, "--out", str(tmp_path / "t.csv")]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "config"
+    assert "run.initial_state.b" in record["message"]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    import spinotto
+
+    # a fresh interpreter: this one has scipy loaded by the test oracles
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spinotto.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = "import sys, spinotto.cli; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("section, key, value, path", [

@@ -10,31 +10,36 @@ from spinotto import (
     BlochVector,
     compose_cycle,
     conditional_entropy,
-    conditional_entropy_closed_form,
-    distance_intermediates,
     energy_conditional_entropy,
     energy_entropy,
     iterate,
     limit_cycle,
-    matrix_log,
-    matrix_sqrt,
     measurement_entropy,
     quantum_distance,
-    quantum_distance_closed_form,
     reconstruct_density,
     thermal_state,
+    vn_eigenvalues,
     vn_entropy,
     adiabat_propagator,
     AdiabatParams,
     wootters_energy_distance,
 )
-from conftest import SQRT2, fig3_spec, random_bloch, random_spec
+from conftest import (
+    SQRT2,
+    conditional_entropy_matrix,
+    conditional_entropy_mp,
+    fig3_spec,
+    matrix_log,
+    matrix_sqrt,
+    quantum_distance_matrix,
+    quantum_distance_mp,
+    random_bloch,
+    random_spec,
+)
 
 
 def energy_diagonal_state(rng, omega, j):
     """Random physical state diagonal in the energy basis (b3 = 0, b || field)."""
-    from spinotto import vn_eigenvalues
-
     big = math.hypot(omega, j)
     while True:
         d = rng.uniform(-0.6, 0.6)
@@ -123,10 +128,15 @@ def test_conditional_entropy_nonnegative(rng):
 
 
 def test_conditional_entropy_support_sentinel():
-    pure_ref = BlochVector(SQRT2 / 4, 0, 0, 0, 0.5)
     mixed = BlochVector(0, 0, 0, 0, 0)
+    # kernel in the inner doublet: lam = (0, 0, 0, 1)
+    pure_ref = BlochVector(SQRT2 / 4, 0, 0, 0, 0.5)
     assert conditional_entropy(mixed, pure_ref) == math.inf
     assert not math.isnan(conditional_entropy(mixed, pure_ref))
+    # kernel in the outer block: lam = (0, 1/4, 1/4, 1/2)
+    outer_ref = BlochVector(0, SQRT2 / 4, 0, 0, 0)
+    assert conditional_entropy(mixed, outer_ref) == math.inf
+    assert conditional_entropy(outer_ref, outer_ref) == 0.0
 
 
 def test_conditional_entropy_contracts_under_cycle_map(rng):
@@ -145,11 +155,12 @@ def test_conditional_entropy_closed_form_agrees(rng):
     worst = 0.0
     for _ in range(200):
         b, ref = random_bloch(rng), random_bloch(rng)
-        direct = conditional_entropy(b, ref)
-        closed = conditional_entropy_closed_form(b, ref)
-        if math.isinf(direct):
+        closed = conditional_entropy(b, ref)
+        oracle = conditional_entropy_matrix(b, ref)
+        assert math.isinf(closed) == math.isinf(oracle)
+        if math.isinf(closed):
             continue
-        worst = max(worst, abs(direct - closed))
+        worst = max(worst, abs(closed - oracle))
     assert worst < 1e-8
 
 
@@ -231,25 +242,47 @@ def test_quantum_distance_closed_form_matches_matrix_oracle(rng):
     worst = 0.0
     for _ in range(1000):
         x, y = random_bloch(rng), random_bloch(rng)
-        worst = max(worst, abs(quantum_distance(x, y) - quantum_distance_closed_form(x, y)))
+        worst = max(worst, abs(quantum_distance(x, y) - quantum_distance_matrix(x, y)))
     print(f"closed form vs matrix oracle, max deviation: {worst:.3e}")
     assert worst < 1e-7
 
 
-def test_distance_intermediates_trace_identity(rng):
+def test_distance_block_trace_identity(rng):
+    # sqrt(rho) rho_ref sqrt(rho) is an outer 2x2 block plus the inner
+    # products lam2 lam2', lam3 lam3'; the outer block has trace tr(A A')
+    # and determinant lam1 lam4 lam1' lam4'
     for _ in range(300):
         x, y = random_bloch(rng), random_bloch(rng)
-        ints = distance_intermediates(x, y)
-        assert ints.zeta1 >= -1e-12 and ints.zeta4 >= -1e-12
-        assert abs(ints.zeta1 + ints.zeta4 - 2.0 * ints.q_gen) < 1e-12
-        # outer-block trace of the matrix oracle equals 2 Q
+        lx, ly = vn_eigenvalues(x), vn_eigenvalues(y)
         root = matrix_sqrt(reconstruct_density(x))
         m = root @ reconstruct_density(y) @ root
-        outer_trace = float(np.real(m[0, 0] + m[3, 3]))
-        assert abs(outer_trace - 2.0 * ints.q_gen) < 1e-12
+        outer = m[np.ix_([0, 3], [0, 3])]
+        overlap = (
+            2.0 * (0.25 + x.b5 / 2.0) * (0.25 + y.b5 / 2.0)
+            + float(x.as_array()[:3] @ y.as_array()[:3])
+        )
+        assert abs(float(np.real(np.trace(outer))) - overlap) < 1e-12
+        det = lx.lam1 * lx.lam4 * ly.lam1 * ly.lam4
+        assert abs(float(np.real(np.linalg.det(outer))) - det) < 1e-12
         inner = np.real(np.diag(m))[1:3]
-        assert abs(inner[0] - ints.lam2_prod) < 1e-12
-        assert abs(inner[1] - ints.lam3_prod) < 1e-12
+        assert abs(inner[0] - lx.lam2 * ly.lam2) < 1e-12
+        assert abs(inner[1] - lx.lam3 * ly.lam3) < 1e-12
+        assert np.abs(m[np.ix_([1, 2], [0, 3])]).max() < 1e-12
+
+
+def test_measures_match_mpmath_oracle(rng):
+    worst_dist = worst_rel = 0.0
+    for _ in range(100):
+        x, y = random_bloch(rng), random_bloch(rng)
+        worst_dist = max(worst_dist, abs(quantum_distance(x, y) - quantum_distance_mp(x, y)))
+        oracle = conditional_entropy_mp(x, y)
+        value = conditional_entropy(x, y)
+        assert math.isinf(value) == math.isinf(oracle)
+        if not math.isinf(oracle):
+            worst_rel = max(worst_rel, abs(value - oracle) / max(1.0, abs(oracle)))
+    print(f"vs 50-digit oracle: distance {worst_dist:.2e}, relative entropy {worst_rel:.2e}")
+    assert worst_dist < 1e-12
+    assert worst_rel < 1e-12
 
 
 def test_quantum_distance_contracts_under_cycle_map(rng):
