@@ -6,6 +6,9 @@ The working-medium state lives in five expectation values (a
 point, the limit cycle, whose spectrum and thermodynamics are analyzed in
 :mod:`spinotto.engine`; entropy and distance diagnostics live in
 :mod:`spinotto.measures`; :mod:`spinotto.cli` is the batch CSV front end.
+The package needs only the standard library; the numpy accessors
+(``AffinePropagator.m``, ``as_array()``) and the sweep oracle
+``adiabat_propagator_direct`` import numpy when called.
 """
 
 from .algebra import (
@@ -23,7 +26,6 @@ from .engine import (
     CycleSpectrum,
     LimitCycleReport,
     NonUniqueLimitCycleError,
-    SingularSystemError,
     ThermoLedger,
     TrajectorySample,
     compose_cycle,
@@ -56,4 +58,4 @@ from .propagators import (
     isochore_propagator,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

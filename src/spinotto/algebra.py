@@ -4,7 +4,9 @@ The 4x4 state of the medium is fully parameterized by five real expectation
 values (b1..b5) of an orthonormal, traceless operator set.  This module
 rebuilds density matrices from them (which defines the operator basis),
 evaluates their spectrum and their populations in the energy eigenbasis of
-H = omega*B1 + J*B2 in closed form, and builds thermal states.
+H = omega*B1 + J*B2 in closed form, and builds thermal states.  Everything
+is plain floats and tuples; numpy is imported only by the ``as_array``
+accessors.
 
 Units: hbar = k_B = 1 throughout; everything is dimensionless.
 """
@@ -13,8 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 SQRT2 = math.sqrt(2.0)
 
@@ -46,8 +46,15 @@ class BlochVector:
     b4: float
     b5: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.b1, self.b2, self.b3, self.b4, self.b5])
+    @property
+    def values(self) -> tuple:
+        return (self.b1, self.b2, self.b3, self.b4, self.b5)
+
+    def as_array(self):
+        """The five values as a numpy array (imports numpy)."""
+        import numpy as np
+
+        return np.array(self.values)
 
     @classmethod
     def from_array(cls, values) -> "BlochVector":
@@ -75,28 +82,36 @@ class SpectralInfo:
     lam4: float
     d: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.lam1, self.lam2, self.lam3, self.lam4])
+    @property
+    def values(self) -> tuple:
+        return (self.lam1, self.lam2, self.lam3, self.lam4)
+
+    def as_array(self):
+        """The four eigenvalues as a numpy array (imports numpy)."""
+        import numpy as np
+
+        return np.array(self.values)
 
     @property
     def physical(self) -> bool:
-        return min(self.lam1, self.lam2, self.lam3, self.lam4) >= PHYSICALITY_TOL
+        return min(self.values) >= PHYSICALITY_TOL
 
 
-def reconstruct_density(b: BlochVector) -> np.ndarray:
+def reconstruct_density(b: BlochVector) -> tuple:
     """Rebuild the 4x4 density matrix (spin-product basis) from b1..b5.
 
-    The result is Hermitian with unit trace by construction for any input.
+    Returns four rows of four complex entries.  The result is Hermitian with
+    unit trace by construction for any input.
     """
     quarter = 0.25
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = quarter + b.b1 / SQRT2 + b.b5 / 2.0
-    rho[1, 1] = quarter + b.b4 / SQRT2 - b.b5 / 2.0
-    rho[2, 2] = quarter - b.b4 / SQRT2 - b.b5 / 2.0
-    rho[3, 3] = quarter - b.b1 / SQRT2 + b.b5 / 2.0
-    rho[0, 3] = (b.b2 - 1j * b.b3) / SQRT2
-    rho[3, 0] = (b.b2 + 1j * b.b3) / SQRT2
-    return rho
+    off = (b.b2 - 1j * b.b3) / SQRT2
+    zero = 0j
+    return (
+        (complex(quarter + b.b1 / SQRT2 + b.b5 / 2.0), zero, zero, off),
+        (zero, complex(quarter + b.b4 / SQRT2 - b.b5 / 2.0), zero, zero),
+        (zero, zero, complex(quarter - b.b4 / SQRT2 - b.b5 / 2.0), zero),
+        (off.conjugate(), zero, zero, complex(quarter - b.b1 / SQRT2 + b.b5 / 2.0)),
+    )
 
 
 def vn_eigenvalues(b: BlochVector) -> SpectralInfo:
@@ -112,7 +127,7 @@ def vn_eigenvalues(b: BlochVector) -> SpectralInfo:
     )
 
 
-def energy_populations(b: BlochVector, omega: float, j: float) -> np.ndarray:
+def energy_populations(b: BlochVector, omega: float, j: float) -> tuple:
     """Diagonal of the energy-basis state, in closed form.
 
     The populations are ordered by increasing energy of the outer doublet:
@@ -124,12 +139,12 @@ def energy_populations(b: BlochVector, omega: float, j: float) -> np.ndarray:
         raise ValueError("energy basis undefined for omega = J = 0")
     e_scaled = (omega * b.b1 + j * b.b2) / (SQRT2 * big_omega)
     half_b5 = b.b5 / 2.0
-    return np.array([
+    return (
         0.25 - e_scaled + half_b5,
         0.25 + b.b4 / SQRT2 - half_b5,
         0.25 - b.b4 / SQRT2 - half_b5,
         0.25 + e_scaled + half_b5,
-    ])
+    )
 
 
 def field_magnitude(omega: float, j: float) -> float:

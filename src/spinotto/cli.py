@@ -23,8 +23,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .algebra import BlochVector, field_magnitude, thermal_state, vn_eigenvalues
 from .engine import (
     CyclePropagator,
@@ -35,6 +33,7 @@ from .engine import (
     energy,
     iterate,
     limit_cycle,
+    linspace,
     spectrum,
     trajectory,
 )
@@ -189,15 +188,14 @@ def _initial_state(config: RunConfig) -> BlochVector:
 # CSV assembly
 
 
-def _fmt(value, precision: int) -> str:
+def _fmt(value, spec: str) -> str:
+    if isinstance(value, float):
+        return format(value + 0.0, spec)  # + 0.0 turns -0.0 into 0.0
     if isinstance(value, str):
         return value
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return str(int(value))
-    v = float(value)
-    if v == 0.0:
-        v = 0.0  # normalize -0.0
-    return format(v, f".{precision}g")
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    return format(float(value) + 0.0, spec)
 
 
 def render_csv(command, config_echo, header, rows, precision, notes=()) -> str:
@@ -208,8 +206,9 @@ def render_csv(command, config_echo, header, rows, precision, notes=()) -> str:
     ]
     lines.extend(f"# note: {note}" for note in notes)
     lines.append(",".join(header))
+    spec = f".{precision}g"
     for row in rows:
-        lines.append(",".join(_fmt(v, precision) for v in row))
+        lines.append(",".join([_fmt(v, spec) for v in row]))
     return "\n".join(lines) + "\n"
 
 
@@ -239,7 +238,7 @@ def limit_cycle_row(spec: CycleSpec) -> list:
     ledger = report.ledger
     row = []
     for corner in (ledger.b_a, ledger.b_b, ledger.b_c, ledger.b_d):
-        row.extend(corner.as_array())
+        row.extend(corner.values)
     for mu in report.eigenvalues:
         row.extend((mu.real, mu.imag))
     row.extend([
@@ -371,12 +370,12 @@ def cmd_sweep(config: RunConfig, out_path):
     if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
         raise ConfigError("run.sweep.steps: expected an integer >= 1")
 
-    values = [start] if steps == 1 else list(np.linspace(start, stop, steps))
+    values = [start] if steps == 1 else linspace(start, stop, steps)
 
     def one(value):
         engine = dict(config.engine_raw)
-        engine[key] = float(value)
-        return [float(value)] + limit_cycle_row(spec_from_engine_dict(engine))
+        engine[key] = value
+        return [value] + limit_cycle_row(spec_from_engine_dict(engine))
 
     rows = [one(v) for v in values]
     text = render_csv(
@@ -408,8 +407,7 @@ def cmd_equilibrium_curve(config: RunConfig, out_path):
     if temp <= 0.0:
         raise ConfigError("run.temperature must be > 0")
     rows = []
-    for omega in ([lo] if steps == 1 else np.linspace(lo, hi, steps)):
-        omega = float(omega)
+    for omega in ([lo] if steps == 1 else linspace(lo, hi, steps)):
         rows.append([omega, energy_entropy(thermal_state(omega, j, temp), omega, j)])
     text = render_csv(
         "equilibrium-curve", {"engine": config.engine_raw, "run": config.run},
@@ -586,8 +584,7 @@ def main(argv=None) -> int:
         return 2
     except NonUniqueLimitCycleError as exc:
         moduli = (
-            [float(m) for m in np.abs(exc.eigenvalues)]
-            if exc.eigenvalues is not None else None
+            [abs(m) for m in exc.eigenvalues] if exc.eigenvalues is not None else None
         )
         print(
             _error_record("non-unique-limit-cycle", str(exc), eigenvalue_moduli=moduli),

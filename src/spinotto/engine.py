@@ -4,14 +4,18 @@ A cycle runs four strokes from anchor point A (start of the hot bath
 branch): hot isochore A->B at field omega_b, sweep B->C down to omega_a,
 cold isochore C->D, sweep D->A back up.  The one-period map is the product
 of the branch propagators; its unit-eigenvalue eigenvector is the limit
-cycle and the remaining spectrum sets the relaxation rates toward it.
+cycle and the remaining spectrum sets the relaxation rates toward it.  The
+map's closed-set part is a 3x3 block, so the fixed point is a 3x3 solve with
+partial pivoting and the spectrum a small 3x3 eigensolver: one real root of
+the characteristic cubic, refined by a two-sided Rayleigh quotient, and the
+remaining pair from the 2x2 block left when its eigenvector is deflated.
+Everything is plain floats, tuples and complex numbers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .algebra import BlochVector
 from .measures import energy_entropy, vn_entropy
@@ -20,6 +24,7 @@ from .propagators import (
     AffinePropagator,
     BathParams,
     IsochoreParams,
+    _dot,
     adiabat_partials,
     adiabat_propagator,
     compose,
@@ -39,10 +44,6 @@ class NonUniqueLimitCycleError(RuntimeError):
     def __init__(self, message, eigenvalues=None):
         super().__init__(message)
         self.eigenvalues = eigenvalues
-
-
-class SingularSystemError(RuntimeError):
-    """The linear fixed-point system is numerically singular."""
 
 
 @dataclass(frozen=True)
@@ -127,13 +128,13 @@ class CycleBranch:
 
     def partials(self, samples: int) -> list[AffinePropagator]:
         """Maps of the first t time units of this branch at samples evenly
-        spaced t in [0, duration] (np.linspace)."""
+        spaced t in [0, duration] (:func:`linspace`)."""
         if self.duration == 0.0:
             return [identity_propagator()] * samples
         if self.kind == "isochore":
             return [
-                partial_isochore(self.isochore, float(t))
-                for t in np.linspace(0.0, self.duration, samples)
+                partial_isochore(self.isochore, t)
+                for t in linspace(0.0, self.duration, samples)
             ]
         return adiabat_partials(self.adiabat, samples)
 
@@ -151,12 +152,12 @@ class CyclePropagator:
 class CycleSpectrum:
     """Eigenvalues mu0..mu5 of the one-period map and the transverse phase."""
 
-    eigenvalues: np.ndarray  # shape (6,), complex, ordered mu0..mu5
+    eigenvalues: tuple  # six complex, ordered mu0..mu5
     phi: float
 
     @property
     def gap(self) -> float:
-        return 1.0 - float(np.max(np.abs(self.eigenvalues[1:])))
+        return 1.0 - max(abs(mu) for mu in self.eigenvalues[1:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +166,7 @@ class LimitCycleReport:
     map they were solved from and the thermodynamic ledger at the fixed point."""
 
     b_a: BlochVector
-    eigenvalues: np.ndarray
+    eigenvalues: tuple
     phi: float
     gap: float
     propagator: CyclePropagator
@@ -206,6 +207,20 @@ class ThermoLedger:
         return self.ds_u_hot + self.ds_u_cold
 
 
+def linspace(start: float, stop: float, num: int) -> list[float]:
+    """num >= 2 evenly spaced floats from start to stop, with numpy.linspace's
+    arithmetic (start + i * step, the last point pinned to stop)."""
+    div = num - 1
+    delta = stop - start
+    step = delta / div
+    if step == 0.0:
+        values = [i / div * delta + start for i in range(num)]
+    else:
+        values = [i * step + start for i in range(num)]
+    values[-1] = stop
+    return values
+
+
 def energy(b: BlochVector, omega: float, j: float) -> float:
     """Expected energy omega*b1 + J*b2 at field omega."""
     return omega * b.b1 + j * b.b2
@@ -233,28 +248,102 @@ def compose_cycle(spec: CycleSpec) -> CyclePropagator:
     return CyclePropagator(cycle=cycle, branches=branches, spec=spec)
 
 
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+_AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+
+def _diagonal_minus(x: float, a) -> tuple:
+    """Rows of x I - a for a 3x3 block a."""
+    return tuple(
+        tuple((x if i == k else 0.0) - value for k, value in enumerate(row))
+        for i, row in enumerate(a)
+    )
+
+
+def _null_vector(rows) -> tuple:
+    """A vector orthogonal to all three rows: their largest pairwise cross
+    product, or for rank <= 1 one orthogonal to the largest row."""
+    r1, r2, r3 = rows
+    best = max((_cross(r1, r2), _cross(r1, r3), _cross(r2, r3)), key=lambda u: _dot(u, u))
+    if _dot(best, best) == 0.0:
+        top = max(rows, key=lambda r: _dot(r, r))
+        best = max((_cross(top, e) for e in _AXES), key=lambda u: _dot(u, u))
+        if _dot(best, best) == 0.0:
+            best = _AXES[0]
+    return best
+
+
+def _real_root(a) -> float:
+    """A real eigenvalue of the 3x3 block a: Newton on the characteristic
+    cubic from the Cauchy bound, kept inside a sign-change bracket."""
+    (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = a
+    c2 = a11 + a22 + a33
+    c1 = a11 * a22 - a12 * a21 + a11 * a33 - a13 * a31 + a22 * a33 - a23 * a32
+    c0 = _dot(a[0], _cross(a[1], a[2]))
+    hi = 1.0 + max(abs(c2), abs(c1), abs(c0))
+    lo, x = -hi, hi
+    for _ in range(200):
+        p = ((x - c2) * x + c1) * x - c0
+        if p == 0.0:
+            break
+        if p > 0.0:
+            hi = x
+        else:
+            lo = x
+        dp = (3.0 * x - 2.0 * c2) * x + c1
+        x_new = x - p / dp if dp else lo
+        if not lo < x_new < hi:
+            x_new = 0.5 * (lo + hi)
+        if x_new == x:
+            break
+        x = x_new
+    return x
+
+
+def _eigenvalues3(a) -> tuple[complex, complex, complex]:
+    """Eigenvalues of a real 3x3 block: a real one, then the other two from
+    the 2x2 block U^T a U on an orthonormal complement U of its eigenvector."""
+    x = _real_root(a)
+    shifted = _diagonal_minus(x, a)
+    v = _null_vector(shifted)  # right eigenvector
+    w = _null_vector(tuple(zip(*shifted)))  # left eigenvector
+    av = tuple(_dot(row, v) for row in a)
+    wv = _dot(w, v)
+    if abs(wv) > 1e-8 * math.sqrt(_dot(w, w) * _dot(v, v)):
+        x = _dot(w, av) / wv  # two-sided Rayleigh quotient
+    norm = math.sqrt(_dot(v, v))
+    v = tuple(c / norm for c in v)
+    k = min(range(3), key=lambda i: abs(v[i]))
+    u1 = tuple((1.0 if i == k else 0.0) - v[k] * v[i] for i in range(3))
+    norm = math.sqrt(_dot(u1, u1))
+    u1 = tuple(c / norm for c in u1)
+    u2 = _cross(v, u1)
+    au1 = tuple(_dot(row, u1) for row in a)
+    au2 = tuple(_dot(row, u2) for row in a)
+    b11, b12, b21, b22 = _dot(u1, au1), _dot(u1, au2), _dot(u2, au1), _dot(u2, au2)
+    mid = 0.5 * (b11 + b22)
+    half_diff = 0.5 * (b11 - b22)
+    disc = half_diff * half_diff + b12 * b21
+    root = 1j * math.sqrt(-disc) if disc < 0.0 else math.sqrt(disc)
+    return complex(x), complex(mid + root), complex(mid - root)
+
+
 def _spectrum_of(prop: CyclePropagator) -> CycleSpectrum:
-    block = prop.cycle.m[:3, :3]
-    eigs = np.linalg.eigvals(block)
-    scale = max(1.0, float(np.max(np.abs(eigs))))
-    real_mask = np.abs(eigs.imag) <= 1e-10 * scale
-    idx = np.arange(3)
-    if real_mask.sum() == 1:
-        i1 = idx[real_mask][0]
-        pair = sorted(idx[~real_mask], key=lambda i: -eigs[i].imag)
-        order = [i1, pair[0], pair[1]]
+    eigs = _eigenvalues3(prop.cycle.block)
+    scale = max(1.0, max(abs(e) for e in eigs))
+    real = [abs(e.imag) <= 1e-10 * scale for e in eigs]
+    if sum(real) == 1:
+        pair = sorted((e for e, r in zip(eigs, real) if not r), key=lambda e: -e.imag)
+        mu123 = (eigs[real.index(True)], *pair)
     else:
         # all real (strong dephasing or degenerate rotation); the largest
         # modulus plays the longitudinal role
-        order = list(np.argsort(-np.abs(eigs)))
-    mu123 = eigs[order]
-    mu = np.empty(6, dtype=complex)
-    mu[0] = 1.0
-    mu[1:4] = mu123
-    mu[4] = prop.cycle.b4_scale
-    mu[5] = prop.cycle.b5_scale
-    phi = float(abs(np.angle(mu[2])))
-    return CycleSpectrum(eigenvalues=mu, phi=phi)
+        mu123 = tuple(sorted(eigs, key=lambda e: -abs(e)))
+    mu = (1.0 + 0j, *mu123, complex(prop.cycle.b4_scale), complex(prop.cycle.b5_scale))
+    return CycleSpectrum(eigenvalues=mu, phi=abs(math.atan2(mu[2].imag, mu[2].real)))
 
 
 def spectrum(spec: CycleSpec) -> CycleSpectrum:
@@ -267,6 +356,27 @@ def spectrum(spec: CycleSpec) -> CycleSpectrum:
     return _spectrum_of(compose_cycle(spec))
 
 
+def _solve3(a, b) -> list[float]:
+    """Solve a x = b for a 3x3 block a by Gaussian elimination with partial
+    pivoting; a zero pivot gives NaN."""
+    rows = [list(row) + [value] for row, value in zip(a, b)]
+    for col in range(3):
+        pivot = max(range(col, 3), key=lambda r: abs(rows[r][col]))
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        top = rows[col]
+        if top[col] == 0.0:
+            return [math.nan] * 3
+        for row in rows[col + 1 :]:
+            factor = row[col] / top[col]
+            for c in range(col, 4):
+                row[c] -= factor * top[c]
+    x = [0.0] * 3
+    for r in (2, 1, 0):
+        row = rows[r]
+        x[r] = (row[3] - sum(row[c] * x[c] for c in range(r + 1, 3))) / row[r]
+    return x
+
+
 def _fixed_point(prop: CyclePropagator) -> tuple[BlochVector, CycleSpectrum]:
     spec_info = _spectrum_of(prop)
     if spec_info.gap < UNIQUENESS_GAP:
@@ -275,22 +385,16 @@ def _fixed_point(prop: CyclePropagator) -> tuple[BlochVector, CycleSpectrum]:
             f"{UNIQUENESS_GAP}",
             eigenvalues=spec_info.eigenvalues,
         )
-    block = prop.cycle.m[:3, :3]
-    inhom = prop.cycle.m[:3, 3]
-    system = np.eye(3) - block
-    try:
-        b123 = np.linalg.solve(system, inhom)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(str(exc)) from exc
-    if not np.all(np.isfinite(b123)):
-        raise SingularSystemError("fixed-point solve produced non-finite values")
+    cycle = prop.cycle
+    b123 = _solve3(_diagonal_minus(1.0, cycle.block), cycle.shift)
+    if not all(math.isfinite(v) for v in b123):
+        raise NonUniqueLimitCycleError(
+            "no unique limit cycle: the fixed-point solve is not finite",
+            eigenvalues=spec_info.eigenvalues,
+        )
     # b4 has no inhomogeneous term on any branch; its fixed point is 0
-    b4 = 0.0
-    b5 = (float(prop.cycle.b5_drive @ b123) + prop.cycle.b5_shift) / (
-        1.0 - prop.cycle.b5_scale
-    )
-    b_a = BlochVector(b123[0], b123[1], b123[2], b4, b5)
-    return b_a, spec_info
+    b5 = (_dot(cycle.b5_drive, b123) + cycle.b5_shift) / (1.0 - cycle.b5_scale)
+    return BlochVector(b123[0], b123[1], b123[2], 0.0, b5), spec_info
 
 
 def limit_cycle(spec: CycleSpec) -> LimitCycleReport:
@@ -298,8 +402,7 @@ def limit_cycle(spec: CycleSpec) -> LimitCycleReport:
 
     Raises :class:`NonUniqueLimitCycleError` when a second eigenvalue sits
     within 1e-9 of unit modulus (for example when no time is allocated to
-    either bath branch) and :class:`SingularSystemError` if the linear
-    system cannot be solved.
+    either bath branch) or when the fixed-point solve is not finite.
     """
     prop = compose_cycle(spec)
     b_a, spec_info = _fixed_point(prop)
@@ -349,10 +452,10 @@ def trajectory(
     t0 = 0.0
     state = b_start
     for branch in prop.branches:
-        times = np.linspace(0.0, branch.duration, samples_per_branch)
+        times = linspace(0.0, branch.duration, samples_per_branch)
         for t, partial in zip(times, branch.partials(samples_per_branch)):
             out.append(TrajectorySample(
-                branch.name, t0 + float(t), branch.omega_at(float(t)), partial.apply(state)
+                branch.name, t0 + t, branch.omega_at(t), partial.apply(state)
             ))
         state = branch.prop.apply(state)
         t0 += branch.duration

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .algebra import (
     LOG_EIGENVALUE_FLOOR,
     PHYSICALITY_TOL,
@@ -30,29 +28,23 @@ _OVERLAP_NOISE = 1e-12
 _SUPPORT_TOL = 1e-13
 
 
-def _validated_probabilities(p) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    if np.any(p < PHYSICALITY_TOL):
-        raise ValueError(f"negative probability in {p}")
-    total = p.sum()
+def measurement_entropy(p) -> float:
+    """Shannon entropy -sum p log p of a complete-measurement distribution
+    (a sequence of probabilities)."""
+    if min(p) < PHYSICALITY_TOL:
+        raise ValueError(f"negative probability in {tuple(p)}")
+    total = sum(p)
     if abs(total - 1.0) > 1e-10:
         raise ValueError(f"probabilities sum to {total}, not 1")
-    return np.clip(p, 0.0, None)
-
-
-def measurement_entropy(p) -> float:
-    """Shannon entropy -sum p log p of a complete-measurement distribution."""
-    p = _validated_probabilities(p)
-    nz = p[p > 0.0]
-    return float(-(nz * np.log(nz)).sum())
+    return -sum([x * math.log(x) for x in p if x > 0.0])
 
 
 def vn_entropy(b: BlochVector) -> float:
     """Von Neumann entropy, the minimum over all complete measurements."""
     info = vn_eigenvalues(b)
     if not info.physical:
-        raise ValueError(f"non-physical state: eigenvalues {info.as_array()}")
-    return measurement_entropy(info.as_array())
+        raise ValueError(f"non-physical state: eigenvalues {info.values}")
+    return measurement_entropy(info.values)
 
 
 def energy_entropy(b: BlochVector, omega: float, j: float) -> float:
@@ -96,7 +88,7 @@ def conditional_entropy(b: BlochVector, b_ref: BlochVector) -> float:
         w1 = trace_outer / 2.0
     weights = (w1, lam.lam2, lam.lam3, trace_outer - w1)
     out = 0.0
-    for p, w, q in zip(lam.as_array().tolist(), weights, lam_ref.as_array().tolist()):
+    for p, w, q in zip(lam.values, weights, lam_ref.values):
         if q < _SUPPORT_TOL and w > 1e-12:
             return math.inf
         if p > 0.0:
@@ -113,10 +105,8 @@ def energy_conditional_entropy(
     Nonnegative, zero only for identical populations; +inf when some q_j
     vanishes where p_j does not.
     """
-    p = np.clip(energy_populations(b, omega, j), 0.0, None)
-    q = np.clip(energy_populations(b_ref, omega, j), 0.0, None)
     out = 0.0
-    for pj, qj in zip(p, q):
+    for pj, qj in zip(energy_populations(b, omega, j), energy_populations(b_ref, omega, j)):
         if pj <= 0.0:
             continue
         if qj < _SUPPORT_TOL and pj > 1e-12:
@@ -133,9 +123,10 @@ def wootters_energy_distance(
     A metric on the probability simplex, in [0, pi/2]; overlaps within
     rounding noise of 1 report as exactly zero.
     """
-    p = np.clip(energy_populations(b, omega, j), 0.0, None)
-    q = np.clip(energy_populations(b_ref, omega, j), 0.0, None)
-    overlap = float(np.sqrt(p * q).sum())
+    overlap = sum(
+        math.sqrt(max(pj, 0.0) * max(qj, 0.0))
+        for pj, qj in zip(energy_populations(b, omega, j), energy_populations(b_ref, omega, j))
+    )
     if overlap >= 1.0 - _OVERLAP_NOISE:
         return 0.0
     return math.acos(max(overlap, -1.0))

@@ -4,9 +4,11 @@ A branch propagator acts on the column (b1, b2, b3, 1) through a 4x4 affine
 matrix whose bottom row is (0, 0, 0, 1), plus a closure rule for the (b4, b5)
 pair.  Constant-field bath branches have a closed form.  The driven branches
 (linear field sweep, no bath) are rotations whose generator is linear in the
-field; they are integrated with a fourth-order Magnus product (Blanes,
-Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)), and a brute-force
-midpoint-field product serves as the independent oracle.
+field; they are integrated with a sixth-order Magnus product of unit
+quaternions (Blanes, Casas & Ros, BIT 40, 434 (2000); Blanes, Casas, Oteo &
+Ros, Phys. Rep. 470, 151 (2009)).  Maps are plain floats and tuples; only
+the ``m`` accessor and the brute-force midpoint-field oracle
+:func:`adiabat_propagator_direct` import numpy.
 """
 
 from __future__ import annotations
@@ -14,16 +16,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .algebra import SQRT2, BlochVector, field_magnitude, thermal_state
 
 # Error target of the sweep integrator: the step count doubles until the
-# error estimate of the finer product, (change on doubling) / 15, is below it.
+# error estimate of the finer product, (change on doubling) / 63, is below it.
 SWEEP_TOLERANCE = 1e-12
 
 # Largest accepted sweep rotation angle sqrt(2) * max Omega * tau in radians;
-# it bounds the integrator work (about 4e4 steps at the limit).
+# it bounds the integrator work (about 2e4 final steps at the limit).
 MAX_SWEEP_ANGLE = 1e4
 
 
@@ -94,44 +94,90 @@ class AdiabatParams:
         return self.omega_start + (self.omega_end - self.omega_start) * t / self.tau
 
 
-@dataclass(frozen=True, eq=False)
+_IDENTITY_BLOCK = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+_ZERO3 = (0.0, 0.0, 0.0)
+
+
+def _dot(u, v) -> float:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _matmul3(a: tuple, b: tuple) -> tuple:
+    """Product of two 3x3 matrices given as rows."""
+    (b11, b12, b13), (b21, b22, b23), (b31, b32, b33) = b
+    return tuple(
+        (x * b11 + y * b21 + z * b31, x * b12 + y * b22 + z * b32, x * b13 + y * b23 + z * b33)
+        for x, y, z in a
+    )
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class AffinePropagator:
     """One branch map: affine action on (b1, b2, b3) plus the (b4, b5) rule.
 
-    ``m`` is the 4x4 matrix acting on the column (b1, b2, b3, 1); its bottom
-    row must be (0, 0, 0, 1).  The closure rule is
+    ``block`` (three rows) and ``shift`` are the linear part and the
+    inhomogeneous column of the action on (b1, b2, b3).  The closure rule is
 
         b4' = b4_scale * b4
         b5' = b5_scale * b5 + b5_drive . (b1, b2, b3) + b5_shift
 
-    where the drive couples b5 to the initial closed-set components.  Maps
-    compose; immutable and safe to share.
+    where the drive couples b5 to the initial closed-set components.  The map
+    can also be built from ``m``, any 4x4 array-like acting on the column
+    (b1, b2, b3, 1) whose bottom row is (0, 0, 0, 1); the ``m`` property
+    returns that matrix as a numpy array.  Maps compose; immutable and safe
+    to share.
     """
 
-    m: np.ndarray
-    b4_scale: float = 1.0
-    b5_scale: float = 1.0
-    b5_drive: np.ndarray = None
-    b5_shift: float = 0.0
+    block: tuple
+    shift: tuple
+    b4_scale: float
+    b5_scale: float
+    b5_drive: tuple
+    b5_shift: float
 
-    def __post_init__(self):
-        if self.b5_drive is None:
-            object.__setattr__(self, "b5_drive", np.zeros(3))
-        if self.m.shape != (4, 4):
-            raise ValueError("m must be 4x4")
-        if not np.array_equal(self.m[3], [0.0, 0.0, 0.0, 1.0]):
-            raise ValueError("bottom row of m must be (0, 0, 0, 1)")
+    def __init__(self, m=None, b4_scale=1.0, b5_scale=1.0, b5_drive=_ZERO3,
+                 b5_shift=0.0, *, block=None, shift=_ZERO3):
+        if m is not None:
+            rows = tuple(tuple(float(x) for x in row) for row in m)
+            if len(rows) != 4 or any(len(row) != 4 for row in rows):
+                raise ValueError("m must be 4x4")
+            if rows[3] != (0.0, 0.0, 0.0, 1.0):
+                raise ValueError("bottom row of m must be (0, 0, 0, 1)")
+            block = tuple(row[:3] for row in rows[:3])
+            shift = tuple(row[3] for row in rows[:3])
+        elif block is None:
+            raise TypeError("AffinePropagator needs m or block")
+        for name, value in (
+            ("block", block), ("shift", shift), ("b4_scale", b4_scale),
+            ("b5_scale", b5_scale), ("b5_drive", tuple(b5_drive)), ("b5_shift", b5_shift),
+        ):
+            object.__setattr__(self, name, value)
+
+    @property
+    def m(self):
+        """The 4x4 matrix acting on (b1, b2, b3, 1), as a new numpy array
+        (imports numpy)."""
+        import numpy as np
+
+        rows = [row + (v,) for row, v in zip(self.block, self.shift)]
+        return np.array(rows + [(0.0, 0.0, 0.0, 1.0)])
 
     def apply(self, b: BlochVector) -> BlochVector:
-        v = np.array([b.b1, b.b2, b.b3])
-        image = self.m[:3, :3] @ v + self.m[:3, 3]
-        b4 = self.b4_scale * b.b4
-        b5 = self.b5_scale * b.b5 + float(self.b5_drive @ v) + self.b5_shift
-        return BlochVector(image[0], image[1], image[2], b4, b5)
+        (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = self.block
+        v1, v2, v3 = self.shift
+        d1, d2, d3 = self.b5_drive
+        x, y, z = b.b1, b.b2, b.b3
+        return BlochVector(
+            a11 * x + a12 * y + a13 * z + v1,
+            a21 * x + a22 * y + a23 * z + v2,
+            a31 * x + a32 * y + a33 * z + v3,
+            self.b4_scale * b.b4,
+            self.b5_scale * b.b5 + (d1 * x + d2 * y + d3 * z) + self.b5_shift,
+        )
 
 
 def identity_propagator() -> AffinePropagator:
-    return AffinePropagator(m=np.eye(4))
+    return AffinePropagator(block=_IDENTITY_BLOCK)
 
 
 def compose(*props: AffinePropagator) -> AffinePropagator:
@@ -140,15 +186,16 @@ def compose(*props: AffinePropagator) -> AffinePropagator:
         return identity_propagator()
     acc = props[-1]
     for outer in reversed(props[:-1]):
-        a_in, v_in = acc.m[:3, :3], acc.m[:3, 3]
+        s5, drive = outer.b5_scale, outer.b5_drive
         acc = AffinePropagator(
-            m=outer.m @ acc.m,
+            block=_matmul3(outer.block, acc.block),
+            shift=tuple(_dot(row, acc.shift) + v for row, v in zip(outer.block, outer.shift)),
             b4_scale=outer.b4_scale * acc.b4_scale,
-            b5_scale=outer.b5_scale * acc.b5_scale,
-            b5_drive=outer.b5_scale * acc.b5_drive + a_in.T @ outer.b5_drive,
-            b5_shift=outer.b5_scale * acc.b5_shift
-            + float(outer.b5_drive @ v_in)
-            + outer.b5_shift,
+            b5_scale=s5 * acc.b5_scale,
+            b5_drive=tuple(
+                s5 * e + _dot(column, drive) for e, column in zip(acc.b5_drive, zip(*acc.block))
+            ),
+            b5_shift=s5 * acc.b5_shift + _dot(drive, acc.shift) + outer.b5_shift,
         )
     return acc
 
@@ -175,101 +222,99 @@ def isochore_propagator(p: IsochoreParams) -> AffinePropagator:
 
     eq = thermal_state(omega, j, p.bath.temperature)
     om2 = big_omega**2
-    m = np.array([
-        [(g * omega**2 + k * c * j**2) / om2,
+    block = (
+        ((g * omega**2 + k * c * j**2) / om2,
          omega * j * (g - k * c) / om2,
-         k * j * s / big_omega,
-         eq.b1 * (1.0 - g)],
-        [omega * j * (g - k * c) / om2,
+         k * j * s / big_omega),
+        (omega * j * (g - k * c) / om2,
          (g * j**2 + k * c * omega**2) / om2,
-         -k * omega * s / big_omega,
-         eq.b2 * (1.0 - g)],
-        [-k * j * s / big_omega,
+         -k * omega * s / big_omega),
+        (-k * j * s / big_omega,
          k * omega * s / big_omega,
-         k * c,
-         0.0],
-        [0.0, 0.0, 0.0, 1.0],
-    ])
+         k * c),
+    )
 
     # Exact solution of db5/dt = -2 Gamma b5 + sqrt(2) (k_up - k_down) E(t) / Omega
     # with E(t) relaxing exponentially toward its thermal value.
     t_th = math.tanh(big_omega / (2.0 * SQRT2 * p.bath.temperature))
     drive_coef = -(SQRT2 * t_th / big_omega) * (g - g * g)
     return AffinePropagator(
-        m=m,
+        block=block,
+        shift=(eq.b1 * (1.0 - g), eq.b2 * (1.0 - g), 0.0),
         b4_scale=g,
         b5_scale=g * g,
-        b5_drive=drive_coef * np.array([omega, j, 0.0]),
+        b5_drive=(drive_coef * omega, drive_coef * j, 0.0),
         b5_shift=eq.b5 * (1.0 - g) ** 2,
     )
 
 
-def _rotations(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Rodrigues exponentials exp([r]_x) of the rotation vectors r = (x, y, z)."""
-    theta = np.sqrt(x * x + y * y + z * z)
-    a = np.sinc(theta / np.pi)  # sin(theta) / theta
-    b = 0.5 * np.sinc(theta / (2.0 * np.pi)) ** 2  # (1 - cos(theta)) / theta^2
-    out = np.empty(theta.shape + (3, 3))
-    out[..., 0, 0] = 1.0 - b * (y * y + z * z)
-    out[..., 0, 1] = b * x * y - a * z
-    out[..., 0, 2] = b * x * z + a * y
-    out[..., 1, 0] = b * x * y + a * z
-    out[..., 1, 1] = 1.0 - b * (x * x + z * z)
-    out[..., 1, 2] = b * y * z - a * x
-    out[..., 2, 0] = b * x * z - a * y
-    out[..., 2, 1] = b * y * z + a * x
-    out[..., 2, 2] = 1.0 - b * (x * x + y * y)
-    return out
+def _rotation_block(w: float, x: float, y: float, z: float) -> tuple:
+    """Rows of the rotation of the quaternion (w, x, y, z), normalized here."""
+    s = 2.0 / (w * w + x * x + y * y + z * z)
+    return (
+        (1.0 - s * (y * y + z * z), s * (x * y - w * z), s * (x * z + w * y)),
+        (s * (x * y + w * z), 1.0 - s * (x * x + z * z), s * (y * z - w * x)),
+        (s * (x * z - w * y), s * (y * z + w * x), 1.0 - s * (x * x + y * y)),
+    )
 
 
-def _time_ordered_product(blocks: np.ndarray) -> np.ndarray:
-    """Product of the blocks along axis -3, the last index acting last.
-
-    Pairwise tree product: each pass multiplies neighbours in one batched
-    matmul, so n blocks take about log2(n) passes.
-    """
-    while blocks.shape[-3] > 1:
-        n = blocks.shape[-3]
-        paired = np.matmul(blocks[..., 1 : n - n % 2 : 2, :, :],
-                           blocks[..., 0 : n - n % 2 : 2, :, :])
-        if n % 2:
-            paired = np.concatenate([paired, blocks[..., -1:, :, :]], axis=-3)
-        blocks = paired
-    return blocks[..., 0, :, :]
-
-
-def _magnus_maps(p: AdiabatParams, segments: int, per_segment: int) -> np.ndarray:
+def _sweep_blocks(p: AdiabatParams, segments: int, per_segment: int) -> list[tuple]:
     """Rotation blocks of the first k segments, k = 0..segments.
 
     The generator sqrt(2) [(omega(t), J, 0)]_x is linear in t, so the
-    fourth-order Magnus exponent of a step of length h is the rotation
-    vector (sqrt(2) omega_mid h, sqrt(2) J h, omega' J h^3 / 6): the field
-    integral plus the one commutator term, both in closed form.
+    sixth-order Magnus exponent of a step of length h (Blanes, Casas & Ros,
+    BIT 40, 434 (2000)) is a closed-form rotation vector.  With
+    a = sqrt(2) h (omega_mid, J, 0) and d = sqrt(2) omega' h^2 it is
+    (a_x, a_y (1 - d^2/240), a_y d/12 + a_y d (a_x^2 + a_y^2)/720).  Each
+    step is the unit quaternion of that vector, and the steps are
+    multiplied in time order, one at a time.
     """
     n = segments * per_segment
     h = p.tau / n
     sweep = p.omega_end - p.omega_start
-    omega_mid = p.omega_start + sweep * (np.arange(n) + 0.5) / n
-    # omega' h^3 = sweep h^2 / n: no division by a tau that may be subnormal
-    steps = _rotations(
-        SQRT2 * h * omega_mid,
-        np.full(n, SQRT2 * h * p.j),
-        np.full(n, sweep * p.j * h * h / (6.0 * n)),
+    a_y = SQRT2 * h * p.j
+    # d = sqrt(2) omega' h^2 = sqrt(2) sweep h / n: no division by a tau
+    # that may be subnormal
+    d = SQRT2 * sweep * h / n
+    y = a_y * (1.0 - d * d / 240.0)
+    z_const = a_y * d / 12.0 + a_y * d * a_y * a_y / 720.0
+    z_quad = a_y * d / 720.0
+    x_start = SQRT2 * h * p.omega_start
+    qw, qx, qy, qz = 1.0, 0.0, 0.0, 0.0
+    blocks = [_IDENTITY_BLOCK]
+    for segment in range(segments):
+        for k in range(segment * per_segment, (segment + 1) * per_segment):
+            x = x_start + d * (k + 0.5)
+            z = z_const + z_quad * x * x
+            theta = math.sqrt(x * x + y * y + z * z)
+            c = math.cos(0.5 * theta)
+            s = math.sin(0.5 * theta) / theta if theta else 0.5
+            sx, sy, sz = s * x, s * y, s * z
+            qw, qx, qy, qz = (
+                c * qw - sx * qx - sy * qy - sz * qz,
+                c * qx + sx * qw + sy * qz - sz * qy,
+                c * qy - sx * qz + sy * qw + sz * qx,
+                c * qz + sx * qy - sy * qx + sz * qw,
+            )
+        blocks.append(_rotation_block(qw, qx, qy, qz))
+    return blocks
+
+
+def _max_change(fine: list[tuple], coarse: list[tuple]) -> float:
+    return max(
+        abs(a - b)
+        for block_f, block_c in zip(fine, coarse)
+        for row_f, row_c in zip(block_f, block_c)
+        for a, b in zip(row_f, row_c)
     )
-    seg = _time_ordered_product(steps.reshape(segments, per_segment, 3, 3))
-    maps = np.empty((segments + 1, 3, 3))
-    maps[0] = np.eye(3)
-    for k in range(segments):
-        maps[k + 1] = seg[k] @ maps[k]
-    return maps
 
 
 def adiabat_partials(p: AdiabatParams, samples: int) -> list[AffinePropagator]:
     """Sweep maps of the first t time units at samples evenly spaced t in [0, tau].
 
-    A fourth-order Magnus product over uniform steps.  The total step count
+    A sixth-order Magnus product over uniform steps.  The total step count
     starts near the rotation angle and doubles until two successive
-    products differ by at most 15 * SWEEP_TOLERANCE at every sample.  The
+    products differ by at most 63 * SWEEP_TOLERANCE at every sample.  The
     (b1, b2, b3) blocks are rotations to rounding; (b4, b5) commute with the
     generator for every field value and stay constant.
     """
@@ -277,19 +322,14 @@ def adiabat_partials(p: AdiabatParams, samples: int) -> list[AffinePropagator]:
         raise ValueError("samples must be >= 2")
     segments = samples - 1
     if p.tau == 0.0:
-        maps = np.broadcast_to(np.eye(3), (samples, 3, 3))
+        blocks = [_IDENTITY_BLOCK] * samples
     else:
         per_segment = max(1, math.ceil(p.rotation_angle / segments))
-        coarse, maps = None, _magnus_maps(p, segments, per_segment)
-        while coarse is None or np.abs(maps - coarse).max() > 15.0 * SWEEP_TOLERANCE:
+        coarse, blocks = None, _sweep_blocks(p, segments, per_segment)
+        while coarse is None or _max_change(blocks, coarse) > 63.0 * SWEEP_TOLERANCE:
             per_segment *= 2
-            coarse, maps = maps, _magnus_maps(p, segments, per_segment)
-    out = []
-    for block in maps:
-        m = np.eye(4)
-        m[:3, :3] = block
-        out.append(AffinePropagator(m=m))
-    return out
+            coarse, blocks = blocks, _sweep_blocks(p, segments, per_segment)
+    return [AffinePropagator(block=block) for block in blocks]
 
 
 def adiabat_propagator(p: AdiabatParams) -> AffinePropagator:
@@ -302,9 +342,13 @@ def adiabat_propagator_direct(p: AdiabatParams, n_steps: int) -> AffinePropagato
 
     Each step is a bath-free constant-field map at the field sampled at the
     step midpoint; the product converges to the true propagator as
-    O(1/n_steps^2).  It shares only the product routine with the Magnus
-    integrator and is the oracle for :func:`adiabat_propagator`.
+    O(1/n_steps^2).  The steps are multiplied as a pairwise tree in batched
+    numpy matmuls, about log2(n_steps) passes.  It shares no code with the
+    Magnus integrator and is an oracle for :func:`adiabat_propagator`
+    (imports numpy).
     """
+    import numpy as np
+
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     if p.tau == 0.0:
@@ -326,8 +370,15 @@ def adiabat_propagator_direct(p: AdiabatParams, n_steps: int) -> AffinePropagato
     blocks[:, 2, 0] = -blocks[:, 0, 2]
     blocks[:, 2, 1] = omega * s / big
     blocks[:, 2, 2] = c
+    # pairwise tree product, the later step acting last
+    while blocks.shape[0] > 1:
+        n = blocks.shape[0]
+        paired = np.matmul(blocks[1 : n - n % 2 : 2], blocks[0 : n - n % 2 : 2])
+        if n % 2:
+            paired = np.concatenate([paired, blocks[-1:]])
+        blocks = paired
     m = np.eye(4)
-    m[:3, :3] = _time_ordered_product(blocks)
+    m[:3, :3] = blocks[0]
     return AffinePropagator(m=m)
 
 

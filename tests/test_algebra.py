@@ -38,7 +38,7 @@ def test_reconstruct_maximally_mixed():
 def test_reconstruct_trace_and_hermiticity(rng):
     for _ in range(200):
         b = BlochVector(*rng.normal(size=5))
-        rho = reconstruct_density(b)
+        rho = np.array(reconstruct_density(b))
         assert abs(np.trace(rho) - 1.0) < 1e-14
         assert np.abs(rho - rho.conj().T).max() < 1e-14
 
@@ -103,7 +103,7 @@ def test_energy_basis_rejects_degenerate_field():
 
 def test_to_energy_basis_j_zero_swaps_corners(rng):
     b = random_bloch(rng)
-    rho = reconstruct_density(b)
+    rho = np.array(reconstruct_density(b))
     rho_e = to_energy_basis(b, 3.7, 0.0)
     swap = np.array([3, 1, 2, 0])
     assert np.abs(rho_e - rho[np.ix_(swap, swap)]).max() < 1e-14

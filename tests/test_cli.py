@@ -434,17 +434,41 @@ def test_trajectory_rejects_initial_state_the_measures_reject(tmp_path, capsys):
     assert "run.initial_state.b" in record["message"]
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
     import spinotto
 
-    # a fresh interpreter: this one has scipy loaded by the test oracles
+    # a fresh interpreter: this one has numpy and scipy loaded by the test
+    # oracles; there numpy is blocked, so any import of it fails
     src = os.path.dirname(os.path.dirname(os.path.abspath(spinotto.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    probe = "import sys, spinotto.cli; print('scipy' in sys.modules)"
+    runs = {f"figure-{name}": ["figure", name] for name in ("fig1", "fig2", "fig3", "fig5", "fig6")}
+    for command, run in [
+        ("limit-cycle", {}),
+        ("iterate", {"n_cycles": 5}),
+        ("trajectory", {"samples_per_branch": 5}),
+        ("spectrum", {}),
+        ("sweep", {"sweep": {"key": "omega_a", "from": 3.0, "to": 8.0, "steps": 3}}),
+        ("equilibrium-curve", {"omega_from": 1.0, "omega_to": 20.0, "steps": 5}),
+    ]:
+        config = write_config(tmp_path, {"engine": FIG1_ENGINE, "run": run}, f"{command}.json")
+        runs[command] = [command, "--config", config]
+    for name, argv in runs.items():
+        argv += ["--out", str(tmp_path / f"{name}.csv")]
+    probe = (
+        "import json, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import spinotto.cli\n"
+        f"codes = {{name: spinotto.cli.main(argv) for name, argv in {runs!r}.items()}}\n"
+        "print(json.dumps([codes, 'scipy' in sys.modules]))\n"
+    )
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    codes, scipy_loaded = json.loads(result.stdout)
+    assert not scipy_loaded
+    assert codes == {name: 0 for name in runs}
+    for name in runs:
+        assert (tmp_path / f"{name}.csv").read_text().startswith("# spinotto-csv")
 
 
 @pytest.mark.parametrize("section, key, value, path", [

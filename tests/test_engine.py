@@ -26,6 +26,7 @@ from spinotto import (
 from conftest import (
     FIG5_TIMES,
     fig1_spec,
+    fig3_spec,
     fig5_spec,
     fig6_spec,
     gibbs_matrix,
@@ -42,6 +43,8 @@ def test_compose_all_zero_times_is_identity():
     prop = compose_cycle(frozen)
     assert np.abs(prop.cycle.m - np.eye(4)).max() < 1e-15
     assert prop.cycle.b4_scale == 1.0 and prop.cycle.b5_scale == 1.0
+    # a triple eigenvalue: every row of the shifted block vanishes
+    assert np.abs(np.array(spectrum(frozen).eigenvalues) - 1.0).max() < 1e-15
 
 
 def test_compose_unitary_cycle_is_orthogonal():
@@ -135,6 +138,43 @@ def test_spectrum_phase_linear_in_adiabat_time():
         phis.append(spectrum(spec).phi)
     _, _, r2 = linear_fit(2 * taus, phis)
     assert r2 >= 0.99
+
+
+def _numpy_spectrum(block):
+    """mu1..mu3 from numpy.linalg.eigvals, ordered and classified the way
+    the package documents: one real eigenvalue, then the transverse pair
+    with positive imaginary part first; or all real by decreasing modulus."""
+    eigs = np.linalg.eigvals(block)
+    real = np.abs(eigs.imag) <= 1e-10 * max(1.0, np.abs(eigs).max())
+    if real.sum() == 1:
+        pair = sorted(eigs[~real], key=lambda e: -e.imag)
+        return [eigs[real][0]] + pair, False
+    return sorted(eigs, key=lambda e: -abs(e)), True
+
+
+def test_spectrum_and_fixed_point_match_numpy(rng):
+    # long sweeps put the transverse pair near the real root, where Newton
+    # on the cubic alone is off by ~2e-13
+    specs = [random_spec(rng, dephasing=k % 2 == 1, short_adiabats=k % 4 < 2)
+             for k in range(200)]
+    specs += [fig1_spec(), fig6_spec(), replace(fig1_spec(), dephasing_hot=1.0)]
+    specs += [fig5_spec(*t) for t in FIG5_TIMES.values()]
+    specs += [fig3_spec(tau, dh, dc) for tau in (0.01, 1.0) for dh, dc in ((0, 0), (0.01, 0.03))]
+    all_real = []
+    for spec in specs:
+        report = limit_cycle(spec)
+        m = report.propagator.cycle.m
+        expected, is_real = _numpy_spectrum(m[:3, :3])
+        got = spectrum(spec).eigenvalues
+        assert len(got) == 6 and all(isinstance(mu, complex) for mu in got)
+        assert all(abs(mu.imag) <= 1e-10 for mu in got[1:4]) == is_real
+        assert np.abs(np.array(got[1:4]) - np.array(expected)).max() <= 1e-13
+        assert got == report.eigenvalues
+        b123 = np.linalg.solve(np.eye(3) - m[:3, :3], m[:3, 3])
+        assert np.abs(report.b_a.as_array()[:3] - b123).max() <= 1e-13
+        all_real.append(is_real)
+    # the strong-dephasing cycle takes the all-real branch, the fig presets do not
+    assert all_real[202] and not any(all_real[200:202] + all_real[203:])
 
 
 def test_iterate_fixed_point_is_constant():

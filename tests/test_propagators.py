@@ -22,7 +22,8 @@ from spinotto import (
     thermal_state,
     vn_eigenvalues,
 )
-from conftest import SQRT2, fig1_spec, random_bloch
+from spinotto.propagators import MAX_SWEEP_ANGLE, SWEEP_TOLERANCE
+from conftest import SQRT2, fig1_spec, landau_zener_map, random_bloch
 
 
 def axis_angle_rotation(omega, j, angle):
@@ -218,6 +219,40 @@ def test_adiabat_matches_richardson_oracle_property(p):
     block = prop.m[:3, :3]
     assert np.abs(block @ block.T - np.eye(3)).max() < 1e-13
     assert np.abs(prop.m - _richardson_direct(p, 20000)).max() < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(sweeps())
+@example(AdiabatParams(0.0, 1.0, 2.0, 2.225073858507e-311))  # subnormal tau
+def test_adiabat_matches_landau_zener_oracle_property(p):
+    err = np.abs(adiabat_propagator(p).m[:3, :3] - landau_zener_map(p)).max()
+    assert err <= 10 * SWEEP_TOLERANCE
+
+
+def test_near_limit_sweep_matches_landau_zener_oracle():
+    # about 2e4 steps, near MAX_SWEEP_ANGLE
+    p = AdiabatParams(1e3, -1e3, 1.0, 7.0)
+    assert p.rotation_angle > 0.98 * MAX_SWEEP_ANGLE
+    block = adiabat_propagator(p).m[:3, :3]
+    assert np.abs(block - landau_zener_map(p)).max() <= SWEEP_TOLERANCE
+    assert np.abs(block @ block.T - np.eye(3)).max() < 1e-14
+
+
+def test_landau_zener_oracle_solutions_agree():
+    # the parabolic-cylinder solution and the Taylor series of the same
+    # equation, and both closed forms, against independent constructions
+    for p in (AdiabatParams(12.6355, 5.08364, 2.0, 1.0), AdiabatParams(-40.0, 40.0, 3.0, 0.3),
+              AdiabatParams(0.0, 1e-3, 2.0, 1.0)):
+        pcfd = landau_zener_map(p, method="pcfd")
+        assert np.abs(pcfd - landau_zener_map(p, method="taylor")).max() < 1e-20
+        assert np.abs(pcfd @ pcfd.T - np.eye(3)).max() < 1e-15
+    angle = SQRT2 * (4.0 + 10.0) * 0.5 / 2.0
+    c, s = math.cos(angle), math.sin(angle)
+    about_b1 = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    assert np.abs(landau_zener_map(AdiabatParams(4.0, 10.0, 0.0, 0.5)) - about_b1).max() < 1e-15
+    iso = isochore_propagator(IsochoreParams(8.3, 2.0, BathParams(0.0, 0.0, 1.0), 0.41))
+    constant = landau_zener_map(AdiabatParams(8.3, 8.3, 2.0, 0.41))
+    assert np.abs(constant - iso.m[:3, :3]).max() < 1e-15
 
 
 def test_adiabat_matches_direct_oracle_reference_sweep():
