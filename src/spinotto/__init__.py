@@ -14,6 +14,7 @@ The package needs only the standard library; the numpy accessors
 from .algebra import (
     BlochVector,
     SpectralInfo,
+    eigenvalue_tuple,
     energy_populations,
     reconstruct_density,
     thermal_state,
@@ -37,6 +38,7 @@ from .engine import (
     trajectory,
 )
 from .measures import (
+    Reference,
     conditional_entropy,
     energy_conditional_entropy,
     energy_entropy,
@@ -55,7 +57,8 @@ from .propagators import (
     adiabat_propagator_direct,
     compose,
     identity_propagator,
+    isochore_partials,
     isochore_propagator,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

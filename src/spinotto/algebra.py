@@ -114,17 +114,23 @@ def reconstruct_density(b: BlochVector) -> tuple:
     )
 
 
+def eigenvalue_tuple(b: BlochVector) -> tuple:
+    """(lam1, lam2, lam3, lam4) of the reconstructed state, labeled as in
+    :class:`SpectralInfo`, as a plain tuple."""
+    d_scaled = b.d / SQRT2
+    b4_scaled = b.b4 / SQRT2
+    half_b5 = b.b5 / 2.0
+    return (
+        0.25 - d_scaled + half_b5,
+        0.25 + b4_scaled - half_b5,
+        0.25 - b4_scaled - half_b5,
+        0.25 + d_scaled + half_b5,
+    )
+
+
 def vn_eigenvalues(b: BlochVector) -> SpectralInfo:
     """Eigenvalues of the reconstructed state, in the labeled closed form."""
-    d = b.d
-    half_b5 = b.b5 / 2.0
-    return SpectralInfo(
-        lam1=0.25 - d / SQRT2 + half_b5,
-        lam2=0.25 + b.b4 / SQRT2 - half_b5,
-        lam3=0.25 - b.b4 / SQRT2 - half_b5,
-        lam4=0.25 + d / SQRT2 + half_b5,
-        d=d,
-    )
+    return SpectralInfo(*eigenvalue_tuple(b), d=b.d)
 
 
 def energy_populations(b: BlochVector, omega: float, j: float) -> tuple:

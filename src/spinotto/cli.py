@@ -21,9 +21,16 @@ import argparse
 import dataclasses
 import json
 import math
+import operator
 import sys
 
-from .algebra import BlochVector, field_magnitude, thermal_state, vn_eigenvalues
+from .algebra import (
+    BlochVector,
+    eigenvalue_tuple,
+    field_magnitude,
+    thermal_state,
+    vn_eigenvalues,
+)
 from .engine import (
     CyclePropagator,
     CycleSpec,
@@ -37,13 +44,7 @@ from .engine import (
     spectrum,
     trajectory,
 )
-from .measures import (
-    conditional_entropy,
-    energy_entropy,
-    quantum_distance,
-    vn_entropy,
-    wootters_energy_distance,
-)
+from .measures import Reference, energy_entropy, vn_entropy, wootters_energy_distance
 
 SCHEMA_VERSION = 1
 
@@ -152,6 +153,8 @@ def load_config(path: str) -> RunConfig:
     unknown = sorted(set(output) - {"path", "precision"})
     if unknown:
         raise ConfigError(f"output: unknown key(s) {', '.join(unknown)}")
+    if "path" in output and not (isinstance(output["path"], str) and output["path"]):
+        raise ConfigError("output.path: expected a non-empty string")
     precision = output.get("precision", 12)
     if not isinstance(precision, int) or isinstance(precision, bool) or not 1 <= precision <= 17:
         raise ConfigError("output.precision: expected an integer in [1, 17]")
@@ -188,17 +191,9 @@ def _initial_state(config: RunConfig) -> BlochVector:
 # CSV assembly
 
 
-def _fmt(value, spec: str) -> str:
-    if isinstance(value, float):
-        return format(value + 0.0, spec)  # + 0.0 turns -0.0 into 0.0
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return str(value)
-    return format(float(value) + 0.0, spec)
-
-
 def render_csv(command, config_echo, header, rows, precision, notes=()) -> str:
+    """CSV text; each column keeps its first-row type: text and integers as
+    they are, floats to `precision` digits (+ 0.0 prints -0.0 as 0)."""
     lines = [
         f"# spinotto-csv schema-version {SCHEMA_VERSION}",
         f"# command: {command}",
@@ -206,18 +201,33 @@ def render_csv(command, config_echo, header, rows, precision, notes=()) -> str:
     ]
     lines.extend(f"# note: {note}" for note in notes)
     lines.append(",".join(header))
-    spec = f".{precision}g"
-    for row in rows:
-        lines.append(",".join([_fmt(v, spec) for v in row]))
+    if rows:
+        fields, zeros = [], []
+        for value in rows[0]:
+            if isinstance(value, str):
+                fields.append("{}")
+                zeros.append("")
+            elif isinstance(value, int) and not isinstance(value, bool):
+                fields.append("{}")
+                zeros.append(0)
+            else:
+                fields.append(f"{{:.{precision}g}}")
+                zeros.append(0.0)
+        template = ",".join(fields).format
+        add = operator.add
+        lines.extend([template(*map(add, row, zeros)) for row in rows])
     return "\n".join(lines) + "\n"
 
 
 def _emit(text: str, out_path):
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {out_path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -257,13 +267,15 @@ ITERATE_HEADER = (
 
 def iterate_rows(report: LimitCycleReport, b0: BlochVector, n: int) -> list[list]:
     spec, b_lc = report.propagator.spec, report.b_a
+    ref = Reference(b_lc)
     rows = []
     for k, b in enumerate(iterate(report.propagator, b0, n)):
+        lam = eigenvalue_tuple(b)
         rows.append(
             [k, b.b1, b.b2, b.b3, b.b4, b.b5,
-             quantum_distance(b, b_lc),
+             ref.quantum_distance(b, lam),
              wootters_energy_distance(b, b_lc, spec.omega_b, spec.j),
-             conditional_entropy(b, b_lc)]
+             ref.conditional_entropy(b, lam)]
         )
     return rows
 

@@ -29,8 +29,8 @@ from .propagators import (
     adiabat_propagator,
     compose,
     identity_propagator,
+    isochore_partials,
     isochore_propagator,
-    partial_isochore,
 )
 
 # A second unit-modulus eigenvalue within this gap of 1 means the fixed
@@ -132,10 +132,7 @@ class CycleBranch:
         if self.duration == 0.0:
             return [identity_propagator()] * samples
         if self.kind == "isochore":
-            return [
-                partial_isochore(self.isochore, t)
-                for t in linspace(0.0, self.duration, samples)
-            ]
+            return isochore_partials(self.isochore, linspace(0.0, self.duration, samples))
         return adiabat_partials(self.adiabat, samples)
 
 

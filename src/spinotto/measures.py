@@ -3,8 +3,9 @@
 All entropies use the natural logarithm with the 0*log(0) = 0 convention.
 Every state is an outer 2x2 block A plus the inner doublet (lam2, lam3), so
 the relative entropy and the quantum distance reduce to closed forms in the
-b-vector variables and the eigenvalues of :func:`vn_eigenvalues`; no 4x4
+b-vector variables and the eigenvalues of :func:`eigenvalue_tuple`; no 4x4
 matrix is built.  The tests check both against density-matrix oracles.
+Both live on :class:`Reference`, which binds the reference state once.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from .algebra import (
     LOG_EIGENVALUE_FLOOR,
     PHYSICALITY_TOL,
     BlochVector,
+    eigenvalue_tuple,
     energy_populations,
-    vn_eigenvalues,
 )
 
 # Bhattacharyya overlaps / trace overlaps this close to 1 are numerically
@@ -41,10 +42,10 @@ def measurement_entropy(p) -> float:
 
 def vn_entropy(b: BlochVector) -> float:
     """Von Neumann entropy, the minimum over all complete measurements."""
-    info = vn_eigenvalues(b)
-    if not info.physical:
-        raise ValueError(f"non-physical state: eigenvalues {info.values}")
-    return measurement_entropy(info.values)
+    lam = eigenvalue_tuple(b)
+    if not min(lam) >= PHYSICALITY_TOL:
+        raise ValueError(f"non-physical state: eigenvalues {lam}")
+    return measurement_entropy(lam)
 
 
 def energy_entropy(b: BlochVector, omega: float, j: float) -> float:
@@ -55,46 +56,6 @@ def energy_entropy(b: BlochVector, omega: float, j: float) -> float:
     exactly for energy-diagonal states.
     """
     return measurement_entropy(energy_populations(b, omega, j))
-
-
-def _outer_overlap(b: BlochVector, b_ref: BlochVector) -> float:
-    """tr(A A_ref) = 2 r r_ref + (b1, b2, b3) . (b1, b2, b3)_ref of the outer
-    2x2 blocks, with r = 1/4 + b5/2 (half the block trace)."""
-    r = 0.25 + b.b5 / 2.0
-    r_ref = 0.25 + b_ref.b5 / 2.0
-    return 2.0 * r * r_ref + b.b1 * b_ref.b1 + b.b2 * b_ref.b2 + b.b3 * b_ref.b3
-
-
-def conditional_entropy(b: BlochVector, b_ref: BlochVector) -> float:
-    """Relative entropy tr{rho (log rho - log rho_ref)}.
-
-    Nonnegative (up to ~1e-13 rounding), zero only for equal states, and
-    non-increasing under every branch or cycle map.  Returns +inf when rho
-    has weight outside the support of rho_ref.
-
-    rho_ref is diagonal in the inner doublet and in the eigenbasis of its
-    outer block, so tr(rho log rho_ref) = sum_i w_i log lam_i(ref) with w_i
-    the weight of rho on each reference eigenvector: lam2 and lam3 on the
-    inner doublet, and on the outer pair the split of tr A fixed by
-    tr(A A_ref) = w1 lam1(ref) + w4 lam4(ref).
-    """
-    lam = vn_eigenvalues(b)
-    lam_ref = vn_eigenvalues(b_ref)
-    trace_outer = lam.lam1 + lam.lam4
-    gap_ref = lam_ref.lam4 - lam_ref.lam1
-    if gap_ref > 0.0:
-        w1 = (lam_ref.lam4 * trace_outer - _outer_overlap(b, b_ref)) / gap_ref
-    else:
-        w1 = trace_outer / 2.0
-    weights = (w1, lam.lam2, lam.lam3, trace_outer - w1)
-    out = 0.0
-    for p, w, q in zip(lam.values, weights, lam_ref.values):
-        if q < _SUPPORT_TOL and w > 1e-12:
-            return math.inf
-        if p > 0.0:
-            out += p * math.log(p)
-        out -= w * math.log(max(q, LOG_EIGENVALUE_FLOOR))
-    return out
 
 
 def energy_conditional_entropy(
@@ -132,6 +93,77 @@ def wootters_energy_distance(
     return math.acos(max(overlap, -1.0))
 
 
+class Reference:
+    """A reference state with its eigenvalues, their floored logarithms and
+    its outer half-trace 1/4 + b5/2, computed once for many states.  The
+    methods take a state with its own :func:`eigenvalue_tuple`."""
+
+    __slots__ = ("b", "lam", "log_lam", "r")
+
+    def __init__(self, b_ref: BlochVector):
+        self.b = b_ref
+        self.lam = eigenvalue_tuple(b_ref)
+        self.log_lam = tuple(math.log(max(q, LOG_EIGENVALUE_FLOOR)) for q in self.lam)
+        self.r = 0.25 + b_ref.b5 / 2.0
+
+    def _outer_overlap(self, b: BlochVector) -> float:
+        """tr(A A_ref) = 2 r r_ref + (b1, b2, b3) . (b1, b2, b3)_ref of the outer
+        2x2 blocks, with r = 1/4 + b5/2 (half the block trace)."""
+        ref = self.b
+        return 2.0 * (0.25 + b.b5 / 2.0) * self.r + b.b1 * ref.b1 + b.b2 * ref.b2 + b.b3 * ref.b3
+
+    def quantum_distance(self, b: BlochVector, lam: tuple) -> float:
+        """:func:`quantum_distance` of b, whose eigenvalue tuple is lam."""
+        lam1, lam2, lam3, lam4 = lam
+        ref1, ref2, ref3, ref4 = self.lam
+        dets = max(lam1 * lam4 * ref1 * ref4, 0.0)
+        fidelity = (
+            math.sqrt(max(self._outer_overlap(b) + 2.0 * math.sqrt(dets), 0.0))
+            + math.sqrt(max(lam2 * ref2, 0.0))
+            + math.sqrt(max(lam3 * ref3, 0.0))
+        )
+        deficit = 2.0 * (1.0 - fidelity)
+        if deficit < _OVERLAP_NOISE:
+            return 0.0
+        return math.sqrt(deficit)
+
+    def conditional_entropy(self, b: BlochVector, lam: tuple) -> float:
+        """:func:`conditional_entropy` of b, whose eigenvalue tuple is lam."""
+        lam1, lam2, lam3, lam4 = lam
+        ref1, _, _, ref4 = self.lam
+        trace_outer = lam1 + lam4
+        gap_ref = ref4 - ref1
+        if gap_ref > 0.0:
+            w1 = (ref4 * trace_outer - self._outer_overlap(b)) / gap_ref
+        else:
+            w1 = trace_outer / 2.0
+        weights = (w1, lam2, lam3, trace_outer - w1)
+        out = 0.0
+        for p, w, q, log_q in zip(lam, weights, self.lam, self.log_lam):
+            if q < _SUPPORT_TOL and w > 1e-12:
+                return math.inf
+            if p > 0.0:
+                out += p * math.log(p)
+            out -= w * log_q
+        return out
+
+
+def conditional_entropy(b: BlochVector, b_ref: BlochVector) -> float:
+    """Relative entropy tr{rho (log rho - log rho_ref)}.
+
+    Nonnegative (up to ~1e-13 rounding), zero only for equal states, and
+    non-increasing under every branch or cycle map.  Returns +inf when rho
+    has weight outside the support of rho_ref.
+
+    rho_ref is diagonal in the inner doublet and in the eigenbasis of its
+    outer block, so tr(rho log rho_ref) = sum_i w_i log lam_i(ref) with w_i
+    the weight of rho on each reference eigenvector: lam2 and lam3 on the
+    inner doublet, and on the outer pair the split of tr A fixed by
+    tr(A A_ref) = w1 lam1(ref) + w4 lam4(ref).
+    """
+    return Reference(b_ref).conditional_entropy(b, eigenvalue_tuple(b))
+
+
 def quantum_distance(b: BlochVector, b_ref: BlochVector) -> float:
     """Metric distance sqrt(2 (1 - tr sqrt(sqrt(rho) rho_ref sqrt(rho)))).
 
@@ -140,15 +172,4 @@ def quantum_distance(b: BlochVector, b_ref: BlochVector) -> float:
     sqrt(tr AB + 2 sqrt(det A det B)), with det A = lam1 lam4.  Symmetric in
     its arguments; trace overlaps within rounding noise of 1 report as zero.
     """
-    lam = vn_eigenvalues(b)
-    lam_ref = vn_eigenvalues(b_ref)
-    dets = max(lam.lam1 * lam.lam4 * lam_ref.lam1 * lam_ref.lam4, 0.0)
-    fidelity = (
-        math.sqrt(max(_outer_overlap(b, b_ref) + 2.0 * math.sqrt(dets), 0.0))
-        + math.sqrt(max(lam.lam2 * lam_ref.lam2, 0.0))
-        + math.sqrt(max(lam.lam3 * lam_ref.lam3, 0.0))
-    )
-    deficit = 2.0 * (1.0 - fidelity)
-    if deficit < _OVERLAP_NOISE:
-        return 0.0
-    return math.sqrt(deficit)
+    return Reference(b_ref).quantum_distance(b, eigenvalue_tuple(b))

@@ -2,7 +2,8 @@
 
 A branch propagator acts on the column (b1, b2, b3, 1) through a 4x4 affine
 matrix whose bottom row is (0, 0, 0, 1), plus a closure rule for the (b4, b5)
-pair.  Constant-field bath branches have a closed form.  The driven branches
+pair.  Constant-field bath branches have a closed form, evaluated at many
+times at once by :func:`isochore_partials`.  The driven branches
 (linear field sweep, no bath) are rotations whose generator is linear in the
 field; they are integrated with a sixth-order Magnus product of unit
 quaternions (Blanes, Casas & Ros, BIT 40, 434 (2000); Blanes, Casas, Oteo &
@@ -14,7 +15,9 @@ the ``m`` accessor and the brute-force midpoint-field oracle
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass
+from itertools import chain
 
 from .algebra import SQRT2, BlochVector, field_magnitude, thermal_state
 
@@ -200,52 +203,64 @@ def compose(*props: AffinePropagator) -> AffinePropagator:
     return acc
 
 
-def isochore_propagator(p: IsochoreParams) -> AffinePropagator:
-    """Closed-form map of a constant-field bath branch.
+def isochore_partials(p: IsochoreParams, times) -> list[AffinePropagator]:
+    """Closed-form maps of the first t time units of a constant-field bath
+    branch, one for each t in times.
 
-    The (b1, b2, b3) block combines a rotation by sqrt(2)*Omega*tau about the
+    The (b1, b2, b3) block combines a rotation by sqrt(2)*Omega*t about the
     field axis (omega, J, 0)/Omega with longitudinal decay at rate Gamma
     toward the thermal values and transverse decay at Gamma + 2*gamma*Omega^2.
     b4 decays at rate Gamma toward zero; b5 decays at 2*Gamma toward its
     thermal value while driven by the decaying energy, which keeps the full
     map completely positive.
     """
-    omega, j, tau = p.omega, p.j, p.tau
+    if not all(t >= 0.0 for t in times):
+        raise ValueError("times must be >= 0")
+    omega, j = p.omega, p.j
     gam = p.bath.conductance
     big_omega = math.hypot(omega, j)
     transverse_rate = gam + 2.0 * p.bath.dephasing * big_omega**2
-    # tau = 0 is no decay even when the rate overflows to inf (inf * 0 is NaN)
-    k = math.exp(-transverse_rate * tau) if tau > 0.0 else 1.0
-    c = math.cos(SQRT2 * big_omega * tau)
-    s = math.sin(SQRT2 * big_omega * tau)
-    g = math.exp(-gam * tau)
-
     eq = thermal_state(omega, j, p.bath.temperature)
     om2 = big_omega**2
-    block = (
-        ((g * omega**2 + k * c * j**2) / om2,
-         omega * j * (g - k * c) / om2,
-         k * j * s / big_omega),
-        (omega * j * (g - k * c) / om2,
-         (g * j**2 + k * c * omega**2) / om2,
-         -k * omega * s / big_omega),
-        (-k * j * s / big_omega,
-         k * omega * s / big_omega,
-         k * c),
-    )
-
+    omega_sq, j_sq, omega_j = omega**2, j**2, omega * j
     # Exact solution of db5/dt = -2 Gamma b5 + sqrt(2) (k_up - k_down) E(t) / Omega
     # with E(t) relaxing exponentially toward its thermal value.
     t_th = math.tanh(big_omega / (2.0 * SQRT2 * p.bath.temperature))
-    drive_coef = -(SQRT2 * t_th / big_omega) * (g - g * g)
-    return AffinePropagator(
-        block=block,
-        shift=(eq.b1 * (1.0 - g), eq.b2 * (1.0 - g), 0.0),
-        b4_scale=g,
-        b5_scale=g * g,
-        b5_drive=(drive_coef * omega, drive_coef * j, 0.0),
-        b5_shift=eq.b5 * (1.0 - g) ** 2,
-    )
+    drive_scale = -(SQRT2 * t_th / big_omega)
+    maps = []
+    for tau in times:
+        # tau = 0 is no decay even when the rate overflows to inf (inf * 0 is NaN)
+        k = math.exp(-transverse_rate * tau) if tau > 0.0 else 1.0
+        c = math.cos(SQRT2 * big_omega * tau)
+        s = math.sin(SQRT2 * big_omega * tau)
+        g = math.exp(-gam * tau)
+        block = (
+            ((g * omega_sq + k * c * j_sq) / om2,
+             omega_j * (g - k * c) / om2,
+             k * j * s / big_omega),
+            (omega_j * (g - k * c) / om2,
+             (g * j_sq + k * c * omega_sq) / om2,
+             -k * omega * s / big_omega),
+            (-k * j * s / big_omega,
+             k * omega * s / big_omega,
+             k * c),
+        )
+        drive_coef = drive_scale * (g - g * g)
+        maps.append(AffinePropagator(
+            block=block,
+            shift=(eq.b1 * (1.0 - g), eq.b2 * (1.0 - g), 0.0),
+            b4_scale=g,
+            b5_scale=g * g,
+            b5_drive=(drive_coef * omega, drive_coef * j, 0.0),
+            b5_shift=eq.b5 * (1.0 - g) ** 2,
+        ))
+    return maps
+
+
+def isochore_propagator(p: IsochoreParams) -> AffinePropagator:
+    """Closed-form map of a whole constant-field bath branch; see
+    :func:`isochore_partials`."""
+    return isochore_partials(p, (p.tau,))[0]
 
 
 def _rotation_block(w: float, x: float, y: float, z: float) -> tuple:
@@ -301,12 +316,10 @@ def _sweep_blocks(p: AdiabatParams, segments: int, per_segment: int) -> list[tup
 
 
 def _max_change(fine: list[tuple], coarse: list[tuple]) -> float:
-    return max(
-        abs(a - b)
-        for block_f, block_c in zip(fine, coarse)
-        for row_f, row_c in zip(block_f, block_c)
-        for a, b in zip(row_f, row_c)
-    )
+    """Largest entry change between two equally long lists of 3x3 blocks."""
+    flat_fine = chain.from_iterable(chain.from_iterable(fine))
+    flat_coarse = chain.from_iterable(chain.from_iterable(coarse))
+    return max(map(abs, map(operator.sub, flat_fine, flat_coarse)))
 
 
 def adiabat_partials(p: AdiabatParams, samples: int) -> list[AffinePropagator]:
@@ -380,10 +393,3 @@ def adiabat_propagator_direct(p: AdiabatParams, n_steps: int) -> AffinePropagato
     m = np.eye(4)
     m[:3, :3] = blocks[0]
     return AffinePropagator(m=m)
-
-
-def partial_isochore(p: IsochoreParams, t: float) -> AffinePropagator:
-    """Map of the first t time units of a constant-field branch."""
-    if not 0.0 <= t <= p.tau:
-        raise ValueError(f"t = {t} outside [0, {p.tau}]")
-    return isochore_propagator(replace(p, tau=t))

@@ -7,6 +7,8 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from spinotto import AdiabatParams, BlochVector, CycleSpec, reconstruct_density
 
@@ -50,6 +52,51 @@ def random_spec(rng, dephasing=False, short_adiabats=True) -> CycleSpec:
         tau_ab=tau_adiabat,
         tau_ba=rng.uniform(0.01, 0.05) if short_adiabats else tau_adiabat,
     )
+
+
+@st.composite
+def cycle_specs(draw) -> CycleSpec:
+    """Engine controls over a wide range: fields crossing zero, either bath
+    switched off, dephasing or none, short or long sweeps, zero-length
+    strokes.  Some draws have no unique limit cycle."""
+    omega_a = draw(st.floats(-8.0, 8.0))
+    if draw(st.booleans()):
+        tau_ab, tau_ba = draw(st.floats(0.0, 0.05)), draw(st.floats(0.0, 0.05))
+    else:
+        tau_ab, tau_ba = draw(st.floats(0.2, 1.5)), draw(st.floats(0.2, 1.5))
+    dephasing = st.sampled_from([0.0]) | st.floats(0.0, 0.05)
+    return CycleSpec(
+        t_cold=draw(st.floats(0.3, 30.0)),
+        t_hot=draw(st.floats(0.3, 30.0)),
+        omega_a=omega_a,
+        omega_b=omega_a + draw(st.floats(0.5, 15.0)),
+        j=draw(st.floats(0.05, 4.0)),
+        gamma_cold=draw(st.floats(0.0, 2.0)),
+        gamma_hot=draw(st.floats(0.0, 2.0)),
+        dephasing_cold=draw(dephasing),
+        dephasing_hot=draw(dephasing),
+        tau_cold=draw(st.floats(0.0, 3.0)),
+        tau_hot=draw(st.floats(0.0, 3.0)),
+        tau_ab=tau_ab,
+        tau_ba=tau_ba,
+    )
+
+
+@st.composite
+def physical_states(draw) -> BlochVector:
+    """Physical states, as random_bloch builds them: four eigenvalue weights
+    plus a direction of the (b1, b2, b3) block."""
+    weights = [draw(st.floats(0.0, 1.0)) for _ in range(4)]
+    total = sum(weights)
+    assume(total > 1e-3)
+    lo, l2, l3, hi = (w / total for w in weights)
+    lo, hi = min(lo, hi), max(lo, hi)
+    direction = [draw(st.floats(-1.0, 1.0)) for _ in range(3)]
+    norm = math.sqrt(sum(x * x for x in direction))
+    assume(norm > 1e-3)
+    d = (hi - lo) / SQRT2
+    b1, b2, b3 = (d * x / norm for x in direction)
+    return BlochVector(b1, b2, b3, (l2 - l3) / SQRT2, lo + hi - 0.5)
 
 
 def hamiltonian_matrix(omega: float, j: float) -> np.ndarray:

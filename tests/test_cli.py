@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,13 +15,25 @@ from spinotto import (
     AdiabatParams,
     BlochVector,
     adiabat_propagator_direct,
+    conditional_entropy,
     energy_entropy,
     limit_cycle,
+    quantum_distance,
     thermal_state,
     thermo_ledger,
+    wootters_energy_distance,
 )
-from spinotto.cli import ConfigError, load_config, main
-from conftest import fig1_spec, fig6_spec
+from spinotto.cli import (
+    ITERATE_HEADER,
+    TRAJECTORY_HEADER,
+    ConfigError,
+    iterate_rows,
+    load_config,
+    main,
+    render_csv,
+    trajectory_rows,
+)
+from conftest import SQRT2, fig1_spec, fig6_spec, random_bloch, random_spec
 
 FIG1_ENGINE = {
     "t_cold": 1.5, "t_hot": 7.5,
@@ -100,6 +113,94 @@ def test_load_config_precision_validation(tmp_path):
     payload = {"engine": FIG1_ENGINE, "output": {"precision": 0}}
     with pytest.raises(ConfigError, match="precision"):
         load_config(write_config(tmp_path, payload))
+
+
+@pytest.mark.parametrize("via, path", [
+    ("output.path", True),
+    ("output.path", 12345),
+    ("output.path", ["x"]),
+    ("output.path", "<directory>"),
+    ("--out", "<directory>"),
+    ("output.path", "<missing directory>"),
+    ("--out", "<missing directory>"),
+], ids=["bool", "int", "list", "directory", "directory-out", "missing", "missing-out"])
+def test_bad_output_path_is_a_config_error(tmp_path, capsys, via, path):
+    if path == "<directory>":
+        path = str(tmp_path)
+    elif path == "<missing directory>":
+        path = str(tmp_path / "missing" / "out.csv")
+    payload = {"engine": FIG1_ENGINE, "run": {"n_cycles": 2}}
+    argv = ["iterate"]
+    if via == "--out":
+        argv += ["--out", path]
+    else:
+        payload["output"] = {"path": path}
+    assert main(argv + ["--config", write_config(tmp_path, payload)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    record = json.loads(captured.err)
+    assert record["error"] == "config"
+    assert ("output.path" if not isinstance(path, str) else path) in record["message"]
+
+
+# ---------------------------------------------------------------------------
+# CSV rendering and the row builders
+
+
+def _fmt_reference(value, spec):
+    """Per-cell formatting: text and integers as they are, floats through
+    format(v + 0.0, spec) so -0.0 prints as 0."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    return format(value + 0.0, spec)
+
+
+def test_render_csv_matches_per_cell_format():
+    spec = fig1_spec()
+    report = limit_cycle(spec)
+    b0 = thermal_state(spec.omega_b, spec.j, 100.0)
+    tables = [
+        (["text", "int", "a", "b", "c"], [
+            ["hot", 0, -0.0, 1.5, -2.5e-300],
+            ["cold", -12, 0.1, -0.0, math.inf],
+            ["x", 10**20, math.nan, 1.0 / 3.0, -1e300],
+        ]),
+        (["start"] + ITERATE_HEADER, [["hot"] + row for row in iterate_rows(report, b0, 20)]),
+        (TRAJECTORY_HEADER, trajectory_rows(report.propagator, report.b_a, 20)),
+    ]
+    for header, rows in tables:
+        for precision in (1, 6, 12, 17):
+            text = render_csv("c", {"k": 1}, header, rows, precision)
+            lines = text.splitlines()
+            assert lines[-len(rows) - 1] == ",".join(header)
+            spec = f".{precision}g"
+            assert lines[-len(rows):] == [
+                ",".join(_fmt_reference(v, spec) for v in row) for row in rows
+            ]
+
+
+@pytest.mark.parametrize("dephasing", [False, True])
+def test_iterate_rows_measures_equal_public_functions(rng, dephasing):
+    spec = random_spec(rng, dephasing=dephasing)
+    report = limit_cycle(spec)
+    references = [
+        report.b_a,
+        BlochVector(0.0, 0.0, 0.0, 0.0, 0.0),  # lam1 == lam4: the gap_ref == 0 branch
+        BlochVector(0.0, SQRT2 / 4, 0.0, 0.0, 0.0),  # lam1 == 0: the inf sentinel
+        BlochVector(0.0, 0.0, 0.0, 0.0, 0.5),  # lam2 == lam3 == 0 and lam1 == lam4
+    ]
+    entropies = []
+    for b_ref in references:
+        rows = iterate_rows(replace(report, b_a=b_ref), random_bloch(rng), 30)
+        for row in rows:
+            b = BlochVector(*row[1:6])
+            assert row[6] == quantum_distance(b, b_ref)
+            assert row[7] == wootters_energy_distance(b, b_ref, spec.omega_b, spec.j)
+            assert row[8] == conditional_entropy(b, b_ref)
+            entropies.append(row[8])
+    assert math.inf in entropies
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
 
 from spinotto import (
     BlochVector,
@@ -14,6 +15,8 @@ from spinotto import (
     compose,
     compose_cycle,
     energy,
+    isochore_partials,
+    isochore_propagator,
     iterate,
     limit_cycle,
     reconstruct_density,
@@ -23,8 +26,11 @@ from spinotto import (
     trajectory,
     vn_entropy,
 )
+from spinotto.cli import ITERATE_HEADER, iterate_rows
+from spinotto.engine import linspace
 from conftest import (
     FIG5_TIMES,
+    cycle_specs,
     fig1_spec,
     fig3_spec,
     fig5_spec,
@@ -32,6 +38,7 @@ from conftest import (
     gibbs_matrix,
     hamiltonian_matrix,
     linear_fit,
+    physical_states,
     random_bloch,
     random_spec,
 )
@@ -215,6 +222,39 @@ def test_iterate_states_stay_physical(rng):
     spec = random_spec(rng)
     for b in iterate(compose_cycle(spec), random_bloch(rng), 30):
         assert vn_eigenvalues(b).as_array().min() >= -1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(cycle_specs(), physical_states())
+def test_iterate_approaches_limit_cycle_monotonically_property(spec, b0):
+    # the paper's monotone approach: both measures of the distance to the
+    # limit cycle are non-increasing from cycle to cycle
+    try:
+        report = limit_cycle(spec)
+    except NonUniqueLimitCycleError:
+        assume(False)
+    rows = iterate_rows(report, b0, 200)
+    for name in ("quantum_distance", "conditional_entropy"):
+        index = ITERATE_HEADER.index(name)
+        values = [row[index] for row in rows]
+        for k, (before, after) in enumerate(zip(values, values[1:])):
+            assert after <= before + 1e-12, (name, k, before, after)
+
+
+def test_isochore_partials_equal_per_sample_maps(rng):
+    fields = ("block", "shift", "b4_scale", "b5_scale", "b5_drive", "b5_shift")
+    for dephasing in (False, True):
+        prop = compose_cycle(random_spec(rng, dephasing=dephasing))
+        for branch in (prop.branches[0], prop.branches[2]):
+            times = linspace(0.0, branch.duration, 40)
+            for t, partial in zip(times, branch.partials(40)):
+                # one bath-stroke map per sample, the per-sample path kept as
+                # the reference
+                expected = isochore_propagator(replace(branch.isochore, tau=t))
+                for name in fields:
+                    assert getattr(partial, name) == getattr(expected, name), (t, name)
+    with pytest.raises(ValueError, match="times"):
+        isochore_partials(prop.branches[0].isochore, [0.0, -1e-3])
 
 
 def test_trajectory_branch_endpoints_coincide():
