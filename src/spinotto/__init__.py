@@ -36,6 +36,7 @@ from .engine import (
     spectrum,
     thermo_ledger,
     trajectory,
+    trajectory_points,
 )
 from .measures import (
     Reference,
@@ -45,6 +46,7 @@ from .measures import (
     measurement_entropy,
     quantum_distance,
     vn_entropy,
+    wootters_distance_to,
     wootters_energy_distance,
 )
 from .propagators import (
@@ -61,4 +63,4 @@ from .propagators import (
     isochore_propagator,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

@@ -42,9 +42,9 @@ from .engine import (
     limit_cycle,
     linspace,
     spectrum,
-    trajectory,
+    trajectory_points,
 )
-from .measures import Reference, energy_entropy, vn_entropy, wootters_energy_distance
+from .measures import Reference, energy_entropy, vn_entropy, wootters_distance_to
 
 SCHEMA_VERSION = 1
 
@@ -205,17 +205,17 @@ def render_csv(command, config_echo, header, rows, precision, notes=()) -> str:
         fields, zeros = [], []
         for value in rows[0]:
             if isinstance(value, str):
-                fields.append("{}")
+                fields.append("%s")
                 zeros.append("")
             elif isinstance(value, int) and not isinstance(value, bool):
-                fields.append("{}")
+                fields.append("%s")
                 zeros.append(0)
             else:
-                fields.append(f"{{:.{precision}g}}")
+                fields.append(f"%.{precision}g")
                 zeros.append(0.0)
-        template = ",".join(fields).format
+        template = ",".join(fields)
         add = operator.add
-        lines.extend([template(*map(add, row, zeros)) for row in rows])
+        lines.extend([template % tuple(map(add, row, zeros)) for row in rows])
     return "\n".join(lines) + "\n"
 
 
@@ -268,13 +268,14 @@ ITERATE_HEADER = (
 def iterate_rows(report: LimitCycleReport, b0: BlochVector, n: int) -> list[list]:
     spec, b_lc = report.propagator.spec, report.b_a
     ref = Reference(b_lc)
+    wootters = wootters_distance_to(b_lc, spec.omega_b, spec.j)
     rows = []
     for k, b in enumerate(iterate(report.propagator, b0, n)):
         lam = eigenvalue_tuple(b)
         rows.append(
             [k, b.b1, b.b2, b.b3, b.b4, b.b5,
              ref.quantum_distance(b, lam),
-             wootters_energy_distance(b, b_lc, spec.omega_b, spec.j),
+             wootters(b),
              ref.conditional_entropy(b, lam)]
         )
     return rows
@@ -289,12 +290,13 @@ TRAJECTORY_HEADER = (
 def trajectory_rows(prop: CyclePropagator, b_start: BlochVector, samples: int) -> list[list]:
     j = prop.spec.j
     rows = []
-    for point in trajectory(prop, b_start, samples):
-        b = point.state
+    for branch, t, omega, b in trajectory_points(prop, b_start, samples):
+        # the energy basis is undefined at omega = J = 0 (a J = 0 sweep through
+        # zero field); s_e takes its limit there, equal from either side
+        s_e = energy_entropy(b, omega, j) if omega or j else energy_entropy(b, 1.0, 0.0)
         rows.append(
-            [point.branch, point.t, point.omega, b.b1, b.b2, b.b3, b.b4, b.b5,
-             vn_entropy(b), energy_entropy(b, point.omega, j),
-             energy(b, point.omega, j)]
+            [branch, t, omega, b.b1, b.b2, b.b3, b.b4, b.b5,
+             vn_entropy(b), s_e, energy(b, omega, j)]
         )
     return rows
 

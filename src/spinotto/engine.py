@@ -15,6 +15,7 @@ Everything is plain floats, tuples and complex numbers.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .algebra import BlochVector
@@ -24,12 +25,14 @@ from .propagators import (
     AffinePropagator,
     BathParams,
     IsochoreParams,
+    IDENTITY_FIELDS,
     _dot,
-    adiabat_partials,
+    _from_fields,
+    adiabat_fields,
     adiabat_propagator,
+    apply_map,
     compose,
-    identity_propagator,
-    isochore_partials,
+    isochore_fields,
     isochore_propagator,
 )
 
@@ -129,11 +132,16 @@ class CycleBranch:
     def partials(self, samples: int) -> list[AffinePropagator]:
         """Maps of the first t time units of this branch at samples evenly
         spaced t in [0, duration] (:func:`linspace`)."""
+        return _from_fields(self.partial_fields(samples))
+
+    def partial_fields(self, samples: int) -> list[tuple]:
+        """The maps of :meth:`partials` as tuples of their
+        :class:`AffinePropagator` fields, in field order (:func:`apply_map`)."""
         if self.duration == 0.0:
-            return [identity_propagator()] * samples
+            return [IDENTITY_FIELDS] * samples
         if self.kind == "isochore":
-            return isochore_partials(self.isochore, linspace(0.0, self.duration, samples))
-        return adiabat_partials(self.adiabat, samples)
+            return isochore_fields(self.isochore, linspace(0.0, self.duration, samples))
+        return adiabat_fields(self.adiabat, samples)
 
 
 @dataclass(frozen=True, eq=False)
@@ -370,7 +378,11 @@ def _solve3(a, b) -> list[float]:
     x = [0.0] * 3
     for r in (2, 1, 0):
         row = rows[r]
-        x[r] = (row[3] - sum(row[c] * x[c] for c in range(r + 1, 3))) / row[r]
+        # summed left to right: sum() compensates rounding from Python 3.12 on
+        known = 0.0
+        for c in range(r + 1, 3):
+            known += row[c] * x[c]
+        x[r] = (row[3] - known) / row[r]
     return x
 
 
@@ -435,28 +447,46 @@ class TrajectorySample:
     state: BlochVector
 
 
+def trajectory_points(
+    prop: CyclePropagator, b_start: BlochVector, samples_per_branch: int
+) -> Iterator[tuple]:
+    """The samples of :func:`trajectory` as plain (branch, t, omega, state)
+    tuples, one at a time.
+
+    Each branch computes its maps for all sample times in one pass (the
+    bath-stroke closed form, or the sweep's rotation blocks with their step
+    doubling) and applies them to the branch's start state; no map object is
+    built per sample.  ValueError, raised on the first step, when
+    samples_per_branch < 2.
+    """
+    if samples_per_branch < 2:
+        raise ValueError("samples_per_branch must be >= 2")
+    t0 = 0.0
+    state = b_start
+    for branch in prop.branches:
+        name, omega_at = branch.name, branch.omega_at
+        times = linspace(0.0, branch.duration, samples_per_branch)
+        for t, fields in zip(times, branch.partial_fields(samples_per_branch)):
+            yield name, t0 + t, omega_at(t), apply_map(*fields, state)
+        state = branch.prop.apply(state)
+        t0 += branch.duration
+
+
 def trajectory(
     prop: CyclePropagator, b_start: BlochVector, samples_per_branch: int
 ) -> list[TrajectorySample]:
     """Densely sampled states over one period, branch by branch.
 
     Each branch contributes samples_per_branch points including both
-    endpoints, so consecutive branches share their corner state.
+    endpoints, so consecutive branches share their corner state.  The state
+    at time t of a branch is that branch's :meth:`CycleBranch.partials` map
+    applied to its start corner; :func:`trajectory_points` yields the same
+    samples as plain tuples.
     """
-    if samples_per_branch < 2:
-        raise ValueError("samples_per_branch must be >= 2")
-    out = []
-    t0 = 0.0
-    state = b_start
-    for branch in prop.branches:
-        times = linspace(0.0, branch.duration, samples_per_branch)
-        for t, partial in zip(times, branch.partials(samples_per_branch)):
-            out.append(TrajectorySample(
-                branch.name, t0 + t, branch.omega_at(t), partial.apply(state)
-            ))
-        state = branch.prop.apply(state)
-        t0 += branch.duration
-    return out
+    return [
+        TrajectorySample(*point)
+        for point in trajectory_points(prop, b_start, samples_per_branch)
+    ]
 
 
 def thermo_ledger(spec: CycleSpec) -> ThermoLedger:

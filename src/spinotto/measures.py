@@ -1,16 +1,25 @@
 """Entropy and distance functionals of working-medium states.
 
 All entropies use the natural logarithm with the 0*log(0) = 0 convention.
+:func:`vn_entropy` and :func:`energy_entropy` run one kernel over their four
+probabilities, with the checks of :func:`measurement_entropy` in the same
+order.  Sums run left to right, never through sum(), which compensates
+rounding from Python 3.12 on; so every result is the same on every
+supported Python.
 Every state is an outer 2x2 block A plus the inner doublet (lam2, lam3), so
 the relative entropy and the quantum distance reduce to closed forms in the
 b-vector variables and the eigenvalues of :func:`eigenvalue_tuple`; no 4x4
 matrix is built.  The tests check both against density-matrix oracles.
 Both live on :class:`Reference`, which binds the reference state once.
+:func:`wootters_distance_to` binds a reference's energy populations the
+same way for the Wootters distance.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import add
 
 from .algebra import (
     LOG_EIGENVALUE_FLOOR,
@@ -31,13 +40,34 @@ _SUPPORT_TOL = 1e-13
 
 def measurement_entropy(p) -> float:
     """Shannon entropy -sum p log p of a complete-measurement distribution
-    (a sequence of probabilities)."""
+    (a sequence of probabilities).  ValueError for a probability below
+    PHYSICALITY_TOL, or a sum that misses 1 by more than 1e-10 or is NaN."""
+    p = tuple(p)
     if min(p) < PHYSICALITY_TOL:
-        raise ValueError(f"negative probability in {tuple(p)}")
-    total = sum(p)
-    if abs(total - 1.0) > 1e-10:
+        raise ValueError(f"negative probability in {p}")
+    total = reduce(add, p)
+    if not abs(total - 1.0) <= 1e-10:
         raise ValueError(f"probabilities sum to {total}, not 1")
-    return -sum([x * math.log(x) for x in p if x > 0.0])
+    return -reduce(add, [x * math.log(x) for x in p if x > 0.0], 0.0)
+
+
+def _entropy4(p: tuple) -> float:
+    """:func:`measurement_entropy` of a tuple of four probabilities: the same
+    checks in the same order and the same sums, so the same result."""
+    if min(p) < PHYSICALITY_TOL:
+        raise ValueError(f"negative probability in {p}")
+    p1, p2, p3, p4 = p
+    total = p1 + p2 + p3 + p4
+    if not abs(total - 1.0) <= 1e-10:
+        raise ValueError(f"probabilities sum to {total}, not 1")
+    log = math.log
+    # a skipped 0 log 0 term enters as 0.0, which leaves the sum unchanged
+    return -(
+        (p1 * log(p1) if p1 > 0.0 else 0.0)
+        + (p2 * log(p2) if p2 > 0.0 else 0.0)
+        + (p3 * log(p3) if p3 > 0.0 else 0.0)
+        + (p4 * log(p4) if p4 > 0.0 else 0.0)
+    )
 
 
 def vn_entropy(b: BlochVector) -> float:
@@ -45,7 +75,7 @@ def vn_entropy(b: BlochVector) -> float:
     lam = eigenvalue_tuple(b)
     if not min(lam) >= PHYSICALITY_TOL:
         raise ValueError(f"non-physical state: eigenvalues {lam}")
-    return measurement_entropy(lam)
+    return _entropy4(lam)
 
 
 def energy_entropy(b: BlochVector, omega: float, j: float) -> float:
@@ -53,9 +83,11 @@ def energy_entropy(b: BlochVector, omega: float, j: float) -> float:
 
     The zero-energy doublet is resolved into its two basis states (a complete
     measurement), so this is always >= the von Neumann entropy, with equality
-    exactly for energy-diagonal states.
+    exactly for energy-diagonal states.  Undefined at omega = J = 0
+    (ValueError); at J = 0 both signs of omega give the same value, so
+    energy_entropy(b, 1.0, 0.0) is its limit there.
     """
-    return measurement_entropy(energy_populations(b, omega, j))
+    return _entropy4(energy_populations(b, omega, j))
 
 
 def energy_conditional_entropy(
@@ -84,13 +116,29 @@ def wootters_energy_distance(
     A metric on the probability simplex, in [0, pi/2]; overlaps within
     rounding noise of 1 report as exactly zero.
     """
-    overlap = sum(
-        math.sqrt(max(pj, 0.0) * max(qj, 0.0))
-        for pj, qj in zip(energy_populations(b, omega, j), energy_populations(b_ref, omega, j))
-    )
-    if overlap >= 1.0 - _OVERLAP_NOISE:
-        return 0.0
-    return math.acos(max(overlap, -1.0))
+    return wootters_distance_to(b_ref, omega, j)(b)
+
+
+def wootters_distance_to(b_ref: BlochVector, omega: float, j: float):
+    """:func:`wootters_energy_distance` to b_ref at the field (omega, j), as a
+    function of the state alone: the reference's energy populations, clipped
+    at 0, are computed once for many states."""
+    q1, q2, q3, q4 = (max(q, 0.0) for q in energy_populations(b_ref, omega, j))
+    sqrt = math.sqrt
+
+    def distance(b: BlochVector) -> float:
+        p1, p2, p3, p4 = energy_populations(b, omega, j)
+        overlap = (
+            sqrt(max(p1, 0.0) * q1)
+            + sqrt(max(p2, 0.0) * q2)
+            + sqrt(max(p3, 0.0) * q3)
+            + sqrt(max(p4, 0.0) * q4)
+        )
+        if overlap >= 1.0 - _OVERLAP_NOISE:
+            return 0.0
+        return math.acos(max(overlap, -1.0))
+
+    return distance
 
 
 class Reference:

@@ -9,7 +9,10 @@ field; they are integrated with a sixth-order Magnus product of unit
 quaternions (Blanes, Casas & Ros, BIT 40, 434 (2000); Blanes, Casas, Oteo &
 Ros, Phys. Rep. 470, 151 (2009)).  Maps are plain floats and tuples; only
 the ``m`` accessor and the brute-force midpoint-field oracle
-:func:`adiabat_propagator_direct` import numpy.
+:func:`adiabat_propagator_direct` import numpy.  In-branch samples are also
+available as bare field tuples (:func:`isochore_fields`,
+:func:`adiabat_fields`) that :func:`apply_map` applies without building a
+map object.
 """
 
 from __future__ import annotations
@@ -100,6 +103,9 @@ class AdiabatParams:
 _IDENTITY_BLOCK = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 _ZERO3 = (0.0, 0.0, 0.0)
 
+# the fields of identity_propagator(), in AffinePropagator field order
+IDENTITY_FIELDS = (_IDENTITY_BLOCK, _ZERO3, 1.0, 1.0, _ZERO3, 0.0)
+
 
 def _dot(u, v) -> float:
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
@@ -166,17 +172,26 @@ class AffinePropagator:
         return np.array(rows + [(0.0, 0.0, 0.0, 1.0)])
 
     def apply(self, b: BlochVector) -> BlochVector:
-        (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = self.block
-        v1, v2, v3 = self.shift
-        d1, d2, d3 = self.b5_drive
-        x, y, z = b.b1, b.b2, b.b3
-        return BlochVector(
-            a11 * x + a12 * y + a13 * z + v1,
-            a21 * x + a22 * y + a23 * z + v2,
-            a31 * x + a32 * y + a33 * z + v3,
-            self.b4_scale * b.b4,
-            self.b5_scale * b.b5 + (d1 * x + d2 * y + d3 * z) + self.b5_shift,
+        return apply_map(
+            self.block, self.shift, self.b4_scale, self.b5_scale, self.b5_drive,
+            self.b5_shift, b,
         )
+
+
+def apply_map(block, shift, b4_scale, b5_scale, b5_drive, b5_shift, b: BlochVector) -> BlochVector:
+    """The action of a map given by its :class:`AffinePropagator` fields, in
+    field order, for callers that hold the fields without the object."""
+    (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = block
+    v1, v2, v3 = shift
+    d1, d2, d3 = b5_drive
+    x, y, z = b.b1, b.b2, b.b3
+    return BlochVector(
+        a11 * x + a12 * y + a13 * z + v1,
+        a21 * x + a22 * y + a23 * z + v2,
+        a31 * x + a32 * y + a33 * z + v3,
+        b4_scale * b.b4,
+        b5_scale * b.b5 + (d1 * x + d2 * y + d3 * z) + b5_shift,
+    )
 
 
 def identity_propagator() -> AffinePropagator:
@@ -203,9 +218,23 @@ def compose(*props: AffinePropagator) -> AffinePropagator:
     return acc
 
 
+def _from_fields(fields: list[tuple]) -> list[AffinePropagator]:
+    """One map per tuple of :class:`AffinePropagator` fields, in field order."""
+    return [
+        AffinePropagator(None, b4_scale, b5_scale, b5_drive, b5_shift, block=block, shift=shift)
+        for block, shift, b4_scale, b5_scale, b5_drive, b5_shift in fields
+    ]
+
+
 def isochore_partials(p: IsochoreParams, times) -> list[AffinePropagator]:
     """Closed-form maps of the first t time units of a constant-field bath
-    branch, one for each t in times.
+    branch, one for each t in times; see :func:`isochore_fields`."""
+    return _from_fields(isochore_fields(p, times))
+
+
+def isochore_fields(p: IsochoreParams, times) -> list[tuple]:
+    """The maps of :func:`isochore_partials` as tuples of their
+    :class:`AffinePropagator` fields, in field order.
 
     The (b1, b2, b3) block combines a rotation by sqrt(2)*Omega*t about the
     field axis (omega, J, 0)/Omega with longitudinal decay at rate Gamma
@@ -227,32 +256,34 @@ def isochore_partials(p: IsochoreParams, times) -> list[AffinePropagator]:
     # with E(t) relaxing exponentially toward its thermal value.
     t_th = math.tanh(big_omega / (2.0 * SQRT2 * p.bath.temperature))
     drive_scale = -(SQRT2 * t_th / big_omega)
+    angular_rate = SQRT2 * big_omega
+    exp, cos, sin = math.exp, math.cos, math.sin
     maps = []
     for tau in times:
         # tau = 0 is no decay even when the rate overflows to inf (inf * 0 is NaN)
-        k = math.exp(-transverse_rate * tau) if tau > 0.0 else 1.0
-        c = math.cos(SQRT2 * big_omega * tau)
-        s = math.sin(SQRT2 * big_omega * tau)
-        g = math.exp(-gam * tau)
+        k = exp(-transverse_rate * tau) if tau > 0.0 else 1.0
+        phase = angular_rate * tau
+        c = cos(phase)
+        s = sin(phase)
+        g = exp(-gam * tau)
+        kc = k * c
+        mixed = omega_j * (g - kc) / om2
+        rot_j = k * j * s / big_omega
+        rot_omega = k * omega * s / big_omega
         block = (
-            ((g * omega_sq + k * c * j_sq) / om2,
-             omega_j * (g - k * c) / om2,
-             k * j * s / big_omega),
-            (omega_j * (g - k * c) / om2,
-             (g * j_sq + k * c * omega_sq) / om2,
-             -k * omega * s / big_omega),
-            (-k * j * s / big_omega,
-             k * omega * s / big_omega,
-             k * c),
+            ((g * omega_sq + kc * j_sq) / om2, mixed, rot_j),
+            (mixed, (g * j_sq + kc * omega_sq) / om2, -rot_omega),
+            (-rot_j, rot_omega, kc),
         )
         drive_coef = drive_scale * (g - g * g)
-        maps.append(AffinePropagator(
-            block=block,
-            shift=(eq.b1 * (1.0 - g), eq.b2 * (1.0 - g), 0.0),
-            b4_scale=g,
-            b5_scale=g * g,
-            b5_drive=(drive_coef * omega, drive_coef * j, 0.0),
-            b5_shift=eq.b5 * (1.0 - g) ** 2,
+        relaxed = 1.0 - g
+        maps.append((
+            block,
+            (eq.b1 * relaxed, eq.b2 * relaxed, 0.0),
+            g,
+            g * g,
+            (drive_coef * omega, drive_coef * j, 0.0),
+            eq.b5 * relaxed ** 2,
         ))
     return maps
 
@@ -295,15 +326,18 @@ def _sweep_blocks(p: AdiabatParams, segments: int, per_segment: int) -> list[tup
     z_const = a_y * d / 12.0 + a_y * d * a_y * a_y / 720.0
     z_quad = a_y * d / 720.0
     x_start = SQRT2 * h * p.omega_start
+    y_sq = y * y
+    sqrt, cos, sin = math.sqrt, math.cos, math.sin
     qw, qx, qy, qz = 1.0, 0.0, 0.0, 0.0
     blocks = [_IDENTITY_BLOCK]
     for segment in range(segments):
         for k in range(segment * per_segment, (segment + 1) * per_segment):
             x = x_start + d * (k + 0.5)
             z = z_const + z_quad * x * x
-            theta = math.sqrt(x * x + y * y + z * z)
-            c = math.cos(0.5 * theta)
-            s = math.sin(0.5 * theta) / theta if theta else 0.5
+            theta = sqrt(x * x + y_sq + z * z)
+            half = 0.5 * theta
+            c = cos(half)
+            s = sin(half) / theta if theta else 0.5
             sx, sy, sz = s * x, s * y, s * z
             qw, qx, qy, qz = (
                 c * qw - sx * qx - sy * qy - sz * qz,
@@ -323,7 +357,14 @@ def _max_change(fine: list[tuple], coarse: list[tuple]) -> float:
 
 
 def adiabat_partials(p: AdiabatParams, samples: int) -> list[AffinePropagator]:
-    """Sweep maps of the first t time units at samples evenly spaced t in [0, tau].
+    """Sweep maps of the first t time units at samples evenly spaced t in
+    [0, tau]; see :func:`adiabat_fields`."""
+    return _from_fields(adiabat_fields(p, samples))
+
+
+def adiabat_fields(p: AdiabatParams, samples: int) -> list[tuple]:
+    """The maps of :func:`adiabat_partials` as tuples of their
+    :class:`AffinePropagator` fields, in field order.
 
     A sixth-order Magnus product over uniform steps.  The total step count
     starts near the rotation angle and doubles until two successive
@@ -342,7 +383,8 @@ def adiabat_partials(p: AdiabatParams, samples: int) -> list[AffinePropagator]:
         while coarse is None or _max_change(blocks, coarse) > 63.0 * SWEEP_TOLERANCE:
             per_segment *= 2
             coarse, blocks = blocks, _sweep_blocks(p, segments, per_segment)
-    return [AffinePropagator(block=block) for block in blocks]
+    identity_rest = IDENTITY_FIELDS[1:]  # a sweep leaves all but the block alone
+    return [(block, *identity_rest) for block in blocks]
 
 
 def adiabat_propagator(p: AdiabatParams) -> AffinePropagator:

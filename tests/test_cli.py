@@ -17,6 +17,7 @@ from spinotto import (
     adiabat_propagator_direct,
     conditional_entropy,
     energy_entropy,
+    energy_populations,
     limit_cycle,
     quantum_distance,
     thermal_state,
@@ -181,15 +182,32 @@ def test_render_csv_matches_per_cell_format():
             ]
 
 
+def _wootters_reference(b, b_ref, omega, j):
+    """The Wootters distance recomputed per state: both states' energy
+    populations, each clipped at 0, summed left to right, then arccos."""
+    overlap = 0.0
+    for pj, qj in zip(energy_populations(b, omega, j), energy_populations(b_ref, omega, j)):
+        overlap += math.sqrt(max(pj, 0.0) * max(qj, 0.0))
+    if overlap >= 1.0 - 1e-12:
+        return 0.0
+    return math.acos(max(overlap, -1.0))
+
+
 @pytest.mark.parametrize("dephasing", [False, True])
 def test_iterate_rows_measures_equal_public_functions(rng, dephasing):
     spec = random_spec(rng, dephasing=dephasing)
     report = limit_cycle(spec)
+    # the outer ground state pushed 1e-14 past the edge: a population of
+    # about -2.5e-15, inside PHYSICALITY_TOL, that the reference must clip
+    scale = SQRT2 * 0.25 * (1.0 + 1e-14) / math.hypot(spec.omega_b, spec.j)
+    b_edge = BlochVector(scale * spec.omega_b, scale * spec.j, 0.0, 0.0, 0.0)
+    assert min(energy_populations(b_edge, spec.omega_b, spec.j)) < 0.0
     references = [
         report.b_a,
         BlochVector(0.0, 0.0, 0.0, 0.0, 0.0),  # lam1 == lam4: the gap_ref == 0 branch
         BlochVector(0.0, SQRT2 / 4, 0.0, 0.0, 0.0),  # lam1 == 0: the inf sentinel
         BlochVector(0.0, 0.0, 0.0, 0.0, 0.5),  # lam2 == lam3 == 0 and lam1 == lam4
+        b_edge,
     ]
     entropies = []
     for b_ref in references:
@@ -198,6 +216,7 @@ def test_iterate_rows_measures_equal_public_functions(rng, dephasing):
             b = BlochVector(*row[1:6])
             assert row[6] == quantum_distance(b, b_ref)
             assert row[7] == wootters_energy_distance(b, b_ref, spec.omega_b, spec.j)
+            assert row[7] == _wootters_reference(b, b_ref, spec.omega_b, spec.j)
             assert row[8] == conditional_entropy(b, b_ref)
             entropies.append(row[8])
     assert math.inf in entropies
@@ -591,6 +610,31 @@ def test_exit_code_non_finite_number(tmp_path, capsys, section, key, value, path
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "config"
     assert path in record["message"]
+
+
+def test_trajectory_through_zero_field_at_zero_coupling(tmp_path):
+    # J = 0 sweeps -1 -> 1 and back; the middle of five samples per branch
+    # sits at omega == 0.0, where the energy basis is undefined
+    engine = dict(FIG1_ENGINE, omega_a=-1.0, omega_b=1.0, j=0.0, tau_ab=0.5, tau_ba=0.5)
+    out = tmp_path / "traj.csv"
+    config = write_config(tmp_path, {"engine": engine, "run": {"samples_per_branch": 5}})
+    assert main(["trajectory", "--config", config, "--out", str(out)]) == 0
+    _, header, rows = read_csv(out)
+    omegas = column(header, rows, "omega")
+    s_e = column(header, rows, "s_e")
+    zero = [i for i, omega in enumerate(omegas) if omega == 0.0]
+    assert zero == [7, 17]
+    assert all(math.isfinite(value) for value in s_e)
+    # the limit along the sweep: at J = 0 both signs of omega give the same
+    # populations with the outer pair swapped
+    report = limit_cycle(load_config(config).spec)
+    table = trajectory_rows(report.propagator, report.b_a, 5)
+    index = TRAJECTORY_HEADER.index("s_e")
+    for i in zero:
+        b = BlochVector(*table[i][3:8])
+        assert table[i][index] == energy_entropy(b, 1.0, 0.0)
+        assert energy_entropy(b, -1.0, 0.0) == pytest.approx(energy_entropy(b, 1.0, 0.0), abs=1e-15)
+        assert rows[i][header.index("s_e")] == f"{energy_entropy(b, 1.0, 0.0):.12g}"
 
 
 def test_trajectory_from_initial_state_needs_no_unique_limit_cycle(tmp_path):

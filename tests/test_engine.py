@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spinotto import (
     BlochVector,
@@ -15,6 +16,7 @@ from spinotto import (
     compose,
     compose_cycle,
     energy,
+    energy_entropy,
     isochore_partials,
     isochore_propagator,
     iterate,
@@ -26,7 +28,7 @@ from spinotto import (
     trajectory,
     vn_entropy,
 )
-from spinotto.cli import ITERATE_HEADER, iterate_rows
+from spinotto.cli import ITERATE_HEADER, TRAJECTORY_HEADER, iterate_rows, trajectory_rows
 from spinotto.engine import linspace
 from conftest import (
     FIG5_TIMES,
@@ -255,6 +257,34 @@ def test_isochore_partials_equal_per_sample_maps(rng):
                     assert getattr(partial, name) == getattr(expected, name), (t, name)
     with pytest.raises(ValueError, match="times"):
         isochore_partials(prop.branches[0].isochore, [0.0, -1e-3])
+
+
+@settings(max_examples=100, deadline=None)
+@given(cycle_specs(), physical_states(), st.sampled_from([2, 3, 17]))
+def test_trajectory_states_equal_public_maps_property(spec, b0, samples):
+    # the one-pass sampler against the public per-branch maps: each sample is
+    # the branch's partial map applied to the branch's start corner, and the
+    # entropy cells of the CSV rows are the public functions of that state
+    prop = compose_cycle(spec)
+    points = trajectory(prop, b0, samples)
+    rows = trajectory_rows(prop, b0, samples)
+    assert len(points) == len(rows) == 4 * samples
+    s_vn, s_e = TRAJECTORY_HEADER.index("s_vn"), TRAJECTORY_HEADER.index("s_e")
+    corner, t0 = b0, 0.0
+    for index, branch in enumerate(prop.branches):
+        times = linspace(0.0, branch.duration, samples)
+        for i, partial in enumerate(branch.partials(samples)):
+            point, row = points[index * samples + i], rows[index * samples + i]
+            expected = partial.apply(corner)
+            assert (point.branch, point.t, point.omega) == (
+                branch.name, t0 + times[i], branch.omega_at(times[i])
+            )
+            for name in ("b1", "b2", "b3", "b4", "b5"):
+                assert getattr(point.state, name) == getattr(expected, name), (index, i, name)
+            assert row[s_vn] == vn_entropy(expected)
+            assert row[s_e] == energy_entropy(expected, point.omega, spec.j)
+        corner = branch.prop.apply(corner)
+        t0 += branch.duration
 
 
 def test_trajectory_branch_endpoints_coincide():

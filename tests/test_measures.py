@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinotto import (
     BlochVector,
@@ -12,6 +14,8 @@ from spinotto import (
     conditional_entropy,
     energy_conditional_entropy,
     energy_entropy,
+    energy_populations,
+    eigenvalue_tuple,
     iterate,
     limit_cycle,
     measurement_entropy,
@@ -24,6 +28,7 @@ from spinotto import (
     AdiabatParams,
     wootters_energy_distance,
 )
+from spinotto.measures import _entropy4
 from conftest import (
     SQRT2,
     conditional_entropy_matrix,
@@ -33,6 +38,7 @@ from conftest import (
     matrix_sqrt,
     quantum_distance_matrix,
     quantum_distance_mp,
+    physical_states,
     random_bloch,
     random_spec,
 )
@@ -66,6 +72,67 @@ def test_measurement_entropy_rejects_bad_input():
         measurement_entropy([0.5, 0.1, 0.1, 0.1])
     with pytest.raises(ValueError):
         measurement_entropy([1.2, -0.2, 0.0, 0.0])
+
+
+def _raised(f, p):
+    """The ValueError message f(p) raises, or None when it returns."""
+    try:
+        f(p)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(physical_states(), st.floats(-20.0, 20.0), st.floats(0.0, 4.0))
+def test_entropy_kernel_equals_general_path(b, omega, j):
+    distributions = [eigenvalue_tuple(b)]
+    if math.hypot(omega, j) > 0.0:
+        distributions.append(energy_populations(b, omega, j))
+    for p in distributions:
+        assert _entropy4(p) == measurement_entropy(p)
+    assert vn_entropy(b) == measurement_entropy(eigenvalue_tuple(b))
+
+
+# four probabilities near a distribution: negative entries around
+# PHYSICALITY_TOL, NaN and inf, and sums off by about the 1e-10 tolerance
+_probability = st.sampled_from([-2e-12, -5e-13, 0.0, math.nan, math.inf]) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.tuples(_probability, _probability, _probability),
+       st.sampled_from([0.0, 5e-11, -5e-11, 2e-10, -2e-10, 0.3]))
+def test_entropy_kernel_raises_as_general_path(head, offset):
+    p = (*head, 1.0 - sum(head) + offset)
+    message = _raised(measurement_entropy, p)
+    assert _raised(_entropy4, p) == message
+    if message is None:
+        assert _entropy4(p) == measurement_entropy(p)
+
+
+def test_entropy_kernel_rejections():
+    nan = math.nan
+    cases = [
+        ((1.1, -0.1, 0.0, 0.0), "negative probability"),
+        ((0.5, 0.5 + 2e-12, -2e-12, 0.0), "negative probability"),
+        ((0.5, 0.1, 0.1, 0.1), "sum to"),
+        ((0.25, 0.25, 0.25, 0.25 + 2e-10), "sum to"),
+    ] + [
+        (tuple(nan if k == i else x for k, x in enumerate((0.5, 0.5, 0.0, 0.0))), "sum to nan")
+        for i in range(4)
+    ]
+    for p, fragment in cases:
+        message = _raised(measurement_entropy, p)
+        assert message is not None and fragment in message, p
+        assert _raised(_entropy4, p) == message
+    # within the tolerances: a -1e-12 rounding residue and a 5e-11 sum error
+    for p in ((0.5, 0.5 + 5e-13, -5e-13, 0.0), (0.25, 0.25, 0.25, 0.25 + 5e-11)):
+        assert _entropy4(p) == measurement_entropy(p)
+    # a NaN state no longer yields the entropy of its finite eigenvalues
+    with pytest.raises(ValueError, match="sum to nan"):
+        vn_entropy(BlochVector(0.1, 0.0, 0.0, nan, 0.0))
+    with pytest.raises(ValueError, match="sum to nan"):
+        energy_entropy(BlochVector(0.1, 0.0, 0.0, nan, 0.0), 1.0, 0.5)
 
 
 def test_vn_entropy_trivials():
@@ -208,6 +275,21 @@ def test_wootters_distance_trivials(rng):
     assert wootters_energy_distance(outer, inner, omega, 0.0) == pytest.approx(
         math.pi / 2, abs=1e-12
     )
+
+
+def test_wootters_distance_uses_populations_only(rng):
+    # b3 enters no energy population: a huge b3 overflows the reference's
+    # eigenvalues but leaves the distance that to the maximally mixed state
+    omega, j = 9.0, 2.0
+    huge = BlochVector(0.0, 0.0, 1e200, 0.0, 0.0)
+    mixed = BlochVector(0.0, 0.0, 0.0, 0.0, 0.0)
+    with pytest.raises(OverflowError):
+        eigenvalue_tuple(huge)
+    for _ in range(20):
+        b = random_bloch(rng)
+        assert wootters_energy_distance(b, huge, omega, j) == wootters_energy_distance(
+            b, mixed, omega, j
+        )
 
 
 def test_wootters_distance_range_and_symmetry(rng):
