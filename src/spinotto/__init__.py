@@ -6,6 +6,8 @@ The working-medium state lives in five expectation values (a
 point, the limit cycle, whose spectrum and thermodynamics are analyzed in
 :mod:`spinotto.engine`; entropy and distance diagnostics live in
 :mod:`spinotto.measures`; :mod:`spinotto.cli` is the batch CSV front end.
+The value types are immutable named tuples (:mod:`spinotto.records`);
+:func:`replace` copies one with fields changed, checking the new values.
 The package needs only the standard library; the numpy accessors
 (``AffinePropagator.m``, ``as_array()``) and the sweep oracle
 ``adiabat_propagator_direct`` import numpy when called.
@@ -62,5 +64,6 @@ from .propagators import (
     isochore_partials,
     isochore_propagator,
 )
+from .records import replace
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"

@@ -5,8 +5,9 @@ values (b1..b5) of an orthonormal, traceless operator set.  This module
 rebuilds density matrices from them (which defines the operator basis),
 evaluates their spectrum and their populations in the energy eigenbasis of
 H = omega*B1 + J*B2 in closed form, and builds thermal states.  Everything
-is plain floats and tuples; numpy is imported only by the ``as_array``
-accessors.
+is plain floats and tuples (:class:`BlochVector` and :class:`SpectralInfo`
+are named tuples, see :mod:`spinotto.records`); numpy is imported only by
+the ``as_array`` accessors.
 
 Units: hbar = k_B = 1 throughout; everything is dimensionless.
 """
@@ -14,7 +15,9 @@ Units: hbar = k_B = 1 throughout; everything is dimensionless.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+
+from .records import Record
 
 SQRT2 = math.sqrt(2.0)
 
@@ -32,19 +35,14 @@ FIELD_RANGE = (1e-150, 1e150)
 PHYSICALITY_TOL = -1e-12
 
 
-@dataclass(frozen=True)
-class BlochVector:
+class BlochVector(Record, namedtuple("BlochVector", "b1 b2 b3 b4 b5")):
     """Expectation values b1..b5 that completely determine the 4x4 state.
 
     Any real values are accepted at construction; physicality (a positive
     semidefinite reconstructed matrix) is checked via :func:`vn_eigenvalues`.
     """
 
-    b1: float
-    b2: float
-    b3: float
-    b4: float
-    b5: float
+    __slots__ = ()
 
     @property
     def values(self) -> tuple:
@@ -63,12 +61,17 @@ class BlochVector:
 
     @property
     def d(self) -> float:
-        """Norm of the (b1, b2, b3) block."""
-        return math.sqrt(self.b1**2 + self.b2**2 + self.b3**2)
+        """Norm of the (b1, b2, b3) block; inf when a square overflows (a
+        component beyond about 1.3e154)."""
+        # ** (libm pow), not x * x: they differ in the last bit for about
+        # 0.08% of x in [-1, 1], which would move printed entropy digits
+        try:
+            return math.sqrt(self.b1**2 + self.b2**2 + self.b3**2)
+        except OverflowError:
+            return math.inf
 
 
-@dataclass(frozen=True)
-class SpectralInfo:
+class SpectralInfo(Record, namedtuple("SpectralInfo", "lam1 lam2 lam3 lam4 d")):
     """Closed-form eigenvalues of the reconstructed density matrix.
 
     The labels follow the fixed convention lam4 >= lam1 (d >= 0); lam2 and
@@ -76,11 +79,7 @@ class SpectralInfo:
     algebraically.
     """
 
-    lam1: float
-    lam2: float
-    lam3: float
-    lam4: float
-    d: float
+    __slots__ = ()
 
     @property
     def values(self) -> tuple:

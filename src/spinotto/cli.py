@@ -18,11 +18,11 @@ reserved; no longer emitted).  Failures emit a JSON error record on stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import operator
 import sys
+from collections import namedtuple
 
 from .algebra import (
     BlochVector,
@@ -45,6 +45,7 @@ from .engine import (
     trajectory_points,
 )
 from .measures import Reference, energy_entropy, vn_entropy, wootters_distance_to
+from .records import Record
 
 SCHEMA_VERSION = 1
 
@@ -83,12 +84,11 @@ class ConfigError(ValueError):
     """Invalid or incomplete run configuration."""
 
 
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    spec: CycleSpec
-    engine_raw: dict
-    run: dict
-    output: dict
+class RunConfig(Record, namedtuple("RunConfig", "spec engine_raw run output")):
+    """A validated config: the :class:`CycleSpec`, the engine section as
+    given (echoed in the CSV header), and the run and output sections."""
+
+    __slots__ = ()
 
 
 def _require_number(value, path):

@@ -15,8 +15,8 @@ Everything is plain floats, tuples and complex numbers.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 
 from .algebra import BlochVector
 from .measures import energy_entropy, vn_entropy
@@ -35,6 +35,7 @@ from .propagators import (
     isochore_fields,
     isochore_propagator,
 )
+from .records import IdentityRecord, Record
 
 # A second unit-modulus eigenvalue within this gap of 1 means the fixed
 # point is not unique.
@@ -49,35 +50,30 @@ class NonUniqueLimitCycleError(RuntimeError):
         self.eigenvalues = eigenvalues
 
 
-@dataclass(frozen=True)
-class CycleSpec:
+class CycleSpec(Record, namedtuple("CycleSpec", (
+    "t_cold t_hot omega_a omega_b j gamma_cold gamma_hot dephasing_cold dephasing_hot "
+    "tau_cold tau_hot tau_ab tau_ba"
+))):
     """All external controls of one engine cycle."""
 
-    t_cold: float
-    t_hot: float
-    omega_a: float
-    omega_b: float
-    j: float
-    gamma_cold: float
-    gamma_hot: float
-    dephasing_cold: float
-    dephasing_hot: float
-    tau_cold: float
-    tau_hot: float
-    tau_ab: float
-    tau_ba: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.t_cold <= 0.0 or self.t_hot <= 0.0:
+    def __new__(cls, t_cold, t_hot, omega_a, omega_b, j, gamma_cold, gamma_hot,
+                dephasing_cold, dephasing_hot, tau_cold, tau_hot, tau_ab, tau_ba):
+        self = tuple.__new__(cls, (
+            t_cold, t_hot, omega_a, omega_b, j, gamma_cold, gamma_hot,
+            dephasing_cold, dephasing_hot, tau_cold, tau_hot, tau_ab, tau_ba,
+        ))
+        if t_cold <= 0.0 or t_hot <= 0.0:
             raise ValueError("bath temperatures must be > 0")
         for name in ("tau_cold", "tau_hot", "tau_ab", "tau_ba"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.gamma_cold < 0.0 or self.gamma_hot < 0.0:
+        if gamma_cold < 0.0 or gamma_hot < 0.0:
             raise ValueError("heat conductances must be >= 0")
-        if self.dephasing_cold < 0.0 or self.dephasing_hot < 0.0:
+        if dephasing_cold < 0.0 or dephasing_hot < 0.0:
             raise ValueError("dephasing constants must be >= 0")
-        if not self.omega_a < self.omega_b:
+        if not omega_a < omega_b:
             raise ValueError("omega_a must be < omega_b")
         # building the strokes bounds the sweep rotation angles
         # (MAX_SWEEP_ANGLE) and the bath-stroke fields (FIELD_RANGE)
@@ -85,6 +81,7 @@ class CycleSpec:
         self.adiabat_ba()
         self.hot_isochore()
         self.cold_isochore()
+        return self
 
     @property
     def period(self) -> float:
@@ -113,16 +110,17 @@ class CycleSpec:
         return AdiabatParams(self.omega_a, self.omega_b, self.j, self.tau_ab)
 
 
-@dataclass(frozen=True, eq=False)
-class CycleBranch:
-    """One stroke with enough context to sample states inside it."""
+class CycleBranch(IdentityRecord, namedtuple(
+    "CycleBranch", "name kind duration prop isochore adiabat", defaults=(None, None),
+)):
+    """One stroke with enough context to sample states inside it.
 
-    name: str
-    kind: str  # "isochore" | "adiabat"
-    duration: float
-    prop: AffinePropagator
-    isochore: IsochoreParams = None
-    adiabat: AdiabatParams = None
+    ``kind`` is "isochore" (``isochore`` holds its :class:`IsochoreParams`)
+    or "adiabat" (``adiabat`` holds its :class:`AdiabatParams`); ``prop`` is
+    the :class:`AffinePropagator` of the whole stroke.
+    """
+
+    __slots__ = ()
 
     def omega_at(self, t: float) -> float:
         if self.kind == "isochore":
@@ -144,42 +142,46 @@ class CycleBranch:
         return adiabat_fields(self.adiabat, samples)
 
 
-@dataclass(frozen=True, eq=False)
-class CyclePropagator:
-    """One-period map anchored at point A, with its branches retained."""
+class CyclePropagator(IdentityRecord, namedtuple("CyclePropagator", "cycle branches spec")):
+    """One-period map anchored at point A, with its branches retained.
 
-    cycle: AffinePropagator
-    branches: tuple  # four CycleBranch in time order (A->B, B->C, C->D, D->A)
-    spec: CycleSpec
+    ``cycle`` is the :class:`AffinePropagator` of the period, ``branches``
+    the four :class:`CycleBranch` in time order (A->B, B->C, C->D, D->A)
+    and ``spec`` the :class:`CycleSpec` they were built from.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
-class CycleSpectrum:
-    """Eigenvalues mu0..mu5 of the one-period map and the transverse phase."""
+class CycleSpectrum(IdentityRecord, namedtuple("CycleSpectrum", "eigenvalues phi")):
+    """Eigenvalues mu0..mu5 of the one-period map (six complex, in order)
+    and the transverse phase."""
 
-    eigenvalues: tuple  # six complex, ordered mu0..mu5
-    phi: float
+    __slots__ = ()
 
     @property
     def gap(self) -> float:
         return 1.0 - max(abs(mu) for mu in self.eigenvalues[1:])
 
 
-@dataclass(frozen=True, eq=False)
-class LimitCycleReport:
+class LimitCycleReport(IdentityRecord, namedtuple(
+    "LimitCycleReport", "b_a eigenvalues phi gap propagator ledger",
+)):
     """Fixed point at the anchor, the full relaxation spectrum, the one-period
-    map they were solved from and the thermodynamic ledger at the fixed point."""
+    map they were solved from and the thermodynamic ledger at the fixed point.
 
-    b_a: BlochVector
-    eigenvalues: tuple
-    phi: float
-    gap: float
-    propagator: CyclePropagator
-    ledger: ThermoLedger
+    ``b_a`` is a :class:`BlochVector`, ``eigenvalues`` and ``phi`` are as in
+    :class:`CycleSpectrum`, ``propagator`` is the :class:`CyclePropagator`
+    and ``ledger`` the :class:`ThermoLedger`.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ThermoLedger:
+class ThermoLedger(Record, namedtuple("ThermoLedger", (
+    "q_hot q_cold w_ab w_ba power ds_ext ds_u_hot ds_u_cold ds_e_hot ds_e_cold "
+    "ds_e_ab ds_e_ba b_a b_b b_c b_d"
+), defaults=(None,) * 4)):
     """Per-cycle heats, works, power and entropy productions at the limit cycle.
 
     Heats are positive into the working medium; w_ab/w_ba are the medium
@@ -187,25 +189,15 @@ class ThermoLedger:
     The ds_u entries are the per-branch conditional-entropy productions
     evaluated with von Neumann entropies, the ds_e entries their energy-basis
     counterparts, and ds_e_ab/ds_e_ba the energy-entropy changes across the
-    sweeps.
+    sweeps.  b_a..b_d are the corner states (:class:`BlochVector`); the repr
+    leaves them out.
     """
 
-    q_hot: float
-    q_cold: float
-    w_ab: float
-    w_ba: float
-    power: float
-    ds_ext: float
-    ds_u_hot: float
-    ds_u_cold: float
-    ds_e_hot: float
-    ds_e_cold: float
-    ds_e_ab: float
-    ds_e_ba: float
-    b_a: BlochVector = field(repr=False, default=None)
-    b_b: BlochVector = field(repr=False, default=None)
-    b_c: BlochVector = field(repr=False, default=None)
-    b_d: BlochVector = field(repr=False, default=None)
+    __slots__ = ()
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields[:12], self))
+        return f"{type(self).__qualname__}({shown})"
 
     @property
     def ds_u_total(self) -> float:
@@ -437,14 +429,11 @@ def iterate(prop: CyclePropagator, b0: BlochVector, n: int) -> list[BlochVector]
     return states
 
 
-@dataclass(frozen=True)
-class TrajectorySample:
-    """One sampled point along the cycle trajectory."""
+class TrajectorySample(Record, namedtuple("TrajectorySample", "branch t omega state")):
+    """One sampled point along the cycle trajectory: the branch name, the
+    time since A, the field and the state (a :class:`BlochVector`)."""
 
-    branch: str
-    t: float
-    omega: float
-    state: BlochVector
+    __slots__ = ()
 
 
 def trajectory_points(

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain
 
 from .algebra import SQRT2, BlochVector, field_magnitude, thermal_state
+from .records import IdentityRecord, Record
 
 # Error target of the sweep integrator: the step count doubles until the
 # error estimate of the finer product, (change on doubling) / 63, is below it.
@@ -33,8 +34,7 @@ SWEEP_TOLERANCE = 1e-12
 MAX_SWEEP_ANGLE = 1e4
 
 
-@dataclass(frozen=True)
-class BathParams:
+class BathParams(Record, namedtuple("BathParams", "conductance dephasing temperature")):
     """Bath coupling on a constant-field branch.
 
     ``conductance`` is the heat conductance Gamma = k_up + k_down,
@@ -42,51 +42,45 @@ class BathParams:
     ``temperature`` the bath temperature.
     """
 
-    conductance: float
-    dephasing: float
-    temperature: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.conductance < 0.0:
+    def __new__(cls, conductance, dephasing, temperature):
+        if conductance < 0.0:
             raise ValueError("conductance must be >= 0")
-        if self.dephasing < 0.0:
+        if dephasing < 0.0:
             raise ValueError("dephasing must be >= 0")
-        if self.temperature <= 0.0:
+        if temperature <= 0.0:
             raise ValueError("temperature must be > 0")
+        return tuple.__new__(cls, (conductance, dephasing, temperature))
 
 
-@dataclass(frozen=True)
-class IsochoreParams:
+class IsochoreParams(Record, namedtuple("IsochoreParams", "omega j bath tau")):
     """Constant-field branch: field omega, coupling j, bath, duration tau."""
 
-    omega: float
-    j: float
-    bath: BathParams
-    tau: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.tau < 0.0:
+    def __new__(cls, omega, j, bath, tau):
+        if tau < 0.0:
             raise ValueError("tau must be >= 0")
-        field_magnitude(self.omega, self.j)
+        field_magnitude(omega, j)
+        return tuple.__new__(cls, (omega, j, bath, tau))
 
 
-@dataclass(frozen=True)
-class AdiabatParams:
+class AdiabatParams(Record, namedtuple("AdiabatParams", "omega_start omega_end j tau")):
     """Bath-free branch with the field swept linearly in time."""
 
-    omega_start: float
-    omega_end: float
-    j: float
-    tau: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.tau < 0.0:
+    def __new__(cls, omega_start, omega_end, j, tau):
+        if tau < 0.0:
             raise ValueError("tau must be >= 0")
+        self = tuple.__new__(cls, (omega_start, omega_end, j, tau))
         if not self.rotation_angle <= MAX_SWEEP_ANGLE:
             raise ValueError(
                 f"sweep rotation angle {self.rotation_angle:.4g} rad exceeds the "
                 f"limit MAX_SWEEP_ANGLE = {MAX_SWEEP_ANGLE:g} rad"
             )
+        return self
 
     @property
     def rotation_angle(self) -> float:
@@ -120,8 +114,10 @@ def _matmul3(a: tuple, b: tuple) -> tuple:
     )
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class AffinePropagator:
+class AffinePropagator(
+    IdentityRecord,
+    namedtuple("AffinePropagator", "block shift b4_scale b5_scale b5_drive b5_shift"),
+):
     """One branch map: affine action on (b1, b2, b3) plus the (b4, b5) rule.
 
     ``block`` (three rows) and ``shift`` are the linear part and the
@@ -134,18 +130,14 @@ class AffinePropagator:
     can also be built from ``m``, any 4x4 array-like acting on the column
     (b1, b2, b3, 1) whose bottom row is (0, 0, 0, 1); the ``m`` property
     returns that matrix as a numpy array.  Maps compose; immutable and safe
-    to share.
+    to share.  The map is the tuple of its fields in field order, the
+    arguments of :func:`apply_map`.
     """
 
-    block: tuple
-    shift: tuple
-    b4_scale: float
-    b5_scale: float
-    b5_drive: tuple
-    b5_shift: float
+    __slots__ = ()
 
-    def __init__(self, m=None, b4_scale=1.0, b5_scale=1.0, b5_drive=_ZERO3,
-                 b5_shift=0.0, *, block=None, shift=_ZERO3):
+    def __new__(cls, m=None, b4_scale=1.0, b5_scale=1.0, b5_drive=_ZERO3,
+                b5_shift=0.0, *, block=None, shift=_ZERO3):
         if m is not None:
             rows = tuple(tuple(float(x) for x in row) for row in m)
             if len(rows) != 4 or any(len(row) != 4 for row in rows):
@@ -156,11 +148,11 @@ class AffinePropagator:
             shift = tuple(row[3] for row in rows[:3])
         elif block is None:
             raise TypeError("AffinePropagator needs m or block")
-        for name, value in (
-            ("block", block), ("shift", shift), ("b4_scale", b4_scale),
-            ("b5_scale", b5_scale), ("b5_drive", tuple(b5_drive)), ("b5_shift", b5_shift),
-        ):
-            object.__setattr__(self, name, value)
+        return tuple.__new__(cls, (block, shift, b4_scale, b5_scale, tuple(b5_drive), b5_shift))
+
+    def __getnewargs_ex__(self):
+        # copy and pickle rebuild by keyword: the first positional is m
+        return (), self._asdict()
 
     @property
     def m(self):
@@ -172,10 +164,7 @@ class AffinePropagator:
         return np.array(rows + [(0.0, 0.0, 0.0, 1.0)])
 
     def apply(self, b: BlochVector) -> BlochVector:
-        return apply_map(
-            self.block, self.shift, self.b4_scale, self.b5_scale, self.b5_drive,
-            self.b5_shift, b,
-        )
+        return apply_map(*self, b)
 
 
 def apply_map(block, shift, b4_scale, b5_scale, b5_drive, b5_shift, b: BlochVector) -> BlochVector:

@@ -23,7 +23,6 @@ be checked once the paper's text is in the repository.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,6 +41,7 @@ from spinotto import (
     limit_cycle,
     quantum_distance,
     reconstruct_density,
+    replace,
     spectrum,
     thermal_state,
     thermo_ledger,

@@ -1,15 +1,19 @@
 """Config validation, CSV emission, presets and exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinotto import (
     AdiabatParams,
@@ -20,6 +24,7 @@ from spinotto import (
     energy_populations,
     limit_cycle,
     quantum_distance,
+    replace,
     thermal_state,
     thermo_ledger,
     wootters_energy_distance,
@@ -552,6 +557,70 @@ def test_trajectory_rejects_initial_state_the_measures_reject(tmp_path, capsys):
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "config"
     assert "run.initial_state.b" in record["message"]
+
+
+@pytest.mark.parametrize("command", ["iterate", "trajectory"])
+def test_overflowing_bloch_start_is_a_config_error(tmp_path, capsys, command):
+    # b1**2 overflows above about 1.3e154; the norm is then inf, which makes
+    # the state non-physical instead of raising OverflowError
+    run = {"initial_state": {"kind": "bloch", "b": [1e200, 0, 0, 0, 0]},
+           "n_cycles": 2, "samples_per_branch": 2}
+    config = write_config(tmp_path, {"engine": FIG1_ENGINE, "run": run})
+    assert main([command, "--config", config, "--out", str(tmp_path / "o.csv")]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "config"
+    assert "run.initial_state.b" in record["message"]
+
+
+_magnitudes = st.builds(lambda sign, exponent: sign * 10.0**exponent,
+                        st.sampled_from([1.0, -1.0]), st.integers(-300, 300))
+_components = st.sampled_from([0.0]) | _magnitudes | st.floats(-0.3, 0.3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["iterate", "trajectory"]),
+       st.lists(_components, min_size=5, max_size=5),
+       st.booleans())
+def test_bloch_start_error_contract(command, b, unitary):
+    # every finite start ends in a table (0), a config error (2) or no
+    # unique limit cycle (3, iterate only), never in a traceback; a failure
+    # writes exactly one JSON record to stderr
+    engine = dict(FIG1_ENGINE, tau_hot=0.0, tau_cold=0.0) if unitary else FIG1_ENGINE
+    run = {"initial_state": {"kind": "bloch", "b": b}, "n_cycles": 3, "samples_per_branch": 3}
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "config.json")
+        with open(config, "w") as fh:
+            json.dump({"engine": engine, "run": run}, fh)
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--config", config, "--out", os.path.join(tmp, "o.csv")])
+    assert code in (0, 2, 3)
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+    else:
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == ("config" if code == 2 else "non-unique-limit-cycle")
+
+
+def test_cli_import_adds_no_dataclasses_inspect_or_numpy():
+    import spinotto
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spinotto.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import spinotto.cli\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    added = set(json.loads(result.stdout))
+    assert "spinotto.cli" in added
+    assert not added & {"dataclasses", "inspect", "numpy"}
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):

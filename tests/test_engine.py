@@ -1,7 +1,6 @@
 """Cycle composition, limit cycle, relaxation spectrum and thermodynamics."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +21,7 @@ from spinotto import (
     iterate,
     limit_cycle,
     reconstruct_density,
+    replace,
     spectrum,
     thermal_state,
     thermo_ledger,
