@@ -38,7 +38,6 @@ from .engine import (
     spectrum,
     thermo_ledger,
     trajectory,
-    trajectory_points,
 )
 from .measures import (
     Reference,
@@ -66,4 +65,4 @@ from .propagators import (
 )
 from .records import replace
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"

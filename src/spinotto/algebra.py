@@ -93,7 +93,13 @@ class SpectralInfo(Record, namedtuple("SpectralInfo", "lam1 lam2 lam3 lam4 d")):
 
     @property
     def physical(self) -> bool:
-        return min(self.values) >= PHYSICALITY_TOL
+        return is_physical(self.values)
+
+
+def is_physical(lam) -> bool:
+    """Whether every eigenvalue in lam is at least PHYSICALITY_TOL; False
+    for a NaN anywhere (min() skips a NaN that is not first)."""
+    return all(x >= PHYSICALITY_TOL for x in lam)
 
 
 def reconstruct_density(b: BlochVector) -> tuple:

@@ -42,7 +42,7 @@ from .engine import (
     limit_cycle,
     linspace,
     spectrum,
-    trajectory_points,
+    trajectory,
 )
 from .measures import Reference, energy_entropy, vn_entropy, wootters_distance_to
 from .records import Record
@@ -290,7 +290,7 @@ TRAJECTORY_HEADER = (
 def trajectory_rows(prop: CyclePropagator, b_start: BlochVector, samples: int) -> list[list]:
     j = prop.spec.j
     rows = []
-    for branch, t, omega, b in trajectory_points(prop, b_start, samples):
+    for branch, t, omega, b in trajectory(prop, b_start, samples):
         # the energy basis is undefined at omega = J = 0 (a J = 0 sweep through
         # zero field); s_e takes its limit there, equal from either side
         s_e = energy_entropy(b, omega, j) if omega or j else energy_entropy(b, 1.0, 0.0)

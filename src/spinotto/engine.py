@@ -9,14 +9,16 @@ map's closed-set part is a 3x3 block, so the fixed point is a 3x3 solve with
 partial pivoting and the spectrum a small 3x3 eigensolver: one real root of
 the characteristic cubic, refined by a two-sided Rayleigh quotient, and the
 remaining pair from the 2x2 block left when its eigenvector is deflated.
-Everything is plain floats, tuples and complex numbers.
+Inside a period, :meth:`CycleBranch.partials` gives each branch's maps at
+all its sample times in one pass, and :func:`trajectory` applies them to
+the branch's start corner.  Everything is plain floats, tuples and complex
+numbers.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Iterator
 
 from .algebra import BlochVector
 from .measures import energy_entropy, vn_entropy
@@ -25,14 +27,12 @@ from .propagators import (
     AffinePropagator,
     BathParams,
     IsochoreParams,
-    IDENTITY_FIELDS,
     _dot,
-    _from_fields,
-    adiabat_fields,
+    adiabat_partials,
     adiabat_propagator,
-    apply_map,
     compose,
-    isochore_fields,
+    identity_propagator,
+    isochore_partials,
     isochore_propagator,
 )
 from .records import IdentityRecord, Record
@@ -130,16 +130,11 @@ class CycleBranch(IdentityRecord, namedtuple(
     def partials(self, samples: int) -> list[AffinePropagator]:
         """Maps of the first t time units of this branch at samples evenly
         spaced t in [0, duration] (:func:`linspace`)."""
-        return _from_fields(self.partial_fields(samples))
-
-    def partial_fields(self, samples: int) -> list[tuple]:
-        """The maps of :meth:`partials` as tuples of their
-        :class:`AffinePropagator` fields, in field order (:func:`apply_map`)."""
         if self.duration == 0.0:
-            return [IDENTITY_FIELDS] * samples
+            return [identity_propagator()] * samples
         if self.kind == "isochore":
-            return isochore_fields(self.isochore, linspace(0.0, self.duration, samples))
-        return adiabat_fields(self.adiabat, samples)
+            return isochore_partials(self.isochore, linspace(0.0, self.duration, samples))
+        return adiabat_partials(self.adiabat, samples)
 
 
 class CyclePropagator(IdentityRecord, namedtuple("CyclePropagator", "cycle branches spec")):
@@ -436,31 +431,6 @@ class TrajectorySample(Record, namedtuple("TrajectorySample", "branch t omega st
     __slots__ = ()
 
 
-def trajectory_points(
-    prop: CyclePropagator, b_start: BlochVector, samples_per_branch: int
-) -> Iterator[tuple]:
-    """The samples of :func:`trajectory` as plain (branch, t, omega, state)
-    tuples, one at a time.
-
-    Each branch computes its maps for all sample times in one pass (the
-    bath-stroke closed form, or the sweep's rotation blocks with their step
-    doubling) and applies them to the branch's start state; no map object is
-    built per sample.  ValueError, raised on the first step, when
-    samples_per_branch < 2.
-    """
-    if samples_per_branch < 2:
-        raise ValueError("samples_per_branch must be >= 2")
-    t0 = 0.0
-    state = b_start
-    for branch in prop.branches:
-        name, omega_at = branch.name, branch.omega_at
-        times = linspace(0.0, branch.duration, samples_per_branch)
-        for t, fields in zip(times, branch.partial_fields(samples_per_branch)):
-            yield name, t0 + t, omega_at(t), apply_map(*fields, state)
-        state = branch.prop.apply(state)
-        t0 += branch.duration
-
-
 def trajectory(
     prop: CyclePropagator, b_start: BlochVector, samples_per_branch: int
 ) -> list[TrajectorySample]:
@@ -469,13 +439,25 @@ def trajectory(
     Each branch contributes samples_per_branch points including both
     endpoints, so consecutive branches share their corner state.  The state
     at time t of a branch is that branch's :meth:`CycleBranch.partials` map
-    applied to its start corner; :func:`trajectory_points` yields the same
-    samples as plain tuples.
+    applied to its start corner; each branch computes its maps for all
+    sample times in one pass (the bath-stroke closed form, or the sweep's
+    rotation blocks with their step doubling).  ValueError when
+    samples_per_branch < 2.
     """
-    return [
-        TrajectorySample(*point)
-        for point in trajectory_points(prop, b_start, samples_per_branch)
-    ]
+    if samples_per_branch < 2:
+        raise ValueError("samples_per_branch must be >= 2")
+    new = tuple.__new__
+    samples = []
+    t0 = 0.0
+    state = b_start
+    for branch in prop.branches:
+        name, omega_at = branch.name, branch.omega_at
+        times = linspace(0.0, branch.duration, samples_per_branch)
+        for t, m in zip(times, branch.partials(samples_per_branch)):
+            samples.append(new(TrajectorySample, (name, t0 + t, omega_at(t), m.apply(state))))
+        state = branch.prop.apply(state)
+        t0 += branch.duration
+    return samples
 
 
 def thermo_ledger(spec: CycleSpec) -> ThermoLedger:

@@ -27,6 +27,7 @@ from .algebra import (
     BlochVector,
     eigenvalue_tuple,
     energy_populations,
+    is_physical,
 )
 
 # Bhattacharyya overlaps / trace overlaps this close to 1 are numerically
@@ -68,6 +69,15 @@ def _entropy4(p: tuple) -> float:
         + (p3 * log(p3) if p3 > 0.0 else 0.0)
         + (p4 * log(p4) if p4 > 0.0 else 0.0)
     )
+
+
+def _physical_eigenvalues(b: BlochVector) -> tuple:
+    """:func:`eigenvalue_tuple` of b; ValueError, as from :func:`vn_entropy`,
+    for a non-physical state, or one with a NaN eigenvalue."""
+    lam = eigenvalue_tuple(b)
+    if not is_physical(lam):
+        raise ValueError(f"non-physical state: eigenvalues {lam}")
+    return lam
 
 
 def vn_entropy(b: BlochVector) -> float:
@@ -143,14 +153,16 @@ def wootters_distance_to(b_ref: BlochVector, omega: float, j: float):
 
 class Reference:
     """A reference state with its eigenvalues, their floored logarithms and
-    its outer half-trace 1/4 + b5/2, computed once for many states.  The
-    methods take a state with its own :func:`eigenvalue_tuple`."""
+    its outer half-trace 1/4 + b5/2, computed once for many states.
+    ValueError for a non-physical reference, as from :func:`vn_entropy`.  The
+    methods take a state with its own :func:`eigenvalue_tuple` and do not
+    check it."""
 
     __slots__ = ("b", "lam", "log_lam", "r")
 
     def __init__(self, b_ref: BlochVector):
         self.b = b_ref
-        self.lam = eigenvalue_tuple(b_ref)
+        self.lam = _physical_eigenvalues(b_ref)
         self.log_lam = tuple(math.log(max(q, LOG_EIGENVALUE_FLOOR)) for q in self.lam)
         self.r = 0.25 + b_ref.b5 / 2.0
 
@@ -207,9 +219,10 @@ def conditional_entropy(b: BlochVector, b_ref: BlochVector) -> float:
     outer block, so tr(rho log rho_ref) = sum_i w_i log lam_i(ref) with w_i
     the weight of rho on each reference eigenvector: lam2 and lam3 on the
     inner doublet, and on the outer pair the split of tr A fixed by
-    tr(A A_ref) = w1 lam1(ref) + w4 lam4(ref).
+    tr(A A_ref) = w1 lam1(ref) + w4 lam4(ref).  ValueError for a
+    non-physical state, as from :func:`vn_entropy`.
     """
-    return Reference(b_ref).conditional_entropy(b, eigenvalue_tuple(b))
+    return Reference(b_ref).conditional_entropy(b, _physical_eigenvalues(b))
 
 
 def quantum_distance(b: BlochVector, b_ref: BlochVector) -> float:
@@ -219,5 +232,6 @@ def quantum_distance(b: BlochVector, b_ref: BlochVector) -> float:
     splits blockwise; for 2x2 blocks tr sqrt(sqrt(A) B sqrt(A)) =
     sqrt(tr AB + 2 sqrt(det A det B)), with det A = lam1 lam4.  Symmetric in
     its arguments; trace overlaps within rounding noise of 1 report as zero.
+    ValueError for a non-physical state, as from :func:`vn_entropy`.
     """
-    return Reference(b_ref).quantum_distance(b, eigenvalue_tuple(b))
+    return Reference(b_ref).quantum_distance(b, _physical_eigenvalues(b))

@@ -9,10 +9,9 @@ field; they are integrated with a sixth-order Magnus product of unit
 quaternions (Blanes, Casas & Ros, BIT 40, 434 (2000); Blanes, Casas, Oteo &
 Ros, Phys. Rep. 470, 151 (2009)).  Maps are plain floats and tuples; only
 the ``m`` accessor and the brute-force midpoint-field oracle
-:func:`adiabat_propagator_direct` import numpy.  In-branch samples are also
-available as bare field tuples (:func:`isochore_fields`,
-:func:`adiabat_fields`) that :func:`apply_map` applies without building a
-map object.
+:func:`adiabat_propagator_direct` import numpy.  Every path, the in-branch
+samplers :func:`isochore_partials` and :func:`adiabat_partials` included,
+works with the one map type :class:`AffinePropagator`.
 """
 
 from __future__ import annotations
@@ -97,9 +96,6 @@ class AdiabatParams(Record, namedtuple("AdiabatParams", "omega_start omega_end j
 _IDENTITY_BLOCK = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 _ZERO3 = (0.0, 0.0, 0.0)
 
-# the fields of identity_propagator(), in AffinePropagator field order
-IDENTITY_FIELDS = (_IDENTITY_BLOCK, _ZERO3, 1.0, 1.0, _ZERO3, 0.0)
-
 
 def _dot(u, v) -> float:
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
@@ -130,8 +126,9 @@ class AffinePropagator(
     can also be built from ``m``, any 4x4 array-like acting on the column
     (b1, b2, b3, 1) whose bottom row is (0, 0, 0, 1); the ``m`` property
     returns that matrix as a numpy array.  Maps compose; immutable and safe
-    to share.  The map is the tuple of its fields in field order, the
-    arguments of :func:`apply_map`.
+    to share.  The map is the tuple of its fields in field order; the
+    samplers build it with ``tuple.__new__``, since their fields are already
+    tuples and the constructor would check nothing more.
     """
 
     __slots__ = ()
@@ -164,23 +161,17 @@ class AffinePropagator(
         return np.array(rows + [(0.0, 0.0, 0.0, 1.0)])
 
     def apply(self, b: BlochVector) -> BlochVector:
-        return apply_map(*self, b)
-
-
-def apply_map(block, shift, b4_scale, b5_scale, b5_drive, b5_shift, b: BlochVector) -> BlochVector:
-    """The action of a map given by its :class:`AffinePropagator` fields, in
-    field order, for callers that hold the fields without the object."""
-    (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = block
-    v1, v2, v3 = shift
-    d1, d2, d3 = b5_drive
-    x, y, z = b.b1, b.b2, b.b3
-    return BlochVector(
-        a11 * x + a12 * y + a13 * z + v1,
-        a21 * x + a22 * y + a23 * z + v2,
-        a31 * x + a32 * y + a33 * z + v3,
-        b4_scale * b.b4,
-        b5_scale * b.b5 + (d1 * x + d2 * y + d3 * z) + b5_shift,
-    )
+        block, (v1, v2, v3), b4_scale, b5_scale, (d1, d2, d3), b5_shift = self
+        (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = block
+        x, y, z = b.b1, b.b2, b.b3
+        # BlochVector accepts any values: its constructor would add only a call
+        return tuple.__new__(BlochVector, (
+            a11 * x + a12 * y + a13 * z + v1,
+            a21 * x + a22 * y + a23 * z + v2,
+            a31 * x + a32 * y + a33 * z + v3,
+            b4_scale * b.b4,
+            b5_scale * b.b5 + (d1 * x + d2 * y + d3 * z) + b5_shift,
+        ))
 
 
 def identity_propagator() -> AffinePropagator:
@@ -207,23 +198,9 @@ def compose(*props: AffinePropagator) -> AffinePropagator:
     return acc
 
 
-def _from_fields(fields: list[tuple]) -> list[AffinePropagator]:
-    """One map per tuple of :class:`AffinePropagator` fields, in field order."""
-    return [
-        AffinePropagator(None, b4_scale, b5_scale, b5_drive, b5_shift, block=block, shift=shift)
-        for block, shift, b4_scale, b5_scale, b5_drive, b5_shift in fields
-    ]
-
-
 def isochore_partials(p: IsochoreParams, times) -> list[AffinePropagator]:
     """Closed-form maps of the first t time units of a constant-field bath
-    branch, one for each t in times; see :func:`isochore_fields`."""
-    return _from_fields(isochore_fields(p, times))
-
-
-def isochore_fields(p: IsochoreParams, times) -> list[tuple]:
-    """The maps of :func:`isochore_partials` as tuples of their
-    :class:`AffinePropagator` fields, in field order.
+    branch, one for each t in times.
 
     The (b1, b2, b3) block combines a rotation by sqrt(2)*Omega*t about the
     field axis (omega, J, 0)/Omega with longitudinal decay at rate Gamma
@@ -247,6 +224,7 @@ def isochore_fields(p: IsochoreParams, times) -> list[tuple]:
     drive_scale = -(SQRT2 * t_th / big_omega)
     angular_rate = SQRT2 * big_omega
     exp, cos, sin = math.exp, math.cos, math.sin
+    new = tuple.__new__
     maps = []
     for tau in times:
         # tau = 0 is no decay even when the rate overflows to inf (inf * 0 is NaN)
@@ -266,14 +244,14 @@ def isochore_fields(p: IsochoreParams, times) -> list[tuple]:
         )
         drive_coef = drive_scale * (g - g * g)
         relaxed = 1.0 - g
-        maps.append((
+        maps.append(new(AffinePropagator, (
             block,
             (eq.b1 * relaxed, eq.b2 * relaxed, 0.0),
             g,
             g * g,
             (drive_coef * omega, drive_coef * j, 0.0),
             eq.b5 * relaxed ** 2,
-        ))
+        )))
     return maps
 
 
@@ -347,13 +325,7 @@ def _max_change(fine: list[tuple], coarse: list[tuple]) -> float:
 
 def adiabat_partials(p: AdiabatParams, samples: int) -> list[AffinePropagator]:
     """Sweep maps of the first t time units at samples evenly spaced t in
-    [0, tau]; see :func:`adiabat_fields`."""
-    return _from_fields(adiabat_fields(p, samples))
-
-
-def adiabat_fields(p: AdiabatParams, samples: int) -> list[tuple]:
-    """The maps of :func:`adiabat_partials` as tuples of their
-    :class:`AffinePropagator` fields, in field order.
+    [0, tau].
 
     A sixth-order Magnus product over uniform steps.  The total step count
     starts near the rotation angle and doubles until two successive
@@ -372,8 +344,9 @@ def adiabat_fields(p: AdiabatParams, samples: int) -> list[tuple]:
         while coarse is None or _max_change(blocks, coarse) > 63.0 * SWEEP_TOLERANCE:
             per_segment *= 2
             coarse, blocks = blocks, _sweep_blocks(p, segments, per_segment)
-    identity_rest = IDENTITY_FIELDS[1:]  # a sweep leaves all but the block alone
-    return [(block, *identity_rest) for block in blocks]
+    # a sweep leaves all but the block alone
+    return [tuple.__new__(AffinePropagator, (block, _ZERO3, 1.0, 1.0, _ZERO3, 0.0))
+            for block in blocks]
 
 
 def adiabat_propagator(p: AdiabatParams) -> AffinePropagator:

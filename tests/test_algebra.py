@@ -74,6 +74,8 @@ def test_vn_eigenvalues_match_numerical_diagonalization(rng):
 def test_vn_eigenvalues_flags_non_physical():
     bad = BlochVector(1.0, 0, 0, 0, 0)
     assert not vn_eigenvalues(bad).physical
+    # min() would skip the NaN pair: min((0.25, nan, nan, 0.25)) == 0.25
+    assert not vn_eigenvalues(BlochVector(0, 0, 0, math.nan, 0)).physical
     good = BlochVector(0.1, 0.05, 0.0, 0.0, 0.1)
     assert vn_eigenvalues(good).physical
 

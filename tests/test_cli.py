@@ -58,7 +58,9 @@ def write_config(tmp_path, payload, name="config.json"):
 
 def read_csv(path):
     meta, header, rows = {}, None, []
-    for line in open(path).read().splitlines():
+    with open(path) as f:
+        text = f.read()
+    for line in text.splitlines():
         if line.startswith("# "):
             key, _, value = line[2:].partition(": ")
             meta.setdefault(key, value)

@@ -26,6 +26,7 @@ from spinotto import (
     vn_entropy,
     adiabat_propagator,
     AdiabatParams,
+    Reference,
     wootters_energy_distance,
 )
 from spinotto.measures import _entropy4
@@ -144,6 +145,22 @@ def test_vn_entropy_trivials():
 def test_vn_entropy_rejects_non_physical():
     with pytest.raises(ValueError):
         vn_entropy(BlochVector(1.0, 0, 0, 0, 0))
+
+
+@pytest.mark.parametrize("bad", [
+    BlochVector(1.0, 0.0, 0.0, 0.0, 0.0),
+    BlochVector(0.0, 0.0, 1e200, 0.0, 0.0),
+    BlochVector(0.0, 0.0, 0.0, math.nan, 0.0),
+], ids=["outside-cone", "b3-1e200", "b4-nan"])
+def test_measures_reject_non_physical_states(bad):
+    # the error vn_entropy raises, for either argument
+    good = BlochVector(0.0, 0.0, 0.0, 0.0, 0.0)
+    for measure in (quantum_distance, conditional_entropy):
+        for b, b_ref in ((bad, good), (good, bad)):
+            with pytest.raises(ValueError, match="non-physical state"):
+                measure(b, b_ref)
+    with pytest.raises(ValueError, match="non-physical state"):
+        Reference(bad)
 
 
 def test_vn_entropy_thermal_matches_matrix_oracle(rng):

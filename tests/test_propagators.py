@@ -13,6 +13,7 @@ from spinotto import (
     BathParams,
     BlochVector,
     IsochoreParams,
+    adiabat_partials,
     adiabat_propagator,
     adiabat_propagator_direct,
     compose,
@@ -22,6 +23,7 @@ from spinotto import (
     thermal_state,
     vn_eigenvalues,
 )
+from spinotto.engine import linspace
 from spinotto.propagators import MAX_SWEEP_ANGLE, SWEEP_TOLERANCE
 from conftest import SQRT2, fig1_spec, landau_zener_map, random_bloch
 
@@ -227,6 +229,18 @@ def test_adiabat_matches_richardson_oracle_property(p):
 def test_adiabat_matches_landau_zener_oracle_property(p):
     err = np.abs(adiabat_propagator(p).m[:3, :3] - landau_zener_map(p)).max()
     assert err <= 10 * SWEEP_TOLERANCE
+
+
+@settings(max_examples=60, deadline=None)
+@given(sweeps(), st.integers(3, 5))
+def test_adiabat_interior_samples_match_landau_zener_oracle_property(p, samples):
+    # the map of the first t time units is the exact map of the sweep cut
+    # off at t, at every sample and not only at the endpoints
+    times = linspace(0.0, p.tau, samples)
+    assume(all(math.hypot(p.omega_at(t), p.j) > 1e-6 for t in times))
+    for t, partial in zip(times, adiabat_partials(p, samples)):
+        exact = landau_zener_map(AdiabatParams(p.omega_start, p.omega_at(t), p.j, t))
+        assert np.abs(np.array(partial.block) - exact).max() <= 10 * SWEEP_TOLERANCE, t
 
 
 def test_near_limit_sweep_matches_landau_zener_oracle():

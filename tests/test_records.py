@@ -7,6 +7,7 @@ import inspect
 import math
 import pickle
 
+import numpy as np
 import pytest
 
 from spinotto import (
@@ -23,7 +24,9 @@ from spinotto import (
     SpectralInfo,
     ThermoLedger,
     TrajectorySample,
+    adiabat_partials,
     compose_cycle,
+    isochore_partials,
     isochore_propagator,
     limit_cycle,
     replace,
@@ -32,7 +35,7 @@ from spinotto import (
     vn_eigenvalues,
 )
 from spinotto.cli import RunConfig
-from conftest import fig1_spec
+from conftest import fig1_spec, fig6_spec
 
 _ZERO3 = (0.0, 0.0, 0.0)
 REQUIRED = inspect.Parameter.empty
@@ -234,6 +237,40 @@ def test_copy_and_pickle(index):
             assert len(clone) == len(obj)
         else:
             assert clone == obj
+
+
+def _sampled_maps():
+    """Maps from every sampler that builds them with tuple.__new__, past the
+    constructor, and the zero-duration branch (fig6's hot stroke)."""
+    prop = compose_cycle(fig1_spec())
+    hot, sweep = prop.branches[0].isochore, prop.branches[1].adiabat
+    maps = isochore_partials(hot, [0.0, 0.7, hot.tau]) + adiabat_partials(sweep, 3)
+    for branch in prop.branches + compose_cycle(fig6_spec()).branches:
+        maps += branch.partials(3)
+    return maps
+
+
+def _same_fields(a, b):
+    assert type(a) is type(b) is AffinePropagator
+    assert tuple(a) == tuple(b)
+    for x, y in zip(a, b):
+        assert type(x) is type(y)
+    for x, y in zip(a.block, b.block):
+        assert type(x) is type(y) is tuple
+
+
+def test_sampled_maps_equal_constructed_maps():
+    for m in _sampled_maps():
+        _same_fields(m, AffinePropagator(**m._asdict()))
+        for clone in (copy.deepcopy(m), pickle.loads(pickle.dumps(m)), replace(m)):
+            _same_fields(clone, m)
+        changed = replace(m, b5_shift=0.5)
+        assert changed.b5_shift == 0.5 and tuple(changed)[:-1] == tuple(m)[:-1]
+        matrix = m.m
+        assert matrix.shape == (4, 4)
+        assert np.array_equal(matrix[:3, :3], np.array(m.block))
+        assert np.array_equal(matrix[:3, 3], np.array(m.shift))
+        assert np.array_equal(matrix[3], [0.0, 0.0, 0.0, 1.0])
 
 
 def test_bloch_vector_norm_overflows_to_inf():
