@@ -28,6 +28,7 @@ from .propagators import (
     BathParams,
     IsochoreParams,
     _dot,
+    _time_reversed,
     adiabat_partials,
     adiabat_propagator,
     compose,
@@ -219,16 +220,24 @@ def energy(b: BlochVector, omega: float, j: float) -> float:
 
 
 def compose_cycle(spec: CycleSpec) -> CyclePropagator:
-    """Build the four branch maps and their one-period product."""
+    """Build the four branch maps and their one-period product.
+
+    The two sweeps run the same field ramp in opposite directions.  When
+    they last equally long, the hot->cold map is the time reversal of the
+    cold->hot one, so only one sweep is integrated.
+    """
     iso_h = spec.hot_isochore()
     iso_c = spec.cold_isochore()
     ad_ba = spec.adiabat_ba()
     ad_ab = spec.adiabat_ab()
 
     u_ish = isochore_propagator(iso_h)
-    u_ba = adiabat_propagator(ad_ba)
     u_isc = isochore_propagator(iso_c)
     u_ab = adiabat_propagator(ad_ab)
+    if spec.tau_ba == spec.tau_ab:
+        u_ba = _time_reversed(u_ab)
+    else:
+        u_ba = adiabat_propagator(ad_ba)
 
     branches = (
         CycleBranch("isochore-hot", "isochore", spec.tau_hot, u_ish, isochore=iso_h),
@@ -441,7 +450,7 @@ def trajectory(
     at time t of a branch is that branch's :meth:`CycleBranch.partials` map
     applied to its start corner; each branch computes its maps for all
     sample times in one pass (the bath-stroke closed form, or the sweep's
-    rotation blocks with their step doubling).  ValueError when
+    rotation blocks, integrated for this branch alone).  ValueError when
     samples_per_branch < 2.
     """
     if samples_per_branch < 2:

@@ -24,12 +24,17 @@ from itertools import chain
 from .algebra import SQRT2, BlochVector, field_magnitude, thermal_state
 from .records import IdentityRecord, Record
 
-# Error target of the sweep integrator: the step count doubles until the
-# error estimate of the finer product, (change on doubling) / 63, is below it.
+# Error target of the sweep integrator.  Two products at step counts n and
+# r n differ by about (r^6 - 1) times the error of the finer one; the finer
+# product is accepted when that estimate is at most SWEEP_TOLERANCE.
 SWEEP_TOLERANCE = 1e-12
 
+# Safety factor on the error the next step count is predicted to reach: the
+# prediction aims at SWEEP_TOLERANCE / _STEP_SAFETY.
+_STEP_SAFETY = 2.0
+
 # Largest accepted sweep rotation angle sqrt(2) * max Omega * tau in radians;
-# it bounds the integrator work (about 2e4 final steps at the limit).
+# it bounds the integrator work (about 3e4 steps in all at the limit).
 MAX_SWEEP_ANGLE = 1e4
 
 
@@ -327,9 +332,13 @@ def adiabat_partials(p: AdiabatParams, samples: int) -> list[AffinePropagator]:
     """Sweep maps of the first t time units at samples evenly spaced t in
     [0, tau].
 
-    A sixth-order Magnus product over uniform steps.  The total step count
-    starts near the rotation angle and doubles until two successive
-    products differ by at most 63 * SWEEP_TOLERANCE at every sample.  The
+    A sixth-order Magnus product over uniform steps, whose error falls as
+    n^-6 in the step count n.  The first two products take a step count near
+    the rotation angle and twice that.  Two successive products at counts n
+    and r n that differ by `change` at most, over all samples, put the error
+    of the finer one at change / (r^6 - 1); it is accepted when that is at
+    most SWEEP_TOLERANCE.  Otherwise the next count is the one the n^-6 law
+    predicts for half the tolerance, and the check repeats.  The
     (b1, b2, b3) blocks are rotations to rounding; (b4, b5) commute with the
     generator for every field value and stay constant.
     """
@@ -340,10 +349,20 @@ def adiabat_partials(p: AdiabatParams, samples: int) -> list[AffinePropagator]:
         blocks = [_IDENTITY_BLOCK] * samples
     else:
         per_segment = max(1, math.ceil(p.rotation_angle / segments))
-        coarse, blocks = None, _sweep_blocks(p, segments, per_segment)
-        while coarse is None or _max_change(blocks, coarse) > 63.0 * SWEEP_TOLERANCE:
-            per_segment *= 2
-            coarse, blocks = blocks, _sweep_blocks(p, segments, per_segment)
+        blocks = _sweep_blocks(p, segments, per_segment)
+        finer = 2 * per_segment
+        while True:
+            coarse, coarse_per = blocks, per_segment
+            per_segment = finer
+            blocks = _sweep_blocks(p, segments, per_segment)
+            gain = (per_segment / coarse_per) ** 6 - 1.0
+            change = _max_change(blocks, coarse)
+            if not change > gain * SWEEP_TOLERANCE:
+                break
+            err = change / gain
+            finer = max(per_segment + 1, math.ceil(
+                per_segment * (_STEP_SAFETY * err / SWEEP_TOLERANCE) ** (1.0 / 6.0)
+            ))
     # a sweep leaves all but the block alone
     return [tuple.__new__(AffinePropagator, (block, _ZERO3, 1.0, 1.0, _ZERO3, 0.0))
             for block in blocks]
@@ -352,6 +371,19 @@ def adiabat_partials(p: AdiabatParams, samples: int) -> list[AffinePropagator]:
 def adiabat_propagator(p: AdiabatParams) -> AffinePropagator:
     """Map of the whole sweep; see :func:`adiabat_partials`."""
     return adiabat_partials(p, 2)[-1]
+
+
+def _time_reversed(prop: AffinePropagator) -> AffinePropagator:
+    """Map of the reverse sweep, from the map U of a whole sweep.
+
+    The field ramp run backwards over the same time has the map R U^T R,
+    R = diag(1, 1, -1): U^T = U^-1 undoes the sweep, and R flips the sign
+    of the in-plane generator sqrt(2) [(omega, J, 0)]_x.  So the block is
+    transposed and its entries (0, 2), (1, 2), (2, 0) and (2, 1) negated.
+    """
+    (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = prop.block
+    block = ((a11, a21, -a31), (a12, a22, -a32), (-a13, -a23, a33))
+    return tuple.__new__(AffinePropagator, (block, _ZERO3, 1.0, 1.0, _ZERO3, 0.0))
 
 
 def adiabat_propagator_direct(p: AdiabatParams, n_steps: int) -> AffinePropagator:

@@ -326,6 +326,22 @@ def test_trajectory_fig6_vn_entropy_flat_over_whole_cycle():
     assert spread <= 5e-3
 
 
+@settings(max_examples=100, deadline=None)
+@given(cycle_specs(), st.booleans())
+def test_sweeps_are_frictionless_in_von_neumann_entropy_property(spec, symmetric):
+    # the paper's friction is a change of the energy entropy, never of the
+    # von Neumann entropy: both sweeps, the time-reversed one (equal sweep
+    # times) and the integrated one, are unitary
+    if symmetric:
+        spec = replace(spec, tau_ba=spec.tau_ab)
+    try:
+        ledger = limit_cycle(spec).ledger
+    except NonUniqueLimitCycleError:
+        assume(False)
+    assert abs(vn_entropy(ledger.b_c) - vn_entropy(ledger.b_b)) <= 1e-10
+    assert abs(vn_entropy(ledger.b_a) - vn_entropy(ledger.b_d)) <= 1e-10
+
+
 def test_energy_trivial_and_linear(rng):
     assert energy(BlochVector(0, 0, 0, 0, 0), 9.0, 2.0) == 0.0
     a, c = rng.normal(size=2)

@@ -20,12 +20,14 @@ from spinotto import (
     compose_cycle,
     identity_propagator,
     isochore_propagator,
+    replace,
     thermal_state,
     vn_eigenvalues,
 )
+from spinotto import propagators
 from spinotto.engine import linspace
-from spinotto.propagators import MAX_SWEEP_ANGLE, SWEEP_TOLERANCE
-from conftest import SQRT2, fig1_spec, landau_zener_map, random_bloch
+from spinotto.propagators import MAX_SWEEP_ANGLE, SWEEP_TOLERANCE, _time_reversed
+from conftest import SQRT2, cycle_specs, fig1_spec, fig5_spec, landau_zener_map, random_bloch
 
 
 def axis_angle_rotation(omega, j, angle):
@@ -250,6 +252,70 @@ def test_near_limit_sweep_matches_landau_zener_oracle():
     block = adiabat_propagator(p).m[:3, :3]
     assert np.abs(block - landau_zener_map(p)).max() <= SWEEP_TOLERANCE
     assert np.abs(block @ block.T - np.eye(3)).max() < 1e-14
+
+
+class StepCounter:
+    """Wraps the Magnus product: sums its steps and records the sweeps it
+    integrates."""
+
+    def __init__(self, monkeypatch):
+        self.steps = 0
+        self.sweeps = []
+        self._blocks = propagators._sweep_blocks
+        monkeypatch.setattr(propagators, "_sweep_blocks", self)
+
+    def __call__(self, p, segments, per_segment):
+        self.steps += segments * per_segment
+        if p not in self.sweeps:
+            self.sweeps.append(p)
+        return self._blocks(p, segments, per_segment)
+
+    def count(self, p):
+        self.steps = 0
+        adiabat_propagator(p)
+        return self.steps
+
+
+def test_sweep_step_counts(monkeypatch):
+    # a work count, not a timing: the step count predicted from the first
+    # two products beats doubling (10 + 20 + 40 + 80 = 150 steps)
+    counter = StepCounter(monkeypatch)
+    for w in (3.0, 4.5, 5.08364, 6.5, 8.0):
+        for p in (AdiabatParams(w, 12.6355, 2.0, 0.5), AdiabatParams(12.6355, w, 2.0, 0.5)):
+            assert counter.count(p) <= 120, p
+    # near MAX_SWEEP_ANGLE the first doubling is accepted: 9900 + 19800 steps
+    assert counter.count(AdiabatParams(1e3, -1e3, 1.0, 7.0)) <= 29700
+
+
+def test_compose_cycle_integrates_one_sweep_when_symmetric(monkeypatch):
+    counter = StepCounter(monkeypatch)
+    compose_cycle(fig1_spec())
+    assert counter.sweeps == [fig1_spec().adiabat_ab()]
+    counter.sweeps.clear()
+    spec = fig5_spec(1.0, 1.0)
+    assert spec.tau_ab != spec.tau_ba
+    compose_cycle(spec)
+    assert sorted(counter.sweeps) == sorted([spec.adiabat_ab(), spec.adiabat_ba()])
+
+
+@settings(max_examples=60, deadline=None)
+@given(sweeps())
+@example(AdiabatParams(0.0, 1.0, 2.0, 2.225073858507e-311))  # subnormal tau
+def test_time_reversed_sweep_matches_landau_zener_oracle_property(p):
+    # R U^T R, R = diag(1, 1, -1), is the map of the field ramp run backwards
+    reversed_block = np.array(_time_reversed(adiabat_propagator(p)).block)
+    reverse = AdiabatParams(p.omega_end, p.omega_start, p.j, p.tau)
+    assert np.abs(reversed_block @ reversed_block.T - np.eye(3)).max() < 1e-13
+    assert np.abs(reversed_block - landau_zener_map(reverse)).max() <= 10 * SWEEP_TOLERANCE
+
+
+@settings(max_examples=60, deadline=None)
+@given(cycle_specs())
+def test_compose_cycle_reverse_sweep_matches_integrated_property(spec):
+    spec = replace(spec, tau_ba=spec.tau_ab)
+    hot_cold = compose_cycle(spec).branches[1].prop
+    integrated = adiabat_propagator(spec.adiabat_ba())
+    assert np.abs(hot_cold.m - integrated.m).max() <= 2e-11
 
 
 def test_landau_zener_oracle_solutions_agree():
