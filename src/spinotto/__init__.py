@@ -65,4 +65,4 @@ from .propagators import (
 )
 from .records import replace
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"

@@ -256,6 +256,13 @@ def limit_cycle_row(spec: CycleSpec) -> list:
         ledger.ds_ext, ledger.ds_u_hot, ledger.ds_u_cold, ledger.ds_u_total,
         ledger.ds_e_hot, ledger.ds_e_cold, ledger.ds_e_ab, ledger.ds_e_ba,
     ])
+    if not all(map(math.isfinite, row)):
+        # the states and eigenvalues are finite; heat / temperature can overflow
+        bad = [name for name, value in zip(LIMIT_CYCLE_HEADER, row) if not math.isfinite(value)]
+        raise ConfigError(
+            f"engine: column(s) {', '.join(bad)} not finite: heats divided by the bath "
+            f"temperatures t_hot = {spec.t_hot!r}, t_cold = {spec.t_cold!r} overflow"
+        )
     return row
 
 

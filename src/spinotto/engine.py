@@ -11,8 +11,10 @@ the characteristic cubic, refined by a two-sided Rayleigh quotient, and the
 remaining pair from the 2x2 block left when its eigenvector is deflated.
 Inside a period, :meth:`CycleBranch.partials` gives each branch's maps at
 all its sample times in one pass, and :func:`trajectory` applies them to
-the branch's start corner.  Everything is plain floats, tuples and complex
-numbers.
+the branch's start corner.  When the two sweeps last equally long, both
+:func:`compose_cycle` and :func:`trajectory` integrate only the cold->hot
+sweep and take the hot->cold one as its time reversal.  Everything is plain
+floats, tuples and complex numbers.
 """
 
 from __future__ import annotations
@@ -233,9 +235,10 @@ def compose_cycle(spec: CycleSpec) -> CyclePropagator:
 
     u_ish = isochore_propagator(iso_h)
     u_isc = isochore_propagator(iso_c)
-    u_ab = adiabat_propagator(ad_ab)
+    sweep_ab = adiabat_partials(ad_ab, 2)
+    u_ab = sweep_ab[-1]
     if spec.tau_ba == spec.tau_ab:
-        u_ba = _time_reversed(u_ab)
+        u_ba = _time_reversed(sweep_ab)[-1]
     else:
         u_ba = adiabat_propagator(ad_ba)
 
@@ -450,11 +453,16 @@ def trajectory(
     at time t of a branch is that branch's :meth:`CycleBranch.partials` map
     applied to its start corner; each branch computes its maps for all
     sample times in one pass (the bath-stroke closed form, or the sweep's
-    rotation blocks, integrated for this branch alone).  ValueError when
-    samples_per_branch < 2.
+    rotation blocks).  When the two sweeps last equally long, only the
+    cold->hot sweep is integrated: the hot->cold maps are the time reversals
+    of its maps at mirrored times, as in :func:`compose_cycle`.  ValueError
+    when samples_per_branch < 2.
     """
     if samples_per_branch < 2:
         raise ValueError("samples_per_branch must be >= 2")
+    hot_cold, cold_hot = prop.branches[1], prop.branches[3]
+    symmetric = prop.spec.tau_ba == prop.spec.tau_ab
+    forward = cold_hot.partials(samples_per_branch) if symmetric else None
     new = tuple.__new__
     samples = []
     t0 = 0.0
@@ -462,7 +470,11 @@ def trajectory(
     for branch in prop.branches:
         name, omega_at = branch.name, branch.omega_at
         times = linspace(0.0, branch.duration, samples_per_branch)
-        for t, m in zip(times, branch.partials(samples_per_branch)):
+        if forward is None or branch.kind == "isochore":
+            maps = branch.partials(samples_per_branch)
+        else:
+            maps = _time_reversed(forward) if branch is hot_cold else forward
+        for t, m in zip(times, maps):
             samples.append(new(TrajectorySample, (name, t0 + t, omega_at(t), m.apply(state))))
         state = branch.prop.apply(state)
         t0 += branch.duration

@@ -66,7 +66,11 @@ class IsochoreParams(Record, namedtuple("IsochoreParams", "omega j bath tau")):
     def __new__(cls, omega, j, bath, tau):
         if tau < 0.0:
             raise ValueError("tau must be >= 0")
-        field_magnitude(omega, j)
+        phase = SQRT2 * field_magnitude(omega, j) * tau
+        if not math.isfinite(phase):
+            # the closed form takes cos and sin of the rotation phase
+            raise ValueError(f"bath stroke rotation angle sqrt(2) * Omega * tau = {phase} "
+                             "is not finite")
         return tuple.__new__(cls, (omega, j, bath, tau))
 
 
@@ -373,17 +377,39 @@ def adiabat_propagator(p: AdiabatParams) -> AffinePropagator:
     return adiabat_partials(p, 2)[-1]
 
 
-def _time_reversed(prop: AffinePropagator) -> AffinePropagator:
-    """Map of the reverse sweep, from the map U of a whole sweep.
+def _time_reversed(partials: list[AffinePropagator]) -> list[AffinePropagator]:
+    """Sweep maps of the reverse sweep, from the maps U(t_k) of the first t_k
+    time units of a sweep at samples evenly spaced t_k in [0, tau]
+    (:func:`adiabat_partials`), at the same times.
 
-    The field ramp run backwards over the same time has the map R U^T R,
-    R = diag(1, 1, -1): U^T = U^-1 undoes the sweep, and R flips the sign
-    of the in-plane generator sqrt(2) [(omega, J, 0)]_x.  So the block is
-    transposed and its entries (0, 2), (1, 2), (2, 0) and (2, 1) negated.
+    The field ramp run backwards for t time units has the map
+    R U(tau - t) U(tau)^T R, R = diag(1, 1, -1): U(tau)^T = U(tau)^-1 undoes
+    the whole sweep, U(tau - t) redoes its first tau - t time units, and R
+    flips the sign of the in-plane generator sqrt(2) [(omega, J, 0)]_x.
+    tau - t_k is sample n - 1 - k, so no new times are needed.  The whole
+    reverse sweep is R U(tau)^T R: the block of U(tau) transposed, with
+    entries (0, 2), (1, 2), (2, 0) and (2, 1) negated.
     """
-    (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = prop.block
-    block = ((a11, a21, -a31), (a12, a22, -a32), (-a13, -a23, a33))
-    return tuple.__new__(AffinePropagator, (block, _ZERO3, 1.0, 1.0, _ZERO3, 0.0))
+    (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = partials[-1].block
+    # U(tau)^T R
+    b11, b12, b13 = a11, a21, -a31
+    b21, b22, b23 = a12, a22, -a32
+    b31, b32, b33 = a13, a23, -a33
+    blocks = [_IDENTITY_BLOCK]
+    for prop in partials[-2:0:-1]:
+        (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = prop.block
+        blocks.append((
+            (x1 * b11 + y1 * b21 + z1 * b31, x1 * b12 + y1 * b22 + z1 * b32,
+             x1 * b13 + y1 * b23 + z1 * b33),
+            (x2 * b11 + y2 * b21 + z2 * b31, x2 * b12 + y2 * b22 + z2 * b32,
+             x2 * b13 + y2 * b23 + z2 * b33),
+            (-(x3 * b11 + y3 * b21 + z3 * b31), -(x3 * b12 + y3 * b22 + z3 * b32),
+             -(x3 * b13 + y3 * b23 + z3 * b33)),
+        ))
+    # U(0) is the identity
+    blocks.append(((b11, b12, b13), (b21, b22, b23), (-b31, -b32, -b33)))
+    new = tuple.__new__
+    return [new(AffinePropagator, (block, _ZERO3, 1.0, 1.0, _ZERO3, 0.0)) for block in blocks]
 
 
 def adiabat_propagator_direct(p: AdiabatParams, n_steps: int) -> AffinePropagator:

@@ -549,6 +549,48 @@ def test_zero_time_stroke_with_overflowing_dephasing_rate(tmp_path):
     assert all(math.isfinite(float(v)) for v in rows[0])
 
 
+# each command reads only its own run keys
+_ANY_RUN = {"n_cycles": 2, "samples_per_branch": 3,
+            "sweep": {"key": "omega_a", "from": 4.0, "to": 5.0, "steps": 2}}
+
+
+@pytest.mark.parametrize("command, engine_overrides, run", [
+    *((command, {key: 1e308}, _ANY_RUN)
+      for command in ("limit-cycle", "iterate", "trajectory", "spectrum", "sweep")
+      for key in ("tau_cold", "tau_hot")),
+    ("sweep", {}, {"sweep": {"key": "tau_hot", "from": 1e308, "to": 1.0, "steps": 3}}),
+])
+def test_overflowing_bath_stroke_phase_is_a_config_error(
+    tmp_path, capsys, command, engine_overrides, run
+):
+    # sqrt(2) * Omega * tau overflows to inf, whose cos raised a math domain
+    # error from the bath-stroke closed form
+    engine = dict(FIG1_ENGINE, **engine_overrides)
+    config = write_config(tmp_path, {"engine": engine, "run": run})
+    assert main([command, "--config", config, "--out", str(tmp_path / "o.csv")]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "config"
+    assert "sqrt(2) * Omega * tau" in record["message"]
+
+
+@pytest.mark.parametrize("command, engine_overrides, columns", [
+    ("limit-cycle", {"t_hot": 5e-324}, "ds_ext, ds_u_hot, ds_u_total, ds_e_hot"),
+    ("limit-cycle", {"t_cold": 5e-324}, "ds_ext, ds_u_cold, ds_u_total, ds_e_cold"),
+    ("sweep", {"t_hot": 5e-324}, "ds_ext, ds_u_hot, ds_u_total, ds_e_hot"),
+])
+def test_overflowing_ledger_is_a_config_error(tmp_path, capsys, command, engine_overrides,
+                                              columns):
+    # heat / temperature overflows at a subnormal temperature; the row used
+    # to print inf at exit 0
+    engine = dict(FIG1_ENGINE, **engine_overrides)
+    config = write_config(tmp_path, {"engine": engine, "run": _ANY_RUN})
+    assert main([command, "--config", config, "--out", str(tmp_path / "o.csv")]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "config"
+    assert f"column(s) {columns} not finite" in record["message"]
+    assert "5e-324" in record["message"]
+
+
 def test_trajectory_rejects_initial_state_the_measures_reject(tmp_path, capsys):
     # lam1 = -5e-11: accepted by a looser loader, this state ended in a
     # "negative probability" traceback from the entropy column

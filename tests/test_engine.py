@@ -30,6 +30,7 @@ from spinotto import (
 )
 from spinotto.cli import ITERATE_HEADER, TRAJECTORY_HEADER, iterate_rows, trajectory_rows
 from spinotto.engine import linspace
+from spinotto.propagators import _time_reversed
 from conftest import (
     FIG5_TIMES,
     cycle_specs,
@@ -260,11 +261,15 @@ def test_isochore_partials_equal_per_sample_maps(rng):
 
 
 @settings(max_examples=100, deadline=None)
-@given(cycle_specs(), physical_states(), st.sampled_from([2, 3, 17]))
-def test_trajectory_states_equal_public_maps_property(spec, b0, samples):
+@given(cycle_specs(), physical_states(), st.sampled_from([2, 3, 17]), st.booleans())
+def test_trajectory_states_equal_public_maps_property(spec, b0, samples, symmetric):
     # the one-pass sampler against the public per-branch maps: each sample is
     # the branch's partial map applied to the branch's start corner, and the
-    # entropy cells of the CSV rows are the public functions of that state
+    # entropy cells of the CSV rows are the public functions of that state;
+    # with equal sweep times the hot->cold maps are the time reversals of
+    # the cold->hot ones
+    if symmetric:
+        spec = replace(spec, tau_ba=spec.tau_ab)
     prop = compose_cycle(spec)
     points = trajectory(prop, b0, samples)
     rows = trajectory_rows(prop, b0, samples)
@@ -273,7 +278,11 @@ def test_trajectory_states_equal_public_maps_property(spec, b0, samples):
     corner, t0 = b0, 0.0
     for index, branch in enumerate(prop.branches):
         times = linspace(0.0, branch.duration, samples)
-        for i, partial in enumerate(branch.partials(samples)):
+        if index == 1 and spec.tau_ba == spec.tau_ab:
+            partials = _time_reversed(prop.branches[3].partials(samples))
+        else:
+            partials = branch.partials(samples)
+        for i, partial in enumerate(partials):
             point, row = points[index * samples + i], rows[index * samples + i]
             expected = partial.apply(corner)
             assert (point.branch, point.t, point.omega) == (
@@ -331,15 +340,22 @@ def test_trajectory_fig6_vn_entropy_flat_over_whole_cycle():
 def test_sweeps_are_frictionless_in_von_neumann_entropy_property(spec, symmetric):
     # the paper's friction is a change of the energy entropy, never of the
     # von Neumann entropy: both sweeps, the time-reversed one (equal sweep
-    # times) and the integrated one, are unitary
+    # times) and the integrated one, are unitary, at the corners and at
+    # every trajectory sample inside them, the derived hot->cold ones included
     if symmetric:
         spec = replace(spec, tau_ba=spec.tau_ab)
     try:
-        ledger = limit_cycle(spec).ledger
+        report = limit_cycle(spec)
     except NonUniqueLimitCycleError:
         assume(False)
+    ledger = report.ledger
     assert abs(vn_entropy(ledger.b_c) - vn_entropy(ledger.b_b)) <= 1e-10
     assert abs(vn_entropy(ledger.b_a) - vn_entropy(ledger.b_d)) <= 1e-10
+    rows = trajectory_rows(report.propagator, report.b_a, 9)
+    s_vn = TRAJECTORY_HEADER.index("s_vn")
+    for name in ("adiabat-hot-cold", "adiabat-cold-hot"):
+        entropies = [row[s_vn] for row in rows if row[0] == name]
+        assert max(entropies) - min(entropies) <= 1e-12, name
 
 
 def test_energy_trivial_and_linear(rng):

@@ -22,6 +22,7 @@ from spinotto import (
     isochore_propagator,
     replace,
     thermal_state,
+    trajectory,
     vn_eigenvalues,
 )
 from spinotto import propagators
@@ -303,7 +304,7 @@ def test_compose_cycle_integrates_one_sweep_when_symmetric(monkeypatch):
 @example(AdiabatParams(0.0, 1.0, 2.0, 2.225073858507e-311))  # subnormal tau
 def test_time_reversed_sweep_matches_landau_zener_oracle_property(p):
     # R U^T R, R = diag(1, 1, -1), is the map of the field ramp run backwards
-    reversed_block = np.array(_time_reversed(adiabat_propagator(p)).block)
+    reversed_block = np.array(_time_reversed(adiabat_partials(p, 2))[-1].block)
     reverse = AdiabatParams(p.omega_end, p.omega_start, p.j, p.tau)
     assert np.abs(reversed_block @ reversed_block.T - np.eye(3)).max() < 1e-13
     assert np.abs(reversed_block - landau_zener_map(reverse)).max() <= 10 * SWEEP_TOLERANCE
@@ -316,6 +317,42 @@ def test_compose_cycle_reverse_sweep_matches_integrated_property(spec):
     hot_cold = compose_cycle(spec).branches[1].prop
     integrated = adiabat_propagator(spec.adiabat_ba())
     assert np.abs(hot_cold.m - integrated.m).max() <= 2e-11
+
+
+def test_trajectory_integrates_one_sweep_when_symmetric(monkeypatch):
+    # a work count in trajectory-dense's shape (1000 samples, 1.0-long
+    # sweeps): only the cold->hot sweep is integrated, at 999 and then 1,998
+    # steps, and the hot->cold samples are its time reversals
+    b0 = BlochVector(0.0, 0.0, 0.0, 0.0, 0.0)
+    spec = replace(fig1_spec(), tau_ab=1.0, tau_ba=1.0)
+    prop = compose_cycle(spec)
+    counter = StepCounter(monkeypatch)
+    trajectory(prop, b0, 1000)
+    assert counter.sweeps == [spec.adiabat_ab()]
+    assert counter.steps == 2997
+    spec = fig5_spec(1.0, 1.0)
+    prop = compose_cycle(spec)
+    counter.sweeps.clear()
+    trajectory(prop, b0, 5)
+    assert sorted(counter.sweeps) == sorted([spec.adiabat_ab(), spec.adiabat_ba()])
+
+
+@settings(max_examples=30, deadline=None)
+@given(cycle_specs(), st.integers(3, 5))
+def test_time_reversed_partials_match_reverse_sweep_property(spec, samples):
+    # sample k of the reverse sweep, R U(tau - t_k) U(tau)^T R, against the
+    # integrated reverse sweep and its exact map at t_k
+    reverse = replace(spec, tau_ba=spec.tau_ab).adiabat_ba()
+    derived = _time_reversed(adiabat_partials(spec.adiabat_ab(), samples))
+    integrated = adiabat_partials(reverse, samples)
+    times = linspace(0.0, reverse.tau, samples)
+    for t, partial, direct in zip(times, derived, integrated):
+        block = np.array(partial.block)
+        assert np.abs(block @ block.T - np.eye(3)).max() < 1e-13, t
+        assert np.abs(block - np.array(direct.block)).max() <= 2e-11, t
+        exact = landau_zener_map(AdiabatParams(reverse.omega_start, reverse.omega_at(t),
+                                               reverse.j, t))
+        assert np.abs(block - exact).max() <= 10 * SWEEP_TOLERANCE, t
 
 
 def test_landau_zener_oracle_solutions_agree():
