@@ -8,20 +8,11 @@ point, the limit cycle, whose spectrum and thermodynamics are analyzed in
 :mod:`spinotto.measures`; :mod:`spinotto.cli` is the batch CSV front end.
 The value types are immutable named tuples (:mod:`spinotto.records`);
 :func:`replace` copies one with fields changed, checking the new values.
-The package needs only the standard library; the numpy accessors
-(``AffinePropagator.m``, ``as_array()``) and the sweep oracle
-``adiabat_propagator_direct`` import numpy when called.
+The package needs only the standard library; ``AffinePropagator.m`` and
+the sweep oracle ``adiabat_propagator_direct`` import numpy when called.
 """
 
-from .algebra import (
-    BlochVector,
-    SpectralInfo,
-    eigenvalue_tuple,
-    energy_populations,
-    reconstruct_density,
-    thermal_state,
-    vn_eigenvalues,
-)
+from .algebra import BlochVector, eigenvalue_tuple, energy_populations, thermal_state
 from .engine import (
     CycleBranch,
     CyclePropagator,
@@ -36,15 +27,12 @@ from .engine import (
     iterate,
     limit_cycle,
     spectrum,
-    thermo_ledger,
     trajectory,
 )
 from .measures import (
     Reference,
     conditional_entropy,
-    energy_conditional_entropy,
     energy_entropy,
-    measurement_entropy,
     quantum_distance,
     vn_entropy,
     wootters_distance_to,
@@ -65,4 +53,4 @@ from .propagators import (
 )
 from .records import replace
 
-__version__ = "0.11.0"
+__version__ = "1.0.0"

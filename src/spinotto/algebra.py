@@ -2,12 +2,12 @@
 
 The 4x4 state of the medium is fully parameterized by five real expectation
 values (b1..b5) of an orthonormal, traceless operator set.  This module
-rebuilds density matrices from them (which defines the operator basis),
-evaluates their spectrum and their populations in the energy eigenbasis of
-H = omega*B1 + J*B2 in closed form, and builds thermal states.  Everything
-is plain floats and tuples (:class:`BlochVector` and :class:`SpectralInfo`
-are named tuples, see :mod:`spinotto.records`); numpy is imported only by
-the ``as_array`` accessors.
+evaluates the spectrum of that state and its populations in the energy
+eigenbasis of H = omega*B1 + J*B2 in closed form, and builds thermal states.
+The 4x4 matrix itself, which defines the operator basis, is built only by
+the test oracle ``reconstruct_density`` (``tests/conftest.py``).  Everything
+is plain floats and tuples (:class:`BlochVector` is a named tuple, see
+:mod:`spinotto.records`).
 
 Units: hbar = k_B = 1 throughout; everything is dimensionless.
 """
@@ -38,26 +38,13 @@ PHYSICALITY_TOL = -1e-12
 class BlochVector(Record, namedtuple("BlochVector", "b1 b2 b3 b4 b5")):
     """Expectation values b1..b5 that completely determine the 4x4 state.
 
-    Any real values are accepted at construction; physicality (a positive
-    semidefinite reconstructed matrix) is checked via :func:`vn_eigenvalues`.
+    Any real values are accepted at construction; the state is physical
+    (positive semidefinite) when ``is_physical(eigenvalue_tuple(b))``.  As a
+    tuple it is (b1, b2, b3, b4, b5): ``tuple(b)`` and ``numpy.array(b)``
+    give the values, ``BlochVector(*values)`` builds one from them.
     """
 
     __slots__ = ()
-
-    @property
-    def values(self) -> tuple:
-        return (self.b1, self.b2, self.b3, self.b4, self.b5)
-
-    def as_array(self):
-        """The five values as a numpy array (imports numpy)."""
-        import numpy as np
-
-        return np.array(self.values)
-
-    @classmethod
-    def from_array(cls, values) -> "BlochVector":
-        b1, b2, b3, b4, b5 = (float(v) for v in values)
-        return cls(b1, b2, b3, b4, b5)
 
     @property
     def d(self) -> float:
@@ -71,57 +58,19 @@ class BlochVector(Record, namedtuple("BlochVector", "b1 b2 b3 b4 b5")):
             return math.inf
 
 
-class SpectralInfo(Record, namedtuple("SpectralInfo", "lam1 lam2 lam3 lam4 d")):
-    """Closed-form eigenvalues of the reconstructed density matrix.
-
-    The labels follow the fixed convention lam4 >= lam1 (d >= 0); lam2 and
-    lam3 are the populations of the inner doublet.  They sum to one
-    algebraically.
-    """
-
-    __slots__ = ()
-
-    @property
-    def values(self) -> tuple:
-        return (self.lam1, self.lam2, self.lam3, self.lam4)
-
-    def as_array(self):
-        """The four eigenvalues as a numpy array (imports numpy)."""
-        import numpy as np
-
-        return np.array(self.values)
-
-    @property
-    def physical(self) -> bool:
-        return is_physical(self.values)
-
-
 def is_physical(lam) -> bool:
     """Whether every eigenvalue in lam is at least PHYSICALITY_TOL; False
     for a NaN anywhere (min() skips a NaN that is not first)."""
     return all(x >= PHYSICALITY_TOL for x in lam)
 
 
-def reconstruct_density(b: BlochVector) -> tuple:
-    """Rebuild the 4x4 density matrix (spin-product basis) from b1..b5.
-
-    Returns four rows of four complex entries.  The result is Hermitian with
-    unit trace by construction for any input.
-    """
-    quarter = 0.25
-    off = (b.b2 - 1j * b.b3) / SQRT2
-    zero = 0j
-    return (
-        (complex(quarter + b.b1 / SQRT2 + b.b5 / 2.0), zero, zero, off),
-        (zero, complex(quarter + b.b4 / SQRT2 - b.b5 / 2.0), zero, zero),
-        (zero, zero, complex(quarter - b.b4 / SQRT2 - b.b5 / 2.0), zero),
-        (off.conjugate(), zero, zero, complex(quarter - b.b1 / SQRT2 + b.b5 / 2.0)),
-    )
-
-
 def eigenvalue_tuple(b: BlochVector) -> tuple:
-    """(lam1, lam2, lam3, lam4) of the reconstructed state, labeled as in
-    :class:`SpectralInfo`, as a plain tuple."""
+    """Closed-form eigenvalues (lam1, lam2, lam3, lam4) of the state b.
+
+    The labels follow the fixed convention lam4 >= lam1 (the outer pair
+    1/4 + b5/2 -+ d/sqrt2, with d = ``b.d`` >= 0); lam2 and lam3 are the
+    populations of the inner doublet.  They sum to one algebraically.
+    """
     d_scaled = b.d / SQRT2
     b4_scaled = b.b4 / SQRT2
     half_b5 = b.b5 / 2.0
@@ -131,11 +80,6 @@ def eigenvalue_tuple(b: BlochVector) -> tuple:
         0.25 - b4_scaled - half_b5,
         0.25 + d_scaled + half_b5,
     )
-
-
-def vn_eigenvalues(b: BlochVector) -> SpectralInfo:
-    """Eigenvalues of the reconstructed state, in the labeled closed form."""
-    return SpectralInfo(*eigenvalue_tuple(b), d=b.d)
 
 
 def energy_populations(b: BlochVector, omega: float, j: float) -> tuple:

@@ -24,13 +24,7 @@ import operator
 import sys
 from collections import namedtuple
 
-from .algebra import (
-    BlochVector,
-    eigenvalue_tuple,
-    field_magnitude,
-    thermal_state,
-    vn_eigenvalues,
-)
+from .algebra import BlochVector, eigenvalue_tuple, field_magnitude, is_physical, thermal_state
 from .engine import (
     CyclePropagator,
     CycleSpec,
@@ -181,7 +175,7 @@ def _initial_state(config: RunConfig) -> BlochVector:
         if not isinstance(values, list) or len(values) != 5:
             raise ConfigError("run.initial_state.b: expected a list of 5 numbers")
         b = BlochVector(*(_require_number(v, "run.initial_state.b") for v in values))
-        if not vn_eigenvalues(b).physical:
+        if not is_physical(eigenvalue_tuple(b)):
             raise ConfigError("run.initial_state.b: not a physical state")
         return b
     raise ConfigError(f"run.initial_state.kind: unknown kind {kind!r}")
@@ -248,7 +242,7 @@ def limit_cycle_row(spec: CycleSpec) -> list:
     ledger = report.ledger
     row = []
     for corner in (ledger.b_a, ledger.b_b, ledger.b_c, ledger.b_d):
-        row.extend(corner.values)
+        row.extend(corner)
     for mu in report.eigenvalues:
         row.extend((mu.real, mu.imag))
     row.extend([

@@ -32,7 +32,6 @@ from .propagators import (
     _dot,
     _time_reversed,
     adiabat_partials,
-    adiabat_propagator,
     compose,
     identity_propagator,
     isochore_partials,
@@ -84,6 +83,9 @@ class CycleSpec(Record, namedtuple("CycleSpec", (
         self.adiabat_ba()
         self.hot_isochore()
         self.cold_isochore()
+        if not math.isfinite(self.period):
+            raise ValueError(f"period tau_hot + tau_ba + tau_cold + tau_ab = {self.period} "
+                             "is not finite")
         return self
 
     @property
@@ -221,32 +223,34 @@ def energy(b: BlochVector, omega: float, j: float) -> float:
     return omega * b.b1 + j * b.b2
 
 
-def compose_cycle(spec: CycleSpec) -> CyclePropagator:
-    """Build the four branch maps and their one-period product.
+def _sweep_partials(spec: CycleSpec, samples: int) -> tuple[list, list]:
+    """(hot->cold, cold->hot) sweep maps at samples evenly spaced times over
+    each sweep (:func:`adiabat_partials`).
 
     The two sweeps run the same field ramp in opposite directions.  When
-    they last equally long, the hot->cold map is the time reversal of the
-    cold->hot one, so only one sweep is integrated.
+    they last equally long, only the cold->hot sweep is integrated and the
+    hot->cold maps are its time reversals at the same times.
     """
+    cold_hot = adiabat_partials(spec.adiabat_ab(), samples)
+    if spec.tau_ba == spec.tau_ab:
+        return _time_reversed(cold_hot), cold_hot
+    return adiabat_partials(spec.adiabat_ba(), samples), cold_hot
+
+
+def compose_cycle(spec: CycleSpec) -> CyclePropagator:
+    """Build the four branch maps and their one-period product; the sweep
+    maps come from :func:`_sweep_partials`."""
     iso_h = spec.hot_isochore()
     iso_c = spec.cold_isochore()
-    ad_ba = spec.adiabat_ba()
-    ad_ab = spec.adiabat_ab()
-
     u_ish = isochore_propagator(iso_h)
     u_isc = isochore_propagator(iso_c)
-    sweep_ab = adiabat_partials(ad_ab, 2)
-    u_ab = sweep_ab[-1]
-    if spec.tau_ba == spec.tau_ab:
-        u_ba = _time_reversed(sweep_ab)[-1]
-    else:
-        u_ba = adiabat_propagator(ad_ba)
+    u_ba, u_ab = (maps[-1] for maps in _sweep_partials(spec, 2))
 
     branches = (
         CycleBranch("isochore-hot", "isochore", spec.tau_hot, u_ish, isochore=iso_h),
-        CycleBranch("adiabat-hot-cold", "adiabat", spec.tau_ba, u_ba, adiabat=ad_ba),
+        CycleBranch("adiabat-hot-cold", "adiabat", spec.tau_ba, u_ba, adiabat=spec.adiabat_ba()),
         CycleBranch("isochore-cold", "isochore", spec.tau_cold, u_isc, isochore=iso_c),
-        CycleBranch("adiabat-cold-hot", "adiabat", spec.tau_ab, u_ab, adiabat=ad_ab),
+        CycleBranch("adiabat-cold-hot", "adiabat", spec.tau_ab, u_ab, adiabat=spec.adiabat_ab()),
     )
     cycle = compose(u_ab, u_isc, u_ba, u_ish)
     return CyclePropagator(cycle=cycle, branches=branches, spec=spec)
@@ -453,16 +457,14 @@ def trajectory(
     at time t of a branch is that branch's :meth:`CycleBranch.partials` map
     applied to its start corner; each branch computes its maps for all
     sample times in one pass (the bath-stroke closed form, or the sweep's
-    rotation blocks).  When the two sweeps last equally long, only the
-    cold->hot sweep is integrated: the hot->cold maps are the time reversals
-    of its maps at mirrored times, as in :func:`compose_cycle`.  ValueError
-    when samples_per_branch < 2.
+    rotation blocks).  The sweep maps come from :func:`_sweep_partials`, so
+    with equally long sweeps only the cold->hot sweep is integrated, as in
+    :func:`compose_cycle`.  ValueError when samples_per_branch < 2.
     """
     if samples_per_branch < 2:
         raise ValueError("samples_per_branch must be >= 2")
-    hot_cold, cold_hot = prop.branches[1], prop.branches[3]
-    symmetric = prop.spec.tau_ba == prop.spec.tau_ab
-    forward = cold_hot.partials(samples_per_branch) if symmetric else None
+    hot_cold, cold_hot = _sweep_partials(prop.spec, samples_per_branch)
+    sweeps = {"adiabat-hot-cold": hot_cold, "adiabat-cold-hot": cold_hot}
     new = tuple.__new__
     samples = []
     t0 = 0.0
@@ -470,24 +472,12 @@ def trajectory(
     for branch in prop.branches:
         name, omega_at = branch.name, branch.omega_at
         times = linspace(0.0, branch.duration, samples_per_branch)
-        if forward is None or branch.kind == "isochore":
-            maps = branch.partials(samples_per_branch)
-        else:
-            maps = _time_reversed(forward) if branch is hot_cold else forward
+        maps = sweeps[name] if branch.kind == "adiabat" else branch.partials(samples_per_branch)
         for t, m in zip(times, maps):
             samples.append(new(TrajectorySample, (name, t0 + t, omega_at(t), m.apply(state))))
         state = branch.prop.apply(state)
         t0 += branch.duration
     return samples
-
-
-def thermo_ledger(spec: CycleSpec) -> ThermoLedger:
-    """Heats, works, power and entropy productions at the limit cycle.
-
-    Requires a unique limit cycle; :class:`NonUniqueLimitCycleError`
-    propagates otherwise.
-    """
-    return limit_cycle(spec).ledger
 
 
 def _ledger(prop: CyclePropagator, b_a: BlochVector) -> ThermoLedger:

@@ -2,10 +2,9 @@
 
 All entropies use the natural logarithm with the 0*log(0) = 0 convention.
 :func:`vn_entropy` and :func:`energy_entropy` run one kernel over their four
-probabilities, with the checks of :func:`measurement_entropy` in the same
-order.  Sums run left to right, never through sum(), which compensates
-rounding from Python 3.12 on; so every result is the same on every
-supported Python.
+probabilities.  Sums run left to right, never through sum(), which
+compensates rounding from Python 3.12 on; so every result is the same on
+every supported Python.
 Every state is an outer 2x2 block A plus the inner doublet (lam2, lam3), so
 the relative entropy and the quantum distance reduce to closed forms in the
 b-vector variables and the eigenvalues of :func:`eigenvalue_tuple`; no 4x4
@@ -18,8 +17,6 @@ same way for the Wootters distance.
 from __future__ import annotations
 
 import math
-from functools import reduce
-from operator import add
 
 from .algebra import (
     LOG_EIGENVALUE_FLOOR,
@@ -39,22 +36,11 @@ _OVERLAP_NOISE = 1e-12
 _SUPPORT_TOL = 1e-13
 
 
-def measurement_entropy(p) -> float:
-    """Shannon entropy -sum p log p of a complete-measurement distribution
-    (a sequence of probabilities).  ValueError for a probability below
-    PHYSICALITY_TOL, or a sum that misses 1 by more than 1e-10 or is NaN."""
-    p = tuple(p)
-    if min(p) < PHYSICALITY_TOL:
-        raise ValueError(f"negative probability in {p}")
-    total = reduce(add, p)
-    if not abs(total - 1.0) <= 1e-10:
-        raise ValueError(f"probabilities sum to {total}, not 1")
-    return -reduce(add, [x * math.log(x) for x in p if x > 0.0], 0.0)
-
-
 def _entropy4(p: tuple) -> float:
-    """:func:`measurement_entropy` of a tuple of four probabilities: the same
-    checks in the same order and the same sums, so the same result."""
+    """Shannon entropy -sum p log p of four probabilities, summed left to
+    right.  ValueError for a probability below PHYSICALITY_TOL, or a sum
+    that misses 1 by more than 1e-10 or is NaN, checked in that order.  The
+    tests compare it with a general-n reference, ``measurement_entropy``."""
     if min(p) < PHYSICALITY_TOL:
         raise ValueError(f"negative probability in {p}")
     p1, p2, p3, p4 = p
@@ -98,24 +84,6 @@ def energy_entropy(b: BlochVector, omega: float, j: float) -> float:
     energy_entropy(b, 1.0, 0.0) is its limit there.
     """
     return _entropy4(energy_populations(b, omega, j))
-
-
-def energy_conditional_entropy(
-    b: BlochVector, b_ref: BlochVector, omega: float, j: float
-) -> float:
-    """Relative entropy sum p log(p/q) of the energy-basis populations.
-
-    Nonnegative, zero only for identical populations; +inf when some q_j
-    vanishes where p_j does not.
-    """
-    out = 0.0
-    for pj, qj in zip(energy_populations(b, omega, j), energy_populations(b_ref, omega, j)):
-        if pj <= 0.0:
-            continue
-        if qj < _SUPPORT_TOL and pj > 1e-12:
-            return math.inf
-        out += pj * math.log(pj / max(qj, LOG_EIGENVALUE_FLOOR))
-    return out
 
 
 def wootters_energy_distance(

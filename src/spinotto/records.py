@@ -9,7 +9,7 @@ checks its values does so in its own ``__new__``, which keeps the
 constructor signature; :func:`replace` goes through that constructor.
 
 Importing :mod:`dataclasses` (which loads :mod:`inspect`) and generating the
-methods of fourteen types cost about 20 ms per process (2-core x86_64,
+methods of the thirteen types cost about 20 ms per process (2-core x86_64,
 Python 3.11), more than a short CLI run computes; these classes cost about
 1 ms to build.
 """

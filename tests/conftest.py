@@ -2,6 +2,8 @@
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import mpmath
 import numpy as np
@@ -10,7 +12,9 @@ import scipy.linalg
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from spinotto import AdiabatParams, BlochVector, CycleSpec, reconstruct_density
+from spinotto import AdiabatParams, BlochVector, CycleSpec, energy_populations
+from spinotto.algebra import LOG_EIGENVALUE_FLOOR, PHYSICALITY_TOL
+from spinotto.measures import _SUPPORT_TOL
 
 SQRT2 = math.sqrt(2.0)
 
@@ -116,6 +120,60 @@ def gibbs_matrix(omega: float, j: float, temperature: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# reference forms of the closed forms in spinotto: the density matrix that
+# defines the operator basis, the general-n entropy behind the four-term
+# kernel, and the energy-basis relative entropy
+
+
+def reconstruct_density(b: BlochVector) -> tuple:
+    """Rebuild the 4x4 density matrix (spin-product basis) from b1..b5.
+
+    Returns four rows of four complex entries.  The result is Hermitian with
+    unit trace by construction for any input.
+    """
+    quarter = 0.25
+    off = (b.b2 - 1j * b.b3) / SQRT2
+    zero = 0j
+    return (
+        (complex(quarter + b.b1 / SQRT2 + b.b5 / 2.0), zero, zero, off),
+        (zero, complex(quarter + b.b4 / SQRT2 - b.b5 / 2.0), zero, zero),
+        (zero, zero, complex(quarter - b.b4 / SQRT2 - b.b5 / 2.0), zero),
+        (off.conjugate(), zero, zero, complex(quarter - b.b1 / SQRT2 + b.b5 / 2.0)),
+    )
+
+
+def measurement_entropy(p) -> float:
+    """Shannon entropy -sum p log p of a complete-measurement distribution
+    (a sequence of probabilities).  ValueError for a probability below
+    PHYSICALITY_TOL, or a sum that misses 1 by more than 1e-10 or is NaN."""
+    p = tuple(p)
+    if min(p) < PHYSICALITY_TOL:
+        raise ValueError(f"negative probability in {p}")
+    total = reduce(add, p)
+    if not abs(total - 1.0) <= 1e-10:
+        raise ValueError(f"probabilities sum to {total}, not 1")
+    return -reduce(add, [x * math.log(x) for x in p if x > 0.0], 0.0)
+
+
+def energy_conditional_entropy(
+    b: BlochVector, b_ref: BlochVector, omega: float, j: float
+) -> float:
+    """Relative entropy sum p log(p/q) of the energy-basis populations.
+
+    Nonnegative, zero only for identical populations; +inf when some q_j
+    vanishes where p_j does not.
+    """
+    out = 0.0
+    for pj, qj in zip(energy_populations(b, omega, j), energy_populations(b_ref, omega, j)):
+        if pj <= 0.0:
+            continue
+        if qj < _SUPPORT_TOL and pj > 1e-12:
+            return math.inf
+        out += pj * math.log(pj / max(qj, LOG_EIGENVALUE_FLOOR))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # matrix oracles: 4x4 density matrices, independent of the b-vector closed forms
 
 
@@ -215,7 +273,7 @@ def conditional_entropy_matrix(b: BlochVector, b_ref: BlochVector) -> float:
 def density_mp(b: BlochVector):
     """reconstruct_density in 50-digit arithmetic."""
     with mpmath.workdps(50):
-        b1, b2, b3, b4, b5 = (mpmath.mpf(float(v)) for v in b.as_array())
+        b1, b2, b3, b4, b5 = (mpmath.mpf(float(v)) for v in b)
         s2, q = mpmath.sqrt(2), mpmath.mpf(1) / 4
         rho = mpmath.zeros(4, 4)
         rho[0, 0] = q + b1 / s2 + b5 / 2

@@ -1,0 +1,73 @@
+"""The 1.0 public API, its documentation and its version number."""
+
+import inspect
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import spinotto
+from spinotto import BlochVector
+
+ROOT = Path(__file__).resolve().parent.parent
+
+PUBLIC_API = {
+    "AdiabatParams", "AffinePropagator", "BathParams", "BlochVector", "CycleBranch",
+    "CyclePropagator", "CycleSpec", "CycleSpectrum", "IsochoreParams", "LimitCycleReport",
+    "NonUniqueLimitCycleError", "Reference", "ThermoLedger", "TrajectorySample",
+    "adiabat_partials", "adiabat_propagator", "adiabat_propagator_direct", "compose",
+    "compose_cycle", "conditional_entropy", "eigenvalue_tuple", "energy", "energy_entropy",
+    "energy_populations", "identity_propagator", "isochore_partials", "isochore_propagator",
+    "iterate", "limit_cycle", "quantum_distance", "replace", "spectrum", "thermal_state",
+    "trajectory", "vn_entropy", "wootters_distance_to", "wootters_energy_distance",
+}
+
+# name removed in 1.0 -> the module that used to define it
+REMOVED = {
+    "SpectralInfo": "algebra",
+    "vn_eigenvalues": "algebra",
+    "reconstruct_density": "algebra",
+    "thermo_ledger": "engine",
+    "measurement_entropy": "measures",
+    "energy_conditional_entropy": "measures",
+}
+
+
+def test_public_api_is_exactly_the_1_0_names():
+    exported = {name for name, value in vars(spinotto).items()
+                if not name.startswith("_") and not inspect.ismodule(value)}
+    assert exported == PUBLIC_API
+
+
+@pytest.mark.parametrize("name", sorted(REMOVED))
+def test_removed_name_raises_import_error(name):
+    for module in ("spinotto", f"spinotto.{REMOVED[name]}"):
+        with pytest.raises(ImportError):
+            exec(f"from {module} import {name}", {})
+
+
+def test_bloch_vector_is_its_own_tuple():
+    for member in ("values", "as_array", "from_array"):
+        assert not hasattr(BlochVector, member)
+    b = BlochVector(0.1, -0.05, 0.02, 0.01, 0.1)
+    assert tuple(b) == (b.b1, b.b2, b.b3, b.b4, b.b5)
+    assert np.array_equal(np.array(b), [0.1, -0.05, 0.02, 0.01, 0.1])
+    assert BlochVector(*np.array(b)) == b
+
+
+def test_readme_python_blocks_run_in_order():
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) >= 4
+    namespace = {"__name__": "readme"}
+    for number, block in enumerate(blocks, 1):
+        # an ellipsis stands for code the reader cannot run
+        assert "..." not in block, f"README python block {number} has a placeholder"
+        exec(compile(block, f"README.md python block {number}", "exec"), namespace)
+
+
+def test_package_version_matches_pyproject():
+    text = (ROOT / "pyproject.toml").read_text()
+    project = text.split("[project]", 1)[1].split("\n[", 1)[0]
+    versions = re.findall(r'^version = "([^"]+)"$', project, re.M)
+    assert versions == [spinotto.__version__]

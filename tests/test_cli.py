@@ -1,6 +1,7 @@
 """Config validation, CSV emission, presets and exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -26,7 +27,6 @@ from spinotto import (
     quantum_distance,
     replace,
     thermal_state,
-    thermo_ledger,
     wootters_energy_distance,
 )
 from spinotto.cli import (
@@ -240,7 +240,7 @@ def test_limit_cycle_command(tmp_path):
     meta, header, rows = read_csv(out)
     assert meta["command"] == "limit-cycle"
     assert len(rows) == 1
-    expected = thermo_ledger(fig1_spec())
+    expected = limit_cycle(fig1_spec()).ledger
     assert column(header, rows, "power")[0] == pytest.approx(expected.power, rel=1e-10)
     assert column(header, rows, "q_hot")[0] == pytest.approx(expected.q_hot, rel=1e-10)
     echoed = json.loads(meta["config"])
@@ -264,7 +264,7 @@ def test_iterate_from_fixed_point_reports_zero_distances(tmp_path):
     payload = {
         "engine": FIG1_ENGINE,
         "run": {"n_cycles": 5,
-                "initial_state": {"kind": "bloch", "b": list(b_lc.as_array())}},
+                "initial_state": {"kind": "bloch", "b": list(b_lc)}},
     }
     out = tmp_path / "it.csv"
     assert main(["iterate", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
@@ -450,6 +450,25 @@ def test_figure_fig3_case_one_oscillates(tmp_path):
 # exit codes and error records
 
 
+# sha256 of each preset's CSV, unchanged since 0.11.0.  Every printed digit
+# goes through libm (exp, log, sin, cos, pow); these are the bytes with
+# glibc's libm, on Python 3.10 to 3.13.
+FIGURE_SHA256 = {
+    "fig1": "c790c40b555593c54c90f8a54099d5dfc199f6010781d23cb8e4a12f451f76e1",
+    "fig2": "5bb4a04c8d0db74b1c79817f96ee901ff63a4af43542a94895a1c4acb5811354",
+    "fig3": "29d6ddf330a38ef1ae8d03c712eb5f01c71437b99e64a4b618e6a4e8d68c424f",
+    "fig5": "f827a6110a5a46a82cc7c70eda9bb59f7073e0ab103b574de48d8ba72a1e0f57",
+    "fig6": "28f3ac93ba260a037c7cb7ada8937740177eb87ff51e79dbc036d29e5dad5b57",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(FIGURE_SHA256))
+def test_figure_csv_bytes_are_pinned(tmp_path, preset):
+    out = tmp_path / f"{preset}.csv"
+    assert main(["figure", preset, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FIGURE_SHA256[preset]
+
+
 def test_exit_code_config_error(tmp_path, capsys):
     engine = dict(FIG1_ENGINE)
     del engine["j"]
@@ -492,7 +511,7 @@ def test_near_zero_field_sweep_exits_zero(tmp_path):
     ]
     for params, start, end in sweeps:
         image = adiabat_propagator_direct(params, 20000).apply(corner[start])
-        assert np.abs(image.as_array() - corner[end].as_array()).max() < 1e-9
+        assert np.abs(np.array(image) - np.array(corner[end])).max() < 1e-9
 
 
 def test_exit_code_sweep_angle_limit(tmp_path, capsys):
@@ -571,6 +590,24 @@ def test_overflowing_bath_stroke_phase_is_a_config_error(
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "config"
     assert "sqrt(2) * Omega * tau" in record["message"]
+
+
+@pytest.mark.parametrize("command", ["limit-cycle", "iterate", "trajectory", "spectrum", "sweep"])
+def test_overflowing_period_is_a_config_error(tmp_path, capsys, command):
+    # every stroke is finite, but tau_hot + tau_ba + tau_cold + tau_ab
+    # overflows: trajectory printed t = inf and limit-cycle power = 0 at exit 0
+    engine = dict(FIG1_ENGINE, omega_a=0.1, omega_b=0.5, j=0.5,
+                  tau_cold=1e308, tau_hot=1e308, tau_ab=0.0, tau_ba=0.0)
+    run = dict(_ANY_RUN, sweep={"key": "j", "from": 0.5, "to": 0.6, "steps": 2})
+    out = tmp_path / "o.csv"
+    config = write_config(tmp_path, {"engine": engine, "run": run})
+    assert main([command, "--config", config, "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "config"
+    assert "period" in record["message"] and "inf is not finite" in record["message"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, engine_overrides, columns", [

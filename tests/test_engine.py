@@ -14,17 +14,16 @@ from spinotto import (
     NonUniqueLimitCycleError,
     compose,
     compose_cycle,
+    eigenvalue_tuple,
     energy,
     energy_entropy,
     isochore_partials,
     isochore_propagator,
     iterate,
     limit_cycle,
-    reconstruct_density,
     replace,
     spectrum,
     thermal_state,
-    thermo_ledger,
     trajectory,
     vn_entropy,
 )
@@ -44,6 +43,7 @@ from conftest import (
     physical_states,
     random_bloch,
     random_spec,
+    reconstruct_density,
 )
 
 
@@ -104,12 +104,12 @@ def test_limit_cycle_fixed_point_residual(rng):
         report = limit_cycle(spec)
         prop = compose_cycle(spec)
         image = prop.cycle.apply(report.b_a)
-        assert np.abs(image.as_array() - report.b_a.as_array()).max() < 1e-10
+        assert np.abs(np.array(image) - np.array(report.b_a)).max() < 1e-10
 
 
 def test_limit_cycle_fig6_exists_with_negative_power():
     limit_cycle(fig6_spec())
-    assert thermo_ledger(fig6_spec()).power < 0.0
+    assert limit_cycle(fig6_spec()).ledger.power < 0.0
 
 
 def test_spectrum_b45_identities():
@@ -181,7 +181,7 @@ def test_spectrum_and_fixed_point_match_numpy(rng):
         assert np.abs(np.array(got[1:4]) - np.array(expected)).max() <= 1e-13
         assert got == report.eigenvalues
         b123 = np.linalg.solve(np.eye(3) - m[:3, :3], m[:3, 3])
-        assert np.abs(report.b_a.as_array()[:3] - b123).max() <= 1e-13
+        assert np.abs(np.array(report.b_a)[:3] - b123).max() <= 1e-13
         all_real.append(is_real)
     # the strong-dephasing cycle takes the all-real branch, the fig presets do not
     assert all_real[202] and not any(all_real[200:202] + all_real[203:])
@@ -192,7 +192,7 @@ def test_iterate_fixed_point_is_constant():
     b_lc = limit_cycle(spec).b_a
     states = iterate(compose_cycle(spec), b_lc, 5)
     for b in states:
-        assert np.abs(b.as_array() - b_lc.as_array()).max() < 1e-12
+        assert np.abs(np.array(b) - np.array(b_lc)).max() < 1e-12
 
 
 def test_iterate_two_starts_converge_to_same_point():
@@ -201,7 +201,7 @@ def test_iterate_two_starts_converge_to_same_point():
     hot = thermal_state(spec.omega_b, spec.j, 100.0)
     end_cold = iterate(compose_cycle(spec), cold, 40)[-1]
     end_hot = iterate(compose_cycle(spec), hot, 40)[-1]
-    assert np.linalg.norm(end_cold.as_array() - end_hot.as_array()) < 1e-8
+    assert np.linalg.norm(np.array(end_cold) - np.array(end_hot)) < 1e-8
 
 
 def test_iterate_convergence_rate_matches_spectrum(rng):
@@ -210,9 +210,9 @@ def test_iterate_convergence_rate_matches_spectrum(rng):
                    tau_cold=0.3, tau_hot=0.3)
     report = limit_cycle(spec)
     rate = max(abs(report.eigenvalues[1]), abs(report.eigenvalues[2]))
-    b_lc = report.b_a.as_array()
+    b_lc = np.array(report.b_a)
     states = iterate(compose_cycle(spec), random_bloch(rng), 40)
-    err = [np.linalg.norm(b.as_array() - b_lc) for b in states]
+    err = [np.linalg.norm(np.array(b) - b_lc) for b in states]
     assert err[35] > 1e-9
     # geometric mean over several cycles averages out the rotating factor
     observed = (err[35] / err[25]) ** (1.0 / 10.0)
@@ -220,11 +220,9 @@ def test_iterate_convergence_rate_matches_spectrum(rng):
 
 
 def test_iterate_states_stay_physical(rng):
-    from spinotto import vn_eigenvalues
-
     spec = random_spec(rng)
     for b in iterate(compose_cycle(spec), random_bloch(rng), 30):
-        assert vn_eigenvalues(b).as_array().min() >= -1e-12
+        assert np.min(eigenvalue_tuple(b)) >= -1e-12
 
 
 @settings(max_examples=100, deadline=None)
@@ -303,10 +301,10 @@ def test_trajectory_branch_endpoints_coincide():
     for i in range(3):
         end = samples[(i + 1) * 7 - 1]
         start = samples[(i + 1) * 7]
-        assert np.abs(end.state.as_array() - start.state.as_array()).max() < 1e-12
+        assert np.abs(np.array(end.state) - np.array(start.state)).max() < 1e-12
         assert abs(end.t - start.t) < 1e-12
     closing = samples[-1]
-    assert np.abs(closing.state.as_array() - b0.as_array()).max() < 1e-10
+    assert np.abs(np.array(closing.state) - np.array(b0)).max() < 1e-10
     assert abs(closing.t - spec.period) < 1e-12
 
 
@@ -362,7 +360,7 @@ def test_energy_trivial_and_linear(rng):
     assert energy(BlochVector(0, 0, 0, 0, 0), 9.0, 2.0) == 0.0
     a, c = rng.normal(size=2)
     b1, b2 = random_bloch(rng), random_bloch(rng)
-    mixed = BlochVector.from_array(a * b1.as_array() + c * b2.as_array())
+    mixed = BlochVector(*(a * np.array(b1) + c * np.array(b2)))
     lhs = energy(mixed, 7.0, 2.0)
     rhs = a * energy(b1, 7.0, 2.0) + c * energy(b2, 7.0, 2.0)
     assert abs(lhs - rhs) < 1e-12
@@ -377,7 +375,7 @@ def test_energy_thermal_matches_gibbs_trace(rng):
 
 
 def test_thermo_ledger_fig6_matches_reference_values():
-    ledger = thermo_ledger(fig6_spec())
+    ledger = limit_cycle(fig6_spec()).ledger
     assert ledger.power == pytest.approx(-4.293e-2, rel=0.05)
     assert ledger.ds_u_total == pytest.approx(1.889e-2, rel=0.05)
     assert ledger.q_hot == 0.0  # no time on the hot branch
@@ -387,7 +385,7 @@ def test_thermo_ledger_first_law_and_entropy_identities(rng):
     specs = [fig1_spec(), fig6_spec()] + [fig5_spec(*t) for t in FIG5_TIMES.values()]
     specs += [random_spec(rng) for _ in range(10)]
     for spec in specs:
-        led = thermo_ledger(spec)
+        led = limit_cycle(spec).ledger
         assert abs(led.q_hot + led.q_cold + led.w_ab + led.w_ba) < 1e-10
         assert abs(led.ds_u_total - led.ds_ext) < 1e-10
         entace_lhs = led.ds_e_hot + led.ds_e_cold
@@ -397,8 +395,8 @@ def test_thermo_ledger_first_law_and_entropy_identities(rng):
 
 
 def test_thermo_ledger_fig5_onset_cycles():
-    p1 = thermo_ledger(fig5_spec(*FIG5_TIMES["1"])).power
-    p2 = thermo_ledger(fig5_spec(*FIG5_TIMES["2"])).power
+    p1 = limit_cycle(fig5_spec(*FIG5_TIMES["1"])).ledger.power
+    p2 = limit_cycle(fig5_spec(*FIG5_TIMES["2"])).ledger.power
     assert p1 < 0.0
     assert abs(p2) < 0.1 * abs(p1)
 
@@ -490,7 +488,7 @@ def test_thermo_ledger_matches_density_matrix_oracle():
     specs.update({f"fig5-{label}": fig5_spec(*t) for label, t in FIG5_TIMES.items()})
     for name, spec in specs.items():
         power, corners = _density_matrix_oracle(spec)
-        ledger = thermo_ledger(spec)
+        ledger = limit_cycle(spec).ledger
         assert abs(ledger.power - power) <= 1e-9, name
         for rho, b in zip(corners, (ledger.b_a, ledger.b_b, ledger.b_c, ledger.b_d)):
             assert np.abs(reconstruct_density(b) - rho).max() <= 1e-9, name
@@ -534,3 +532,12 @@ def test_cycle_spec_validation():
         replace(good, omega_a=20.0)  # must stay below omega_b
     with pytest.raises(ValueError):
         replace(good, omega_a=0.0, j=0.0)  # a bath stroke needs an energy axis
+
+
+def test_cycle_spec_rejects_an_overflowing_period():
+    # each stroke passes its own checks; only their sum overflows
+    spec = replace(fig1_spec(), omega_a=0.1, omega_b=0.5, j=0.5, tau_ab=0.0, tau_ba=0.0)
+    assert spec.period == 5.5
+    with pytest.raises(ValueError, match="period .* = inf is not finite"):
+        replace(spec, tau_cold=1e308, tau_hot=1e308)
+    assert replace(spec, tau_cold=1e308).period == 1e308

@@ -11,18 +11,14 @@ from spinotto import (
     BlochVector,
     compose_cycle,
     conditional_entropy,
-    energy_conditional_entropy,
     energy_entropy,
     energy_populations,
     eigenvalue_tuple,
     iterate,
     limit_cycle,
-    measurement_entropy,
     quantum_distance,
-    reconstruct_density,
     replace,
     thermal_state,
-    vn_eigenvalues,
     vn_entropy,
     adiabat_propagator,
     AdiabatParams,
@@ -42,6 +38,9 @@ from conftest import (
     physical_states,
     random_bloch,
     random_spec,
+    energy_conditional_entropy,
+    measurement_entropy,
+    reconstruct_density,
 )
 
 
@@ -54,7 +53,7 @@ def energy_diagonal_state(rng, omega, j):
             d * omega / big, d * j / big, 0.0,
             rng.uniform(-0.3, 0.3), rng.uniform(-0.4, 0.5),
         )
-        if vn_eigenvalues(b).as_array().min() >= 0.01:
+        if np.min(eigenvalue_tuple(b)) >= 0.01:
             return b
 
 
@@ -353,20 +352,20 @@ def test_distance_block_trace_identity(rng):
     # and determinant lam1 lam4 lam1' lam4'
     for _ in range(300):
         x, y = random_bloch(rng), random_bloch(rng)
-        lx, ly = vn_eigenvalues(x), vn_eigenvalues(y)
+        (lx1, lx2, lx3, lx4), (ly1, ly2, ly3, ly4) = eigenvalue_tuple(x), eigenvalue_tuple(y)
         root = matrix_sqrt(reconstruct_density(x))
         m = root @ reconstruct_density(y) @ root
         outer = m[np.ix_([0, 3], [0, 3])]
         overlap = (
             2.0 * (0.25 + x.b5 / 2.0) * (0.25 + y.b5 / 2.0)
-            + float(x.as_array()[:3] @ y.as_array()[:3])
+            + float(np.array(x)[:3] @ np.array(y)[:3])
         )
         assert abs(float(np.real(np.trace(outer))) - overlap) < 1e-12
-        det = lx.lam1 * lx.lam4 * ly.lam1 * ly.lam4
+        det = lx1 * lx4 * ly1 * ly4
         assert abs(float(np.real(np.linalg.det(outer))) - det) < 1e-12
         inner = np.real(np.diag(m))[1:3]
-        assert abs(inner[0] - lx.lam2 * ly.lam2) < 1e-12
-        assert abs(inner[1] - lx.lam3 * ly.lam3) < 1e-12
+        assert abs(inner[0] - lx2 * ly2) < 1e-12
+        assert abs(inner[1] - lx3 * ly3) < 1e-12
         assert np.abs(m[np.ix_([1, 2], [0, 3])]).max() < 1e-12
 
 
@@ -419,10 +418,8 @@ def test_energy_distance_oscillates_without_dephasing():
     # starting the engine from its own mid-cycle state leaves a deviation in
     # the rotating sector; its projection onto the energy axis zig-zags even
     # though the quantum distance contracts strictly
-    from spinotto import thermo_ledger
-
     spec = fig3_spec(tau_adiabat=0.01, dephasing_hot=0.0, dephasing_cold=0.0)
-    ledger = thermo_ledger(spec)
+    ledger = limit_cycle(spec).ledger
     states = iterate(compose_cycle(spec), ledger.b_c, 30)
     wd = [wootters_energy_distance(b, ledger.b_a, spec.omega_b, spec.j) for b in states]
     qd = [quantum_distance(b, ledger.b_a) for b in states]

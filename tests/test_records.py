@@ -1,4 +1,4 @@
-"""The value-type contract of the 14 public record types: constructor
+"""The value-type contract of the 13 public record types: constructor
 signatures, immutability, re-validation through ``replace``, equality and
 hashing, repr, copy and pickle."""
 
@@ -21,19 +21,19 @@ from spinotto import (
     CycleSpectrum,
     IsochoreParams,
     LimitCycleReport,
-    SpectralInfo,
     ThermoLedger,
     TrajectorySample,
     adiabat_partials,
     compose_cycle,
+    eigenvalue_tuple,
     isochore_partials,
     isochore_propagator,
     limit_cycle,
     replace,
     spectrum,
     trajectory,
-    vn_eigenvalues,
 )
+from spinotto.algebra import is_physical
 from spinotto.cli import RunConfig
 from conftest import fig1_spec, fig6_spec
 
@@ -44,7 +44,6 @@ REQUIRED = inspect.Parameter.empty
 # every parameter is positional-or-keyword unless listed in KEYWORD_ONLY
 SIGNATURES = {
     BlochVector: "b1 b2 b3 b4 b5",
-    SpectralInfo: "lam1 lam2 lam3 lam4 d",
     BathParams: "conductance dephasing temperature",
     IsochoreParams: "omega j bath tau",
     AdiabatParams: "omega_start omega_end j tau",
@@ -96,7 +95,6 @@ def one_of_each():
     iso = IsochoreParams(12.6355, 2.0, bath, 2.5)
     return [
         BlochVector(0.1, -0.05, 0.02, 0.01, 0.1),
-        vn_eigenvalues(BlochVector(0.1, -0.05, 0.02, 0.01, 0.1)),
         bath,
         iso,
         AdiabatParams(12.6355, 5.08364, 2.0, 0.01),
@@ -110,6 +108,12 @@ def one_of_each():
         trajectory(prop, report.b_a, 2)[0],
         RunConfig(spec, {"t_cold": 1.5}, {}, {}),
     ]
+
+
+def records():
+    """:func:`one_of_each`, then a sweep branch: its last field (``adiabat``)
+    holds a checked record where the bath branch's is None."""
+    return one_of_each() + [compose_cycle(fig1_spec()).branches[1]]
 
 
 def test_one_of_each_type():
@@ -129,7 +133,7 @@ def test_constructor_signature_unchanged(cls):
 
 @pytest.mark.parametrize("index", range(14))
 def test_records_are_immutable(index):
-    obj = one_of_each()[index]
+    obj = records()[index]
     first = obj._fields[0]
     with pytest.raises(AttributeError):
         setattr(obj, first, getattr(obj, first))
@@ -141,7 +145,7 @@ def test_records_are_immutable(index):
 
 @pytest.mark.parametrize("index", range(14))
 def test_replace_rebuilds_through_the_constructor(index):
-    obj = one_of_each()[index]
+    obj = records()[index]
     cls = type(obj)
     copied = replace(obj)
     assert type(copied) is cls and copied is not obj
@@ -189,7 +193,7 @@ def test_replace_validates_again(make, changes, match):
 
 @pytest.mark.parametrize("index", range(14))
 def test_equality_and_hash_as_before(index):
-    obj = one_of_each()[index]
+    obj = records()[index]
     cls = type(obj)
     twin = replace(obj)
     assert obj == obj and not obj != obj
@@ -230,7 +234,7 @@ def test_repr_as_before():
 
 @pytest.mark.parametrize("index", range(14))
 def test_copy_and_pickle(index):
-    obj = one_of_each()[index]
+    obj = records()[index]
     for clone in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
         assert type(clone) is type(obj)
         if type(obj) in IDENTITY_TYPES:
@@ -277,4 +281,4 @@ def test_bloch_vector_norm_overflows_to_inf():
     assert BlochVector(1e200, 0.0, 0.0, 0.0, 0.0).d == math.inf
     assert BlochVector(0.0, -1e300, 0.0, 0.0, 0.0).d == math.inf
     assert BlochVector(0.3, 0.4, 0.0, 0.0, 0.0).d == math.sqrt(0.3**2 + 0.4**2)
-    assert not vn_eigenvalues(BlochVector(0.0, 0.0, 1e200, 0.0, 0.0)).physical
+    assert not is_physical(eigenvalue_tuple(BlochVector(0.0, 0.0, 1e200, 0.0, 0.0)))
