@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .algebra import BlochVector
+from .algebra import BlochVector, eigenvalue_tuple, is_physical
 from .measures import energy_entropy, vn_entropy
 from .propagators import (
     AdiabatParams,
@@ -406,7 +406,16 @@ def _fixed_point(prop: CyclePropagator) -> tuple[BlochVector, CycleSpectrum]:
         )
     # b4 has no inhomogeneous term on any branch; its fixed point is 0
     b5 = (_dot(cycle.b5_drive, b123) + cycle.b5_shift) / (1.0 - cycle.b5_scale)
-    return BlochVector(b123[0], b123[1], b123[2], 0.0, b5), spec_info
+    b_a = BlochVector(b123[0], b123[1], b123[2], 0.0, b5)
+    # the fixed point of a physical map is a state; a solve that leaves the
+    # state space has lost its accuracy to a gap too close to 1
+    if not is_physical(eigenvalue_tuple(b_a)):
+        raise NonUniqueLimitCycleError(
+            f"no unique limit cycle: the fixed point {tuple(b_a)} is not a physical "
+            f"state (spectral gap {spec_info.gap:.3e})",
+            eigenvalues=spec_info.eigenvalues,
+        )
+    return b_a, spec_info
 
 
 def limit_cycle(spec: CycleSpec) -> LimitCycleReport:
@@ -414,7 +423,8 @@ def limit_cycle(spec: CycleSpec) -> LimitCycleReport:
 
     Raises :class:`NonUniqueLimitCycleError` when a second eigenvalue sits
     within 1e-9 of unit modulus (for example when no time is allocated to
-    either bath branch) or when the fixed-point solve is not finite.
+    either bath branch), or when the fixed-point solve is not finite or not
+    a physical state.
     """
     prop = compose_cycle(spec)
     b_a, spec_info = _fixed_point(prop)

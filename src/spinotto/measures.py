@@ -32,8 +32,15 @@ from .algebra import (
 # there instead of sqrt-amplified rounding noise (resolution ~1e-6).
 _OVERLAP_NOISE = 1e-12
 
-# Reference-state eigenvalues below this count as outside the support.
-_SUPPORT_TOL = 1e-13
+# A state with more than _SUPPORT_WEIGHT on a reference eigenvalue below
+# _SUPPORT_TOL lies outside the reference's support.  The closed-form
+# eigenvalues sum terms up to 1/2, so their rounding is a few 1e-16: a cold
+# limit cycle's Boltzmann factor of 1e-14 is resolved, and one below
+# _SUPPORT_TOL may still be positive.  A bath stroke fills such a level from
+# the mid-energy inner doublet with at most about its square root (3e-8), so
+# a smaller weight is charged at the logarithm floor rather than as inf.
+_SUPPORT_TOL = 1e-15
+_SUPPORT_WEIGHT = 1e-6
 
 
 def _entropy4(p: tuple) -> float:
@@ -168,7 +175,7 @@ class Reference:
         weights = (w1, lam2, lam3, trace_outer - w1)
         out = 0.0
         for p, w, q, log_q in zip(lam, weights, self.lam, self.log_lam):
-            if q < _SUPPORT_TOL and w > 1e-12:
+            if q < _SUPPORT_TOL and w > _SUPPORT_WEIGHT:
                 return math.inf
             if p > 0.0:
                 out += p * math.log(p)
@@ -181,7 +188,9 @@ def conditional_entropy(b: BlochVector, b_ref: BlochVector) -> float:
 
     Nonnegative (up to ~1e-13 rounding), zero only for equal states, and
     non-increasing under every branch or cycle map.  Returns +inf when rho
-    has weight outside the support of rho_ref.
+    has more than 1e-6 weight on a reference eigenvalue below 1e-15 (zero
+    within rounding); a smaller weight w there adds -w log max(lam, 1e-300),
+    at most 7e-4.
 
     rho_ref is diagonal in the inner doublet and in the eigenbasis of its
     outer block, so tr(rho log rho_ref) = sum_i w_i log lam_i(ref) with w_i

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from spinotto import AdiabatParams, BlochVector, CycleSpec, energy_populations
 from spinotto.algebra import LOG_EIGENVALUE_FLOOR, PHYSICALITY_TOL
-from spinotto.measures import _SUPPORT_TOL
+from spinotto.measures import _SUPPORT_TOL, _SUPPORT_WEIGHT
 
 SQRT2 = math.sqrt(2.0)
 
@@ -161,13 +161,13 @@ def energy_conditional_entropy(
     """Relative entropy sum p log(p/q) of the energy-basis populations.
 
     Nonnegative, zero only for identical populations; +inf when some q_j
-    vanishes where p_j does not.
+    below _SUPPORT_TOL faces a p_j above _SUPPORT_WEIGHT.
     """
     out = 0.0
     for pj, qj in zip(energy_populations(b, omega, j), energy_populations(b_ref, omega, j)):
         if pj <= 0.0:
             continue
-        if qj < _SUPPORT_TOL and pj > 1e-12:
+        if qj < _SUPPORT_TOL and pj > _SUPPORT_WEIGHT:
             return math.inf
         out += pj * math.log(pj / max(qj, LOG_EIGENVALUE_FLOOR))
     return out
@@ -254,11 +254,12 @@ def quantum_distance_matrix(b: BlochVector, b_ref: BlochVector) -> float:
 
 def conditional_entropy_matrix(b: BlochVector, b_ref: BlochVector) -> float:
     """tr rho (log rho - log rho_ref) from the matrices; inf when rho has
-    weight on a reference eigenvector with eigenvalue below 1e-13."""
+    more than _SUPPORT_WEIGHT on a reference eigenvector with eigenvalue
+    below _SUPPORT_TOL."""
     rho = reconstruct_density(b)
     lam_ref, q_ref = np.linalg.eigh(reconstruct_density(b_ref))
     weights = np.real(np.einsum("ij,jk,ki->i", q_ref.conj().T, rho, q_ref))
-    if np.any(weights[lam_ref < 1e-13] > 1e-12):
+    if np.any(weights[lam_ref < _SUPPORT_TOL] > _SUPPORT_WEIGHT):
         return math.inf
     lam = np.linalg.eigvalsh(rho)
     lam = lam[lam > 0.0]

@@ -32,6 +32,7 @@ from spinotto.engine import linspace
 from spinotto.propagators import _time_reversed
 from conftest import (
     FIG5_TIMES,
+    SQRT2,
     cycle_specs,
     fig1_spec,
     fig3_spec,
@@ -241,6 +242,39 @@ def test_iterate_approaches_limit_cycle_monotonically_property(spec, b0):
         for k, (before, after) in enumerate(zip(values, values[1:])):
             assert after <= before + 1e-12, (name, k, before, after)
 
+
+
+@pytest.mark.parametrize("omega_b", [7.0, 8.0])
+def test_iterate_relative_entropy_finite_on_cold_limit_cycle(omega_b):
+    # a hot stroke alone at T = 0.3125: the limit cycle's upper outer level
+    # holds a Boltzmann factor of 1.3e-14 (omega_b 7, resolved) or ~1e-16
+    # (omega_b 8, below rounding).  From the pure inner-doublet start the
+    # stroke fills that level with ~1e-8, which is no support violation: the
+    # relative entropy stays finite and falls from cycle to cycle
+    spec = CycleSpec(t_cold=1.0, t_hot=0.3125, omega_a=0.0, omega_b=omega_b, j=1.0,
+                     gamma_cold=0.0, gamma_hot=1.0, dephasing_cold=0.0, dephasing_hot=0.0,
+                     tau_cold=0.0, tau_hot=1.0, tau_ab=0.0, tau_ba=0.0)
+    report = limit_cycle(spec)
+    assert min(eigenvalue_tuple(report.b_a)) < 1e-13
+    b0 = BlochVector(0.0, 0.0, 0.0, -SQRT2 / 2, -0.5)
+    index = ITERATE_HEADER.index("conditional_entropy")
+    values = [row[index] for row in iterate_rows(report, b0, 40)]
+    assert all(math.isfinite(v) for v in values)
+    assert all(after <= before + 1e-12 for before, after in zip(values, values[1:]))
+    assert values[-1] < 1e-6
+
+
+def test_limit_cycle_rejects_non_physical_fixed_point():
+    # a hot stroke of 1e-308 and a cold conductance of 1e-8 leave a spectral
+    # gap of 3e-8: the fixed-point solve loses its accuracy and lands outside
+    # the state space, which is reported as no unique limit cycle
+    spec = CycleSpec(t_cold=0.3423, t_hot=25.333123028855248, omega_a=3.9551421452880096,
+                     omega_b=4.456230175277123, j=3.2054447220535454, gamma_cold=1e-08,
+                     gamma_hot=1.9306825859232153, dephasing_cold=0.0, dephasing_hot=0.0,
+                     tau_cold=2.960504896938179, tau_hot=1.1125369292536007e-308,
+                     tau_ab=0.04745420709557888, tau_ba=0.006198670441568167)
+    with pytest.raises(NonUniqueLimitCycleError, match="not a physical state"):
+        limit_cycle(spec)
 
 def test_isochore_partials_equal_per_sample_maps(rng):
     fields = ("block", "shift", "b4_scale", "b5_scale", "b5_drive", "b5_shift")

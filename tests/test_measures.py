@@ -222,6 +222,23 @@ def test_conditional_entropy_support_sentinel():
     assert conditional_entropy(outer_ref, outer_ref) == 0.0
 
 
+
+def test_conditional_entropy_support_weight_threshold():
+    # reference lam = (0, 1/4, 1/4, 1/2); the state lam = (0, (1-w)/2,
+    # (1-w)/2, w) puts weight w on the reference's null vector
+    ref = BlochVector(0, SQRT2 / 4, 0, 0, 0)
+    for w, finite in ((1e-7, True), (1e-5, False)):
+        b = BlochVector(0.0, -w / SQRT2, 0.0, 0.0, w - 0.5)
+        got = conditional_entropy(b, ref)
+        assert math.isfinite(got) == finite
+        assert math.isfinite(conditional_entropy_matrix(b, ref)) == finite
+        if finite:
+            # the weight on the null vector is charged at the logarithm floor
+            expected = ((1.0 - w) * math.log((1.0 - w) / 2.0) + w * math.log(w)
+                        - (1.0 - w) * math.log(0.25) - w * math.log(1e-300))
+            assert got == pytest.approx(expected, abs=1e-12)
+            assert got == pytest.approx(conditional_entropy_matrix(b, ref), abs=1e-12)
+
 def test_conditional_entropy_contracts_under_cycle_map(rng):
     for _ in range(10):
         spec = random_spec(rng, dephasing=rng.uniform() < 0.5)
