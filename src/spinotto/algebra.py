@@ -121,8 +121,8 @@ def thermal_state(omega: float, j: float, temperature: float) -> BlochVector:
     with matching (omega, J, T).  The (b1, b2) block points along the field
     axis (omega, J)/Omega, b3 = b4 = 0.
     """
-    if temperature <= 0.0:
-        raise ValueError("temperature must be positive")
+    if not temperature > 0.0:
+        raise ValueError(f"temperature must be positive, got {temperature!r}")
     big_omega = field_magnitude(omega, j)
     # t = tanh(Omega / (2 sqrt(2) T)) parameterizes all Gibbs quantities in
     # an overflow-free way.

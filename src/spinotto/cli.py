@@ -97,15 +97,28 @@ def _require_number(value, path):
     return number
 
 
-def spec_from_engine_dict(engine: dict, path: str = "engine") -> CycleSpec:
-    if not isinstance(engine, dict):
+def _section(value, path, allowed, required=()):
+    """`value` as a config object: a dict with every `required` key and no
+    key outside `allowed`."""
+    if not isinstance(value, dict):
         raise ConfigError(f"{path}: expected an object")
-    missing = sorted(set(ENGINE_KEYS) - set(engine))
+    missing = sorted(set(required) - set(value))
     if missing:
         raise ConfigError(f"{path}: missing required key(s) {', '.join(missing)}")
-    unknown = sorted(set(engine) - set(ENGINE_KEYS))
+    unknown = sorted(set(value) - set(allowed))
     if unknown:
         raise ConfigError(f"{path}: unknown key(s) {', '.join(unknown)}")
+    return value
+
+
+def _require_int(value, path, minimum):
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{path}: expected an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def spec_from_engine_dict(engine: dict, path: str = "engine") -> CycleSpec:
+    _section(engine, path, ENGINE_KEYS, ENGINE_KEYS)
     fields = {
         ENGINE_KEYS[k]: _require_number(v, f"{path}.{k}") for k, v in engine.items()
     }
@@ -125,28 +138,10 @@ def load_config(path: str) -> RunConfig:
     except (ValueError, RecursionError) as exc:
         # JSONDecodeError, bad UTF-8, integers past the digit limit, deep nesting
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be an object")
-    unknown = sorted(set(raw) - {"engine", "run", "output"})
-    if unknown:
-        raise ConfigError(f"unknown top-level key(s) {', '.join(unknown)}")
-    if "engine" not in raw:
-        raise ConfigError("missing required section: engine")
+    _section(raw, "config", ("engine", "run", "output"), ("engine",))
     spec = spec_from_engine_dict(raw["engine"])
-
-    run = raw.get("run", {})
-    if not isinstance(run, dict):
-        raise ConfigError("run: expected an object")
-    unknown = sorted(set(run) - RUN_KEYS)
-    if unknown:
-        raise ConfigError(f"run: unknown key(s) {', '.join(unknown)}")
-
-    output = raw.get("output", {})
-    if not isinstance(output, dict):
-        raise ConfigError("output: expected an object")
-    unknown = sorted(set(output) - {"path", "precision"})
-    if unknown:
-        raise ConfigError(f"output: unknown key(s) {', '.join(unknown)}")
+    run = _section(raw.get("run", {}), "run", RUN_KEYS)
+    output = _section(raw.get("output", {}), "output", ("path", "precision"))
     if "path" in output and not (isinstance(output["path"], str) and output["path"]):
         raise ConfigError("output.path: expected a non-empty string")
     precision = output.get("precision", 12)
@@ -156,11 +151,21 @@ def load_config(path: str) -> RunConfig:
     return RunConfig(spec=spec, engine_raw=dict(raw["engine"]), run=run, output=output)
 
 
+# run.initial_state keys per kind
+_INITIAL_STATE_KEYS = {
+    "maximally-mixed": ("kind",),
+    "thermal": ("kind", "temperature"),
+    "bloch": ("kind", "b"),
+}
+
+
 def _initial_state(config: RunConfig) -> BlochVector:
-    sel = config.run.get("initial_state", {"kind": "thermal", "temperature": config.spec.t_cold})
-    if not isinstance(sel, dict) or "kind" not in sel:
-        raise ConfigError("run.initial_state: expected an object with a 'kind'")
-    kind = sel["kind"]
+    sel = config.run.get("initial_state", {"kind": "thermal"})
+    kind = sel.get("kind") if isinstance(sel, dict) else None
+    if not isinstance(kind, str) or kind not in _INITIAL_STATE_KEYS:
+        raise ConfigError("run.initial_state: expected an object whose kind is one of "
+                          + ", ".join(_INITIAL_STATE_KEYS))
+    _section(sel, f"run.initial_state ({kind})", _INITIAL_STATE_KEYS[kind])
     if kind == "maximally-mixed":
         return BlochVector(0.0, 0.0, 0.0, 0.0, 0.0)
     if kind == "thermal":
@@ -170,15 +175,13 @@ def _initial_state(config: RunConfig) -> BlochVector:
             raise ConfigError("run.initial_state.temperature must be > 0")
         # thermal start at the anchor field omega_b
         return thermal_state(config.spec.omega_b, config.spec.j, temp)
-    if kind == "bloch":
-        values = sel.get("b")
-        if not isinstance(values, list) or len(values) != 5:
-            raise ConfigError("run.initial_state.b: expected a list of 5 numbers")
-        b = BlochVector(*(_require_number(v, "run.initial_state.b") for v in values))
-        if not is_physical(eigenvalue_tuple(b)):
-            raise ConfigError("run.initial_state.b: not a physical state")
-        return b
-    raise ConfigError(f"run.initial_state.kind: unknown kind {kind!r}")
+    values = sel.get("b")
+    if not isinstance(values, list) or len(values) != 5:
+        raise ConfigError("run.initial_state.b: expected a list of 5 numbers")
+    b = BlochVector(*(_require_number(v, "run.initial_state.b") for v in values))
+    if not is_physical(eigenvalue_tuple(b)):
+        raise ConfigError("run.initial_state.b: not a physical state")
+    return b
 
 
 # ---------------------------------------------------------------------------
@@ -318,89 +321,48 @@ def spectrum_row(spec: CycleSpec) -> list:
 # commands
 
 
-def cmd_limit_cycle(config: RunConfig, out_path):
-    text = render_csv(
-        "limit-cycle", {"engine": config.engine_raw, "run": config.run},
-        LIMIT_CYCLE_HEADER, [limit_cycle_row(config.spec)],
-        config.output.get("precision", 12),
-    )
-    _emit(text, out_path)
+def cmd_limit_cycle(config: RunConfig):
+    return LIMIT_CYCLE_HEADER, [limit_cycle_row(config.spec)]
 
 
-def cmd_iterate(config: RunConfig, out_path):
-    n = config.run.get("n_cycles", 50)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ConfigError("run.n_cycles: expected a nonnegative integer")
-    rows = iterate_rows(limit_cycle(config.spec), _initial_state(config), n)
-    text = render_csv(
-        "iterate", {"engine": config.engine_raw, "run": config.run},
-        ITERATE_HEADER, rows, config.output.get("precision", 12),
-    )
-    _emit(text, out_path)
+def cmd_iterate(config: RunConfig):
+    n = _require_int(config.run.get("n_cycles", 50), "run.n_cycles", 0)
+    return ITERATE_HEADER, iterate_rows(limit_cycle(config.spec), _initial_state(config), n)
 
 
-def cmd_trajectory(config: RunConfig, out_path):
-    samples = config.run.get("samples_per_branch", 50)
-    if not isinstance(samples, int) or isinstance(samples, bool) or samples < 2:
-        raise ConfigError("run.samples_per_branch: expected an integer >= 2")
+def cmd_trajectory(config: RunConfig):
+    samples = _require_int(config.run.get("samples_per_branch", 50), "run.samples_per_branch", 2)
     if "initial_state" in config.run:
         # no fixed point needed, so this also runs without a unique limit cycle
         prop, b_start = compose_cycle(config.spec), _initial_state(config)
     else:
         report = limit_cycle(config.spec)
         prop, b_start = report.propagator, report.b_a
-    rows = trajectory_rows(prop, b_start, samples)
-    text = render_csv(
-        "trajectory", {"engine": config.engine_raw, "run": config.run},
-        TRAJECTORY_HEADER, rows, config.output.get("precision", 12),
-    )
-    _emit(text, out_path)
+    return TRAJECTORY_HEADER, trajectory_rows(prop, b_start, samples)
 
 
-def cmd_spectrum(config: RunConfig, out_path):
-    text = render_csv(
-        "spectrum", {"engine": config.engine_raw, "run": config.run},
-        SPECTRUM_HEADER, [spectrum_row(config.spec)],
-        config.output.get("precision", 12),
-    )
-    _emit(text, out_path)
+def cmd_spectrum(config: RunConfig):
+    return SPECTRUM_HEADER, [spectrum_row(config.spec)]
 
 
-def cmd_sweep(config: RunConfig, out_path):
-    sweep = config.run.get("sweep")
-    if not isinstance(sweep, dict):
-        raise ConfigError("run.sweep: expected an object with key/from/to/steps")
-    unknown = sorted(set(sweep) - SWEEP_KEYS)
-    if unknown:
-        raise ConfigError(f"run.sweep: unknown key(s) {', '.join(unknown)}")
-    missing = sorted(SWEEP_KEYS - set(sweep))
-    if missing:
-        raise ConfigError(f"run.sweep: missing key(s) {', '.join(missing)}")
+def cmd_sweep(config: RunConfig):
+    sweep = _section(config.run.get("sweep"), "run.sweep", SWEEP_KEYS, SWEEP_KEYS)
     key = sweep["key"]
-    if key not in ENGINE_KEYS:
+    if not isinstance(key, str) or key not in ENGINE_KEYS:
         raise ConfigError(f"run.sweep.key: {key!r} is not an engine key")
     start = _require_number(sweep["from"], "run.sweep.from")
     stop = _require_number(sweep["to"], "run.sweep.to")
-    steps = sweep["steps"]
-    if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
-        raise ConfigError("run.sweep.steps: expected an integer >= 1")
-
-    values = [start] if steps == 1 else linspace(start, stop, steps)
+    steps = _require_int(sweep["steps"], "run.sweep.steps", 1)
 
     def one(value):
         engine = dict(config.engine_raw)
         engine[key] = value
         return [value] + limit_cycle_row(spec_from_engine_dict(engine))
 
-    rows = [one(v) for v in values]
-    text = render_csv(
-        "sweep", {"engine": config.engine_raw, "run": config.run},
-        [key] + LIMIT_CYCLE_HEADER, rows, config.output.get("precision", 12),
-    )
-    _emit(text, out_path)
+    return [key] + LIMIT_CYCLE_HEADER, [one(v) for v in linspace(start, stop, steps)]
 
 
-def cmd_equilibrium_curve(config: RunConfig, out_path):
+def cmd_equilibrium_curve(config: RunConfig):
     run = config.run
     lo = _require_number(run.get("omega_from"), "run.omega_from") if "omega_from" in run else None
     hi = _require_number(run.get("omega_to"), "run.omega_to") if "omega_to" in run else None
@@ -415,20 +377,15 @@ def cmd_equilibrium_curve(config: RunConfig, out_path):
         field_magnitude(hi, j)
     except ValueError as exc:
         raise ConfigError(f"run.omega_from/omega_to: {exc}") from exc
-    steps = run.get("steps", 100)
-    if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
-        raise ConfigError("run.steps: expected an integer >= 1")
+    steps = _require_int(run.get("steps", 100), "run.steps", 1)
     temp = _require_number(run.get("temperature", config.spec.t_hot), "run.temperature")
     if temp <= 0.0:
         raise ConfigError("run.temperature must be > 0")
-    rows = []
-    for omega in ([lo] if steps == 1 else linspace(lo, hi, steps)):
-        rows.append([omega, energy_entropy(thermal_state(omega, j, temp), omega, j)])
-    text = render_csv(
-        "equilibrium-curve", {"engine": config.engine_raw, "run": config.run},
-        ["omega", "s_e_equilibrium"], rows, config.output.get("precision", 12),
-    )
-    _emit(text, out_path)
+    rows = [
+        [omega, energy_entropy(thermal_state(omega, j, temp), omega, j)]
+        for omega in linspace(lo, hi, steps)
+    ]
+    return ["omega", "s_e_equilibrium"], rows
 
 
 # ---------------------------------------------------------------------------
@@ -487,29 +444,27 @@ def _fig3_engine(case: str) -> dict:
     return engine
 
 
-def figure_preset(name: str, out_path, precision=12):
-    """Run one benchmark preset and emit its CSV."""
+def figure_preset(name: str):
+    """Run one benchmark preset: (config echo, header, rows, notes)."""
     if name == "fig1":
         report = limit_cycle(spec_from_engine_dict(_FIG1_ENGINE))
-        rows = trajectory_rows(report.propagator, report.b_a, 200)
-        text = render_csv(
-            "figure fig1", {"preset": "fig1", "engine": _FIG1_ENGINE},
-            TRAJECTORY_HEADER, rows, precision,
-            notes=["limit-cycle trajectory in the (omega, entropy) plane"],
+        return (
+            {"preset": "fig1", "engine": _FIG1_ENGINE}, TRAJECTORY_HEADER,
+            trajectory_rows(report.propagator, report.b_a, 200),
+            ["limit-cycle trajectory in the (omega, entropy) plane"],
         )
-    elif name == "fig2":
+    if name == "fig2":
         spec = spec_from_engine_dict(_FIG1_ENGINE)
         report = limit_cycle(spec)
         rows = []
         for label, temp in (("cold", spec.t_cold), ("hot", 100.0)):
             b0 = thermal_state(spec.omega_b, spec.j, temp)
             rows.extend([label] + row for row in iterate_rows(report, b0, 15))
-        text = render_csv(
-            "figure fig2", {"preset": "fig2", "engine": _FIG1_ENGINE},
-            ["start"] + ITERATE_HEADER, rows, precision,
-            notes=["two-start convergence; hot start is a thermal state at T=100"],
+        return (
+            {"preset": "fig2", "engine": _FIG1_ENGINE}, ["start"] + ITERATE_HEADER, rows,
+            ["two-start convergence; hot start is a thermal state at T=100"],
         )
-    elif name == "fig3":
+    if name == "fig3":
         rows = []
         for case in sorted(_FIG3_CASES):
             report = limit_cycle(spec_from_engine_dict(_fig3_engine(case)))
@@ -518,37 +473,32 @@ def figure_preset(name: str, out_path, precision=12):
             # oscillation of the dephasing-free cases
             for row in iterate_rows(report, report.ledger.b_c, 40):
                 rows.append([case] + row)
-        text = render_csv(
-            "figure fig3",
+        return (
             {"preset": "fig3", "cases": _FIG3_CASES, "engine_fallback": _FIG1_ENGINE},
-            ["case"] + ITERATE_HEADER, rows, precision,
-            notes=[
+            ["case"] + ITERATE_HEADER, rows,
+            [
                 "fields and bath couplings are not stated for these insets;"
                 " they fall back to the fig1 values",
                 "initial state: the limit cycle's mid-cycle state (corner C)",
             ],
         )
-    elif name == "fig5":
+    if name == "fig5":
         rows = []
         for label in sorted(_FIG5_CYCLES):
             engine = dict(_FIG5_COMMON)
             engine.update(_FIG5_CYCLES[label])
             rows.append([label] + limit_cycle_row(spec_from_engine_dict(engine)))
-        text = render_csv(
-            "figure fig5",
+        return (
             {"preset": "fig5", "engine_common": _FIG5_COMMON, "cycles": _FIG5_CYCLES},
-            ["cycle"] + LIMIT_CYCLE_HEADER, rows, precision,
+            ["cycle"] + LIMIT_CYCLE_HEADER, rows, [],
         )
-    elif name == "fig6":
-        rows = [limit_cycle_row(spec_from_engine_dict(_FIG6_ENGINE))]
-        text = render_csv(
-            "figure fig6", {"preset": "fig6", "engine": _FIG6_ENGINE},
-            LIMIT_CYCLE_HEADER, rows, precision,
-            notes=["gamma_hot_conductance is irrelevant here (tau_hot = 0)"],
+    if name == "fig6":
+        return (
+            {"preset": "fig6", "engine": _FIG6_ENGINE}, LIMIT_CYCLE_HEADER,
+            [limit_cycle_row(spec_from_engine_dict(_FIG6_ENGINE))],
+            ["gamma_hot_conductance is irrelevant here (tau_hot = 0)"],
         )
-    else:
-        raise ConfigError(f"unknown figure preset {name!r}")
-    _emit(text, out_path)
+    raise ConfigError(f"unknown figure preset {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -589,11 +539,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "figure":
-            figure_preset(args.preset, args.out)
+            command, precision, out_path = f"figure {args.preset}", 12, args.out
+            echo, header, rows, notes = figure_preset(args.preset)
         else:
-            config = load_config(args.config)
+            command, config = args.command, load_config(args.config)
+            precision = config.output.get("precision", 12)
             out_path = args.out if args.out is not None else config.output.get("path")
-            _COMMANDS[args.command](config, out_path)
+            echo, notes = {"engine": config.engine_raw, "run": config.run}, ()
+            header, rows = _COMMANDS[command](config)
+        _emit(render_csv(command, echo, header, rows, precision, notes), out_path)
     except ConfigError as exc:
         print(_error_record("config", str(exc)), file=sys.stderr)
         return 2

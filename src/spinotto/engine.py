@@ -66,17 +66,21 @@ class CycleSpec(Record, namedtuple("CycleSpec", (
             t_cold, t_hot, omega_a, omega_b, j, gamma_cold, gamma_hot,
             dephasing_cold, dephasing_hot, tau_cold, tau_hot, tau_ab, tau_ba,
         ))
-        if t_cold <= 0.0 or t_hot <= 0.0:
-            raise ValueError("bath temperatures must be > 0")
-        for name in ("tau_cold", "tau_hot", "tau_ab", "tau_ba"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
-        if gamma_cold < 0.0 or gamma_hot < 0.0:
-            raise ValueError("heat conductances must be >= 0")
-        if dephasing_cold < 0.0 or dephasing_hot < 0.0:
-            raise ValueError("dephasing constants must be >= 0")
+        # written as `not x > 0.0`, so that NaN fails them too
+        for name in ("t_cold", "t_hot"):
+            value = getattr(self, name)
+            if not value > 0.0:
+                raise ValueError(f"bath temperatures must be > 0, got {name} = {value!r}")
+        for name in ("gamma_cold", "gamma_hot", "dephasing_cold", "dephasing_hot",
+                     "tau_cold", "tau_hot", "tau_ab", "tau_ba"):
+            value = getattr(self, name)
+            if not value >= 0.0:
+                raise ValueError(f"{name} must be >= 0, got {value!r}")
         if not omega_a < omega_b:
-            raise ValueError("omega_a must be < omega_b")
+            raise ValueError(f"omega_a must be < omega_b, got omega_a = {omega_a!r}, "
+                             f"omega_b = {omega_b!r}")
+        if math.isnan(j):
+            raise ValueError("j must be a number, got nan")
         # building the strokes bounds the sweep rotation angles
         # (MAX_SWEEP_ANGLE) and the bath-stroke fields (FIELD_RANGE)
         self.adiabat_ab()
@@ -205,8 +209,11 @@ class ThermoLedger(Record, namedtuple("ThermoLedger", (
 
 
 def linspace(start: float, stop: float, num: int) -> list[float]:
-    """num >= 2 evenly spaced floats from start to stop, with numpy.linspace's
-    arithmetic (start + i * step, the last point pinned to stop)."""
+    """num >= 1 evenly spaced floats from start to stop, with numpy.linspace's
+    arithmetic (start + i * step, the last of two or more points pinned to
+    stop; one point is start)."""
+    if num == 1:
+        return [start]
     div = num - 1
     delta = stop - start
     step = delta / div

@@ -49,12 +49,12 @@ class BathParams(Record, namedtuple("BathParams", "conductance dephasing tempera
     __slots__ = ()
 
     def __new__(cls, conductance, dephasing, temperature):
-        if conductance < 0.0:
-            raise ValueError("conductance must be >= 0")
-        if dephasing < 0.0:
-            raise ValueError("dephasing must be >= 0")
-        if temperature <= 0.0:
-            raise ValueError("temperature must be > 0")
+        if not conductance >= 0.0:
+            raise ValueError(f"conductance must be >= 0, got {conductance!r}")
+        if not dephasing >= 0.0:
+            raise ValueError(f"dephasing must be >= 0, got {dephasing!r}")
+        if not temperature > 0.0:
+            raise ValueError(f"temperature must be > 0, got {temperature!r}")
         return tuple.__new__(cls, (conductance, dephasing, temperature))
 
 

@@ -159,6 +159,8 @@ def test_thermal_state_rejects_bad_temperature():
         thermal_state(9.0, 2.0, 0.0)
     with pytest.raises(ValueError):
         thermal_state(9.0, 2.0, -1.0)
+    with pytest.raises(ValueError, match="nan"):
+        thermal_state(9.0, 2.0, math.nan)
 
 
 def test_thermal_state_closed_form_populations(rng):

@@ -30,6 +30,7 @@ from spinotto import (
     wootters_energy_distance,
 )
 from spinotto.cli import (
+    ENGINE_KEYS,
     ITERATE_HEADER,
     TRAJECTORY_HEADER,
     ConfigError,
@@ -39,7 +40,9 @@ from spinotto.cli import (
     render_csv,
     trajectory_rows,
 )
-from conftest import SQRT2, fig1_spec, fig6_spec, random_bloch, random_spec
+from conftest import (
+    SQRT2, cycle_specs, fig1_spec, fig6_spec, physical_states, random_bloch, random_spec,
+)
 
 FIG1_ENGINE = {
     "t_cold": 1.5, "t_hot": 7.5,
@@ -469,6 +472,47 @@ def test_figure_csv_bytes_are_pinned(tmp_path, preset):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == FIGURE_SHA256[preset]
 
 
+# one fixed config per command and the sha256 of its CSV, computed before
+# the commands handed their tables to one render path in main (1.0.1)
+COMMAND_CONFIGS = {
+    "limit-cycle": {"engine": dict(FIG1_ENGINE, dephasing_cold=0.01, tau_ab=1.0, tau_ba=0.8)},
+    "iterate": {
+        "engine": FIG1_ENGINE,
+        "run": {"n_cycles": 12, "initial_state": {"kind": "thermal", "temperature": 40.0}},
+        "output": {"precision": 9},
+    },
+    "trajectory": {
+        "engine": dict(FIG1_ENGINE, dephasing_hot=0.02, tau_ab=0.5, tau_ba=0.5),
+        "run": {"samples_per_branch": 9},
+    },
+    "spectrum": {"engine": dict(FIG1_ENGINE, dephasing_cold=0.03, dephasing_hot=0.01)},
+    "sweep": {
+        "engine": FIG1_ENGINE,
+        "run": {"sweep": {"key": "tau_cold", "from": 0.4, "to": 2.4, "steps": 4}},
+    },
+    "equilibrium-curve": {
+        "engine": FIG1_ENGINE,
+        "run": {"omega_from": 1.0, "omega_to": 20.0, "steps": 7, "temperature": 3.0},
+    },
+}
+COMMAND_SHA256 = {
+    "limit-cycle": "5bbe78e5bcfab0cd07b456d0b5bbdaf46d00cdf95992ade1a037dccc7afcf31b",
+    "iterate": "2b3d181fad2a86227ad45bf60a836168da1252705ba80ddf324970f5788ab49d",
+    "trajectory": "ef031c14f9b3b7ae3da76273d0078e440b93a314c8cfecfe48a290af7861d3a1",
+    "spectrum": "725635fa12aa75b7af5c5e39d358256a66916b239c9d78a3b944c0c3072abf04",
+    "sweep": "0d3205438a65f13357d029948987bf18a1406c6bbf05be6ac6a2701e71a12bb1",
+    "equilibrium-curve": "ed112f8a94ff99498ad93700ab45fa0db27d4642be3947a7d8da58cc2b75645a",
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_SHA256))
+def test_command_csv_bytes_are_pinned(tmp_path, command):
+    out = tmp_path / f"{command}.csv"
+    config = write_config(tmp_path, COMMAND_CONFIGS[command])
+    assert main([command, "--config", config, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == COMMAND_SHA256[command]
+
+
 def test_exit_code_config_error(tmp_path, capsys):
     engine = dict(FIG1_ENGINE)
     del engine["j"]
@@ -653,9 +697,70 @@ def test_overflowing_bloch_start_is_a_config_error(tmp_path, capsys, command):
     assert "run.initial_state.b" in record["message"]
 
 
+@pytest.mark.parametrize("key", [["omega_a"], {"omega_a": 1.0}, 3, None, "tau"])
+def test_sweep_key_must_be_an_engine_key(tmp_path, capsys, key):
+    # a list or an object raised TypeError (unhashable type) at `key not in`
+    run = {"sweep": {"key": key, "from": 0.5, "to": 3.0, "steps": 3}}
+    config = write_config(tmp_path, {"engine": FIG1_ENGINE, "run": run})
+    assert main(["sweep", "--config", config]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    record = json.loads(captured.err)
+    assert record["error"] == "config"
+    assert "run.sweep.key" in record["message"]
+
+
+@pytest.mark.parametrize("command", ["iterate", "trajectory"])
+@pytest.mark.parametrize("initial_state", [
+    {"kind": "thermal", "temprature": 40.0},
+    {"kind": "thermal", "b": [0.0, 0.0, 0.0, 0.0, 0.0]},
+    {"kind": "maximally-mixed", "temperature": 3.0},
+    {"kind": "bloch", "b": [0.0, 0.0, 0.0, 0.0, 0.0], "temperature": 3.0},
+    {"kind": ["thermal"]},
+    {"kind": {"thermal": 1.0}},
+    {"kind": 3},
+    {"temperature": 3.0},
+    ["thermal"],
+], ids=["misspelled", "thermal-b", "mixed-temperature", "bloch-temperature", "kind-list",
+        "kind-object", "kind-number", "no-kind", "not-an-object"])
+def test_initial_state_keys_are_checked_per_kind(tmp_path, capsys, command, initial_state):
+    # a misspelled key used to be ignored: the run started from t_cold
+    run = {"n_cycles": 2, "samples_per_branch": 2, "initial_state": initial_state}
+    config = write_config(tmp_path, {"engine": FIG1_ENGINE, "run": run})
+    assert main([command, "--config", config]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    record = json.loads(captured.err)
+    assert record["error"] == "config"
+    assert "run.initial_state" in record["message"]
+
+
 _magnitudes = st.builds(lambda sign, exponent: sign * 10.0**exponent,
                         st.sampled_from([1.0, -1.0]), st.integers(-300, 300))
 _components = st.sampled_from([0.0]) | _magnitudes | st.floats(-0.3, 0.3)
+
+
+def _check_error_contract(commands, payload):
+    """Run each command on one config; every run ends in a table (0), a
+    config error (2) or no unique limit cycle (3), never in a traceback.  A
+    failure writes exactly one JSON record to stderr, a success nothing."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "config.json")
+        with open(config, "w") as fh:
+            json.dump(payload, fh)
+        for command in commands:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([command, "--config", config, "--out", os.path.join(tmp, "o.csv")])
+            assert code in (0, 2, 3), command
+            lines = err.getvalue().splitlines()
+            if code == 0:
+                assert lines == [], command
+            else:
+                assert len(lines) == 1, command
+                record = json.loads(lines[0])
+                assert record["error"] == ("config" if code == 2 else "non-unique-limit-cycle")
+                assert isinstance(record["message"], str)
 
 
 @settings(max_examples=100, deadline=None)
@@ -663,26 +768,86 @@ _components = st.sampled_from([0.0]) | _magnitudes | st.floats(-0.3, 0.3)
        st.lists(_components, min_size=5, max_size=5),
        st.booleans())
 def test_bloch_start_error_contract(command, b, unitary):
-    # every finite start ends in a table (0), a config error (2) or no
-    # unique limit cycle (3, iterate only), never in a traceback; a failure
-    # writes exactly one JSON record to stderr
     engine = dict(FIG1_ENGINE, tau_hot=0.0, tau_cold=0.0) if unitary else FIG1_ENGINE
     run = {"initial_state": {"kind": "bloch", "b": b}, "n_cycles": 3, "samples_per_branch": 3}
-    err = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
-        config = os.path.join(tmp, "config.json")
-        with open(config, "w") as fh:
-            json.dump({"engine": engine, "run": run}, fh)
-        with contextlib.redirect_stderr(err):
-            code = main([command, "--config", config, "--out", os.path.join(tmp, "o.csv")])
-    assert code in (0, 2, 3)
-    lines = err.getvalue().splitlines()
-    if code == 0:
-        assert lines == []
-    else:
-        assert len(lines) == 1
-        record = json.loads(lines[0])
-        assert record["error"] == ("config" if code == 2 else "non-unique-limit-cycle")
+    _check_error_contract([command], {"engine": engine, "run": run})
+
+
+COMMANDS = ["limit-cycle", "iterate", "trajectory", "spectrum", "sweep", "equilibrium-curve"]
+
+# values that no config key takes, or that no section takes as an object
+# (no huge integers: n_cycles = 10**400 is valid and never ends)
+_ODD = st.sampled_from([None, True, "x", -1, 0, 3, 1e308, -1e308, math.nan, math.inf,
+                        [], ["omega_a"], {}, {"kind": "thermal"}])
+
+
+@st.composite
+def _or_odd(draw, good, one_in, odd=_ODD):
+    """A draw from `good`, or with chance 1 / one_in a value from `odd`
+    (the fault is the largest choice, so examples shrink towards none)."""
+    return draw(odd) if draw(st.integers(1, one_in)) == one_in else draw(good)
+
+
+@st.composite
+def _sections(draw, entries, optional=None, one_in=12):
+    """A dict of the drawn entries; with chance 1 / one_in each, a required
+    key is dropped, an unknown key is added, or the section is not an object."""
+    section = draw(st.fixed_dictionaries(entries, optional=optional))
+    fault = one_in - draw(st.integers(1, one_in))
+    if fault == 0:
+        return draw(_ODD)
+    if fault == 1:
+        section[draw(st.sampled_from(["extra", "temprature", "Key"]))] = draw(_ODD)
+    elif fault == 2 and entries:
+        del section[draw(st.sampled_from(sorted(entries)))]
+    return section
+
+
+@st.composite
+def _engines(draw):
+    spec = draw(cycle_specs())
+    odd = _ODD | st.just(10**400)
+    keys = {key: _or_odd(st.just(getattr(spec, field)), 60, odd)
+            for key, field in ENGINE_KEYS.items()}
+    return draw(_sections(keys, one_in=20))
+
+
+def _ints(lo, hi):
+    """Integers in [lo, hi], or below the minimum lo, or not integers."""
+    return _or_odd(st.integers(lo, hi), 4, _ODD | st.integers(lo - 2, lo - 1))
+
+
+_omegas = _or_odd(st.floats(0.5, 20.0), 6)
+_NOT_STRINGS = st.sampled_from([["omega_a"], {"thermal": 1.0}, 3])
+_initial_states = _sections(
+    {"kind": _or_odd(st.sampled_from(["thermal", "bloch", "maximally-mixed", "pure"]), 3,
+                     _NOT_STRINGS)},
+    optional={"temperature": _or_odd(st.floats(0.1, 100.0), 6),
+              "b": _or_odd(physical_states().map(list), 6)},
+)
+_sweeps = _sections({
+    "key": _or_odd(st.sampled_from(sorted(ENGINE_KEYS) + ["tau"]), 2, _NOT_STRINGS),
+    "from": _or_odd(st.floats(0.0, 3.0), 8),
+    "to": _or_odd(st.floats(0.0, 3.0), 8),
+    "steps": _ints(1, 3),
+})
+_runs = _sections({"sweep": _sweeps}, optional={
+    "n_cycles": _ints(0, 4), "samples_per_branch": _ints(2, 4), "steps": _ints(1, 4),
+    "initial_state": _initial_states,
+    "omega_from": _omegas, "omega_to": _omegas, "temperature": _or_odd(st.floats(0.1, 100.0), 6),
+}, one_in=20)
+# --out is always given, so a valid output.path is never written
+_outputs = _sections({}, optional={"precision": _ints(1, 18),
+                                   "path": _or_odd(st.just("unused.csv"), 4)}, one_in=20)
+_configs = _sections({"engine": _engines(), "run": _runs}, optional={"output": _outputs},
+                    one_in=30)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_configs)
+def test_config_error_contract(payload):
+    # ROADMAP item 4(f): every finite config, through every command
+    _check_error_contract(COMMANDS, payload)
 
 
 def test_cli_import_adds_no_dataclasses_inspect_or_numpy():

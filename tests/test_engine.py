@@ -276,6 +276,15 @@ def test_limit_cycle_rejects_non_physical_fixed_point():
     with pytest.raises(NonUniqueLimitCycleError, match="not a physical state"):
         limit_cycle(spec)
 
+def test_linspace_equals_numpy(rng):
+    # one point is the start, as numpy.linspace(a, b, 1) is [a]
+    pairs = [(0.4, 2.4), (-3.0, 7.0), (2.5, 2.5), (1.0, 1.0 + 1e-15)]
+    pairs += [tuple(rng.uniform(-10.0, 10.0, 2)) for _ in range(10)]
+    for start, stop in pairs:
+        for num in range(1, 12):
+            assert linspace(start, stop, num) == np.linspace(start, stop, num).tolist()
+
+
 def test_isochore_partials_equal_per_sample_maps(rng):
     fields = ("block", "shift", "b4_scale", "b5_scale", "b5_drive", "b5_shift")
     for dephasing in (False, True):

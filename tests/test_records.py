@@ -6,6 +6,7 @@ import copy
 import inspect
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -169,6 +170,9 @@ def test_replace_rebuilds_through_the_constructor(index):
     (lambda: fig1_spec(), {"omega_b": 1e300}, "MAX_SWEEP_ANGLE"),
     (lambda: BathParams(0.3, 0.0, 1.5), {"temperature": 0.0}, "temperature"),
     (lambda: BathParams(0.3, 0.0, 1.5), {"conductance": -1.0}, "conductance"),
+    (lambda: BathParams(0.3, 0.0, 1.5), {"conductance": math.nan}, "conductance"),
+    (lambda: BathParams(0.3, 0.0, 1.5), {"dephasing": math.nan}, "dephasing"),
+    (lambda: BathParams(0.3, 0.0, 1.5), {"temperature": math.nan}, "temperature"),
     (lambda: IsochoreParams(5.0, 2.0, BathParams(0.3, 0.0, 1.5), 1.0), {"tau": -1.0}, "tau"),
     (lambda: IsochoreParams(5.0, 2.0, BathParams(0.3, 0.0, 1.5), 1.0),
      {"omega": 0.0, "j": 0.0}, "FIELD_RANGE"),
@@ -189,6 +193,16 @@ def test_replace_validates_again(make, changes, match):
     if hasattr(copy, "replace"):  # Python 3.13
         with pytest.raises(error, match=match):
             copy.replace(obj, **changes)
+
+
+@pytest.mark.parametrize("field", CycleSpec._fields)
+def test_cycle_spec_rejects_nan_naming_the_field(field):
+    # `nan <= 0.0` is false, so range checks written that way let NaN through
+    # to a NonUniqueLimitCycleError or a message about the sweep angle
+    with pytest.raises(ValueError) as info:
+        replace(fig1_spec(), **{field: math.nan})
+    message = str(info.value)
+    assert re.search(rf"\b{field}\b", message) and "nan" in message, message
 
 
 @pytest.mark.parametrize("index", range(14))
