@@ -170,14 +170,14 @@ def test_replace_rebuilds_through_the_constructor(index):
     (lambda: fig1_spec(), {"omega_b": 1e300}, "MAX_SWEEP_ANGLE"),
     (lambda: BathParams(0.3, 0.0, 1.5), {"temperature": 0.0}, "temperature"),
     (lambda: BathParams(0.3, 0.0, 1.5), {"conductance": -1.0}, "conductance"),
-    (lambda: BathParams(0.3, 0.0, 1.5), {"conductance": math.nan}, "conductance"),
-    (lambda: BathParams(0.3, 0.0, 1.5), {"dephasing": math.nan}, "dephasing"),
-    (lambda: BathParams(0.3, 0.0, 1.5), {"temperature": math.nan}, "temperature"),
     (lambda: IsochoreParams(5.0, 2.0, BathParams(0.3, 0.0, 1.5), 1.0), {"tau": -1.0}, "tau"),
     (lambda: IsochoreParams(5.0, 2.0, BathParams(0.3, 0.0, 1.5), 1.0),
      {"omega": 0.0, "j": 0.0}, "FIELD_RANGE"),
     (lambda: AdiabatParams(12.0, 5.0, 2.0, 0.01), {"tau": 1e9}, "MAX_SWEEP_ANGLE"),
     (lambda: AffinePropagator(block=((1.0, 0.0, 0.0),) * 3), {"block": None}, "m or block"),
+    (lambda: BathParams(0.3, 0.0, 1.5), {"conductance": math.nan}, "conductance"),
+    (lambda: BathParams(0.3, 0.0, 1.5), {"dephasing": math.nan}, "dephasing"),
+    (lambda: BathParams(0.3, 0.0, 1.5), {"temperature": math.nan}, "temperature"),
 ])
 def test_replace_validates_again(make, changes, match):
     obj = make()
