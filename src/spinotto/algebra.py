@@ -92,6 +92,12 @@ def energy_populations(b: BlochVector, omega: float, j: float) -> tuple:
     big_omega = math.hypot(omega, j)
     if big_omega == 0.0:
         raise ValueError("energy basis undefined for omega = J = 0")
+    if big_omega < FIELD_RANGE[0]:
+        # only the field's direction counts: scale it up by a power of two
+        # (exact) so that omega * b1 and j * b2 keep their bits; a subnormal
+        # field lost enough of them to make a pure state's population -4e-12
+        omega, j = omega * 2.0**600, j * 2.0**600
+        big_omega = math.hypot(omega, j)
     e_scaled = (omega * b.b1 + j * b.b2) / (SQRT2 * big_omega)
     half_b5 = b.b5 / 2.0
     return (

@@ -11,13 +11,25 @@ sweep             one limit-cycle row per point of a one-parameter grid
 equilibrium-curve energy entropy of the thermal state across a field range
 figure            benchmark presets (fig1, fig2, fig3, fig5, fig6)
 
-Exit status: 0 success, 2 config error, 3 no unique limit cycle (4 is
-reserved; no longer emitted).  Failures emit a JSON error record on stderr.
+Command line (``_USAGE``)::
+
+    spinotto <command> --config PATH [--out PATH] [--threads N]
+    spinotto figure <preset> [--out PATH] [--threads N]
+
+Options come in any order, as ``--name value`` or ``--name=value``, and an
+unambiguous prefix (``--conf``) names an option; ``-h``/``--help`` in place
+of an option prints the usage.  The grammar is parsed directly
+(``_parse_args``): importing argparse and building its parsers cost every
+run several milliseconds.
+
+Exit status: 0 success, 2 usage or config error, 3 no unique limit cycle
+(4 is reserved; no longer emitted).  Failures emit one JSON error record on
+stderr: ``{"error": "usage" | "config" | "non-unique-limit-cycle",
+"message": ...}``.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import operator
@@ -111,9 +123,19 @@ def _section(value, path, allowed, required=()):
     return value
 
 
+# largest value of an integer run key (n_cycles, samples_per_branch, steps,
+# sweep.steps): each counts rows of the table, so this bounds a run's time
+# and memory (a sweep row is a limit-cycle solve, a trajectory has four
+# branches of samples)
+MAX_RUN_COUNT = 100_000
+
+
 def _require_int(value, path, minimum):
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ConfigError(f"{path}: expected an integer >= {minimum}, got {value!r}")
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or not minimum <= value <= MAX_RUN_COUNT):
+        raise ConfigError(
+            f"{path}: expected an integer in [{minimum}, {MAX_RUN_COUNT}], got {value!r}"
+        )
     return value
 
 
@@ -512,6 +534,7 @@ _COMMANDS = {
     "sweep": cmd_sweep,
     "equilibrium-curve": cmd_equilibrium_curve,
 }
+_PRESETS = ("fig1", "fig2", "fig3", "fig5", "fig6")
 
 
 def _error_record(code: str, message: str, **extra) -> str:
@@ -520,31 +543,101 @@ def _error_record(code: str, message: str, **extra) -> str:
     return json.dumps(record, sort_keys=True)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="spinotto",
-        description="Four-stroke two-spin quantum Otto engine simulator.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True)
-        p.add_argument("--out", default=None)
-        p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
-    fig = sub.add_parser("figure")
-    fig.add_argument("preset", choices=["fig1", "fig2", "fig3", "fig5", "fig6"])
-    fig.add_argument("--out", default=None)
-    fig.add_argument("--threads", type=int, default=1, help="accepted and ignored")
+# every option; an unambiguous prefix of a long one (--conf) names it too
+_OPTIONS = ("--config", "--out", "--threads", "--help", "-h")
 
-    args = parser.parse_args(argv)
-    try:
-        if args.command == "figure":
-            command, precision, out_path = f"figure {args.preset}", 12, args.out
-            echo, header, rows, notes = figure_preset(args.preset)
+_USAGE = """\
+usage: spinotto <command> --config PATH [--out PATH] [--threads N]
+       spinotto figure <preset> [--out PATH] [--threads N]
+
+Four-stroke two-spin quantum Otto engine simulator.
+
+commands: limit-cycle, iterate, trajectory, spectrum, sweep, equilibrium-curve
+presets:  fig1, fig2, fig3, fig5, fig6
+
+  --config PATH  JSON run configuration (every command but figure)
+  --out PATH     CSV output; default output.path from the config, else stdout
+  --threads N    an integer, accepted and ignored
+  -h, --help     print this text
+"""
+
+
+class _UsageError(ValueError):
+    """A command line outside the grammar of the usage text."""
+
+
+def _is_option(token: str) -> bool:
+    return token.startswith("--") or token == "-h"
+
+
+def _parse_args(argv):
+    """(command, preset or config path, out path) from the command line, or
+    None for -h/--help.  Options come in any order, as `--name value` or
+    `--name=value`; the last of a repeated option wins and `--` ends them."""
+    positional, options = [], {}
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--":
+            positional.extend(tokens)
+        elif not _is_option(token):
+            positional.append(token)
         else:
-            command, config = args.command, load_config(args.config)
+            name, eq, value = token.partition("=")
+            matches = [option for option in _OPTIONS if option.startswith(name)]
+            if len(matches) != 1:
+                raise _UsageError(f"ambiguous option {name}: {', '.join(matches)}" if matches
+                                  else f"unknown option {name}")
+            option = matches[0]
+            if option in ("--help", "-h"):
+                return None
+            if not eq:
+                value = next(tokens, None)
+                if value is None or _is_option(value):
+                    raise _UsageError(f"{option} expects a value")
+            options[option] = value
+    if not positional:
+        raise _UsageError("missing command")
+    command, *rest = positional
+    if command == "figure":
+        if len(rest) != 1 or rest[0] not in _PRESETS:
+            raise _UsageError("figure takes one preset of " + ", ".join(_PRESETS))
+        if "--config" in options:
+            raise _UsageError("figure takes no --config")
+        argument = rest[0]
+    elif command not in _COMMANDS:
+        raise _UsageError(f"unknown command {command!r}")
+    elif rest:
+        raise _UsageError(f"unexpected argument {rest[0]!r}")
+    elif "--config" not in options:
+        raise _UsageError(f"{command} requires --config")
+    else:
+        argument = options["--config"]
+    try:
+        int(options.get("--threads", 1))  # checked, then ignored
+    except ValueError:
+        raise _UsageError(f"--threads expects an integer, got {options['--threads']!r}") from None
+    return command, argument, options.get("--out")
+
+
+def main(argv=None) -> int:
+    try:
+        parsed = _parse_args(sys.argv[1:] if argv is None else argv)
+    except _UsageError as exc:
+        print(_error_record("usage", f"{exc}; see spinotto --help"), file=sys.stderr)
+        return 2
+    if parsed is None:
+        sys.stdout.write(_USAGE)
+        return 0
+    command, argument, out_path = parsed
+    try:
+        if command == "figure":
+            command, precision = f"figure {argument}", 12
+            echo, header, rows, notes = figure_preset(argument)
+        else:
+            config = load_config(argument)
             precision = config.output.get("precision", 12)
-            out_path = args.out if args.out is not None else config.output.get("path")
+            if out_path is None:
+                out_path = config.output.get("path")
             echo, notes = {"engine": config.engine_raw, "run": config.run}, ()
             header, rows = _COMMANDS[command](config)
         _emit(render_csv(command, echo, header, rows, precision, notes), out_path)

@@ -64,8 +64,8 @@ class IsochoreParams(Record, namedtuple("IsochoreParams", "omega j bath tau")):
     __slots__ = ()
 
     def __new__(cls, omega, j, bath, tau):
-        if tau < 0.0:
-            raise ValueError("tau must be >= 0")
+        if not tau >= 0.0:
+            raise ValueError(f"tau must be >= 0, got {tau!r}")
         phase = SQRT2 * field_magnitude(omega, j) * tau
         if not math.isfinite(phase):
             # the closed form takes cos and sin of the rotation phase
@@ -80,8 +80,8 @@ class AdiabatParams(Record, namedtuple("AdiabatParams", "omega_start omega_end j
     __slots__ = ()
 
     def __new__(cls, omega_start, omega_end, j, tau):
-        if tau < 0.0:
-            raise ValueError("tau must be >= 0")
+        if not tau >= 0.0:
+            raise ValueError(f"tau must be >= 0, got {tau!r}")
         self = tuple.__new__(cls, (omega_start, omega_end, j, tau))
         if not self.rotation_angle <= MAX_SWEEP_ANGLE:
             raise ValueError(

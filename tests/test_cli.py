@@ -32,6 +32,7 @@ from spinotto import (
 from spinotto.cli import (
     ENGINE_KEYS,
     ITERATE_HEADER,
+    MAX_RUN_COUNT,
     TRAJECTORY_HEADER,
     ConfigError,
     iterate_rows,
@@ -776,8 +777,7 @@ def test_bloch_start_error_contract(command, b, unitary):
 COMMANDS = ["limit-cycle", "iterate", "trajectory", "spectrum", "sweep", "equilibrium-curve"]
 
 # values that no config key takes, or that no section takes as an object
-# (no huge integers: n_cycles = 10**400 is valid and never ends)
-_ODD = st.sampled_from([None, True, "x", -1, 0, 3, 1e308, -1e308, math.nan, math.inf,
+_ODD = st.sampled_from([None, True, "x", -1, 0, 3, 1e308, -1e308, math.nan, math.inf, 10**400,
                         [], ["omega_a"], {}, {"kind": "thermal"}])
 
 
@@ -806,15 +806,16 @@ def _sections(draw, entries, optional=None, one_in=12):
 @st.composite
 def _engines(draw):
     spec = draw(cycle_specs())
-    odd = _ODD | st.just(10**400)
-    keys = {key: _or_odd(st.just(getattr(spec, field)), 60, odd)
+    keys = {key: _or_odd(st.just(getattr(spec, field)), 60)
             for key, field in ENGINE_KEYS.items()}
     return draw(_sections(keys, one_in=20))
 
 
 def _ints(lo, hi):
-    """Integers in [lo, hi], or below the minimum lo, or not integers."""
-    return _or_odd(st.integers(lo, hi), 4, _ODD | st.integers(lo - 2, lo - 1))
+    """Integers in [lo, hi], or below the minimum lo, or past MAX_RUN_COUNT, or
+    not integers."""
+    beyond = st.integers(lo - 2, lo - 1) | st.sampled_from([MAX_RUN_COUNT + 1, 2**63])
+    return _or_odd(st.integers(lo, hi), 4, _ODD | beyond)
 
 
 _omegas = _or_odd(st.floats(0.5, 20.0), 6)
@@ -848,6 +849,24 @@ _configs = _sections({"engine": _engines(), "run": _runs}, optional={"output": _
 def test_config_error_contract(payload):
     # ROADMAP item 4(f): every finite config, through every command
     _check_error_contract(COMMANDS, payload)
+
+
+@pytest.mark.parametrize("command, run, path", [
+    ("iterate", {"n_cycles": MAX_RUN_COUNT + 1}, "run.n_cycles"),
+    ("trajectory", {"samples_per_branch": 10**400}, "run.samples_per_branch"),
+    ("sweep", {"sweep": {"key": "omega_a", "from": 3.0, "to": 8.0, "steps": MAX_RUN_COUNT + 1}},
+     "run.sweep.steps"),
+    ("equilibrium-curve", {"omega_from": 1.0, "omega_to": 20.0, "steps": 2**63}, "run.steps"),
+])
+def test_integer_run_keys_are_bounded(tmp_path, capsys, command, run, path):
+    config = write_config(tmp_path, {"engine": FIG1_ENGINE, "run": run})
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", config, "--out", str(out)]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "config"
+    assert record["message"].startswith(f"{path}: expected an integer in [")
+    assert f", {MAX_RUN_COUNT}]" in record["message"]
+    assert not out.exists()
 
 
 def test_cli_import_adds_no_dataclasses_inspect_or_numpy():
@@ -904,6 +923,27 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
     assert codes == {name: 0 for name in runs}
     for name in runs:
         assert (tmp_path / f"{name}.csv").read_text().startswith("# spinotto-csv")
+
+
+def test_cli_run_leaves_argparse_gettext_and_locale_unloaded(tmp_path):
+    import spinotto
+
+    # a fresh interpreter, as a CLI user starts one: the command line is
+    # parsed without argparse, whose import (with gettext, which imports
+    # locale on its first lookup) cost every run several milliseconds
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spinotto.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["figure", "fig6", "--out", str(tmp_path / "fig6.csv")]
+    probe = (
+        "import json, sys\n"
+        "import spinotto.cli\n"
+        f"code = spinotto.cli.main({argv!r})\n"
+        "print(json.dumps([code, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules))]))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert json.loads(result.stdout) == [0, []]
 
 
 @pytest.mark.parametrize("section, key, value, path", [
@@ -1016,3 +1056,118 @@ def test_stdout_emission(tmp_path, capsys):
     assert main(["spectrum", "--config", config]) == 0
     out = capsys.readouterr().out
     assert out.startswith("# spinotto-csv schema-version 1")
+
+
+# ---------------------------------------------------------------------------
+# the command line: {P} is a config, {Q} one whose output.path is the
+# output file {O}.  Each valid form writes the bytes of the first of its kind
+# (spectrum --config {P} --out {O}, figure fig6 --out {O}), to stdout where
+# it names no output file.
+
+VALID_COMMAND_LINES = [
+    ["spectrum", "--config", "{P}", "--out", "{O}"],
+    ["spectrum", "--config", "{P}"],
+    ["spectrum", "--config", "{Q}"],
+    ["spectrum", "--config", "{P}", "--out", "{O}", "--threads", "4"],
+    ["spectrum", "--out", "{O}", "--threads", "4", "--config", "{P}"],
+    ["spectrum", "--config={P}", "--out={O}", "--threads=4"],
+    ["spectrum", "--conf", "{P}", "--o={O}", "--th", "1"],
+    ["spectrum", "--threads", "-1", "--config", "{P}", "--out", "{O}"],
+    ["spectrum", "--config", "unused.json", "--out", "{O}", "--config", "{P}"],
+    ["spectrum", "--config", "{P}", "--out", "{O}", "--"],
+    ["figure", "fig6", "--out", "{O}"],
+    ["figure", "fig6"],
+    ["figure", "fig6", "--out", "{O}", "--threads", "4"],
+    ["figure", "--out", "{O}", "fig6", "--thr=2"],
+    ["figure", "--out={O}", "--", "fig6"],
+]
+
+INVALID_COMMAND_LINES = [
+    [],  # no command
+    ["--config", "{P}"],
+    ["simulate", "--config", "{P}"],  # unknown command
+    ["Spectrum", "--config", "{P}"],
+    ["spectrum"],  # no --config
+    ["spectrum", "--out", "{O}"],
+    ["spectrum", "--config", "{P}", "{P}"],  # a stray argument
+    ["spectrum", "--config", "{P}", "-c"],
+    ["figure"],  # no preset
+    ["figure", "fig4", "--out", "{O}"],  # unknown preset
+    ["figure", "fig6", "fig5"],
+    ["figure", "fig6", "--config", "{P}"],  # figure takes no config
+    ["spectrum", "--config"],  # an option without its value
+    ["spectrum", "--config", "{P}", "--out"],
+    ["spectrum", "--out", "--config", "{P}"],
+    ["figure", "fig6", "--threads"],
+    ["spectrum", "--config", "{P}", "--bogus", "1"],  # unknown options
+    ["spectrum", "--config", "{P}", "--outfile", "{O}"],
+    ["spectrum", "--config", "{P}", "---out", "{O}"],
+    ["spectrum", "--={P}"],  # "--" is a prefix of every long option
+    ["spectrum", "--config", "{P}", "--threads", "x"],  # --threads takes an integer
+    ["spectrum", "--config", "{P}", "--threads=2.5"],
+    ["figure", "fig6", "--threads", ""],
+]
+
+HELP_COMMAND_LINES = [
+    ["-h"],
+    ["--help"],
+    ["spectrum", "-h"],
+    ["figure", "fig6", "--out", "{O}", "--help"],
+    ["spectrum", "--config", "{P}", "--he"],
+    ["simulate", "-h"],
+]
+
+
+def _command_line(tmp_path, form):
+    """`form` with {P}, {Q} and {O} filled in with paths under tmp_path."""
+    out = str(tmp_path / "out.csv")
+    paths = {
+        "P": write_config(tmp_path, {"engine": FIG1_ENGINE}),
+        "Q": write_config(tmp_path, {"engine": FIG1_ENGINE, "output": {"path": out}}, "q.json"),
+        "O": out,
+    }
+    return [token.format(**paths) for token in form]
+
+
+@pytest.mark.parametrize("form", VALID_COMMAND_LINES, ids=" ".join)
+def test_valid_command_lines_give_the_same_bytes(tmp_path, capsys, form):
+    first = next(line for line in VALID_COMMAND_LINES if line[0] == form[0])
+    reference = tmp_path / "reference"
+    reference.mkdir()
+    assert main(_command_line(reference, first)) == 0
+    expected = (reference / "out.csv").read_text()
+    capsys.readouterr()
+    assert main(_command_line(tmp_path, form)) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    out = tmp_path / "out.csv"
+    if any("{O}" in token or "{Q}" in token for token in form):
+        assert (captured.out, out.read_text()) == ("", expected)
+    else:
+        assert captured.out == expected
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("form", INVALID_COMMAND_LINES, ids=" ".join)
+def test_invalid_command_lines_are_usage_errors(tmp_path, capsys, form):
+    code = main(_command_line(tmp_path, form))  # SystemExit would fail the test
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "usage"
+    assert isinstance(record["message"], str)
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("form", HELP_COMMAND_LINES, ids=" ".join)
+def test_help_prints_the_usage(tmp_path, capsys, form):
+    assert main(_command_line(tmp_path, form)) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("usage: spinotto <command> --config PATH")
+    for name in COMMANDS + ["figure", "fig1", "fig2", "fig3", "fig5", "fig6"]:
+        assert name in captured.out
+    assert not (tmp_path / "out.csv").exists()

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinotto import (
@@ -85,6 +85,9 @@ def _raised(f, p):
 
 @settings(max_examples=300, deadline=None)
 @given(physical_states(), st.floats(-20.0, 20.0), st.floats(0.0, 4.0))
+# a pure outer level in a subnormal field
+@example(BlochVector(0.2759441097313356, 0.0, 0.0, 0.12072554800745934, -0.1097560975609756),
+         2.2250738585e-313, 0.0)
 def test_entropy_kernel_equals_general_path(b, omega, j):
     distributions = [eigenvalue_tuple(b)]
     if math.hypot(omega, j) > 0.0:

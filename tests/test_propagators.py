@@ -190,8 +190,14 @@ def test_adiabat_block_is_special_orthogonal(rng):
 def test_sweep_rotation_angle_is_bounded():
     with pytest.raises(ValueError, match="MAX_SWEEP_ANGLE"):
         AdiabatParams(0.0, 1e300, 2.0, 1.0)
-    with pytest.raises(ValueError, match="MAX_SWEEP_ANGLE"):
+    # a NaN duration is named as such, not as an unbounded angle
+    with pytest.raises(ValueError, match="tau must be >= 0, got nan"):
         AdiabatParams(0.0, 1.0, 2.0, math.nan)
+
+
+def test_bath_stroke_nan_duration_is_named():
+    with pytest.raises(ValueError, match="tau must be >= 0, got nan"):
+        IsochoreParams(5.0, 2.0, BathParams(0.3, 0.0, 1.5), math.nan)
 
 
 def _richardson_direct(p: AdiabatParams, n: int) -> np.ndarray:
