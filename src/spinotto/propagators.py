@@ -5,7 +5,7 @@ matrix whose bottom row is (0, 0, 0, 1), plus a closure rule for the (b4, b5)
 pair.  Constant-field bath branches have a closed form, evaluated at many
 times at once by :func:`isochore_partials`.  The driven branches
 (linear field sweep, no bath) are rotations whose generator is linear in the
-field; they are integrated with a sixth-order Magnus product of unit
+field; they are integrated with an eighth-order Magnus product of unit
 quaternions (Blanes, Casas & Ros, BIT 40, 434 (2000); Blanes, Casas, Oteo &
 Ros, Phys. Rep. 470, 151 (2009)).  Maps are plain floats and tuples; only
 the ``m`` accessor and the brute-force midpoint-field oracle
@@ -25,7 +25,7 @@ from .algebra import SQRT2, BlochVector, field_magnitude, thermal_state
 from .records import IdentityRecord, Record
 
 # Error target of the sweep integrator.  Two products at step counts n and
-# r n differ by about (r^6 - 1) times the error of the finer one; the finer
+# r n differ by about (r^8 - 1) times the error of the finer one; the finer
 # product is accepted when that estimate is at most SWEEP_TOLERANCE.
 SWEEP_TOLERANCE = 1e-12
 
@@ -34,7 +34,7 @@ SWEEP_TOLERANCE = 1e-12
 _STEP_SAFETY = 2.0
 
 # Largest accepted sweep rotation angle sqrt(2) * max Omega * tau in radians;
-# it bounds the integrator work (about 3e4 steps in all at the limit).
+# it bounds the integrator work (about 1.5e4 steps in all at the limit).
 MAX_SWEEP_ANGLE = 1e4
 
 
@@ -284,11 +284,19 @@ def _sweep_blocks(p: AdiabatParams, segments: int, per_segment: int) -> list[tup
     """Rotation blocks of the first k segments, k = 0..segments.
 
     The generator sqrt(2) [(omega(t), J, 0)]_x is linear in t, so the
-    sixth-order Magnus exponent of a step of length h (Blanes, Casas & Ros,
-    BIT 40, 434 (2000)) is a closed-form rotation vector.  With
-    a = sqrt(2) h (omega_mid, J, 0) and d = sqrt(2) omega' h^2 it is
-    (a_x, a_y (1 - d^2/240), a_y d/12 + a_y d (a_x^2 + a_y^2)/720).  Each
-    step is the unit quaternion of that vector, and the steps are
+    eighth-order Magnus exponent of a step of length h is a closed-form
+    rotation vector; its terms through h^5 are the sixth-order exponent of
+    Blanes, Casas & Ros, BIT 40, 434 (2000), and the h^7 terms come from the
+    same Magnus series (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151
+    (2009)); the h^8 terms vanish by time symmetry.  With
+    a = sqrt(2) h (omega_mid, J, 0), |a|^2 = a_x^2 + a_y^2 and
+    d = sqrt(2) omega' h^2 it is
+
+        x = a_x (1 - a_y^2 d^2/30240)
+        y = a_y (1 - d^2/240 - d^2 (3 a_x^2 + 4 a_y^2)/30240)
+        z = a_y d (1/12 + |a|^2/720 + |a|^4/30240 - d^2/6720)
+
+    Each step is the unit quaternion of that vector, and the steps are
     multiplied in time order, one at a time.
     """
     n = segments * per_segment
@@ -298,19 +306,28 @@ def _sweep_blocks(p: AdiabatParams, segments: int, per_segment: int) -> list[tup
     # d = sqrt(2) omega' h^2 = sqrt(2) sweep h / n: no division by a tau
     # that may be subnormal
     d = SQRT2 * sweep * h / n
-    y = a_y * (1.0 - d * d / 240.0)
-    z_const = a_y * d / 12.0 + a_y * d * a_y * a_y / 720.0
-    z_quad = a_y * d / 720.0
+    a_y_sq = a_y * a_y
+    d_sq = d * d
+    x_scale = 1.0 - a_y_sq * d_sq / 30240.0
+    y_const = a_y * (1.0 - d_sq / 240.0 - a_y_sq * d_sq / 7560.0)
+    y_quad = a_y * d_sq / 10080.0
+    # z = z_0 + |a|^2 (z_2 + |a|^2 z_4)
+    z_0 = a_y * d * (1.0 / 12.0 - d_sq / 6720.0)
+    z_2 = a_y * d / 720.0
+    z_4 = a_y * d / 30240.0
     x_start = SQRT2 * h * p.omega_start
-    y_sq = y * y
     sqrt, cos, sin = math.sqrt, math.cos, math.sin
     qw, qx, qy, qz = 1.0, 0.0, 0.0, 0.0
     blocks = [_IDENTITY_BLOCK]
     for segment in range(segments):
         for k in range(segment * per_segment, (segment + 1) * per_segment):
-            x = x_start + d * (k + 0.5)
-            z = z_const + z_quad * x * x
-            theta = sqrt(x * x + y_sq + z * z)
+            a_x = x_start + d * (k + 0.5)
+            a_x_sq = a_x * a_x
+            a_sq = a_x_sq + a_y_sq
+            x = a_x * x_scale
+            y = y_const - y_quad * a_x_sq
+            z = z_0 + a_sq * (z_2 + a_sq * z_4)
+            theta = sqrt(x * x + y * y + z * z)
             half = 0.5 * theta
             c = cos(half)
             s = sin(half) / theta if theta else 0.5
@@ -336,13 +353,13 @@ def adiabat_partials(p: AdiabatParams, samples: int) -> list[AffinePropagator]:
     """Sweep maps of the first t time units at samples evenly spaced t in
     [0, tau].
 
-    A sixth-order Magnus product over uniform steps, whose error falls as
-    n^-6 in the step count n.  The first two products take a step count near
-    the rotation angle and twice that.  Two successive products at counts n
-    and r n that differ by `change` at most, over all samples, put the error
-    of the finer one at change / (r^6 - 1); it is accepted when that is at
-    most SWEEP_TOLERANCE.  Otherwise the next count is the one the n^-6 law
-    predicts for half the tolerance, and the check repeats.  The
+    An eighth-order Magnus product over uniform steps, whose error falls as
+    n^-8 in the step count n.  The first two products take a step count near
+    half the rotation angle and twice that.  Two successive products at
+    counts n and r n that differ by `change` at most, over all samples, put
+    the error of the finer one at change / (r^8 - 1); it is accepted when
+    that is at most SWEEP_TOLERANCE.  Otherwise the next count is the one the
+    n^-8 law predicts for half the tolerance, and the check repeats.  The
     (b1, b2, b3) blocks are rotations to rounding; (b4, b5) commute with the
     generator for every field value and stay constant.
     """
@@ -352,20 +369,20 @@ def adiabat_partials(p: AdiabatParams, samples: int) -> list[AffinePropagator]:
     if p.tau == 0.0:
         blocks = [_IDENTITY_BLOCK] * samples
     else:
-        per_segment = max(1, math.ceil(p.rotation_angle / segments))
+        per_segment = max(1, math.ceil(p.rotation_angle / (2 * segments)))
         blocks = _sweep_blocks(p, segments, per_segment)
         finer = 2 * per_segment
         while True:
             coarse, coarse_per = blocks, per_segment
             per_segment = finer
             blocks = _sweep_blocks(p, segments, per_segment)
-            gain = (per_segment / coarse_per) ** 6 - 1.0
+            gain = (per_segment / coarse_per) ** 8 - 1.0
             change = _max_change(blocks, coarse)
             if not change > gain * SWEEP_TOLERANCE:
                 break
             err = change / gain
             finer = max(per_segment + 1, math.ceil(
-                per_segment * (_STEP_SAFETY * err / SWEEP_TOLERANCE) ** (1.0 / 6.0)
+                per_segment * (_STEP_SAFETY * err / SWEEP_TOLERANCE) ** (1.0 / 8.0)
             ))
     # a sweep leaves all but the block alone
     return [tuple.__new__(AffinePropagator, (block, _ZERO3, 1.0, 1.0, _ZERO3, 0.0))

@@ -1,6 +1,7 @@
 """Shared samplers and oracles for the test suite."""
 
 import math
+import os
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
@@ -9,7 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume
+from hypothesis import assume, settings
 from hypothesis import strategies as st
 
 from spinotto import AdiabatParams, BlochVector, CycleSpec, energy_populations
@@ -17,6 +18,17 @@ from spinotto.algebra import LOG_EIGENVALUE_FLOOR, PHYSICALITY_TOL
 from spinotto.measures import _SUPPORT_TOL, _SUPPORT_WEIGHT
 
 SQRT2 = math.sqrt(2.0)
+
+# Hypothesis profiles.  tier1, the default, draws the same examples on every
+# run and keeps no example database, so its verdict depends on neither a
+# seed nor the working tree.  fuzz (HYPOTHESIS_PROFILE=fuzz) searches at
+# random, saves and replays counterexamples in .hypothesis/, and runs each
+# property test EXAMPLE_SCALE times as many examples as its own count.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("fuzz", derandomize=False)
+_PROFILE = os.environ.get("HYPOTHESIS_PROFILE", "tier1")
+settings.load_profile(_PROFILE)
+EXAMPLE_SCALE = 10 if _PROFILE == "fuzz" else 1
 
 
 @pytest.fixture

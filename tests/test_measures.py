@@ -27,6 +27,7 @@ from spinotto import (
 )
 from spinotto.measures import _entropy4
 from conftest import (
+    EXAMPLE_SCALE,
     SQRT2,
     conditional_entropy_matrix,
     conditional_entropy_mp,
@@ -83,7 +84,7 @@ def _raised(f, p):
     return None
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300 * EXAMPLE_SCALE, deadline=None)
 @given(physical_states(), st.floats(-20.0, 20.0), st.floats(0.0, 4.0))
 # a pure outer level in a subnormal field
 @example(BlochVector(0.2759441097313356, 0.0, 0.0, 0.12072554800745934, -0.1097560975609756),
@@ -102,7 +103,7 @@ def test_entropy_kernel_equals_general_path(b, omega, j):
 _probability = st.sampled_from([-2e-12, -5e-13, 0.0, math.nan, math.inf]) | st.floats(0.0, 1.0)
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=500 * EXAMPLE_SCALE, deadline=None)
 @given(st.tuples(_probability, _probability, _probability),
        st.sampled_from([0.0, 5e-11, -5e-11, 2e-10, -2e-10, 0.3]))
 def test_entropy_kernel_raises_as_general_path(head, offset):
