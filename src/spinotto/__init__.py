@@ -53,4 +53,4 @@ from .propagators import (
 )
 from .records import replace
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"

@@ -9,12 +9,12 @@ map's closed-set part is a 3x3 block, so the fixed point is a 3x3 solve with
 partial pivoting and the spectrum a small 3x3 eigensolver: one real root of
 the characteristic cubic, refined by a two-sided Rayleigh quotient, and the
 remaining pair from the 2x2 block left when its eigenvector is deflated.
-Inside a period, :meth:`CycleBranch.partials` gives each branch's maps at
-all its sample times in one pass, and :func:`trajectory` applies them to
-the branch's start corner.  When the two sweeps last equally long, both
-:func:`compose_cycle` and :func:`trajectory` integrate only the cold->hot
-sweep and take the hot->cold one as its time reversal.  Everything is plain
-floats, tuples and complex numbers.
+Inside a period, :func:`_stroke_partials` gives each stroke's maps at all
+its sample times in one pass, and :func:`trajectory` applies them to the
+stroke's start corner.  Only ascending field ramps are integrated: the
+hot->cold sweep is the time reversal of the cold->hot ramp run for its
+duration, which with equally long sweeps is the cold->hot sweep itself,
+integrated once.  Everything is plain floats, tuples and complex numbers.
 """
 
 from __future__ import annotations
@@ -26,18 +26,16 @@ from .algebra import BlochVector, eigenvalue_tuple, is_physical
 from .measures import energy_entropy, vn_entropy
 from .propagators import (
     AdiabatParams,
-    AffinePropagator,
     BathParams,
     IsochoreParams,
     _dot,
     _time_reversed,
     adiabat_partials,
     compose,
-    identity_propagator,
     isochore_partials,
     isochore_propagator,
 )
-from .records import IdentityRecord, Record
+from .records import IdentityRecord, Record, replace
 
 # A second unit-modulus eigenvalue within this gap of 1 means the fixed
 # point is not unique.
@@ -119,31 +117,13 @@ class CycleSpec(Record, namedtuple("CycleSpec", (
         return AdiabatParams(self.omega_a, self.omega_b, self.j, self.tau_ab)
 
 
-class CycleBranch(IdentityRecord, namedtuple(
-    "CycleBranch", "name kind duration prop isochore adiabat", defaults=(None, None),
-)):
-    """One stroke with enough context to sample states inside it.
-
-    ``kind`` is "isochore" (``isochore`` holds its :class:`IsochoreParams`)
-    or "adiabat" (``adiabat`` holds its :class:`AdiabatParams`); ``prop`` is
-    the :class:`AffinePropagator` of the whole stroke.
-    """
+class CycleBranch(IdentityRecord, namedtuple("CycleBranch", "name stroke prop")):
+    """One stroke: its name, its :class:`IsochoreParams` or
+    :class:`AdiabatParams` ``stroke`` (both give the duration ``tau`` and
+    the field ``omega_at(t)``) and the :class:`AffinePropagator` ``prop`` of
+    the whole stroke."""
 
     __slots__ = ()
-
-    def omega_at(self, t: float) -> float:
-        if self.kind == "isochore":
-            return self.isochore.omega
-        return self.adiabat.omega_at(t)
-
-    def partials(self, samples: int) -> list[AffinePropagator]:
-        """Maps of the first t time units of this branch at samples evenly
-        spaced t in [0, duration] (:func:`linspace`)."""
-        if self.duration == 0.0:
-            return [identity_propagator()] * samples
-        if self.kind == "isochore":
-            return isochore_partials(self.isochore, linspace(0.0, self.duration, samples))
-        return adiabat_partials(self.adiabat, samples)
 
 
 class CyclePropagator(IdentityRecord, namedtuple("CyclePropagator", "cycle branches spec")):
@@ -230,34 +210,43 @@ def energy(b: BlochVector, omega: float, j: float) -> float:
     return omega * b.b1 + j * b.b2
 
 
-def _sweep_partials(spec: CycleSpec, samples: int) -> tuple[list, list]:
+def _sweep_partials(hot_cold, cold_hot, samples: int) -> tuple[list, list]:
     """(hot->cold, cold->hot) sweep maps at samples evenly spaced times over
-    each sweep (:func:`adiabat_partials`).
+    each sweep.  Only the ascending ramp is integrated
+    (:func:`adiabat_partials`), for each duration; the hot->cold maps are its
+    time reversals (:func:`_time_reversed`).  With equally long sweeps that
+    ramp is the cold->hot sweep, integrated once."""
+    ramp = cold_hot_maps = adiabat_partials(cold_hot, samples)
+    if hot_cold.tau != cold_hot.tau:
+        ramp = adiabat_partials(replace(cold_hot, tau=hot_cold.tau), samples)
+    return _time_reversed(ramp), cold_hot_maps
 
-    The two sweeps run the same field ramp in opposite directions.  When
-    they last equally long, only the cold->hot sweep is integrated and the
-    hot->cold maps are its time reversals at the same times.
-    """
-    cold_hot = adiabat_partials(spec.adiabat_ab(), samples)
-    if spec.tau_ba == spec.tau_ab:
-        return _time_reversed(cold_hot), cold_hot
-    return adiabat_partials(spec.adiabat_ba(), samples), cold_hot
+
+def _stroke_partials(strokes, samples: int) -> tuple:
+    """Maps of the first t time units of the four strokes, in time order, at
+    samples evenly spaced t in [0, tau] (:func:`linspace`): the bath-stroke
+    closed form (:func:`isochore_partials`) and :func:`_sweep_partials`."""
+    hot, hot_cold, cold, cold_hot = strokes
+    u_ba, u_ab = _sweep_partials(hot_cold, cold_hot, samples)
+    return (isochore_partials(hot, linspace(0.0, hot.tau, samples)), u_ba,
+            isochore_partials(cold, linspace(0.0, cold.tau, samples)), u_ab)
 
 
 def compose_cycle(spec: CycleSpec) -> CyclePropagator:
-    """Build the four branch maps and their one-period product; the sweep
-    maps come from :func:`_sweep_partials`."""
-    iso_h = spec.hot_isochore()
-    iso_c = spec.cold_isochore()
-    u_ish = isochore_propagator(iso_h)
-    u_isc = isochore_propagator(iso_c)
-    u_ba, u_ab = (maps[-1] for maps in _sweep_partials(spec, 2))
-
+    """Build the four strokes, their whole-stroke maps and the one-period
+    product.  The maps come from the functions :func:`_stroke_partials`
+    samples with: :func:`isochore_propagator`, and the last of two
+    :func:`_sweep_partials` samples."""
+    hot, cold = spec.hot_isochore(), spec.cold_isochore()
+    hot_cold, cold_hot = spec.adiabat_ba(), spec.adiabat_ab()
+    u_ish = isochore_propagator(hot)
+    u_isc = isochore_propagator(cold)
+    u_ba, u_ab = (maps[-1] for maps in _sweep_partials(hot_cold, cold_hot, 2))
     branches = (
-        CycleBranch("isochore-hot", "isochore", spec.tau_hot, u_ish, isochore=iso_h),
-        CycleBranch("adiabat-hot-cold", "adiabat", spec.tau_ba, u_ba, adiabat=spec.adiabat_ba()),
-        CycleBranch("isochore-cold", "isochore", spec.tau_cold, u_isc, isochore=iso_c),
-        CycleBranch("adiabat-cold-hot", "adiabat", spec.tau_ab, u_ab, adiabat=spec.adiabat_ab()),
+        CycleBranch("isochore-hot", hot, u_ish),
+        CycleBranch("adiabat-hot-cold", hot_cold, u_ba),
+        CycleBranch("isochore-cold", cold, u_isc),
+        CycleBranch("adiabat-cold-hot", cold_hot, u_ab),
     )
     cycle = compose(u_ab, u_isc, u_ba, u_ish)
     return CyclePropagator(cycle=cycle, branches=branches, spec=spec)
@@ -471,29 +460,26 @@ def trajectory(
 
     Each branch contributes samples_per_branch points including both
     endpoints, so consecutive branches share their corner state.  The state
-    at time t of a branch is that branch's :meth:`CycleBranch.partials` map
-    applied to its start corner; each branch computes its maps for all
-    sample times in one pass (the bath-stroke closed form, or the sweep's
-    rotation blocks).  The sweep maps come from :func:`_sweep_partials`, so
-    with equally long sweeps only the cold->hot sweep is integrated, as in
-    :func:`compose_cycle`.  ValueError when samples_per_branch < 2.
+    at time t of a branch is the map of the stroke's first t time units
+    applied to its start corner; :func:`_stroke_partials` gives each
+    stroke's maps for all sample times in one pass (the bath-stroke closed
+    form, or the sweep's rotation blocks), integrating only ascending ramps
+    as :func:`compose_cycle` does.  ValueError when samples_per_branch < 2.
     """
     if samples_per_branch < 2:
         raise ValueError("samples_per_branch must be >= 2")
-    hot_cold, cold_hot = _sweep_partials(prop.spec, samples_per_branch)
-    sweeps = {"adiabat-hot-cold": hot_cold, "adiabat-cold-hot": cold_hot}
+    strokes = [branch.stroke for branch in prop.branches]
     new = tuple.__new__
     samples = []
     t0 = 0.0
     state = b_start
-    for branch in prop.branches:
-        name, omega_at = branch.name, branch.omega_at
-        times = linspace(0.0, branch.duration, samples_per_branch)
-        maps = sweeps[name] if branch.kind == "adiabat" else branch.partials(samples_per_branch)
-        for t, m in zip(times, maps):
+    for (name, stroke, whole), maps in zip(prop.branches,
+                                           _stroke_partials(strokes, samples_per_branch)):
+        omega_at = stroke.omega_at
+        for t, m in zip(linspace(0.0, stroke.tau, samples_per_branch), maps):
             samples.append(new(TrajectorySample, (name, t0 + t, omega_at(t), m.apply(state))))
-        state = branch.prop.apply(state)
-        t0 += branch.duration
+        state = whole.apply(state)
+        t0 += stroke.tau
     return samples
 
 

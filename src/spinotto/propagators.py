@@ -73,6 +73,9 @@ class IsochoreParams(Record, namedtuple("IsochoreParams", "omega j bath tau")):
                              "is not finite")
         return tuple.__new__(cls, (omega, j, bath, tau))
 
+    def omega_at(self, t: float) -> float:
+        return self.omega
+
 
 class AdiabatParams(Record, namedtuple("AdiabatParams", "omega_start omega_end j tau")):
     """Bath-free branch with the field swept linearly in time."""

@@ -1,4 +1,5 @@
-"""The 1.0 public API, its documentation and its version number."""
+"""The public API (its names as of 1.0, its branch shape as of 2.0), its
+documentation and its version number."""
 
 import inspect
 import re
@@ -8,7 +9,10 @@ import numpy as np
 import pytest
 
 import spinotto
-from spinotto import BlochVector
+from spinotto import (
+    AdiabatParams, BathParams, BlochVector, CycleBranch, IsochoreParams, compose_cycle,
+)
+from conftest import fig1_spec
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -34,6 +38,10 @@ REMOVED = {
 }
 
 
+# CycleBranch members removed in 2.0: the branch is (name, stroke, prop)
+REMOVED_BRANCH_MEMBERS = ("adiabat", "duration", "isochore", "kind", "omega_at", "partials")
+
+
 def test_public_api_is_exactly_the_1_0_names():
     exported = {name for name, value in vars(spinotto).items()
                 if not name.startswith("_") and not inspect.ismodule(value)}
@@ -45,6 +53,21 @@ def test_removed_name_raises_import_error(name):
     for module in ("spinotto", f"spinotto.{REMOVED[name]}"):
         with pytest.raises(ImportError):
             exec(f"from {module} import {name}", {})
+
+
+def test_cycle_branch_is_name_stroke_prop():
+    assert CycleBranch._fields == ("name", "stroke", "prop")
+    assert CycleBranch._field_defaults == {}
+    branch = compose_cycle(fig1_spec()).branches[0]
+    for name in REMOVED_BRANCH_MEMBERS:
+        assert not hasattr(CycleBranch, name) and not hasattr(branch, name), name
+
+
+def test_both_stroke_types_answer_tau_and_omega_at():
+    hot = IsochoreParams(12.6355, 2.0, BathParams(0.3423, 0.0, 7.5), 2.5)
+    assert (hot.tau, hot.omega_at(0.0), hot.omega_at(1.7)) == (2.5, 12.6355, 12.6355)
+    up = AdiabatParams(5.0, 12.0, 2.0, 0.5)
+    assert (up.tau, up.omega_at(0.0), up.omega_at(0.25), up.omega_at(0.5)) == (0.5, 5.0, 8.5, 12.0)
 
 
 def test_bloch_vector_is_its_own_tuple():

@@ -9,9 +9,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spinotto import (
+    AdiabatParams,
     BlochVector,
     CycleSpec,
+    IsochoreParams,
     NonUniqueLimitCycleError,
+    adiabat_partials,
     compose,
     compose_cycle,
     eigenvalue_tuple,
@@ -90,7 +93,10 @@ def test_compose_cycle_retains_branches_in_time_order():
     names = [br.name for br in prop.branches]
     assert names == ["isochore-hot", "adiabat-hot-cold", "isochore-cold",
                      "adiabat-cold-hot"]
-    assert sum(br.duration for br in prop.branches) == spec.period
+    assert [type(br.stroke) for br in prop.branches] == [IsochoreParams, AdiabatParams] * 2
+    assert [br.stroke for br in prop.branches] == [
+        spec.hot_isochore(), spec.adiabat_ba(), spec.cold_isochore(), spec.adiabat_ab()]
+    assert sum(br.stroke.tau for br in prop.branches) == spec.period
 
 
 def test_limit_cycle_raises_without_bath_time():
@@ -295,25 +301,26 @@ def test_isochore_partials_equal_per_sample_maps(rng):
     for dephasing in (False, True):
         prop = compose_cycle(random_spec(rng, dephasing=dephasing))
         for branch in (prop.branches[0], prop.branches[2]):
-            times = linspace(0.0, branch.duration, 40)
-            for t, partial in zip(times, branch.partials(40)):
+            times = linspace(0.0, branch.stroke.tau, 40)
+            for t, partial in zip(times, isochore_partials(branch.stroke, times)):
                 # one bath-stroke map per sample, the per-sample path kept as
                 # the reference
-                expected = isochore_propagator(replace(branch.isochore, tau=t))
+                expected = isochore_propagator(replace(branch.stroke, tau=t))
                 for name in fields:
                     assert getattr(partial, name) == getattr(expected, name), (t, name)
     with pytest.raises(ValueError, match="times"):
-        isochore_partials(prop.branches[0].isochore, [0.0, -1e-3])
+        isochore_partials(prop.branches[0].stroke, [0.0, -1e-3])
 
 
 @settings(max_examples=100 * EXAMPLE_SCALE, deadline=None)
 @given(cycle_specs(), physical_states(), st.sampled_from([2, 3, 17]), st.booleans())
 def test_trajectory_states_equal_public_maps_property(spec, b0, samples, symmetric):
     # the one-pass sampler against the public per-branch maps: each sample is
-    # the branch's partial map applied to the branch's start corner, and the
+    # the stroke's partial map applied to the branch's start corner, and the
     # entropy cells of the CSV rows are the public functions of that state;
-    # with equal sweep times the hot->cold maps are the time reversals of
-    # the cold->hot ones
+    # the hot->cold maps are the time reversals of the cold->hot field ramp
+    # run for the hot->cold duration, whether or not the sweeps last equally
+    # long
     if symmetric:
         spec = replace(spec, tau_ba=spec.tau_ab)
     prop = compose_cycle(spec)
@@ -321,25 +328,43 @@ def test_trajectory_states_equal_public_maps_property(spec, b0, samples, symmetr
     rows = trajectory_rows(prop, b0, samples)
     assert len(points) == len(rows) == 4 * samples
     s_vn, s_e = TRAJECTORY_HEADER.index("s_vn"), TRAJECTORY_HEADER.index("s_e")
+    hot, hot_cold, cold, cold_hot = (branch.stroke for branch in prop.branches)
+    ramp = replace(cold_hot, tau=hot_cold.tau)
+    public_maps = (
+        isochore_partials(hot, linspace(0.0, hot.tau, samples)),
+        _time_reversed(adiabat_partials(ramp, samples)),
+        isochore_partials(cold, linspace(0.0, cold.tau, samples)),
+        adiabat_partials(cold_hot, samples),
+    )
     corner, t0 = b0, 0.0
-    for index, branch in enumerate(prop.branches):
-        times = linspace(0.0, branch.duration, samples)
-        if index == 1 and spec.tau_ba == spec.tau_ab:
-            partials = _time_reversed(prop.branches[3].partials(samples))
-        else:
-            partials = branch.partials(samples)
+    for index, (branch, partials) in enumerate(zip(prop.branches, public_maps)):
+        times = linspace(0.0, branch.stroke.tau, samples)
         for i, partial in enumerate(partials):
             point, row = points[index * samples + i], rows[index * samples + i]
             expected = partial.apply(corner)
             assert (point.branch, point.t, point.omega) == (
-                branch.name, t0 + times[i], branch.omega_at(times[i])
+                branch.name, t0 + times[i], branch.stroke.omega_at(times[i])
             )
             for name in ("b1", "b2", "b3", "b4", "b5"):
                 assert getattr(point.state, name) == getattr(expected, name), (index, i, name)
             assert row[s_vn] == vn_entropy(expected)
             assert row[s_e] == energy_entropy(expected, point.omega, spec.j)
         corner = branch.prop.apply(corner)
-        t0 += branch.duration
+        t0 += branch.stroke.tau
+
+
+@settings(max_examples=100 * EXAMPLE_SCALE, deadline=None)
+@given(cycle_specs(), physical_states(), st.sampled_from([2, 3, 17]),
+       st.sampled_from(["tau_hot", "tau_cold"]))
+def test_trajectory_bath_stroke_ends_where_next_sweep_starts_property(spec, b0, samples, idle):
+    # a bath stroke's last sample and the next sweep's first, which starts
+    # from the branch map applied to the corner, are equal in every
+    # component, a zero-length bath stroke (fig6's shape) included
+    spec = replace(spec, **{idle: 0.0})
+    points = trajectory(compose_cycle(spec), b0, samples)
+    for index in (0, 2):
+        end, start = points[(index + 1) * samples - 1], points[(index + 1) * samples]
+        assert tuple(end.state) == tuple(start.state), (index, end.state, start.state)
 
 
 def test_trajectory_branch_endpoints_coincide():

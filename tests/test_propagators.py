@@ -21,15 +21,17 @@ from spinotto import (
     eigenvalue_tuple,
     identity_propagator,
     isochore_propagator,
+    limit_cycle,
     replace,
     thermal_state,
     trajectory,
 )
 from spinotto import propagators
-from spinotto.engine import linspace
+from spinotto.engine import _stroke_partials, linspace
 from spinotto.propagators import MAX_SWEEP_ANGLE, SWEEP_TOLERANCE, _time_reversed
 from conftest import (
-    EXAMPLE_SCALE, SQRT2, cycle_specs, fig1_spec, fig5_spec, landau_zener_map, random_bloch,
+    EXAMPLE_SCALE, FIG5_TIMES, SQRT2, cycle_specs, fig1_spec, fig5_spec, landau_zener_map,
+    physical_states, random_bloch,
 )
 
 
@@ -167,9 +169,10 @@ def test_zero_field_sweep_integrates():
 
 def test_sweep_samples_end_at_branch_map():
     prop = compose_cycle(fig1_spec())
-    for branch in (prop.branches[1], prop.branches[3]):
-        for samples in (2, 7, 200):
-            partials = branch.partials(samples)
+    strokes = [branch.stroke for branch in prop.branches]
+    for samples in (2, 7, 200):
+        maps = _stroke_partials(strokes, samples)
+        for branch, partials in ((prop.branches[1], maps[1]), (prop.branches[3], maps[3])):
             assert len(partials) == samples
             assert np.abs(partials[0].m - np.eye(4)).max() == 0.0
             assert np.abs(partials[-1].m - branch.prop.m).max() < 1e-12
@@ -308,6 +311,11 @@ def test_sweep_step_counts(monkeypatch):
     assert counter.count(AdiabatParams(1e3, -1e3, 1.0, 7.0)) <= 14850
 
 
+def _ascending_ramps(spec):
+    """The cold->hot field ramps run for tau_ab and for tau_ba."""
+    return [spec.adiabat_ab(), replace(spec.adiabat_ab(), tau=spec.tau_ba)]
+
+
 def test_compose_cycle_integrates_one_sweep_when_symmetric(monkeypatch):
     counter = StepCounter(monkeypatch)
     compose_cycle(fig1_spec())
@@ -316,7 +324,11 @@ def test_compose_cycle_integrates_one_sweep_when_symmetric(monkeypatch):
     spec = fig5_spec(1.0, 1.0)
     assert spec.tau_ab != spec.tau_ba
     compose_cycle(spec)
-    assert sorted(counter.sweeps) == sorted([spec.adiabat_ab(), spec.adiabat_ba()])
+    assert counter.sweeps == _ascending_ramps(spec)
+    # a work count: a 1.0-long fig1 limit cycle takes 87 steps
+    counter.steps = 0
+    limit_cycle(replace(fig1_spec(), tau_ab=1.0, tau_ba=1.0))
+    assert counter.steps <= 87
 
 
 @settings(max_examples=60 * EXAMPLE_SCALE, deadline=None)
@@ -331,9 +343,12 @@ def test_time_reversed_sweep_matches_landau_zener_oracle_property(p):
 
 
 @settings(max_examples=60 * EXAMPLE_SCALE, deadline=None)
-@given(cycle_specs())
-def test_compose_cycle_reverse_sweep_matches_integrated_property(spec):
-    spec = replace(spec, tau_ba=spec.tau_ab)
+@given(cycle_specs(), st.booleans())
+def test_compose_cycle_reverse_sweep_matches_integrated_property(spec, symmetric):
+    # the time-reversed ascending ramp against the descending sweep, which
+    # the public adiabat_partials still integrates
+    if symmetric:
+        spec = replace(spec, tau_ba=spec.tau_ab)
     hot_cold = compose_cycle(spec).branches[1].prop
     integrated = adiabat_propagator(spec.adiabat_ba())
     assert np.abs(hot_cold.m - integrated.m).max() <= 2e-11
@@ -350,11 +365,29 @@ def test_trajectory_integrates_one_sweep_when_symmetric(monkeypatch):
     trajectory(prop, b0, 1000)
     assert counter.sweeps == [spec.adiabat_ab()]
     assert counter.steps == 2997
-    spec = fig5_spec(1.0, 1.0)
-    prop = compose_cycle(spec)
+    # the three fig5 cycles (unequal sweeps), composed and sampled at 200
+    # points each, integrate the two ascending ramps in 3,630 steps
     counter.sweeps.clear()
-    trajectory(prop, b0, 5)
-    assert sorted(counter.sweeps) == sorted([spec.adiabat_ab(), spec.adiabat_ba()])
+    counter.steps = 0
+    for times in FIG5_TIMES.values():
+        trajectory(compose_cycle(fig5_spec(*times)), b0, 200)
+    assert counter.sweeps == _ascending_ramps(fig5_spec(*FIG5_TIMES["1"]))
+    assert counter.steps <= 3630
+
+
+@settings(max_examples=60 * EXAMPLE_SCALE, deadline=None)
+@given(cycle_specs(), physical_states(), st.sampled_from([2, 3, 17]), st.booleans())
+def test_engine_integrates_only_ascending_ramps_property(spec, b0, samples, symmetric):
+    # compose_cycle and trajectory integrate the cold->hot ramp for each sweep
+    # duration and nothing else: one ramp when the sweeps last equally long
+    if symmetric:
+        spec = replace(spec, tau_ba=spec.tau_ab)
+    with pytest.MonkeyPatch.context() as patch:
+        counter = StepCounter(patch)
+        trajectory(compose_cycle(spec), b0, samples)
+    assert all(p.omega_start < p.omega_end for p in counter.sweeps), counter.sweeps
+    expected = {ramp for ramp in _ascending_ramps(spec) if ramp.tau > 0.0}
+    assert set(counter.sweeps) == expected
 
 
 @settings(max_examples=30 * EXAMPLE_SCALE, deadline=None)

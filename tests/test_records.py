@@ -36,13 +36,15 @@ from spinotto import (
 )
 from spinotto.algebra import is_physical
 from spinotto.cli import RunConfig
+from spinotto.engine import _stroke_partials
 from conftest import fig1_spec, fig6_spec
 
 _ZERO3 = (0.0, 0.0, 0.0)
 REQUIRED = inspect.Parameter.empty
 
-# constructor parameters as in 0.7.0, "name" (required) or "name=None";
-# every parameter is positional-or-keyword unless listed in KEYWORD_ONLY
+# constructor parameters as in 0.7.0 (CycleBranch's as in 2.0.0), "name"
+# (required) or "name=None"; every parameter is positional-or-keyword unless
+# listed in KEYWORD_ONLY
 SIGNATURES = {
     BlochVector: "b1 b2 b3 b4 b5",
     BathParams: "conductance dephasing temperature",
@@ -53,7 +55,7 @@ SIGNATURES = {
                        ("shift", _ZERO3)],
     CycleSpec: "t_cold t_hot omega_a omega_b j gamma_cold gamma_hot dephasing_cold "
                "dephasing_hot tau_cold tau_hot tau_ab tau_ba",
-    CycleBranch: "name kind duration prop isochore=None adiabat=None",
+    CycleBranch: "name stroke prop",
     CyclePropagator: "cycle branches spec",
     CycleSpectrum: "eigenvalues phi",
     LimitCycleReport: "b_a eigenvalues phi gap propagator ledger",
@@ -112,8 +114,9 @@ def one_of_each():
 
 
 def records():
-    """:func:`one_of_each`, then a sweep branch: its last field (``adiabat``)
-    holds a checked record where the bath branch's is None."""
+    """:func:`one_of_each`, then a sweep branch: its ``stroke`` is an
+    :class:`AdiabatParams` where the bath branch's is an
+    :class:`IsochoreParams`."""
     return one_of_each() + [compose_cycle(fig1_spec()).branches[1]]
 
 
@@ -261,10 +264,11 @@ def _sampled_maps():
     """Maps from every sampler that builds them with tuple.__new__, past the
     constructor, and the zero-duration branch (fig6's hot stroke)."""
     prop = compose_cycle(fig1_spec())
-    hot, sweep = prop.branches[0].isochore, prop.branches[1].adiabat
+    hot, sweep = prop.branches[0].stroke, prop.branches[1].stroke
     maps = isochore_partials(hot, [0.0, 0.7, hot.tau]) + adiabat_partials(sweep, 3)
-    for branch in prop.branches + compose_cycle(fig6_spec()).branches:
-        maps += branch.partials(3)
+    for cycle in (prop, compose_cycle(fig6_spec())):
+        for partials in _stroke_partials([branch.stroke for branch in cycle.branches], 3):
+            maps += partials
     return maps
 
 
