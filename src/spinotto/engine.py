@@ -9,12 +9,13 @@ map's closed-set part is a 3x3 block, so the fixed point is a 3x3 solve with
 partial pivoting and the spectrum a small 3x3 eigensolver: one real root of
 the characteristic cubic, refined by a two-sided Rayleigh quotient, and the
 remaining pair from the 2x2 block left when its eigenvector is deflated.
-Inside a period, :func:`_stroke_partials` gives each stroke's maps at all
-its sample times in one pass, and :func:`trajectory` applies them to the
-stroke's start corner.  Only ascending field ramps are integrated: the
-hot->cold sweep is the time reversal of the cold->hot ramp run for its
-duration, which with equally long sweeps is the cold->hot sweep itself,
-integrated once.  Everything is plain floats, tuples and complex numbers.
+:func:`_stroke_partials` gives each stroke's maps at its sample times after
+t = 0, the whole-stroke maps of :func:`compose_cycle` at two samples, and
+:func:`trajectory` applies them to the previous stroke's last sample.  Only
+ascending field ramps are integrated: the hot->cold sweep is the time
+reversal of the cold->hot ramp run for its duration, which with equally
+long sweeps is the cold->hot sweep itself, integrated once.  Everything is
+plain floats, tuples and complex numbers.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .propagators import (
     adiabat_partials,
     compose,
     isochore_partials,
-    isochore_propagator,
 )
 from .records import IdentityRecord, Record, replace
 
@@ -210,38 +210,29 @@ def energy(b: BlochVector, omega: float, j: float) -> float:
     return omega * b.b1 + j * b.b2
 
 
-def _sweep_partials(hot_cold, cold_hot, samples: int) -> tuple[list, list]:
-    """(hot->cold, cold->hot) sweep maps at samples evenly spaced times over
-    each sweep.  Only the ascending ramp is integrated
-    (:func:`adiabat_partials`), for each duration; the hot->cold maps are its
-    time reversals (:func:`_time_reversed`).  With equally long sweeps that
-    ramp is the cold->hot sweep, integrated once."""
-    ramp = cold_hot_maps = adiabat_partials(cold_hot, samples)
-    if hot_cold.tau != cold_hot.tau:
-        ramp = adiabat_partials(replace(cold_hot, tau=hot_cold.tau), samples)
-    return _time_reversed(ramp), cold_hot_maps
-
-
 def _stroke_partials(strokes, samples: int) -> tuple:
     """Maps of the first t time units of the four strokes, in time order, at
-    samples evenly spaced t in [0, tau] (:func:`linspace`): the bath-stroke
-    closed form (:func:`isochore_partials`) and :func:`_sweep_partials`."""
+    the samples - 1 times t > 0 of samples evenly spaced t in [0, tau]
+    (:func:`linspace`): the bath-stroke closed form (:func:`isochore_partials`)
+    and the ascending sweep (:func:`adiabat_partials`).  The hot->cold maps
+    are time reversals (:func:`_time_reversed`) of the ascending ramp run for
+    its duration: with equally long sweeps, the cold->hot sweep itself."""
     hot, hot_cold, cold, cold_hot = strokes
-    u_ba, u_ab = _sweep_partials(hot_cold, cold_hot, samples)
-    return (isochore_partials(hot, linspace(0.0, hot.tau, samples)), u_ba,
-            isochore_partials(cold, linspace(0.0, cold.tau, samples)), u_ab)
+    ramp = u_ab = adiabat_partials(cold_hot, samples)
+    if hot_cold.tau != cold_hot.tau:
+        ramp = adiabat_partials(replace(cold_hot, tau=hot_cold.tau), samples)
+    return (isochore_partials(hot, linspace(0.0, hot.tau, samples)[1:]), _time_reversed(ramp)[1:],
+            isochore_partials(cold, linspace(0.0, cold.tau, samples)[1:]), u_ab[1:])
 
 
 def compose_cycle(spec: CycleSpec) -> CyclePropagator:
     """Build the four strokes, their whole-stroke maps and the one-period
-    product.  The maps come from the functions :func:`_stroke_partials`
-    samples with: :func:`isochore_propagator`, and the last of two
-    :func:`_sweep_partials` samples."""
-    hot, cold = spec.hot_isochore(), spec.cold_isochore()
-    hot_cold, cold_hot = spec.adiabat_ba(), spec.adiabat_ab()
-    u_ish = isochore_propagator(hot)
-    u_isc = isochore_propagator(cold)
-    u_ba, u_ab = (maps[-1] for maps in _sweep_partials(hot_cold, cold_hot, 2))
+    product.  The maps are :func:`_stroke_partials` at two samples per
+    stroke, the sampler :func:`trajectory` uses."""
+    strokes = hot, hot_cold, cold, cold_hot = (
+        spec.hot_isochore(), spec.adiabat_ba(), spec.cold_isochore(), spec.adiabat_ab()
+    )
+    (u_ish,), (u_ba,), (u_isc,), (u_ab,) = _stroke_partials(strokes, 2)
     branches = (
         CycleBranch("isochore-hot", hot, u_ish),
         CycleBranch("adiabat-hot-cold", hot_cold, u_ba),
@@ -459,12 +450,13 @@ def trajectory(
     """Densely sampled states over one period, branch by branch.
 
     Each branch contributes samples_per_branch points including both
-    endpoints, so consecutive branches share their corner state.  The state
-    at time t of a branch is the map of the stroke's first t time units
-    applied to its start corner; :func:`_stroke_partials` gives each
-    stroke's maps for all sample times in one pass (the bath-stroke closed
-    form, or the sweep's rotation blocks), integrating only ascending ramps
-    as :func:`compose_cycle` does.  ValueError when samples_per_branch < 2.
+    endpoints.  A stroke's first sample is its start state itself: b_start
+    for the first stroke, the previous stroke's last sample for the others,
+    so consecutive branches share their corner state bit for bit.  Its
+    state at a later time t is the map of the stroke's first t time units
+    applied to that start state; :func:`_stroke_partials`, the sampler of
+    :func:`compose_cycle`, gives each stroke's maps for all sample times in
+    one pass.  ValueError when samples_per_branch < 2.
     """
     if samples_per_branch < 2:
         raise ValueError("samples_per_branch must be >= 2")
@@ -472,13 +464,14 @@ def trajectory(
     new = tuple.__new__
     samples = []
     t0 = 0.0
-    state = b_start
-    for (name, stroke, whole), maps in zip(prop.branches,
-                                           _stroke_partials(strokes, samples_per_branch)):
+    start = b_start
+    for (name, stroke, _), maps in zip(prop.branches,
+                                       _stroke_partials(strokes, samples_per_branch)):
         omega_at = stroke.omega_at
-        for t, m in zip(linspace(0.0, stroke.tau, samples_per_branch), maps):
-            samples.append(new(TrajectorySample, (name, t0 + t, omega_at(t), m.apply(state))))
-        state = whole.apply(state)
+        states = [start] + [m.apply(start) for m in maps]
+        for t, state in zip(linspace(0.0, stroke.tau, samples_per_branch), states):
+            samples.append(new(TrajectorySample, (name, t0 + t, omega_at(t), state)))
+        start = states[-1]
         t0 += stroke.tau
     return samples
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from collections import namedtuple
 from itertools import chain
 
@@ -100,9 +101,12 @@ class AdiabatParams(Record, namedtuple("AdiabatParams", "omega_start omega_end j
         return SQRT2 * big * self.tau
 
     def omega_at(self, t: float) -> float:
-        if self.tau == 0.0:
+        tau = self.tau
+        if t >= tau:  # the end field exactly, a zero-length sweep's included
             return self.omega_end
-        return self.omega_start + (self.omega_end - self.omega_start) * t / self.tau
+        if tau < sys.float_info.min:  # scaled by a power of two (exact) to keep its bits
+            t, tau = t * 2.0**600, tau * 2.0**600
+        return self.omega_start + (self.omega_end - self.omega_start) * t / tau
 
 
 _IDENTITY_BLOCK = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))

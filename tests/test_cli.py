@@ -456,11 +456,13 @@ def test_figure_fig3_case_one_oscillates(tmp_path):
 
 
 # sha256 of each preset's CSV, re-pinned in 1.2.0 for the eighth-order sweep
-# step (no cell moved by more than 2.2e-10).  Every printed digit
+# step (no cell moved by more than 2.2e-10); fig1 re-pinned in 2.1.0, where
+# each trajectory stroke starts at the previous stroke's last sample (61
+# cells moved, none by more than 1e-11).  Every printed digit
 # goes through libm (exp, log, sin, cos, pow); these are the bytes with
 # glibc's libm, on Python 3.10 to 3.13.
 FIGURE_SHA256 = {
-    "fig1": "925cf33c4c9fd0d4b0980f0b2147fe57358337ad7d753256496ea5a2a5732aef",
+    "fig1": "0f5ac4f103b73ee780e4ac4ccf899a91e09ff2e00f56cd99c9cfc8d59ee650bf",
     "fig2": "68f65f287bbe0e4a952d8f2c8f3bc01baa24eb2920029ae5f991cbea9be98d51",
     "fig3": "389a0fc9ef237f3c03158ba69926a94c2eda31e6e2e9de99ab0144ddd706eec1",
     "fig5": "500e677d485dbb54a090c6cd5628c1c10cc312f99dd2c2a9e8f1c28d4a14ec34",
@@ -478,7 +480,9 @@ def test_figure_csv_bytes_are_pinned(tmp_path, preset):
 # one fixed config per command and the sha256 of its CSV, computed before
 # the commands handed their tables to one render path in main (1.0.1);
 # re-pinned in 1.2.0 for the eighth-order sweep step, but for
-# equilibrium-curve, which integrates no sweep
+# equilibrium-curve, which integrates no sweep; trajectory re-pinned in 2.1.0,
+# where each stroke starts at the previous stroke's last sample (5 cells
+# moved, none by more than 1e-13)
 COMMAND_CONFIGS = {
     "limit-cycle": {"engine": dict(FIG1_ENGINE, dephasing_cold=0.01, tau_ab=1.0, tau_ba=0.8)},
     "iterate": {
@@ -503,7 +507,7 @@ COMMAND_CONFIGS = {
 COMMAND_SHA256 = {
     "limit-cycle": "63476c92e181e2dca14b281cbd8de89c13d0ce23e3be8cf52d1fcab1564eab5e",
     "iterate": "8aca8787d7efad38a2daa17b3d7b38ffacdf1950d6cd46eaf9dcdd957f0830b1",
-    "trajectory": "0a23642a71d36804e73135fe24094dc35dd48310411a04e9518bb037e8c01a9e",
+    "trajectory": "88efa98c693a36f9419f1b4c73aa6c399ab732d287c6b6ad91ba993935a76e10",
     "spectrum": "b531ca5b225d8db739fc1881c9dd0f379390efb3c8be0b42900f9b1c098698c5",
     "sweep": "318e9b620672b5786959af13e2be9acaad653ea69136da4fe001527ff55b97af",
     "equilibrium-curve": "ed112f8a94ff99498ad93700ab45fa0db27d4642be3947a7d8da58cc2b75645a",

@@ -316,11 +316,11 @@ def test_isochore_partials_equal_per_sample_maps(rng):
 @given(cycle_specs(), physical_states(), st.sampled_from([2, 3, 17]), st.booleans())
 def test_trajectory_states_equal_public_maps_property(spec, b0, samples, symmetric):
     # the one-pass sampler against the public per-branch maps: each sample is
-    # the stroke's partial map applied to the branch's start corner, and the
-    # entropy cells of the CSV rows are the public functions of that state;
-    # the hot->cold maps are the time reversals of the cold->hot field ramp
-    # run for the hot->cold duration, whether or not the sweeps last equally
-    # long
+    # the stroke's partial map applied to the branch's start corner, which is
+    # the previous branch's last sample, and the entropy cells of the CSV rows
+    # are the public functions of that state; the hot->cold maps are the time
+    # reversals of the cold->hot field ramp run for the hot->cold duration,
+    # whether or not the sweeps last equally long
     if symmetric:
         spec = replace(spec, tau_ba=spec.tau_ab)
     prop = compose_cycle(spec)
@@ -330,18 +330,18 @@ def test_trajectory_states_equal_public_maps_property(spec, b0, samples, symmetr
     s_vn, s_e = TRAJECTORY_HEADER.index("s_vn"), TRAJECTORY_HEADER.index("s_e")
     hot, hot_cold, cold, cold_hot = (branch.stroke for branch in prop.branches)
     ramp = replace(cold_hot, tau=hot_cold.tau)
+    # the maps after t = 0; each branch's first sample is its start corner
     public_maps = (
-        isochore_partials(hot, linspace(0.0, hot.tau, samples)),
-        _time_reversed(adiabat_partials(ramp, samples)),
-        isochore_partials(cold, linspace(0.0, cold.tau, samples)),
-        adiabat_partials(cold_hot, samples),
+        isochore_partials(hot, linspace(0.0, hot.tau, samples)[1:]),
+        _time_reversed(adiabat_partials(ramp, samples))[1:],
+        isochore_partials(cold, linspace(0.0, cold.tau, samples)[1:]),
+        adiabat_partials(cold_hot, samples)[1:],
     )
     corner, t0 = b0, 0.0
     for index, (branch, partials) in enumerate(zip(prop.branches, public_maps)):
         times = linspace(0.0, branch.stroke.tau, samples)
-        for i, partial in enumerate(partials):
+        for i, expected in enumerate([corner] + [m.apply(corner) for m in partials]):
             point, row = points[index * samples + i], rows[index * samples + i]
-            expected = partial.apply(corner)
             assert (point.branch, point.t, point.omega) == (
                 branch.name, t0 + times[i], branch.stroke.omega_at(times[i])
             )
@@ -349,7 +349,7 @@ def test_trajectory_states_equal_public_maps_property(spec, b0, samples, symmetr
                 assert getattr(point.state, name) == getattr(expected, name), (index, i, name)
             assert row[s_vn] == vn_entropy(expected)
             assert row[s_e] == energy_entropy(expected, point.omega, spec.j)
-        corner = branch.prop.apply(corner)
+        corner = expected
         t0 += branch.stroke.tau
 
 
@@ -357,12 +357,11 @@ def test_trajectory_states_equal_public_maps_property(spec, b0, samples, symmetr
 @given(cycle_specs(), physical_states(), st.sampled_from([2, 3, 17]),
        st.sampled_from(["tau_hot", "tau_cold"]))
 def test_trajectory_bath_stroke_ends_where_next_sweep_starts_property(spec, b0, samples, idle):
-    # a bath stroke's last sample and the next sweep's first, which starts
-    # from the branch map applied to the corner, are equal in every
-    # component, a zero-length bath stroke (fig6's shape) included
+    # each stroke's last sample and the next stroke's first are equal in
+    # every component, a zero-length bath stroke (fig6's shape) included
     spec = replace(spec, **{idle: 0.0})
     points = trajectory(compose_cycle(spec), b0, samples)
-    for index in (0, 2):
+    for index in (0, 1, 2):
         end, start = points[(index + 1) * samples - 1], points[(index + 1) * samples]
         assert tuple(end.state) == tuple(start.state), (index, end.state, start.state)
 

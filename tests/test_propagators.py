@@ -168,14 +168,36 @@ def test_zero_field_sweep_integrates():
 
 
 def test_sweep_samples_end_at_branch_map():
+    # the in-period sampler gives the maps after t = 0, the last one the
+    # branch map; the public sampler and its time reversal start at the
+    # identity
     prop = compose_cycle(fig1_spec())
     strokes = [branch.stroke for branch in prop.branches]
     for samples in (2, 7, 200):
         maps = _stroke_partials(strokes, samples)
         for branch, partials in ((prop.branches[1], maps[1]), (prop.branches[3], maps[3])):
-            assert len(partials) == samples
-            assert np.abs(partials[0].m - np.eye(4)).max() == 0.0
+            assert len(partials) == samples - 1
             assert np.abs(partials[-1].m - branch.prop.m).max() < 1e-12
+        forward = adiabat_partials(strokes[3], samples)
+        for first in (forward[0], _time_reversed(forward)[0]):
+            assert np.abs(first.m - np.eye(4)).max() == 0.0
+
+
+@pytest.mark.parametrize("tau", [5e-324, 2.225073858507e-311, 1e-310, 2.2250738585072014e-308,
+                                 1e-300, 0.01, 0.5, 0.8, 1.0, 1.527549237953228])
+@pytest.mark.parametrize("fields", [(5.08364, 12.6355), (12.6355, 5.08364), (-14.6254, 13.8973),
+                                    (0.01, -3.5)])
+def test_sweep_field_stays_on_the_ramp(tau, fields):
+    # a subnormal duration is scaled up before it divides, so the field
+    # starts and ends on the ramp's end points and never leaves the ramp
+    start, end = fields
+    p = AdiabatParams(start, end, 2.0, tau)
+    assert p.omega_at(0.0) == start
+    assert abs(p.omega_at(tau) - end) <= 2 * math.ulp(end)
+    low, high = min(fields), max(fields)
+    for samples in (2, 3, 9, 101):
+        for t in linspace(0.0, tau, samples):
+            assert low <= p.omega_at(t) <= high, (samples, t)
 
 
 def test_adiabat_zero_time_is_identity():
