@@ -53,4 +53,4 @@ from .propagators import (
 )
 from .records import replace
 
-__version__ = "2.1.0"
+__version__ = "2.1.1"

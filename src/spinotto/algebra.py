@@ -82,13 +82,10 @@ def eigenvalue_tuple(b: BlochVector) -> tuple:
     )
 
 
-def energy_populations(b: BlochVector, omega: float, j: float) -> tuple:
-    """Diagonal of the energy-basis state, in closed form.
-
-    The populations are ordered by increasing energy of the outer doublet:
-    (-Omega/sqrt(2), 0, 0, +Omega/sqrt(2)) with E = omega*b1 + J*b2 entering
-    the outer entries.
-    """
+def _energy_frame(omega: float, j: float) -> tuple:
+    """(omega, j, sqrt2 * Omega) for :func:`energy_populations`, which
+    divides omega*b1 + J*b2 by sqrt2 * Omega: the field as given, or scaled
+    by 2**600 when Omega is below FIELD_RANGE; ValueError at omega = J = 0."""
     big_omega = math.hypot(omega, j)
     if big_omega == 0.0:
         raise ValueError("energy basis undefined for omega = J = 0")
@@ -98,7 +95,18 @@ def energy_populations(b: BlochVector, omega: float, j: float) -> tuple:
         # field lost enough of them to make a pure state's population -4e-12
         omega, j = omega * 2.0**600, j * 2.0**600
         big_omega = math.hypot(omega, j)
-    e_scaled = (omega * b.b1 + j * b.b2) / (SQRT2 * big_omega)
+    return omega, j, SQRT2 * big_omega
+
+
+def energy_populations(b: BlochVector, omega: float, j: float) -> tuple:
+    """Diagonal of the energy-basis state, in closed form.
+
+    The populations are ordered by increasing energy of the outer doublet:
+    (-Omega/sqrt(2), 0, 0, +Omega/sqrt(2)) with E = omega*b1 + J*b2 entering
+    the outer entries.
+    """
+    omega, j, scale = _energy_frame(omega, j)
+    e_scaled = (omega * b.b1 + j * b.b2) / scale
     half_b5 = b.b5 / 2.0
     return (
         0.25 - e_scaled + half_b5,

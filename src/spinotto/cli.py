@@ -30,6 +30,7 @@ stderr: ``{"error": "usage" | "config" | "non-unique-limit-cycle",
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import operator
@@ -43,14 +44,13 @@ from .engine import (
     LimitCycleReport,
     NonUniqueLimitCycleError,
     compose_cycle,
-    energy,
     iterate,
     limit_cycle,
     linspace,
     spectrum,
     trajectory,
 )
-from .measures import Reference, energy_entropy, vn_entropy, wootters_distance_to
+from .measures import Reference, _measures_to, _state_entropies, energy_entropy
 from .records import Record
 
 SCHEMA_VERSION = 1
@@ -292,19 +292,15 @@ ITERATE_HEADER = (
 
 
 def iterate_rows(report: LimitCycleReport, b0: BlochVector, n: int) -> list[list]:
-    spec, b_lc = report.propagator.spec, report.b_a
-    ref = Reference(b_lc)
-    wootters = wootters_distance_to(b_lc, spec.omega_b, spec.j)
-    rows = []
-    for k, b in enumerate(iterate(report.propagator, b0, n)):
-        lam = eigenvalue_tuple(b)
-        rows.append(
-            [k, b.b1, b.b2, b.b3, b.b4, b.b5,
-             ref.quantum_distance(b, lam),
-             wootters(b),
-             ref.conditional_entropy(b, lam)]
-        )
-    return rows
+    """One ITERATE_HEADER row per anchor state b_k, k = 0..n: the distances
+    and the relative entropy to the limit cycle, the Wootters distance at
+    the anchor field omega_b.  One kernel, bound once per table
+    (``measures._measures_to``), gives each row's three measures in one
+    pass, bit for bit those of :class:`Reference` and
+    :func:`wootters_distance_to`."""
+    spec = report.propagator.spec
+    measures = _measures_to(Reference(report.b_a), spec.omega_b, spec.j)
+    return [[k, *b, *measures(b)] for k, b in enumerate(iterate(report.propagator, b0, n))]
 
 
 TRAJECTORY_HEADER = (
@@ -314,17 +310,14 @@ TRAJECTORY_HEADER = (
 
 
 def trajectory_rows(prop: CyclePropagator, b_start: BlochVector, samples: int) -> list[list]:
+    """One TRAJECTORY_HEADER row per :func:`trajectory` sample.  s_vn, s_e
+    and the energy come from one kernel (``measures._state_entropies``), bit
+    for bit :func:`vn_entropy`, :func:`energy_entropy` and :func:`energy`.
+    The energy basis is undefined at omega = J = 0 (a J = 0 sweep through
+    zero field); s_e takes its limit there, equal from either side."""
     j = prop.spec.j
-    rows = []
-    for branch, t, omega, b in trajectory(prop, b_start, samples):
-        # the energy basis is undefined at omega = J = 0 (a J = 0 sweep through
-        # zero field); s_e takes its limit there, equal from either side
-        s_e = energy_entropy(b, omega, j) if omega or j else energy_entropy(b, 1.0, 0.0)
-        rows.append(
-            [branch, t, omega, b.b1, b.b2, b.b3, b.b4, b.b5,
-             vn_entropy(b), s_e, energy(b, omega, j)]
-        )
-    return rows
+    return [[branch, t, omega, *b, *_state_entropies(b, omega, j)]
+            for branch, t, omega, b in trajectory(prop, b_start, samples)]
 
 
 SPECTRUM_HEADER = _MU_COLS + ["phi", "gap"]
@@ -620,6 +613,20 @@ def _parse_args(argv):
 
 
 def main(argv=None) -> int:
+    """Run one command line; the exit status.  Cyclic garbage collection is
+    paused meanwhile and then left as the caller had it: a run builds no
+    reference cycles, so reference counting frees all it allocates, while
+    the collector's passes would walk the growing table again and again."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv) -> int:
     try:
         parsed = _parse_args(sys.argv[1:] if argv is None else argv)
     except _UsageError as exc:

@@ -24,7 +24,7 @@ import math
 from collections import namedtuple
 
 from .algebra import BlochVector, eigenvalue_tuple, is_physical
-from .measures import energy_entropy, vn_entropy
+from .measures import _state_entropies
 from .propagators import (
     AdiabatParams,
     BathParams,
@@ -483,10 +483,11 @@ def _ledger(prop: CyclePropagator, b_a: BlochVector) -> ThermoLedger:
     b_c = u_ba.apply(b_b)
     b_d = u_isc.apply(b_c)
 
-    e_a = energy(b_a, spec.omega_b, spec.j)
-    e_b = energy(b_b, spec.omega_b, spec.j)
-    e_c = energy(b_c, spec.omega_a, spec.j)
-    e_d = energy(b_d, spec.omega_a, spec.j)
+    # von Neumann entropy, energy entropy and energy of each corner
+    s_a, se_a, e_a = _state_entropies(b_a, spec.omega_b, spec.j)
+    s_b, se_b, e_b = _state_entropies(b_b, spec.omega_b, spec.j)
+    s_c, se_c, e_c = _state_entropies(b_c, spec.omega_a, spec.j)
+    s_d, se_d, e_d = _state_entropies(b_d, spec.omega_a, spec.j)
 
     q_hot = e_b - e_a
     q_cold = e_d - e_c
@@ -494,13 +495,6 @@ def _ledger(prop: CyclePropagator, b_a: BlochVector) -> ThermoLedger:
     w_ab = e_a - e_d
     power = (q_hot + q_cold) / spec.period
     ds_ext = -(q_hot / spec.t_hot + q_cold / spec.t_cold)
-
-    s_a, s_b = vn_entropy(b_a), vn_entropy(b_b)
-    s_c, s_d = vn_entropy(b_c), vn_entropy(b_d)
-    se_a = energy_entropy(b_a, spec.omega_b, spec.j)
-    se_b = energy_entropy(b_b, spec.omega_b, spec.j)
-    se_c = energy_entropy(b_c, spec.omega_a, spec.j)
-    se_d = energy_entropy(b_d, spec.omega_a, spec.j)
 
     return ThermoLedger(
         q_hot=q_hot,

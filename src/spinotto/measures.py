@@ -12,6 +12,13 @@ matrix is built.  The tests check both against density-matrix oracles.
 Both live on :class:`Reference`, which binds the reference state once.
 :func:`wootters_distance_to` binds a reference's energy populations the
 same way for the Wootters distance.
+A table row needs several of these measures of one state, so two private
+kernels give them in one pass, with the float operations of the public
+functions and so the same bits: :func:`_measures_to` (the three measures
+of an ``iterate`` row, bound once per table to a :class:`Reference` and a
+field) and :func:`_state_entropies` (s_vn, s_e and the energy of a
+``trajectory`` row or a ledger corner).  The public functions stay as
+their reference in the tests.
 """
 
 from __future__ import annotations
@@ -19,9 +26,12 @@ from __future__ import annotations
 import math
 
 from .algebra import (
+    FIELD_RANGE,
     LOG_EIGENVALUE_FLOOR,
     PHYSICALITY_TOL,
+    SQRT2,
     BlochVector,
+    _energy_frame,
     eigenvalue_tuple,
     energy_populations,
     is_physical,
@@ -181,6 +191,128 @@ class Reference:
                 out += p * math.log(p)
             out -= w * log_q
         return out
+
+
+def _measures_to(ref: Reference, omega: float, j: float):
+    """The row measures of a state against ref as one function of the state,
+    b -> (quantum_distance, wootters_energy_distance, conditional_entropy),
+    the Wootters distance at the field (omega, j).  It does the float
+    operations of ``ref.quantum_distance``, ``wootters_distance_to(ref.b,
+    omega, j)`` and ``ref.conditional_entropy`` in one pass: the eigenvalues
+    and the outer overlap tr(A A_ref) once, and lam2, lam3 as the inner
+    energy populations.  Like the :class:`Reference` methods it does not
+    check the state; ValueError at omega = J = 0."""
+    q1, q2, q3, q4 = (max(q, 0.0) for q in energy_populations(ref.b, omega, j))
+    omega, j, e_scale = _energy_frame(omega, j)
+    rb1, rb2, rb3 = ref.b.b1, ref.b.b2, ref.b.b3
+    r = ref.r
+    ref1, ref2, ref3, ref4 = ref.lam
+    log1, log2, log3, log4 = ref.log_lam
+    gap_ref = ref4 - ref1
+    out1, out2, out3, out4 = (q < _SUPPORT_TOL for q in ref.lam)
+    sqrt, log, acos, inf = math.sqrt, math.log, math.acos, math.inf
+
+    def measures(b: BlochVector) -> tuple:
+        b1, b2, b3, b4, b5 = b
+        try:  # BlochVector.d: inf when a square overflows
+            d_scaled = sqrt(b1**2 + b2**2 + b3**2) / SQRT2
+        except OverflowError:
+            d_scaled = inf
+        b4_scaled = b4 / SQRT2
+        half_b5 = b5 / 2.0
+        lam1 = 0.25 - d_scaled + half_b5
+        lam2 = 0.25 + b4_scaled - half_b5
+        lam3 = 0.25 - b4_scaled - half_b5
+        lam4 = 0.25 + d_scaled + half_b5
+        overlap = 2.0 * (0.25 + half_b5) * r + b1 * rb1 + b2 * rb2 + b3 * rb3
+
+        # (0.0 if x < 0.0 else x) is max(x, 0.0), NaN and -0.0 included,
+        # without the call
+        dets = lam1 * lam4 * ref1 * ref4
+        outer = overlap + 2.0 * sqrt(0.0 if dets < 0.0 else dets)
+        inner2, inner3 = lam2 * ref2, lam3 * ref3
+        fidelity = (
+            sqrt(0.0 if outer < 0.0 else outer)
+            + sqrt(0.0 if inner2 < 0.0 else inner2)
+            + sqrt(0.0 if inner3 < 0.0 else inner3)
+        )
+        deficit = 2.0 * (1.0 - fidelity)
+        distance = 0.0 if deficit < _OVERLAP_NOISE else sqrt(deficit)
+
+        e_scaled = (omega * b1 + j * b2) / e_scale
+        p1 = 0.25 - e_scaled + half_b5
+        p4 = 0.25 + e_scaled + half_b5
+        bhattacharyya = (
+            sqrt((0.0 if p1 < 0.0 else p1) * q1)
+            + sqrt((0.0 if lam2 < 0.0 else lam2) * q2)
+            + sqrt((0.0 if lam3 < 0.0 else lam3) * q3)
+            + sqrt((0.0 if p4 < 0.0 else p4) * q4)
+        )
+        angle = (0.0 if bhattacharyya >= 1.0 - _OVERLAP_NOISE
+                 else acos(max(bhattacharyya, -1.0)))
+
+        trace_outer = lam1 + lam4
+        w1 = (ref4 * trace_outer - overlap) / gap_ref if gap_ref > 0.0 else trace_outer / 2.0
+        w4 = trace_outer - w1
+        if ((out1 and w1 > _SUPPORT_WEIGHT) or (out2 and lam2 > _SUPPORT_WEIGHT)
+                or (out3 and lam3 > _SUPPORT_WEIGHT) or (out4 and w4 > _SUPPORT_WEIGHT)):
+            return distance, angle, inf
+        # the loop of Reference.conditional_entropy, unrolled: a skipped
+        # 0 log 0 term enters as 0.0, which leaves the sum unchanged
+        entropy = (
+            0.0 + (lam1 * log(lam1) if lam1 > 0.0 else 0.0) - w1 * log1
+            + (lam2 * log(lam2) if lam2 > 0.0 else 0.0) - lam2 * log2
+            + (lam3 * log(lam3) if lam3 > 0.0 else 0.0) - lam3 * log3
+            + (lam4 * log(lam4) if lam4 > 0.0 else 0.0) - w4 * log4
+        )
+        return distance, angle, entropy
+
+    return measures
+
+
+def _state_entropies(b: BlochVector, omega: float, j: float) -> tuple:
+    """(vn_entropy(b), energy_entropy(b, omega, j), omega*b1 + J*b2) in one
+    pass, with their float operations.  The inner energy populations are
+    the eigenvalues lam2 and lam3, so their p log p terms are computed once,
+    and the energy is the numerator of the outer populations.  At
+    omega = J = 0, s_e is the limit energy_entropy(b, 1.0, 0.0).  Where a
+    check of :func:`vn_entropy` or :func:`_entropy4` fails, or the field is
+    below FIELD_RANGE, the public functions give the result or raise their
+    ValueError, vn_entropy first."""
+    b1, b2, b3, b4, b5 = b
+    energy = omega * b1 + j * b2
+    big_omega = math.hypot(omega, j)
+    if big_omega >= FIELD_RANGE[0]:
+        try:  # BlochVector.d: inf when a square overflows
+            d_scaled = math.sqrt(b1**2 + b2**2 + b3**2) / SQRT2
+        except OverflowError:
+            d_scaled = math.inf
+        b4_scaled = b4 / SQRT2
+        half_b5 = b5 / 2.0
+        lam1 = 0.25 - d_scaled + half_b5
+        lam2 = 0.25 + b4_scaled - half_b5
+        lam3 = 0.25 - b4_scaled - half_b5
+        lam4 = 0.25 + d_scaled + half_b5
+        e_scaled = energy / (SQRT2 * big_omega)
+        p1 = 0.25 - e_scaled + half_b5
+        p4 = 0.25 + e_scaled + half_b5
+        tol = PHYSICALITY_TOL
+        # -1e-10 <= x <= 1e-10 is abs(x) <= 1e-10, NaN failing both
+        if (lam1 >= tol and lam2 >= tol and lam3 >= tol and lam4 >= tol
+                and p1 >= tol and p4 >= tol
+                and -1e-10 <= lam1 + lam2 + lam3 + lam4 - 1.0 <= 1e-10
+                and -1e-10 <= p1 + lam2 + lam3 + p4 - 1.0 <= 1e-10):
+            log = math.log
+            term2 = lam2 * log(lam2) if lam2 > 0.0 else 0.0
+            term3 = lam3 * log(lam3) if lam3 > 0.0 else 0.0
+            s_vn = -((lam1 * log(lam1) if lam1 > 0.0 else 0.0) + term2 + term3
+                     + (lam4 * log(lam4) if lam4 > 0.0 else 0.0))
+            s_e = -((p1 * log(p1) if p1 > 0.0 else 0.0) + term2 + term3
+                    + (p4 * log(p4) if p4 > 0.0 else 0.0))
+            return s_vn, s_e, energy
+    if not (omega or j):
+        omega, j = 1.0, 0.0
+    return vn_entropy(b), energy_entropy(b, omega, j), energy
 
 
 def conditional_entropy(b: BlochVector, b_ref: BlochVector) -> float:

@@ -106,7 +106,12 @@ class AdiabatParams(Record, namedtuple("AdiabatParams", "omega_start omega_end j
             return self.omega_end
         if tau < sys.float_info.min:  # scaled by a power of two (exact) to keep its bits
             t, tau = t * 2.0**600, tau * 2.0**600
-        return self.omega_start + (self.omega_end - self.omega_start) * t / tau
+        start = self.omega_start
+        span = self.omega_end - start
+        if math.isinf(span):  # the ramp of the halved fields (exact), doubled
+            half = start / 2.0
+            return 2.0 * (half + (self.omega_end / 2.0 - half) * t / tau)
+        return start + span * t / tau
 
 
 _IDENTITY_BLOCK = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))

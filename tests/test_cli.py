@@ -1,6 +1,7 @@
 """Config validation, CSV emission, presets and exit codes."""
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -544,6 +545,77 @@ def test_exit_code_non_unique_limit_cycle(tmp_path, capsys):
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "non-unique-limit-cycle"
     assert max(record["eigenvalue_moduli"]) <= 1.0 + 1e-9
+
+
+# failures by exit status 2 (usage, config, unreadable config) and 3
+_FAILURES = {
+    "usage": (lambda tmp_path: ["limit-cycle"], 2),
+    "config": (lambda tmp_path: ["limit-cycle", "--config",
+                                 write_config(tmp_path, {"engine": {}})], 2),
+    "unreadable-config": (lambda tmp_path: ["limit-cycle", "--config",
+                                            str(tmp_path / "nope.json")], 2),
+    "non-unique-limit-cycle": (lambda tmp_path: [
+        "limit-cycle", "--config",
+        write_config(tmp_path, {"engine": dict(FIG1_ENGINE, tau_hot=0.0, tau_cold=0.0)})], 3),
+}
+
+
+def _run_case(tmp_path, case):
+    """(argv, exit status) of a command, a preset or a failure of _FAILURES."""
+    out = str(tmp_path / "out.csv")
+    if case in COMMAND_CONFIGS:
+        return [case, "--config", write_config(tmp_path, COMMAND_CONFIGS[case]), "--out", out], 0
+    if case in FIGURE_SHA256:
+        return ["figure", case, "--out", out], 0
+    make_argv, status = _FAILURES[case]
+    return make_argv(tmp_path), status
+
+
+@pytest.mark.parametrize("case", sorted(COMMAND_CONFIGS) + sorted(FIGURE_SHA256)
+                         + sorted(_FAILURES))
+def test_runs_leave_no_reference_cycles(tmp_path, capsys, case):
+    # main pauses cyclic GC because a run builds no reference cycles: with
+    # GC off, everything it allocates must be freed by reference counting
+    argv, status = _run_case(tmp_path, case)
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == status
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_pauses_gc_and_restores_the_callers_state(tmp_path, capsys, monkeypatch, enabled):
+    import spinotto.cli
+
+    seen = []
+    render_csv = spinotto.cli.render_csv
+
+    def recording(*args):
+        seen.append(gc.isenabled())
+        return render_csv(*args)
+
+    def failing(spec):
+        raise RuntimeError("an error main does not handle")
+
+    set_state = gc.enable if enabled else gc.disable
+    monkeypatch.setattr(spinotto.cli, "render_csv", recording)
+    try:
+        for case in ("iterate", "usage", "config", "non-unique-limit-cycle"):
+            argv, status = _run_case(tmp_path, case)
+            set_state()
+            assert main(argv) == status
+            assert gc.isenabled() == enabled, case
+        monkeypatch.setattr(spinotto.cli, "limit_cycle", failing)
+        set_state()
+        with pytest.raises(RuntimeError):
+            main(_run_case(tmp_path, "limit-cycle")[0])
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
+    assert seen == [False]  # paused while the iterate run rendered its table
 
 
 def test_near_zero_field_sweep_exits_zero(tmp_path):

@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 
 from spinotto import (
     BlochVector,
+    CycleSpec,
+    NonUniqueLimitCycleError,
     compose_cycle,
     conditional_entropy,
+    energy,
     energy_entropy,
     energy_populations,
     eigenvalue_tuple,
@@ -23,14 +26,18 @@ from spinotto import (
     adiabat_propagator,
     AdiabatParams,
     Reference,
+    trajectory,
+    wootters_distance_to,
     wootters_energy_distance,
 )
-from spinotto.measures import _entropy4
+from spinotto.measures import _SUPPORT_TOL, _entropy4, _measures_to, _state_entropies
 from conftest import (
     EXAMPLE_SCALE,
     SQRT2,
     conditional_entropy_matrix,
     conditional_entropy_mp,
+    cycle_specs,
+    fig1_spec,
     fig3_spec,
     matrix_log,
     matrix_sqrt,
@@ -164,6 +171,8 @@ def test_measures_reject_non_physical_states(bad):
                 measure(b, b_ref)
     with pytest.raises(ValueError, match="non-physical state"):
         Reference(bad)
+    # the row kernel raises what vn_entropy raises ("sum to nan" for b4-nan)
+    assert _raised(lambda b: _state_entropies(b, 1.0, 0.5), bad) == _raised(vn_entropy, bad)
 
 
 def test_vn_entropy_thermal_matches_matrix_oracle(rng):
@@ -447,3 +456,115 @@ def test_energy_distance_oscillates_without_dephasing():
     increases = sum(1 for k in range(len(wd) - 1) if wd[k + 1] > wd[k] + 1e-12)
     assert increases >= 1
     assert all(qd[k + 1] <= qd[k] + 1e-12 for k in range(len(qd) - 1))
+
+
+# ---------------------------------------------------------------------------
+# the row kernels against the public measures
+
+
+def _bits(values) -> tuple:
+    """The floats as float.hex strings: equal exactly when the bits are,
+    NaN and the sign of zero included."""
+    return tuple(float.hex(float(v)) for v in values)
+
+
+def _outcome(f, *args):
+    """("value", bits) of f(*args), or ("error", message) of its ValueError."""
+    try:
+        return "value", _bits(f(*args))
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def _public_entropies(b, omega, j):
+    """s_vn, s_e and energy of a trajectory row from the public functions, s_e
+    at its zero-field limit at omega = J = 0."""
+    field = (omega, j) if omega or j else (1.0, 0.0)
+    return vn_entropy(b), energy_entropy(b, *field), energy(b, omega, j)
+
+
+def _public_measures(ref, omega, j):
+    """The three iterate-row measures from the public functions."""
+    wootters = wootters_distance_to(ref.b, omega, j)
+
+    def measures(b):
+        lam = eigenvalue_tuple(b)
+        return ref.quantum_distance(b, lam), wootters(b), ref.conditional_entropy(b, lam)
+
+    return measures
+
+
+_PURE_OUTER = BlochVector(SQRT2 / 2, 0.0, 0.0, 0.0, 0.5)  # lam = (0, 0, 0, 1)
+_PURE_INNER = BlochVector(0.0, 0.0, 0.0, SQRT2 / 2, -0.5)  # lam = (0, 1, 0, 0)
+# a hot stroke alone at T = 0.3 in a field near 15: the limit cycle's
+# eigenvalues below the upper level are below _SUPPORT_TOL
+_RANK_DEFICIENT = CycleSpec(
+    t_cold=0.3, t_hot=0.3, omega_a=10.0, omega_b=15.0, j=1.0, gamma_cold=1.0, gamma_hot=1.0,
+    dephasing_cold=0.0, dephasing_hot=0.0, tau_cold=0.0, tau_hot=3.0, tau_ab=0.0, tau_ba=0.0,
+)
+# J = 0 and sweeps through zero field: 5 samples put a sweep midpoint at omega = 0
+_ZERO_FIELD_SWEEPS = CycleSpec(
+    t_cold=1.5, t_hot=7.5, omega_a=-4.0, omega_b=4.0, j=0.0, gamma_cold=0.3423,
+    gamma_hot=0.3423, dephasing_cold=0.0, dephasing_hot=0.0, tau_cold=3.0, tau_hot=2.5,
+    tau_ab=1.0, tau_ba=1.0,
+)
+# besides each state's own field: zero, below FIELD_RANGE (scaled by 2**600)
+# and subnormal fields
+_fields = st.tuples(st.floats(-20.0, 20.0), st.floats(0.0, 4.0)) | st.sampled_from(
+    [(0.0, 0.0), (-0.0, 0.0), (1e-200, 0.0), (-3e-160, 1e-170), (2.2250738585e-313, 5e-324)])
+
+
+@settings(max_examples=100 * EXAMPLE_SCALE, deadline=None)
+@given(physical_states(), cycle_specs(), _fields)
+@example(_PURE_OUTER, fig1_spec(), (12.6355, 2.0))
+@example(_PURE_INNER, fig1_spec(), (1e-200, 0.0))
+@example(BlochVector(0.0, 0.0, 0.0, 0.0, 0.0), _RANK_DEFICIENT, (2.2250738585e-313, 5e-324))
+@example(_PURE_INNER, _ZERO_FIELD_SWEEPS, (0.0, 0.0))
+def test_row_kernels_equal_public_measures_property(b, spec, field):
+    # the trajectory kernel: each sample of a period from b at its own field
+    # and at the drawn one; a ValueError must be the public path's
+    prop = compose_cycle(spec)
+    samples = trajectory(prop, b, 5)
+    for _, _, omega, state in samples:
+        for f in ((omega, spec.j), field):
+            assert _outcome(_state_entropies, state, *f) == _outcome(_public_entropies, state, *f)
+    try:
+        report = limit_cycle(spec)
+    except NonUniqueLimitCycleError:
+        return
+    # the iterate kernel: the approach to the limit cycle from b, into the
+    # overlap noise floors, the limit cycle itself and the period's samples
+    ref = Reference(report.b_a)
+    states = iterate(prop, b, 40) + [report.b_a] + [sample.state for sample in samples]
+    for f in ((spec.omega_b, spec.j), field):
+        if not math.hypot(*f):
+            with pytest.raises(ValueError, match="omega = J = 0"):
+                _measures_to(ref, *f)
+            continue
+        kernel, public = _measures_to(ref, *f), _public_measures(ref, *f)
+        for state in states:
+            assert _bits(kernel(state)) == _bits(public(state))
+
+
+def test_row_kernel_examples_reach_their_edges():
+    # the edges the examples above are there for
+    zero = BlochVector(0.0, 0.0, 0.0, 0.0, 0.0)
+    assert _state_entropies(_PURE_INNER, 1.0, 0.5)[0] == 0.0  # only 0 log 0 and 1 log 1
+    ref = Reference(limit_cycle(_RANK_DEFICIENT).b_a)
+    assert min(ref.lam) < _SUPPORT_TOL
+    assert _measures_to(ref, 15.0, 1.0)(zero)[2] == math.inf
+    report = limit_cycle(fig1_spec())
+    rows = [_measures_to(Reference(report.b_a), 12.6355, 2.0)(b)
+            for b in iterate(report.propagator, _PURE_OUTER, 40)]
+    assert rows[0][0] > 0.0 and rows[0][1] > 0.0
+    assert rows[-1][:2] == (0.0, 0.0)  # within _OVERLAP_NOISE of 1
+    samples = trajectory(compose_cycle(_ZERO_FIELD_SWEEPS), _PURE_INNER, 5)
+    assert [s.branch for s in samples if s.omega == 0.0] == ["adiabat-hot-cold",
+                                                             "adiabat-cold-hot"]
+    # the field binding fails as wootters_distance_to does
+    for f in ((0.0, 0.0), (-0.0, 0.0)):
+        with pytest.raises(ValueError) as kernel_error:
+            _measures_to(ref, *f)
+        with pytest.raises(ValueError) as public_error:
+            wootters_distance_to(ref.b, *f)
+        assert str(kernel_error.value) == str(public_error.value)

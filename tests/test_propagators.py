@@ -186,11 +186,17 @@ def test_sweep_samples_end_at_branch_map():
 @pytest.mark.parametrize("tau", [5e-324, 2.225073858507e-311, 1e-310, 2.2250738585072014e-308,
                                  1e-300, 0.01, 0.5, 0.8, 1.0, 1.527549237953228])
 @pytest.mark.parametrize("fields", [(5.08364, 12.6355), (12.6355, 5.08364), (-14.6254, 13.8973),
-                                    (0.01, -3.5)])
+                                    (0.01, -3.5), (-1e308, 1e308), (1e308, -1e308)])
 def test_sweep_field_stays_on_the_ramp(tau, fields):
-    # a subnormal duration is scaled up before it divides, so the field
-    # starts and ends on the ramp's end points and never leaves the ramp
+    # a subnormal duration is scaled up before it divides, and a span
+    # omega_end - omega_start that overflows is halved, so the field starts
+    # and ends on the ramp's end points and never leaves the ramp
     start, end = fields
+    if max(map(abs, fields)) * tau > MAX_SWEEP_ANGLE:
+        # a 1e308 field sweeps more than MAX_SWEEP_ANGLE unless tau is tiny
+        with pytest.raises(ValueError, match="MAX_SWEEP_ANGLE"):
+            AdiabatParams(start, end, 2.0, tau)
+        return
     p = AdiabatParams(start, end, 2.0, tau)
     assert p.omega_at(0.0) == start
     assert abs(p.omega_at(tau) - end) <= 2 * math.ulp(end)
