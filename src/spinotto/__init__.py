@@ -30,12 +30,10 @@ from .engine import (
     trajectory,
 )
 from .measures import (
-    Reference,
     conditional_entropy,
     energy_entropy,
     quantum_distance,
     vn_entropy,
-    wootters_distance_to,
     wootters_energy_distance,
 )
 from .propagators import (
@@ -53,4 +51,4 @@ from .propagators import (
 )
 from .records import replace
 
-__version__ = "2.1.1"
+__version__ = "3.0.0"

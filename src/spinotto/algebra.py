@@ -85,15 +85,20 @@ def eigenvalue_tuple(b: BlochVector) -> tuple:
 def _energy_frame(omega: float, j: float) -> tuple:
     """(omega, j, sqrt2 * Omega) for :func:`energy_populations`, which
     divides omega*b1 + J*b2 by sqrt2 * Omega: the field as given, or scaled
-    by 2**600 when Omega is below FIELD_RANGE; ValueError at omega = J = 0."""
+    by 2**600 when Omega is below FIELD_RANGE and by 2**-600 above it;
+    ValueError at omega = J = 0."""
     big_omega = math.hypot(omega, j)
     if big_omega == 0.0:
         raise ValueError("energy basis undefined for omega = J = 0")
+    # only the field's direction counts: scale it by a power of two (exact),
+    # up so that omega * b1 and j * b2 keep their bits (a subnormal field
+    # lost enough of them to make a pure state's population -4e-12), down so
+    # that sqrt2 * Omega stays finite (an inf gave the populations of b1 = b2 = 0)
     if big_omega < FIELD_RANGE[0]:
-        # only the field's direction counts: scale it up by a power of two
-        # (exact) so that omega * b1 and j * b2 keep their bits; a subnormal
-        # field lost enough of them to make a pure state's population -4e-12
         omega, j = omega * 2.0**600, j * 2.0**600
+        big_omega = math.hypot(omega, j)
+    elif big_omega > FIELD_RANGE[1]:
+        omega, j = omega * 2.0**-600, j * 2.0**-600
         big_omega = math.hypot(omega, j)
     return omega, j, SQRT2 * big_omega
 

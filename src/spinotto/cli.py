@@ -50,7 +50,7 @@ from .engine import (
     spectrum,
     trajectory,
 )
-from .measures import Reference, _measures_to, _state_entropies, energy_entropy
+from .measures import _measures_to, _state_entropies, energy_entropy
 from .records import Record
 
 SCHEMA_VERSION = 1
@@ -294,12 +294,13 @@ ITERATE_HEADER = (
 def iterate_rows(report: LimitCycleReport, b0: BlochVector, n: int) -> list[list]:
     """One ITERATE_HEADER row per anchor state b_k, k = 0..n: the distances
     and the relative entropy to the limit cycle, the Wootters distance at
-    the anchor field omega_b.  One kernel, bound once per table
-    (``measures._measures_to``), gives each row's three measures in one
-    pass, bit for bit those of :class:`Reference` and
-    :func:`wootters_distance_to`."""
+    the anchor field omega_b.  The measures' one implementation
+    (``measures._measures_to``), bound once per table to the limit cycle
+    and that field, gives each row's three in one pass: those of
+    :func:`quantum_distance`, :func:`wootters_energy_distance` and
+    :func:`conditional_entropy`."""
     spec = report.propagator.spec
-    measures = _measures_to(Reference(report.b_a), spec.omega_b, spec.j)
+    measures = _measures_to(report.b_a, spec.omega_b, spec.j)
     return [[k, *b, *measures(b)] for k, b in enumerate(iterate(report.propagator, b0, n))]
 
 

@@ -9,16 +9,14 @@ Every state is an outer 2x2 block A plus the inner doublet (lam2, lam3), so
 the relative entropy and the quantum distance reduce to closed forms in the
 b-vector variables and the eigenvalues of :func:`eigenvalue_tuple`; no 4x4
 matrix is built.  The tests check both against density-matrix oracles.
-Both live on :class:`Reference`, which binds the reference state once.
-:func:`wootters_distance_to` binds a reference's energy populations the
-same way for the Wootters distance.
-A table row needs several of these measures of one state, so two private
-kernels give them in one pass, with the float operations of the public
-functions and so the same bits: :func:`_measures_to` (the three measures
-of an ``iterate`` row, bound once per table to a :class:`Reference` and a
-field) and :func:`_state_entropies` (s_vn, s_e and the energy of a
-``trajectory`` row or a ledger corner).  The public functions stay as
-their reference in the tests.
+The three measures against a reference state, :func:`quantum_distance`,
+:func:`wootters_energy_distance` and :func:`conditional_entropy`, have one
+implementation, :func:`_measures_to`: bound to the reference and a field,
+it gives all three for a state in one pass.  An ``iterate`` table binds it
+once; each public function binds it per call and takes its own element.
+:func:`_state_entropies` gives s_vn, s_e and the energy of a ``trajectory``
+row or a ledger corner in one pass, with the float operations of
+:func:`vn_entropy`, :func:`energy_entropy` and ``energy``, so the same bits.
 """
 
 from __future__ import annotations
@@ -109,107 +107,32 @@ def wootters_energy_distance(
     """Statistical angle arccos(sum sqrt(p_j q_j)) over energy populations.
 
     A metric on the probability simplex, in [0, pi/2]; overlaps within
-    rounding noise of 1 report as exactly zero.
+    rounding noise of 1 report as exactly zero.  ValueError for a
+    non-physical state, as from :func:`vn_entropy`, and at omega = J = 0.
     """
-    return wootters_distance_to(b_ref, omega, j)(b)
+    return _checked_measures(b, b_ref, omega, j)[1]
 
 
-def wootters_distance_to(b_ref: BlochVector, omega: float, j: float):
-    """:func:`wootters_energy_distance` to b_ref at the field (omega, j), as a
-    function of the state alone: the reference's energy populations, clipped
-    at 0, are computed once for many states."""
+def _measures_to(b_ref: BlochVector, omega: float, j: float):
+    """The reference measures of a state against b_ref as one function of
+    the state, b -> (quantum_distance, wootters_energy_distance,
+    conditional_entropy), the Wootters distance at the field (omega, j).
+    Binding takes what depends on b_ref alone once: its eigenvalues
+    (ValueError for a non-physical b_ref, as from :func:`vn_entropy`), their
+    floored logarithms, its outer half-trace r = 1/4 + b5/2 and its energy
+    populations clipped at 0; then ValueError at omega = J = 0.  For each
+    state the function takes the eigenvalues and the outer overlap
+    tr(A A_ref) once, and lam2, lam3 as the inner energy populations.  It
+    does not check the state."""
+    lam_ref = _physical_eigenvalues(b_ref)
+    ref1, ref2, ref3, ref4 = lam_ref
+    log1, log2, log3, log4 = (math.log(max(q, LOG_EIGENVALUE_FLOOR)) for q in lam_ref)
+    r = 0.25 + b_ref.b5 / 2.0
     q1, q2, q3, q4 = (max(q, 0.0) for q in energy_populations(b_ref, omega, j))
-    sqrt = math.sqrt
-
-    def distance(b: BlochVector) -> float:
-        p1, p2, p3, p4 = energy_populations(b, omega, j)
-        overlap = (
-            sqrt(max(p1, 0.0) * q1)
-            + sqrt(max(p2, 0.0) * q2)
-            + sqrt(max(p3, 0.0) * q3)
-            + sqrt(max(p4, 0.0) * q4)
-        )
-        if overlap >= 1.0 - _OVERLAP_NOISE:
-            return 0.0
-        return math.acos(max(overlap, -1.0))
-
-    return distance
-
-
-class Reference:
-    """A reference state with its eigenvalues, their floored logarithms and
-    its outer half-trace 1/4 + b5/2, computed once for many states.
-    ValueError for a non-physical reference, as from :func:`vn_entropy`.  The
-    methods take a state with its own :func:`eigenvalue_tuple` and do not
-    check it."""
-
-    __slots__ = ("b", "lam", "log_lam", "r")
-
-    def __init__(self, b_ref: BlochVector):
-        self.b = b_ref
-        self.lam = _physical_eigenvalues(b_ref)
-        self.log_lam = tuple(math.log(max(q, LOG_EIGENVALUE_FLOOR)) for q in self.lam)
-        self.r = 0.25 + b_ref.b5 / 2.0
-
-    def _outer_overlap(self, b: BlochVector) -> float:
-        """tr(A A_ref) = 2 r r_ref + (b1, b2, b3) . (b1, b2, b3)_ref of the outer
-        2x2 blocks, with r = 1/4 + b5/2 (half the block trace)."""
-        ref = self.b
-        return 2.0 * (0.25 + b.b5 / 2.0) * self.r + b.b1 * ref.b1 + b.b2 * ref.b2 + b.b3 * ref.b3
-
-    def quantum_distance(self, b: BlochVector, lam: tuple) -> float:
-        """:func:`quantum_distance` of b, whose eigenvalue tuple is lam."""
-        lam1, lam2, lam3, lam4 = lam
-        ref1, ref2, ref3, ref4 = self.lam
-        dets = max(lam1 * lam4 * ref1 * ref4, 0.0)
-        fidelity = (
-            math.sqrt(max(self._outer_overlap(b) + 2.0 * math.sqrt(dets), 0.0))
-            + math.sqrt(max(lam2 * ref2, 0.0))
-            + math.sqrt(max(lam3 * ref3, 0.0))
-        )
-        deficit = 2.0 * (1.0 - fidelity)
-        if deficit < _OVERLAP_NOISE:
-            return 0.0
-        return math.sqrt(deficit)
-
-    def conditional_entropy(self, b: BlochVector, lam: tuple) -> float:
-        """:func:`conditional_entropy` of b, whose eigenvalue tuple is lam."""
-        lam1, lam2, lam3, lam4 = lam
-        ref1, _, _, ref4 = self.lam
-        trace_outer = lam1 + lam4
-        gap_ref = ref4 - ref1
-        if gap_ref > 0.0:
-            w1 = (ref4 * trace_outer - self._outer_overlap(b)) / gap_ref
-        else:
-            w1 = trace_outer / 2.0
-        weights = (w1, lam2, lam3, trace_outer - w1)
-        out = 0.0
-        for p, w, q, log_q in zip(lam, weights, self.lam, self.log_lam):
-            if q < _SUPPORT_TOL and w > _SUPPORT_WEIGHT:
-                return math.inf
-            if p > 0.0:
-                out += p * math.log(p)
-            out -= w * log_q
-        return out
-
-
-def _measures_to(ref: Reference, omega: float, j: float):
-    """The row measures of a state against ref as one function of the state,
-    b -> (quantum_distance, wootters_energy_distance, conditional_entropy),
-    the Wootters distance at the field (omega, j).  It does the float
-    operations of ``ref.quantum_distance``, ``wootters_distance_to(ref.b,
-    omega, j)`` and ``ref.conditional_entropy`` in one pass: the eigenvalues
-    and the outer overlap tr(A A_ref) once, and lam2, lam3 as the inner
-    energy populations.  Like the :class:`Reference` methods it does not
-    check the state; ValueError at omega = J = 0."""
-    q1, q2, q3, q4 = (max(q, 0.0) for q in energy_populations(ref.b, omega, j))
     omega, j, e_scale = _energy_frame(omega, j)
-    rb1, rb2, rb3 = ref.b.b1, ref.b.b2, ref.b.b3
-    r = ref.r
-    ref1, ref2, ref3, ref4 = ref.lam
-    log1, log2, log3, log4 = ref.log_lam
+    rb1, rb2, rb3 = b_ref.b1, b_ref.b2, b_ref.b3
     gap_ref = ref4 - ref1
-    out1, out2, out3, out4 = (q < _SUPPORT_TOL for q in ref.lam)
+    out1, out2, out3, out4 = (q < _SUPPORT_TOL for q in lam_ref)
     sqrt, log, acos, inf = math.sqrt, math.log, math.acos, math.inf
 
     def measures(b: BlochVector) -> tuple:
@@ -224,6 +147,7 @@ def _measures_to(ref: Reference, omega: float, j: float):
         lam2 = 0.25 + b4_scaled - half_b5
         lam3 = 0.25 - b4_scaled - half_b5
         lam4 = 0.25 + d_scaled + half_b5
+        # tr(A A_ref) = 2 r r_ref + (b1, b2, b3) . (b1, b2, b3)_ref
         overlap = 2.0 * (0.25 + half_b5) * r + b1 * rb1 + b2 * rb2 + b3 * rb3
 
         # (0.0 if x < 0.0 else x) is max(x, 0.0), NaN and -0.0 included,
@@ -257,8 +181,7 @@ def _measures_to(ref: Reference, omega: float, j: float):
         if ((out1 and w1 > _SUPPORT_WEIGHT) or (out2 and lam2 > _SUPPORT_WEIGHT)
                 or (out3 and lam3 > _SUPPORT_WEIGHT) or (out4 and w4 > _SUPPORT_WEIGHT)):
             return distance, angle, inf
-        # the loop of Reference.conditional_entropy, unrolled: a skipped
-        # 0 log 0 term enters as 0.0, which leaves the sum unchanged
+        # a skipped 0 log 0 term enters as 0.0, which leaves the sum unchanged
         entropy = (
             0.0 + (lam1 * log(lam1) if lam1 > 0.0 else 0.0) - w1 * log1
             + (lam2 * log(lam2) if lam2 > 0.0 else 0.0) - lam2 * log2
@@ -270,19 +193,30 @@ def _measures_to(ref: Reference, omega: float, j: float):
     return measures
 
 
+def _checked_measures(b: BlochVector, b_ref: BlochVector, omega: float = 1.0,
+                      j: float = 0.0) -> tuple:
+    """:func:`_measures_to` (b_ref, omega, j) of b, b checked after b_ref:
+    ValueError for a non-physical state, as from :func:`vn_entropy`.  The
+    quantum distance and the relative entropy do not depend on the field, so
+    they take any nonzero one, the default (1.0, 0.0)."""
+    measures = _measures_to(b_ref, omega, j)
+    _physical_eigenvalues(b)
+    return measures(b)
+
+
 def _state_entropies(b: BlochVector, omega: float, j: float) -> tuple:
     """(vn_entropy(b), energy_entropy(b, omega, j), omega*b1 + J*b2) in one
     pass, with their float operations.  The inner energy populations are
     the eigenvalues lam2 and lam3, so their p log p terms are computed once,
     and the energy is the numerator of the outer populations.  At
     omega = J = 0, s_e is the limit energy_entropy(b, 1.0, 0.0).  Where a
-    check of :func:`vn_entropy` or :func:`_entropy4` fails, or the field is
-    below FIELD_RANGE, the public functions give the result or raise their
+    check of :func:`vn_entropy` or :func:`_entropy4` fails, or the field lies
+    outside FIELD_RANGE, the public functions give the result or raise their
     ValueError, vn_entropy first."""
     b1, b2, b3, b4, b5 = b
     energy = omega * b1 + j * b2
     big_omega = math.hypot(omega, j)
-    if big_omega >= FIELD_RANGE[0]:
+    if FIELD_RANGE[0] <= big_omega <= FIELD_RANGE[1]:
         try:  # BlochVector.d: inf when a square overflows
             d_scaled = math.sqrt(b1**2 + b2**2 + b3**2) / SQRT2
         except OverflowError:
@@ -331,7 +265,7 @@ def conditional_entropy(b: BlochVector, b_ref: BlochVector) -> float:
     tr(A A_ref) = w1 lam1(ref) + w4 lam4(ref).  ValueError for a
     non-physical state, as from :func:`vn_entropy`.
     """
-    return Reference(b_ref).conditional_entropy(b, _physical_eigenvalues(b))
+    return _checked_measures(b, b_ref)[2]
 
 
 def quantum_distance(b: BlochVector, b_ref: BlochVector) -> float:
@@ -343,4 +277,4 @@ def quantum_distance(b: BlochVector, b_ref: BlochVector) -> float:
     its arguments; trace overlaps within rounding noise of 1 report as zero.
     ValueError for a non-physical state, as from :func:`vn_entropy`.
     """
-    return Reference(b_ref).quantum_distance(b, _physical_eigenvalues(b))
+    return _checked_measures(b, b_ref)[0]

@@ -185,6 +185,17 @@ def energy_conditional_entropy(
     return out
 
 
+def wootters_distance_oracle(b: BlochVector, b_ref: BlochVector, omega: float, j: float) -> float:
+    """The Wootters distance recomputed per state: both states' energy
+    populations, each clipped at 0, summed left to right, then arccos."""
+    overlap = 0.0
+    for pj, qj in zip(energy_populations(b, omega, j), energy_populations(b_ref, omega, j)):
+        overlap += math.sqrt(max(pj, 0.0) * max(qj, 0.0))
+    if overlap >= 1.0 - 1e-12:
+        return 0.0
+    return math.acos(max(overlap, -1.0))
+
+
 # ---------------------------------------------------------------------------
 # matrix oracles: 4x4 density matrices, independent of the b-vector closed forms
 

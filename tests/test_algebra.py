@@ -121,6 +121,19 @@ def test_to_energy_basis_diagonal_sums_to_one(rng):
         assert np.abs(diag - energy_populations(b, omega, j)).max() < 1e-13
 
 
+def test_energy_populations_in_overflowing_fields(rng):
+    # hypot(omega, J), or sqrt2 times it, overflows near the largest float;
+    # the populations depend on the field's direction only
+    b = BlochVector(0.1, 0.05, 0.0, 0.0, 0.0)
+    assert energy_populations(b, 1.5e308, 1.5e308) == pytest.approx(
+        (0.175, 0.25, 0.25, 0.325), abs=1e-15)
+    for _ in range(50):
+        b = random_bloch(rng)
+        for huge, unit in (((1.5e308, 1.5e308), (1.0, 1.0)), ((-1.7e308, 1e308), (-1.7, 1.0))):
+            difference = np.subtract(energy_populations(b, *huge), energy_populations(b, *unit))
+            assert np.abs(difference).max() <= 1e-15
+
+
 def test_matrix_sqrt_of_maximally_mixed():
     rho = np.eye(4) / 4
     assert np.abs(matrix_sqrt(rho) - np.eye(4) / 2).max() < 1e-14

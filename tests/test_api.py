@@ -1,5 +1,5 @@
-"""The public API (its names as of 1.0, its branch shape as of 2.0), its
-documentation and its version number."""
+"""The public API (its names as of 1.0 less the two removed in 3.0, its
+branch shape as of 2.0), its documentation and its version number."""
 
 import inspect
 import re
@@ -19,15 +19,15 @@ ROOT = Path(__file__).resolve().parent.parent
 PUBLIC_API = {
     "AdiabatParams", "AffinePropagator", "BathParams", "BlochVector", "CycleBranch",
     "CyclePropagator", "CycleSpec", "CycleSpectrum", "IsochoreParams", "LimitCycleReport",
-    "NonUniqueLimitCycleError", "Reference", "ThermoLedger", "TrajectorySample",
+    "NonUniqueLimitCycleError", "ThermoLedger", "TrajectorySample",
     "adiabat_partials", "adiabat_propagator", "adiabat_propagator_direct", "compose",
     "compose_cycle", "conditional_entropy", "eigenvalue_tuple", "energy", "energy_entropy",
     "energy_populations", "identity_propagator", "isochore_partials", "isochore_propagator",
     "iterate", "limit_cycle", "quantum_distance", "replace", "spectrum", "thermal_state",
-    "trajectory", "vn_entropy", "wootters_distance_to", "wootters_energy_distance",
+    "trajectory", "vn_entropy", "wootters_energy_distance",
 }
 
-# name removed in 1.0 -> the module that used to define it
+# name removed in 1.0 or 3.0 -> the module that used to define it
 REMOVED = {
     "SpectralInfo": "algebra",
     "vn_eigenvalues": "algebra",
@@ -35,6 +35,8 @@ REMOVED = {
     "thermo_ledger": "engine",
     "measurement_entropy": "measures",
     "energy_conditional_entropy": "measures",
+    "Reference": "measures",
+    "wootters_distance_to": "measures",
 }
 
 

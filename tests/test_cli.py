@@ -44,7 +44,7 @@ from spinotto.cli import (
 )
 from conftest import (
     EXAMPLE_SCALE, SQRT2, cycle_specs, fig1_spec, fig6_spec, physical_states, random_bloch,
-    random_spec,
+    random_spec, wootters_distance_oracle,
 )
 
 FIG1_ENGINE = {
@@ -195,17 +195,6 @@ def test_render_csv_matches_per_cell_format():
             ]
 
 
-def _wootters_reference(b, b_ref, omega, j):
-    """The Wootters distance recomputed per state: both states' energy
-    populations, each clipped at 0, summed left to right, then arccos."""
-    overlap = 0.0
-    for pj, qj in zip(energy_populations(b, omega, j), energy_populations(b_ref, omega, j)):
-        overlap += math.sqrt(max(pj, 0.0) * max(qj, 0.0))
-    if overlap >= 1.0 - 1e-12:
-        return 0.0
-    return math.acos(max(overlap, -1.0))
-
-
 @pytest.mark.parametrize("dephasing", [False, True])
 def test_iterate_rows_measures_equal_public_functions(rng, dephasing):
     spec = random_spec(rng, dephasing=dephasing)
@@ -229,7 +218,7 @@ def test_iterate_rows_measures_equal_public_functions(rng, dephasing):
             b = BlochVector(*row[1:6])
             assert row[6] == quantum_distance(b, b_ref)
             assert row[7] == wootters_energy_distance(b, b_ref, spec.omega_b, spec.j)
-            assert row[7] == _wootters_reference(b, b_ref, spec.omega_b, spec.j)
+            assert row[7] == wootters_distance_oracle(b, b_ref, spec.omega_b, spec.j)
             assert row[8] == conditional_entropy(b, b_ref)
             entropies.append(row[8])
     assert math.inf in entropies
@@ -521,6 +510,24 @@ def test_command_csv_bytes_are_pinned(tmp_path, command):
     config = write_config(tmp_path, COMMAND_CONFIGS[command])
     assert main([command, "--config", config, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == COMMAND_SHA256[command]
+
+
+# the long iterate table of CI's byte comparison: the fig1 cycle for 3,000
+# cycles from a bloch start, far past convergence, so most rows sit in the
+# measures' noise floors; the sha256 of its CSV, computed with 2.1.1
+ITERATE_LONG_CONFIG = {
+    "engine": FIG1_ENGINE,
+    "run": {"n_cycles": 3000,
+            "initial_state": {"kind": "bloch", "b": [0.12, -0.21, 0.05, 0.1, -0.03]}},
+}
+ITERATE_LONG_SHA256 = "c99a14d850c0d4f2b8a0f3d6380f357312dcd33a2aa326d97acd011aba666c19"
+
+
+def test_iterate_long_csv_bytes_are_pinned(tmp_path):
+    out = tmp_path / "iterate-long.csv"
+    config = write_config(tmp_path, ITERATE_LONG_CONFIG)
+    assert main(["iterate", "--config", config, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ITERATE_LONG_SHA256
 
 
 def test_exit_code_config_error(tmp_path, capsys):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from spinotto import (
     BlochVector,
     CycleSpec,
-    NonUniqueLimitCycleError,
     compose_cycle,
     conditional_entropy,
     energy,
@@ -25,12 +24,12 @@ from spinotto import (
     vn_entropy,
     adiabat_propagator,
     AdiabatParams,
-    Reference,
     trajectory,
-    wootters_distance_to,
     wootters_energy_distance,
 )
-from spinotto.measures import _SUPPORT_TOL, _entropy4, _measures_to, _state_entropies
+from spinotto.measures import (
+    _OVERLAP_NOISE, _SUPPORT_TOL, _entropy4, _measures_to, _state_entropies,
+)
 from conftest import (
     EXAMPLE_SCALE,
     SQRT2,
@@ -49,6 +48,7 @@ from conftest import (
     energy_conditional_entropy,
     measurement_entropy,
     reconstruct_density,
+    wootters_distance_oracle,
 )
 
 
@@ -165,12 +165,13 @@ def test_vn_entropy_rejects_non_physical():
 def test_measures_reject_non_physical_states(bad):
     # the error vn_entropy raises, for either argument
     good = BlochVector(0.0, 0.0, 0.0, 0.0, 0.0)
-    for measure in (quantum_distance, conditional_entropy):
+    for measure, field in ((quantum_distance, ()), (conditional_entropy, ()),
+                           (wootters_energy_distance, (9.0, 2.0))):
         for b, b_ref in ((bad, good), (good, bad)):
             with pytest.raises(ValueError, match="non-physical state"):
-                measure(b, b_ref)
+                measure(b, b_ref, *field)
     with pytest.raises(ValueError, match="non-physical state"):
-        Reference(bad)
+        _measures_to(bad, 1.0, 0.0)
     # the row kernel raises what vn_entropy raises ("sum to nan" for b4-nan)
     assert _raised(lambda b: _state_entropies(b, 1.0, 0.5), bad) == _raised(vn_entropy, bad)
 
@@ -324,19 +325,20 @@ def test_wootters_distance_trivials(rng):
 
 
 def test_wootters_distance_uses_populations_only(rng):
-    # b3 enters no energy population: a huge b3 sends the reference's
-    # eigenvalues to -inf and inf but leaves the distance that to the
-    # maximally mixed state
+    # b3 enters no energy population: physical references that differ only
+    # in b3 (b3 -> -b3 or 0 keeps a state physical) are at one distance from
+    # every state; a b3 that makes the reference non-physical is an error
     omega, j = 9.0, 2.0
+    for _ in range(20):
+        b, ref = random_bloch(rng), random_bloch(rng)
+        distance = wootters_energy_distance(b, ref, omega, j)
+        for b3 in (-ref.b3, 0.0):
+            assert wootters_energy_distance(b, replace(ref, b3=b3), omega, j) == distance
     huge = BlochVector(0.0, 0.0, 1e200, 0.0, 0.0)
-    mixed = BlochVector(0.0, 0.0, 0.0, 0.0, 0.0)
     lam = eigenvalue_tuple(huge)
     assert (lam[0], lam[3]) == (-math.inf, math.inf)
-    for _ in range(20):
-        b = random_bloch(rng)
-        assert wootters_energy_distance(b, huge, omega, j) == wootters_energy_distance(
-            b, mixed, omega, j
-        )
+    with pytest.raises(ValueError, match="non-physical state"):
+        wootters_energy_distance(random_bloch(rng), huge, omega, j)
 
 
 def test_wootters_distance_range_and_symmetry(rng):
@@ -459,7 +461,8 @@ def test_energy_distance_oscillates_without_dephasing():
 
 
 # ---------------------------------------------------------------------------
-# the row kernels against the public measures
+# the row kernels: the trajectory kernel against the public functions, the
+# one implementation of the reference measures against the oracles
 
 
 def _bits(values) -> tuple:
@@ -483,17 +486,6 @@ def _public_entropies(b, omega, j):
     return vn_entropy(b), energy_entropy(b, *field), energy(b, omega, j)
 
 
-def _public_measures(ref, omega, j):
-    """The three iterate-row measures from the public functions."""
-    wootters = wootters_distance_to(ref.b, omega, j)
-
-    def measures(b):
-        lam = eigenvalue_tuple(b)
-        return ref.quantum_distance(b, lam), wootters(b), ref.conditional_entropy(b, lam)
-
-    return measures
-
-
 _PURE_OUTER = BlochVector(SQRT2 / 2, 0.0, 0.0, 0.0, 0.5)  # lam = (0, 0, 0, 1)
 _PURE_INNER = BlochVector(0.0, 0.0, 0.0, SQRT2 / 2, -0.5)  # lam = (0, 1, 0, 0)
 # a hot stroke alone at T = 0.3 in a field near 15: the limit cycle's
@@ -508,63 +500,98 @@ _ZERO_FIELD_SWEEPS = CycleSpec(
     gamma_hot=0.3423, dephasing_cold=0.0, dephasing_hot=0.0, tau_cold=3.0, tau_hot=2.5,
     tau_ab=1.0, tau_ba=1.0,
 )
-# besides each state's own field: zero, below FIELD_RANGE (scaled by 2**600)
-# and subnormal fields
+# (start, spec, field): pure starts, the approach into the _OVERLAP_NOISE
+# floors, a rank-deficient limit cycle (the inf rule) and fields below
+# FIELD_RANGE, subnormal and zero
+_EDGES = {
+    "pure-outer": (_PURE_OUTER, fig1_spec(), (12.6355, 2.0)),
+    "pure-inner-tiny-field": (_PURE_INNER, fig1_spec(), (1e-200, 0.0)),
+    "rank-deficient-subnormal-field": (BlochVector(0.0, 0.0, 0.0, 0.0, 0.0), _RANK_DEFICIENT,
+                                       (2.2250738585e-313, 5e-324)),
+    "zero-field-sweeps": (_PURE_INNER, _ZERO_FIELD_SWEEPS, (0.0, 0.0)),
+}
+# besides each state's own field: zero, below FIELD_RANGE (scaled by 2**600),
+# subnormal, and above FIELD_RANGE (scaled by 2**-600; Omega or sqrt2 * Omega
+# overflows)
 _fields = st.tuples(st.floats(-20.0, 20.0), st.floats(0.0, 4.0)) | st.sampled_from(
-    [(0.0, 0.0), (-0.0, 0.0), (1e-200, 0.0), (-3e-160, 1e-170), (2.2250738585e-313, 5e-324)])
+    [(0.0, 0.0), (-0.0, 0.0), (1e-200, 0.0), (-3e-160, 1e-170), (2.2250738585e-313, 5e-324),
+     (1.5e308, 1.5e308), (-1.7e308, 1e308), (1e308, 1e-300)])
 
 
 @settings(max_examples=100 * EXAMPLE_SCALE, deadline=None)
 @given(physical_states(), cycle_specs(), _fields)
-@example(_PURE_OUTER, fig1_spec(), (12.6355, 2.0))
-@example(_PURE_INNER, fig1_spec(), (1e-200, 0.0))
-@example(BlochVector(0.0, 0.0, 0.0, 0.0, 0.0), _RANK_DEFICIENT, (2.2250738585e-313, 5e-324))
-@example(_PURE_INNER, _ZERO_FIELD_SWEEPS, (0.0, 0.0))
+@example(*_EDGES["pure-outer"])
+@example(*_EDGES["pure-inner-tiny-field"])
+@example(*_EDGES["rank-deficient-subnormal-field"])
+@example(*_EDGES["zero-field-sweeps"])
 def test_row_kernels_equal_public_measures_property(b, spec, field):
     # the trajectory kernel: each sample of a period from b at its own field
     # and at the drawn one; a ValueError must be the public path's
-    prop = compose_cycle(spec)
-    samples = trajectory(prop, b, 5)
-    for _, _, omega, state in samples:
+    for _, _, omega, state in trajectory(compose_cycle(spec), b, 5):
         for f in ((omega, spec.j), field):
             assert _outcome(_state_entropies, state, *f) == _outcome(_public_entropies, state, *f)
-    try:
-        report = limit_cycle(spec)
-    except NonUniqueLimitCycleError:
+
+
+@pytest.mark.parametrize("edge", sorted(_EDGES))
+def test_reference_measures_match_oracles_at_the_edges(edge):
+    # the approach to the limit cycle from the start, the limit cycle itself
+    # and a period's samples, against the 50-digit, matrix and per-state
+    # oracles
+    b, spec, field = _EDGES[edge]
+    report = limit_cycle(spec)
+    b_ref = report.b_a
+    # a deficit 2 (1 - fidelity) below _OVERLAP_NOISE reports as zero; a
+    # reference eigenvalue within rounding of 0 puts the square root of that
+    # rounding, about 1e-8, into sqrt(lam q)
+    slack = 1e-12 if min(eigenvalue_tuple(b_ref)) >= _SUPPORT_TOL else 1e-8
+    states = (iterate(report.propagator, b, 40) + [b_ref]
+              + [sample.state for sample in trajectory(report.propagator, b, 5)])
+    for state in states:
+        distance, oracle = quantum_distance(state, b_ref), quantum_distance_mp(state, b_ref)
+        assert abs(distance**2 - oracle**2) <= _OVERLAP_NOISE + slack
+        # the inf rule as the matrix oracle applies it; a finite value
+        # against the 50-digit oracle, whose inf rule is exact support
+        entropy = conditional_entropy(state, b_ref)
+        assert math.isinf(entropy) == math.isinf(conditional_entropy_matrix(state, b_ref))
+        if math.isfinite(entropy):
+            assert abs(entropy - conditional_entropy_mp(state, b_ref)) < 1e-12
+        for f in ((spec.omega_b, spec.j), field):
+            assert (_outcome(lambda *args: [wootters_energy_distance(*args)], state, b_ref, *f)
+                    == _outcome(lambda *args: [wootters_distance_oracle(*args)], state, b_ref, *f))
+
+
+@settings(max_examples=300 * EXAMPLE_SCALE, deadline=None)
+@given(physical_states(), physical_states(), _fields)
+@example(_PURE_OUTER, _PURE_INNER, (1e-200, 0.0))
+@example(_PURE_INNER, _PURE_OUTER, (1.5e308, 1.5e308))
+def test_distance_and_relative_entropy_ignore_the_field_property(b, b_ref, field):
+    # so quantum_distance and conditional_entropy bind at the field (1.0, 0.0)
+    if not math.hypot(*field):
+        with pytest.raises(ValueError, match="omega = J = 0"):
+            _measures_to(b_ref, *field)
         return
-    # the iterate kernel: the approach to the limit cycle from b, into the
-    # overlap noise floors, the limit cycle itself and the period's samples
-    ref = Reference(report.b_a)
-    states = iterate(prop, b, 40) + [report.b_a] + [sample.state for sample in samples]
-    for f in ((spec.omega_b, spec.j), field):
-        if not math.hypot(*f):
-            with pytest.raises(ValueError, match="omega = J = 0"):
-                _measures_to(ref, *f)
-            continue
-        kernel, public = _measures_to(ref, *f), _public_measures(ref, *f)
-        for state in states:
-            assert _bits(kernel(state)) == _bits(public(state))
+    at_field, at_unit = _measures_to(b_ref, *field)(b), _measures_to(b_ref, 1.0, 0.0)(b)
+    assert _bits(at_field[::2]) == _bits(at_unit[::2])
 
 
 def test_row_kernel_examples_reach_their_edges():
     # the edges the examples above are there for
     zero = BlochVector(0.0, 0.0, 0.0, 0.0, 0.0)
     assert _state_entropies(_PURE_INNER, 1.0, 0.5)[0] == 0.0  # only 0 log 0 and 1 log 1
-    ref = Reference(limit_cycle(_RANK_DEFICIENT).b_a)
-    assert min(ref.lam) < _SUPPORT_TOL
-    assert _measures_to(ref, 15.0, 1.0)(zero)[2] == math.inf
+    b_ref = limit_cycle(_RANK_DEFICIENT).b_a
+    assert min(eigenvalue_tuple(b_ref)) < _SUPPORT_TOL
+    assert conditional_entropy(zero, b_ref) == math.inf
     report = limit_cycle(fig1_spec())
-    rows = [_measures_to(Reference(report.b_a), 12.6355, 2.0)(b)
+    rows = [_measures_to(report.b_a, 12.6355, 2.0)(b)
             for b in iterate(report.propagator, _PURE_OUTER, 40)]
     assert rows[0][0] > 0.0 and rows[0][1] > 0.0
     assert rows[-1][:2] == (0.0, 0.0)  # within _OVERLAP_NOISE of 1
     samples = trajectory(compose_cycle(_ZERO_FIELD_SWEEPS), _PURE_INNER, 5)
     assert [s.branch for s in samples if s.omega == 0.0] == ["adiabat-hot-cold",
                                                              "adiabat-cold-hot"]
-    # the field binding fails as wootters_distance_to does
+    # the field binding fails as energy_populations does
     for f in ((0.0, 0.0), (-0.0, 0.0)):
-        with pytest.raises(ValueError) as kernel_error:
-            _measures_to(ref, *f)
-        with pytest.raises(ValueError) as public_error:
-            wootters_distance_to(ref.b, *f)
-        assert str(kernel_error.value) == str(public_error.value)
+        with pytest.raises(ValueError, match="omega = J = 0"):
+            _measures_to(b_ref, *f)
+        with pytest.raises(ValueError, match="omega = J = 0"):
+            wootters_energy_distance(zero, b_ref, *f)
