@@ -312,8 +312,8 @@ TRAJECTORY_HEADER = (
 
 def trajectory_rows(prop: CyclePropagator, b_start: BlochVector, samples: int) -> list[list]:
     """One TRAJECTORY_HEADER row per :func:`trajectory` sample.  s_vn, s_e
-    and the energy come from one kernel (``measures._state_entropies``), bit
-    for bit :func:`vn_entropy`, :func:`energy_entropy` and :func:`energy`.
+    and the energy come from one call of ``measures._state_entropies``, the
+    implementation of :func:`vn_entropy` and :func:`energy_entropy`.
     The energy basis is undefined at omega = J = 0 (a J = 0 sweep through
     zero field); s_e takes its limit there, equal from either side."""
     j = prop.spec.j

@@ -1,10 +1,8 @@
 """Entropy and distance functionals of working-medium states.
 
 All entropies use the natural logarithm with the 0*log(0) = 0 convention.
-:func:`vn_entropy` and :func:`energy_entropy` run one kernel over their four
-probabilities.  Sums run left to right, never through sum(), which
-compensates rounding from Python 3.12 on; so every result is the same on
-every supported Python.
+Sums run left to right, never through sum(), which compensates rounding
+from Python 3.12 on; so every result is the same on every supported Python.
 Every state is an outer 2x2 block A plus the inner doublet (lam2, lam3), so
 the relative entropy and the quantum distance reduce to closed forms in the
 b-vector variables and the eigenvalues of :func:`eigenvalue_tuple`; no 4x4
@@ -14,9 +12,11 @@ The three measures against a reference state, :func:`quantum_distance`,
 implementation, :func:`_measures_to`: bound to the reference and a field,
 it gives all three for a state in one pass.  An ``iterate`` table binds it
 once; each public function binds it per call and takes its own element.
-:func:`_state_entropies` gives s_vn, s_e and the energy of a ``trajectory``
-row or a ledger corner in one pass, with the float operations of
-:func:`vn_entropy`, :func:`energy_entropy` and ``energy``, so the same bits.
+The two state entropies, :func:`vn_entropy` and :func:`energy_entropy`,
+have one implementation too, :func:`_state_entropies`: it gives both and
+the energy of a state in one pass, with the eigenvalue check of the
+measures above.  A ``trajectory`` row and a ledger corner take all three;
+each public function takes its own element.
 """
 
 from __future__ import annotations
@@ -51,27 +51,6 @@ _SUPPORT_TOL = 1e-15
 _SUPPORT_WEIGHT = 1e-6
 
 
-def _entropy4(p: tuple) -> float:
-    """Shannon entropy -sum p log p of four probabilities, summed left to
-    right.  ValueError for a probability below PHYSICALITY_TOL, or a sum
-    that misses 1 by more than 1e-10 or is NaN, checked in that order.  The
-    tests compare it with a general-n reference, ``measurement_entropy``."""
-    if min(p) < PHYSICALITY_TOL:
-        raise ValueError(f"negative probability in {p}")
-    p1, p2, p3, p4 = p
-    total = p1 + p2 + p3 + p4
-    if not abs(total - 1.0) <= 1e-10:
-        raise ValueError(f"probabilities sum to {total}, not 1")
-    log = math.log
-    # a skipped 0 log 0 term enters as 0.0, which leaves the sum unchanged
-    return -(
-        (p1 * log(p1) if p1 > 0.0 else 0.0)
-        + (p2 * log(p2) if p2 > 0.0 else 0.0)
-        + (p3 * log(p3) if p3 > 0.0 else 0.0)
-        + (p4 * log(p4) if p4 > 0.0 else 0.0)
-    )
-
-
 def _physical_eigenvalues(b: BlochVector) -> tuple:
     """:func:`eigenvalue_tuple` of b; ValueError, as from :func:`vn_entropy`,
     for a non-physical state, or one with a NaN eigenvalue."""
@@ -82,11 +61,9 @@ def _physical_eigenvalues(b: BlochVector) -> tuple:
 
 
 def vn_entropy(b: BlochVector) -> float:
-    """Von Neumann entropy, the minimum over all complete measurements."""
-    lam = eigenvalue_tuple(b)
-    if not min(lam) >= PHYSICALITY_TOL:
-        raise ValueError(f"non-physical state: eigenvalues {lam}")
-    return _entropy4(lam)
+    """Von Neumann entropy, the minimum over all complete measurements.
+    ValueError for a non-physical state, or one with a NaN eigenvalue."""
+    return _state_entropies(b, 1.0, 0.0)[0]
 
 
 def energy_entropy(b: BlochVector, omega: float, j: float) -> float:
@@ -96,9 +73,11 @@ def energy_entropy(b: BlochVector, omega: float, j: float) -> float:
     measurement), so this is always >= the von Neumann entropy, with equality
     exactly for energy-diagonal states.  Undefined at omega = J = 0
     (ValueError); at J = 0 both signs of omega give the same value, so
-    energy_entropy(b, 1.0, 0.0) is its limit there.
+    energy_entropy(b, 1.0, 0.0) is its limit there.  ValueError for a
+    non-physical state, as from :func:`vn_entropy`.
     """
-    return _entropy4(energy_populations(b, omega, j))
+    _energy_frame(omega, j)  # ValueError at omega = J = 0
+    return _state_entropies(b, omega, j)[1]
 
 
 def wootters_energy_distance(
@@ -206,47 +185,49 @@ def _checked_measures(b: BlochVector, b_ref: BlochVector, omega: float = 1.0,
 
 def _state_entropies(b: BlochVector, omega: float, j: float) -> tuple:
     """(vn_entropy(b), energy_entropy(b, omega, j), omega*b1 + J*b2) in one
-    pass, with their float operations.  The inner energy populations are
-    the eigenvalues lam2 and lam3, so their p log p terms are computed once,
-    and the energy is the numerator of the outer populations.  At
-    omega = J = 0, s_e is the limit energy_entropy(b, 1.0, 0.0).  Where a
-    check of :func:`vn_entropy` or :func:`_entropy4` fails, or the field lies
-    outside FIELD_RANGE, the public functions give the result or raise their
-    ValueError, vn_entropy first."""
+    pass, the one implementation of both entropies.  ValueError for a
+    non-physical state, with the message of :func:`_physical_eigenvalues`,
+    then for an outer energy population below PHYSICALITY_TOL; once the
+    eigenvalues pass, both distributions sum to 1 within a few ulp, so no sum
+    is checked.  The inner energy populations are lam2 and lam3, so their
+    p log p terms are computed once.  A field outside FIELD_RANGE is scaled
+    as in :func:`energy_populations`; at omega = J = 0, s_e is the limit
+    energy_entropy(b, 1.0, 0.0)."""
     b1, b2, b3, b4, b5 = b
+    try:  # BlochVector.d: inf when a square overflows
+        d_scaled = math.sqrt(b1**2 + b2**2 + b3**2) / SQRT2
+    except OverflowError:
+        d_scaled = math.inf
+    b4_scaled = b4 / SQRT2
+    half_b5 = b5 / 2.0
+    lam1 = 0.25 - d_scaled + half_b5
+    lam2 = 0.25 + b4_scaled - half_b5
+    lam3 = 0.25 - b4_scaled - half_b5
+    lam4 = 0.25 + d_scaled + half_b5
+    tol = PHYSICALITY_TOL
+    # a NaN fails every >= test
+    if not (lam1 >= tol and lam2 >= tol and lam3 >= tol and lam4 >= tol):
+        raise ValueError(f"non-physical state: eigenvalues {(lam1, lam2, lam3, lam4)}")
     energy = omega * b1 + j * b2
     big_omega = math.hypot(omega, j)
     if FIELD_RANGE[0] <= big_omega <= FIELD_RANGE[1]:
-        try:  # BlochVector.d: inf when a square overflows
-            d_scaled = math.sqrt(b1**2 + b2**2 + b3**2) / SQRT2
-        except OverflowError:
-            d_scaled = math.inf
-        b4_scaled = b4 / SQRT2
-        half_b5 = b5 / 2.0
-        lam1 = 0.25 - d_scaled + half_b5
-        lam2 = 0.25 + b4_scaled - half_b5
-        lam3 = 0.25 - b4_scaled - half_b5
-        lam4 = 0.25 + d_scaled + half_b5
         e_scaled = energy / (SQRT2 * big_omega)
-        p1 = 0.25 - e_scaled + half_b5
-        p4 = 0.25 + e_scaled + half_b5
-        tol = PHYSICALITY_TOL
-        # -1e-10 <= x <= 1e-10 is abs(x) <= 1e-10, NaN failing both
-        if (lam1 >= tol and lam2 >= tol and lam3 >= tol and lam4 >= tol
-                and p1 >= tol and p4 >= tol
-                and -1e-10 <= lam1 + lam2 + lam3 + lam4 - 1.0 <= 1e-10
-                and -1e-10 <= p1 + lam2 + lam3 + p4 - 1.0 <= 1e-10):
-            log = math.log
-            term2 = lam2 * log(lam2) if lam2 > 0.0 else 0.0
-            term3 = lam3 * log(lam3) if lam3 > 0.0 else 0.0
-            s_vn = -((lam1 * log(lam1) if lam1 > 0.0 else 0.0) + term2 + term3
-                     + (lam4 * log(lam4) if lam4 > 0.0 else 0.0))
-            s_e = -((p1 * log(p1) if p1 > 0.0 else 0.0) + term2 + term3
-                    + (p4 * log(p4) if p4 > 0.0 else 0.0))
-            return s_vn, s_e, energy
-    if not (omega or j):
-        omega, j = 1.0, 0.0
-    return vn_entropy(b), energy_entropy(b, omega, j), energy
+    else:
+        omega, j, scale = _energy_frame(omega, j) if big_omega else (1.0, 0.0, SQRT2)
+        e_scaled = (omega * b1 + j * b2) / scale
+    p1 = 0.25 - e_scaled + half_b5
+    p4 = 0.25 + e_scaled + half_b5
+    if not (p1 >= tol and p4 >= tol):
+        raise ValueError(f"non-physical state: energy populations {(p1, lam2, lam3, p4)}")
+    log = math.log
+    # a skipped 0 log 0 term enters as 0.0, which leaves the sum unchanged
+    term2 = lam2 * log(lam2) if lam2 > 0.0 else 0.0
+    term3 = lam3 * log(lam3) if lam3 > 0.0 else 0.0
+    s_vn = -((lam1 * log(lam1) if lam1 > 0.0 else 0.0) + term2 + term3
+             + (lam4 * log(lam4) if lam4 > 0.0 else 0.0))
+    s_e = -((p1 * log(p1) if p1 > 0.0 else 0.0) + term2 + term3
+            + (p4 * log(p4) if p4 > 0.0 else 0.0))
+    return s_vn, s_e, energy
 
 
 def conditional_entropy(b: BlochVector, b_ref: BlochVector) -> float:

@@ -35,7 +35,8 @@ SWEEP_TOLERANCE = 1e-12
 _STEP_SAFETY = 2.0
 
 # Largest accepted sweep rotation angle sqrt(2) * max Omega * tau in radians;
-# it bounds the integrator work (about 1.5e4 steps in all at the limit).
+# it bounds the integrator work: about 1.5e4 steps in all for a fast sweep at
+# the limit, about 3.3e4 for a slow one.
 MAX_SWEEP_ANGLE = 1e4
 
 

@@ -204,8 +204,9 @@ def wootters_distance_oracle(b: BlochVector, b_ref: BlochVector, omega: float, j
 class EnergyBasisTransform:
     """The symmetric involution C that diagonalizes H = omega*B1 + J*B2.
 
-    Its nontrivial entries are mu = sqrt((Omega - omega)/(2 Omega)) and
-    chi = sqrt((Omega + omega)/(2 Omega)) with Omega = sqrt(omega^2 + J^2);
+    Its nontrivial entries are mu = sign(J) sqrt((Omega - omega)/(2 Omega))
+    and chi = sqrt((Omega + omega)/(2 Omega)) with Omega = sqrt(omega^2 + J^2)
+    (for omega <= 0, chi takes the sign of J instead: -C, the same C rho C);
     C @ C is the identity.
     """
 
@@ -231,8 +232,15 @@ def energy_basis_transform(omega: float, j: float) -> EnergyBasisTransform:
     big_omega = math.hypot(omega, j)
     if big_omega == 0.0:
         raise ValueError("energy basis undefined for omega = J = 0")
-    mu = math.sqrt(max(big_omega - omega, 0.0) / (2.0 * big_omega))
-    chi = math.sqrt((big_omega + omega) / (2.0 * big_omega))
+    # the larger of mu and chi from its square root, the other from
+    # mu * chi = J / (2 Omega): it keeps the sign of J, and its digits where
+    # Omega -+ omega cancels (a small J / omega)
+    if omega > 0.0:
+        chi = math.sqrt((big_omega + omega) / (2.0 * big_omega))
+        mu = j / (2.0 * big_omega * chi)
+    else:
+        mu = math.sqrt((big_omega - omega) / (2.0 * big_omega))
+        chi = j / (2.0 * big_omega * mu)
     return EnergyBasisTransform(omega, j, big_omega, mu, chi)
 
 

@@ -27,8 +27,9 @@ from spinotto import (
     trajectory,
     wootters_energy_distance,
 )
+from spinotto.algebra import is_physical
 from spinotto.measures import (
-    _OVERLAP_NOISE, _SUPPORT_TOL, _entropy4, _measures_to, _state_entropies,
+    _OVERLAP_NOISE, _SUPPORT_TOL, _measures_to, _physical_eigenvalues, _state_entropies,
 )
 from conftest import (
     EXAMPLE_SCALE,
@@ -48,6 +49,7 @@ from conftest import (
     energy_conditional_entropy,
     measurement_entropy,
     reconstruct_density,
+    to_energy_basis,
     wootters_distance_oracle,
 )
 
@@ -91,59 +93,118 @@ def _raised(f, p):
     return None
 
 
+def _bits(values) -> tuple:
+    """The floats as float.hex strings: equal exactly when the bits are,
+    NaN and the sign of zero included."""
+    return tuple(float.hex(float(v)) for v in values)
+
+
+def _outcome(f, *args):
+    """("value", bits) of f(*args), or ("error", message) of its ValueError."""
+    try:
+        return "value", _bits(f(*args))
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+# fields: zero, below FIELD_RANGE (scaled by 2**600), subnormal, and above
+# FIELD_RANGE (scaled by 2**-600; Omega or sqrt2 * Omega overflows)
+_fields = st.tuples(st.floats(-20.0, 20.0), st.floats(0.0, 4.0)) | st.sampled_from(
+    [(0.0, 0.0), (-0.0, 0.0), (1e-200, 0.0), (-3e-160, 1e-170), (2.2250738585e-313, 5e-324),
+     (1.5e308, 1.5e308), (-1.7e308, 1e308), (1e308, 1e-300)])
+
+
+def _unit_field(omega, j):
+    """The field's direction as a field of magnitude about 1, by an exact
+    power-of-two scaling, so that the matrix oracle squares no subnormal or
+    overflowing value; at omega = J = 0 the limit (1.0, 0.0) that the row
+    kernel takes."""
+    if not (omega or j):
+        return 1.0, 0.0
+    exponent = math.frexp(max(abs(omega), abs(j)))[1]
+    return math.ldexp(omega, -exponent), math.ldexp(j, -exponent)
+
+
+# lam = (0, 0.5 + x, -x, 0.5): an inner eigenvalue at a rounding residue
+# -x within PHYSICALITY_TOL (x = 5e-13), and one beyond it (x = 2e-12)
+_RESIDUE = BlochVector(SQRT2 / 4, 0.0, 0.0, (0.5 + 1e-12) / SQRT2, 0.0)
+_BEYOND_TOL = BlochVector(SQRT2 / 4, 0.0, 0.0, (0.5 + 4e-12) / SQRT2, 0.0)
+
+
 @settings(max_examples=300 * EXAMPLE_SCALE, deadline=None)
 @given(physical_states(), st.floats(-20.0, 20.0), st.floats(0.0, 4.0))
 # a pure outer level in a subnormal field
 @example(BlochVector(0.2759441097313356, 0.0, 0.0, 0.12072554800745934, -0.1097560975609756),
          2.2250738585e-313, 0.0)
+@example(_RESIDUE, 1.0, 0.5)
 def test_entropy_kernel_equals_general_path(b, omega, j):
-    distributions = [eigenvalue_tuple(b)]
+    # the general-n oracle sums its p log p terms left to right, as the
+    # kernel does, so the bits agree
+    assert _bits([vn_entropy(b)]) == _bits([measurement_entropy(eigenvalue_tuple(b))])
     if math.hypot(omega, j) > 0.0:
-        distributions.append(energy_populations(b, omega, j))
-    for p in distributions:
-        assert _entropy4(p) == measurement_entropy(p)
-    assert vn_entropy(b) == measurement_entropy(eigenvalue_tuple(b))
+        assert (_bits([energy_entropy(b, omega, j)])
+                == _bits([measurement_entropy(energy_populations(b, omega, j))]))
 
 
-# four probabilities near a distribution: negative entries around
-# PHYSICALITY_TOL, NaN and inf, and sums off by about the 1e-10 tolerance
-_probability = st.sampled_from([-2e-12, -5e-13, 0.0, math.nan, math.inf]) | st.floats(0.0, 1.0)
+def test_entropy_tolerance_edge():
+    assert -1e-12 < eigenvalue_tuple(_RESIDUE)[2] < 0.0
+    assert eigenvalue_tuple(_BEYOND_TOL)[2] < -1e-12
+    assert vn_entropy(_RESIDUE) == measurement_entropy(eigenvalue_tuple(_RESIDUE))
+    for f in (vn_entropy, lambda b: energy_entropy(b, 1.0, 0.5)):
+        with pytest.raises(ValueError, match="non-physical state: eigenvalues"):
+            f(_BEYOND_TOL)
+    # lam1 just above PHYSICALITY_TOL, and in a field along (b1, b2) the
+    # lower energy population, lam1 within rounding, just below it (the
+    # upper one in the opposite field)
+    edge = BlochVector(0.4570498112937808, 0.041139175118178335, 0.0, 0.0, 0.14897913946718935)
+    omega, j = 0.9959735259601749, 0.08964784206246693
+    assert eigenvalue_tuple(edge)[0] >= -1e-12 > energy_populations(edge, omega, j)[0]
+    assert vn_entropy(edge) == measurement_entropy(eigenvalue_tuple(edge))
+    for field in ((omega, j), (-omega, -j)):
+        with pytest.raises(ValueError, match="non-physical state: energy populations"):
+            energy_entropy(edge, *field)
+
+
+# arbitrary floats: NaN, infinities, huge values, the square-overflow edge
+# 1.3e154 and subnormals
+_component = st.floats() | st.sampled_from(
+    [math.nan, math.inf, -math.inf, 1e300, -1e300, 1.3e154, -1.3e154, 5e-324,
+     2.2250738585e-313, 0.0])
+_tiny = st.floats(-4e-12, 4e-12) | st.sampled_from([-2e-12, -1e-12, -5e-13, 0.0, 5e-13])
+
+
+@st.composite
+def _states_near_the_cone(draw):
+    """Physical states with b4 and b5 moved by about PHYSICALITY_TOL: a zero
+    eigenvalue (which physical_states() often draws) crosses the tolerance."""
+    b = draw(physical_states())
+    return b._replace(b4=b.b4 + draw(_tiny), b5=b.b5 + draw(_tiny))
 
 
 @settings(max_examples=500 * EXAMPLE_SCALE, deadline=None)
-@given(st.tuples(_probability, _probability, _probability),
-       st.sampled_from([0.0, 5e-11, -5e-11, 2e-10, -2e-10, 0.3]))
-def test_entropy_kernel_raises_as_general_path(head, offset):
-    p = (*head, 1.0 - sum(head) + offset)
-    message = _raised(measurement_entropy, p)
-    assert _raised(_entropy4, p) == message
-    if message is None:
-        assert _entropy4(p) == measurement_entropy(p)
-
-
-def test_entropy_kernel_rejections():
-    nan = math.nan
-    cases = [
-        ((1.1, -0.1, 0.0, 0.0), "negative probability"),
-        ((0.5, 0.5 + 2e-12, -2e-12, 0.0), "negative probability"),
-        ((0.5, 0.1, 0.1, 0.1), "sum to"),
-        ((0.25, 0.25, 0.25, 0.25 + 2e-10), "sum to"),
-    ] + [
-        (tuple(nan if k == i else x for k, x in enumerate((0.5, 0.5, 0.0, 0.0))), "sum to nan")
-        for i in range(4)
-    ]
-    for p, fragment in cases:
-        message = _raised(measurement_entropy, p)
-        assert message is not None and fragment in message, p
-        assert _raised(_entropy4, p) == message
-    # within the tolerances: a -1e-12 rounding residue and a 5e-11 sum error
-    for p in ((0.5, 0.5 + 5e-13, -5e-13, 0.0), (0.25, 0.25, 0.25, 0.25 + 5e-11)):
-        assert _entropy4(p) == measurement_entropy(p)
-    # a NaN state no longer yields the entropy of its finite eigenvalues
-    with pytest.raises(ValueError, match="sum to nan"):
-        vn_entropy(BlochVector(0.1, 0.0, 0.0, nan, 0.0))
-    with pytest.raises(ValueError, match="sum to nan"):
-        energy_entropy(BlochVector(0.1, 0.0, 0.0, nan, 0.0), 1.0, 0.5)
+@given(st.builds(BlochVector, _component, _component, _component, _component, _component)
+       | _states_near_the_cone(), _fields)
+@example(BlochVector(0.1, 0.0, 0.0, math.nan, 0.0), (1.0, 0.5))
+@example(_RESIDUE, (1.0, 0.5))
+@example(_BEYOND_TOL, (0.0, 0.0))
+def test_one_physicality_rule_for_the_entropies_property(b, field):
+    # vn_entropy checks what the other measures check, with their message
+    message = _raised(_physical_eigenvalues, b)
+    assert _raised(vn_entropy, b) == message
+    if message is not None:
+        with pytest.raises(ValueError):
+            energy_entropy(b, *field)
+        with pytest.raises(ValueError, match="non-physical state"):
+            _state_entropies(b, *field)
+        return
+    # a state the kernel accepts is a distribution within rounding, in the
+    # eigenbasis and in the energy basis: no sum needs checking
+    try:
+        _state_entropies(b, *field)
+    except ValueError:  # an outer energy population below PHYSICALITY_TOL
+        return
+    for p in (eigenvalue_tuple(b), energy_populations(b, *_unit_field(*field))):
+        assert abs(math.fsum(p) - 1.0) <= 1e-15
 
 
 def test_vn_entropy_trivials():
@@ -172,8 +233,23 @@ def test_measures_reject_non_physical_states(bad):
                 measure(b, b_ref, *field)
     with pytest.raises(ValueError, match="non-physical state"):
         _measures_to(bad, 1.0, 0.0)
-    # the row kernel raises what vn_entropy raises ("sum to nan" for b4-nan)
-    assert _raised(lambda b: _state_entropies(b, 1.0, 0.5), bad) == _raised(vn_entropy, bad)
+    for entropy in (vn_entropy, lambda b: energy_entropy(b, 1.0, 0.5)):
+        with pytest.raises(ValueError, match="non-physical state"):
+            entropy(bad)
+
+
+def test_energy_entropy_checks_the_state():
+    # a non-physical state whose energy populations form a distribution
+    # (energy_entropy gave log 4 here before 3.1)
+    bad = BlochVector(0.0, 0.0, 0.4, 0.0, 0.0)
+    assert is_physical(energy_populations(bad, 1.0, 0.5))
+    with pytest.raises(ValueError, match="non-physical state"):
+        energy_entropy(bad, 1.0, 0.5)
+    b = BlochVector(0.1, -0.05, 0.02, 0.1, 0.05)
+    with pytest.raises(ValueError, match="omega = J = 0"):
+        energy_entropy(b, 0.0, 0.0)
+    # the row kernel takes the limit there
+    assert _state_entropies(b, 0.0, 0.0)[1] == energy_entropy(b, 1.0, 0.0)
 
 
 def test_vn_entropy_thermal_matches_matrix_oracle(rng):
@@ -461,29 +537,8 @@ def test_energy_distance_oscillates_without_dephasing():
 
 
 # ---------------------------------------------------------------------------
-# the row kernels: the trajectory kernel against the public functions, the
-# one implementation of the reference measures against the oracles
-
-
-def _bits(values) -> tuple:
-    """The floats as float.hex strings: equal exactly when the bits are,
-    NaN and the sign of zero included."""
-    return tuple(float.hex(float(v)) for v in values)
-
-
-def _outcome(f, *args):
-    """("value", bits) of f(*args), or ("error", message) of its ValueError."""
-    try:
-        return "value", _bits(f(*args))
-    except ValueError as exc:
-        return "error", str(exc)
-
-
-def _public_entropies(b, omega, j):
-    """s_vn, s_e and energy of a trajectory row from the public functions, s_e
-    at its zero-field limit at omega = J = 0."""
-    field = (omega, j) if omega or j else (1.0, 0.0)
-    return vn_entropy(b), energy_entropy(b, *field), energy(b, omega, j)
+# the row kernels against the oracles: the state entropies and the
+# reference measures
 
 
 _PURE_OUTER = BlochVector(SQRT2 / 2, 0.0, 0.0, 0.0, 0.5)  # lam = (0, 0, 0, 1)
@@ -510,14 +565,6 @@ _EDGES = {
                                        (2.2250738585e-313, 5e-324)),
     "zero-field-sweeps": (_PURE_INNER, _ZERO_FIELD_SWEEPS, (0.0, 0.0)),
 }
-# besides each state's own field: zero, below FIELD_RANGE (scaled by 2**600),
-# subnormal, and above FIELD_RANGE (scaled by 2**-600; Omega or sqrt2 * Omega
-# overflows)
-_fields = st.tuples(st.floats(-20.0, 20.0), st.floats(0.0, 4.0)) | st.sampled_from(
-    [(0.0, 0.0), (-0.0, 0.0), (1e-200, 0.0), (-3e-160, 1e-170), (2.2250738585e-313, 5e-324),
-     (1.5e308, 1.5e308), (-1.7e308, 1e308), (1e308, 1e-300)])
-
-
 @settings(max_examples=100 * EXAMPLE_SCALE, deadline=None)
 @given(physical_states(), cycle_specs(), _fields)
 @example(*_EDGES["pure-outer"])
@@ -525,11 +572,17 @@ _fields = st.tuples(st.floats(-20.0, 20.0), st.floats(0.0, 4.0)) | st.sampled_fr
 @example(*_EDGES["rank-deficient-subnormal-field"])
 @example(*_EDGES["zero-field-sweeps"])
 def test_row_kernels_equal_public_measures_property(b, spec, field):
-    # the trajectory kernel: each sample of a period from b at its own field
-    # and at the drawn one; a ValueError must be the public path's
+    # the trajectory kernel, which the public entropies index, on each sample
+    # of a period from b at its own field and at the drawn one, against the
+    # spectrum and the energy-basis diagonal of the density matrix
     for _, _, omega, state in trajectory(compose_cycle(spec), b, 5):
+        lam = np.linalg.eigvalsh(np.array(reconstruct_density(state)))
         for f in ((omega, spec.j), field):
-            assert _outcome(_state_entropies, state, *f) == _outcome(_public_entropies, state, *f)
+            s_vn, s_e, e = _state_entropies(state, *f)
+            populations = np.diag(to_energy_basis(state, *_unit_field(*f))).real
+            assert abs(s_vn - measurement_entropy(lam)) < 1e-12
+            assert abs(s_e - measurement_entropy(populations)) < 1e-12
+            assert _bits([e]) == _bits([energy(state, *f)])
 
 
 @pytest.mark.parametrize("edge", sorted(_EDGES))

@@ -337,6 +337,8 @@ def test_sweep_step_counts(monkeypatch):
             assert counter.count(p) <= 47, p
     # near MAX_SWEEP_ANGLE the first doubling is accepted: 4950 + 9900 steps
     assert counter.count(AdiabatParams(1e3, -1e3, 1.0, 7.0)) <= 14850
+    # a slow sweep near MAX_SWEEP_ANGLE (9,990 rad) takes the most work
+    assert counter.count(AdiabatParams(1.0, 10.0, 10.0, 499.5)) <= 32838
 
 
 def _ascending_ramps(spec):
