@@ -50,7 +50,7 @@ from .engine import (
     spectrum,
     trajectory,
 )
-from .measures import _measures_to, _state_entropies, energy_entropy
+from .measures import _measures_to, _state_entropies
 from .records import Record
 
 SCHEMA_VERSION = 1
@@ -313,7 +313,8 @@ TRAJECTORY_HEADER = (
 def trajectory_rows(prop: CyclePropagator, b_start: BlochVector, samples: int) -> list[list]:
     """One TRAJECTORY_HEADER row per :func:`trajectory` sample.  s_vn, s_e
     and the energy come from one call of ``measures._state_entropies``, the
-    implementation of :func:`vn_entropy` and :func:`energy_entropy`.
+    implementation of :func:`vn_entropy` and :func:`energy_entropy`; it
+    checks no sample, as the caller checked b_start.
     The energy basis is undefined at omega = J = 0 (a J = 0 sweep through
     zero field); s_e takes its limit there, equal from either side."""
     j = prop.spec.j
@@ -398,7 +399,7 @@ def cmd_equilibrium_curve(config: RunConfig):
     if temp <= 0.0:
         raise ConfigError("run.temperature must be > 0")
     rows = [
-        [omega, energy_entropy(thermal_state(omega, j, temp), omega, j)]
+        [omega, _state_entropies(thermal_state(omega, j, temp), omega, j)[1]]
         for omega in linspace(lo, hi, steps)
     ]
     return ["omega", "s_e_equilibrium"], rows

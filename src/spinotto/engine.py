@@ -29,6 +29,7 @@ from .propagators import (
     AdiabatParams,
     BathParams,
     IsochoreParams,
+    _IDENTITY_BLOCK,
     _dot,
     _time_reversed,
     adiabat_partials,
@@ -247,9 +248,6 @@ def _cross(u, v):
     return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
 
-_AXES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-
-
 def _diagonal_minus(x: float, a) -> tuple:
     """Rows of x I - a for a 3x3 block a."""
     return tuple(
@@ -265,9 +263,9 @@ def _null_vector(rows) -> tuple:
     best = max((_cross(r1, r2), _cross(r1, r3), _cross(r2, r3)), key=lambda u: _dot(u, u))
     if _dot(best, best) == 0.0:
         top = max(rows, key=lambda r: _dot(r, r))
-        best = max((_cross(top, e) for e in _AXES), key=lambda u: _dot(u, u))
+        best = max((_cross(top, e) for e in _IDENTITY_BLOCK), key=lambda u: _dot(u, u))
         if _dot(best, best) == 0.0:
-            best = _AXES[0]
+            best = _IDENTITY_BLOCK[0]
     return best
 
 

@@ -14,9 +14,10 @@ it gives all three for a state in one pass.  An ``iterate`` table binds it
 once; each public function binds it per call and takes its own element.
 The two state entropies, :func:`vn_entropy` and :func:`energy_entropy`,
 have one implementation too, :func:`_state_entropies`: it gives both and
-the energy of a state in one pass, with the eigenvalue check of the
-measures above.  A ``trajectory`` row and a ledger corner take all three;
-each public function takes its own element.
+the energy of a state in one pass.  A ``trajectory`` row and a ledger
+corner take all three; each public function checks its argument and takes
+its own element.  Neither row kernel checks a state: the engine's states
+come from a start or fixed point checked where it entered.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import math
 from .algebra import (
     FIELD_RANGE,
     LOG_EIGENVALUE_FLOOR,
-    PHYSICALITY_TOL,
     SQRT2,
     BlochVector,
     _energy_frame,
@@ -63,6 +63,7 @@ def _physical_eigenvalues(b: BlochVector) -> tuple:
 def vn_entropy(b: BlochVector) -> float:
     """Von Neumann entropy, the minimum over all complete measurements.
     ValueError for a non-physical state, or one with a NaN eigenvalue."""
+    _physical_eigenvalues(b)
     return _state_entropies(b, 1.0, 0.0)[0]
 
 
@@ -74,9 +75,14 @@ def energy_entropy(b: BlochVector, omega: float, j: float) -> float:
     exactly for energy-diagonal states.  Undefined at omega = J = 0
     (ValueError); at J = 0 both signs of omega give the same value, so
     energy_entropy(b, 1.0, 0.0) is its limit there.  ValueError for a
-    non-physical state, as from :func:`vn_entropy`.
+    non-physical state, as from :func:`vn_entropy`, then for an energy
+    population below PHYSICALITY_TOL.
     """
     _energy_frame(omega, j)  # ValueError at omega = J = 0
+    _physical_eigenvalues(b)
+    p = energy_populations(b, omega, j)
+    if not is_physical(p):
+        raise ValueError(f"non-physical state: energy populations {p}")
     return _state_entropies(b, omega, j)[1]
 
 
@@ -185,13 +191,13 @@ def _checked_measures(b: BlochVector, b_ref: BlochVector, omega: float = 1.0,
 
 def _state_entropies(b: BlochVector, omega: float, j: float) -> tuple:
     """(vn_entropy(b), energy_entropy(b, omega, j), omega*b1 + J*b2) in one
-    pass, the one implementation of both entropies.  ValueError for a
-    non-physical state, with the message of :func:`_physical_eigenvalues`,
-    then for an outer energy population below PHYSICALITY_TOL; once the
-    eigenvalues pass, both distributions sum to 1 within a few ulp, so no sum
-    is checked.  The inner energy populations are lam2 and lam3, so their
-    p log p terms are computed once.  A field outside FIELD_RANGE is scaled
-    as in :func:`energy_populations`; at omega = J = 0, s_e is the limit
+    pass, the one implementation of both entropies.  Like the function
+    :func:`_measures_to` returns, it does not check the state, and a p log p
+    term with p <= 0 enters as 0, so it cannot raise; for a state the public
+    functions accept, both distributions sum to 1 within a few ulp.  The
+    inner energy populations are lam2 and lam3, so their p log p terms are
+    computed once.  A field outside FIELD_RANGE is scaled as in
+    :func:`energy_populations`; at omega = J = 0, s_e is the limit
     energy_entropy(b, 1.0, 0.0)."""
     b1, b2, b3, b4, b5 = b
     try:  # BlochVector.d: inf when a square overflows
@@ -204,10 +210,6 @@ def _state_entropies(b: BlochVector, omega: float, j: float) -> tuple:
     lam2 = 0.25 + b4_scaled - half_b5
     lam3 = 0.25 - b4_scaled - half_b5
     lam4 = 0.25 + d_scaled + half_b5
-    tol = PHYSICALITY_TOL
-    # a NaN fails every >= test
-    if not (lam1 >= tol and lam2 >= tol and lam3 >= tol and lam4 >= tol):
-        raise ValueError(f"non-physical state: eigenvalues {(lam1, lam2, lam3, lam4)}")
     energy = omega * b1 + j * b2
     big_omega = math.hypot(omega, j)
     if FIELD_RANGE[0] <= big_omega <= FIELD_RANGE[1]:
@@ -217,8 +219,6 @@ def _state_entropies(b: BlochVector, omega: float, j: float) -> tuple:
         e_scaled = (omega * b1 + j * b2) / scale
     p1 = 0.25 - e_scaled + half_b5
     p4 = 0.25 + e_scaled + half_b5
-    if not (p1 >= tol and p4 >= tol):
-        raise ValueError(f"non-physical state: energy populations {(p1, lam2, lam3, p4)}")
     log = math.log
     # a skipped 0 log 0 term enters as 0.0, which leaves the sum unchanged
     term2 = lam2 * log(lam2) if lam2 > 0.0 else 0.0

@@ -126,9 +126,14 @@ def _dot(u, v) -> float:
 def _matmul3(a: tuple, b: tuple) -> tuple:
     """Product of two 3x3 matrices given as rows."""
     (b11, b12, b13), (b21, b22, b23), (b31, b32, b33) = b
-    return tuple(
-        (x * b11 + y * b21 + z * b31, x * b12 + y * b22 + z * b32, x * b13 + y * b23 + z * b33)
-        for x, y, z in a
+    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = a
+    return (
+        (x1 * b11 + y1 * b21 + z1 * b31, x1 * b12 + y1 * b22 + z1 * b32,
+         x1 * b13 + y1 * b23 + z1 * b33),
+        (x2 * b11 + y2 * b21 + z2 * b31, x2 * b12 + y2 * b22 + z2 * b32,
+         x2 * b13 + y2 * b23 + z2 * b33),
+        (x3 * b11 + y3 * b21 + z3 * b31, x3 * b12 + y3 * b22 + z3 * b32,
+         x3 * b13 + y3 * b23 + z3 * b33),
     )
 
 
@@ -421,23 +426,14 @@ def _time_reversed(partials: list[AffinePropagator]) -> list[AffinePropagator]:
     entries (0, 2), (1, 2), (2, 0) and (2, 1) negated.
     """
     (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = partials[-1].block
-    # U(tau)^T R
-    b11, b12, b13 = a11, a21, -a31
-    b21, b22, b23 = a12, a22, -a32
-    b31, b32, b33 = a13, a23, -a33
+    back = ((a11, a21, -a31), (a12, a22, -a32), (a13, a23, -a33))  # U(tau)^T R
     blocks = [_IDENTITY_BLOCK]
     for prop in partials[-2:0:-1]:
-        (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = prop.block
-        blocks.append((
-            (x1 * b11 + y1 * b21 + z1 * b31, x1 * b12 + y1 * b22 + z1 * b32,
-             x1 * b13 + y1 * b23 + z1 * b33),
-            (x2 * b11 + y2 * b21 + z2 * b31, x2 * b12 + y2 * b22 + z2 * b32,
-             x2 * b13 + y2 * b23 + z2 * b33),
-            (-(x3 * b11 + y3 * b21 + z3 * b31), -(x3 * b12 + y3 * b22 + z3 * b32),
-             -(x3 * b13 + y3 * b23 + z3 * b33)),
-        ))
+        row1, row2, (x, y, z) = _matmul3(prop.block, back)
+        blocks.append((row1, row2, (-x, -y, -z)))
     # U(0) is the identity
-    blocks.append(((b11, b12, b13), (b21, b22, b23), (-b31, -b32, -b33)))
+    row1, row2, (x, y, z) = back
+    blocks.append((row1, row2, (-x, -y, -z)))
     new = tuple.__new__
     return [new(AffinePropagator, (block, _ZERO3, 1.0, 1.0, _ZERO3, 0.0)) for block in blocks]
 

@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinotto import (
@@ -36,6 +36,7 @@ from spinotto.cli import (
     MAX_RUN_COUNT,
     TRAJECTORY_HEADER,
     ConfigError,
+    figure_preset,
     iterate_rows,
     load_config,
     main,
@@ -530,6 +531,68 @@ def test_iterate_long_csv_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == ITERATE_LONG_SHA256
 
 
+# the other ten tables of the CI step "Same CSV bytes on Python 3.10 and
+# 3.13", with its configs, so that a change moving their bytes on every
+# Python at once fails here too; (command, config, sha256), computed with 3.1.0
+_CI_ENGINE = dict(FIG1_ENGINE, dephasing_cold=0.01, tau_ab=1.0, tau_ba=1.0)
+_CI_TRAJECTORY = {"engine": _CI_ENGINE, "run": {"samples_per_branch": 101}}
+_CI_COMMANDS = {
+    "engine": _CI_ENGINE,
+    "run": {"n_cycles": 40, "initial_state": {"kind": "thermal", "temperature": 40.0},
+            "omega_from": 1.0, "omega_to": 20.0, "steps": 50},
+}
+CI_TABLES = {
+    "trajectory": (
+        "trajectory", _CI_TRAJECTORY,
+        "1f225942216d46655b5059c9b093abe8a2fc57cf61dff31c0a04562251f330b1"),
+    "trajectory-unequal": (
+        "trajectory", dict(_CI_TRAJECTORY, engine=dict(_CI_ENGINE, tau_ba=0.8)),
+        "827e57fb1605bf268bc59b254f1f00c7866a2d29d81eb0fbc37ce2711e138cf4"),
+    "trajectory-subnormal": (
+        "trajectory",
+        {"engine": dict(_CI_ENGINE, tau_ab=5e-324, tau_ba=1e-310),
+         "run": {"samples_per_branch": 9}},
+        "709ed23810e57b573c38e58e20bcceed56e2b98596b4f205827c9020b74e515f"),
+    "trajectory-fig6": (
+        "trajectory",
+        {"engine": dict(FIG1_ENGINE, omega_a=5.0836387, omega_b=12.635485,
+                        gamma_cold_conductance=1.7, gamma_hot_conductance=1.7,
+                        tau_cold=0.6, tau_hot=0, tau_ab=0.03, tau_ba=0.03),
+         "run": {"samples_per_branch": 101}},
+        "195eba3f8a0a866a44c28011fa311b722d80111186d1afdc378f5c8062cb329c"),
+    "trajectory-zero-field": (
+        "trajectory",
+        dict(_CI_TRAJECTORY, engine=dict(_CI_ENGINE, j=0.0, omega_a=-4.0, omega_b=4.0)),
+        "351060d454dd04fba24b5d9eb0e71e64dbd16766c5ec92c5db72c73dd36083ba"),
+    "sweep": (
+        "sweep",
+        {"engine": dict(FIG1_ENGINE, tau_ab=0.5, tau_ba=0.5),
+         "run": {"sweep": {"key": "omega_a", "from": 3.0, "to": 8.0, "steps": 20}}},
+        "cb1df97cb626bd697018daf42645fb4236fd3a8cbda1ed2e152fbbfa78a04667"),
+    "limit-cycle": (
+        "limit-cycle", _CI_COMMANDS,
+        "0f62b2f4f842ce5c335df39fbad11880106c60bc4c0663de5521e2361f5e3253"),
+    "iterate": (
+        "iterate", _CI_COMMANDS,
+        "4c8f209e17baea760c635ebb817391d0b4a37f6fdddda6b2116f6579bddc3937"),
+    "spectrum": (
+        "spectrum", _CI_COMMANDS,
+        "6e22529dcffe729d8ab262529dca3a7155a93eef2a26171356ff14f770f52bb0"),
+    "equilibrium-curve": (
+        "equilibrium-curve", _CI_COMMANDS,
+        "2c0827f727d7ff285350f83343b0417ece30d01e8b1c7263d4ad956e23a4fb1d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CI_TABLES))
+def test_ci_table_csv_bytes_are_pinned(tmp_path, name):
+    command, payload, digest = CI_TABLES[name]
+    out = tmp_path / f"{name}.csv"
+    config = write_config(tmp_path, payload)
+    assert main([command, "--config", config, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_exit_code_config_error(tmp_path, capsys):
     engine = dict(FIG1_ENGINE)
     del engine["j"]
@@ -644,6 +707,23 @@ def test_near_zero_field_sweep_exits_zero(tmp_path):
     for params, start, end in sweeps:
         image = adiabat_propagator_direct(params, 20000).apply(corner[start])
         assert np.abs(np.array(image) - np.array(corner[end])).max() < 1e-9
+
+
+@pytest.mark.parametrize("run, message", [
+    ({"omega_from": 0.0, "omega_to": 20.0}, "run.omega_from/omega_to must be > 0"),
+    ({"omega_from": 1.0, "omega_to": -20.0}, "run.omega_from/omega_to must be > 0"),
+    ({"omega_from": 1.0, "omega_to": 20.0, "temperature": 0.0}, "run.temperature must be > 0"),
+], ids=["omega-from-zero", "omega-to-negative", "temperature-zero"])
+def test_equilibrium_curve_run_values_are_checked(tmp_path, capsys, run, message):
+    config = write_config(tmp_path, {"engine": FIG1_ENGINE, "run": run})
+    assert main(["equilibrium-curve", "--config", config, "--out", str(tmp_path / "o.csv")]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "config", "message": message}
+
+
+def test_figure_preset_rejects_an_unknown_name():
+    # the command line refuses it as a usage error before the preset runs
+    with pytest.raises(ConfigError, match="unknown figure preset 'fig4'"):
+        figure_preset("fig4")
 
 
 def test_exit_code_sweep_angle_limit(tmp_path, capsys):
@@ -809,8 +889,11 @@ def test_sweep_key_must_be_an_engine_key(tmp_path, capsys, key):
     {"kind": 3},
     {"temperature": 3.0},
     ["thermal"],
+    {"kind": "thermal", "temperature": 0.0},
+    {"kind": "bloch", "b": [0.0, 0.0, 0.0, 0.0]},
 ], ids=["misspelled", "thermal-b", "mixed-temperature", "bloch-temperature", "kind-list",
-        "kind-object", "kind-number", "no-kind", "not-an-object"])
+        "kind-object", "kind-number", "no-kind", "not-an-object", "thermal-zero-temperature",
+        "bloch-four-numbers"])
 def test_initial_state_keys_are_checked_per_kind(tmp_path, capsys, command, initial_state):
     # a misspelled key used to be ignored: the run started from t_cold
     run = {"n_cycles": 2, "samples_per_branch": 2, "initial_state": initial_state}
@@ -851,14 +934,47 @@ def _check_error_contract(commands, payload):
                 assert isinstance(record["message"], str)
 
 
+# a start whose smallest eigenvalue, -9.99978e-13, is just inside the
+# tolerance: rounding in a unitary stroke carries it about 1e-16 past
+_EDGE_START = [-0.3374445367124179, -0.2586309225132191, -0.20308354279666913, 0.0,
+               0.16633579341141647]
+
+
 @settings(max_examples=100 * EXAMPLE_SCALE, deadline=None)
 @given(st.sampled_from(["iterate", "trajectory"]),
        st.lists(_components, min_size=5, max_size=5),
        st.booleans())
+@example("trajectory", _EDGE_START, True)
 def test_bloch_start_error_contract(command, b, unitary):
     engine = dict(FIG1_ENGINE, tau_hot=0.0, tau_cold=0.0) if unitary else FIG1_ENGINE
     run = {"initial_state": {"kind": "bloch", "b": b}, "n_cycles": 3, "samples_per_branch": 3}
     _check_error_contract([command], {"engine": engine, "run": run})
+
+
+@pytest.mark.parametrize("engine_overrides", [
+    {"tau_hot": 0},  # no hot stroke
+    {"gamma_hot_conductance": 0},  # a bath-free hot stroke without dephasing
+], ids=["no-hot-stroke", "bath-free-hot-stroke"])
+def test_unitary_strokes_from_the_edge_of_the_state_space(tmp_path, capsys, engine_overrides):
+    # the states the strokes make from a checked start are not checked again,
+    # so rounding past the tolerance still gives a table; s_vn, as printed,
+    # does not move on a unitary stroke (no friction)
+    engine = dict(FIG1_ENGINE, tau_ab=1.0, tau_ba=1.0, **engine_overrides)
+    run = {"initial_state": {"kind": "bloch", "b": _EDGE_START}, "samples_per_branch": 50}
+    out = tmp_path / "trajectory.csv"
+    config = write_config(tmp_path, {"engine": engine, "run": run})
+    assert main(["trajectory", "--config", config, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    _, header, rows = read_csv(out)
+    assert all(map(math.isfinite, column(header, rows, "s_vn") + column(header, rows, "s_e")))
+    s_vn = {}
+    for branch, printed in zip(column(header, rows, "branch", str),
+                               column(header, rows, "s_vn", str)):
+        s_vn.setdefault(branch, []).append(printed)
+    for branch in ("isochore-hot", "adiabat-hot-cold", "adiabat-cold-hot"):
+        assert len(set(s_vn[branch])) == 1, branch
+    assert s_vn["adiabat-hot-cold"][0] == s_vn["isochore-hot"][0]
+    assert s_vn["adiabat-cold-hot"][0] == s_vn["isochore-cold"][-1]
 
 
 COMMANDS = ["limit-cycle", "iterate", "trajectory", "spectrum", "sweep", "equilibrium-curve"]

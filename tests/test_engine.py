@@ -31,7 +31,7 @@ from spinotto import (
     vn_entropy,
 )
 from spinotto.cli import ITERATE_HEADER, TRAJECTORY_HEADER, iterate_rows, trajectory_rows
-from spinotto.engine import linspace
+from spinotto.engine import _fixed_point, _null_vector, _solve3, linspace
 from spinotto.propagators import _time_reversed
 from conftest import (
     EXAMPLE_SCALE,
@@ -286,6 +286,41 @@ def test_limit_cycle_rejects_non_physical_fixed_point():
     # state space, by rounding: either outcome is one the contract allows
     report = limit_cycle(replace(spec, gamma_cold=1e-08))
     assert 0.0 <= min(eigenvalue_tuple(report.b_a)) and report.gap < 1e-7
+
+
+def test_fixed_point_rejects_a_non_finite_solve():
+    # a NaN in the cycle block makes the gap NaN, which the gap test lets
+    # through; the solve is then named as not finite
+    prop = compose_cycle(fig1_spec())
+    r1, r2, r3 = prop.cycle.block
+    bad = replace(prop, cycle=replace(prop.cycle, block=((math.nan,) + r1[1:], r2, r3)))
+    with pytest.raises(NonUniqueLimitCycleError, match="the fixed-point solve is not finite"):
+        _fixed_point(bad)
+
+
+@pytest.mark.parametrize("rows, expected", [
+    (((0.0, 0.0, 0.0),) * 3, (1.0, 0.0, 0.0)),
+    (((1.0, 2.0, 3.0), (2.0, 4.0, 6.0), (0.0, 0.0, 0.0)), (0.0, 6.0, -4.0)),
+], ids=["zero", "rank-one"])
+def test_null_vector_of_rank_deficient_rows(rows, expected):
+    # no two rows span a plane: the largest row's largest cross product with
+    # an axis, or the first axis when every row is zero
+    assert _null_vector(rows) == expected
+
+
+def test_solve3_with_a_zero_column_is_nan():
+    rows = ((1.0, 0.0, 2.0), (0.0, 0.0, 1.0), (3.0, 0.0, 1.0))
+    assert all(map(math.isnan, _solve3(rows, (1.0, 2.0, 3.0))))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda prop, b: iterate(prop, b, -1), "n must be >= 0"),
+    (lambda prop, b: trajectory(prop, b, 1), "samples_per_branch must be >= 2"),
+], ids=["iterate", "trajectory"])
+def test_iterate_and_trajectory_reject_bad_counts(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(compose_cycle(fig1_spec()), BlochVector(0.0, 0.0, 0.0, 0.0, 0.0))
+
 
 def test_linspace_equals_numpy(rng):
     # one point is the start, as numpy.linspace(a, b, 1) is [a]

@@ -194,17 +194,31 @@ def test_one_physicality_rule_for_the_entropies_property(b, field):
     if message is not None:
         with pytest.raises(ValueError):
             energy_entropy(b, *field)
-        with pytest.raises(ValueError, match="non-physical state"):
-            _state_entropies(b, *field)
         return
-    # a state the kernel accepts is a distribution within rounding, in the
-    # eigenbasis and in the energy basis: no sum needs checking
-    try:
-        _state_entropies(b, *field)
-    except ValueError:  # an outer energy population below PHYSICALITY_TOL
-        return
+    # energy_entropy then checks the energy populations, with their bits;
+    # at omega = J = 0 its field check fails first
+    expected = _raised(lambda f: energy_populations(b, *f), field)
+    if expected is None:
+        p = energy_populations(b, *field)
+        expected = None if is_physical(p) else f"non-physical state: energy populations {p}"
+    assert _raised(lambda f: energy_entropy(b, *f), field) == expected
+    # a state with physical eigenvalues is a distribution within rounding, in
+    # the eigenbasis and in the energy basis: no sum needs checking
     for p in (eigenvalue_tuple(b), energy_populations(b, *_unit_field(*field))):
         assert abs(math.fsum(p) - 1.0) <= 1e-15
+
+
+@settings(max_examples=200 * EXAMPLE_SCALE, deadline=None)
+@given(st.builds(BlochVector, _component, _component, _component, _component, _component),
+       _fields)
+@example(BlochVector(1.3e154, 0.0, 0.0, 0.0, 0.0), (1.0, 0.5))
+@example(BlochVector(0.1, 0.0, 0.0, math.nan, 0.0), (0.0, 0.0))
+def test_row_kernels_check_no_state_property(b, field):
+    # the states a row is computed from were checked where they entered, so
+    # neither row kernel checks one again: each returns for any five floats,
+    # a square past the float range included
+    assert len(_state_entropies(b, *field)) == 3
+    assert len(_measures_to(BlochVector(0.1, -0.05, 0.02, 0.1, 0.05), 1.0, 0.5)(b)) == 3
 
 
 def test_vn_entropy_trivials():

@@ -514,6 +514,8 @@ def test_apply_identity():
     b = BlochVector(0.1, -0.2, 0.05, 0.02, 0.1)
     out = identity_propagator().apply(b)
     assert out == b
+    # the empty composition is the identity map
+    assert tuple(compose()) == tuple(identity_propagator())
 
 
 def test_apply_thermal_fixed_point():
@@ -574,3 +576,19 @@ def test_affine_propagator_rejects_bad_bottom_row():
     bad[3, 0] = 0.1
     with pytest.raises(ValueError):
         AffinePropagator(m=bad)
+
+
+def test_affine_propagator_rejects_a_matrix_that_is_not_4x4():
+    from spinotto import AffinePropagator
+
+    with pytest.raises(ValueError, match="m must be 4x4"):
+        AffinePropagator(m=np.eye(3))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda p: adiabat_partials(p, 1), "samples must be >= 2"),
+    (lambda p: adiabat_propagator_direct(p, 0), "n_steps must be >= 1"),
+], ids=["partials", "direct"])
+def test_sweep_sample_counts_are_bounded(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(AdiabatParams(5.0, 12.0, 2.0, 0.1))
