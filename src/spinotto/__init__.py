@@ -51,4 +51,4 @@ from .propagators import (
 )
 from .records import replace
 
-__version__ = "3.1.1"
+__version__ = "3.1.2"

@@ -263,18 +263,17 @@ LIMIT_CYCLE_HEADER = _CORNER_COLS + _MU_COLS + _LEDGER_COLS
 
 
 def limit_cycle_row(spec: CycleSpec) -> list:
-    report = limit_cycle(spec)
-    ledger = report.ledger
-    row = []
-    for corner in (ledger.b_a, ledger.b_b, ledger.b_c, ledger.b_d):
-        row.extend(corner)
-    for mu in report.eigenvalues:
-        row.extend((mu.real, mu.imag))
-    row.extend([
-        ledger.q_hot, ledger.q_cold, ledger.w_ab, ledger.w_ba, ledger.power,
-        ledger.ds_ext, ledger.ds_u_hot, ledger.ds_u_cold, ledger.ds_u_total,
-        ledger.ds_e_hot, ledger.ds_e_cold, ledger.ds_e_ab, ledger.ds_e_ba,
-    ])
+    _, (mu0, mu1, mu2, mu3, mu4, mu5), _, _, _, ledger = limit_cycle(spec)
+    (q_hot, q_cold, w_ab, w_ba, power, ds_ext, ds_u_hot, ds_u_cold, ds_e_hot, ds_e_cold,
+     ds_e_ab, ds_e_ba, b_a, b_b, b_c, b_d) = ledger
+    row = [
+        *b_a, *b_b, *b_c, *b_d,
+        mu0.real, mu0.imag, mu1.real, mu1.imag, mu2.real, mu2.imag,
+        mu3.real, mu3.imag, mu4.real, mu4.imag, mu5.real, mu5.imag,
+        q_hot, q_cold, w_ab, w_ba, power, ds_ext,
+        ds_u_hot, ds_u_cold, ds_u_hot + ds_u_cold,  # ds_u_total
+        ds_e_hot, ds_e_cold, ds_e_ab, ds_e_ba,
+    ]
     if not all(map(math.isfinite, row)):
         # the states and eigenvalues are finite; heat / temperature can overflow
         bad = [name for name, value in zip(LIMIT_CYCLE_HEADER, row) if not math.isfinite(value)]
@@ -370,11 +369,20 @@ def cmd_sweep(config: RunConfig):
     start = _require_number(sweep["from"], "run.sweep.from")
     stop = _require_number(sweep["to"], "run.sweep.to")
     steps = _require_int(sweep["steps"], "run.sweep.steps", 1)
+    # load_config checked the engine section, so a row checks only its value
+    # of the swept key, then builds the spec, with the errors of
+    # spec_from_engine_dict
+    path = f"engine.{key}"
+    fields = list(config.spec)
+    index = CycleSpec._fields.index(ENGINE_KEYS[key])
 
     def one(value):
-        engine = dict(config.engine_raw)
-        engine[key] = value
-        return [value] + limit_cycle_row(spec_from_engine_dict(engine))
+        fields[index] = _require_number(value, path)
+        try:
+            spec = CycleSpec(*fields)
+        except ValueError as exc:
+            raise ConfigError(f"engine: {exc}") from exc
+        return [value] + limit_cycle_row(spec)
 
     return [key] + LIMIT_CYCLE_HEADER, [one(v) for v in linspace(start, stop, steps)]
 
@@ -663,3 +671,7 @@ def _run(argv) -> int:
         )
         return 3
     return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

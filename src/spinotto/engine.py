@@ -16,6 +16,14 @@ ascending field ramps are integrated: the hot->cold sweep is the time
 reversal of the cold->hot ramp run for its duration, which with equally
 long sweeps is the cold->hot sweep itself, integrated once.  Everything is
 plain floats, tuples and complex numbers.
+
+A limit-cycle row is one flat pass: :class:`CycleSpec` checks every bound,
+those of its four strokes included, once; :func:`compose_cycle` builds the
+checked spec's stroke and branch records without their constructors and
+composes the four maps; :func:`_fixed_point` runs the eigensolver, the solve
+and the physicality check, and :func:`_ledger` the corner entropies, all on
+unpacked floats.  Each step does the float operations of the generic loops
+it replaced, in their order, so no printed digit depends on the flattening.
 """
 
 from __future__ import annotations
@@ -23,14 +31,17 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .algebra import BlochVector, eigenvalue_tuple, is_physical
+from .algebra import SQRT2, BlochVector, eigenvalue_tuple, field_magnitude, is_physical
 from .measures import _state_entropies
 from .propagators import (
+    MAX_SWEEP_ANGLE,
     AdiabatParams,
     BathParams,
     IsochoreParams,
     _IDENTITY_BLOCK,
+    _bath_phase_error,
     _dot,
+    _sweep_angle_error,
     _time_reversed,
     adiabat_partials,
     compose,
@@ -80,14 +91,22 @@ class CycleSpec(Record, namedtuple("CycleSpec", (
                              f"omega_b = {omega_b!r}")
         if math.isnan(j):
             raise ValueError("j must be a number, got nan")
-        # building the strokes bounds the sweep rotation angles
-        # (MAX_SWEEP_ANGLE) and the bath-stroke fields (FIELD_RANGE)
-        self.adiabat_ab()
-        self.adiabat_ba()
-        self.hot_isochore()
-        self.cold_isochore()
-        if not math.isfinite(self.period):
-            raise ValueError(f"period tau_hot + tau_ba + tau_cold + tau_ab = {self.period} "
+        # the bounds of the four strokes, checked here once and in the order
+        # their constructors check them (adiabat_ab, adiabat_ba, hot_isochore,
+        # cold_isochore), with their messages: compose_cycle builds the
+        # strokes of a checked spec without the constructors.  Both sweeps
+        # share AdiabatParams.rotation_angle's field bound.
+        big = math.hypot(max(abs(omega_a), abs(omega_b)), j)
+        for tau in (tau_ab, tau_ba):
+            if not SQRT2 * big * tau <= MAX_SWEEP_ANGLE:
+                raise _sweep_angle_error(SQRT2 * big * tau)
+        for omega, tau in ((omega_b, tau_hot), (omega_a, tau_cold)):
+            phase = SQRT2 * field_magnitude(omega, j) * tau  # FIELD_RANGE
+            if not math.isfinite(phase):
+                raise _bath_phase_error(phase)
+        period = tau_hot + tau_ba + tau_cold + tau_ab
+        if not math.isfinite(period):
+            raise ValueError(f"period tau_hot + tau_ba + tau_cold + tau_ab = {period} "
                              "is not finite")
         return self
 
@@ -229,19 +248,28 @@ def _stroke_partials(strokes, samples: int) -> tuple:
 def compose_cycle(spec: CycleSpec) -> CyclePropagator:
     """Build the four strokes, their whole-stroke maps and the one-period
     product.  The maps are :func:`_stroke_partials` at two samples per
-    stroke, the sampler :func:`trajectory` uses."""
+    stroke, the sampler :func:`trajectory` uses.  The spec checked the
+    strokes' bounds, so their records (equal to ``spec.hot_isochore()`` and
+    the others) and the branch records are built without constructors."""
+    new = tuple.__new__
+    (t_cold, t_hot, omega_a, omega_b, j, gamma_cold, gamma_hot, dephasing_cold, dephasing_hot,
+     tau_cold, tau_hot, tau_ab, tau_ba) = spec
     strokes = hot, hot_cold, cold, cold_hot = (
-        spec.hot_isochore(), spec.adiabat_ba(), spec.cold_isochore(), spec.adiabat_ab()
+        new(IsochoreParams, (omega_b, j, new(BathParams, (gamma_hot, dephasing_hot, t_hot)),
+                             tau_hot)),
+        new(AdiabatParams, (omega_b, omega_a, j, tau_ba)),
+        new(IsochoreParams, (omega_a, j, new(BathParams, (gamma_cold, dephasing_cold, t_cold)),
+                             tau_cold)),
+        new(AdiabatParams, (omega_a, omega_b, j, tau_ab)),
     )
     (u_ish,), (u_ba,), (u_isc,), (u_ab,) = _stroke_partials(strokes, 2)
     branches = (
-        CycleBranch("isochore-hot", hot, u_ish),
-        CycleBranch("adiabat-hot-cold", hot_cold, u_ba),
-        CycleBranch("isochore-cold", cold, u_isc),
-        CycleBranch("adiabat-cold-hot", cold_hot, u_ab),
+        new(CycleBranch, ("isochore-hot", hot, u_ish)),
+        new(CycleBranch, ("adiabat-hot-cold", hot_cold, u_ba)),
+        new(CycleBranch, ("isochore-cold", cold, u_isc)),
+        new(CycleBranch, ("adiabat-cold-hot", cold_hot, u_ab)),
     )
-    cycle = compose(u_ab, u_isc, u_ba, u_ish)
-    return CyclePropagator(cycle=cycle, branches=branches, spec=spec)
+    return new(CyclePropagator, (compose(u_ab, u_isc, u_ba, u_ish), branches, spec))
 
 
 def _cross(u, v):
@@ -250,23 +278,33 @@ def _cross(u, v):
 
 def _diagonal_minus(x: float, a) -> tuple:
     """Rows of x I - a for a 3x3 block a."""
-    return tuple(
-        tuple((x if i == k else 0.0) - value for k, value in enumerate(row))
-        for i, row in enumerate(a)
-    )
+    (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = a
+    return ((x - a11, 0.0 - a12, 0.0 - a13),
+            (0.0 - a21, x - a22, 0.0 - a23),
+            (0.0 - a31, 0.0 - a32, x - a33))
 
 
 def _null_vector(rows) -> tuple:
-    """A vector orthogonal to all three rows: their largest pairwise cross
-    product, or for rank <= 1 one orthogonal to the largest row."""
-    r1, r2, r3 = rows
-    best = max((_cross(r1, r2), _cross(r1, r3), _cross(r2, r3)), key=lambda u: _dot(u, u))
-    if _dot(best, best) == 0.0:
+    """A vector orthogonal to all three rows: the first largest of their
+    pairwise cross products (r1 x r2, r1 x r3, r2 x r3; max()'s rule, so a
+    NaN norm never replaces one), or for rank <= 1 one orthogonal to the
+    largest row."""
+    (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = rows
+    x, y, z = a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1
+    size = x * x + y * y + z * z
+    u1, u2, u3 = a2 * c3 - a3 * c2, a3 * c1 - a1 * c3, a1 * c2 - a2 * c1
+    norm = u1 * u1 + u2 * u2 + u3 * u3
+    if norm > size:
+        x, y, z, size = u1, u2, u3, norm
+    u1, u2, u3 = b2 * c3 - b3 * c2, b3 * c1 - b1 * c3, b1 * c2 - b2 * c1
+    norm = u1 * u1 + u2 * u2 + u3 * u3
+    if norm > size:
+        x, y, z, size = u1, u2, u3, norm
+    if size == 0.0:
         top = max(rows, key=lambda r: _dot(r, r))
         best = max((_cross(top, e) for e in _IDENTITY_BLOCK), key=lambda u: _dot(u, u))
-        if _dot(best, best) == 0.0:
-            best = _IDENTITY_BLOCK[0]
-    return best
+        return _IDENTITY_BLOCK[0] if _dot(best, best) == 0.0 else best
+    return x, y, z
 
 
 def _real_root(a) -> float:
@@ -298,25 +336,40 @@ def _real_root(a) -> float:
 
 def _eigenvalues3(a) -> tuple[complex, complex, complex]:
     """Eigenvalues of a real 3x3 block: a real one, then the other two from
-    the 2x2 block U^T a U on an orthonormal complement U of its eigenvector."""
+    the 2x2 block U^T a U on an orthonormal complement U = (u, p) of its
+    eigenvector v, where u is the axis least along v with v's component
+    removed (the first such axis, as min() picks it) and p = v x u."""
+    (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = a
     x = _real_root(a)
-    shifted = _diagonal_minus(x, a)
-    v = _null_vector(shifted)  # right eigenvector
-    w = _null_vector(tuple(zip(*shifted)))  # left eigenvector
-    av = tuple(_dot(row, v) for row in a)
-    wv = _dot(w, v)
-    if abs(wv) > 1e-8 * math.sqrt(_dot(w, w) * _dot(v, v)):
-        x = _dot(w, av) / wv  # two-sided Rayleigh quotient
-    norm = math.sqrt(_dot(v, v))
-    v = tuple(c / norm for c in v)
-    k = min(range(3), key=lambda i: abs(v[i]))
-    u1 = tuple((1.0 if i == k else 0.0) - v[k] * v[i] for i in range(3))
-    norm = math.sqrt(_dot(u1, u1))
-    u1 = tuple(c / norm for c in u1)
-    u2 = _cross(v, u1)
-    au1 = tuple(_dot(row, u1) for row in a)
-    au2 = tuple(_dot(row, u2) for row in a)
-    b11, b12, b21, b22 = _dot(u1, au1), _dot(u1, au2), _dot(u2, au1), _dot(u2, au2)
+    shifted = (s11, s12, s13), (s21, s22, s23), (s31, s32, s33) = _diagonal_minus(x, a)
+    v1, v2, v3 = _null_vector(shifted)  # right eigenvector
+    w1, w2, w3 = _null_vector(((s11, s21, s31), (s12, s22, s32), (s13, s23, s33)))  # left
+    vv = v1 * v1 + v2 * v2 + v3 * v3
+    wv = w1 * v1 + w2 * v2 + w3 * v3
+    if abs(wv) > 1e-8 * math.sqrt((w1 * w1 + w2 * w2 + w3 * w3) * vv):
+        # two-sided Rayleigh quotient w . a v / w . v
+        x = (w1 * (a11 * v1 + a12 * v2 + a13 * v3) + w2 * (a21 * v1 + a22 * v2 + a23 * v3)
+             + w3 * (a31 * v1 + a32 * v2 + a33 * v3)) / wv
+    norm = math.sqrt(vv)
+    v1, v2, v3 = v1 / norm, v2 / norm, v3 / norm
+    k, vk = 0, v1
+    if abs(v2) < abs(vk):
+        k, vk = 1, v2
+    if abs(v3) < abs(vk):
+        k, vk = 2, v3
+    e1, e2, e3 = _IDENTITY_BLOCK[k]
+    u1, u2, u3 = e1 - vk * v1, e2 - vk * v2, e3 - vk * v3
+    norm = math.sqrt(u1 * u1 + u2 * u2 + u3 * u3)
+    u1, u2, u3 = u1 / norm, u2 / norm, u3 / norm
+    p1, p2, p3 = v2 * u3 - v3 * u2, v3 * u1 - v1 * u3, v1 * u2 - v2 * u1
+    au1, au2, au3 = (a11 * u1 + a12 * u2 + a13 * u3, a21 * u1 + a22 * u2 + a23 * u3,
+                     a31 * u1 + a32 * u2 + a33 * u3)
+    ap1, ap2, ap3 = (a11 * p1 + a12 * p2 + a13 * p3, a21 * p1 + a22 * p2 + a23 * p3,
+                     a31 * p1 + a32 * p2 + a33 * p3)
+    b11 = u1 * au1 + u2 * au2 + u3 * au3
+    b12 = u1 * ap1 + u2 * ap2 + u3 * ap3
+    b21 = p1 * au1 + p2 * au2 + p3 * au3
+    b22 = p1 * ap1 + p2 * ap2 + p3 * ap3
     mid = 0.5 * (b11 + b22)
     half_diff = 0.5 * (b11 - b22)
     disc = half_diff * half_diff + b12 * b21
@@ -324,19 +377,18 @@ def _eigenvalues3(a) -> tuple[complex, complex, complex]:
     return complex(x), complex(mid + root), complex(mid - root)
 
 
-def _spectrum_of(prop: CyclePropagator) -> CycleSpectrum:
-    eigs = _eigenvalues3(prop.cycle.block)
-    scale = max(1.0, max(abs(e) for e in eigs))
-    real = [abs(e.imag) <= 1e-10 * scale for e in eigs]
-    if sum(real) == 1:
-        pair = sorted((e for e, r in zip(eigs, real) if not r), key=lambda e: -e.imag)
-        mu123 = (eigs[real.index(True)], *pair)
-    else:
+def _spectrum_of(cycle) -> tuple:
+    """(eigenvalues mu0..mu5, phi, gap) of the one-period map ``cycle``, as
+    :class:`CycleSpectrum` defines them."""
+    eigs = _eigenvalues3(cycle.block)
+    # the first is real; the other two are real together or a conjugate
+    # pair, the positive imaginary part first, whose |imag| are equal
+    if abs(eigs[1].imag) <= 1e-10 * max(1.0, max(map(abs, eigs))):
         # all real (strong dephasing or degenerate rotation); the largest
         # modulus plays the longitudinal role
-        mu123 = tuple(sorted(eigs, key=lambda e: -abs(e)))
-    mu = (1.0 + 0j, *mu123, complex(prop.cycle.b4_scale), complex(prop.cycle.b5_scale))
-    return CycleSpectrum(eigenvalues=mu, phi=abs(math.atan2(mu[2].imag, mu[2].real)))
+        eigs = tuple(sorted(eigs, key=lambda e: -abs(e)))
+    mu = (1.0 + 0j, *eigs, complex(cycle.b4_scale), complex(cycle.b5_scale))
+    return mu, abs(math.atan2(mu[2].imag, mu[2].real)), 1.0 - max(map(abs, mu[1:]))
 
 
 def spectrum(spec: CycleSpec) -> CycleSpectrum:
@@ -346,61 +398,79 @@ def spectrum(spec: CycleSpec) -> CycleSpectrum:
     eigenvalue of the closed-set block, mu2/mu3 the transverse conjugate
     pair, mu4/mu5 the (b4, b5) block rates.
     """
-    return _spectrum_of(compose_cycle(spec))
+    mu, phi, _ = _spectrum_of(compose_cycle(spec).cycle)
+    return CycleSpectrum(eigenvalues=mu, phi=phi)
 
 
 def _solve3(a, b) -> list[float]:
     """Solve a x = b for a 3x3 block a by Gaussian elimination with partial
-    pivoting; a zero pivot gives NaN."""
-    rows = [list(row) + [value] for row, value in zip(a, b)]
-    for col in range(3):
-        pivot = max(range(col, 3), key=lambda r: abs(rows[r][col]))
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        top = rows[col]
-        if top[col] == 0.0:
-            return [math.nan] * 3
-        for row in rows[col + 1 :]:
-            factor = row[col] / top[col]
-            for c in range(col, 4):
-                row[c] -= factor * top[c]
-    x = [0.0] * 3
-    for r in (2, 1, 0):
-        row = rows[r]
-        # summed left to right: sum() compensates rounding from Python 3.12 on
-        known = 0.0
-        for c in range(r + 1, 3):
-            known += row[c] * x[c]
-        x[r] = (row[3] - known) / row[r]
-    return x
+    pivoting; a zero pivot gives NaN.  A pivot is the first largest |entry|
+    of its column (max()'s rule: strict >, so a NaN never replaces one);
+    the back substitution sums left to right from 0.0 (sum() compensates
+    rounding from Python 3.12 on)."""
+    (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = a
+    b1, b2, b3 = b
+    # column 1: the pivot row t, then rows u and w in order
+    t, u, w = (a11, a12, a13, b1), (a21, a22, a23, b2), (a31, a32, a33, b3)
+    if abs(a21) > abs(a11):
+        if abs(a31) > abs(a21):
+            t, w = w, t
+        else:
+            t, u = u, t
+    elif abs(a31) > abs(a11):
+        t, w = w, t
+    t1, t2, t3, t4 = t
+    if t1 == 0.0:
+        return [math.nan] * 3
+    u1, u2, u3, u4 = u
+    factor = u1 / t1
+    u2, u3, u4 = u2 - factor * t2, u3 - factor * t3, u4 - factor * t4
+    w1, w2, w3, w4 = w
+    factor = w1 / t1
+    w2, w3, w4 = w2 - factor * t2, w3 - factor * t3, w4 - factor * t4
+    # column 2
+    if abs(w2) > abs(u2):
+        u2, u3, u4, w2, w3, w4 = w2, w3, w4, u2, u3, u4
+    if u2 == 0.0:
+        return [math.nan] * 3
+    factor = w2 / u2
+    w3, w4 = w3 - factor * u3, w4 - factor * u4
+    if w3 == 0.0:
+        return [math.nan] * 3
+    x3 = w4 / w3
+    x2 = (u4 - (0.0 + u3 * x3)) / u2
+    return [(t4 - (0.0 + t2 * x2 + t3 * x3)) / t1, x2, x3]
 
 
-def _fixed_point(prop: CyclePropagator) -> tuple[BlochVector, CycleSpectrum]:
-    spec_info = _spectrum_of(prop)
-    if spec_info.gap < UNIQUENESS_GAP:
-        raise NonUniqueLimitCycleError(
-            f"no unique limit cycle: spectral gap {spec_info.gap:.3e} below "
-            f"{UNIQUENESS_GAP}",
-            eigenvalues=spec_info.eigenvalues,
-        )
+def _fixed_point(prop: CyclePropagator) -> tuple:
+    """(b_a, eigenvalues, phi, gap): the fixed point at the anchor and the
+    spectrum (:func:`_spectrum_of`) of ``prop``'s one-period map."""
     cycle = prop.cycle
-    b123 = _solve3(_diagonal_minus(1.0, cycle.block), cycle.shift)
-    if not all(math.isfinite(v) for v in b123):
+    mu, phi, gap = _spectrum_of(cycle)
+    if gap < UNIQUENESS_GAP:
+        raise NonUniqueLimitCycleError(
+            f"no unique limit cycle: spectral gap {gap:.3e} below {UNIQUENESS_GAP}",
+            eigenvalues=mu,
+        )
+    block, shift, _, b5_scale, (d1, d2, d3), b5_shift = cycle
+    b1, b2, b3 = _solve3(_diagonal_minus(1.0, block), shift)
+    if not (math.isfinite(b1) and math.isfinite(b2) and math.isfinite(b3)):
         raise NonUniqueLimitCycleError(
             "no unique limit cycle: the fixed-point solve is not finite",
-            eigenvalues=spec_info.eigenvalues,
+            eigenvalues=mu,
         )
     # b4 has no inhomogeneous term on any branch; its fixed point is 0
-    b5 = (_dot(cycle.b5_drive, b123) + cycle.b5_shift) / (1.0 - cycle.b5_scale)
-    b_a = BlochVector(b123[0], b123[1], b123[2], 0.0, b5)
+    b_a = tuple.__new__(BlochVector, (
+        b1, b2, b3, 0.0, (d1 * b1 + d2 * b2 + d3 * b3 + b5_shift) / (1.0 - b5_scale)))
     # the fixed point of a physical map is a state; a solve that leaves the
     # state space has lost its accuracy to a gap too close to 1
     if not is_physical(eigenvalue_tuple(b_a)):
         raise NonUniqueLimitCycleError(
             f"no unique limit cycle: the fixed point {tuple(b_a)} is not a physical "
-            f"state (spectral gap {spec_info.gap:.3e})",
-            eigenvalues=spec_info.eigenvalues,
+            f"state (spectral gap {gap:.3e})",
+            eigenvalues=mu,
         )
-    return b_a, spec_info
+    return b_a, mu, phi, gap
 
 
 def limit_cycle(spec: CycleSpec) -> LimitCycleReport:
@@ -412,15 +482,8 @@ def limit_cycle(spec: CycleSpec) -> LimitCycleReport:
     a physical state.
     """
     prop = compose_cycle(spec)
-    b_a, spec_info = _fixed_point(prop)
-    return LimitCycleReport(
-        b_a=b_a,
-        eigenvalues=spec_info.eigenvalues,
-        phi=spec_info.phi,
-        gap=spec_info.gap,
-        propagator=prop,
-        ledger=_ledger(prop, b_a),
-    )
+    b_a, mu, phi, gap = _fixed_point(prop)
+    return tuple.__new__(LimitCycleReport, (b_a, mu, phi, gap, prop, _ledger(prop, b_a)))
 
 
 def iterate(prop: CyclePropagator, b0: BlochVector, n: int) -> list[BlochVector]:
@@ -476,39 +539,31 @@ def trajectory(
 
 def _ledger(prop: CyclePropagator, b_a: BlochVector) -> ThermoLedger:
     spec = prop.spec
-    u_ish, u_ba, u_isc, u_ab = (br.prop for br in prop.branches)
+    omega_b, j = spec.omega_b, spec.j
+    (_, _, u_ish), (_, _, u_ba), (_, _, u_isc), _ = prop.branches
     b_b = u_ish.apply(b_a)
     b_c = u_ba.apply(b_b)
     b_d = u_isc.apply(b_c)
 
     # von Neumann entropy, energy entropy and energy of each corner
-    s_a, se_a, e_a = _state_entropies(b_a, spec.omega_b, spec.j)
-    s_b, se_b, e_b = _state_entropies(b_b, spec.omega_b, spec.j)
-    s_c, se_c, e_c = _state_entropies(b_c, spec.omega_a, spec.j)
-    s_d, se_d, e_d = _state_entropies(b_d, spec.omega_a, spec.j)
+    s_a, se_a, e_a = _state_entropies(b_a, omega_b, j)
+    s_b, se_b, e_b = _state_entropies(b_b, omega_b, j)
+    s_c, se_c, e_c = _state_entropies(b_c, spec.omega_a, j)
+    s_d, se_d, e_d = _state_entropies(b_d, spec.omega_a, j)
 
     q_hot = e_b - e_a
     q_cold = e_d - e_c
-    w_ba = e_c - e_b
-    w_ab = e_a - e_d
-    power = (q_hot + q_cold) / spec.period
-    ds_ext = -(q_hot / spec.t_hot + q_cold / spec.t_cold)
-
-    return ThermoLedger(
-        q_hot=q_hot,
-        q_cold=q_cold,
-        w_ab=w_ab,
-        w_ba=w_ba,
-        power=power,
-        ds_ext=ds_ext,
-        ds_u_hot=s_a - s_b - q_hot / spec.t_hot,
-        ds_u_cold=s_c - s_d - q_cold / spec.t_cold,
-        ds_e_hot=se_a - se_b - q_hot / spec.t_hot,
-        ds_e_cold=se_c - se_d - q_cold / spec.t_cold,
-        ds_e_ab=se_a - se_d,
-        ds_e_ba=se_c - se_b,
-        b_a=b_a,
-        b_b=b_b,
-        b_c=b_c,
-        b_d=b_d,
-    )
+    # the heats over the bath temperatures: the external entropy flows
+    hot = q_hot / spec.t_hot
+    cold = q_cold / spec.t_cold
+    return tuple.__new__(ThermoLedger, (
+        q_hot, q_cold,
+        e_a - e_d,  # w_ab
+        e_c - e_b,  # w_ba
+        (q_hot + q_cold) / spec.period,  # power
+        -(hot + cold),  # ds_ext
+        s_a - s_b - hot, s_c - s_d - cold,  # ds_u_hot, ds_u_cold
+        se_a - se_b - hot, se_c - se_d - cold,  # ds_e_hot, ds_e_cold
+        se_a - se_d, se_c - se_b,  # ds_e_ab, ds_e_ba
+        b_a, b_b, b_c, b_d,
+    ))

@@ -40,6 +40,20 @@ _STEP_SAFETY = 2.0
 MAX_SWEEP_ANGLE = 1e4
 
 
+def _bath_phase_error(phase: float) -> ValueError:
+    """The error for a bath stroke whose rotation phase is not finite: the
+    closed form takes cos and sin of it."""
+    return ValueError(f"bath stroke rotation angle sqrt(2) * Omega * tau = {phase} "
+                      "is not finite")
+
+
+def _sweep_angle_error(angle: float) -> ValueError:
+    """The error for a sweep whose rotation angle bound exceeds
+    MAX_SWEEP_ANGLE (or is NaN)."""
+    return ValueError(f"sweep rotation angle {angle:.4g} rad exceeds the "
+                      f"limit MAX_SWEEP_ANGLE = {MAX_SWEEP_ANGLE:g} rad")
+
+
 class BathParams(Record, namedtuple("BathParams", "conductance dephasing temperature")):
     """Bath coupling on a constant-field branch.
 
@@ -70,9 +84,7 @@ class IsochoreParams(Record, namedtuple("IsochoreParams", "omega j bath tau")):
             raise ValueError(f"tau must be >= 0, got {tau!r}")
         phase = SQRT2 * field_magnitude(omega, j) * tau
         if not math.isfinite(phase):
-            # the closed form takes cos and sin of the rotation phase
-            raise ValueError(f"bath stroke rotation angle sqrt(2) * Omega * tau = {phase} "
-                             "is not finite")
+            raise _bath_phase_error(phase)
         return tuple.__new__(cls, (omega, j, bath, tau))
 
     def omega_at(self, t: float) -> float:
@@ -89,10 +101,7 @@ class AdiabatParams(Record, namedtuple("AdiabatParams", "omega_start omega_end j
             raise ValueError(f"tau must be >= 0, got {tau!r}")
         self = tuple.__new__(cls, (omega_start, omega_end, j, tau))
         if not self.rotation_angle <= MAX_SWEEP_ANGLE:
-            raise ValueError(
-                f"sweep rotation angle {self.rotation_angle:.4g} rad exceeds the "
-                f"limit MAX_SWEEP_ANGLE = {MAX_SWEEP_ANGLE:g} rad"
-            )
+            raise _sweep_angle_error(self.rotation_angle)
         return self
 
     @property
@@ -206,22 +215,38 @@ def identity_propagator() -> AffinePropagator:
 
 
 def compose(*props: AffinePropagator) -> AffinePropagator:
-    """Compose branch maps; the rightmost argument acts first."""
+    """Compose branch maps; the rightmost argument acts first.
+
+    Each step maps `outer` after `acc`: block O A, shift O t + v, b4 scales
+    multiplied, b5 scale s5 a5, b5 drive s5 e + A^T d and b5 shift
+    s5 h + d . t + h_outer, where (v, s5, d, h_outer) are `outer`'s and
+    (t, a5, e, h) `acc`'s shift, b5 scale, b5 drive and b5 shift.
+    """
     if not props:
         return identity_propagator()
+    new = tuple.__new__
     acc = props[-1]
     for outer in reversed(props[:-1]):
-        s5, drive = outer.b5_scale, outer.b5_drive
-        acc = AffinePropagator(
-            block=_matmul3(outer.block, acc.block),
-            shift=tuple(_dot(row, acc.shift) + v for row, v in zip(outer.block, outer.shift)),
-            b4_scale=outer.b4_scale * acc.b4_scale,
-            b5_scale=s5 * acc.b5_scale,
-            b5_drive=tuple(
-                s5 * e + _dot(column, drive) for e, column in zip(acc.b5_drive, zip(*acc.block))
-            ),
-            b5_shift=s5 * acc.b5_shift + _dot(drive, acc.shift) + outer.b5_shift,
-        )
+        (((a11, a12, a13), (a21, a22, a23), (a31, a32, a33)),
+         (t1, t2, t3), a4, a5, (e1, e2, e3), h) = acc
+        (((x1, y1, z1), (x2, y2, z2), (x3, y3, z3)),
+         (v1, v2, v3), o4, s5, (d1, d2, d3), h_outer) = outer
+        acc = new(AffinePropagator, (
+            ((x1 * a11 + y1 * a21 + z1 * a31, x1 * a12 + y1 * a22 + z1 * a32,
+              x1 * a13 + y1 * a23 + z1 * a33),
+             (x2 * a11 + y2 * a21 + z2 * a31, x2 * a12 + y2 * a22 + z2 * a32,
+              x2 * a13 + y2 * a23 + z2 * a33),
+             (x3 * a11 + y3 * a21 + z3 * a31, x3 * a12 + y3 * a22 + z3 * a32,
+              x3 * a13 + y3 * a23 + z3 * a33)),
+            (x1 * t1 + y1 * t2 + z1 * t3 + v1, x2 * t1 + y2 * t2 + z2 * t3 + v2,
+             x3 * t1 + y3 * t2 + z3 * t3 + v3),
+            o4 * a4,
+            s5 * a5,
+            (s5 * e1 + (a11 * d1 + a21 * d2 + a31 * d3),
+             s5 * e2 + (a12 * d1 + a22 * d2 + a32 * d3),
+             s5 * e3 + (a13 * d1 + a23 * d2 + a33 * d3)),
+            s5 * h + (d1 * t1 + d2 * t2 + d3 * t3) + h_outer,
+        ))
     return acc
 
 

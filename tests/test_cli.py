@@ -531,9 +531,10 @@ def test_iterate_long_csv_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == ITERATE_LONG_SHA256
 
 
-# the other ten tables of the CI step "Same CSV bytes on Python 3.10 and
-# 3.13", with its configs, so that a change moving their bytes on every
-# Python at once fails here too; (command, config, sha256), computed with 3.1.0
+# the other tables of the CI step "Same CSV bytes on Python 3.10 and 3.13",
+# with its configs, so that a change moving their bytes on every Python at
+# once fails here too; (command, config, sha256), computed with 3.1.0, and
+# the two sweeps over tau_ba and j with 3.1.1
 _CI_ENGINE = dict(FIG1_ENGINE, dephasing_cold=0.01, tau_ab=1.0, tau_ba=1.0)
 _CI_TRAJECTORY = {"engine": _CI_ENGINE, "run": {"samples_per_branch": 101}}
 _CI_COMMANDS = {
@@ -569,6 +570,19 @@ CI_TABLES = {
         {"engine": dict(FIG1_ENGINE, tau_ab=0.5, tau_ba=0.5),
          "run": {"sweep": {"key": "omega_a", "from": 3.0, "to": 8.0, "steps": 20}}},
         "cb1df97cb626bd697018daf42645fb4236fd3a8cbda1ed2e152fbbfa78a04667"),
+    # from the second row on the two sweeps differ: the hot->cold maps come
+    # from a second ascending ramp, run for tau_ba
+    "sweep-tau-ba": (
+        "sweep",
+        {"engine": dict(FIG1_ENGINE, tau_ab=0.5, tau_ba=0.5),
+         "run": {"sweep": {"key": "tau_ba", "from": 0.5, "to": 0.8, "steps": 7}}},
+        "4c60d4cd5bfd6f6ab3da5277a4b237f754134339c5870bfa23683fa41696341b"),
+    # every row changes both sweeps and both bath strokes
+    "sweep-j": (
+        "sweep",
+        {"engine": dict(FIG1_ENGINE, tau_ab=0.5, tau_ba=0.5),
+         "run": {"sweep": {"key": "j", "from": 1.0, "to": 3.0, "steps": 7}}},
+        "0435b353389e2dd090486efb92dca320526da0e899fcd68e8798bce398e02b49"),
     "limit-cycle": (
         "limit-cycle", _CI_COMMANDS,
         "0f62b2f4f842ce5c335df39fbad11880106c60bc4c0663de5521e2361f5e3253"),
@@ -724,6 +738,32 @@ def test_figure_preset_rejects_an_unknown_name():
     # the command line refuses it as a usage error before the preset runs
     with pytest.raises(ConfigError, match="unknown figure preset 'fig4'"):
         figure_preset("fig4")
+
+
+# a sweep checks each row's spec as it reaches it: a value that is not a
+# number or breaks a spec bound, and a row whose ledger overflows, end the
+# run with the error record of a one-spec command and write no table
+@pytest.mark.parametrize("key, start, stop, steps, message", [
+    ("omega_a", -1.7e308, 1.7e308, 3, "engine.omega_a: expected a finite number, got nan"),
+    ("j", 0, 1e200, 3, "engine: sweep rotation angle 3.536e+199 rad exceeds the limit "
+                       "MAX_SWEEP_ANGLE = 10000 rad"),
+    ("omega_b", 20, 5, 4, "engine: omega_a must be < omega_b, got omega_a = 5.08364, "
+                          "omega_b = 5.0"),
+    ("t_hot", 5e-324, 1e-300, 3, "engine: column(s) ds_ext, ds_u_hot, ds_u_total, ds_e_hot "
+                                 "not finite: heats divided by the bath temperatures "
+                                 "t_hot = 5e-324, t_cold = 1.5 overflow"),
+], ids=["nan", "sweep-angle", "field-order", "ledger-overflow"])
+def test_sweep_error_in_a_later_row(tmp_path, capsys, key, start, stop, steps, message):
+    engine = dict(FIG1_ENGINE, tau_ab=0.5, tau_ba=0.5)
+    run = {"sweep": {"key": key, "from": start, "to": stop, "steps": steps}}
+    out = tmp_path / "sweep.csv"
+    config = write_config(tmp_path, {"engine": engine, "run": run})
+    assert main(["sweep", "--config", config, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == json.dumps({"error": "config", "message": message},
+                                      sort_keys=True) + "\n"
+    assert not out.exists()
 
 
 def test_exit_code_sweep_angle_limit(tmp_path, capsys):
@@ -1149,6 +1189,25 @@ def test_cli_run_leaves_argparse_gettext_and_locale_unloaded(tmp_path):
     assert json.loads(result.stdout) == [0, []]
 
 
+def test_module_runs_as_a_script(tmp_path):
+    import spinotto
+
+    # `python -m spinotto.cli` is the console script without installing
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spinotto.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = [sys.executable, "-X", "dev", "-W", "error", "-m", "spinotto.cli"]
+    result = subprocess.run(script + ["figure", "fig6"], env=env, cwd=tmp_path,
+                            capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.startswith("# spinotto-csv schema-version 1\n")
+    result = subprocess.run(script + ["bogus"], env=env, cwd=tmp_path,
+                            capture_output=True, text=True)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert json.loads(result.stderr) == {
+        "error": "usage", "message": "unknown command 'bogus'; see spinotto --help"}
+
+
 @pytest.mark.parametrize("section, key, value, path", [
     ("engine", "t_hot", float("nan"), "engine.t_hot"),
     ("engine", "tau_cold", float("inf"), "engine.tau_cold"),
@@ -1237,6 +1296,29 @@ def test_each_command_composes_each_spec_once(tmp_path, monkeypatch):
         assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
         assert len(calls) == expected, argv
         assert len(set(calls)) == expected, argv
+
+
+def test_sweep_rows_enter_each_traced_span_once(tmp_path, monkeypatch):
+    # perfbench's tracer counts the row path by rebinding these module
+    # attributes: a row calls limit_cycle through spinotto.cli, which calls
+    # compose_cycle and compose through spinotto.engine, once each per row
+    import spinotto.cli
+    import spinotto.engine
+
+    calls = {}
+    for module, name in [(spinotto.cli, "limit_cycle"), (spinotto.engine, "compose_cycle"),
+                         (spinotto.engine, "compose")]:
+        def counting(*args, _name=name, _fn=getattr(module, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    steps = 6
+    engine = dict(FIG1_ENGINE, tau_ab=0.5, tau_ba=0.5)
+    run = {"sweep": {"key": "omega_a", "from": 3.0, "to": 8.0, "steps": steps}}
+    config = write_config(tmp_path, {"engine": engine, "run": run})
+    assert main(["sweep", "--config", config, "--out", str(tmp_path / "out.csv")]) == 0
+    assert calls == {"limit_cycle": steps, "compose_cycle": steps, "compose": steps}
 
 
 def test_spectrum_still_works_for_unitary_cycle(tmp_path):

@@ -1,6 +1,7 @@
 """Cycle composition, limit cycle, relaxation spectrum and thermodynamics."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from spinotto import (
     AdiabatParams,
+    BathParams,
     BlochVector,
     CycleSpec,
     IsochoreParams,
@@ -30,9 +32,10 @@ from spinotto import (
     trajectory,
     vn_entropy,
 )
+from spinotto.algebra import FIELD_RANGE
 from spinotto.cli import ITERATE_HEADER, TRAJECTORY_HEADER, iterate_rows, trajectory_rows
 from spinotto.engine import _fixed_point, _null_vector, _solve3, linspace
-from spinotto.propagators import _time_reversed
+from spinotto.propagators import MAX_SWEEP_ANGLE, _time_reversed
 from conftest import (
     EXAMPLE_SCALE,
     FIG5_TIMES,
@@ -97,6 +100,90 @@ def test_compose_cycle_retains_branches_in_time_order():
     assert [br.stroke for br in prop.branches] == [
         spec.hot_isochore(), spec.adiabat_ba(), spec.cold_isochore(), spec.adiabat_ab()]
     assert sum(br.stroke.tau for br in prop.branches) == spec.period
+
+
+@settings(max_examples=60 * EXAMPLE_SCALE, deadline=None)
+@given(cycle_specs())
+def test_compose_cycle_strokes_are_the_spec_strokes(spec):
+    # compose_cycle builds the stroke records of a checked spec without
+    # their constructors; they must equal the constructed ones, type and all
+    constructed = (spec.hot_isochore(), spec.adiabat_ba(), spec.cold_isochore(),
+                   spec.adiabat_ab())
+    for branch, stroke in zip(compose_cycle(spec).branches, constructed, strict=True):
+        assert type(branch.stroke) is type(stroke)
+        assert branch.stroke == stroke
+        if isinstance(stroke, IsochoreParams):
+            assert type(branch.stroke.bath) is BathParams
+            assert branch.stroke.bath == stroke.bath
+
+
+def _near(draw, x):
+    """x moved by a few ulps, or by a factor of two, either way."""
+    if draw(st.booleans()):
+        return x * draw(st.sampled_from([0.5, 2.0]))
+    for _ in range(draw(st.integers(0, 3))):
+        x = math.nextafter(x, math.inf)
+    for _ in range(draw(st.integers(0, 3))):
+        x = math.nextafter(x, -math.inf)
+    return x
+
+
+@st.composite
+def _edge_spec_arguments(draw):
+    """CycleSpec arguments whose strokes sit at the MAX_SWEEP_ANGLE and
+    FIELD_RANGE edges: fields of magnitude near either end of FIELD_RANGE,
+    sweeps near the angle limit and bath strokes near a phase overflow."""
+    edge = draw(st.sampled_from(FIELD_RANGE))
+    omega_b = draw(st.sampled_from([1.0, -1.0])) * _near(draw, edge)
+    omega_a = draw(st.sampled_from([-1.0, 0.5, 0.0])) * _near(draw, edge)
+    assume(omega_a < omega_b)
+    j = draw(st.sampled_from([0.0, 0.0, 1.0, 1e-3])) * _near(draw, edge)
+    big = math.hypot(max(abs(omega_a), abs(omega_b)), j)
+    assume(big > 0.0)
+
+    def tau(limit):
+        return draw(st.sampled_from([0.0, 1e-3 * limit])) if draw(st.booleans()) else _near(
+            draw, limit)
+
+    sweep_limit = MAX_SWEEP_ANGLE / (SQRT2 * big)
+    phase_limit = sys.float_info.max / (SQRT2 * big)
+    return dict(t_cold=1.5, t_hot=7.5, omega_a=omega_a, omega_b=omega_b, j=j,
+                gamma_cold=0.3, gamma_hot=0.3, dephasing_cold=0.0, dephasing_hot=0.01,
+                tau_cold=tau(phase_limit), tau_hot=tau(phase_limit),
+                tau_ab=tau(sweep_limit), tau_ba=tau(sweep_limit))
+
+
+@settings(max_examples=300 * EXAMPLE_SCALE, deadline=None)
+@given(_edge_spec_arguments())
+def test_cycle_spec_checks_its_strokes_as_their_constructors_do(fields):
+    # CycleSpec checks the stroke bounds itself, once; it must raise exactly
+    # when one of the four stroke constructors would, in time order from the
+    # cold->hot sweep, with the same message, and then check the period
+    f = fields
+    strokes = (
+        lambda: AdiabatParams(f["omega_a"], f["omega_b"], f["j"], f["tau_ab"]),
+        lambda: AdiabatParams(f["omega_b"], f["omega_a"], f["j"], f["tau_ba"]),
+        lambda: IsochoreParams(f["omega_b"], f["j"], BathParams(0.3, 0.01, 7.5), f["tau_hot"]),
+        lambda: IsochoreParams(f["omega_a"], f["j"], BathParams(0.3, 0.0, 1.5), f["tau_cold"]),
+    )
+    expected = None
+    for build in strokes:
+        try:
+            build()
+        except ValueError as exc:
+            expected = str(exc)
+            break
+    period = f["tau_hot"] + f["tau_ba"] + f["tau_cold"] + f["tau_ab"]
+    if expected is None and not math.isfinite(period):
+        expected = (f"period tau_hot + tau_ba + tau_cold + tau_ab = {period} "
+                    "is not finite")
+    if expected is None:
+        spec = CycleSpec(**fields)
+        assert tuple(spec) == tuple(fields.values())
+    else:
+        with pytest.raises(ValueError) as info:
+            CycleSpec(**fields)
+        assert str(info.value) == expected
 
 
 def test_limit_cycle_raises_without_bath_time():
