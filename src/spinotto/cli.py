@@ -139,15 +139,21 @@ def _require_int(value, path, minimum):
     return value
 
 
+def _cycle_spec(fields, path: str = "engine") -> CycleSpec:
+    """The :class:`CycleSpec` of ``fields``, in field order; a bound it
+    breaks is a ConfigError under ``path``."""
+    try:
+        return CycleSpec(*fields)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def spec_from_engine_dict(engine: dict, path: str = "engine") -> CycleSpec:
     _section(engine, path, ENGINE_KEYS, ENGINE_KEYS)
     fields = {
         ENGINE_KEYS[k]: _require_number(v, f"{path}.{k}") for k, v in engine.items()
     }
-    try:
-        return CycleSpec(**fields)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    return _cycle_spec([fields[name] for name in CycleSpec._fields], path)
 
 
 def load_config(path: str) -> RunConfig:
@@ -378,11 +384,7 @@ def cmd_sweep(config: RunConfig):
 
     def one(value):
         fields[index] = _require_number(value, path)
-        try:
-            spec = CycleSpec(*fields)
-        except ValueError as exc:
-            raise ConfigError(f"engine: {exc}") from exc
-        return [value] + limit_cycle_row(spec)
+        return [value] + limit_cycle_row(_cycle_spec(fields))
 
     return [key] + LIMIT_CYCLE_HEADER, [one(v) for v in linspace(start, stop, steps)]
 

@@ -17,13 +17,15 @@ reversal of the cold->hot ramp run for its duration, which with equally
 long sweeps is the cold->hot sweep itself, integrated once.  Everything is
 plain floats, tuples and complex numbers.
 
-A limit-cycle row is one flat pass: :class:`CycleSpec` checks every bound,
-those of its four strokes included, once; :func:`compose_cycle` builds the
-checked spec's stroke and branch records without their constructors and
-composes the four maps; :func:`_fixed_point` runs the eigensolver, the solve
-and the physicality check, and :func:`_ledger` the corner entropies, all on
-unpacked floats.  Each step does the float operations of the generic loops
-it replaced, in their order, so no printed digit depends on the flattening.
+A limit-cycle row is one flat pass: :class:`CycleSpec` checks every bound
+once, those of its four strokes with the checks their constructors run, so
+its stroke methods build the stroke records without the constructors;
+:func:`compose_cycle` takes the strokes from those methods, builds the
+branch records and composes the four maps; :func:`_fixed_point` runs the
+eigensolver, the solve and the physicality check, and :func:`_ledger` the
+corner entropies, all on unpacked floats.  Each step does the float
+operations of the generic loops it replaced, in their order, so no printed
+digit depends on the flattening.
 """
 
 from __future__ import annotations
@@ -31,23 +33,22 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .algebra import SQRT2, BlochVector, eigenvalue_tuple, field_magnitude, is_physical
+from .algebra import BlochVector, eigenvalue_tuple, is_physical
 from .measures import _state_entropies
 from .propagators import (
-    MAX_SWEEP_ANGLE,
     AdiabatParams,
     BathParams,
     IsochoreParams,
     _IDENTITY_BLOCK,
-    _bath_phase_error,
+    _check_bath_stroke,
+    _check_sweep,
     _dot,
-    _sweep_angle_error,
     _time_reversed,
     adiabat_partials,
     compose,
     isochore_partials,
 )
-from .records import IdentityRecord, Record, replace
+from .records import IdentityRecord, Record
 
 # A second unit-modulus eigenvalue within this gap of 1 means the fixed
 # point is not unique.
@@ -91,20 +92,15 @@ class CycleSpec(Record, namedtuple("CycleSpec", (
                              f"omega_b = {omega_b!r}")
         if math.isnan(j):
             raise ValueError("j must be a number, got nan")
-        # the bounds of the four strokes, checked here once and in the order
-        # their constructors check them (adiabat_ab, adiabat_ba, hot_isochore,
-        # cold_isochore), with their messages: compose_cycle builds the
-        # strokes of a checked spec without the constructors.  Both sweeps
-        # share AdiabatParams.rotation_angle's field bound.
-        big = math.hypot(max(abs(omega_a), abs(omega_b)), j)
-        for tau in (tau_ab, tau_ba):
-            if not SQRT2 * big * tau <= MAX_SWEEP_ANGLE:
-                raise _sweep_angle_error(SQRT2 * big * tau)
-        for omega, tau in ((omega_b, tau_hot), (omega_a, tau_cold)):
-            phase = SQRT2 * field_magnitude(omega, j) * tau  # FIELD_RANGE
-            if not math.isfinite(phase):
-                raise _bath_phase_error(phase)
-        period = tau_hot + tau_ba + tau_cold + tau_ab
+        # the bounds of the four strokes, by the checks their constructors
+        # run, in the order adiabat_ab, adiabat_ba, hot_isochore,
+        # cold_isochore: the stroke methods build the records of a checked
+        # spec without the constructors
+        _check_sweep(omega_a, omega_b, j, tau_ab)
+        _check_sweep(omega_b, omega_a, j, tau_ba)
+        _check_bath_stroke(omega_b, j, tau_hot)
+        _check_bath_stroke(omega_a, j, tau_cold)
+        period = self.period
         if not math.isfinite(period):
             raise ValueError(f"period tau_hot + tau_ba + tau_cold + tau_ab = {period} "
                              "is not finite")
@@ -115,26 +111,22 @@ class CycleSpec(Record, namedtuple("CycleSpec", (
         return self.tau_hot + self.tau_ba + self.tau_cold + self.tau_ab
 
     def hot_isochore(self) -> IsochoreParams:
-        return IsochoreParams(
-            omega=self.omega_b,
-            j=self.j,
-            bath=BathParams(self.gamma_hot, self.dephasing_hot, self.t_hot),
-            tau=self.tau_hot,
-        )
+        new = tuple.__new__
+        return new(IsochoreParams, (
+            self.omega_b, self.j,
+            new(BathParams, (self.gamma_hot, self.dephasing_hot, self.t_hot)), self.tau_hot))
 
     def cold_isochore(self) -> IsochoreParams:
-        return IsochoreParams(
-            omega=self.omega_a,
-            j=self.j,
-            bath=BathParams(self.gamma_cold, self.dephasing_cold, self.t_cold),
-            tau=self.tau_cold,
-        )
+        new = tuple.__new__
+        return new(IsochoreParams, (
+            self.omega_a, self.j,
+            new(BathParams, (self.gamma_cold, self.dephasing_cold, self.t_cold)), self.tau_cold))
 
     def adiabat_ba(self) -> AdiabatParams:
-        return AdiabatParams(self.omega_b, self.omega_a, self.j, self.tau_ba)
+        return tuple.__new__(AdiabatParams, (self.omega_b, self.omega_a, self.j, self.tau_ba))
 
     def adiabat_ab(self) -> AdiabatParams:
-        return AdiabatParams(self.omega_a, self.omega_b, self.j, self.tau_ab)
+        return tuple.__new__(AdiabatParams, (self.omega_a, self.omega_b, self.j, self.tau_ab))
 
 
 class CycleBranch(IdentityRecord, namedtuple("CycleBranch", "name stroke prop")):
@@ -240,28 +232,19 @@ def _stroke_partials(strokes, samples: int) -> tuple:
     hot, hot_cold, cold, cold_hot = strokes
     ramp = u_ab = adiabat_partials(cold_hot, samples)
     if hot_cold.tau != cold_hot.tau:
-        ramp = adiabat_partials(replace(cold_hot, tau=hot_cold.tau), samples)
+        start, end, j, tau = hot_cold  # run backwards, the same checked bounds
+        ramp = adiabat_partials(tuple.__new__(AdiabatParams, (end, start, j, tau)), samples)
     return (isochore_partials(hot, linspace(0.0, hot.tau, samples)[1:]), _time_reversed(ramp)[1:],
             isochore_partials(cold, linspace(0.0, cold.tau, samples)[1:]), u_ab[1:])
 
 
 def compose_cycle(spec: CycleSpec) -> CyclePropagator:
-    """Build the four strokes, their whole-stroke maps and the one-period
-    product.  The maps are :func:`_stroke_partials` at two samples per
-    stroke, the sampler :func:`trajectory` uses.  The spec checked the
-    strokes' bounds, so their records (equal to ``spec.hot_isochore()`` and
-    the others) and the branch records are built without constructors."""
+    """The spec's four strokes (its stroke methods), their whole-stroke maps
+    and the one-period product.  The maps are :func:`_stroke_partials` at
+    two samples per stroke, the sampler :func:`trajectory` uses."""
     new = tuple.__new__
-    (t_cold, t_hot, omega_a, omega_b, j, gamma_cold, gamma_hot, dephasing_cold, dephasing_hot,
-     tau_cold, tau_hot, tau_ab, tau_ba) = spec
     strokes = hot, hot_cold, cold, cold_hot = (
-        new(IsochoreParams, (omega_b, j, new(BathParams, (gamma_hot, dephasing_hot, t_hot)),
-                             tau_hot)),
-        new(AdiabatParams, (omega_b, omega_a, j, tau_ba)),
-        new(IsochoreParams, (omega_a, j, new(BathParams, (gamma_cold, dephasing_cold, t_cold)),
-                             tau_cold)),
-        new(AdiabatParams, (omega_a, omega_b, j, tau_ab)),
-    )
+        spec.hot_isochore(), spec.adiabat_ba(), spec.cold_isochore(), spec.adiabat_ab())
     (u_ish,), (u_ba,), (u_isc,), (u_ab,) = _stroke_partials(strokes, 2)
     branches = (
         new(CycleBranch, ("isochore-hot", hot, u_ish)),

@@ -40,18 +40,32 @@ _STEP_SAFETY = 2.0
 MAX_SWEEP_ANGLE = 1e4
 
 
-def _bath_phase_error(phase: float) -> ValueError:
-    """The error for a bath stroke whose rotation phase is not finite: the
-    closed form takes cos and sin of it."""
-    return ValueError(f"bath stroke rotation angle sqrt(2) * Omega * tau = {phase} "
-                      "is not finite")
+def _rotation_angle(omega_start: float, omega_end: float, j: float, tau: float) -> float:
+    """Upper bound sqrt(2) * max Omega * tau of a sweep's total rotation angle."""
+    return SQRT2 * math.hypot(max(abs(omega_start), abs(omega_end)), j) * tau
 
 
-def _sweep_angle_error(angle: float) -> ValueError:
-    """The error for a sweep whose rotation angle bound exceeds
-    MAX_SWEEP_ANGLE (or is NaN)."""
-    return ValueError(f"sweep rotation angle {angle:.4g} rad exceeds the "
-                      f"limit MAX_SWEEP_ANGLE = {MAX_SWEEP_ANGLE:g} rad")
+def _check_sweep(omega_start: float, omega_end: float, j: float, tau: float) -> None:
+    """The bounds of a sweep (:class:`AdiabatParams`): tau >= 0 and a
+    rotation angle bound of at most MAX_SWEEP_ANGLE; NaN fails both."""
+    if not tau >= 0.0:
+        raise ValueError(f"tau must be >= 0, got {tau!r}")
+    angle = _rotation_angle(omega_start, omega_end, j, tau)
+    if not angle <= MAX_SWEEP_ANGLE:
+        raise ValueError(f"sweep rotation angle {angle:.4g} rad exceeds the "
+                         f"limit MAX_SWEEP_ANGLE = {MAX_SWEEP_ANGLE:g} rad")
+
+
+def _check_bath_stroke(omega: float, j: float, tau: float) -> None:
+    """The bounds of a bath stroke (:class:`IsochoreParams`): tau >= 0, a
+    field within FIELD_RANGE and a finite rotation phase, of which the
+    closed form takes cos and sin."""
+    if not tau >= 0.0:
+        raise ValueError(f"tau must be >= 0, got {tau!r}")
+    phase = SQRT2 * field_magnitude(omega, j) * tau
+    if not math.isfinite(phase):
+        raise ValueError(f"bath stroke rotation angle sqrt(2) * Omega * tau = {phase} "
+                         "is not finite")
 
 
 class BathParams(Record, namedtuple("BathParams", "conductance dephasing temperature")):
@@ -80,11 +94,7 @@ class IsochoreParams(Record, namedtuple("IsochoreParams", "omega j bath tau")):
     __slots__ = ()
 
     def __new__(cls, omega, j, bath, tau):
-        if not tau >= 0.0:
-            raise ValueError(f"tau must be >= 0, got {tau!r}")
-        phase = SQRT2 * field_magnitude(omega, j) * tau
-        if not math.isfinite(phase):
-            raise _bath_phase_error(phase)
+        _check_bath_stroke(omega, j, tau)
         return tuple.__new__(cls, (omega, j, bath, tau))
 
     def omega_at(self, t: float) -> float:
@@ -97,18 +107,13 @@ class AdiabatParams(Record, namedtuple("AdiabatParams", "omega_start omega_end j
     __slots__ = ()
 
     def __new__(cls, omega_start, omega_end, j, tau):
-        if not tau >= 0.0:
-            raise ValueError(f"tau must be >= 0, got {tau!r}")
-        self = tuple.__new__(cls, (omega_start, omega_end, j, tau))
-        if not self.rotation_angle <= MAX_SWEEP_ANGLE:
-            raise _sweep_angle_error(self.rotation_angle)
-        return self
+        _check_sweep(omega_start, omega_end, j, tau)
+        return tuple.__new__(cls, (omega_start, omega_end, j, tau))
 
     @property
     def rotation_angle(self) -> float:
         """Upper bound sqrt(2) * max Omega * tau of the total rotation angle."""
-        big = math.hypot(max(abs(self.omega_start), abs(self.omega_end)), self.j)
-        return SQRT2 * big * self.tau
+        return _rotation_angle(*self)
 
     def omega_at(self, t: float) -> float:
         tau = self.tau

@@ -1,6 +1,7 @@
 """The public API (its names as of 1.0 less the two removed in 3.0, its
 branch shape as of 2.0), its documentation and its version number."""
 
+import ast
 import inspect
 import re
 from pathlib import Path
@@ -96,3 +97,28 @@ def test_package_version_matches_pyproject():
     project = text.split("[project]", 1)[1].split("\n[", 1)[0]
     versions = re.findall(r'^version = "([^"]+)"$', project, re.M)
     assert versions == [spinotto.__version__]
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports (``from __future__`` aside) and never reads."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_unused_imports_finds_a_leftover_name():
+    assert _unused_imports("import math\nfrom .a import b, c as d\nprint(d)\n") == ["b", "math"]
+
+
+# every module but __init__.py, which imports to re-export
+@pytest.mark.parametrize("path", sorted(
+    path for path in (ROOT / "src" / "spinotto").glob("*.py") if path.name != "__init__.py"
+), ids=lambda path: path.name)
+def test_modules_use_every_name_they_import(path):
+    assert _unused_imports(path.read_text()) == []

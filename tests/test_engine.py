@@ -105,16 +105,46 @@ def test_compose_cycle_retains_branches_in_time_order():
 @settings(max_examples=60 * EXAMPLE_SCALE, deadline=None)
 @given(cycle_specs())
 def test_compose_cycle_strokes_are_the_spec_strokes(spec):
-    # compose_cycle builds the stroke records of a checked spec without
-    # their constructors; they must equal the constructed ones, type and all
-    constructed = (spec.hot_isochore(), spec.adiabat_ba(), spec.cold_isochore(),
-                   spec.adiabat_ab())
-    for branch, stroke in zip(compose_cycle(spec).branches, constructed, strict=True):
-        assert type(branch.stroke) is type(stroke)
-        assert branch.stroke == stroke
-        if isinstance(stroke, IsochoreParams):
-            assert type(branch.stroke.bath) is BathParams
-            assert branch.stroke.bath == stroke.bath
+    # the spec's stroke methods build its checked strokes without their
+    # constructors, and compose_cycle takes its branch strokes from them;
+    # both must equal the records the constructors build, type and all
+    # (cycle_specs draws the two sweep durations independently)
+    expected = (
+        IsochoreParams(spec.omega_b, spec.j,
+                       BathParams(spec.gamma_hot, spec.dephasing_hot, spec.t_hot), spec.tau_hot),
+        AdiabatParams(spec.omega_b, spec.omega_a, spec.j, spec.tau_ba),
+        IsochoreParams(spec.omega_a, spec.j, BathParams(spec.gamma_cold, spec.dephasing_cold,
+                                                        spec.t_cold), spec.tau_cold),
+        AdiabatParams(spec.omega_a, spec.omega_b, spec.j, spec.tau_ab),
+    )
+    built = (spec.hot_isochore(), spec.adiabat_ba(), spec.cold_isochore(), spec.adiabat_ab())
+    branches = tuple(branch.stroke for branch in compose_cycle(spec).branches)
+    for strokes in (built, branches):
+        for stroke, constructed in zip(strokes, expected, strict=True):
+            assert type(stroke) is type(constructed)
+            assert stroke == constructed
+            if isinstance(constructed, IsochoreParams):
+                assert type(stroke.bath) is BathParams
+                assert stroke.bath == constructed.bath
+
+
+def test_unequal_sweeps_build_no_stroke_record_through_a_constructor(monkeypatch):
+    # a checked spec's strokes, the second ascending ramp of unequal sweeps
+    # included, are built without the stroke constructors
+    spec = replace(fig1_spec(), tau_ab=0.5, tau_ba=0.8)
+    calls = []
+    for cls in (AdiabatParams, IsochoreParams, BathParams):
+        def counting(cls, *args, _new=cls.__new__, **kwargs):
+            calls.append(cls.__name__)
+            return _new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__new__", counting)
+    IsochoreParams(1.0, 0.5, BathParams(0.3, 0.0, 1.5), 0.1)
+    assert calls == ["BathParams", "IsochoreParams"]  # the counters count
+    calls.clear()
+    prop = limit_cycle(spec).propagator
+    trajectory(prop, thermal_state(spec.omega_b, spec.j, spec.t_hot), 5)
+    assert calls == []
 
 
 def _near(draw, x):
