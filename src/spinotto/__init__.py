@@ -51,4 +51,4 @@ from .propagators import (
 )
 from .records import replace
 
-__version__ = "3.1.3"
+__version__ = "3.2.0"

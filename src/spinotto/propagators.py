@@ -7,7 +7,8 @@ times at once by :func:`isochore_partials`.  The driven branches
 (linear field sweep, no bath) are rotations whose generator is linear in the
 field; they are integrated with an eighth-order Magnus product of unit
 quaternions (Blanes, Casas & Ros, BIT 40, 434 (2000); Blanes, Casas, Oteo &
-Ros, Phys. Rep. 470, 151 (2009)).  Maps are plain floats and tuples; only
+Ros, Phys. Rep. 470, 151 (2009)), accepted on a proven truncation bound or
+on the change between two products.  Maps are plain floats and tuples; only
 the ``m`` accessor and the brute-force midpoint-field oracle
 :func:`adiabat_propagator_direct` import numpy.  Every path, the in-branch
 samplers :func:`isochore_partials` and :func:`adiabat_partials` included,
@@ -25,9 +26,11 @@ from itertools import chain
 from .algebra import SQRT2, BlochVector, field_magnitude, thermal_state
 from .records import IdentityRecord, Record
 
-# Error target of the sweep integrator.  Two products at step counts n and
-# r n differ by about (r^8 - 1) times the error of the finer one; the finer
-# product is accepted when that estimate is at most SWEEP_TOLERANCE.
+# Error target of the sweep integrator.  The first product is accepted when
+# its proven truncation bound is at most SWEEP_TOLERANCE.  Otherwise two
+# products at step counts n and r n differ by about (r^8 - 1) times the error
+# of the finer one, which is accepted when that estimate is at most
+# SWEEP_TOLERANCE.
 SWEEP_TOLERANCE = 1e-12
 
 # Safety factor on the error the next step count is predicted to reach: the
@@ -390,6 +393,57 @@ def _sweep_blocks(p: AdiabatParams, segments: int, per_segment: int) -> list[tup
     return blocks
 
 
+# F(2.25) = (1 - 0.75 cot 0.75) / 2.25, about 0.08664: a bound on the
+# dexp^-1 coefficient F(|Omega|^2) of a step while |Omega| <= 1.5
+_F_BOUND = (1.0 - 0.75 / math.tan(0.75)) / 2.25
+
+
+def _truncation_bound(p: AdiabatParams, n: int) -> float:
+    """Proven upper bound on the truncation error of every block entry, at
+    every sample, of the n-step product of :func:`_sweep_blocks` for sweep
+    p; inf where the proof below does not apply.
+
+    In step time sigma in [0, 1] a step's generator is g = a + delta e_x,
+    with a and d as in :func:`_sweep_blocks` and delta = d (sigma - 1/2):
+    |a| <= A = rotation_angle / n and |delta| <= D = |d| / 2.  The exact
+    step exponent solves Omega' = dexp^-1_Omega(g) =
+    g - Omega x g / 2 + F(|Omega|^2) Omega x (Omega x g), where
+    F(u) = (1 - (sqrt(u)/2) cot(sqrt(u)/2)) / u = sum_k |B_2k| u^(k-1) / (2k)!
+    has positive coefficients only (Blanes, Casas, Oteo & Ros, Phys. Rep.
+    470, 151 (2009), section 2).  W = Omega - sigma a starts at 0 and solves
+
+        W' = delta e_x - (V + W x g) / 2 + F(|Omega|^2) Omega x (V + W x g),
+        V = sigma a x delta e_x,
+
+    so every term of W carries a factor delta or W.  Sort W by its degree k
+    in the step (a of degree 1, d of degree 2).  The exponent of
+    :func:`_sweep_blocks` is the part of Omega(1) of degree <= 8 (degree 8
+    vanishes by time symmetry), so a step errs by at most the sum of
+    |W_k(1)| over k >= 9.  Since W_k(a, d) = s^k W_k(a / s, d / s^2), for
+    s = max(A, sqrt(D / 0.1)) <= 1 that sum is at most s^9 w(1), where w
+    majorizes the sum of all |W_k| at |a| <= 1 and D' = D / s^2 <= 0.1.
+    While w <= 1/2, |Omega| <= 1 + w <= 1.5, F <= F* = _F_BOUND and
+    w' <= K1 D' + K2 w, K1 = 1.5 (1 + F*), K2 = (1 + D') (0.5 + 1.5 F*);
+    so w(1) <= K1 D' expm1(K2) / K2, below 0.24 at D' = 0.1 (and 0.49 at
+    0.2, room for the rounding of s): w never reaches 1/2.  exp is
+    1-Lipschitz from so(3) to the rotations in the operator norm, which
+    bounds every entry, and rotations keep the norm, so the step errors
+    add: n of them bound every sample.  D = 0 is a constant field, whose
+    steps are exact.  Nothing is divided by a rotation angle, so a
+    subnormal or tiny duration gives 0, not an overflow.
+    """
+    h = p.tau / n
+    half_range = SQRT2 * abs(p.omega_end - p.omega_start) * h / (2 * n)
+    if half_range == 0.0:
+        return 0.0
+    s = max(math.sqrt(half_range / 0.1), p.rotation_angle / n)  # max keeps a first NaN
+    if not s <= 1.0:
+        return math.inf
+    scaled = half_range / (s * s)
+    k2 = (1.0 + scaled) * (0.5 + 1.5 * _F_BOUND)
+    return n * s**9 * 1.5 * (1.0 + _F_BOUND) * scaled * math.expm1(k2) / k2
+
+
 def _max_change(fine: list[tuple], coarse: list[tuple]) -> float:
     """Largest entry change between two equally long lists of 3x3 blocks."""
     flat_fine = chain.from_iterable(chain.from_iterable(fine))
@@ -402,14 +456,19 @@ def adiabat_partials(p: AdiabatParams, samples: int) -> list[AffinePropagator]:
     [0, tau].
 
     An eighth-order Magnus product over uniform steps, whose error falls as
-    n^-8 in the step count n.  The first two products take a step count near
-    half the rotation angle and twice that.  Two successive products at
-    counts n and r n that differ by `change` at most, over all samples, put
-    the error of the finer one at change / (r^8 - 1); it is accepted when
-    that is at most SWEEP_TOLERANCE.  Otherwise the next count is the one the
-    n^-8 law predicts for half the tolerance, and the check repeats.  The
-    (b1, b2, b3) blocks are rotations to rounding; (b4, b5) commute with the
-    generator for every field value and stay constant.
+    n^-8 in the step count n.  The first product takes a step count near
+    half the rotation angle, and one of two routes accepts a product:
+    - the first product alone, when its proven truncation bound
+      (:func:`_truncation_bound`) is at most SWEEP_TOLERANCE.  Densely
+      sampled sweeps take this route, since their steps are short;
+    - otherwise an a-posteriori pair.  The second product takes twice the
+      first count.  Two successive products at counts n and r n that differ
+      by `change` at most, over all samples, put the error of the finer one
+      at change / (r^8 - 1); it is accepted when that is at most
+      SWEEP_TOLERANCE.  Otherwise the next count is the one the n^-8 law
+      predicts for half the tolerance, and the check repeats.
+    The (b1, b2, b3) blocks are rotations to rounding; (b4, b5) commute with
+    the generator for every field value and stay constant.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
@@ -419,19 +478,20 @@ def adiabat_partials(p: AdiabatParams, samples: int) -> list[AffinePropagator]:
     else:
         per_segment = max(1, math.ceil(p.rotation_angle / (2 * segments)))
         blocks = _sweep_blocks(p, segments, per_segment)
-        finer = 2 * per_segment
-        while True:
-            coarse, coarse_per = blocks, per_segment
-            per_segment = finer
-            blocks = _sweep_blocks(p, segments, per_segment)
-            gain = (per_segment / coarse_per) ** 8 - 1.0
-            change = _max_change(blocks, coarse)
-            if not change > gain * SWEEP_TOLERANCE:
-                break
-            err = change / gain
-            finer = max(per_segment + 1, math.ceil(
-                per_segment * (_STEP_SAFETY * err / SWEEP_TOLERANCE) ** (1.0 / 8.0)
-            ))
+        if not _truncation_bound(p, segments * per_segment) <= SWEEP_TOLERANCE:
+            finer = 2 * per_segment
+            while True:
+                coarse, coarse_per = blocks, per_segment
+                per_segment = finer
+                blocks = _sweep_blocks(p, segments, per_segment)
+                gain = (per_segment / coarse_per) ** 8 - 1.0
+                change = _max_change(blocks, coarse)
+                if not change > gain * SWEEP_TOLERANCE:
+                    break
+                err = change / gain
+                finer = max(per_segment + 1, math.ceil(
+                    per_segment * (_STEP_SAFETY * err / SWEEP_TOLERANCE) ** (1.0 / 8.0)
+                ))
     # a sweep leaves all but the block alone
     return [tuple.__new__(AffinePropagator, (block, _ZERO3, 1.0, 1.0, _ZERO3, 0.0))
             for block in blocks]

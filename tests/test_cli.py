@@ -533,8 +533,8 @@ def test_iterate_long_csv_bytes_are_pinned(tmp_path):
 
 # the other tables of the CI step "Same CSV bytes on Python 3.10 and 3.13",
 # with its configs, so that a change moving their bytes on every Python at
-# once fails here too; (command, config, sha256), computed with 3.1.0, and
-# the two sweeps over tau_ba and j with 3.1.1
+# once fails here too; (command, config, sha256), computed with 3.1.0, the
+# two sweeps over tau_ba and j with 3.1.1, and trajectory-dense with 3.2.0
 _CI_ENGINE = dict(FIG1_ENGINE, dephasing_cold=0.01, tau_ab=1.0, tau_ba=1.0)
 _CI_TRAJECTORY = {"engine": _CI_ENGINE, "run": {"samples_per_branch": 101}}
 _CI_COMMANDS = {
@@ -561,6 +561,14 @@ CI_TABLES = {
                         tau_cold=0.6, tau_hot=0, tau_ab=0.03, tau_ba=0.03),
          "run": {"samples_per_branch": 101}},
         "195eba3f8a0a866a44c28011fa311b722d80111186d1afdc378f5c8062cb329c"),
+    # shaped like perfbench's trajectory-dense: 1000 samples of 1.0-long
+    # sweeps, where the sweep is one product accepted on its proven
+    # truncation bound
+    "trajectory-dense": (
+        "trajectory",
+        {"engine": dict(FIG1_ENGINE, tau_ab=1.0, tau_ba=1.0),
+         "run": {"samples_per_branch": 1000}},
+        "4416622737387e71aa5793d3b9058daddc7d7d4be3d5d4cdb2b0abda932f6d1d"),
     "trajectory-zero-field": (
         "trajectory",
         dict(_CI_TRAJECTORY, engine=dict(_CI_ENGINE, j=0.0, omega_a=-4.0, omega_b=4.0)),
@@ -604,6 +612,30 @@ def test_ci_table_csv_bytes_are_pinned(tmp_path, name):
     out = tmp_path / f"{name}.csv"
     config = write_config(tmp_path, payload)
     assert main([command, "--config", config, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# a subnormal or tiny sweep next to a 1.0-long one: the tiny sweep's
+# truncation bound is 0 and divides by no rotation angle; (command, engine,
+# sha256), computed with 3.1.3
+TINY_SWEEP_TABLES = [
+    ("limit-cycle", dict(FIG1_ENGINE, tau_ab=1.0, tau_ba=5e-324),
+     "4126a4d951639f20a5de35bd05f714a0db431546627c3a0fade54165c20b5b76"),
+    ("trajectory", dict(FIG1_ENGINE, tau_ab=1.0, tau_ba=5e-324),
+     "12280e57c3dca2b466fec5778c4143a117b98cc790e07e85a3e330ae36a83d77"),
+    ("limit-cycle", dict(FIG1_ENGINE, tau_ab=1e-150, tau_ba=1.0),
+     "78b18827f79382339a10dfe6d755aebe83975b55e32e9dacbc482f4a46b73077"),
+    ("trajectory", dict(FIG1_ENGINE, tau_ab=1e-150, tau_ba=1.0),
+     "1da1f76c54c921ab5671134ee196b0366e58be459ec12cc7c0cbfe329e24a7d8"),
+]
+
+
+@pytest.mark.parametrize("command, engine, digest", TINY_SWEEP_TABLES)
+def test_tiny_sweeps_keep_their_tables(tmp_path, capsys, command, engine, digest):
+    out = tmp_path / f"{command}.csv"
+    config = write_config(tmp_path, {"engine": engine})
+    assert main([command, "--config", config, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -294,6 +295,66 @@ def test_near_limit_sweep_matches_landau_zener_oracle():
     assert np.abs(block @ block.T - np.eye(3)).max() < 1e-14
 
 
+@settings(max_examples=60 * EXAMPLE_SCALE, deadline=None)
+@given(sweeps())
+@example(AdiabatParams(0.0, 1.0, 2.0, 5e-324))  # subnormal and tiny durations
+@example(AdiabatParams(0.0, 1.0, 2.0, 2.2e-311))
+@example(AdiabatParams(0.0, 1.0, 2.0, 1e-150))
+def test_truncation_bound_covers_fixed_step_products_property(p):
+    # wherever the proven bound is finite, the n-step product lies within it
+    # of the exact map, up to the rounding of at most 200 steps
+    exact = landau_zener_map(p)
+    for n in (1, 3, 10, 40, 200):
+        bound = propagators._truncation_bound(p, n)
+        if bound < math.inf:
+            block = np.array(propagators._sweep_blocks(p, 1, n)[-1])
+            assert np.abs(block - exact).max() <= bound + 1e-14, (n, bound)
+
+
+@pytest.mark.parametrize("tau", [5e-324, 2.2e-311, 1e-150])
+def test_truncation_bound_of_a_tiny_sweep_is_zero(tau):
+    # nothing is divided by the rotation angle, which underflows here
+    p = AdiabatParams(5.08364, 12.6355, 2.0, tau)
+    assert [propagators._truncation_bound(p, n) for n in (1, 3, 10, 40, 200, 999)] == [0.0] * 6
+
+
+def test_truncation_bound_is_its_proven_closed_form():
+    # the docstring's n s^9 K1 D' expm1(K2) / K2 at 30 digits, with F* summed
+    # from its series of positive Bernoulli terms, not from the cot form; the
+    # 2-sample grid sweep's steps are too long for the proof (s > 1)
+    with mpmath.workdps(30):
+        f_star = mpmath.nsum(lambda k: abs(mpmath.bernoulli(2 * k)) / mpmath.factorial(2 * k)
+                             * mpmath.mpf(2.25) ** (k - 1), [1, mpmath.inf])
+        fig1 = fig1_spec().adiabat_ab()
+        for p, n in [(replace(fig1, tau=1.0), 999), (replace(fig1, tau=1.0), 100),
+                     (replace(fig1, tau=0.03), 100), (AdiabatParams(-4.0, 4.0, 0.5, 1e-9), 1),
+                     (AdiabatParams(5.0, 12.6355, 2.0, 0.5), 5)]:
+            h = mpmath.mpf(p.tau) / n
+            half_range = mpmath.sqrt(2) * abs(mpmath.mpf(p.omega_end) - p.omega_start) * h / (2 * n)
+            s = max(mpmath.mpf(p.rotation_angle) / n, mpmath.sqrt(half_range / mpmath.mpf("0.1")))
+            bound = propagators._truncation_bound(p, n)
+            if s > 1:
+                assert bound == math.inf, p
+                continue
+            scaled = half_range / s**2
+            k2 = (1 + scaled) * (mpmath.mpf("0.5") + mpmath.mpf("1.5") * f_star)
+            exact = n * s**9 * mpmath.mpf("1.5") * (1 + f_star) * scaled * mpmath.expm1(k2) / k2
+            assert abs(bound - exact) <= 1e-13 * exact, (p, n, bound)
+
+
+def test_dense_sweep_is_accepted_on_its_truncation_bound():
+    # trajectory-dense's sweep: 1000 samples of the 1.0-long fig1 sweep, one
+    # 999-step product whose proven bound meets SWEEP_TOLERANCE
+    p = replace(fig1_spec().adiabat_ab(), tau=1.0)
+    assert propagators._truncation_bound(p, 999) <= SWEEP_TOLERANCE
+    partials = adiabat_partials(p, 1000)
+    times = linspace(0.0, p.tau, 1000)
+    for k in [*range(0, 1000, 100), 999]:
+        t = times[k]
+        exact = landau_zener_map(AdiabatParams(p.omega_start, p.omega_at(t), p.j, t))
+        assert np.abs(np.array(partials[k].block) - exact).max() <= 10 * SWEEP_TOLERANCE, t
+
+
 class StepCounter:
     """Wraps the Magnus product: sums its steps and records the sweeps it
     integrates."""
@@ -386,23 +447,25 @@ def test_compose_cycle_reverse_sweep_matches_integrated_property(spec, symmetric
 
 def test_trajectory_integrates_one_sweep_when_symmetric(monkeypatch):
     # a work count in trajectory-dense's shape (1000 samples, 1.0-long
-    # sweeps): only the cold->hot sweep is integrated, at 999 and then 1,998
-    # steps, and the hot->cold samples are its time reversals
+    # sweeps): only the cold->hot sweep is integrated, once at 999 steps,
+    # whose proven truncation bound meets SWEEP_TOLERANCE, and the hot->cold
+    # samples are its time reversals
     b0 = BlochVector(0.0, 0.0, 0.0, 0.0, 0.0)
     spec = replace(fig1_spec(), tau_ab=1.0, tau_ba=1.0)
     prop = compose_cycle(spec)
     counter = StepCounter(monkeypatch)
     trajectory(prop, b0, 1000)
     assert counter.sweeps == [spec.adiabat_ab()]
-    assert counter.steps == 2997
+    assert counter.steps == 999
     # the three fig5 cycles (unequal sweeps), composed and sampled at 200
-    # points each, integrate the two ascending ramps in 3,630 steps
+    # points each, integrate the two ascending ramps in 1,242 steps: 8 for
+    # each composed ramp, 199 for each sampled one
     counter.sweeps.clear()
     counter.steps = 0
     for times in FIG5_TIMES.values():
         trajectory(compose_cycle(fig5_spec(*times)), b0, 200)
     assert counter.sweeps == _ascending_ramps(fig5_spec(*FIG5_TIMES["1"]))
-    assert counter.steps <= 3630
+    assert counter.steps <= 1242
 
 
 @settings(max_examples=60 * EXAMPLE_SCALE, deadline=None)
