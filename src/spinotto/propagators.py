@@ -49,14 +49,21 @@ def _rotation_angle(omega_start: float, omega_end: float, j: float, tau: float) 
 
 
 def _check_sweep(omega_start: float, omega_end: float, j: float, tau: float) -> None:
-    """The bounds of a sweep (:class:`AdiabatParams`): tau >= 0 and a
-    rotation angle bound of at most MAX_SWEEP_ANGLE; NaN fails both."""
+    """The bounds of a sweep (:class:`AdiabatParams`): tau >= 0, a rotation
+    angle bound of at most MAX_SWEEP_ANGLE, and a finite span omega_end -
+    omega_start, on which :meth:`AdiabatParams.omega_at` draws the ramp.  A
+    NaN duration fails the first; a NaN or infinite field or coupling fails
+    the second, or the third for a NaN end field, which ``max`` drops; ends
+    of opposite sign near the largest float fail the third."""
     if not tau >= 0.0:
         raise ValueError(f"tau must be >= 0, got {tau!r}")
     angle = _rotation_angle(omega_start, omega_end, j, tau)
     if not angle <= MAX_SWEEP_ANGLE:
         raise ValueError(f"sweep rotation angle {angle:.4g} rad exceeds the "
                          f"limit MAX_SWEEP_ANGLE = {MAX_SWEEP_ANGLE:g} rad")
+    span = omega_end - omega_start
+    if not math.isfinite(span):
+        raise ValueError(f"sweep field span omega_end - omega_start = {span} is not finite")
 
 
 def _check_bath_stroke(omega: float, j: float, tau: float) -> None:
@@ -125,11 +132,7 @@ class AdiabatParams(Record, namedtuple("AdiabatParams", "omega_start omega_end j
         if tau < sys.float_info.min:  # scaled by a power of two (exact) to keep its bits
             t, tau = t * 2.0**600, tau * 2.0**600
         start = self.omega_start
-        span = self.omega_end - start
-        if math.isinf(span):  # the ramp of the halved fields (exact), doubled
-            half = start / 2.0
-            return 2.0 * (half + (self.omega_end / 2.0 - half) * t / tau)
-        return start + span * t / tau
+        return start + (self.omega_end - start) * t / tau
 
 
 _IDENTITY_BLOCK = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
@@ -287,12 +290,12 @@ def isochore_partials(p: IsochoreParams, times) -> list[AffinePropagator]:
     new = tuple.__new__
     maps = []
     for tau in times:
-        # tau = 0 is no decay even when the rate overflows to inf (inf * 0 is NaN)
+        # tau = 0 is no decay even when a rate is or overflows to inf (inf * 0 is NaN)
         k = exp(-transverse_rate * tau) if tau > 0.0 else 1.0
+        g = exp(-gam * tau) if tau > 0.0 else 1.0
         phase = angular_rate * tau
         c = cos(phase)
         s = sin(phase)
-        g = exp(-gam * tau)
         kc = k * c
         mixed = omega_j * (g - kc) / om2
         rot_j = k * j * s / big_omega

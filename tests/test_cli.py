@@ -443,98 +443,15 @@ def test_figure_fig3_case_one_oscillates(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# exit codes and error records
+# CSV bytes
 
 
-# sha256 of each preset's CSV, re-pinned in 1.2.0 for the eighth-order sweep
-# step (no cell moved by more than 2.2e-10); fig1 re-pinned in 2.1.0, where
-# each trajectory stroke starts at the previous stroke's last sample (61
-# cells moved, none by more than 1e-11).  Every printed digit
-# goes through libm (exp, log, sin, cos, pow); these are the bytes with
-# glibc's libm, on Python 3.10 to 3.13.
-FIGURE_SHA256 = {
-    "fig1": "0f5ac4f103b73ee780e4ac4ccf899a91e09ff2e00f56cd99c9cfc8d59ee650bf",
-    "fig2": "68f65f287bbe0e4a952d8f2c8f3bc01baa24eb2920029ae5f991cbea9be98d51",
-    "fig3": "389a0fc9ef237f3c03158ba69926a94c2eda31e6e2e9de99ab0144ddd706eec1",
-    "fig5": "500e677d485dbb54a090c6cd5628c1c10cc312f99dd2c2a9e8f1c28d4a14ec34",
-    "fig6": "af23132beee56375bd14931d05bbf91df6d2ea65ecc281514b4660a0eada85c1",
-}
-
-
-@pytest.mark.parametrize("preset", sorted(FIGURE_SHA256))
-def test_figure_csv_bytes_are_pinned(tmp_path, preset):
-    out = tmp_path / f"{preset}.csv"
-    assert main(["figure", preset, "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == FIGURE_SHA256[preset]
-
-
-# one fixed config per command and the sha256 of its CSV, computed before
-# the commands handed their tables to one render path in main (1.0.1);
-# re-pinned in 1.2.0 for the eighth-order sweep step, but for
-# equilibrium-curve, which integrates no sweep; trajectory re-pinned in 2.1.0,
-# where each stroke starts at the previous stroke's last sample (5 cells
-# moved, none by more than 1e-13)
-COMMAND_CONFIGS = {
-    "limit-cycle": {"engine": dict(FIG1_ENGINE, dephasing_cold=0.01, tau_ab=1.0, tau_ba=0.8)},
-    "iterate": {
-        "engine": FIG1_ENGINE,
-        "run": {"n_cycles": 12, "initial_state": {"kind": "thermal", "temperature": 40.0}},
-        "output": {"precision": 9},
-    },
-    "trajectory": {
-        "engine": dict(FIG1_ENGINE, dephasing_hot=0.02, tau_ab=0.5, tau_ba=0.5),
-        "run": {"samples_per_branch": 9},
-    },
-    "spectrum": {"engine": dict(FIG1_ENGINE, dephasing_cold=0.03, dephasing_hot=0.01)},
-    "sweep": {
-        "engine": FIG1_ENGINE,
-        "run": {"sweep": {"key": "tau_cold", "from": 0.4, "to": 2.4, "steps": 4}},
-    },
-    "equilibrium-curve": {
-        "engine": FIG1_ENGINE,
-        "run": {"omega_from": 1.0, "omega_to": 20.0, "steps": 7, "temperature": 3.0},
-    },
-}
-COMMAND_SHA256 = {
-    "limit-cycle": "63476c92e181e2dca14b281cbd8de89c13d0ce23e3be8cf52d1fcab1564eab5e",
-    "iterate": "8aca8787d7efad38a2daa17b3d7b38ffacdf1950d6cd46eaf9dcdd957f0830b1",
-    "trajectory": "88efa98c693a36f9419f1b4c73aa6c399ab732d287c6b6ad91ba993935a76e10",
-    "spectrum": "b531ca5b225d8db739fc1881c9dd0f379390efb3c8be0b42900f9b1c098698c5",
-    "sweep": "318e9b620672b5786959af13e2be9acaad653ea69136da4fe001527ff55b97af",
-    "equilibrium-curve": "ed112f8a94ff99498ad93700ab45fa0db27d4642be3947a7d8da58cc2b75645a",
-}
-
-
-@pytest.mark.parametrize("command", sorted(COMMAND_SHA256))
-def test_command_csv_bytes_are_pinned(tmp_path, command):
-    out = tmp_path / f"{command}.csv"
-    config = write_config(tmp_path, COMMAND_CONFIGS[command])
-    assert main([command, "--config", config, "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == COMMAND_SHA256[command]
-
-
-# the long iterate table of CI's byte comparison: the fig1 cycle for 3,000
-# cycles from a bloch start, far past convergence, so most rows sit in the
-# measures' noise floors; the sha256 of its CSV, computed with 2.1.1
-ITERATE_LONG_CONFIG = {
-    "engine": FIG1_ENGINE,
-    "run": {"n_cycles": 3000,
-            "initial_state": {"kind": "bloch", "b": [0.12, -0.21, 0.05, 0.1, -0.03]}},
-}
-ITERATE_LONG_SHA256 = "c99a14d850c0d4f2b8a0f3d6380f357312dcd33a2aa326d97acd011aba666c19"
-
-
-def test_iterate_long_csv_bytes_are_pinned(tmp_path):
-    out = tmp_path / "iterate-long.csv"
-    config = write_config(tmp_path, ITERATE_LONG_CONFIG)
-    assert main(["iterate", "--config", config, "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == ITERATE_LONG_SHA256
-
-
-# the other tables of the CI step "Same CSV bytes on Python 3.10 and 3.13",
-# with its configs, so that a change moving their bytes on every Python at
-# once fails here too; (command, config, sha256), computed with 3.1.0, the
-# two sweeps over tau_ba and j with 3.1.1, and trajectory-dense with 3.2.0
+# The CLI's byte contract: every CSV below, pinned by its sha256.  Every
+# printed digit goes through libm (exp, log, sin, cos, pow); these are the
+# bytes with glibc's libm, and CI runs these tests on each supported Python
+# (3.10 to 3.13), so two Pythons that match a digest print the same bytes.
+# CSV_PINS[section][case] = (argv, config, sha256); a config is written to a
+# file and passed as --config.
 _CI_ENGINE = dict(FIG1_ENGINE, dephasing_cold=0.01, tau_ab=1.0, tau_ba=1.0)
 _CI_TRAJECTORY = {"engine": _CI_ENGINE, "run": {"samples_per_branch": 101}}
 _CI_COMMANDS = {
@@ -542,101 +459,194 @@ _CI_COMMANDS = {
     "run": {"n_cycles": 40, "initial_state": {"kind": "thermal", "temperature": 40.0},
             "omega_from": 1.0, "omega_to": 20.0, "steps": 50},
 }
-CI_TABLES = {
-    "trajectory": (
-        "trajectory", _CI_TRAJECTORY,
-        "1f225942216d46655b5059c9b093abe8a2fc57cf61dff31c0a04562251f330b1"),
-    "trajectory-unequal": (
-        "trajectory", dict(_CI_TRAJECTORY, engine=dict(_CI_ENGINE, tau_ba=0.8)),
-        "827e57fb1605bf268bc59b254f1f00c7866a2d29d81eb0fbc37ce2711e138cf4"),
-    "trajectory-subnormal": (
-        "trajectory",
-        {"engine": dict(_CI_ENGINE, tau_ab=5e-324, tau_ba=1e-310),
-         "run": {"samples_per_branch": 9}},
-        "709ed23810e57b573c38e58e20bcceed56e2b98596b4f205827c9020b74e515f"),
-    "trajectory-fig6": (
-        "trajectory",
-        {"engine": dict(FIG1_ENGINE, omega_a=5.0836387, omega_b=12.635485,
-                        gamma_cold_conductance=1.7, gamma_hot_conductance=1.7,
-                        tau_cold=0.6, tau_hot=0, tau_ab=0.03, tau_ba=0.03),
-         "run": {"samples_per_branch": 101}},
-        "195eba3f8a0a866a44c28011fa311b722d80111186d1afdc378f5c8062cb329c"),
-    # shaped like perfbench's trajectory-dense: 1000 samples of 1.0-long
-    # sweeps, where the sweep is one product accepted on its proven
-    # truncation bound
-    "trajectory-dense": (
-        "trajectory",
-        {"engine": dict(FIG1_ENGINE, tau_ab=1.0, tau_ba=1.0),
-         "run": {"samples_per_branch": 1000}},
-        "4416622737387e71aa5793d3b9058daddc7d7d4be3d5d4cdb2b0abda932f6d1d"),
-    "trajectory-zero-field": (
-        "trajectory",
-        dict(_CI_TRAJECTORY, engine=dict(_CI_ENGINE, j=0.0, omega_a=-4.0, omega_b=4.0)),
-        "351060d454dd04fba24b5d9eb0e71e64dbd16766c5ec92c5db72c73dd36083ba"),
-    "sweep": (
-        "sweep",
-        {"engine": dict(FIG1_ENGINE, tau_ab=0.5, tau_ba=0.5),
-         "run": {"sweep": {"key": "omega_a", "from": 3.0, "to": 8.0, "steps": 20}}},
-        "cb1df97cb626bd697018daf42645fb4236fd3a8cbda1ed2e152fbbfa78a04667"),
-    # from the second row on the two sweeps differ: the hot->cold maps come
-    # from a second ascending ramp, run for tau_ba
-    "sweep-tau-ba": (
-        "sweep",
-        {"engine": dict(FIG1_ENGINE, tau_ab=0.5, tau_ba=0.5),
-         "run": {"sweep": {"key": "tau_ba", "from": 0.5, "to": 0.8, "steps": 7}}},
-        "4c60d4cd5bfd6f6ab3da5277a4b237f754134339c5870bfa23683fa41696341b"),
-    # every row changes both sweeps and both bath strokes
-    "sweep-j": (
-        "sweep",
-        {"engine": dict(FIG1_ENGINE, tau_ab=0.5, tau_ba=0.5),
-         "run": {"sweep": {"key": "j", "from": 1.0, "to": 3.0, "steps": 7}}},
-        "0435b353389e2dd090486efb92dca320526da0e899fcd68e8798bce398e02b49"),
-    "limit-cycle": (
-        "limit-cycle", _CI_COMMANDS,
-        "0f62b2f4f842ce5c335df39fbad11880106c60bc4c0663de5521e2361f5e3253"),
-    "iterate": (
-        "iterate", _CI_COMMANDS,
-        "4c8f209e17baea760c635ebb817391d0b4a37f6fdddda6b2116f6579bddc3937"),
-    "spectrum": (
-        "spectrum", _CI_COMMANDS,
-        "6e22529dcffe729d8ab262529dca3a7155a93eef2a26171356ff14f770f52bb0"),
-    "equilibrium-curve": (
-        "equilibrium-curve", _CI_COMMANDS,
-        "2c0827f727d7ff285350f83343b0417ece30d01e8b1c7263d4ad956e23a4fb1d"),
+CSV_PINS = {
+    # each preset, re-pinned in 1.2.0 for the eighth-order sweep step (no
+    # cell moved by more than 2.2e-10); fig1 re-pinned in 2.1.0, where each
+    # trajectory stroke starts at the previous stroke's last sample (61
+    # cells moved, none by more than 1e-11)
+    "figure": {
+        "fig1": (["figure", "fig1"], None,
+                 "0f5ac4f103b73ee780e4ac4ccf899a91e09ff2e00f56cd99c9cfc8d59ee650bf"),
+        "fig2": (["figure", "fig2"], None,
+                 "68f65f287bbe0e4a952d8f2c8f3bc01baa24eb2920029ae5f991cbea9be98d51"),
+        "fig3": (["figure", "fig3"], None,
+                 "389a0fc9ef237f3c03158ba69926a94c2eda31e6e2e9de99ab0144ddd706eec1"),
+        "fig5": (["figure", "fig5"], None,
+                 "500e677d485dbb54a090c6cd5628c1c10cc312f99dd2c2a9e8f1c28d4a14ec34"),
+        "fig6": (["figure", "fig6"], None,
+                 "af23132beee56375bd14931d05bbf91df6d2ea65ecc281514b4660a0eada85c1"),
+    },
+    # one fixed config per command, computed before the commands handed their
+    # tables to one render path in main (1.0.1); re-pinned in 1.2.0 for the
+    # eighth-order sweep step, but for equilibrium-curve, which integrates no
+    # sweep; trajectory re-pinned in 2.1.0, where each stroke starts at the
+    # previous stroke's last sample (5 cells moved, none by more than 1e-13)
+    "command": {
+        "limit-cycle": (
+            ["limit-cycle"],
+            {"engine": dict(FIG1_ENGINE, dephasing_cold=0.01, tau_ab=1.0, tau_ba=0.8)},
+            "63476c92e181e2dca14b281cbd8de89c13d0ce23e3be8cf52d1fcab1564eab5e"),
+        "iterate": (
+            ["iterate"],
+            {"engine": FIG1_ENGINE,
+             "run": {"n_cycles": 12, "initial_state": {"kind": "thermal", "temperature": 40.0}},
+             "output": {"precision": 9}},
+            "8aca8787d7efad38a2daa17b3d7b38ffacdf1950d6cd46eaf9dcdd957f0830b1"),
+        "trajectory": (
+            ["trajectory"],
+            {"engine": dict(FIG1_ENGINE, dephasing_hot=0.02, tau_ab=0.5, tau_ba=0.5),
+             "run": {"samples_per_branch": 9}},
+            "88efa98c693a36f9419f1b4c73aa6c399ab732d287c6b6ad91ba993935a76e10"),
+        "spectrum": (
+            ["spectrum"],
+            {"engine": dict(FIG1_ENGINE, dephasing_cold=0.03, dephasing_hot=0.01)},
+            "b531ca5b225d8db739fc1881c9dd0f379390efb3c8be0b42900f9b1c098698c5"),
+        "sweep": (
+            ["sweep"],
+            {"engine": FIG1_ENGINE,
+             "run": {"sweep": {"key": "tau_cold", "from": 0.4, "to": 2.4, "steps": 4}}},
+            "318e9b620672b5786959af13e2be9acaad653ea69136da4fe001527ff55b97af"),
+        "equilibrium-curve": (
+            ["equilibrium-curve"],
+            {"engine": FIG1_ENGINE,
+             "run": {"omega_from": 1.0, "omega_to": 20.0, "steps": 7, "temperature": 3.0}},
+            "ed112f8a94ff99498ad93700ab45fa0db27d4642be3947a7d8da58cc2b75645a"),
+    },
+    # tables shaped like the benchmark workloads and the edge cases of the
+    # samplers, which CI once compared between two Pythons; computed with 3.1.0, iterate-long with 2.1.1, the two sweeps over
+    # tau_ba and j with 3.1.1, and trajectory-dense with 3.2.0
+    "ci": {
+        "trajectory": (
+            ["trajectory"], _CI_TRAJECTORY,
+            "1f225942216d46655b5059c9b093abe8a2fc57cf61dff31c0a04562251f330b1"),
+        # unequal sweeps: the hot->cold samples are the time reversals of a
+        # second ascending ramp, run for tau_ba
+        "trajectory-unequal": (
+            ["trajectory"], dict(_CI_TRAJECTORY, engine=dict(_CI_ENGINE, tau_ba=0.8)),
+            "827e57fb1605bf268bc59b254f1f00c7866a2d29d81eb0fbc37ce2711e138cf4"),
+        # subnormal sweep durations: the field is scaled before it divides
+        "trajectory-subnormal": (
+            ["trajectory"],
+            {"engine": dict(_CI_ENGINE, tau_ab=5e-324, tau_ba=1e-310),
+             "run": {"samples_per_branch": 9}},
+            "709ed23810e57b573c38e58e20bcceed56e2b98596b4f205827c9020b74e515f"),
+        # shaped like fig6: a zero-length hot bath stroke, sampled by the
+        # bath-stroke closed form at t = 0
+        "trajectory-fig6": (
+            ["trajectory"],
+            {"engine": dict(FIG1_ENGINE, omega_a=5.0836387, omega_b=12.635485,
+                            gamma_cold_conductance=1.7, gamma_hot_conductance=1.7,
+                            tau_cold=0.6, tau_hot=0, tau_ab=0.03, tau_ba=0.03),
+             "run": {"samples_per_branch": 101}},
+            "195eba3f8a0a866a44c28011fa311b722d80111186d1afdc378f5c8062cb329c"),
+        # shaped like perfbench's trajectory-dense: 1000 samples of 1.0-long
+        # sweeps, where the sweep is one product accepted on its proven
+        # truncation bound
+        "trajectory-dense": (
+            ["trajectory"],
+            {"engine": dict(FIG1_ENGINE, tau_ab=1.0, tau_ba=1.0),
+             "run": {"samples_per_branch": 1000}},
+            "4416622737387e71aa5793d3b9058daddc7d7d4be3d5d4cdb2b0abda932f6d1d"),
+        # J = 0 and sweeps through zero field: the sweeps' middle samples sit
+        # at omega = 0, where s_e takes its limit
+        "trajectory-zero-field": (
+            ["trajectory"],
+            dict(_CI_TRAJECTORY, engine=dict(_CI_ENGINE, j=0.0, omega_a=-4.0, omega_b=4.0)),
+            "351060d454dd04fba24b5d9eb0e71e64dbd16766c5ec92c5db72c73dd36083ba"),
+        # shaped like perfbench's grid-long-sweep: equal 0.5-long sweeps, so
+        # the bytes also cover the time-reversed hot->cold sweep
+        "sweep": (
+            ["sweep"],
+            {"engine": dict(FIG1_ENGINE, tau_ab=0.5, tau_ba=0.5),
+             "run": {"sweep": {"key": "omega_a", "from": 3.0, "to": 8.0, "steps": 20}}},
+            "cb1df97cb626bd697018daf42645fb4236fd3a8cbda1ed2e152fbbfa78a04667"),
+        # from the second row on the two sweeps differ: the hot->cold maps come
+        # from a second ascending ramp, run for tau_ba
+        "sweep-tau-ba": (
+            ["sweep"],
+            {"engine": dict(FIG1_ENGINE, tau_ab=0.5, tau_ba=0.5),
+             "run": {"sweep": {"key": "tau_ba", "from": 0.5, "to": 0.8, "steps": 7}}},
+            "4c60d4cd5bfd6f6ab3da5277a4b237f754134339c5870bfa23683fa41696341b"),
+        # every row changes both sweeps and both bath strokes
+        "sweep-j": (
+            ["sweep"],
+            {"engine": dict(FIG1_ENGINE, tau_ab=0.5, tau_ba=0.5),
+             "run": {"sweep": {"key": "j", "from": 1.0, "to": 3.0, "steps": 7}}},
+            "0435b353389e2dd090486efb92dca320526da0e899fcd68e8798bce398e02b49"),
+        # the fig1 cycle for 3,000 cycles from a bloch start, far past
+        # convergence, so most rows sit in the measures' noise floors
+        "iterate-long": (
+            ["iterate"],
+            {"engine": FIG1_ENGINE,
+             "run": {"n_cycles": 3000,
+                     "initial_state": {"kind": "bloch", "b": [0.12, -0.21, 0.05, 0.1, -0.03]}}},
+            "c99a14d850c0d4f2b8a0f3d6380f357312dcd33a2aa326d97acd011aba666c19"),
+        # one config for the other four commands, which each read only their
+        # own run keys
+        "limit-cycle": (
+            ["limit-cycle"], _CI_COMMANDS,
+            "0f62b2f4f842ce5c335df39fbad11880106c60bc4c0663de5521e2361f5e3253"),
+        "iterate": (
+            ["iterate"], _CI_COMMANDS,
+            "4c8f209e17baea760c635ebb817391d0b4a37f6fdddda6b2116f6579bddc3937"),
+        "spectrum": (
+            ["spectrum"], _CI_COMMANDS,
+            "6e22529dcffe729d8ab262529dca3a7155a93eef2a26171356ff14f770f52bb0"),
+        "equilibrium-curve": (
+            ["equilibrium-curve"], _CI_COMMANDS,
+            "2c0827f727d7ff285350f83343b0417ece30d01e8b1c7263d4ad956e23a4fb1d"),
+    },
+    # a subnormal or tiny sweep next to a 1.0-long one: the tiny sweep's
+    # truncation bound is 0 and divides by no rotation angle; computed with
+    # 3.1.3, each case named "<command>-engine<k>-<sha256>"
+    "tiny": {
+        f"{argv[0]}-engine{k}-{digest}": (argv, {"engine": engine}, digest)
+        for k, (argv, engine, digest) in enumerate([
+            (["limit-cycle"], dict(FIG1_ENGINE, tau_ab=1.0, tau_ba=5e-324),
+             "4126a4d951639f20a5de35bd05f714a0db431546627c3a0fade54165c20b5b76"),
+            (["trajectory"], dict(FIG1_ENGINE, tau_ab=1.0, tau_ba=5e-324),
+             "12280e57c3dca2b466fec5778c4143a117b98cc790e07e85a3e330ae36a83d77"),
+            (["limit-cycle"], dict(FIG1_ENGINE, tau_ab=1e-150, tau_ba=1.0),
+             "78b18827f79382339a10dfe6d755aebe83975b55e32e9dacbc482f4a46b73077"),
+            (["trajectory"], dict(FIG1_ENGINE, tau_ab=1e-150, tau_ba=1.0),
+             "1da1f76c54c921ab5671134ee196b0366e58be459ec12cc7c0cbfe329e24a7d8"),
+        ])
+    },
 }
 
 
-@pytest.mark.parametrize("name", sorted(CI_TABLES))
-def test_ci_table_csv_bytes_are_pinned(tmp_path, name):
-    command, payload, digest = CI_TABLES[name]
-    out = tmp_path / f"{name}.csv"
-    config = write_config(tmp_path, payload)
-    assert main([command, "--config", config, "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+def _pin_argv(tmp_path, pin, out):
+    """The command line of a CSV_PINS case, writing to out."""
+    argv, config, _ = pin
+    if config is not None:
+        argv = argv + ["--config", write_config(tmp_path, config)]
+    return argv + ["--out", str(out)]
 
 
-# a subnormal or tiny sweep next to a 1.0-long one: the tiny sweep's
-# truncation bound is 0 and divides by no rotation angle; (command, engine,
-# sha256), computed with 3.1.3
-TINY_SWEEP_TABLES = [
-    ("limit-cycle", dict(FIG1_ENGINE, tau_ab=1.0, tau_ba=5e-324),
-     "4126a4d951639f20a5de35bd05f714a0db431546627c3a0fade54165c20b5b76"),
-    ("trajectory", dict(FIG1_ENGINE, tau_ab=1.0, tau_ba=5e-324),
-     "12280e57c3dca2b466fec5778c4143a117b98cc790e07e85a3e330ae36a83d77"),
-    ("limit-cycle", dict(FIG1_ENGINE, tau_ab=1e-150, tau_ba=1.0),
-     "78b18827f79382339a10dfe6d755aebe83975b55e32e9dacbc482f4a46b73077"),
-    ("trajectory", dict(FIG1_ENGINE, tau_ab=1e-150, tau_ba=1.0),
-     "1da1f76c54c921ab5671134ee196b0366e58be459ec12cc7c0cbfe329e24a7d8"),
-]
+def _pinned(section):
+    """The one run-and-hash test, over the cases of one CSV_PINS section;
+    each section is collected under its own name, which with the case name
+    makes the test id (test_figure_csv_bytes_are_pinned[fig1])."""
+    pins = CSV_PINS[section]
+
+    @pytest.mark.parametrize("pin", list(pins.values()), ids=list(pins))
+    def test(tmp_path, capsys, pin):
+        out = tmp_path / "out.csv"
+        assert main(_pin_argv(tmp_path, pin, out)) == 0
+        assert capsys.readouterr().err == ""
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == pin[2]
+
+    return test
 
 
-@pytest.mark.parametrize("command, engine, digest", TINY_SWEEP_TABLES)
-def test_tiny_sweeps_keep_their_tables(tmp_path, capsys, command, engine, digest):
-    out = tmp_path / f"{command}.csv"
-    config = write_config(tmp_path, {"engine": engine})
-    assert main([command, "--config", config, "--out", str(out)]) == 0
-    assert capsys.readouterr().err == ""
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+test_figure_csv_bytes_are_pinned = _pinned("figure")
+test_command_csv_bytes_are_pinned = _pinned("command")
+test_ci_table_csv_bytes_are_pinned = _pinned("ci")
+test_tiny_sweeps_keep_their_tables = _pinned("tiny")
+
+
+# ---------------------------------------------------------------------------
+# exit codes and error records
 
 
 def test_exit_code_config_error(tmp_path, capsys):
@@ -678,16 +688,14 @@ _FAILURES = {
 
 def _run_case(tmp_path, case):
     """(argv, exit status) of a command, a preset or a failure of _FAILURES."""
-    out = str(tmp_path / "out.csv")
-    if case in COMMAND_CONFIGS:
-        return [case, "--config", write_config(tmp_path, COMMAND_CONFIGS[case]), "--out", out], 0
-    if case in FIGURE_SHA256:
-        return ["figure", case, "--out", out], 0
-    make_argv, status = _FAILURES[case]
-    return make_argv(tmp_path), status
+    if case in _FAILURES:
+        make_argv, status = _FAILURES[case]
+        return make_argv(tmp_path), status
+    pin = CSV_PINS["command"].get(case) or CSV_PINS["figure"][case]
+    return _pin_argv(tmp_path, pin, tmp_path / "out.csv"), 0
 
 
-@pytest.mark.parametrize("case", sorted(COMMAND_CONFIGS) + sorted(FIGURE_SHA256)
+@pytest.mark.parametrize("case", sorted(CSV_PINS["command"]) + sorted(CSV_PINS["figure"])
                          + sorted(_FAILURES))
 def test_runs_leave_no_reference_cycles(tmp_path, capsys, case):
     # main pauses cyclic GC because a run builds no reference cycles: with
@@ -1144,33 +1152,33 @@ def test_integer_run_keys_are_bounded(tmp_path, capsys, command, run, path):
     assert not out.exists()
 
 
-def test_cli_import_adds_no_dataclasses_inspect_or_numpy():
+def _fresh_python(*args, **kwargs):
+    """Run args in a fresh interpreter that imports this spinotto; the
+    subprocess.run result, with text output captured."""
     import spinotto
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(spinotto.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          **kwargs)
+
+
+def test_cli_import_adds_no_dataclasses_inspect_or_numpy():
     probe = (
         "import json, sys\n"
         "before = set(sys.modules)\n"
         "import spinotto.cli\n"
         "print(json.dumps(sorted(set(sys.modules) - before)))\n"
     )
-    result = subprocess.run([sys.executable, "-c", probe], env=env,
-                            capture_output=True, text=True, check=True)
-    added = set(json.loads(result.stdout))
+    added = set(json.loads(_fresh_python("-c", probe, check=True).stdout))
     assert "spinotto.cli" in added
     assert not added & {"dataclasses", "inspect", "numpy"}
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
-    import spinotto
-
     # a fresh interpreter: this one has numpy and scipy loaded by the test
     # oracles; there numpy is blocked, so any import of it fails
-    src = os.path.dirname(os.path.dirname(os.path.abspath(spinotto.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     runs = {f"figure-{name}": ["figure", name] for name in ("fig1", "fig2", "fig3", "fig5", "fig6")}
     for command, run in [
         ("limit-cycle", {}),
@@ -1191,9 +1199,7 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
         f"codes = {{name: spinotto.cli.main(argv) for name, argv in {runs!r}.items()}}\n"
         "print(json.dumps([codes, 'scipy' in sys.modules]))\n"
     )
-    result = subprocess.run([sys.executable, "-c", probe], env=env,
-                            capture_output=True, text=True, check=True)
-    codes, scipy_loaded = json.loads(result.stdout)
+    codes, scipy_loaded = json.loads(_fresh_python("-c", probe, check=True).stdout)
     assert not scipy_loaded
     assert codes == {name: 0 for name in runs}
     for name in runs:
@@ -1201,14 +1207,9 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
 
 
 def test_cli_run_leaves_argparse_gettext_and_locale_unloaded(tmp_path):
-    import spinotto
-
     # a fresh interpreter, as a CLI user starts one: the command line is
     # parsed without argparse, whose import (with gettext, which imports
     # locale on its first lookup) cost every run several milliseconds
-    src = os.path.dirname(os.path.dirname(os.path.abspath(spinotto.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     argv = ["figure", "fig6", "--out", str(tmp_path / "fig6.csv")]
     probe = (
         "import json, sys\n"
@@ -1216,25 +1217,16 @@ def test_cli_run_leaves_argparse_gettext_and_locale_unloaded(tmp_path):
         f"code = spinotto.cli.main({argv!r})\n"
         "print(json.dumps([code, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules))]))\n"
     )
-    result = subprocess.run([sys.executable, "-c", probe], env=env,
-                            capture_output=True, text=True, check=True)
-    assert json.loads(result.stdout) == [0, []]
+    assert json.loads(_fresh_python("-c", probe, check=True).stdout) == [0, []]
 
 
 def test_module_runs_as_a_script(tmp_path):
-    import spinotto
-
     # `python -m spinotto.cli` is the console script without installing
-    src = os.path.dirname(os.path.dirname(os.path.abspath(spinotto.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    script = [sys.executable, "-X", "dev", "-W", "error", "-m", "spinotto.cli"]
-    result = subprocess.run(script + ["figure", "fig6"], env=env, cwd=tmp_path,
-                            capture_output=True, text=True)
+    script = ["-X", "dev", "-W", "error", "-m", "spinotto.cli"]
+    result = _fresh_python(*script, "figure", "fig6", cwd=tmp_path)
     assert (result.returncode, result.stderr) == (0, "")
     assert result.stdout.startswith("# spinotto-csv schema-version 1\n")
-    result = subprocess.run(script + ["bogus"], env=env, cwd=tmp_path,
-                            capture_output=True, text=True)
+    result = _fresh_python(*script, "bogus", cwd=tmp_path)
     assert (result.returncode, result.stdout) == (2, "")
     assert json.loads(result.stderr) == {
         "error": "usage", "message": "unknown command 'bogus'; see spinotto --help"}

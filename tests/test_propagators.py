@@ -66,6 +66,14 @@ def test_isochore_zero_time_is_identity():
     assert np.abs(prop.b5_drive).max() == 0.0 and prop.b5_shift == 0.0
 
 
+@pytest.mark.parametrize("deph", [0.0, math.inf])
+def test_isochore_zero_time_with_infinite_conductance_is_finite(deph):
+    # no decay at tau = 0, although inf * 0 is NaN: the map is the one at
+    # finite rates, bit for bit
+    prop = isochore_propagator(_iso(gamma=math.inf, deph=deph, tau=0.0))
+    assert tuple(prop) == tuple(isochore_propagator(_iso(tau=0.0)))
+
+
 def test_isochore_long_time_reaches_thermal_column(rng):
     p = _iso(gamma=1.0, tau=50.0)
     prop = isochore_propagator(p)
@@ -189,13 +197,17 @@ def test_sweep_samples_end_at_branch_map():
 @pytest.mark.parametrize("fields", [(5.08364, 12.6355), (12.6355, 5.08364), (-14.6254, 13.8973),
                                     (0.01, -3.5), (-1e308, 1e308), (1e308, -1e308)])
 def test_sweep_field_stays_on_the_ramp(tau, fields):
-    # a subnormal duration is scaled up before it divides, and a span
-    # omega_end - omega_start that overflows is halved, so the field starts
-    # and ends on the ramp's end points and never leaves the ramp
+    # a subnormal duration is scaled up before it divides, so the field
+    # starts and ends on the ramp's end points and never leaves the ramp
     start, end = fields
     if max(map(abs, fields)) * tau > MAX_SWEEP_ANGLE:
         # a 1e308 field sweeps more than MAX_SWEEP_ANGLE unless tau is tiny
         with pytest.raises(ValueError, match="MAX_SWEEP_ANGLE"):
+            AdiabatParams(start, end, 2.0, tau)
+        return
+    if math.isinf(end - start):
+        # and when it is tiny, the span omega_end - omega_start overflows
+        with pytest.raises(ValueError, match="span omega_end - omega_start = -?inf is not finite"):
             AdiabatParams(start, end, 2.0, tau)
         return
     p = AdiabatParams(start, end, 2.0, tau)
@@ -227,6 +239,14 @@ def test_sweep_rotation_angle_is_bounded():
     # a NaN duration is named as such, not as an unbounded angle
     with pytest.raises(ValueError, match="tau must be >= 0, got nan"):
         AdiabatParams(0.0, 1.0, 2.0, math.nan)
+    # a NaN end field, which the angle bound's max drops, fails the span
+    with pytest.raises(ValueError, match="span omega_end - omega_start = nan is not finite"):
+        AdiabatParams(1.0, math.nan, 1.0, 1e-9)
+    with pytest.raises(ValueError, match="MAX_SWEEP_ANGLE"):
+        AdiabatParams(math.nan, 1.0, 1.0, 1e-9)
+    # a span that overflows, however short the sweep
+    with pytest.raises(ValueError, match="span omega_end - omega_start = -inf is not finite"):
+        AdiabatParams(1e308, -1e308, 1.0, 1e-310)
 
 
 def test_bath_stroke_nan_duration_is_named():
