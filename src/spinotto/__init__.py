@@ -51,4 +51,4 @@ from .propagators import (
 )
 from .records import replace
 
-__version__ = "3.3.0"
+__version__ = "3.4.0"

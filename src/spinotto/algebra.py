@@ -86,7 +86,9 @@ def _energy_frame(omega: float, j: float) -> tuple:
     """(omega, j, sqrt2 * Omega) for :func:`energy_populations`, which
     divides omega*b1 + J*b2 by sqrt2 * Omega: the field as given, or scaled
     by 2**600 when Omega is below FIELD_RANGE and by 2**-600 above it;
-    ValueError at omega = J = 0."""
+    ValueError for an infinite or NaN omega or J, and at omega = J = 0."""
+    if not (math.isfinite(omega) and math.isfinite(j)):  # hypot overflows on finite ones too
+        raise ValueError(f"energy basis undefined for a field that is not finite: {omega, j}")
     big_omega = math.hypot(omega, j)
     if big_omega == 0.0:
         raise ValueError("energy basis undefined for omega = J = 0")
@@ -108,8 +110,8 @@ def energy_populations(b: BlochVector, omega: float, j: float) -> tuple:
 
     The populations are ordered by increasing energy of the outer doublet:
     (-Omega/sqrt(2), 0, 0, +Omega/sqrt(2)) with E = omega*b1 + J*b2 entering
-    the outer entries.
-    """
+    the outer entries.  ValueError at omega = J = 0 and for an infinite or
+    NaN omega or J."""
     omega, j, scale = _energy_frame(omega, j)
     e_scaled = (omega * b.b1 + j * b.b2) / scale
     half_b5 = b.b5 / 2.0

@@ -12,10 +12,10 @@ remaining pair from the 2x2 block left when its eigenvector is deflated.
 :func:`_stroke_partials` gives each stroke's maps at its sample times after
 t = 0, the whole-stroke maps of :func:`compose_cycle` at two samples, and
 :func:`trajectory` applies them to the previous stroke's last sample.  Only
-ascending field ramps are integrated: the hot->cold sweep is the time
-reversal of the cold->hot ramp run for its duration, which with equally
-long sweeps is the cold->hot sweep itself, integrated once.  Everything is
-plain floats, tuples and complex numbers.
+ascending field ramps are integrated: the hot->cold stroke reverses the
+cold->hot ramp run for its duration (with equally long sweeps, the cold->hot
+sweep itself), by its whole map or from the stroke's end corner.
+Everything is plain floats, tuples and complex numbers.
 
 A limit-cycle row is one flat pass: :class:`CycleSpec` checks every bound
 once, those of its four strokes with the checks their constructors run, so
@@ -44,6 +44,7 @@ from .propagators import (
     _check_sweep,
     _dot,
     _time_reversed,
+    _time_reversed_states,
     adiabat_partials,
     compose,
     isochore_partials,
@@ -226,16 +227,16 @@ def _stroke_partials(strokes, samples: int) -> tuple:
     """Maps of the first t time units of the four strokes, in time order, at
     the samples - 1 times t > 0 of samples evenly spaced t in [0, tau]
     (:func:`linspace`): the bath-stroke closed form (:func:`isochore_partials`)
-    and the ascending sweep (:func:`adiabat_partials`).  The hot->cold maps
-    are time reversals (:func:`_time_reversed`) of the ascending ramp run for
-    its duration: with equally long sweeps, the cold->hot sweep itself."""
+    and the ascending sweep (:func:`adiabat_partials`).  The hot->cold entry
+    is the ascending ramp run for its duration, with equally long sweeps the
+    cold->hot sweep itself, which its consumers run backwards."""
     hot, hot_cold, cold, cold_hot = strokes
-    ramp = u_ab = adiabat_partials(cold_hot, samples)
+    ramp = u_ab = adiabat_partials(cold_hot, samples)[1:]
     if hot_cold.tau != cold_hot.tau:
         start, end, j, tau = hot_cold  # run backwards, the same checked bounds
-        ramp = adiabat_partials(tuple.__new__(AdiabatParams, (end, start, j, tau)), samples)
-    return (isochore_partials(hot, linspace(0.0, hot.tau, samples)[1:]), _time_reversed(ramp)[1:],
-            isochore_partials(cold, linspace(0.0, cold.tau, samples)[1:]), u_ab[1:])
+        ramp = adiabat_partials(tuple.__new__(AdiabatParams, (end, start, j, tau)), samples)[1:]
+    return (isochore_partials(hot, linspace(0.0, hot.tau, samples)[1:]), ramp,
+            isochore_partials(cold, linspace(0.0, cold.tau, samples)[1:]), u_ab)
 
 
 def compose_cycle(spec: CycleSpec) -> CyclePropagator:
@@ -245,7 +246,8 @@ def compose_cycle(spec: CycleSpec) -> CyclePropagator:
     new = tuple.__new__
     strokes = hot, hot_cold, cold, cold_hot = (
         spec.hot_isochore(), spec.adiabat_ba(), spec.cold_isochore(), spec.adiabat_ab())
-    (u_ish,), (u_ba,), (u_isc,), (u_ab,) = _stroke_partials(strokes, 2)
+    (u_ish,), (ramp,), (u_isc,), (u_ab,) = _stroke_partials(strokes, 2)
+    u_ba = _time_reversed(ramp)
     branches = (
         new(CycleBranch, ("isochore-hot", hot, u_ish)),
         new(CycleBranch, ("adiabat-hot-cold", hot_cold, u_ba)),
@@ -500,7 +502,8 @@ def trajectory(
     state at a later time t is the map of the stroke's first t time units
     applied to that start state; :func:`_stroke_partials`, the sampler of
     :func:`compose_cycle`, gives each stroke's maps for all sample times in
-    one pass.  ValueError when samples_per_branch < 2.
+    one pass, the hot->cold ramp run backwards from the stroke's end corner
+    (:func:`_time_reversed_states`).  ValueError when samples_per_branch < 2.
     """
     if samples_per_branch < 2:
         raise ValueError("samples_per_branch must be >= 2")
@@ -509,10 +512,11 @@ def trajectory(
     samples = []
     t0 = 0.0
     start = b_start
-    for (name, stroke, _), maps in zip(prop.branches,
-                                       _stroke_partials(strokes, samples_per_branch)):
+    for index, ((name, stroke, _), maps) in enumerate(zip(
+            prop.branches, _stroke_partials(strokes, samples_per_branch))):
         omega_at = stroke.omega_at
-        states = [start] + [m.apply(start) for m in maps]
+        states = (_time_reversed_states(maps, start) if index == 1
+                  else [start] + [m.apply(start) for m in maps])
         for t, state in zip(linspace(0.0, stroke.tau, samples_per_branch), states):
             samples.append(new(TrajectorySample, (name, t0 + t, omega_at(t), state)))
         start = states[-1]

@@ -72,13 +72,13 @@ def energy_entropy(b: BlochVector, omega: float, j: float) -> float:
 
     The zero-energy doublet is resolved into its two basis states (a complete
     measurement), so this is always >= the von Neumann entropy, with equality
-    exactly for energy-diagonal states.  Undefined at omega = J = 0
-    (ValueError); at J = 0 both signs of omega give the same value, so
-    energy_entropy(b, 1.0, 0.0) is its limit there.  ValueError for a
-    non-physical state, as from :func:`vn_entropy`, then for an energy
-    population below PHYSICALITY_TOL.
+    exactly for energy-diagonal states.  Undefined at omega = J = 0 and in
+    an infinite or NaN field (ValueError); at J = 0 both signs of omega give
+    the same value, so energy_entropy(b, 1.0, 0.0) is its limit there.
+    ValueError for a non-physical state, as from :func:`vn_entropy`, then
+    for an energy population below PHYSICALITY_TOL.
     """
-    _energy_frame(omega, j)  # ValueError at omega = J = 0
+    _energy_frame(omega, j)  # ValueError at omega = J = 0 or a non-finite field
     _physical_eigenvalues(b)
     p = energy_populations(b, omega, j)
     if not is_physical(p):
@@ -93,7 +93,8 @@ def wootters_energy_distance(
 
     A metric on the probability simplex, in [0, pi/2]; overlaps within
     rounding noise of 1 report as exactly zero.  ValueError for a
-    non-physical state, as from :func:`vn_entropy`, and at omega = J = 0.
+    non-physical state, as from :func:`vn_entropy`, at omega = J = 0 and in
+    an infinite or NaN field.
     """
     return _checked_measures(b, b_ref, omega, j)[1]
 
@@ -105,8 +106,8 @@ def _measures_to(b_ref: BlochVector, omega: float, j: float):
     Binding takes what depends on b_ref alone once: its eigenvalues
     (ValueError for a non-physical b_ref, as from :func:`vn_entropy`), their
     floored logarithms, its outer half-trace r = 1/4 + b5/2 and its energy
-    populations clipped at 0; then ValueError at omega = J = 0.  For each
-    state the function takes the eigenvalues and the outer overlap
+    populations clipped at 0, which raise as :func:`energy_populations` does.
+    For each state the function takes the eigenvalues and the outer overlap
     tr(A A_ref) once, and lam2, lam3 as the inner energy populations.  It
     does not check the state."""
     lam_ref = _physical_eigenvalues(b_ref)
@@ -193,12 +194,12 @@ def _state_entropies(b: BlochVector, omega: float, j: float) -> tuple:
     """(vn_entropy(b), energy_entropy(b, omega, j), omega*b1 + J*b2) in one
     pass, the one implementation of both entropies.  Like the function
     :func:`_measures_to` returns, it does not check the state, and a p log p
-    term with p <= 0 enters as 0, so it cannot raise; for a state the public
-    functions accept, both distributions sum to 1 within a few ulp.  The
-    inner energy populations are lam2 and lam3, so their p log p terms are
-    computed once.  A field outside FIELD_RANGE is scaled as in
-    :func:`energy_populations`; at omega = J = 0, s_e is the limit
-    energy_entropy(b, 1.0, 0.0)."""
+    term with p <= 0 enters as 0, so it raises only in an infinite or NaN
+    field; for a state the public functions accept, both distributions sum
+    to 1 within a few ulp.  The inner energy populations are lam2 and lam3,
+    so their p log p terms are computed once.  A field outside FIELD_RANGE
+    is scaled as in :func:`energy_populations`, which refuses a non-finite
+    one; at omega = J = 0, s_e is the limit energy_entropy(b, 1.0, 0.0)."""
     b1, b2, b3, b4, b5 = b
     try:  # BlochVector.d: inf when a square overflows
         d_scaled = math.sqrt(b1**2 + b2**2 + b3**2) / SQRT2

@@ -143,20 +143,6 @@ def _dot(u, v) -> float:
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _matmul3(a: tuple, b: tuple) -> tuple:
-    """Product of two 3x3 matrices given as rows."""
-    (b11, b12, b13), (b21, b22, b23), (b31, b32, b33) = b
-    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = a
-    return (
-        (x1 * b11 + y1 * b21 + z1 * b31, x1 * b12 + y1 * b22 + z1 * b32,
-         x1 * b13 + y1 * b23 + z1 * b33),
-        (x2 * b11 + y2 * b21 + z2 * b31, x2 * b12 + y2 * b22 + z2 * b32,
-         x2 * b13 + y2 * b23 + z2 * b33),
-        (x3 * b11 + y3 * b21 + z3 * b31, x3 * b12 + y3 * b22 + z3 * b32,
-         x3 * b13 + y3 * b23 + z3 * b33),
-    )
-
-
 class AffinePropagator(
     IdentityRecord,
     namedtuple("AffinePropagator", "block shift b4_scale b5_scale b5_drive b5_shift"),
@@ -505,30 +491,35 @@ def adiabat_propagator(p: AdiabatParams) -> AffinePropagator:
     return adiabat_partials(p, 2)[-1]
 
 
-def _time_reversed(partials: list[AffinePropagator]) -> list[AffinePropagator]:
-    """Sweep maps of the reverse sweep, from the maps U(t_k) of the first t_k
-    time units of a sweep at samples evenly spaced t_k in [0, tau]
-    (:func:`adiabat_partials`), at the same times.
+def _time_reversed(u: AffinePropagator) -> AffinePropagator:
+    """R U^T R, R = diag(1, 1, -1), the block of U transposed with entries
+    (0, 2), (1, 2), (2, 0) and (2, 1) negated: the map of the sweep with map
+    U (:func:`adiabat_partials`) run backwards for its whole duration tau.
 
-    The field ramp run backwards for t time units has the map
-    R U(tau - t) U(tau)^T R, R = diag(1, 1, -1): U(tau)^T = U(tau)^-1 undoes
-    the whole sweep, U(tau - t) redoes its first tau - t time units, and R
-    flips the sign of the in-plane generator sqrt(2) [(omega, J, 0)]_x.
-    tau - t_k is sample n - 1 - k, so no new times are needed.  The whole
-    reverse sweep is R U(tau)^T R: the block of U(tau) transposed, with
-    entries (0, 2), (1, 2), (2, 0) and (2, 1) negated.
-    """
-    (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = partials[-1].block
-    back = ((a11, a21, -a31), (a12, a22, -a32), (a13, a23, -a33))  # U(tau)^T R
-    blocks = [_IDENTITY_BLOCK]
-    for prop in partials[-2:0:-1]:
-        row1, row2, (x, y, z) = _matmul3(prop.block, back)
-        blocks.append((row1, row2, (-x, -y, -z)))
-    # U(0) is the identity
-    row1, row2, (x, y, z) = back
-    blocks.append((row1, row2, (-x, -y, -z)))
+    Run backwards, the sweep's generator at time t is G(tau - t), where
+    G = sqrt(2) [(omega, J, 0)]_x and R G R = -G.  So, as U(tau)^T =
+    U(tau)^-1, V(t) = R U(tau - t) U(tau)^T R solves V' = G(tau - t) V from
+    V(0) = I: it is the map of the first t time units.  At t = tau it is
+    this map; on a state b it is R U(tau - t) R c from the end corner
+    c = R U(tau)^T R b, the state form of :func:`_time_reversed_states`."""
+    (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = u.block
+    return tuple.__new__(AffinePropagator, (
+        ((a11, a21, -a31), (a12, a22, -a32), (-a13, -a23, a33)), _ZERO3, 1.0, 1.0, _ZERO3, 0.0))
+
+
+def _time_reversed_states(ramp: list[AffinePropagator], start: BlochVector) -> list:
+    """States of a sweep run backwards from start at n evenly spaced t_k in
+    [0, tau], from its maps U(t_k) at t_k > 0 (:func:`_time_reversed`):
+    start, R U(tau - t_k) R c with U(tau - t_k) the sample n - 1 - k, and the
+    end corner c."""
+    c = c1, c2, c3, b4, b5 = _time_reversed(ramp[-1]).apply(start)
     new = tuple.__new__
-    return [new(AffinePropagator, (block, _ZERO3, 1.0, 1.0, _ZERO3, 0.0)) for block in blocks]
+    states = [start]
+    for ((a11, a12, a13), (a21, a22, a23), (a31, a32, a33)), _, _, _, _, _ in ramp[-2::-1]:
+        states.append(new(BlochVector, (a11 * c1 + a12 * c2 - a13 * c3,
+                                        a21 * c1 + a22 * c2 - a23 * c3,
+                                        -(a31 * c1 + a32 * c2 - a33 * c3), b4, b5)))
+    return states + [c]
 
 
 def adiabat_propagator_direct(p: AdiabatParams, n_steps: int) -> AffinePropagator:

@@ -122,3 +122,42 @@ def test_unused_imports_finds_a_leftover_name():
 ), ids=lambda path: path.name)
 def test_modules_use_every_name_they_import(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _unread_private_names(sources: dict) -> list[str]:
+    """Module-level functions, classes and constants named with one leading
+    underscore that no module in ``sources`` (module name -> source) reads,
+    as "module.name"."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(module, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(f"{module}.{name}" for module, name in defined if name not in read)
+
+
+def test_unread_private_names_finds_a_helper_without_a_caller():
+    sources = {
+        "a": "def _f():\n    pass\n_C, __all__ = 1, []\ndef _g():\n    return _C\n",
+        "b": "from .a import _g\nclass _K:\n    pass\nx: int = _g()\n_y: int = 2\n",
+    }
+    assert _unread_private_names(sources) == ["a._f", "b._K", "b._y"]
+
+
+def test_every_private_module_name_is_read_in_the_package():
+    sources = {path.stem: path.read_text()
+               for path in (ROOT / "src" / "spinotto").glob("*.py")}
+    assert _unread_private_names(sources) == []

@@ -514,16 +514,20 @@ CSV_PINS = {
     },
     # tables shaped like the benchmark workloads and the edge cases of the
     # samplers, which CI once compared between two Pythons; computed with 3.1.0, iterate-long with 2.1.1, the two sweeps over
-    # tau_ba and j with 3.1.1, and trajectory-dense with 3.2.0
+    # tau_ba and j with 3.1.1, and trajectory-dense with 3.2.0;
+    # trajectory-dense and trajectory-unequal re-pinned with 3.4.0
     "ci": {
         "trajectory": (
             ["trajectory"], _CI_TRAJECTORY,
             "1f225942216d46655b5059c9b093abe8a2fc57cf61dff31c0a04562251f330b1"),
         # unequal sweeps: the hot->cold samples are the time reversals of a
-        # second ascending ramp, run for tau_ba
+        # second ascending ramp, run for tau_ba; re-pinned in 3.4.0, where
+        # that ramp runs backwards from the stroke's end corner (2 of 4,040
+        # numeric cells moved, by at most 1e-14 printed, one unit in the
+        # twelfth digit)
         "trajectory-unequal": (
             ["trajectory"], dict(_CI_TRAJECTORY, engine=dict(_CI_ENGINE, tau_ba=0.8)),
-            "827e57fb1605bf268bc59b254f1f00c7866a2d29d81eb0fbc37ce2711e138cf4"),
+            "b5d99ad5e850f659f5be718035a4d23abf0b8f0d3e0c0b6a7a59965b42281687"),
         # subnormal sweep durations: the field is scaled before it divides
         "trajectory-subnormal": (
             ["trajectory"],
@@ -541,12 +545,14 @@ CSV_PINS = {
             "195eba3f8a0a866a44c28011fa311b722d80111186d1afdc378f5c8062cb329c"),
         # shaped like perfbench's trajectory-dense: 1000 samples of 1.0-long
         # sweeps, where the sweep is one product accepted on its proven
-        # truncation bound
+        # truncation bound; re-pinned in 3.4.0, where the hot->cold samples
+        # run the ramp backwards from the stroke's end corner (1 of 40,000
+        # numeric cells moved, by 1e-17 printed)
         "trajectory-dense": (
             ["trajectory"],
             {"engine": dict(FIG1_ENGINE, tau_ab=1.0, tau_ba=1.0),
              "run": {"samples_per_branch": 1000}},
-            "4416622737387e71aa5793d3b9058daddc7d7d4be3d5d4cdb2b0abda932f6d1d"),
+            "b9ba00e2a563dfc301e41ae705a07ba2fea3f11c53478af8e920253421b662f8"),
         # J = 0 and sweeps through zero field: the sweeps' middle samples sit
         # at omega = 0, where s_e takes its limit
         "trajectory-zero-field": (

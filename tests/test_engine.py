@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from spinotto import (
     AdiabatParams,
+    AffinePropagator,
     BathParams,
     BlochVector,
     CycleSpec,
@@ -35,7 +36,7 @@ from spinotto import (
 from spinotto.algebra import FIELD_RANGE
 from spinotto.cli import ITERATE_HEADER, TRAJECTORY_HEADER, iterate_rows, trajectory_rows
 from spinotto.engine import _fixed_point, _null_vector, _solve3, linspace
-from spinotto.propagators import MAX_SWEEP_ANGLE, _time_reversed
+from spinotto.propagators import MAX_SWEEP_ANGLE
 from conftest import (
     EXAMPLE_SCALE,
     FIG5_TIMES,
@@ -470,9 +471,10 @@ def test_trajectory_states_equal_public_maps_property(spec, b0, samples, symmetr
     # the one-pass sampler against the public per-branch maps: each sample is
     # the stroke's partial map applied to the branch's start corner, which is
     # the previous branch's last sample, and the entropy cells of the CSV rows
-    # are the public functions of that state; the hot->cold maps are the time
-    # reversals of the cold->hot field ramp run for the hot->cold duration,
-    # whether or not the sweeps last equally long
+    # are the public functions of that state; the hot->cold samples run the
+    # cold->hot field ramp U, run for the hot->cold duration, backwards from
+    # the end corner c = R U(tau)^T R b, R = diag(1, 1, -1): sample k is
+    # R U(tau - t_k) R c, whether or not the sweeps last equally long
     if symmetric:
         spec = replace(spec, tau_ba=spec.tau_ab)
     prop = compose_cycle(spec)
@@ -481,18 +483,31 @@ def test_trajectory_states_equal_public_maps_property(spec, b0, samples, symmetr
     assert len(points) == len(rows) == 4 * samples
     s_vn, s_e = TRAJECTORY_HEADER.index("s_vn"), TRAJECTORY_HEADER.index("s_e")
     hot, hot_cold, cold, cold_hot = (branch.stroke for branch in prop.branches)
-    ramp = replace(cold_hot, tau=hot_cold.tau)
-    # the maps after t = 0; each branch's first sample is its start corner
-    public_maps = (
-        isochore_partials(hot, linspace(0.0, hot.tau, samples)[1:]),
-        _time_reversed(adiabat_partials(ramp, samples))[1:],
-        isochore_partials(cold, linspace(0.0, cold.tau, samples)[1:]),
-        adiabat_partials(cold_hot, samples)[1:],
+    ramp = adiabat_partials(replace(cold_hot, tau=hot_cold.tau), samples)
+    flip = np.diag([1.0, 1.0, -1.0])
+
+    def reflected(b):  # R b
+        return BlochVector(b.b1, b.b2, -b.b3, b.b4, b.b5)
+
+    def ramp_backwards(corner):
+        back = flip @ np.array(ramp[-1].block).T @ flip  # R U(tau)^T R
+        end = AffinePropagator(block=back.tolist()).apply(corner)
+        return ([corner] + [reflected(u.apply(reflected(end))) for u in ramp[-2:0:-1]]
+                + [end])
+
+    def applied(maps):  # the maps after t = 0, from the start corner
+        return lambda corner: [corner] + [m.apply(corner) for m in maps]
+
+    public_states = (
+        applied(isochore_partials(hot, linspace(0.0, hot.tau, samples)[1:])),
+        ramp_backwards,
+        applied(isochore_partials(cold, linspace(0.0, cold.tau, samples)[1:])),
+        applied(adiabat_partials(cold_hot, samples)[1:]),
     )
     corner, t0 = b0, 0.0
-    for index, (branch, partials) in enumerate(zip(prop.branches, public_maps)):
+    for index, (branch, states_from) in enumerate(zip(prop.branches, public_states)):
         times = linspace(0.0, branch.stroke.tau, samples)
-        for i, expected in enumerate([corner] + [m.apply(corner) for m in partials]):
+        for i, expected in enumerate(states_from(corner)):
             point, row = points[index * samples + i], rows[index * samples + i]
             assert (point.branch, point.t, point.omega) == (
                 branch.name, t0 + times[i], branch.stroke.omega_at(times[i])

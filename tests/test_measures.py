@@ -662,3 +662,18 @@ def test_row_kernel_examples_reach_their_edges():
             _measures_to(b_ref, *f)
         with pytest.raises(ValueError, match="omega = J = 0"):
             wootters_energy_distance(zero, b_ref, *f)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("measure", [
+    energy_populations,
+    energy_entropy,
+    lambda b, omega, j: wootters_energy_distance(b, b, omega, j),
+], ids=["energy_populations", "energy_entropy", "wootters_energy_distance"])
+def test_non_finite_field_is_refused(measure, value):
+    # the energy basis of an infinite or NaN field is undefined, as at
+    # omega = J = 0: a ValueError, not NaN populations
+    b = BlochVector(0.1, -0.05, 0.02, 0.01, 0.1)
+    for field in ((value, 2.0), (12.6355, value), (value, 0.0), (value, value)):
+        with pytest.raises(ValueError, match="field that is not finite"):
+            measure(b, *field)

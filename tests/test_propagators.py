@@ -29,7 +29,9 @@ from spinotto import (
 )
 from spinotto import propagators
 from spinotto.engine import _stroke_partials, linspace
-from spinotto.propagators import MAX_SWEEP_ANGLE, SWEEP_TOLERANCE, _time_reversed
+from spinotto.propagators import (
+    MAX_SWEEP_ANGLE, SWEEP_TOLERANCE, _time_reversed, _time_reversed_states,
+)
 from conftest import (
     EXAMPLE_SCALE, FIG5_TIMES, SQRT2, cycle_specs, fig1_spec, fig5_spec, landau_zener_map,
     physical_states, random_bloch,
@@ -177,19 +179,26 @@ def test_zero_field_sweep_integrates():
 
 
 def test_sweep_samples_end_at_branch_map():
-    # the in-period sampler gives the maps after t = 0, the last one the
-    # branch map; the public sampler and its time reversal start at the
-    # identity
+    # the in-period sampler gives the maps after t = 0: the cold->hot
+    # sweep's last one its branch map, and the hot->cold ramp's last one,
+    # reversed, the hot->cold branch map; the public sampler starts at the
+    # identity, and the ramp run backwards at its start state and ends at
+    # its reversed last map applied to it
     prop = compose_cycle(fig1_spec())
     strokes = [branch.stroke for branch in prop.branches]
+    b = BlochVector(0.1, -0.2, 0.3, 0.05, 0.1)
     for samples in (2, 7, 200):
         maps = _stroke_partials(strokes, samples)
-        for branch, partials in ((prop.branches[1], maps[1]), (prop.branches[3], maps[3])):
+        for partials in (maps[1], maps[3]):
             assert len(partials) == samples - 1
-            assert np.abs(partials[-1].m - branch.prop.m).max() < 1e-12
+        reverse = _time_reversed(maps[1][-1])
+        assert np.abs(reverse.m - prop.branches[1].prop.m).max() < 1e-12
+        assert np.abs(maps[3][-1].m - prop.branches[3].prop.m).max() < 1e-12
+        states = _time_reversed_states(maps[1], b)
+        assert len(states) == samples and states[0] is b
+        assert tuple(states[-1]) == tuple(reverse.apply(b))
         forward = adiabat_partials(strokes[3], samples)
-        for first in (forward[0], _time_reversed(forward)[0]):
-            assert np.abs(first.m - np.eye(4)).max() == 0.0
+        assert np.abs(forward[0].m - np.eye(4)).max() == 0.0
 
 
 @pytest.mark.parametrize("tau", [5e-324, 2.225073858507e-311, 1e-310, 2.2250738585072014e-308,
@@ -447,7 +456,7 @@ def test_compose_cycle_integrates_one_sweep_when_symmetric(monkeypatch):
 @example(AdiabatParams(0.0, 1.0, 2.0, 2.225073858507e-311))  # subnormal tau
 def test_time_reversed_sweep_matches_landau_zener_oracle_property(p):
     # R U^T R, R = diag(1, 1, -1), is the map of the field ramp run backwards
-    reversed_block = np.array(_time_reversed(adiabat_partials(p, 2))[-1].block)
+    reversed_block = np.array(_time_reversed(adiabat_partials(p, 2)[-1]).block)
     reverse = AdiabatParams(p.omega_end, p.omega_start, p.j, p.tau)
     assert np.abs(reversed_block @ reversed_block.T - np.eye(3)).max() < 1e-13
     assert np.abs(reversed_block - landau_zener_map(reverse)).max() <= 10 * SWEEP_TOLERANCE
@@ -507,13 +516,16 @@ def test_engine_integrates_only_ascending_ramps_property(spec, b0, samples, symm
 @given(cycle_specs(), st.integers(3, 5))
 def test_time_reversed_partials_match_reverse_sweep_property(spec, samples):
     # sample k of the reverse sweep, R U(tau - t_k) U(tau)^T R, against the
-    # integrated reverse sweep and its exact map at t_k
+    # integrated reverse sweep and its exact map at t_k; column i of its map
+    # is the state form run from the basis vector e_i
     reverse = replace(spec, tau_ba=spec.tau_ab).adiabat_ba()
-    derived = _time_reversed(adiabat_partials(spec.adiabat_ab(), samples))
+    ramp = adiabat_partials(spec.adiabat_ab(), samples)[1:]
+    columns = [_time_reversed_states(ramp, BlochVector(*e, 0.0, 0.0))
+               for e in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))]
     integrated = adiabat_partials(reverse, samples)
     times = linspace(0.0, reverse.tau, samples)
-    for t, partial, direct in zip(times, derived, integrated):
-        block = np.array(partial.block)
+    for k, (t, direct) in enumerate(zip(times, integrated)):
+        block = np.array([tuple(column[k])[:3] for column in columns]).T
         assert np.abs(block @ block.T - np.eye(3)).max() < 1e-13, t
         assert np.abs(block - np.array(direct.block)).max() <= 2e-11, t
         exact = landau_zener_map(AdiabatParams(reverse.omega_start, reverse.omega_at(t),

@@ -262,13 +262,15 @@ def test_copy_and_pickle(index):
 
 def _sampled_maps():
     """Maps from every sampler that builds them with tuple.__new__, past the
-    constructor, and the zero-duration branch (fig6's hot stroke)."""
+    constructor, the reversed hot->cold sweep of each branch set, and the
+    zero-duration branch (fig6's hot stroke)."""
     prop = compose_cycle(fig1_spec())
     hot, sweep = prop.branches[0].stroke, prop.branches[1].stroke
     maps = isochore_partials(hot, [0.0, 0.7, hot.tau]) + adiabat_partials(sweep, 3)
     for cycle in (prop, compose_cycle(fig6_spec())):
         for partials in _stroke_partials([branch.stroke for branch in cycle.branches], 3):
             maps += partials
+        maps.append(cycle.branches[1].prop)
     return maps
 
 
