@@ -42,6 +42,7 @@ from .propagators import (
     _IDENTITY_BLOCK,
     _check_bath_stroke,
     _check_sweep,
+    _count,
     _dot,
     _time_reversed,
     _time_reversed_states,
@@ -51,8 +52,10 @@ from .propagators import (
 )
 from .records import IdentityRecord, Record
 
-# A second unit-modulus eigenvalue within this gap of 1 means the fixed
-# point is not unique.
+# A spectral gap 1 - mu4 below this means a second eigenvalue within it of
+# unit modulus: the fixed point is not unique.  mu4 = g_hot g_cold bounds
+# every modulus after mu0 (:func:`_spectrum_of`), so the test reads the
+# baths' contraction, not the eigensolver's output.
 UNIQUENESS_GAP = 1e-9
 
 
@@ -152,13 +155,15 @@ class CyclePropagator(IdentityRecord, namedtuple("CyclePropagator", "cycle branc
 
 class CycleSpectrum(IdentityRecord, namedtuple("CycleSpectrum", "eigenvalues phi")):
     """Eigenvalues mu0..mu5 of the one-period map (six complex, in order)
-    and the transverse phase."""
+    and the transverse phase.  ``gap`` is 1 - |mu4|: the b4 rate
+    mu4 = g_hot g_cold bounds every modulus after mu0
+    (:func:`_spectrum_of`)."""
 
     __slots__ = ()
 
     @property
     def gap(self) -> float:
-        return 1.0 - max(abs(mu) for mu in self.eigenvalues[1:])
+        return 1.0 - abs(self.eigenvalues[4])
 
 
 class LimitCycleReport(IdentityRecord, namedtuple(
@@ -364,7 +369,24 @@ def _eigenvalues3(a) -> tuple[complex, complex, complex]:
 
 def _spectrum_of(cycle) -> tuple:
     """(eigenvalues mu0..mu5, phi, gap) of the one-period map ``cycle``, as
-    :class:`CycleSpectrum` defines them."""
+    :class:`CycleSpectrum` defines them.
+
+    The gap is 1 - mu4, the map's b4 rate, read rather than searched for
+    among the computed moduli, with this proof that mu4 = g_hot g_cold is
+    the largest modulus after mu0 (g = exp(-Gamma tau), a bath stroke's b4
+    scale):
+    - a bath block is Q (g (+) k R(phi)) Q^T, with Q the orthogonal frame
+      of the field axis (omega, J, 0) / Omega, its in-plane normal and the
+      third axis, R(phi) a plane rotation and k = g exp(-2 gamma Omega^2
+      tau) <= g (:func:`isochore_partials`); so its 2-norm is g;
+    - a sweep block is a rotation, of 2-norm 1;
+    - so the cycle block M, their product, has ||M||_2 <= g_hot g_cold,
+      which bounds |mu1|, |mu2| and |mu3|;
+    - the b4 rule multiplies the strokes' b4 scales, g on a bath stroke
+      and 1 on a sweep, so mu4 = g_hot g_cold is itself an eigenvalue, and
+      the b5 rate is mu5 = g_hot^2 g_cold^2 = mu4^2 <= mu4.
+    The gap thus depends on the spec alone, never on the eigensolver's
+    error, and is never negative."""
     eigs = _eigenvalues3(cycle.block)
     # the first is real; the other two are real together or a conjugate
     # pair, the positive imaginary part first, whose |imag| are equal
@@ -373,7 +395,7 @@ def _spectrum_of(cycle) -> tuple:
         # modulus plays the longitudinal role
         eigs = tuple(sorted(eigs, key=lambda e: -abs(e)))
     mu = (1.0 + 0j, *eigs, complex(cycle.b4_scale), complex(cycle.b5_scale))
-    return mu, abs(math.atan2(mu[2].imag, mu[2].real)), 1.0 - max(map(abs, mu[1:]))
+    return mu, abs(math.atan2(mu[2].imag, mu[2].real)), 1.0 - cycle.b4_scale
 
 
 def spectrum(spec: CycleSpec) -> CycleSpectrum:
@@ -472,7 +494,9 @@ def limit_cycle(spec: CycleSpec) -> LimitCycleReport:
 
 
 def iterate(prop: CyclePropagator, b0: BlochVector, n: int) -> list[BlochVector]:
-    """Anchor-point states b_k for k = 0..n under repeated cycle maps."""
+    """Anchor-point states b_k for k = 0..n under repeated cycle maps.
+    ValueError when n is not an integer >= 0."""
+    n = _count(n, "n")
     if n < 0:
         raise ValueError("n must be >= 0")
     states = [b0]
@@ -503,8 +527,10 @@ def trajectory(
     applied to that start state; :func:`_stroke_partials`, the sampler of
     :func:`compose_cycle`, gives each stroke's maps for all sample times in
     one pass, the hot->cold ramp run backwards from the stroke's end corner
-    (:func:`_time_reversed_states`).  ValueError when samples_per_branch < 2.
+    (:func:`_time_reversed_states`).  ValueError when samples_per_branch is
+    not an integer >= 2.
     """
+    samples_per_branch = _count(samples_per_branch, "samples_per_branch")
     if samples_per_branch < 2:
         raise ValueError("samples_per_branch must be >= 2")
     strokes = [branch.stroke for branch in prop.branches]

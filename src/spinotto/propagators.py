@@ -143,6 +143,28 @@ def _dot(u, v) -> float:
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
+def _count(value, name: str) -> int:
+    """value as an int, by operator.index (numpy integers included);
+    ValueError naming the argument when it is not an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _float_field(value, name: str, depth: int = 0):
+    """value as a float (depth 0), three floats (1) or three rows of three
+    floats (2); ValueError naming the field for any other shape or entry."""
+    try:
+        if depth == 0:
+            return float(value)
+        x, y, z = value
+        return tuple(_float_field(v, name, depth - 1) for v in (x, y, z))
+    except (TypeError, ValueError):
+        shape = ("a number", "three numbers", "three rows of three numbers")[depth]
+        raise ValueError(f"{name} must be {shape}, got {value!r}") from None
+
+
 class AffinePropagator(
     IdentityRecord,
     namedtuple("AffinePropagator", "block shift b4_scale b5_scale b5_drive b5_shift"),
@@ -158,10 +180,13 @@ class AffinePropagator(
     where the drive couples b5 to the initial closed-set components.  The map
     can also be built from ``m``, any 4x4 array-like acting on the column
     (b1, b2, b3, 1) whose bottom row is (0, 0, 0, 1); the ``m`` property
-    returns that matrix as a numpy array.  Maps compose; immutable and safe
-    to share.  The map is the tuple of its fields in field order; the
-    samplers build it with ``tuple.__new__``, since their fields are already
-    tuples and the constructor would check nothing more.
+    returns that matrix as a numpy array.  Either way the constructor stores
+    ``block`` as three rows of three floats, ``shift`` and ``b5_drive`` as
+    three floats and the scalars as floats, and raises ValueError naming a
+    field of any other shape.  Maps compose; immutable and safe to share.
+    The map is the tuple of its fields in field order; the samplers and
+    :func:`compose` build it with ``tuple.__new__``, since their fields are
+    already float tuples and the constructor would check nothing more.
     """
 
     __slots__ = ()
@@ -178,7 +203,11 @@ class AffinePropagator(
             shift = tuple(row[3] for row in rows[:3])
         elif block is None:
             raise TypeError("AffinePropagator needs m or block")
-        return tuple.__new__(cls, (block, shift, b4_scale, b5_scale, tuple(b5_drive), b5_shift))
+        return tuple.__new__(cls, (
+            _float_field(block, "block", 2), _float_field(shift, "shift", 1),
+            _float_field(b4_scale, "b4_scale"), _float_field(b5_scale, "b5_scale"),
+            _float_field(b5_drive, "b5_drive", 1), _float_field(b5_shift, "b5_shift"),
+        ))
 
     def __getnewargs_ex__(self):
         # copy and pickle rebuild by keyword: the first positional is m
@@ -459,6 +488,7 @@ def adiabat_partials(p: AdiabatParams, samples: int) -> list[AffinePropagator]:
     The (b1, b2, b3) blocks are rotations to rounding; (b4, b5) commute with
     the generator for every field value and stay constant.
     """
+    samples = _count(samples, "samples")
     if samples < 2:
         raise ValueError("samples must be >= 2")
     segments = samples - 1

@@ -1366,6 +1366,38 @@ def test_spectrum_still_works_for_unitary_cycle(tmp_path):
     assert all(abs(m - 1.0) < 1e-9 for m in moduli)
 
 
+# fig1's fields and temperatures with every stroke near the identity and a
+# cold bath alone (gap 1 - exp(-2e-8)), and a unitary cycle of one
+# 1e-10-long sweep (gap 0): on both the eigensolver puts |mu1| above 1
+NEAR_IDENTITY_ENGINE = dict(FIG1_ENGINE, gamma_cold_conductance=2.0, gamma_hot_conductance=0.0,
+                            tau_cold=1e-8, tau_hot=1e-8, tau_ab=1e-7, tau_ba=1e-7)
+UNITARY_NEAR_IDENTITY_ENGINE = {
+    "t_cold": 1.0, "t_hot": 1.0, "omega_a": 0.0, "omega_b": 2.0, "j": 1.0,
+    "gamma_cold_conductance": 0.0, "gamma_hot_conductance": 0.0,
+    "dephasing_cold": 0.0, "dephasing_hot": 0.0,
+    "tau_cold": 0.0, "tau_hot": 0.0, "tau_ab": 0.0, "tau_ba": 1e-10,
+}
+
+
+def test_near_identity_cycle_has_a_unique_limit_cycle(tmp_path, capsys):
+    # the gap is 1 - mu4 = g_hot g_cold, not 1 minus the eigensolver's |mu1|
+    config = write_config(tmp_path, {"engine": NEAR_IDENTITY_ENGINE})
+    assert main(["limit-cycle", "--config", config, "--out", str(tmp_path / "lc.csv")]) == 0
+    assert capsys.readouterr().err == ""
+    out = tmp_path / "spec.csv"
+    assert main(["spectrum", "--config", config, "--out", str(out)]) == 0
+    _, header, rows = read_csv(out)
+    assert column(header, rows, "gap", str) == ["1.99999997674e-08"]
+
+
+def test_unitary_near_identity_cycle_prints_a_zero_gap(tmp_path):
+    out = tmp_path / "spec.csv"
+    config = write_config(tmp_path, {"engine": UNITARY_NEAR_IDENTITY_ENGINE})
+    assert main(["spectrum", "--config", config, "--out", str(out)]) == 0
+    _, header, rows = read_csv(out)
+    assert column(header, rows, "gap", str) == ["0"]
+
+
 def test_stdout_emission(tmp_path, capsys):
     config = write_config(tmp_path, {"engine": FIG1_ENGINE})
     assert main(["spectrum", "--config", config]) == 0

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spinotto import (
@@ -35,7 +35,7 @@ from spinotto import (
 )
 from spinotto.algebra import FIELD_RANGE
 from spinotto.cli import ITERATE_HEADER, TRAJECTORY_HEADER, iterate_rows, trajectory_rows
-from spinotto.engine import _fixed_point, _null_vector, _solve3, linspace
+from spinotto.engine import UNIQUENESS_GAP, _fixed_point, _null_vector, _solve3, linspace
 from spinotto.propagators import MAX_SWEEP_ANGLE
 from conftest import (
     EXAMPLE_SCALE,
@@ -217,11 +217,55 @@ def test_cycle_spec_checks_its_strokes_as_their_constructors_do(fields):
         assert str(info.value) == expected
 
 
-def test_limit_cycle_raises_without_bath_time():
-    spec = fig1_spec()
-    unitary = replace(spec, tau_cold=0.0, tau_hot=0.0)
-    with pytest.raises(NonUniqueLimitCycleError):
-        limit_cycle(unitary)
+# fig1's fields and temperatures with every stroke near the identity and a
+# cold bath alone: gap 1 - exp(-2e-8), where the eigensolver's |mu1| is
+# 1 + 6.7e-8
+NEAR_IDENTITY_SPEC = replace(fig1_spec(), gamma_cold=2.0, gamma_hot=0.0, tau_cold=1e-8,
+                             tau_hot=1e-8, tau_ab=1e-7, tau_ba=1e-7)
+# a unitary cycle of one 1e-10-long sweep: gap 0, where the eigensolver's
+# |mu1| is 1 + 1.3e-14
+UNITARY_NEAR_IDENTITY_SPEC = CycleSpec(1.0, 1.0, 0.0, 2.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+                                       0.0, 1e-10)
+
+
+@settings(max_examples=100 * EXAMPLE_SCALE, deadline=None)
+@given(cycle_specs())
+@example(fig1_spec())
+@example(fig6_spec())
+@example(fig5_spec(*FIG5_TIMES["3"]))
+@example(replace(fig1_spec(), tau_hot=0.0, tau_cold=0.0))
+@example(NEAR_IDENTITY_SPEC)
+@example(UNITARY_NEAR_IDENTITY_SPEC)
+def test_gap_is_the_baths_contraction_property(spec):
+    # every bath block has 2-norm g = exp(-Gamma tau) and every sweep block
+    # is a rotation, so mu4 = g_hot g_cold, the b4 rate, bounds every modulus
+    # after mu0 and the gap is 1 - mu4: read from the spec's exponentials,
+    # whatever the eigensolver's error, and never negative.  No clause here
+    # depends on the eigensolver's accuracy
+    eps = sys.float_info.epsilon
+    info = spectrum(spec)
+    mu = info.eigenvalues
+    assert mu[0] == 1.0
+    assert mu[4] == compose_cycle(spec).cycle.b4_scale
+    x = sum(gamma * tau for gamma, tau in ((spec.gamma_hot, spec.tau_hot),
+                                           (spec.gamma_cold, spec.tau_cold)) if tau > 0.0)
+    assert abs(mu[4] - math.exp(-x)) <= 4 * eps
+    assert abs(mu[5] - mu[4] ** 2) <= 4 * eps
+    gap = 1.0 - abs(mu[4])
+    assert info.gap == gap >= 0.0
+    try:
+        report = limit_cycle(spec)
+    except NonUniqueLimitCycleError as exc:
+        assert len(exc.eigenvalues) == 6
+        if gap < UNIQUENESS_GAP:
+            assert str(exc) == (f"no unique limit cycle: spectral gap {gap:.3e} "
+                                f"below {UNIQUENESS_GAP}")
+        else:
+            assert ("the fixed-point solve is not finite" in str(exc)
+                    or "is not a physical state" in str(exc)), str(exc)
+    else:
+        assert gap >= UNIQUENESS_GAP
+        assert report.gap == gap
 
 
 def test_limit_cycle_fixed_point_residual(rng):
@@ -440,6 +484,25 @@ def test_iterate_and_trajectory_reject_bad_counts(call, message):
         call(compose_cycle(fig1_spec()), BlochVector(0.0, 0.0, 0.0, 0.0, 0.0))
 
 
+_COUNTED = {
+    "n": lambda count: iterate(compose_cycle(fig1_spec()), BlochVector(0.0, 0.0, 0.0, 0.0, 0.0),
+                               count),
+    "samples_per_branch": lambda count: trajectory(
+        compose_cycle(fig1_spec()), BlochVector(0.0, 0.0, 0.0, 0.0, 0.0), count),
+    "samples": lambda count: adiabat_partials(AdiabatParams(5.0, 12.0, 2.0, 0.1), count),
+}
+
+
+@pytest.mark.parametrize("count", [2.5, math.nan, math.inf], ids=["fraction", "nan", "inf"])
+@pytest.mark.parametrize("name", list(_COUNTED))
+def test_non_integer_counts_are_value_errors(name, count):
+    # a count operator.index refuses is a ValueError naming the argument;
+    # numpy integers are counts
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {count!r}$"):
+        _COUNTED[name](count)
+    _COUNTED[name](np.int64(3))
+
+
 def test_linspace_equals_numpy(rng):
     # one point is the start, as numpy.linspace(a, b, 1) is [a]
     pairs = [(0.4, 2.4), (-3.0, 7.0), (2.5, 2.5), (1.0, 1.0 + 1e-15)]
@@ -491,7 +554,7 @@ def test_trajectory_states_equal_public_maps_property(spec, b0, samples, symmetr
 
     def ramp_backwards(corner):
         back = flip @ np.array(ramp[-1].block).T @ flip  # R U(tau)^T R
-        end = AffinePropagator(block=back.tolist()).apply(corner)
+        end = AffinePropagator(block=back).apply(corner)
         return ([corner] + [reflected(u.apply(reflected(end))) for u in ramp[-2:0:-1]]
                 + [end])
 

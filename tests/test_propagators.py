@@ -1,6 +1,9 @@
 """Branch maps: closed-form isochores, sweep propagators and their oracle."""
 
+import copy
 import math
+import pickle
+from itertools import chain
 
 import mpmath
 import numpy as np
@@ -678,6 +681,39 @@ def test_affine_propagator_rejects_a_matrix_that_is_not_4x4():
 
     with pytest.raises(ValueError, match="m must be 4x4"):
         AffinePropagator(m=np.eye(3))
+
+
+@pytest.mark.parametrize("given", [np.asarray, lambda x: np.asarray(x).tolist()],
+                         ids=["numpy", "list"])
+def test_affine_propagator_stores_float_tuples(given):
+    from spinotto import AffinePropagator
+
+    prop = AffinePropagator(block=given([[1, 2, 3], [4, 5, 6], [7, 8, 9]]),
+                            shift=given([1, 0, 2]), b4_scale=np.float64(0.5), b5_scale=1,
+                            b5_drive=given([0, 1, 0]), b5_shift=np.int64(2))
+    expected = (((1.0, 2.0, 3.0), (4.0, 5.0, 6.0), (7.0, 8.0, 9.0)), (1.0, 0.0, 2.0), 0.5, 1.0,
+                (0.0, 1.0, 0.0), 2.0)
+    for made in (prop, copy.deepcopy(prop), pickle.loads(pickle.dumps(prop))):
+        assert tuple(made) == expected
+        block, shift, b4_scale, b5_scale, b5_drive, b5_shift = made
+        assert all(type(row) is tuple for row in (block, *block, shift, b5_drive))
+        assert all(type(x) is float for x in (*chain(*block), *shift, *b5_drive,
+                                               b4_scale, b5_scale, b5_shift))
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"block": np.eye(2)}, "block must be three rows of three numbers"),
+    ({"block": [[1.0, 0.0, 0.0]] * 2 + [[0.0, 1.0]]}, "block must be three rows"),
+    ({"shift": (1.0, 2.0)}, "shift must be three numbers"),
+    ({"b5_drive": 0.0}, "b5_drive must be three numbers"),
+    ({"b4_scale": "fast"}, "b4_scale must be a number"),
+    ({"b5_shift": 1j}, "b5_shift must be a number"),
+], ids=["2x2-block", "short-row", "shift", "drive", "b4_scale", "b5_shift"])
+def test_affine_propagator_rejects_a_misshapen_field(fields, message):
+    from spinotto import AffinePropagator
+
+    with pytest.raises(ValueError, match=message):
+        AffinePropagator(**{"block": np.eye(3), **fields})
 
 
 @pytest.mark.parametrize("call, message", [

@@ -72,7 +72,8 @@ IDENTITY_TYPES = {AffinePropagator, CycleBranch, CyclePropagator, CycleSpectrum,
 
 # a new value for the last field: a valid one for the types that check
 # their values, any other object for the rest
-LAST_FIELD_CHANGE = {BathParams: 2.0, IsochoreParams: 1.0, AdiabatParams: 0.02, CycleSpec: 0.02}
+LAST_FIELD_CHANGE = {BathParams: 2.0, IsochoreParams: 1.0, AdiabatParams: 0.02, CycleSpec: 0.02,
+                     AffinePropagator: 0.5}
 
 
 def _expected_parameters(cls):
