@@ -34,6 +34,7 @@ import gc
 import json
 import math
 import operator
+import os
 import sys
 from collections import namedtuple
 
@@ -139,21 +140,18 @@ def _require_int(value, path, minimum):
     return value
 
 
-def _cycle_spec(fields, path: str = "engine") -> CycleSpec:
-    """The :class:`CycleSpec` of ``fields``, in field order; a bound it
-    breaks is a ConfigError under ``path``."""
+def _cycle_spec(fields) -> CycleSpec:
+    """The CycleSpec of ``fields``, in field order; a bound it breaks is a ConfigError."""
     try:
         return CycleSpec(*fields)
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(f"engine: {exc}") from exc
 
 
-def spec_from_engine_dict(engine: dict, path: str = "engine") -> CycleSpec:
-    _section(engine, path, ENGINE_KEYS, ENGINE_KEYS)
-    fields = {
-        ENGINE_KEYS[k]: _require_number(v, f"{path}.{k}") for k, v in engine.items()
-    }
-    return _cycle_spec([fields[name] for name in CycleSpec._fields], path)
+def spec_from_engine_dict(engine: dict) -> CycleSpec:
+    _section(engine, "engine", ENGINE_KEYS, ENGINE_KEYS)
+    fields = {ENGINE_KEYS[k]: _require_number(v, f"engine.{k}") for k, v in engine.items()}
+    return _cycle_spec([fields[name] for name in CycleSpec._fields])
 
 
 def load_config(path: str) -> RunConfig:
@@ -245,14 +243,21 @@ def render_csv(command, config_echo, header, rows, precision, notes=()) -> str:
 
 
 def _emit(text: str, out_path):
-    if out_path is None:
-        sys.stdout.write(text)
-        return
     try:
+        if out_path is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+            return
         with open(out_path, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ConfigError(f"cannot write output {out_path}: {exc}") from exc
+        if out_path is not None:
+            raise ConfigError(f"cannot write output {out_path}: {exc}") from exc
+        if sys.stdout is sys.__stdout__:
+            # the exit flush retries: send it to the null device (signal docs, SIGPIPE)
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        raise ConfigError(f"cannot write output to stdout: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -644,11 +649,11 @@ def _run(argv) -> int:
     except _UsageError as exc:
         print(_error_record("usage", f"{exc}; see spinotto --help"), file=sys.stderr)
         return 2
-    if parsed is None:
-        sys.stdout.write(_USAGE)
-        return 0
-    command, argument, out_path = parsed
     try:
+        if parsed is None:
+            _emit(_USAGE, None)
+            return 0
+        command, argument, out_path = parsed
         if command == "figure":
             command, precision = f"figure {argument}", 12
             echo, header, rows, notes = figure_preset(argument)
@@ -664,13 +669,10 @@ def _run(argv) -> int:
         print(_error_record("config", str(exc)), file=sys.stderr)
         return 2
     except NonUniqueLimitCycleError as exc:
-        moduli = (
-            [abs(m) for m in exc.eigenvalues] if exc.eigenvalues is not None else None
-        )
-        print(
-            _error_record("non-unique-limit-cycle", str(exc), eigenvalue_moduli=moduli),
-            file=sys.stderr,
-        )
+        # each of limit_cycle's refusals carries the six eigenvalues
+        moduli = [abs(m) for m in exc.eigenvalues]
+        print(_error_record("non-unique-limit-cycle", str(exc), eigenvalue_moduli=moduli),
+              file=sys.stderr)
         return 3
     return 0
 

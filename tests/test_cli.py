@@ -1158,16 +1158,19 @@ def test_integer_run_keys_are_bounded(tmp_path, capsys, command, run, path):
     assert not out.exists()
 
 
-def _fresh_python(*args, **kwargs):
+def _fresh_python(*args, stdout=subprocess.PIPE, buffered=False, **kwargs):
     """Run args in a fresh interpreter that imports this spinotto; the
-    subprocess.run result, with text output captured."""
+    subprocess.run result, with text output captured (stdout unless another
+    is given).  ``buffered`` drops PYTHONUNBUFFERED from its environment."""
     import spinotto
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(spinotto.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          **kwargs)
+    if buffered:
+        env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, *args], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, **kwargs)
 
 
 def test_cli_import_adds_no_dataclasses_inspect_or_numpy():
@@ -1236,6 +1239,46 @@ def test_module_runs_as_a_script(tmp_path):
     assert (result.returncode, result.stdout) == (2, "")
     assert json.loads(result.stderr) == {
         "error": "usage", "message": "unknown command 'bogus'; see spinotto --help"}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["figure", "config"])
+def test_full_stdout_is_a_config_error(tmp_path, command, buffered):
+    # a write to a full stdout fails in the write (unbuffered) or in the
+    # flush (buffered); either is one config record, and the interpreter's
+    # exit flush must not fail again
+    argv = ["figure", "fig6"]
+    if command == "config":
+        argv = ["limit-cycle", "--config", write_config(tmp_path, {"engine": FIG1_ENGINE})]
+    script = ["-X", "dev", "-W", "error"] + ([] if buffered else ["-u"])
+    with open("/dev/full", "w") as full:
+        result = _fresh_python(*script, "-m", "spinotto.cli", *argv, stdout=full,
+                               buffered=buffered, cwd=tmp_path)
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr and "Exception ignored" not in result.stderr
+    (line,) = result.stderr.splitlines()
+    assert json.loads(line) == {
+        "error": "config",
+        "message": "cannot write output to stdout: [Errno 28] No space left on device"}
+
+
+class _FailingStdout(io.StringIO):
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+def test_failing_stdout_write_is_a_config_error(tmp_path, capsys, monkeypatch):
+    stdout = _FailingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    config = write_config(tmp_path, {"engine": FIG1_ENGINE})
+    assert main(["limit-cycle", "--config", config]) == 2
+    assert main(["--help"]) == 2
+    records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert records == [{
+        "error": "config",
+        "message": "cannot write output to stdout: [Errno 28] No space left on device"}] * 2
+    assert stdout.getvalue() == ""
 
 
 @pytest.mark.parametrize("section, key, value, path", [

@@ -1,6 +1,7 @@
 """Cycle composition, limit cycle, relaxation spectrum and thermodynamics."""
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -35,7 +36,14 @@ from spinotto import (
 )
 from spinotto.algebra import FIELD_RANGE
 from spinotto.cli import ITERATE_HEADER, TRAJECTORY_HEADER, iterate_rows, trajectory_rows
-from spinotto.engine import UNIQUENESS_GAP, _fixed_point, _null_vector, _solve3, linspace
+from spinotto.engine import (
+    UNIQUENESS_GAP,
+    _diagonal_minus,
+    _fixed_point,
+    _null_vector,
+    _solve3,
+    linspace,
+)
 from spinotto.propagators import MAX_SWEEP_ANGLE
 from conftest import (
     EXAMPLE_SCALE,
@@ -261,8 +269,7 @@ def test_gap_is_the_baths_contraction_property(spec):
             assert str(exc) == (f"no unique limit cycle: spectral gap {gap:.3e} "
                                 f"below {UNIQUENESS_GAP}")
         else:
-            assert ("the fixed-point solve is not finite" in str(exc)
-                    or "is not a physical state" in str(exc)), str(exc)
+            assert "is not a physical state" in str(exc), str(exc)
     else:
         assert gap >= UNIQUENESS_GAP
         assert report.gap == gap
@@ -433,15 +440,20 @@ def test_iterate_relative_entropy_finite_on_cold_limit_cycle(omega_b):
     assert values[-1] < 1e-6
 
 
+# a hot stroke of 1e-308 and a cold conductance of 3e-9: a spectral gap of
+# 9e-9 (3e-8 at a cold conductance of 1e-8)
+NON_PHYSICAL_SPEC = CycleSpec(
+    t_cold=0.3423, t_hot=25.333123028855248, omega_a=3.9551421452880096,
+    omega_b=4.456230175277123, j=3.2054447220535454, gamma_cold=3e-09,
+    gamma_hot=1.9306825859232153, dephasing_cold=0.0, dephasing_hot=0.0,
+    tau_cold=2.960504896938179, tau_hot=1.1125369292536007e-308,
+    tau_ab=0.04745420709557888, tau_ba=0.006198670441568167)
+
+
 def test_limit_cycle_rejects_non_physical_fixed_point():
-    # a hot stroke of 1e-308 and a cold conductance of 3e-9 leave a spectral
-    # gap of 9e-9: the fixed-point solve loses its accuracy and lands outside
-    # the state space, which is reported as no unique limit cycle
-    spec = CycleSpec(t_cold=0.3423, t_hot=25.333123028855248, omega_a=3.9551421452880096,
-                     omega_b=4.456230175277123, j=3.2054447220535454, gamma_cold=3e-09,
-                     gamma_hot=1.9306825859232153, dephasing_cold=0.0, dephasing_hot=0.0,
-                     tau_cold=2.960504896938179, tau_hot=1.1125369292536007e-308,
-                     tau_ab=0.04745420709557888, tau_ba=0.006198670441568167)
+    # at a gap of 9e-9 the fixed-point solve loses its accuracy and lands
+    # outside the state space, which is reported as no unique limit cycle
+    spec = NON_PHYSICAL_SPEC
     with pytest.raises(NonUniqueLimitCycleError, match="not a physical state"):
         limit_cycle(spec)
     # at a cold conductance of 1e-8 (gap 3e-8) the solve lands inside the
@@ -451,13 +463,35 @@ def test_limit_cycle_rejects_non_physical_fixed_point():
 
 
 def test_fixed_point_rejects_a_non_finite_solve():
-    # a NaN in the cycle block makes the gap NaN, which the gap test lets
-    # through; the solve is then named as not finite
+    # no spec gives a NaN in the cycle block, and the gap 1 - mu4 does not
+    # see it; the solve is then NaN, a fixed point that is not a state
     prop = compose_cycle(fig1_spec())
     r1, r2, r3 = prop.cycle.block
     bad = replace(prop, cycle=replace(prop.cycle, block=((math.nan,) + r1[1:], r2, r3)))
-    with pytest.raises(NonUniqueLimitCycleError, match="the fixed-point solve is not finite"):
+    with pytest.raises(NonUniqueLimitCycleError, match="is not a physical state") as info:
         _fixed_point(bad)
+    assert len(info.value.eigenvalues) == 6
+
+
+@settings(max_examples=100 * EXAMPLE_SCALE, deadline=None)
+@given(cycle_specs())
+@example(NEAR_IDENTITY_SPEC)
+@example(NON_PHYSICAL_SPEC)
+@example(replace(NON_PHYSICAL_SPEC, gamma_cold=1e-8))
+def test_fixed_point_solve_is_finite_past_the_gap_property(spec):
+    # past the gap test ||M||_2 <= mu4 <= 1 - 1e-9 keeps I - M far from
+    # singular, so the solve is finite (_fixed_point's proof), and limit_cycle
+    # refuses for one of two reasons only
+    cycle = compose_cycle(spec).cycle
+    if 1.0 - cycle.b4_scale >= UNIQUENESS_GAP:
+        solved = _solve3(_diagonal_minus(1.0, cycle.block), cycle.shift)
+        assert all(map(math.isfinite, solved)), solved
+    try:
+        limit_cycle(spec)
+    except NonUniqueLimitCycleError as exc:
+        assert (re.fullmatch(rf"no unique limit cycle: spectral gap \S+ below {UNIQUENESS_GAP}",
+                             str(exc))
+                or "is not a physical state" in str(exc)), str(exc)
 
 
 @pytest.mark.parametrize("rows, expected", [
