@@ -245,6 +245,8 @@ def render_csv(command, config_echo, header, rows, precision, notes=()) -> str:
 def _emit(text: str, out_path):
     try:
         if out_path is None:
+            if sys.stdout is None:  # fd 1 was closed when the interpreter started
+                raise ConfigError("cannot write output to stdout: it is closed")
             sys.stdout.write(text)
             sys.stdout.flush()
             return

@@ -6,9 +6,9 @@ cold isochore C->D, sweep D->A back up.  The one-period map is the product
 of the branch propagators; its unit-eigenvalue eigenvector is the limit
 cycle and the remaining spectrum sets the relaxation rates toward it.  The
 map's closed-set part is a 3x3 block, so the fixed point is a 3x3 solve with
-partial pivoting and the spectrum a small 3x3 eigensolver: one real root of
-the characteristic cubic, refined by a two-sided Rayleigh quotient, and the
-remaining pair from the 2x2 block left when its eigenvector is deflated.
+partial pivoting and the spectrum shifted QR steps on its Hessenberg form,
+the first shifted by a real root of the characteristic cubic, until a 1x1
+and a 2x2 block split off.
 :func:`_stroke_partials` gives each stroke's maps at its sample times after
 t = 0, the whole-stroke maps of :func:`compose_cycle` at two samples, and
 :func:`trajectory` applies them to the previous stroke's last sample.  Only
@@ -39,11 +39,9 @@ from .propagators import (
     AdiabatParams,
     BathParams,
     IsochoreParams,
-    _IDENTITY_BLOCK,
     _check_bath_stroke,
     _check_sweep,
     _count,
-    _dot,
     _time_reversed,
     _time_reversed_states,
     adiabat_partials,
@@ -57,6 +55,11 @@ from .records import IdentityRecord, Record
 # every modulus after mu0 (:func:`_spectrum_of`), so the test reads the
 # baths' contraction, not the eigensolver's output.
 UNIQUENESS_GAP = 1e-9
+
+# the 3x3 eigensolver's split test (relative to the diagonal) and its step
+# cap; 6,000 random cycle blocks split in at most 9 steps
+_EPS = 2.0**-52
+_MAX_QR_STEPS = 100
 
 
 class NonUniqueLimitCycleError(RuntimeError):
@@ -262,10 +265,6 @@ def compose_cycle(spec: CycleSpec) -> CyclePropagator:
     return new(CyclePropagator, (compose(u_ab, u_isc, u_ba, u_ish), branches, spec))
 
 
-def _cross(u, v):
-    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
-
-
 def _diagonal_minus(x: float, a) -> tuple:
     """Rows of x I - a for a 3x3 block a."""
     (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = a
@@ -274,36 +273,14 @@ def _diagonal_minus(x: float, a) -> tuple:
             (0.0 - a31, 0.0 - a32, x - a33))
 
 
-def _null_vector(rows) -> tuple:
-    """A vector orthogonal to all three rows: the first largest of their
-    pairwise cross products (r1 x r2, r1 x r3, r2 x r3; max()'s rule, so a
-    NaN norm never replaces one), or for rank <= 1 one orthogonal to the
-    largest row."""
-    (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = rows
-    x, y, z = a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1
-    size = x * x + y * y + z * z
-    u1, u2, u3 = a2 * c3 - a3 * c2, a3 * c1 - a1 * c3, a1 * c2 - a2 * c1
-    norm = u1 * u1 + u2 * u2 + u3 * u3
-    if norm > size:
-        x, y, z, size = u1, u2, u3, norm
-    u1, u2, u3 = b2 * c3 - b3 * c2, b3 * c1 - b1 * c3, b1 * c2 - b2 * c1
-    norm = u1 * u1 + u2 * u2 + u3 * u3
-    if norm > size:
-        x, y, z, size = u1, u2, u3, norm
-    if size == 0.0:
-        top = max(rows, key=lambda r: _dot(r, r))
-        best = max((_cross(top, e) for e in _IDENTITY_BLOCK), key=lambda u: _dot(u, u))
-        return _IDENTITY_BLOCK[0] if _dot(best, best) == 0.0 else best
-    return x, y, z
-
-
 def _real_root(a) -> float:
     """A real eigenvalue of the 3x3 block a: Newton on the characteristic
     cubic from the Cauchy bound, kept inside a sign-change bracket."""
     (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = a
     c2 = a11 + a22 + a33
     c1 = a11 * a22 - a12 * a21 + a11 * a33 - a13 * a31 + a22 * a33 - a23 * a32
-    c0 = _dot(a[0], _cross(a[1], a[2]))
+    c0 = (a11 * (a22 * a33 - a23 * a32) + a12 * (a23 * a31 - a21 * a33)
+          + a13 * (a21 * a32 - a22 * a31))
     hi = 1.0 + max(abs(c2), abs(c1), abs(c0))
     lo, x = -hi, hi
     for _ in range(200):
@@ -324,42 +301,55 @@ def _real_root(a) -> float:
     return x
 
 
+def _rotate(h: tuple, k: int, x: float, y: float) -> tuple:
+    """G h G^T for the 3x3 block h (nine floats, row by row), where the
+    plane rotation G of axes k + 1 and k + 2 takes (x, y) to (hypot(x, y),
+    0): its columns, then its rows.  h itself for x = y = 0.  A rotation of
+    axes 2, 3 is taken to zero h31, which it sets to 0.0."""
+    r = math.hypot(x, y)
+    if r == 0.0:
+        return h
+    c, s = x / r, y / r
+    a11, a12, a13, a21, a22, a23, a31, a32, a33 = h
+    if k == 0:
+        a11, a12 = c * a11 + s * a12, c * a12 - s * a11
+        a21, a22 = c * a21 + s * a22, c * a22 - s * a21
+        a31, a32 = c * a31 + s * a32, c * a32 - s * a31
+        return (c * a11 + s * a21, c * a12 + s * a22, c * a13 + s * a23,
+                c * a21 - s * a11, c * a22 - s * a12, c * a23 - s * a13, a31, a32, a33)
+    a12, a13 = c * a12 + s * a13, c * a13 - s * a12
+    a22, a23 = c * a22 + s * a23, c * a23 - s * a22
+    a32, a33 = c * a32 + s * a33, c * a33 - s * a32
+    return (a11, a12, a13, c * a21 + s * a31, c * a22 + s * a32, c * a23 + s * a33,
+            0.0, c * a32 - s * a22, c * a33 - s * a23)
+
+
 def _eigenvalues3(a) -> tuple[complex, complex, complex]:
     """Eigenvalues of a real 3x3 block: a real one, then the other two from
-    the 2x2 block U^T a U on an orthonormal complement U = (u, p) of its
-    eigenvector v, where u is the axis least along v with v's component
-    removed (the first such axis, as min() picks it) and p = v x u."""
+    the closed form of the 2x2 block it splits off, positive imaginary part
+    first.  Shifted QR steps on the block's Hessenberg form h (Golub & Van
+    Loan, Matrix Computations, 7.5), each a rotation of axes 1, 2 by the
+    shifted first column and one of axes 2, 3 that restores the form, until
+    a subdiagonal entry is at most eps times its two diagonal neighbours.
+    The first shift is a real eigenvalue (:func:`_real_root`), which splits
+    off in one step since an unreduced h has one eigenvector per
+    eigenvalue; each later shift is h33, which converges quadratically.
+    NaN past _MAX_QR_STEPS steps."""
     (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = a
-    x = _real_root(a)
-    shifted = (s11, s12, s13), (s21, s22, s23), (s31, s32, s33) = _diagonal_minus(x, a)
-    v1, v2, v3 = _null_vector(shifted)  # right eigenvector
-    w1, w2, w3 = _null_vector(((s11, s21, s31), (s12, s22, s32), (s13, s23, s33)))  # left
-    vv = v1 * v1 + v2 * v2 + v3 * v3
-    wv = w1 * v1 + w2 * v2 + w3 * v3
-    if abs(wv) > 1e-8 * math.sqrt((w1 * w1 + w2 * w2 + w3 * w3) * vv):
-        # two-sided Rayleigh quotient w . a v / w . v
-        x = (w1 * (a11 * v1 + a12 * v2 + a13 * v3) + w2 * (a21 * v1 + a22 * v2 + a23 * v3)
-             + w3 * (a31 * v1 + a32 * v2 + a33 * v3)) / wv
-    norm = math.sqrt(vv)
-    v1, v2, v3 = v1 / norm, v2 / norm, v3 / norm
-    k, vk = 0, v1
-    if abs(v2) < abs(vk):
-        k, vk = 1, v2
-    if abs(v3) < abs(vk):
-        k, vk = 2, v3
-    e1, e2, e3 = _IDENTITY_BLOCK[k]
-    u1, u2, u3 = e1 - vk * v1, e2 - vk * v2, e3 - vk * v3
-    norm = math.sqrt(u1 * u1 + u2 * u2 + u3 * u3)
-    u1, u2, u3 = u1 / norm, u2 / norm, u3 / norm
-    p1, p2, p3 = v2 * u3 - v3 * u2, v3 * u1 - v1 * u3, v1 * u2 - v2 * u1
-    au1, au2, au3 = (a11 * u1 + a12 * u2 + a13 * u3, a21 * u1 + a22 * u2 + a23 * u3,
-                     a31 * u1 + a32 * u2 + a33 * u3)
-    ap1, ap2, ap3 = (a11 * p1 + a12 * p2 + a13 * p3, a21 * p1 + a22 * p2 + a23 * p3,
-                     a31 * p1 + a32 * p2 + a33 * p3)
-    b11 = u1 * au1 + u2 * au2 + u3 * au3
-    b12 = u1 * ap1 + u2 * ap2 + u3 * ap3
-    b21 = p1 * au1 + p2 * au2 + p3 * au3
-    b22 = p1 * ap1 + p2 * ap2 + p3 * ap3
+    h = _rotate((a11, a12, a13, a21, a22, a23, a31, a32, a33), 1, a21, a31)
+    for step in range(_MAX_QR_STEPS):
+        h11, h12, h13, h21, h22, h23, _, h32, h33 = h
+        if abs(h32) <= _EPS * (abs(h22) + abs(h33)):
+            x, b11, b12, b21, b22 = h33, h11, h12, h21, h22
+            break
+        if abs(h21) <= _EPS * (abs(h11) + abs(h22)):
+            x, b11, b12, b21, b22 = h11, h22, h23, h32, h33
+            break
+        shift = _real_root(a) if step == 0 else h33
+        h = _rotate(h, 0, h11 - shift, h21)
+        h = _rotate(h, 1, h[3], h[6])
+    else:
+        return (complex(math.nan),) * 3
     mid = 0.5 * (b11 + b22)
     half_diff = 0.5 * (b11 - b22)
     disc = half_diff * half_diff + b12 * b21
@@ -387,10 +377,20 @@ def _spectrum_of(cycle) -> tuple:
       the b5 rate is mu5 = g_hot^2 g_cold^2 = mu4^2 <= mu4.
     The gap thus depends on the spec alone, never on the eigensolver's
     error, and is never negative."""
-    eigs = _eigenvalues3(cycle.block)
+    block = cycle.block
+    top = max(map(abs, (*block[0], *block[1], *block[2])))
+    if top < 2.0**-500:
+        # the 2x2 discriminant of so small a block underflows: solve it
+        # scaled by an exact power of two, which changes no digit
+        _, exponent = math.frexp(top)
+        eigs = [complex(math.ldexp(e.real, exponent), math.ldexp(e.imag, exponent))
+                for e in _eigenvalues3([[math.ldexp(x, -exponent) for x in row]
+                                        for row in block])]
+    else:
+        eigs = _eigenvalues3(block)
     # the first is real; the other two are real together or a conjugate
     # pair, the positive imaginary part first, whose |imag| are equal
-    if abs(eigs[1].imag) <= 1e-10:  # absolute: every |mu| is at most mu4 <= 1
+    if abs(eigs[1].imag) <= 1e-10 * cycle.b4_scale:  # every |mu| is at most mu4
         # all real (strong dephasing or degenerate rotation); the largest
         # modulus plays the longitudinal role
         eigs = tuple(sorted(eigs, key=lambda e: -abs(e)))

@@ -139,10 +139,6 @@ _IDENTITY_BLOCK = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 _ZERO3 = (0.0, 0.0, 0.0)
 
 
-def _dot(u, v) -> float:
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
 def _count(value, name: str) -> int:
     """value as an int, by operator.index (numpy integers included);
     ValueError naming the argument when it is not an integer."""

@@ -1,5 +1,6 @@
 """Shared samplers and oracles for the test suite."""
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -315,6 +316,22 @@ def density_mp(b: BlochVector):
         rho[0, 3] = mpmath.mpc(b2, -b3) / s2
         rho[3, 0] = mpmath.mpc(b2, b3) / s2
         return rho
+
+
+def eigenvalues_mp(block) -> list[complex]:
+    """The eigenvalues of a 3x3 block in 50-digit arithmetic (mpmath.eig)."""
+    with mpmath.workdps(50):
+        a = mpmath.matrix([[mpmath.mpf(float(x)) for x in row] for row in block])
+        return [complex(e) for e in mpmath.eig(a, left=False, right=False)]
+
+
+def eigenvalue_error(got, block) -> float:
+    """The largest |got - exact| over the eigenvalues of a 3x3 block, the
+    three paired with the oracle's (:func:`eigenvalues_mp`) in the order
+    that makes it least."""
+    exact = eigenvalues_mp(block)
+    return min(max(abs(g - e) for g, e in zip(got, order))
+               for order in itertools.permutations(exact))
 
 
 def quantum_distance_mp(b: BlochVector, b_ref: BlochVector) -> float:

@@ -1,5 +1,6 @@
 """Config validation, CSV emission, presets and exit codes."""
 
+import cmath
 import contextlib
 import gc
 import hashlib
@@ -21,6 +22,7 @@ from spinotto import (
     AdiabatParams,
     BlochVector,
     adiabat_propagator_direct,
+    compose_cycle,
     conditional_entropy,
     energy_entropy,
     energy_populations,
@@ -44,8 +46,8 @@ from spinotto.cli import (
     trajectory_rows,
 )
 from conftest import (
-    EXAMPLE_SCALE, SQRT2, cycle_specs, fig1_spec, fig6_spec, physical_states, random_bloch,
-    random_spec, wootters_distance_oracle,
+    EXAMPLE_SCALE, SQRT2, cycle_specs, eigenvalues_mp, fig1_spec, fig6_spec, physical_states,
+    random_bloch, random_spec, wootters_distance_oracle,
 )
 
 FIG1_ENGINE = {
@@ -480,7 +482,10 @@ CSV_PINS = {
     # tables to one render path in main (1.0.1); re-pinned in 1.2.0 for the
     # eighth-order sweep step, but for equilibrium-curve, which integrates no
     # sweep; trajectory re-pinned in 2.1.0, where each stroke starts at the
-    # previous stroke's last sample (5 cells moved, none by more than 1e-13)
+    # previous stroke's last sample (5 cells moved, none by more than 1e-13);
+    # spectrum re-pinned in 3.7.0 for the shifted-QR eigensolver (phi and
+    # the transverse pair's imaginary parts moved by one unit in the last
+    # printed digit, none by more than 1e-12)
     "command": {
         "limit-cycle": (
             ["limit-cycle"],
@@ -500,7 +505,7 @@ CSV_PINS = {
         "spectrum": (
             ["spectrum"],
             {"engine": dict(FIG1_ENGINE, dephasing_cold=0.03, dephasing_hot=0.01)},
-            "b531ca5b225d8db739fc1881c9dd0f379390efb3c8be0b42900f9b1c098698c5"),
+            "b21b55e68128c76c93ab9ec41e2598bd1b94f8d616e828bbfed13e68ea413fd4"),
         "sweep": (
             ["sweep"],
             {"engine": FIG1_ENGINE,
@@ -1158,10 +1163,9 @@ def test_integer_run_keys_are_bounded(tmp_path, capsys, command, run, path):
     assert not out.exists()
 
 
-def _fresh_python(*args, stdout=subprocess.PIPE, buffered=False, **kwargs):
-    """Run args in a fresh interpreter that imports this spinotto; the
-    subprocess.run result, with text output captured (stdout unless another
-    is given).  ``buffered`` drops PYTHONUNBUFFERED from its environment."""
+def _fresh_env(buffered=False) -> dict:
+    """This environment, with this spinotto first on PYTHONPATH; ``buffered``
+    drops PYTHONUNBUFFERED."""
     import spinotto
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(spinotto.__file__)))
@@ -1169,7 +1173,14 @@ def _fresh_python(*args, stdout=subprocess.PIPE, buffered=False, **kwargs):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     if buffered:
         env.pop("PYTHONUNBUFFERED", None)
-    return subprocess.run([sys.executable, *args], env=env, stdout=stdout,
+    return env
+
+
+def _fresh_python(*args, stdout=subprocess.PIPE, buffered=False, **kwargs):
+    """Run args in a fresh interpreter that imports this spinotto
+    (:func:`_fresh_env`); the subprocess.run result, with text output
+    captured (stdout unless another is given)."""
+    return subprocess.run([sys.executable, *args], env=_fresh_env(buffered), stdout=stdout,
                           stderr=subprocess.PIPE, text=True, **kwargs)
 
 
@@ -1261,6 +1272,19 @@ def test_full_stdout_is_a_config_error(tmp_path, command, buffered):
     assert json.loads(line) == {
         "error": "config",
         "message": "cannot write output to stdout: [Errno 28] No space left on device"}
+
+
+@pytest.mark.skipif(not os.path.exists("/bin/sh"), reason="no /bin/sh")
+@pytest.mark.parametrize("argv", [["figure", "fig6"], ["--help"]], ids=["figure", "help"])
+def test_closed_stdout_is_a_config_error(tmp_path, argv):
+    # with fd 1 closed the interpreter starts with sys.stdout None
+    script = [sys.executable, "-X", "dev", "-W", "error", "-m", "spinotto.cli", *argv]
+    result = subprocess.run(["/bin/sh", "-c", 'exec "$0" "$@" >&-', *script], env=_fresh_env(),
+                            stderr=subprocess.PIPE, text=True, cwd=tmp_path)
+    assert result.returncode == 2, result.stderr
+    (line,) = result.stderr.splitlines()
+    assert json.loads(line) == {
+        "error": "config", "message": "cannot write output to stdout: it is closed"}
 
 
 class _FailingStdout(io.StringIO):
@@ -1410,8 +1434,8 @@ def test_spectrum_still_works_for_unitary_cycle(tmp_path):
 
 
 # fig1's fields and temperatures with every stroke near the identity and a
-# cold bath alone (gap 1 - exp(-2e-8)), and a unitary cycle of one
-# 1e-10-long sweep (gap 0): on both the eigensolver puts |mu1| above 1
+# cold bath alone (gap 1 - exp(-2e-8), the block's eigenvalues clustered
+# near mu4), and a unitary cycle of one 1e-10-long sweep (gap 0)
 NEAR_IDENTITY_ENGINE = dict(FIG1_ENGINE, gamma_cold_conductance=2.0, gamma_hot_conductance=0.0,
                             tau_cold=1e-8, tau_hot=1e-8, tau_ab=1e-7, tau_ba=1e-7)
 UNITARY_NEAR_IDENTITY_ENGINE = {
@@ -1431,6 +1455,31 @@ def test_near_identity_cycle_has_a_unique_limit_cycle(tmp_path, capsys):
     assert main(["spectrum", "--config", config, "--out", str(out)]) == 0
     _, header, rows = read_csv(out)
     assert column(header, rows, "gap", str) == ["1.99999997674e-08"]
+    # without dephasing the longitudinal eigenvalue is mu4; phi is
+    # 2.8258138156323e-6 to 50 digits
+    assert column(header, rows, "mu1_re", str) == column(header, rows, "mu4_re", str)
+    assert column(header, rows, "mu1_re", str) == ["0.99999998"]
+    assert column(header, rows, "phi", str) == ["2.82581381562e-06"]
+
+
+def test_tiny_cycle_block_prints_its_spectrum(tmp_path):
+    # mu4 = exp(-390): the block's entries are too small to square, so an
+    # unscaled 2x2 discriminant underflows.  An absolute bound is blind at
+    # this scale
+    engine = dict(FIG1_ENGINE, gamma_cold_conductance=0.0, gamma_hot_conductance=130.0,
+                  tau_hot=3.0, tau_cold=3.0)
+    config = write_config(tmp_path, {"engine": engine})
+    out = tmp_path / "spec.csv"
+    assert main(["spectrum", "--config", config, "--out", str(out)]) == 0
+    _, header, rows = read_csv(out)
+    mu = [complex(column(header, rows, f"mu{i}_re")[0], column(header, rows, f"mu{i}_im")[0])
+          for i in range(1, 4)]
+    exact = sorted(eigenvalues_mp(compose_cycle(load_config(config).spec).cycle.block),
+                   key=lambda e: e.imag)
+    for got, want in zip(mu, [exact[1], exact[2], exact[0]]):
+        assert abs(got - want) <= 1e-11 * abs(want), (got, want)
+    phi = abs(cmath.phase(exact[2]))
+    assert abs(column(header, rows, "phi")[0] - phi) <= 1e-11 * phi
 
 
 def test_unitary_near_identity_cycle_prints_a_zero_gap(tmp_path):

@@ -1,5 +1,6 @@
 """Cycle composition, limit cycle, relaxation spectrum and thermodynamics."""
 
+import cmath
 import math
 import re
 import sys
@@ -34,13 +35,13 @@ from spinotto import (
     trajectory,
     vn_entropy,
 )
+from spinotto import engine
 from spinotto.algebra import FIELD_RANGE
 from spinotto.cli import ITERATE_HEADER, TRAJECTORY_HEADER, iterate_rows, trajectory_rows
 from spinotto.engine import (
     UNIQUENESS_GAP,
     _diagonal_minus,
     _fixed_point,
-    _null_vector,
     _solve3,
     linspace,
 )
@@ -50,6 +51,7 @@ from conftest import (
     FIG5_TIMES,
     SQRT2,
     cycle_specs,
+    eigenvalue_error,
     fig1_spec,
     fig3_spec,
     fig5_spec,
@@ -226,14 +228,21 @@ def test_cycle_spec_checks_its_strokes_as_their_constructors_do(fields):
 
 
 # fig1's fields and temperatures with every stroke near the identity and a
-# cold bath alone: gap 1 - exp(-2e-8), where the eigensolver's |mu1| is
-# 1 + 6.7e-8
+# cold bath alone: gap 1 - exp(-2e-8), and the block's three eigenvalues
+# within 3e-6 of mu4
 NEAR_IDENTITY_SPEC = replace(fig1_spec(), gamma_cold=2.0, gamma_hot=0.0, tau_cold=1e-8,
                              tau_hot=1e-8, tau_ab=1e-7, tau_ba=1e-7)
-# a unitary cycle of one 1e-10-long sweep: gap 0, where the eigensolver's
-# |mu1| is 1 + 1.3e-14
+# a unitary cycle of one 1e-10-long sweep: gap 0
 UNITARY_NEAR_IDENTITY_SPEC = CycleSpec(1.0, 1.0, 0.0, 2.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
                                        0.0, 1e-10)
+# a strongly dephased cycle whose block has determinant exactly 0, so that
+# the Newton root of the cubic is a double root
+STRONG_DEPHASING_SPEC = CycleSpec(
+    t_cold=29.408297758260158, t_hot=1.5975975180611022, omega_a=-5.911453864194131,
+    omega_b=3.7780721476950117, j=0.8637303534290872, gamma_cold=0.8328635304826615,
+    gamma_hot=0.7477751024239343, dephasing_cold=2.656743367363246,
+    dephasing_hot=1.8549557577837719, tau_cold=0.6535727061285856,
+    tau_hot=0.48936502900581424, tau_ab=1.1379857750818863, tau_ba=1.194782955385861)
 
 
 @settings(max_examples=100 * EXAMPLE_SCALE, deadline=None)
@@ -248,8 +257,7 @@ def test_gap_is_the_baths_contraction_property(spec):
     # every bath block has 2-norm g = exp(-Gamma tau) and every sweep block
     # is a rotation, so mu4 = g_hot g_cold, the b4 rate, bounds every modulus
     # after mu0 and the gap is 1 - mu4: read from the spec's exponentials,
-    # whatever the eigensolver's error, and never negative.  No clause here
-    # depends on the eigensolver's accuracy
+    # whatever the eigensolver's error, and never negative
     eps = sys.float_info.epsilon
     info = spectrum(spec)
     mu = info.eigenvalues
@@ -261,6 +269,11 @@ def test_gap_is_the_baths_contraction_property(spec):
     assert abs(mu[5] - mu[4] ** 2) <= 4 * eps
     gap = 1.0 - abs(mu[4])
     assert info.gap == gap >= 0.0
+    # the contraction bounds the eigensolver's moduli, and without dephasing
+    # M = mu4 O with O a rotation, whose real eigenvalue is mu4 itself
+    assert max(map(abs, mu[1:4])) <= mu[4].real + 2e-15
+    if spec.dephasing_cold == spec.dephasing_hot == 0.0:
+        assert abs(mu[1] - mu[4]) <= 2e-15
     try:
         report = limit_cycle(spec)
     except NonUniqueLimitCycleError as exc:
@@ -273,6 +286,66 @@ def test_gap_is_the_baths_contraction_property(spec):
     else:
         assert gap >= UNIQUENESS_GAP
         assert report.gap == gap
+
+
+@st.composite
+def near_identity_specs(draw) -> CycleSpec:
+    """cycle_specs() draws with every stroke 1e-10 to 0.1 long (log-uniform):
+    the block's three eigenvalues cluster near mu4."""
+    spec = draw(cycle_specs())
+    return replace(spec, **{name: 10.0 ** draw(st.floats(-10.0, -1.0))
+                            for name in ("tau_cold", "tau_hot", "tau_ab", "tau_ba")})
+
+
+@st.composite
+def strong_dephasing_specs(draw) -> CycleSpec:
+    """cycle_specs() draws with dephasing 0.05 to 5 in both baths: spectra
+    with real pairs, double roots and zero determinants."""
+    spec = draw(cycle_specs())
+    return replace(spec, dephasing_cold=draw(st.floats(0.05, 5.0)),
+                   dephasing_hot=draw(st.floats(0.05, 5.0)))
+
+
+@settings(max_examples=300 * EXAMPLE_SCALE, deadline=None)
+@given(st.one_of(cycle_specs(), near_identity_specs(), strong_dephasing_specs()))
+@example(NEAR_IDENTITY_SPEC)
+@example(STRONG_DEPHASING_SPEC)
+def test_eigenvalues_match_the_oracle_property(spec):
+    # every block norm is at most 1, so an absolute bound of a few ulp
+    mu = spectrum(spec).eigenvalues
+    assert eigenvalue_error(mu[1:4], compose_cycle(spec).cycle.block) <= 2e-15, mu
+
+
+_ROOT3 = math.sqrt(3.0) / 2.0
+
+
+@pytest.mark.parametrize("block, expected, steps", [
+    (((0.0,) * 3,) * 3, (0.0, 0.0, 0.0), 0),
+    (((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)), (1.0, 1.0, 1.0), 0),
+    (((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)),
+     (1.0, complex(-0.5, _ROOT3), complex(-0.5, -_ROOT3)), 1),
+    (((0.5, 1.0, 0.0), (0.0, 0.5, 1.0), (0.0, 0.0, 0.5)), (0.5, 0.5, 0.5), 0),
+    (((0.25, 0.0, 0.0), (0.0, 0.25, 0.0), (0.0, 0.0, -0.5)), (-0.5, 0.25, 0.25), 0),
+    (((0.5, 0.0, 0.0), (0.0, 0.0, -1.0), (0.0, 1.0, 0.0)), (0.5, 1j, -1j), 0),
+    (((math.nan, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)), (1.0, math.nan, math.nan), 0),
+], ids=["zero", "identity", "cyclic-permutation", "jordan", "double-root", "top-split", "nan"])
+def test_eigenvalues3_of_structured_blocks(monkeypatch, block, expected, steps):
+    # the cyclic permutation is a rotation on which Francis double-shift QR
+    # stagnates; a real shift splits it in one step.  The top-split block
+    # splits at h21, not h32.  Each step is two rotations after the one of
+    # the Hessenberg reduction
+    calls = []
+    rotate = engine._rotate
+    monkeypatch.setattr(engine, "_rotate", lambda *args: calls.append(1) or rotate(*args))
+    got = engine._eigenvalues3(block)
+    assert (len(calls) - 1) // 2 == steps
+    for g, e in zip(got, expected):
+        assert abs(g - e) <= 4 * sys.float_info.epsilon or (math.isnan(e) and cmath.isnan(g))
+
+
+def test_eigenvalues3_past_the_step_cap_is_nan():
+    # a NaN block never meets the split test
+    assert all(map(cmath.isnan, engine._eigenvalues3(((math.nan,) * 3,) * 3)))
 
 
 def test_limit_cycle_fixed_point_residual(rng):
@@ -492,16 +565,6 @@ def test_fixed_point_solve_is_finite_past_the_gap_property(spec):
         assert (re.fullmatch(rf"no unique limit cycle: spectral gap \S+ below {UNIQUENESS_GAP}",
                              str(exc))
                 or "is not a physical state" in str(exc)), str(exc)
-
-
-@pytest.mark.parametrize("rows, expected", [
-    (((0.0, 0.0, 0.0),) * 3, (1.0, 0.0, 0.0)),
-    (((1.0, 2.0, 3.0), (2.0, 4.0, 6.0), (0.0, 0.0, 0.0)), (0.0, 6.0, -4.0)),
-], ids=["zero", "rank-one"])
-def test_null_vector_of_rank_deficient_rows(rows, expected):
-    # no two rows span a plane: the largest row's largest cross product with
-    # an axis, or the first axis when every row is zero
-    assert _null_vector(rows) == expected
 
 
 def test_solve3_with_a_zero_column_is_nan():
