@@ -87,7 +87,7 @@ def cycle_specs(draw) -> CycleSpec:
         t_hot=draw(st.floats(0.3, 30.0)),
         omega_a=omega_a,
         omega_b=omega_a + draw(st.floats(0.5, 15.0)),
-        j=draw(st.floats(0.05, 4.0)),
+        j=draw(st.floats(0.05, 4.0)) * draw(st.sampled_from([1.0, -1.0])),
         gamma_cold=draw(st.floats(0.0, 2.0)),
         gamma_hot=draw(st.floats(0.0, 2.0)),
         dephasing_cold=draw(dephasing),
@@ -433,7 +433,7 @@ def _lz_taylor(w0, w1, beta, tau):
     h^2 H1 d_{n-1})/(n+1) for H = H0 + H1 t."""
     s2 = mpmath.sqrt(2)
     slope = (w1 - w0) / (s2 * tau)
-    pieces = int(mpmath.ceil((max(abs(w0), abs(w1)) / s2 + beta) * tau)) + 1
+    pieces = int(mpmath.ceil((max(abs(w0), abs(w1)) / s2 + abs(beta)) * tau)) + 1
     h = tau / pieces
     h1 = mpmath.matrix([[slope, 0], [0, -slope]])
     eps = mpmath.mpf(10) ** (-mpmath.mp.dps - 5)
@@ -465,7 +465,7 @@ def landau_zener_map(p: AdiabatParams, method: str = "auto") -> np.ndarray:
         beta = j / s2
         # fields this small move the map by at most sqrt(2) |omega| tau
         w0, w1 = (w if abs(w) * tau > _LZ_NEGLIGIBLE else mpmath.mpf(0) for w in (w0, w1))
-        if j * tau * s2 <= _LZ_NEGLIGIBLE:
+        if abs(j) * tau * s2 <= _LZ_NEGLIGIBLE:
             # rotation about b1 by the field integral
             phase = (w0 + w1) * tau / (2 * s2)
             u = mpmath.diag([mpmath.exp(-1j * phase), mpmath.exp(1j * phase)])
@@ -474,7 +474,7 @@ def landau_zener_map(p: AdiabatParams, method: str = "auto") -> np.ndarray:
         else:
             nu = beta**2 * s2 * tau / (2 * abs(w1 - w0))
             if method == "auto":
-                method = "pcfd" if nu <= 100 and j * tau * s2 >= 1e-6 else "taylor"
+                method = "pcfd" if nu <= 100 and abs(j) * tau * s2 >= 1e-6 else "taylor"
             solve = _lz_parabolic_cylinder if method == "pcfd" else _lz_taylor
             u = solve(w0, w1, beta, tau)
         return _su2_to_so3(u)

@@ -465,18 +465,23 @@ CSV_PINS = {
     # each preset, re-pinned in 1.2.0 for the eighth-order sweep step (no
     # cell moved by more than 2.2e-10); fig1 re-pinned in 2.1.0, where each
     # trajectory stroke starts at the previous stroke's last sample (61
-    # cells moved, none by more than 1e-11)
+    # cells moved, none by more than 1e-11); fig2, fig3, fig5 and fig6
+    # re-pinned in 3.8.0, where each sweep forms one product of the
+    # estimated step count and the bath strokes form 1 - g with expm1 (fig3:
+    # 337 of 1,650 cells moved; fig2: 39 of 330; none by more than 2.2e-10,
+    # in the distances near 1e-6, which are square roots of state
+    # differences; elsewhere by at most 1e-11)
     "figure": {
         "fig1": (["figure", "fig1"], None,
                  "0f5ac4f103b73ee780e4ac4ccf899a91e09ff2e00f56cd99c9cfc8d59ee650bf"),
         "fig2": (["figure", "fig2"], None,
-                 "68f65f287bbe0e4a952d8f2c8f3bc01baa24eb2920029ae5f991cbea9be98d51"),
+                 "f7884f38f15b137fb7f07e2aa207dcf2391c2497c13e1e502e833d4d6ac91ca5"),
         "fig3": (["figure", "fig3"], None,
-                 "389a0fc9ef237f3c03158ba69926a94c2eda31e6e2e9de99ab0144ddd706eec1"),
+                 "d7fc1059e7ed28e038b98e8685f37e3c9d1c7ed4866840d198c47f86a15e03d7"),
         "fig5": (["figure", "fig5"], None,
-                 "500e677d485dbb54a090c6cd5628c1c10cc312f99dd2c2a9e8f1c28d4a14ec34"),
+                 "ac025716fce1b1c378162a55c7096f8c445e805e6a3d577053e9674d4292d7d3"),
         "fig6": (["figure", "fig6"], None,
-                 "af23132beee56375bd14931d05bbf91df6d2ea65ecc281514b4660a0eada85c1"),
+                 "b654a69640cee0a46c41a6d7d61765925fe57fc9aba9e24836bc8498d24ad259"),
     },
     # one fixed config per command, computed before the commands handed their
     # tables to one render path in main (1.0.1); re-pinned in 1.2.0 for the
@@ -485,23 +490,26 @@ CSV_PINS = {
     # previous stroke's last sample (5 cells moved, none by more than 1e-13);
     # spectrum re-pinned in 3.7.0 for the shifted-QR eigensolver (phi and
     # the transverse pair's imaginary parts moved by one unit in the last
-    # printed digit, none by more than 1e-12)
+    # printed digit, none by more than 1e-12); limit-cycle, iterate and
+    # trajectory re-pinned in 3.8.0 for the one-product sweep and the expm1
+    # bath shift (at most 13 cells moved, none by more than 5.9e-11, in
+    # iterate's distances near 4e-6)
     "command": {
         "limit-cycle": (
             ["limit-cycle"],
             {"engine": dict(FIG1_ENGINE, dephasing_cold=0.01, tau_ab=1.0, tau_ba=0.8)},
-            "63476c92e181e2dca14b281cbd8de89c13d0ce23e3be8cf52d1fcab1564eab5e"),
+            "c2dcccc223ace899e14cd1bb2ca53380d0e4e025e17acb6364c1e52920b234b6"),
         "iterate": (
             ["iterate"],
             {"engine": FIG1_ENGINE,
              "run": {"n_cycles": 12, "initial_state": {"kind": "thermal", "temperature": 40.0}},
              "output": {"precision": 9}},
-            "8aca8787d7efad38a2daa17b3d7b38ffacdf1950d6cd46eaf9dcdd957f0830b1"),
+            "163863a97911cff0420fdd8e0daaea895c83ab0958f034c43609da53ec6a1da1"),
         "trajectory": (
             ["trajectory"],
             {"engine": dict(FIG1_ENGINE, dephasing_hot=0.02, tau_ab=0.5, tau_ba=0.5),
              "run": {"samples_per_branch": 9}},
-            "88efa98c693a36f9419f1b4c73aa6c399ab732d287c6b6ad91ba993935a76e10"),
+            "fed7db08b42e0fc7a04d8f95c307da80ac0be4d1b9f733568b70b99b81b962c6"),
         "spectrum": (
             ["spectrum"],
             {"engine": dict(FIG1_ENGINE, dephasing_cold=0.03, dephasing_hot=0.01)},
@@ -520,11 +528,16 @@ CSV_PINS = {
     # tables shaped like the benchmark workloads and the edge cases of the
     # samplers, which CI once compared between two Pythons; computed with 3.1.0, iterate-long with 2.1.1, the two sweeps over
     # tau_ba and j with 3.1.1, and trajectory-dense with 3.2.0;
-    # trajectory-dense and trajectory-unequal re-pinned with 3.4.0
+    # trajectory-dense and trajectory-unequal re-pinned with 3.4.0; all but
+    # trajectory-subnormal, trajectory-zero-field and equilibrium-curve
+    # re-pinned in 3.8.0 for the one-product sweep and the expm1 bath shift
+    # (none moved by more than 1e-11, but for the distances of iterate and
+    # iterate-long near 1e-6, by at most 1.6e-10, and cells in the measures'
+    # noise floors below 1e-15)
     "ci": {
         "trajectory": (
             ["trajectory"], _CI_TRAJECTORY,
-            "1f225942216d46655b5059c9b093abe8a2fc57cf61dff31c0a04562251f330b1"),
+            "4fca2344cf68469c94629a9c9f0d745e3e7a3f08cb67c339c1365e673641ca4b"),
         # unequal sweeps: the hot->cold samples are the time reversals of a
         # second ascending ramp, run for tau_ba; re-pinned in 3.4.0, where
         # that ramp runs backwards from the stroke's end corner (2 of 4,040
@@ -532,7 +545,7 @@ CSV_PINS = {
         # twelfth digit)
         "trajectory-unequal": (
             ["trajectory"], dict(_CI_TRAJECTORY, engine=dict(_CI_ENGINE, tau_ba=0.8)),
-            "b5d99ad5e850f659f5be718035a4d23abf0b8f0d3e0c0b6a7a59965b42281687"),
+            "dadb5bc3a8c1d57a9403e1ed87cb18cfa5a57b19169278d36f761ab8e158288b"),
         # subnormal sweep durations: the field is scaled before it divides
         "trajectory-subnormal": (
             ["trajectory"],
@@ -547,17 +560,17 @@ CSV_PINS = {
                             gamma_cold_conductance=1.7, gamma_hot_conductance=1.7,
                             tau_cold=0.6, tau_hot=0, tau_ab=0.03, tau_ba=0.03),
              "run": {"samples_per_branch": 101}},
-            "195eba3f8a0a866a44c28011fa311b722d80111186d1afdc378f5c8062cb329c"),
+            "ead4645af7c9862e388d5e2f8eea0712d423f2ca9d03ef36d80abbdae63d1c35"),
         # shaped like perfbench's trajectory-dense: 1000 samples of 1.0-long
-        # sweeps, where the sweep is one product accepted on its proven
-        # truncation bound; re-pinned in 3.4.0, where the hot->cold samples
+        # sweeps, where the sweep is one product of one step per sample
+        # interval; re-pinned in 3.4.0, where the hot->cold samples
         # run the ramp backwards from the stroke's end corner (1 of 40,000
         # numeric cells moved, by 1e-17 printed)
         "trajectory-dense": (
             ["trajectory"],
             {"engine": dict(FIG1_ENGINE, tau_ab=1.0, tau_ba=1.0),
              "run": {"samples_per_branch": 1000}},
-            "b9ba00e2a563dfc301e41ae705a07ba2fea3f11c53478af8e920253421b662f8"),
+            "cc2417e964c333c4a837a0670b8b71d526477e359a90f3957036cfa0cb90d3b8"),
         # J = 0 and sweeps through zero field: the sweeps' middle samples sit
         # at omega = 0, where s_e takes its limit
         "trajectory-zero-field": (
@@ -570,20 +583,20 @@ CSV_PINS = {
             ["sweep"],
             {"engine": dict(FIG1_ENGINE, tau_ab=0.5, tau_ba=0.5),
              "run": {"sweep": {"key": "omega_a", "from": 3.0, "to": 8.0, "steps": 20}}},
-            "cb1df97cb626bd697018daf42645fb4236fd3a8cbda1ed2e152fbbfa78a04667"),
+            "d82716e8816d447ed51d48fc72f2d3bc4e97230306c1ede9cdb44f72087c70a5"),
         # from the second row on the two sweeps differ: the hot->cold maps come
         # from a second ascending ramp, run for tau_ba
         "sweep-tau-ba": (
             ["sweep"],
             {"engine": dict(FIG1_ENGINE, tau_ab=0.5, tau_ba=0.5),
              "run": {"sweep": {"key": "tau_ba", "from": 0.5, "to": 0.8, "steps": 7}}},
-            "4c60d4cd5bfd6f6ab3da5277a4b237f754134339c5870bfa23683fa41696341b"),
+            "6b78f17fd9db4bb710113bcbfc7990b3329a22efd0265d2b85628fb53d249136"),
         # every row changes both sweeps and both bath strokes
         "sweep-j": (
             ["sweep"],
             {"engine": dict(FIG1_ENGINE, tau_ab=0.5, tau_ba=0.5),
              "run": {"sweep": {"key": "j", "from": 1.0, "to": 3.0, "steps": 7}}},
-            "0435b353389e2dd090486efb92dca320526da0e899fcd68e8798bce398e02b49"),
+            "0ce96b64ce190f16062a3b017458be86651999cb17fcdf5fe43076384d940071"),
         # the fig1 cycle for 3,000 cycles from a bloch start, far past
         # convergence, so most rows sit in the measures' noise floors
         "iterate-long": (
@@ -591,36 +604,43 @@ CSV_PINS = {
             {"engine": FIG1_ENGINE,
              "run": {"n_cycles": 3000,
                      "initial_state": {"kind": "bloch", "b": [0.12, -0.21, 0.05, 0.1, -0.03]}}},
-            "c99a14d850c0d4f2b8a0f3d6380f357312dcd33a2aa326d97acd011aba666c19"),
+            "1404f67aa6627cee012e22d3a525193e39d483fdb2dc675530a439c43edae628"),
         # one config for the other four commands, which each read only their
         # own run keys
         "limit-cycle": (
             ["limit-cycle"], _CI_COMMANDS,
-            "0f62b2f4f842ce5c335df39fbad11880106c60bc4c0663de5521e2361f5e3253"),
+            "6654c24a0c2afe1533c74ab7e0831adea913b62ff74e24d860b520f770475ab0"),
         "iterate": (
             ["iterate"], _CI_COMMANDS,
-            "4c8f209e17baea760c635ebb817391d0b4a37f6fdddda6b2116f6579bddc3937"),
+            "d66a7c9780c63198d550b2065935796013786cbbae9d83718b77b3c4c4dd9f89"),
         "spectrum": (
             ["spectrum"], _CI_COMMANDS,
-            "6e22529dcffe729d8ab262529dca3a7155a93eef2a26171356ff14f770f52bb0"),
+            "d5482d3ad076a4d6e47c5994773978f6786a0ae1f366b0533f2b78ea0057931b"),
         "equilibrium-curve": (
             ["equilibrium-curve"], _CI_COMMANDS,
             "2c0827f727d7ff285350f83343b0417ece30d01e8b1c7263d4ad956e23a4fb1d"),
     },
     # a subnormal or tiny sweep next to a 1.0-long one: the tiny sweep's
-    # truncation bound is 0 and divides by no rotation angle; computed with
-    # 3.1.3, each case named "<command>-engine<k>-<sha256>"
+    # step-error estimate is 0 and divides by no rotation angle; computed
+    # with 3.1.3, each case named "<command>-engine<k>-<sha256 at 3.1.3>",
+    # a name it keeps when its bytes move; re-pinned in 3.8.0, where the
+    # 1.0-long sweep takes one 60-step product (at most 69 cells moved, none
+    # by more than 1e-12)
     "tiny": {
-        f"{argv[0]}-engine{k}-{digest}": (argv, {"engine": engine}, digest)
-        for k, (argv, engine, digest) in enumerate([
+        f"{argv[0]}-engine{k}-{first}": (argv, {"engine": engine}, digest)
+        for k, (argv, engine, first, digest) in enumerate([
             (["limit-cycle"], dict(FIG1_ENGINE, tau_ab=1.0, tau_ba=5e-324),
-             "4126a4d951639f20a5de35bd05f714a0db431546627c3a0fade54165c20b5b76"),
+             "4126a4d951639f20a5de35bd05f714a0db431546627c3a0fade54165c20b5b76",
+             "302c4078141ec445d0d727d6df9d796908fc611fb004ad55a2b99ebfb4f30102"),
             (["trajectory"], dict(FIG1_ENGINE, tau_ab=1.0, tau_ba=5e-324),
-             "12280e57c3dca2b466fec5778c4143a117b98cc790e07e85a3e330ae36a83d77"),
+             "12280e57c3dca2b466fec5778c4143a117b98cc790e07e85a3e330ae36a83d77",
+             "9f9be569a5b8a816d9e2d6b55a6a6466052cb2fe561c3cf5a0151e1a5db317dd"),
             (["limit-cycle"], dict(FIG1_ENGINE, tau_ab=1e-150, tau_ba=1.0),
-             "78b18827f79382339a10dfe6d755aebe83975b55e32e9dacbc482f4a46b73077"),
+             "78b18827f79382339a10dfe6d755aebe83975b55e32e9dacbc482f4a46b73077",
+             "70aaf64040539a60ec371fd8bae6f8ab918360fbefad98d8d229ff81e7170829"),
             (["trajectory"], dict(FIG1_ENGINE, tau_ab=1e-150, tau_ba=1.0),
-             "1da1f76c54c921ab5671134ee196b0366e58be459ec12cc7c0cbfe329e24a7d8"),
+             "1da1f76c54c921ab5671134ee196b0366e58be459ec12cc7c0cbfe329e24a7d8",
+             "0560931cf4762b142127ebb9309e2967abaa7e099da814e31d28503cbc4b40f4"),
         ])
     },
 }
