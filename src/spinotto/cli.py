@@ -44,12 +44,12 @@ from .engine import (
     CycleSpec,
     LimitCycleReport,
     NonUniqueLimitCycleError,
+    _stroke_states,
     compose_cycle,
     iterate,
     limit_cycle,
     linspace,
     spectrum,
-    trajectory,
 )
 from .measures import _measures_to, _state_entropies
 from .records import Record
@@ -323,15 +323,20 @@ TRAJECTORY_HEADER = (
 
 
 def trajectory_rows(prop: CyclePropagator, b_start: BlochVector, samples: int) -> list[list]:
-    """One TRAJECTORY_HEADER row per :func:`trajectory` sample.  s_vn, s_e
-    and the energy come from one call of ``measures._state_entropies``, the
-    implementation of :func:`vn_entropy` and :func:`energy_entropy`; it
-    checks no sample, as the caller checked b_start.
-    The energy basis is undefined at omega = J = 0 (a J = 0 sweep through
-    zero field); s_e takes its limit there, equal from either side."""
+    """One TRAJECTORY_HEADER row per :func:`trajectory` sample, built from
+    the strokes' states (``engine._stroke_states``) without a sample record.
+    s_vn, s_e and the energy come from one call of
+    ``measures._state_entropies``, the implementation of :func:`vn_entropy`
+    and :func:`energy_entropy`; it checks no sample, as the caller checked
+    b_start.  The energy basis is undefined at omega = J = 0 (a J = 0 sweep
+    through zero field); s_e takes its limit there, equal from either side."""
     j = prop.spec.j
-    return [[branch, t, omega, *b, *_state_entropies(b, omega, j)]
-            for branch, t, omega, b in trajectory(prop, b_start, samples)]
+    rows = []
+    for branch, t0, times, states, omega_at in _stroke_states(prop, b_start, samples):
+        for t, b in zip(times, states):
+            omega = omega_at(t)
+            rows.append([branch, t0 + t, omega, *b, *_state_entropies(b, omega, j)])
+    return rows
 
 
 SPECTRUM_HEADER = _MU_COLS + ["phi", "gap"]

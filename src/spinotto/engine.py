@@ -9,13 +9,15 @@ map's closed-set part is a 3x3 block, so the fixed point is a 3x3 solve with
 partial pivoting and the spectrum shifted QR steps on its Hessenberg form,
 the first shifted by a real root of the characteristic cubic, until a 1x1
 and a 2x2 block split off.
-:func:`_stroke_partials` gives each stroke's maps at its sample times after
-t = 0, the whole-stroke maps of :func:`compose_cycle` at two samples, and
-:func:`trajectory` applies them to the previous stroke's last sample.  Only
-ascending field ramps are integrated: the hot->cold stroke reverses the
-cold->hot ramp run for its duration (with equally long sweeps, the cold->hot
-sweep itself), by its whole map or from the stroke's end corner.
-Everything is plain floats, tuples and complex numbers.
+:func:`compose_cycle` forms each stroke's whole map; :func:`_stroke_states`
+steps the previous stroke's last state through each stroke's per-time
+factors, the bath closed form or the sweep's blocks, which gives the states
+of :func:`trajectory` and of the CSV trajectory rows without forming a map
+per sample.  Only ascending field ramps are integrated (:func:`_ramps`): the
+hot->cold stroke reverses the cold->hot ramp run for its duration (with
+equally long sweeps, the cold->hot sweep itself), by its whole map or from
+the stroke's end corner.  Everything is plain floats, tuples and complex
+numbers.
 
 A limit-cycle row is one flat pass: :class:`CycleSpec` checks every bound
 once, those of its four strokes with the checks their constructors run, so
@@ -42,11 +44,14 @@ from .propagators import (
     _check_bath_stroke,
     _check_sweep,
     _count,
+    _isochore_states,
+    _sampled_blocks,
+    _sweep_map,
+    _sweep_states,
     _time_reversed,
     _time_reversed_states,
-    adiabat_partials,
     compose,
-    isochore_partials,
+    isochore_propagator,
 )
 from .records import IdentityRecord, Record
 
@@ -226,36 +231,47 @@ def linspace(start: float, stop: float, num: int) -> list[float]:
     return values
 
 
+def _check_finite_state(b: BlochVector, name: str) -> None:
+    """ValueError naming the argument when a component of the state b is
+    not finite."""
+    if not all(map(math.isfinite, b)):
+        raise ValueError(f"{name} must be a finite state, got {tuple(b)!r}")
+
+
 def energy(b: BlochVector, omega: float, j: float) -> float:
-    """Expected energy omega*b1 + J*b2 at field omega."""
+    """Expected energy omega*b1 + J*b2 at field omega.  ValueError naming
+    the argument when omega, j, b1 or b2 is not finite."""
+    for name, value in (("omega", omega), ("j", j), ("b.b1", b.b1), ("b.b2", b.b2)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     return omega * b.b1 + j * b.b2
 
 
-def _stroke_partials(strokes, samples: int) -> tuple:
-    """Maps of the first t time units of the four strokes, in time order, at
-    the samples - 1 times t > 0 of samples evenly spaced t in [0, tau]
-    (:func:`linspace`): the bath-stroke closed form (:func:`isochore_partials`)
-    and the ascending sweep (:func:`adiabat_partials`).  The hot->cold entry
-    is the ascending ramp run for its duration, with equally long sweeps the
-    cold->hot sweep itself, which its consumers run backwards."""
-    hot, hot_cold, cold, cold_hot = strokes
-    ramp = u_ab = adiabat_partials(cold_hot, samples)[1:]
-    if hot_cold.tau != cold_hot.tau:
-        start, end, j, tau = hot_cold  # run backwards, the same checked bounds
-        ramp = adiabat_partials(tuple.__new__(AdiabatParams, (end, start, j, tau)), samples)[1:]
-    return (isochore_partials(hot, linspace(0.0, hot.tau, samples)[1:]), ramp,
-            isochore_partials(cold, linspace(0.0, cold.tau, samples)[1:]), u_ab)
+def _ramps(hot_cold: AdiabatParams, cold_hot: AdiabatParams, samples: int) -> tuple:
+    """Rotation blocks of the cold->hot field ramp run for the hot->cold
+    duration and for the cold->hot one, each at samples evenly spaced t in
+    [0, tau] (:func:`_sampled_blocks`).  Only ascending ramps are
+    integrated, the hot->cold one for its consumers to run backwards; with
+    equally long sweeps it is the cold->hot ramp itself, integrated once."""
+    rise = _sampled_blocks(cold_hot, samples)
+    if hot_cold.tau == cold_hot.tau:
+        return rise, rise
+    start, end, j, tau = hot_cold  # run backwards, the same checked bounds
+    return _sampled_blocks(tuple.__new__(AdiabatParams, (end, start, j, tau)), samples), rise
 
 
 def compose_cycle(spec: CycleSpec) -> CyclePropagator:
     """The spec's four strokes (its stroke methods), their whole-stroke maps
-    and the one-period product.  The maps are :func:`_stroke_partials` at
-    two samples per stroke, the sampler :func:`trajectory` uses."""
+    and the one-period product: the bath strokes' closed form
+    (:func:`isochore_propagator`), the cold->hot ramp's last block and the
+    reversed hot->cold one (:func:`_ramps` at two samples, the ramps
+    :func:`trajectory` samples)."""
     new = tuple.__new__
-    strokes = hot, hot_cold, cold, cold_hot = (
+    hot, hot_cold, cold, cold_hot = (
         spec.hot_isochore(), spec.adiabat_ba(), spec.cold_isochore(), spec.adiabat_ab())
-    (u_ish,), (ramp,), (u_isc,), (u_ab,) = _stroke_partials(strokes, 2)
-    u_ba = _time_reversed(ramp)
+    ramp, rise = _ramps(hot_cold, cold_hot, 2)
+    u_ish, u_isc = isochore_propagator(hot), isochore_propagator(cold)
+    u_ba, u_ab = _sweep_map(_time_reversed(ramp[-1])), _sweep_map(rise[-1])
     branches = (
         new(CycleBranch, ("isochore-hot", hot, u_ish)),
         new(CycleBranch, ("adiabat-hot-cold", hot_cold, u_ba)),
@@ -492,16 +508,57 @@ def limit_cycle(spec: CycleSpec) -> LimitCycleReport:
 
 def iterate(prop: CyclePropagator, b0: BlochVector, n: int) -> list[BlochVector]:
     """Anchor-point states b_k for k = 0..n under repeated cycle maps.
-    ValueError when n is not an integer >= 0."""
+    ValueError when n is not an integer >= 0 or a component of b0 is not
+    finite."""
     n = _count(n, "n")
     if n < 0:
         raise ValueError("n must be >= 0")
+    _check_finite_state(b0, "b0")
     states = [b0]
     b = b0
     for _ in range(n):
         b = prop.cycle.apply(b)
         states.append(b)
     return states
+
+
+def _stroke_states(prop: CyclePropagator, b_start: BlochVector, samples: int) -> list:
+    """(name, t0, times, states, omega_at) of each stroke in time order: its
+    name, start time t0 since A, samples evenly spaced times t in [0, tau]
+    (:func:`linspace`), its states at those times and its field
+    ``omega_at(t)``.
+
+    A stroke's first state is its start state itself: b_start for the first
+    stroke, the previous stroke's last state for the others, so consecutive
+    strokes share their corner state bit for bit.  Its later states are its
+    maps at those times applied to the start state, computed from the
+    stroke's per-time factors without forming a map: a bath stroke's closed
+    form (:func:`_isochore_states`), the cold->hot sweep's blocks
+    (:func:`_sweep_states`) and the hot->cold stroke's ramp run backwards
+    from its end corner (:func:`_time_reversed_states`), both ramps from
+    :func:`_ramps`.  ValueError when samples is not an integer >= 2 or a
+    component of b_start is not finite; no later state is checked."""
+    samples = _count(samples, "samples_per_branch")
+    if samples < 2:
+        raise ValueError("samples_per_branch must be >= 2")
+    _check_finite_state(b_start, "b_start")
+    branches = prop.branches
+    ramp, rise = _ramps(branches[1].stroke, branches[3].stroke, samples)
+    strokes = []
+    t0 = 0.0
+    start = b_start
+    for index, (name, stroke, _) in enumerate(branches):
+        times = linspace(0.0, stroke.tau, samples)
+        if index == 1:
+            states = _time_reversed_states(ramp[1:], start)
+        elif index == 3:
+            states = _sweep_states(rise[1:], start)
+        else:
+            states = _isochore_states(stroke, times[1:], start)
+        strokes.append((name, t0, times, states, stroke.omega_at))
+        start = states[-1]
+        t0 += stroke.tau
+    return strokes
 
 
 class TrajectorySample(Record, namedtuple("TrajectorySample", "branch t omega state")):
@@ -517,34 +574,17 @@ def trajectory(
     """Densely sampled states over one period, branch by branch.
 
     Each branch contributes samples_per_branch points including both
-    endpoints.  A stroke's first sample is its start state itself: b_start
-    for the first stroke, the previous stroke's last sample for the others,
-    so consecutive branches share their corner state bit for bit.  Its
-    state at a later time t is the map of the stroke's first t time units
-    applied to that start state; :func:`_stroke_partials`, the sampler of
-    :func:`compose_cycle`, gives each stroke's maps for all sample times in
-    one pass, the hot->cold ramp run backwards from the stroke's end corner
-    (:func:`_time_reversed_states`).  ValueError when samples_per_branch is
-    not an integer >= 2.
+    endpoints, the states of :func:`_stroke_states`: a stroke's first is
+    its start state (b_start, then the previous stroke's last sample), and
+    each later one the stroke's map at that time applied to it.
+    ValueError when samples_per_branch is not an integer >= 2 or a
+    component of b_start is not finite.
     """
-    samples_per_branch = _count(samples_per_branch, "samples_per_branch")
-    if samples_per_branch < 2:
-        raise ValueError("samples_per_branch must be >= 2")
-    strokes = [branch.stroke for branch in prop.branches]
     new = tuple.__new__
-    samples = []
-    t0 = 0.0
-    start = b_start
-    for index, ((name, stroke, _), maps) in enumerate(zip(
-            prop.branches, _stroke_partials(strokes, samples_per_branch))):
-        omega_at = stroke.omega_at
-        states = (_time_reversed_states(maps, start) if index == 1
-                  else [start] + [m.apply(start) for m in maps])
-        for t, state in zip(linspace(0.0, stroke.tau, samples_per_branch), states):
-            samples.append(new(TrajectorySample, (name, t0 + t, omega_at(t), state)))
-        start = states[-1]
-        t0 += stroke.tau
-    return samples
+    return [new(TrajectorySample, (name, t0 + t, omega_at(t), state))
+            for name, t0, times, states, omega_at in _stroke_states(
+                prop, b_start, samples_per_branch)
+            for t, state in zip(times, states)]
 
 
 def _ledger(prop: CyclePropagator, b_a: BlochVector) -> ThermoLedger:

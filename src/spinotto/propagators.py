@@ -3,17 +3,21 @@
 A branch propagator acts on the column (b1, b2, b3, 1) through a 4x4 affine
 matrix whose bottom row is (0, 0, 0, 1), plus a closure rule for the (b4, b5)
 pair.  Constant-field bath branches have a closed form, evaluated at many
-times at once by :func:`isochore_partials`.  The driven branches
+times at once by :func:`_isochore_factors`.  The driven branches
 (linear field sweep, no bath) are rotations whose generator is linear in the
 field; they are integrated with an eighth-order Magnus product of unit
 quaternions (Blanes, Casas & Ros, BIT 40, 434 (2000); Blanes, Casas, Oteo &
 Ros, Phys. Rep. 470, 151 (2009)), one product per sweep, whose step count
 comes from an estimate of the leading, degree-9 term of its error.  Maps are
 plain floats and tuples; only the ``m`` accessor and the brute-force
-midpoint-field oracle :func:`adiabat_propagator_direct` import numpy.  Every
-path, the in-branch samplers :func:`isochore_partials` and
-:func:`adiabat_partials` included, works with the one map type
-:class:`AffinePropagator`.
+midpoint-field oracle :func:`adiabat_propagator_direct` import numpy.  Maps
+have the one type :class:`AffinePropagator`.  Each branch has one source of
+per-time factors, the bath closed form's entries or the sweep's rotation
+blocks (:func:`_sampled_blocks`), with two thin consumers: the samplers
+:func:`isochore_partials` and :func:`adiabat_partials` build maps from them,
+and :func:`_isochore_states` and :func:`_sweep_states` step one state
+through them, bit for bit as the maps would, without forming a map
+(:func:`_time_reversed_states` from a reversed sweep's end corner).
 """
 
 from __future__ import annotations
@@ -270,24 +274,22 @@ def compose(*props: AffinePropagator) -> AffinePropagator:
     return acc
 
 
-def isochore_partials(p: IsochoreParams, times) -> list[AffinePropagator]:
-    """Closed-form maps of the first t time units of a constant-field bath
-    branch, one for each t in times.
+def _isochore_factors(p: IsochoreParams, times):
+    """The closed form of a constant-field bath branch: for each t in times,
+    the entries (a11, a12, a13, a22, a32, a33, g, g^2, v1, v2, d1, d2, h) of
+    its map over the first t time units, whose block is
 
-    The (b1, b2, b3) block combines a rotation by sqrt(2)*Omega*t about the
-    field axis (omega, J, 0)/Omega with longitudinal decay at rate Gamma
-    toward the thermal values and transverse decay at Gamma + 2*gamma*Omega^2.
-    b4 decays at rate Gamma toward zero; b5 decays at 2*Gamma toward its
-    thermal value while driven by the decaying energy, which keeps the full
-    map completely positive.
-    """
-    if not all(t >= 0.0 for t in times):
-        raise ValueError("times must be >= 0")
+        ((a11, a12, a13), (a12, a22, -a32), (-a13, a32, a33)),
+
+    shift (v1, v2, 0), b4 scale g, b5 scale g^2, b5 drive (d1, d2, 0) and
+    b5 shift h (:func:`isochore_partials`).  Its two consumers build the
+    maps or step one state through them."""
     omega, j = p.omega, p.j
     gam = p.bath.conductance
     big_omega = math.hypot(omega, j)
     transverse_rate = gam + 2.0 * p.bath.dephasing * big_omega**2
     eq = thermal_state(omega, j, p.bath.temperature)
+    eq1, eq2, eq5 = eq.b1, eq.b2, eq.b5
     om2 = big_omega**2
     omega_sq, j_sq, omega_j = omega**2, j**2, omega * j
     # Exact solution of db5/dt = -2 Gamma b5 + sqrt(2) (k_up - k_down) E(t) / Omega
@@ -296,8 +298,6 @@ def isochore_partials(p: IsochoreParams, times) -> list[AffinePropagator]:
     drive_scale = -(SQRT2 * t_th / big_omega)
     angular_rate = SQRT2 * big_omega
     exp, expm1, cos, sin = math.exp, math.expm1, math.cos, math.sin
-    new = tuple.__new__
-    maps = []
     for tau in times:
         # tau = 0 is no decay even when a rate is or overflows to inf (inf * 0 is NaN)
         if tau > 0.0:
@@ -312,24 +312,58 @@ def isochore_partials(p: IsochoreParams, times) -> list[AffinePropagator]:
         c = cos(phase)
         s = sin(phase)
         kc = k * c
-        mixed = omega_j * (g - kc) / om2
-        rot_j = k * j * s / big_omega
-        rot_omega = k * omega * s / big_omega
-        block = (
-            ((g * omega_sq + kc * j_sq) / om2, mixed, rot_j),
-            (mixed, (g * j_sq + kc * omega_sq) / om2, -rot_omega),
-            (-rot_j, rot_omega, kc),
-        )
         drive_coef = drive_scale * (g * relaxed)
-        maps.append(new(AffinePropagator, (
-            block,
-            (eq.b1 * relaxed, eq.b2 * relaxed, 0.0),
-            g,
-            g * g,
-            (drive_coef * omega, drive_coef * j, 0.0),
-            eq.b5 * relaxed ** 2,
+        yield ((g * omega_sq + kc * j_sq) / om2,  # a11
+               omega_j * (g - kc) / om2,  # a12 = a21
+               k * j * s / big_omega,  # a13 = -a31
+               (g * j_sq + kc * omega_sq) / om2,  # a22
+               k * omega * s / big_omega,  # a32 = -a23
+               kc, g, g * g,  # a33, the b4 and b5 scales
+               eq1 * relaxed, eq2 * relaxed,  # the shift
+               drive_coef * omega, drive_coef * j,  # the b5 drive
+               eq5 * relaxed ** 2)  # the b5 shift
+
+
+def isochore_partials(p: IsochoreParams, times) -> list[AffinePropagator]:
+    """Closed-form maps of the first t time units of a constant-field bath
+    branch, one for each t in times.
+
+    The (b1, b2, b3) block combines a rotation by sqrt(2)*Omega*t about the
+    field axis (omega, J, 0)/Omega with longitudinal decay at rate Gamma
+    toward the thermal values and transverse decay at Gamma + 2*gamma*Omega^2.
+    b4 decays at rate Gamma toward zero; b5 decays at 2*Gamma toward its
+    thermal value while driven by the decaying energy, which keeps the full
+    map completely positive.  The maps are built from the entries
+    :func:`_isochore_factors` gives, the closed form's one source.
+    """
+    if not all(t >= 0.0 for t in times):
+        raise ValueError("times must be >= 0")
+    new = tuple.__new__
+    return [new(AffinePropagator, (
+        ((a11, a12, a13), (a12, a22, -a32), (-a13, a32, a33)),
+        (v1, v2, 0.0), g, g2, (d1, d2, 0.0), h,
+    )) for a11, a12, a13, a22, a32, a33, g, g2, v1, v2, d1, d2, h
+        in _isochore_factors(p, times)]
+
+
+def _isochore_states(p: IsochoreParams, times, start: BlochVector) -> list:
+    """start, then the states of the bath branch p from start at each t in
+    times: its maps (:func:`isochore_partials`) applied to start in
+    :meth:`AffinePropagator.apply`'s order of operations, so bit for bit
+    their states, without forming a map."""
+    x, y, z, b4, b5 = start
+    zero_z = 0.0 * z  # the zero third entry of the b5 drive, times b3
+    new = tuple.__new__
+    states = [start]
+    for a11, a12, a13, a22, a32, a33, g, g2, v1, v2, d1, d2, h in _isochore_factors(p, times):
+        states.append(new(BlochVector, (
+            a11 * x + a12 * y + a13 * z + v1,
+            a12 * x + a22 * y - a32 * z + v2,
+            -a13 * x + a32 * y + a33 * z + 0.0,
+            g * b4,
+            g2 * b5 + (d1 * x + d2 * y + zero_z) + h,
         )))
-    return maps
+    return states
 
 
 def isochore_propagator(p: IsochoreParams) -> AffinePropagator:
@@ -483,33 +517,41 @@ def _leading_error(p: AdiabatParams) -> float:
     return min(whole, along + _TURN_FACTOR * (f_0 + f_4 + variation))
 
 
+def _sampled_blocks(p: AdiabatParams, samples: int) -> list[tuple]:
+    """Rotation blocks of the sweep's first t time units at samples >= 2
+    evenly spaced t in [0, tau], from one eighth-order Magnus product
+    (:func:`_sweep_blocks`) over uniform steps, at least one per sample
+    interval and each turning by at most _MAX_STEP_ANGLE.  Its error falls
+    as n^-8 in the step count n, which is the smallest whose estimated error
+    (:func:`_leading_error`), times _ERROR_SAFETY, is at most
+    SWEEP_TOLERANCE: an estimate, not a bound.  J = 0 and a constant field
+    give exact steps of any length, one per sample interval."""
+    if p.tau == 0.0:
+        return [_IDENTITY_BLOCK] * samples
+    segments = samples - 1
+    error = _leading_error(p)
+    steps = max(p.rotation_angle / _MAX_STEP_ANGLE,
+                (_ERROR_SAFETY * error / SWEEP_TOLERANCE) ** 0.125) if error else 1
+    return _sweep_blocks(p, segments, math.ceil(steps / segments))
+
+
+def _sweep_map(block: tuple) -> AffinePropagator:
+    """The sweep map of a rotation block: a sweep leaves all but the block
+    alone."""
+    return tuple.__new__(AffinePropagator, (block, _ZERO3, 1.0, 1.0, _ZERO3, 0.0))
+
+
 def adiabat_partials(p: AdiabatParams, samples: int) -> list[AffinePropagator]:
     """Sweep maps of the first t time units at samples evenly spaced t in
-    [0, tau].
+    [0, tau], the blocks of :func:`_sampled_blocks`.
 
-    One eighth-order Magnus product over uniform steps, at least one per
-    sample interval and each turning by at most _MAX_STEP_ANGLE.  Its error
-    falls as n^-8 in the step count n, which is the smallest whose estimated
-    error (:func:`_leading_error`), times _ERROR_SAFETY, is at most
-    SWEEP_TOLERANCE: an estimate, not a bound.  J = 0 and a constant field
-    give exact steps of any length, one per sample interval.
     The (b1, b2, b3) blocks are rotations to rounding; (b4, b5) commute with
     the generator for every field value and stay constant.
     """
     samples = _count(samples, "samples")
     if samples < 2:
         raise ValueError("samples must be >= 2")
-    segments = samples - 1
-    if p.tau == 0.0:
-        blocks = [_IDENTITY_BLOCK] * samples
-    else:
-        error = _leading_error(p)
-        steps = max(p.rotation_angle / _MAX_STEP_ANGLE,
-                    (_ERROR_SAFETY * error / SWEEP_TOLERANCE) ** 0.125) if error else 1
-        blocks = _sweep_blocks(p, segments, math.ceil(steps / segments))
-    # a sweep leaves all but the block alone
-    return [tuple.__new__(AffinePropagator, (block, _ZERO3, 1.0, 1.0, _ZERO3, 0.0))
-            for block in blocks]
+    return [_sweep_map(block) for block in _sampled_blocks(p, samples)]
 
 
 def adiabat_propagator(p: AdiabatParams) -> AffinePropagator:
@@ -517,31 +559,49 @@ def adiabat_propagator(p: AdiabatParams) -> AffinePropagator:
     return adiabat_partials(p, 2)[-1]
 
 
-def _time_reversed(u: AffinePropagator) -> AffinePropagator:
-    """R U^T R, R = diag(1, 1, -1), the block of U transposed with entries
-    (0, 2), (1, 2), (2, 0) and (2, 1) negated: the map of the sweep with map
-    U (:func:`adiabat_partials`) run backwards for its whole duration tau.
+def _sweep_states(blocks, start: BlochVector) -> list:
+    """start, then the states of a sweep from start under its rotation
+    blocks after t = 0 (:func:`_sampled_blocks`): their maps applied to
+    start in :meth:`AffinePropagator.apply`'s order of operations, so bit
+    for bit their states, without forming a map."""
+    x, y, z, b4, b5 = start
+    # a sweep's zero b5 drive and shift, as apply adds them
+    b5 = b5 + (0.0 * x + 0.0 * y + 0.0 * z) + 0.0
+    new = tuple.__new__
+    states = [start]
+    for (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) in blocks:
+        states.append(new(BlochVector, (a11 * x + a12 * y + a13 * z + 0.0,
+                                        a21 * x + a22 * y + a23 * z + 0.0,
+                                        a31 * x + a32 * y + a33 * z + 0.0, b4, b5)))
+    return states
+
+
+def _time_reversed(block: tuple) -> tuple:
+    """R U^T R, R = diag(1, 1, -1), the block U transposed with entries
+    (0, 2), (1, 2), (2, 0) and (2, 1) negated: the block of the sweep with
+    block U (:func:`_sampled_blocks`) run backwards for its whole duration
+    tau.
 
     Run backwards, the sweep's generator at time t is G(tau - t), where
     G = sqrt(2) [(omega, J, 0)]_x and R G R = -G.  So, as U(tau)^T =
     U(tau)^-1, V(t) = R U(tau - t) U(tau)^T R solves V' = G(tau - t) V from
-    V(0) = I: it is the map of the first t time units.  At t = tau it is
-    this map; on a state b it is R U(tau - t) R c from the end corner
+    V(0) = I: it is the block of the first t time units.  At t = tau it is
+    this block; on a state b it is R U(tau - t) R c from the end corner
     c = R U(tau)^T R b, the state form of :func:`_time_reversed_states`."""
-    (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = u.block
-    return tuple.__new__(AffinePropagator, (
-        ((a11, a21, -a31), (a12, a22, -a32), (-a13, -a23, a33)), _ZERO3, 1.0, 1.0, _ZERO3, 0.0))
+    (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = block
+    return ((a11, a21, -a31), (a12, a22, -a32), (-a13, -a23, a33))
 
 
-def _time_reversed_states(ramp: list[AffinePropagator], start: BlochVector) -> list:
+def _time_reversed_states(ramp, start: BlochVector) -> list:
     """States of a sweep run backwards from start at n evenly spaced t_k in
-    [0, tau], from its maps U(t_k) at t_k > 0 (:func:`_time_reversed`):
-    start, R U(tau - t_k) R c with U(tau - t_k) the sample n - 1 - k, and the
-    end corner c."""
-    c = c1, c2, c3, b4, b5 = _time_reversed(ramp[-1]).apply(start)
+    [0, tau], from the blocks U(t_k) of its ramp at t_k > 0
+    (:func:`_sampled_blocks`, :func:`_time_reversed`): start,
+    R U(tau - t_k) R c with U(tau - t_k) the block n - 1 - k, and the end
+    corner c, the reversed ramp's whole map applied to start."""
+    c = c1, c2, c3, b4, b5 = _sweep_states((_time_reversed(ramp[-1]),), start)[1]
     new = tuple.__new__
     states = [start]
-    for ((a11, a12, a13), (a21, a22, a23), (a31, a32, a33)), _, _, _, _, _ in ramp[-2::-1]:
+    for (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) in ramp[-2::-1]:
         states.append(new(BlochVector, (a11 * c1 + a12 * c2 - a13 * c3,
                                         a21 * c1 + a22 * c2 - a23 * c3,
                                         -(a31 * c1 + a32 * c2 - a33 * c3), b4, b5)))

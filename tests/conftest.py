@@ -14,7 +14,8 @@ import scipy.linalg
 from hypothesis import assume, settings
 from hypothesis import strategies as st
 
-from spinotto import AdiabatParams, BlochVector, CycleSpec, energy_populations
+from spinotto import AdiabatParams, BlochVector, CycleSpec, adiabat_propagator, energy_populations
+from spinotto import propagators
 from spinotto.algebra import LOG_EIGENVALUE_FLOOR, PHYSICALITY_TOL
 from spinotto.measures import _SUPPORT_TOL, _SUPPORT_WEIGHT
 
@@ -532,3 +533,28 @@ def linear_fit(x, y):
     ss_res = float(((y - pred) ** 2).sum())
     ss_tot = float(((y - y.mean()) ** 2).sum())
     return float(slope), float(intercept), 1.0 - ss_res / ss_tot
+
+
+class StepCounter:
+    """Wraps the Magnus product: sums its steps, counts its calls and records
+    the sweeps it integrates."""
+
+    def __init__(self, monkeypatch):
+        self.steps = self.calls = 0
+        self.sweeps = []
+        self._blocks = propagators._sweep_blocks
+        monkeypatch.setattr(propagators, "_sweep_blocks", self)
+
+    def __call__(self, p, segments, per_segment):
+        self.steps += segments * per_segment
+        self.calls += 1
+        if p not in self.sweeps:
+            self.sweeps.append(p)
+        return self._blocks(p, segments, per_segment)
+
+    def count(self, p):
+        """Steps of the whole-sweep map of p, which forms one product."""
+        self.steps = self.calls = 0
+        adiabat_propagator(p)
+        assert self.calls == 1, p
+        return self.steps

@@ -35,7 +35,7 @@ from spinotto import (
     trajectory,
     vn_entropy,
 )
-from spinotto import engine
+from spinotto import engine, propagators
 from spinotto.algebra import FIELD_RANGE
 from spinotto.cli import ITERATE_HEADER, TRAJECTORY_HEADER, iterate_rows, trajectory_rows
 from spinotto.engine import (
@@ -50,6 +50,7 @@ from conftest import (
     EXAMPLE_SCALE,
     FIG5_TIMES,
     SQRT2,
+    StepCounter,
     cycle_specs,
     eigenvalue_error,
     fig1_spec,
@@ -625,8 +626,20 @@ def test_isochore_partials_equal_per_sample_maps(rng):
         isochore_partials(prop.branches[0].stroke, [0.0, -1e-3])
 
 
+_MIXED = BlochVector(0.0, 0.0, 0.0, 0.0, 0.0)
+_THERMAL = thermal_state(12.6355, 2.0, 7.5)
+
+
 @settings(max_examples=100 * EXAMPLE_SCALE, deadline=None)
 @given(cycle_specs(), physical_states(), st.sampled_from([2, 3, 17]), st.booleans())
+@example(replace(fig1_spec(), tau_hot=0.0), _THERMAL, 17, True)  # a zero-length bath stroke
+@example(replace(fig1_spec(), tau_ab=0.0, tau_ba=0.0), _MIXED, 17, True)  # zero-length sweeps
+@example(replace(fig1_spec(), tau_ab=5e-324, tau_ba=2.2e-311), _THERMAL, 3,
+         False)  # subnormal sweep durations
+@example(replace(fig1_spec(), omega_a=-3.0, j=0.0, tau_ab=0.4), _MIXED, 17, True)  # J = 0
+@example(replace(fig1_spec(), dephasing_cold=0.05, dephasing_hot=0.03), _THERMAL, 17,
+         True)  # dephasing on both baths
+@example(replace(fig1_spec(), tau_ab=0.7, tau_ba=0.3), _THERMAL, 17, False)  # unequal sweeps
 def test_trajectory_states_equal_public_maps_property(spec, b0, samples, symmetric):
     # the one-pass sampler against the public per-branch maps: each sample is
     # the stroke's partial map applied to the branch's start corner, which is
@@ -678,6 +691,70 @@ def test_trajectory_states_equal_public_maps_property(spec, b0, samples, symmetr
             assert row[s_e] == energy_entropy(expected, point.omega, spec.j)
         corner = expected
         t0 += branch.stroke.tau
+
+
+def test_trajectory_forms_no_map_and_no_sample_record(monkeypatch):
+    # the trajectory path steps one state through each stroke's per-time
+    # factors: no public sampler runs, no map is formed and the CSV rows
+    # take no TrajectorySample
+    spec = replace(fig1_spec(), tau_ab=0.7, tau_ba=0.3)
+    prop = compose_cycle(spec)
+    b0 = limit_cycle(spec).b_a
+    points, rows = trajectory(prop, b0, 9), trajectory_rows(prop, b0, 9)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a map or sample record formed on the trajectory path")
+
+    for name in ("isochore_partials", "adiabat_partials", "_sweep_map"):
+        monkeypatch.setattr(propagators, name, refuse)
+    for name in ("isochore_propagator", "_sweep_map", "_time_reversed"):
+        monkeypatch.setattr(engine, name, refuse)
+    assert trajectory(prop, b0, 9) == points
+    monkeypatch.setattr(engine, "TrajectorySample", None)  # tuple.__new__ would refuse it
+    assert trajectory_rows(prop, b0, 9) == rows
+
+
+def test_trajectory_forms_one_product_per_ramp(monkeypatch):
+    # a work count in trajectory-dense's shape (1000 samples, equal 1.0-long
+    # sweeps), through trajectory itself: one product of 999 steps; unequal
+    # sweeps take two, as compose_cycle does, which forms one per ramp
+    b0 = BlochVector(0.0, 0.0, 0.0, 0.0, 0.0)
+    spec = replace(fig1_spec(), tau_ab=1.0, tau_ba=1.0)
+    unequal = replace(spec, tau_ba=0.5)
+    props = compose_cycle(spec), compose_cycle(unequal)
+    counter = StepCounter(monkeypatch)
+    trajectory(props[0], b0, 1000)
+    assert (counter.steps, counter.calls) == (999, 1)
+    counter.calls = 0
+    trajectory(props[1], b0, 1000)
+    assert counter.calls == 2
+    for cycle, calls in ((spec, 1), (unequal, 2)):
+        counter.calls = 0
+        compose_cycle(cycle)
+        assert counter.calls == calls
+
+
+_NAN_STATE = BlochVector(0.0, 0.0, 0.0, 0.0, math.nan)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda prop: trajectory(prop, BlochVector(math.inf, 0.0, 0.0, 0.0, 0.0), 2),
+     "b_start must be a finite state"),
+    (lambda prop: trajectory_rows(prop, _NAN_STATE, 2), "b_start must be a finite state"),
+    (lambda prop: iterate(prop, BlochVector(math.inf, 0.0, 0.0, 0.0, 0.0), 3),
+     "b0 must be a finite state"),
+    (lambda prop: iterate(prop, _NAN_STATE, 0), "b0 must be a finite state"),
+    (lambda prop: energy(_MIXED, math.nan, 1.0), "omega must be finite, got nan"),
+    (lambda prop: energy(_MIXED, 1.0, -math.inf), "j must be finite, got -inf"),
+    (lambda prop: energy(BlochVector(math.inf, 0.0, 0.0, 0.0, 0.0), 1.0, 1.0),
+     "b.b1 must be finite, got inf"),
+    (lambda prop: energy(BlochVector(0.0, math.nan, 0.0, 0.0, 0.0), 1.0, 1.0),
+     "b.b2 must be finite, got nan"),
+], ids=["trajectory", "trajectory_rows", "iterate", "iterate-0", "energy-omega", "energy-j",
+        "energy-b1", "energy-b2"])
+def test_public_functions_refuse_non_finite_starts(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        call(compose_cycle(fig1_spec()))
 
 
 @settings(max_examples=100 * EXAMPLE_SCALE, deadline=None)

@@ -15,6 +15,7 @@ from scipy.integrate import solve_ivp
 
 from spinotto import (
     AdiabatParams,
+    AffinePropagator,
     BathParams,
     BlochVector,
     IsochoreParams,
@@ -32,13 +33,13 @@ from spinotto import (
     trajectory,
 )
 from spinotto import propagators
-from spinotto.engine import _stroke_partials, linspace
+from spinotto.engine import _ramps, linspace
 from spinotto.propagators import (
     MAX_SWEEP_ANGLE, SWEEP_TOLERANCE, _time_reversed, _time_reversed_states,
 )
 from conftest import (
-    EXAMPLE_SCALE, FIG5_TIMES, SQRT2, cycle_specs, fig1_spec, fig5_spec, landau_zener_map,
-    physical_states, random_bloch,
+    EXAMPLE_SCALE, FIG5_TIMES, SQRT2, StepCounter, cycle_specs, fig1_spec, fig5_spec,
+    landau_zener_map, physical_states, random_bloch,
 )
 
 
@@ -204,22 +205,21 @@ def test_zero_field_sweep_integrates():
 
 
 def test_sweep_samples_end_at_branch_map():
-    # the in-period sampler gives the maps after t = 0: the cold->hot
-    # sweep's last one its branch map, and the hot->cold ramp's last one,
-    # reversed, the hot->cold branch map; the public sampler starts at the
-    # identity, and the ramp run backwards at its start state and ends at
-    # its reversed last map applied to it
+    # the in-period ramps: the cold->hot one's last block is its branch
+    # map's, and the hot->cold ramp's last one, reversed, the hot->cold
+    # branch map; the public sampler starts at the identity, and the ramp
+    # run backwards at its start state and ends at its reversed last map
+    # applied to it
     prop = compose_cycle(fig1_spec())
     strokes = [branch.stroke for branch in prop.branches]
     b = BlochVector(0.1, -0.2, 0.3, 0.05, 0.1)
     for samples in (2, 7, 200):
-        maps = _stroke_partials(strokes, samples)
-        for partials in (maps[1], maps[3]):
-            assert len(partials) == samples - 1
-        reverse = _time_reversed(maps[1][-1])
+        ramp, rise = _ramps(strokes[1], strokes[3], samples)
+        assert len(ramp) == len(rise) == samples
+        reverse = AffinePropagator(block=_time_reversed(ramp[-1]))
         assert np.abs(reverse.m - prop.branches[1].prop.m).max() < 1e-12
-        assert np.abs(maps[3][-1].m - prop.branches[3].prop.m).max() < 1e-12
-        states = _time_reversed_states(maps[1], b)
+        assert np.abs(AffinePropagator(block=rise[-1]).m - prop.branches[3].prop.m).max() < 1e-12
+        states = _time_reversed_states(ramp[1:], b)
         assert len(states) == samples and states[0] is b
         assert tuple(states[-1]) == tuple(reverse.apply(b))
         forward = adiabat_partials(strokes[3], samples)
@@ -501,31 +501,6 @@ def test_dense_sweep_matches_landau_zener_oracle():
         assert np.abs(np.array(partials[k].block) - exact).max() <= 10 * SWEEP_TOLERANCE, t
 
 
-class StepCounter:
-    """Wraps the Magnus product: sums its steps, counts its calls and records
-    the sweeps it integrates."""
-
-    def __init__(self, monkeypatch):
-        self.steps = self.calls = 0
-        self.sweeps = []
-        self._blocks = propagators._sweep_blocks
-        monkeypatch.setattr(propagators, "_sweep_blocks", self)
-
-    def __call__(self, p, segments, per_segment):
-        self.steps += segments * per_segment
-        self.calls += 1
-        if p not in self.sweeps:
-            self.sweeps.append(p)
-        return self._blocks(p, segments, per_segment)
-
-    def count(self, p):
-        """Steps of the whole-sweep map of p, which forms one product."""
-        self.steps = self.calls = 0
-        adiabat_propagator(p)
-        assert self.calls == 1, p
-        return self.steps
-
-
 def test_sweep_step_is_eighth_order():
     # fixed step counts, no error control: each halving of the step cuts
     # the error against the exact map by about 2^8 = 256
@@ -582,7 +557,7 @@ def test_compose_cycle_integrates_one_sweep_when_symmetric(monkeypatch):
 @example(AdiabatParams(0.0, 1.0, 2.0, 2.225073858507e-311))  # subnormal tau
 def test_time_reversed_sweep_matches_landau_zener_oracle_property(p):
     # R U^T R, R = diag(1, 1, -1), is the map of the field ramp run backwards
-    reversed_block = np.array(_time_reversed(adiabat_partials(p, 2)[-1]).block)
+    reversed_block = np.array(_time_reversed(adiabat_partials(p, 2)[-1].block))
     reverse = AdiabatParams(p.omega_end, p.omega_start, p.j, p.tau)
     assert np.abs(reversed_block @ reversed_block.T - np.eye(3)).max() < 1e-13
     assert np.abs(reversed_block - landau_zener_map(reverse)).max() <= 10 * SWEEP_TOLERANCE
@@ -645,7 +620,7 @@ def test_time_reversed_partials_match_reverse_sweep_property(spec, samples):
     # integrated reverse sweep and its exact map at t_k; column i of its map
     # is the state form run from the basis vector e_i
     reverse = replace(spec, tau_ba=spec.tau_ab).adiabat_ba()
-    ramp = adiabat_partials(spec.adiabat_ab(), samples)[1:]
+    ramp = [u.block for u in adiabat_partials(spec.adiabat_ab(), samples)[1:]]
     columns = [_time_reversed_states(ramp, BlochVector(*e, 0.0, 0.0))
                for e in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))]
     integrated = adiabat_partials(reverse, samples)
