@@ -70,6 +70,9 @@ def eigenvalue_tuple(b: BlochVector) -> tuple:
     The labels follow the fixed convention lam4 >= lam1 (the outer pair
     1/4 + b5/2 -+ d/sqrt2, with d = ``b.d`` >= 0); lam2 and lam3 are the
     populations of the inner doublet.  They sum to one algebraically.
+    A state with a NaN or infinite component is passed through, not
+    refused: its eigenvalues include NaN or +-inf, which
+    :func:`is_physical` refuses.
     """
     d_scaled = b.d / SQRT2
     b4_scaled = b.b4 / SQRT2

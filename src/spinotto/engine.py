@@ -163,8 +163,9 @@ class CyclePropagator(IdentityRecord, namedtuple("CyclePropagator", "cycle branc
 
 class CycleSpectrum(IdentityRecord, namedtuple("CycleSpectrum", "eigenvalues phi")):
     """Eigenvalues mu0..mu5 of the one-period map (six complex, in order)
-    and the transverse phase.  ``gap`` is 1 - |mu4|: the b4 rate
-    mu4 = g_hot g_cold bounds every modulus after mu0
+    and the transverse phase.  mu1 is real on every cycle (the eigensolver's
+    split-off root, or the largest when all three are real).  ``gap`` is
+    1 - |mu4|: the b4 rate mu4 = g_hot g_cold bounds every modulus after mu0
     (:func:`_spectrum_of`)."""
 
     __slots__ = ()
@@ -240,11 +241,15 @@ def _check_finite_state(b: BlochVector, name: str) -> None:
 
 def energy(b: BlochVector, omega: float, j: float) -> float:
     """Expected energy omega*b1 + J*b2 at field omega.  ValueError naming
-    the argument when omega, j, b1 or b2 is not finite."""
+    the argument when omega, j, b1 or b2 is not finite, and naming the
+    overflow when the finite arguments' energy is not finite."""
     for name, value in (("omega", omega), ("j", j), ("b.b1", b.b1), ("b.b2", b.b2)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
-    return omega * b.b1 + j * b.b2
+    e = omega * b.b1 + j * b.b2
+    if not math.isfinite(e):
+        raise ValueError(f"energy overflows: omega * b1 + j * b2 is {e!r}")
+    return e
 
 
 def _ramps(hot_cold: AdiabatParams, cold_hot: AdiabatParams, samples: int) -> tuple:
@@ -375,7 +380,10 @@ def _eigenvalues3(a) -> tuple[complex, complex, complex]:
 
 def _spectrum_of(cycle) -> tuple:
     """(eigenvalues mu0..mu5, phi, gap) of the one-period map ``cycle``, as
-    :class:`CycleSpectrum` defines them.
+    :class:`CycleSpectrum` defines them.  The roles come from the
+    eigensolver's split, with no tolerance: mu1 is the real root split off
+    first and mu2, mu3 the 2x2 block's pair, unless its discriminant is >= 0
+    (imaginary parts exactly 0.0); then all three are sorted by modulus.
 
     The gap is 1 - mu4, the map's b4 rate, read rather than searched for
     among the computed moduli, with this proof that mu4 = g_hot g_cold is
@@ -404,9 +412,7 @@ def _spectrum_of(cycle) -> tuple:
                                         for row in block])]
     else:
         eigs = _eigenvalues3(block)
-    # the first is real; the other two are real together or a conjugate
-    # pair, the positive imaginary part first, whose |imag| are equal
-    if abs(eigs[1].imag) <= 1e-10 * cycle.b4_scale:  # every |mu| is at most mu4
+    if eigs[1].imag == 0.0:
         # all real (strong dephasing or degenerate rotation); the largest
         # modulus plays the longitudinal role
         eigs = tuple(sorted(eigs, key=lambda e: -abs(e)))
@@ -419,7 +425,8 @@ def spectrum(spec: CycleSpec) -> CycleSpectrum:
 
     mu0 = 1 belongs to the fixed point; mu1 is the real (longitudinal)
     eigenvalue of the closed-set block, mu2/mu3 the transverse conjugate
-    pair, mu4/mu5 the (b4, b5) block rates.
+    pair, however close to real, mu4/mu5 the (b4, b5) block rates.  When
+    all three block eigenvalues are real they come by decreasing modulus.
     """
     mu, phi, _ = _spectrum_of(compose_cycle(spec).cycle)
     return CycleSpectrum(eigenvalues=mu, phi=phi)

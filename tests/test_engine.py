@@ -36,7 +36,7 @@ from spinotto import (
     vn_entropy,
 )
 from spinotto import engine, propagators
-from spinotto.algebra import FIELD_RANGE
+from spinotto.algebra import FIELD_RANGE, is_physical
 from spinotto.cli import ITERATE_HEADER, TRAJECTORY_HEADER, iterate_rows, trajectory_rows
 from spinotto.engine import (
     UNIQUENESS_GAP,
@@ -246,14 +246,28 @@ STRONG_DEPHASING_SPEC = CycleSpec(
     tau_hot=0.48936502900581424, tau_ab=1.1379857750818863, tau_ba=1.194782955385861)
 
 
+@st.composite
+def near_identity_specs(draw, low=-10.0, high=-1.0) -> CycleSpec:
+    """cycle_specs() draws with every stroke 10**low to 10**high long
+    (log-uniform, by default 1e-10 to 0.1): the block's three eigenvalues
+    cluster near mu4."""
+    spec = draw(cycle_specs())
+    return replace(spec, **{name: 10.0 ** draw(st.floats(low, high))
+                            for name in ("tau_cold", "tau_hot", "tau_ab", "tau_ba")})
+
+
 @settings(max_examples=100 * EXAMPLE_SCALE, deadline=None)
-@given(cycle_specs())
+@given(st.one_of(cycle_specs(), near_identity_specs(-14.0, -10.5)))
 @example(fig1_spec())
 @example(fig6_spec())
 @example(fig5_spec(*FIG5_TIMES["3"]))
 @example(replace(fig1_spec(), tau_hot=0.0, tau_cold=0.0))
 @example(NEAR_IDENTITY_SPEC)
 @example(UNITARY_NEAR_IDENTITY_SPEC)
+# rotation angles of 1e-10 and 3.2e-12: a transverse pair this close to
+# real stays a pair, behind the real mu1 = mu4
+@example(CycleSpec(1.0, 1.0, 0.0, 2.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 5e-11))
+@example(CycleSpec(1.0, 1.0, 0.0, 2.0, 1.0, 0.5, 0.0, 0.0, 0.0, 1e-12, 0.0, 0.0, 1e-12))
 def test_gap_is_the_baths_contraction_property(spec):
     # every bath block has 2-norm g = exp(-Gamma tau) and every sweep block
     # is a rotation, so mu4 = g_hot g_cold, the b4 rate, bounds every modulus
@@ -271,8 +285,10 @@ def test_gap_is_the_baths_contraction_property(spec):
     gap = 1.0 - abs(mu[4])
     assert info.gap == gap >= 0.0
     # the contraction bounds the eigensolver's moduli, and without dephasing
-    # M = mu4 O with O a rotation, whose real eigenvalue is mu4 itself
+    # M = mu4 O with O a rotation, whose real eigenvalue is mu4 itself; the
+    # longitudinal mu1 is real on every cycle, however small the rotation
     assert max(map(abs, mu[1:4])) <= mu[4].real + 2e-15
+    assert mu[1].imag == 0.0
     if spec.dephasing_cold == spec.dephasing_hot == 0.0:
         assert abs(mu[1] - mu[4]) <= 2e-15
     try:
@@ -287,15 +303,6 @@ def test_gap_is_the_baths_contraction_property(spec):
     else:
         assert gap >= UNIQUENESS_GAP
         assert report.gap == gap
-
-
-@st.composite
-def near_identity_specs(draw) -> CycleSpec:
-    """cycle_specs() draws with every stroke 1e-10 to 0.1 long (log-uniform):
-    the block's three eigenvalues cluster near mu4."""
-    spec = draw(cycle_specs())
-    return replace(spec, **{name: 10.0 ** draw(st.floats(-10.0, -1.0))
-                            for name in ("tau_cold", "tau_hot", "tau_ab", "tau_ba")})
 
 
 @st.composite
@@ -404,9 +411,10 @@ def test_spectrum_phase_linear_in_adiabat_time():
 def _numpy_spectrum(block):
     """mu1..mu3 from numpy.linalg.eigvals, ordered and classified the way
     the package documents: one real eigenvalue, then the transverse pair
-    with positive imaginary part first; or all real by decreasing modulus."""
+    with positive imaginary part first; or all real by decreasing modulus.
+    LAPACK gives a real eigenvalue an imaginary part of exactly 0."""
     eigs = np.linalg.eigvals(block)
-    real = np.abs(eigs.imag) <= 1e-10 * max(1.0, np.abs(eigs).max())
+    real = eigs.imag == 0.0
     if real.sum() == 1:
         pair = sorted(eigs[~real], key=lambda e: -e.imag)
         return [eigs[real][0]] + pair, False
@@ -428,7 +436,7 @@ def test_spectrum_and_fixed_point_match_numpy(rng):
         expected, is_real = _numpy_spectrum(m[:3, :3])
         got = spectrum(spec).eigenvalues
         assert len(got) == 6 and all(isinstance(mu, complex) for mu in got)
-        assert all(abs(mu.imag) <= 1e-10 for mu in got[1:4]) == is_real
+        assert all(mu.imag == 0.0 for mu in got[1:4]) == is_real
         assert np.abs(np.array(got[1:4]) - np.array(expected)).max() <= 1e-13
         assert got == report.eigenvalues
         b123 = np.linalg.solve(np.eye(3) - m[:3, :3], m[:3, 3])
@@ -750,11 +758,27 @@ _NAN_STATE = BlochVector(0.0, 0.0, 0.0, 0.0, math.nan)
      "b.b1 must be finite, got inf"),
     (lambda prop: energy(BlochVector(0.0, math.nan, 0.0, 0.0, 0.0), 1.0, 1.0),
      "b.b2 must be finite, got nan"),
+    (lambda prop: energy(BlochVector(1e308, 1e308, 0.0, 0.0, 0.0), 10.0, 10.0),
+     "energy overflows: omega * b1 + j * b2 is inf"),
+    (lambda prop: energy(BlochVector(1e308, -1e308, 0.0, 0.0, 0.0), 10.0, 10.0),
+     "energy overflows: omega * b1 + j * b2 is nan"),
 ], ids=["trajectory", "trajectory_rows", "iterate", "iterate-0", "energy-omega", "energy-j",
-        "energy-b1", "energy-b2"])
+        "energy-b1", "energy-b2", "energy-overflow", "energy-overflow-nan"])
 def test_public_functions_refuse_non_finite_starts(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         call(compose_cycle(fig1_spec()))
+
+
+def test_eigenvalue_tuple_passes_non_finite_states_to_is_physical():
+    # not refused: the spectrum carries the NaN or infinity, and the
+    # physicality check refuses it
+    for component in range(5):
+        for value in (math.nan, math.inf, -math.inf):
+            b = [0.0] * 5
+            b[component] = value
+            lam = eigenvalue_tuple(BlochVector(*b))
+            assert not all(map(math.isfinite, lam))
+            assert not is_physical(lam)
 
 
 @settings(max_examples=100 * EXAMPLE_SCALE, deadline=None)
