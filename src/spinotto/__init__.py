@@ -42,13 +42,11 @@ from .propagators import (
     BathParams,
     IsochoreParams,
     adiabat_partials,
-    adiabat_propagator,
     adiabat_propagator_direct,
     compose,
-    identity_propagator,
     isochore_partials,
     isochore_propagator,
 )
 from .records import replace
 
-__version__ = "3.10.0"
+__version__ = "4.0.0"

@@ -13,14 +13,13 @@ figure            benchmark presets (fig1, fig2, fig3, fig5, fig6)
 
 Command line (``_USAGE``)::
 
-    spinotto <command> --config PATH [--out PATH] [--threads N]
-    spinotto figure <preset> [--out PATH] [--threads N]
+    spinotto <command> --config PATH [--out PATH]
+    spinotto figure <preset> [--out PATH]
 
-Options come in any order, as ``--name value`` or ``--name=value``, and an
-unambiguous prefix (``--conf``) names an option; ``-h``/``--help`` in place
-of an option prints the usage.  The grammar is parsed directly
-(``_parse_args``): importing argparse and building its parsers cost every
-run several milliseconds.
+Options come in any order, as ``--name value`` or ``--name=value``, and are
+named in full; ``-h``/``--help`` in place of an option prints the usage.
+The grammar is parsed directly (``_parse_args``): importing argparse and
+building its parsers cost every run several milliseconds.
 
 Exit status: 0 success, 2 usage or config error, 3 no unique limit cycle
 (4 is reserved; no longer emitted).  Failures emit one JSON error record on
@@ -560,12 +559,12 @@ def _error_record(code: str, message: str, **extra) -> str:
     return json.dumps(record, sort_keys=True)
 
 
-# every option; an unambiguous prefix of a long one (--conf) names it too
-_OPTIONS = ("--config", "--out", "--threads", "--help", "-h")
+# every option, each by its full name only
+_OPTIONS = ("--config", "--out", "--help", "-h")
 
 _USAGE = """\
-usage: spinotto <command> --config PATH [--out PATH] [--threads N]
-       spinotto figure <preset> [--out PATH] [--threads N]
+usage: spinotto <command> --config PATH [--out PATH]
+       spinotto figure <preset> [--out PATH]
 
 Four-stroke two-spin quantum Otto engine simulator.
 
@@ -574,7 +573,6 @@ presets:  fig1, fig2, fig3, fig5, fig6
 
   --config PATH  JSON run configuration (every command but figure)
   --out PATH     CSV output; default output.path from the config, else stdout
-  --threads N    an integer, accepted and ignored
   -h, --help     print this text
 """
 
@@ -599,12 +597,9 @@ def _parse_args(argv):
         elif not _is_option(token):
             positional.append(token)
         else:
-            name, eq, value = token.partition("=")
-            matches = [option for option in _OPTIONS if option.startswith(name)]
-            if len(matches) != 1:
-                raise _UsageError(f"ambiguous option {name}: {', '.join(matches)}" if matches
-                                  else f"unknown option {name}")
-            option = matches[0]
+            option, eq, value = token.partition("=")
+            if option not in _OPTIONS:
+                raise _UsageError(f"unknown option {option}")
             if option in ("--help", "-h"):
                 return None
             if not eq:
@@ -629,10 +624,6 @@ def _parse_args(argv):
         raise _UsageError(f"{command} requires --config")
     else:
         argument = options["--config"]
-    try:
-        int(options.get("--threads", 1))  # checked, then ignored
-    except ValueError:
-        raise _UsageError(f"--threads expects an integer, got {options['--threads']!r}") from None
     return command, argument, options.get("--out")
 
 

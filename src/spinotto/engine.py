@@ -192,7 +192,7 @@ class LimitCycleReport(IdentityRecord, namedtuple(
 class ThermoLedger(Record, namedtuple("ThermoLedger", (
     "q_hot q_cold w_ab w_ba power ds_ext ds_u_hot ds_u_cold ds_e_hot ds_e_cold "
     "ds_e_ab ds_e_ba b_a b_b b_c b_d"
-), defaults=(None,) * 4)):
+))):
     """Per-cycle heats, works, power and entropy productions at the limit cycle.
 
     Heats are positive into the working medium; w_ab/w_ba are the medium

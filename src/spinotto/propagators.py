@@ -234,10 +234,6 @@ class AffinePropagator(
         ))
 
 
-def identity_propagator() -> AffinePropagator:
-    return AffinePropagator(block=_IDENTITY_BLOCK)
-
-
 def compose(*props: AffinePropagator) -> AffinePropagator:
     """Compose branch maps; the rightmost argument acts first.
 
@@ -247,7 +243,7 @@ def compose(*props: AffinePropagator) -> AffinePropagator:
     (t, a5, e, h) `acc`'s shift, b5 scale, b5 drive and b5 shift.
     """
     if not props:
-        return identity_propagator()
+        return _sweep_map(_IDENTITY_BLOCK)
     new = tuple.__new__
     acc = props[-1]
     for outer in reversed(props[:-1]):
@@ -554,11 +550,6 @@ def adiabat_partials(p: AdiabatParams, samples: int) -> list[AffinePropagator]:
     return [_sweep_map(block) for block in _sampled_blocks(p, samples)]
 
 
-def adiabat_propagator(p: AdiabatParams) -> AffinePropagator:
-    """Map of the whole sweep; see :func:`adiabat_partials`."""
-    return adiabat_partials(p, 2)[-1]
-
-
 def _sweep_states(blocks, start: BlochVector) -> list:
     """start, then the states of a sweep from start under its rotation
     blocks after t = 0 (:func:`_sampled_blocks`): their maps applied to
@@ -615,7 +606,7 @@ def adiabat_propagator_direct(p: AdiabatParams, n_steps: int) -> AffinePropagato
     step midpoint; the product converges to the true propagator as
     O(1/n_steps^2).  The steps are multiplied as a pairwise tree in batched
     numpy matmuls, about log2(n_steps) passes.  It shares no code with the
-    Magnus integrator and is an oracle for :func:`adiabat_propagator`
+    Magnus integrator and is an oracle for :func:`adiabat_partials`
     (imports numpy).
     """
     import numpy as np
@@ -623,7 +614,7 @@ def adiabat_propagator_direct(p: AdiabatParams, n_steps: int) -> AffinePropagato
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     if p.tau == 0.0:
-        return identity_propagator()
+        return _sweep_map(_IDENTITY_BLOCK)
     dt = p.tau / n_steps
     t_mid = (np.arange(n_steps) + 0.5) * dt
     omega = p.omega_start + (p.omega_end - p.omega_start) * t_mid / p.tau

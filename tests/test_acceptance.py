@@ -32,7 +32,7 @@ from spinotto import (
     BathParams,
     IsochoreParams,
     NonUniqueLimitCycleError,
-    adiabat_propagator,
+    adiabat_partials,
     adiabat_propagator_direct,
     compose_cycle,
     conditional_entropy,
@@ -260,7 +260,7 @@ def test_criterion_7_oracle_equivalences():
             rng.uniform(2.0, 15.0), rng.uniform(2.0, 15.0),
             rng.uniform(0.5, 4.0), rng.uniform(0.005, 0.8),
         )
-        magnus = adiabat_propagator(params)
+        magnus = adiabat_partials(params, 2)[-1]
         direct = adiabat_propagator_direct(params, 40000)
         worst_prop = max(worst_prop, float(np.linalg.norm(magnus.m - direct.m)))
 
@@ -301,10 +301,10 @@ def test_criterion_8_conservation_suite():
             ))
             is_adiabat = False
         else:
-            prop = adiabat_propagator(AdiabatParams(
+            prop = adiabat_partials(AdiabatParams(
                 rng.uniform(2.0, 14.0), rng.uniform(2.0, 14.0),
                 rng.uniform(0.3, 4.0), rng.uniform(0.0, 0.6),
-            ))
+            ), 2)[-1]
             is_adiabat = True
         for _ in range(100):
             b = random_bloch(rng)

@@ -299,18 +299,6 @@ def test_sweep_produces_one_row_per_grid_point(tmp_path):
     assert taus[0] == 0.5 and taus[-1] == 3.0
 
 
-def test_sweep_parallel_matches_serial(tmp_path):
-    payload = {
-        "engine": FIG1_ENGINE,
-        "run": {"sweep": {"key": "tau_cold", "from": 0.4, "to": 2.4, "steps": 8}},
-    }
-    config = write_config(tmp_path, payload)
-    serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-    assert main(["sweep", "--config", config, "--out", str(serial)]) == 0
-    assert main(["sweep", "--config", config, "--out", str(parallel), "--threads", "4"]) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
-
-
 def test_identical_config_gives_identical_bytes(tmp_path):
     config = write_config(tmp_path, {"engine": FIG1_ENGINE})
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -1527,44 +1515,52 @@ VALID_COMMAND_LINES = [
     ["spectrum", "--config", "{P}", "--out", "{O}"],
     ["spectrum", "--config", "{P}"],
     ["spectrum", "--config", "{Q}"],
-    ["spectrum", "--config", "{P}", "--out", "{O}", "--threads", "4"],
-    ["spectrum", "--out", "{O}", "--threads", "4", "--config", "{P}"],
-    ["spectrum", "--config={P}", "--out={O}", "--threads=4"],
-    ["spectrum", "--conf", "{P}", "--o={O}", "--th", "1"],
-    ["spectrum", "--threads", "-1", "--config", "{P}", "--out", "{O}"],
+    ["spectrum", "--out", "{O}", "--config", "{P}"],
+    ["spectrum", "--config={P}", "--out={O}"],
     ["spectrum", "--config", "unused.json", "--out", "{O}", "--config", "{P}"],
     ["spectrum", "--config", "{P}", "--out", "{O}", "--"],
     ["figure", "fig6", "--out", "{O}"],
     ["figure", "fig6"],
-    ["figure", "fig6", "--out", "{O}", "--threads", "4"],
-    ["figure", "--out", "{O}", "fig6", "--thr=2"],
+    ["figure", "--out", "{O}", "fig6"],
     ["figure", "--out={O}", "--", "fig6"],
 ]
 
+# (command line, the usage record's message before "; see spinotto --help")
 INVALID_COMMAND_LINES = [
-    [],  # no command
-    ["--config", "{P}"],
-    ["simulate", "--config", "{P}"],  # unknown command
-    ["Spectrum", "--config", "{P}"],
-    ["spectrum"],  # no --config
-    ["spectrum", "--out", "{O}"],
-    ["spectrum", "--config", "{P}", "{P}"],  # a stray argument
-    ["spectrum", "--config", "{P}", "-c"],
-    ["figure"],  # no preset
-    ["figure", "fig4", "--out", "{O}"],  # unknown preset
-    ["figure", "fig6", "fig5"],
-    ["figure", "fig6", "--config", "{P}"],  # figure takes no config
-    ["spectrum", "--config"],  # an option without its value
-    ["spectrum", "--config", "{P}", "--out"],
-    ["spectrum", "--out", "--config", "{P}"],
-    ["figure", "fig6", "--threads"],
-    ["spectrum", "--config", "{P}", "--bogus", "1"],  # unknown options
-    ["spectrum", "--config", "{P}", "--outfile", "{O}"],
-    ["spectrum", "--config", "{P}", "---out", "{O}"],
-    ["spectrum", "--={P}"],  # "--" is a prefix of every long option
-    ["spectrum", "--config", "{P}", "--threads", "x"],  # --threads takes an integer
-    ["spectrum", "--config", "{P}", "--threads=2.5"],
-    ["figure", "fig6", "--threads", ""],
+    ([], "missing command"),
+    (["--config", "{P}"], "missing command"),
+    (["simulate", "--config", "{P}"], "unknown command 'simulate'"),
+    (["Spectrum", "--config", "{P}"], "unknown command 'Spectrum'"),
+    (["spectrum"], "spectrum requires --config"),
+    (["spectrum", "--out", "{O}"], "spectrum requires --config"),
+    (["spectrum", "--config", "{P}", "{P}"], "unexpected argument {P!r}"),
+    (["spectrum", "--config", "{P}", "-c"], "unexpected argument '-c'"),
+    (["figure"], "figure takes one preset of fig1, fig2, fig3, fig5, fig6"),
+    (["figure", "fig4", "--out", "{O}"], "figure takes one preset of fig1, fig2, fig3, fig5, fig6"),
+    (["figure", "fig6", "fig5"], "figure takes one preset of fig1, fig2, fig3, fig5, fig6"),
+    (["figure", "fig6", "--config", "{P}"], "figure takes no --config"),
+    (["spectrum", "--config"], "--config expects a value"),
+    (["spectrum", "--config", "{P}", "--out"], "--out expects a value"),
+    (["spectrum", "--out", "--config", "{P}"], "--out expects a value"),
+    (["spectrum", "--config", "{P}", "--bogus", "1"], "unknown option --bogus"),
+    (["spectrum", "--config", "{P}", "--outfile", "{O}"], "unknown option --outfile"),
+    (["spectrum", "--config", "{P}", "---out", "{O}"], "unknown option ---out"),
+    (["spectrum", "--={P}"], "unknown option --"),
+    # --threads, accepted and ignored before 4.0, is an unknown option
+    (["figure", "fig6", "--threads"], "unknown option --threads"),
+    (["spectrum", "--config", "{P}", "--threads", "x"], "unknown option --threads"),
+    (["spectrum", "--config", "{P}", "--threads=2.5"], "unknown option --threads"),
+    (["figure", "fig6", "--threads", ""], "unknown option --threads"),
+    (["spectrum", "--config", "{P}", "--out", "{O}", "--threads", "4"],
+     "unknown option --threads"),
+    (["spectrum", "--threads", "-1", "--config", "{P}", "--out", "{O}"],
+     "unknown option --threads"),
+    (["figure", "fig6", "--out", "{O}", "--threads", "4"], "unknown option --threads"),
+    # so is a prefix of an option, which named it before 4.0
+    (["spectrum", "--conf", "{P}", "--o={O}", "--th", "1"], "unknown option --conf"),
+    (["spectrum", "--config", "{P}", "--o={O}"], "unknown option --o"),
+    (["figure", "--out", "{O}", "fig6", "--thr=2"], "unknown option --thr"),
+    (["spectrum", "--config", "{P}", "--he"], "unknown option --he"),
 ]
 
 HELP_COMMAND_LINES = [
@@ -1572,19 +1568,23 @@ HELP_COMMAND_LINES = [
     ["--help"],
     ["spectrum", "-h"],
     ["figure", "fig6", "--out", "{O}", "--help"],
-    ["spectrum", "--config", "{P}", "--he"],
     ["simulate", "-h"],
 ]
 
 
-def _command_line(tmp_path, form):
-    """`form` with {P}, {Q} and {O} filled in with paths under tmp_path."""
+def _paths(tmp_path):
+    """The paths {P}, {Q} and {O} stand for, under tmp_path."""
     out = str(tmp_path / "out.csv")
-    paths = {
+    return {
         "P": write_config(tmp_path, {"engine": FIG1_ENGINE}),
         "Q": write_config(tmp_path, {"engine": FIG1_ENGINE, "output": {"path": out}}, "q.json"),
         "O": out,
     }
+
+
+def _command_line(tmp_path, form):
+    """`form` with {P}, {Q} and {O} filled in with paths under tmp_path."""
+    paths = _paths(tmp_path)
     return [token.format(**paths) for token in form]
 
 
@@ -1607,17 +1607,20 @@ def test_valid_command_lines_give_the_same_bytes(tmp_path, capsys, form):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("form", INVALID_COMMAND_LINES, ids=" ".join)
-def test_invalid_command_lines_are_usage_errors(tmp_path, capsys, form):
-    code = main(_command_line(tmp_path, form))  # SystemExit would fail the test
+@pytest.mark.parametrize("form, message", [
+    pytest.param(form, message, id=" ".join(form)) for form, message in INVALID_COMMAND_LINES
+])
+def test_invalid_command_lines_are_usage_errors(tmp_path, capsys, form, message):
+    paths = _paths(tmp_path)
+    code = main([token.format(**paths) for token in form])  # SystemExit would fail the test
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1
-    record = json.loads(lines[0])
-    assert record["error"] == "usage"
-    assert isinstance(record["message"], str)
+    assert json.loads(lines[0]) == {
+        "error": "usage", "message": message.format(**paths) + "; see spinotto --help",
+    }
     assert not (tmp_path / "out.csv").exists()
 
 

@@ -22,7 +22,7 @@ from spinotto import (
     replace,
     thermal_state,
     vn_entropy,
-    adiabat_propagator,
+    adiabat_partials,
     AdiabatParams,
     trajectory,
     wootters_energy_distance,
@@ -517,7 +517,7 @@ def test_quantum_distance_contracts_under_cycle_map(rng):
 
 
 def test_vn_entropy_invariant_under_sweep_propagation(rng):
-    prop = adiabat_propagator(AdiabatParams(12.0, 5.0, 2.0, 0.3))
+    prop = adiabat_partials(AdiabatParams(12.0, 5.0, 2.0, 0.3), 2)[-1]
     for _ in range(50):
         b = random_bloch(rng)
         assert abs(vn_entropy(prop.apply(b)) - vn_entropy(b)) < 1e-12

@@ -20,12 +20,10 @@ from spinotto import (
     BlochVector,
     IsochoreParams,
     adiabat_partials,
-    adiabat_propagator,
     adiabat_propagator_direct,
     compose,
     compose_cycle,
     eigenvalue_tuple,
-    identity_propagator,
     isochore_propagator,
     limit_cycle,
     replace,
@@ -173,7 +171,7 @@ def test_reference_sweep_stays_regular():
     p = AdiabatParams(12.6355, 5.08364, 2.0, 0.01)
     block, max_abs_alpha2 = wei_norman_map(p)
     assert max_abs_alpha2 < math.pi / 2
-    assert np.abs(block - adiabat_propagator(p).m[:3, :3]).max() < 1e-9
+    assert np.abs(block - adiabat_partials(p, 2)[-1].m[:3, :3]).max() < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -186,12 +184,12 @@ def test_angles_decouple_for_zero_coupling():
     angle = SQRT2 * (4.0 + 10.0) * 0.5 / 2.0
     c, s = math.cos(angle), math.sin(angle)
     expected = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-    assert np.abs(adiabat_propagator(p).m[:3, :3] - expected).max() < 1e-12
+    assert np.abs(adiabat_partials(p, 2)[-1].m[:3, :3] - expected).max() < 1e-12
 
 
 def test_constant_field_sweep_equals_isochore_rotation():
     omega, j, tau = 8.3, 2.0, 0.41
-    prop = adiabat_propagator(AdiabatParams(omega, omega, j, tau))
+    prop = adiabat_partials(AdiabatParams(omega, omega, j, tau), 2)[-1]
     iso = isochore_propagator(IsochoreParams(omega, j, BathParams(0.0, 0.0, 1.0), tau))
     assert np.abs(prop.m - iso.m).max() < 1e-8
 
@@ -199,7 +197,7 @@ def test_constant_field_sweep_equals_isochore_rotation():
 def test_zero_field_sweep_integrates():
     # the Wei-Norman chart is singular here: the tilt angle reaches pi/2
     omega, j, tau = 0.0, 5.0, 0.4
-    prop = adiabat_propagator(AdiabatParams(omega, omega, j, tau))
+    prop = adiabat_partials(AdiabatParams(omega, omega, j, tau), 2)[-1]
     iso = isochore_propagator(IsochoreParams(omega, j, BathParams(0.0, 0.0, 1.0), tau))
     assert np.abs(prop.m - iso.m).max() < 1e-12
 
@@ -254,7 +252,7 @@ def test_sweep_field_stays_on_the_ramp(tau, fields):
 
 
 def test_adiabat_zero_time_is_identity():
-    prop = adiabat_propagator(AdiabatParams(5.0, 12.0, 2.0, 0.0))
+    prop = adiabat_partials(AdiabatParams(5.0, 12.0, 2.0, 0.0), 2)[-1]
     assert np.abs(prop.m - np.eye(4)).max() == 0.0
 
 
@@ -262,7 +260,7 @@ def test_adiabat_block_is_special_orthogonal(rng):
     for _ in range(50):
         p = AdiabatParams(rng.uniform(-15.0, 15.0), rng.uniform(-15.0, 15.0),
                           rng.uniform(0.0, 4.0), rng.uniform(0.0, 1.0))
-        block = adiabat_propagator(p).m[:3, :3]
+        block = adiabat_partials(p, 2)[-1].m[:3, :3]
         assert np.abs(block @ block.T - np.eye(3)).max() < 1e-12
         assert abs(np.linalg.det(block) - 1.0) < 1e-12
 
@@ -321,7 +319,7 @@ def sweeps(draw):
 @given(sweeps())
 @example(AdiabatParams(0.0, 1.0, 2.0, 2.225073858507e-311))  # subnormal tau
 def test_adiabat_matches_richardson_oracle_property(p):
-    prop = adiabat_propagator(p)
+    prop = adiabat_partials(p, 2)[-1]
     block = prop.m[:3, :3]
     assert np.abs(block @ block.T - np.eye(3)).max() < 1e-13
     assert np.abs(prop.m - _richardson_direct(p, 20000)).max() < 1e-9
@@ -331,7 +329,7 @@ def test_adiabat_matches_richardson_oracle_property(p):
 @given(sweeps())
 @example(AdiabatParams(0.0, 1.0, 2.0, 2.225073858507e-311))  # subnormal tau
 def test_adiabat_matches_landau_zener_oracle_property(p):
-    err = np.abs(adiabat_propagator(p).m[:3, :3] - landau_zener_map(p)).max()
+    err = np.abs(adiabat_partials(p, 2)[-1].m[:3, :3] - landau_zener_map(p)).max()
     assert err <= 10 * SWEEP_TOLERANCE
 
 
@@ -351,7 +349,7 @@ def test_near_limit_sweep_matches_landau_zener_oracle():
     # about 1e4 steps, near MAX_SWEEP_ANGLE
     p = AdiabatParams(1e3, -1e3, 1.0, 7.0)
     assert p.rotation_angle > 0.98 * MAX_SWEEP_ANGLE
-    block = adiabat_propagator(p).m[:3, :3]
+    block = adiabat_partials(p, 2)[-1].m[:3, :3]
     assert np.abs(block - landau_zener_map(p)).max() <= SWEEP_TOLERANCE
     assert np.abs(block @ block.T - np.eye(3)).max() < 1e-14
 
@@ -468,7 +466,7 @@ def test_tiny_sweep_takes_one_step(tau, monkeypatch):
     p = AdiabatParams(5.08364, 12.6355, 2.0, tau)
     assert propagators._leading_error(p) == 0.0
     assert StepCounter(monkeypatch).count(p) == 1
-    assert np.abs(adiabat_propagator(p).m - np.eye(4)).max() <= p.rotation_angle
+    assert np.abs(adiabat_partials(p, 2)[-1].m - np.eye(4)).max() <= p.rotation_angle
 
 
 @pytest.mark.parametrize("p", [
@@ -571,7 +569,7 @@ def test_compose_cycle_reverse_sweep_matches_integrated_property(spec, symmetric
     if symmetric:
         spec = replace(spec, tau_ba=spec.tau_ab)
     hot_cold = compose_cycle(spec).branches[1].prop
-    integrated = adiabat_propagator(spec.adiabat_ba())
+    integrated = adiabat_partials(spec.adiabat_ba(), 2)[-1]
     assert np.abs(hot_cold.m - integrated.m).max() <= 2e-11
 
 
@@ -653,7 +651,7 @@ def test_landau_zener_oracle_solutions_agree():
 
 def test_adiabat_matches_direct_oracle_reference_sweep():
     p = AdiabatParams(12.6355, 5.08364, 2.0, 0.01)
-    magnus = adiabat_propagator(p)
+    magnus = adiabat_partials(p, 2)[-1]
     direct = adiabat_propagator_direct(p, 100000)
     assert np.abs(magnus.m - direct.m).max() < 1e-8
 
@@ -665,7 +663,7 @@ def test_adiabat_matches_direct_oracle_random(rng):
             rng.uniform(2.0, 15.0), rng.uniform(2.0, 15.0),
             rng.uniform(0.5, 4.0), rng.uniform(0.005, 0.8),
         )
-        magnus = adiabat_propagator(p)
+        magnus = adiabat_partials(p, 2)[-1]
         direct = adiabat_propagator_direct(p, 30000)
         worst = max(worst, float(np.linalg.norm(magnus.m - direct.m)))
     assert worst < 1e-7
@@ -673,7 +671,7 @@ def test_adiabat_matches_direct_oracle_random(rng):
 
 def test_direct_oracle_second_order_convergence():
     p = AdiabatParams(12.0, 5.0, 2.0, 0.4)
-    exact = adiabat_propagator(p).m
+    exact = adiabat_partials(p, 2)[-1].m
     err = [np.linalg.norm(adiabat_propagator_direct(p, n).m - exact) for n in (200, 400, 800)]
     assert err[0] / err[1] == pytest.approx(4.0, rel=0.05)
     assert err[1] / err[2] == pytest.approx(4.0, rel=0.05)
@@ -694,7 +692,7 @@ def test_direct_oracle_zero_time_is_identity():
 
 def test_adiabat_preserves_spectrum(rng):
     p = AdiabatParams(11.0, 6.0, 2.0, 0.2)
-    prop = adiabat_propagator(p)
+    prop = adiabat_partials(p, 2)[-1]
     for _ in range(50):
         b = random_bloch(rng)
         before = np.sort(eigenvalue_tuple(b))
@@ -708,10 +706,8 @@ def test_adiabat_preserves_spectrum(rng):
 
 def test_apply_identity():
     b = BlochVector(0.1, -0.2, 0.05, 0.02, 0.1)
-    out = identity_propagator().apply(b)
-    assert out == b
     # the empty composition is the identity map
-    assert tuple(compose()) == tuple(identity_propagator())
+    assert compose().apply(b) == b
 
 
 def test_apply_thermal_fixed_point():
@@ -723,7 +719,7 @@ def test_apply_thermal_fixed_point():
 
 def test_composition_associativity(rng):
     p1 = isochore_propagator(_iso(tau=0.3))
-    p2 = adiabat_propagator(AdiabatParams(9.0, 4.0, 2.0, 0.1))
+    p2 = adiabat_partials(AdiabatParams(9.0, 4.0, 2.0, 0.1), 2)[-1]
     p3 = isochore_propagator(_iso(omega=4.0, temp=1.2, tau=0.5))
     chained = compose(p3, p2, p1)
     for _ in range(20):
@@ -743,10 +739,10 @@ def test_random_branches_preserve_physicality(rng):
                 rng.uniform(0.0, 3.0),
             ))
         else:
-            prop = adiabat_propagator(AdiabatParams(
+            prop = adiabat_partials(AdiabatParams(
                 rng.uniform(2.0, 14.0), rng.uniform(2.0, 14.0),
                 rng.uniform(0.3, 4.0), rng.uniform(0.0, 0.6),
-            ))
+            ), 2)[-1]
         for _ in range(30):
             image = prop.apply(random_bloch(rng))
             assert np.min(eigenvalue_tuple(image)) >= -1e-12
@@ -757,8 +753,8 @@ def test_cycle_b45_rates():
     gamma_c, tau_c = 0.3, 1.4
     u_h = isochore_propagator(_iso(omega=12.0, gamma=gamma_h, temp=7.0, tau=tau_h))
     u_c = isochore_propagator(_iso(omega=5.0, gamma=gamma_c, temp=1.5, tau=tau_c))
-    u_ba = adiabat_propagator(AdiabatParams(12.0, 5.0, 2.0, 0.04))
-    u_ab = adiabat_propagator(AdiabatParams(5.0, 12.0, 2.0, 0.03))
+    u_ba = adiabat_partials(AdiabatParams(12.0, 5.0, 2.0, 0.04), 2)[-1]
+    u_ab = adiabat_partials(AdiabatParams(5.0, 12.0, 2.0, 0.03), 2)[-1]
     cycle = compose(u_ab, u_c, u_ba, u_h)
     accumulated = gamma_h * tau_h + gamma_c * tau_c
     assert abs(cycle.b4_scale - math.exp(-accumulated)) < 1e-13

@@ -59,7 +59,7 @@ SIGNATURES = {
     CycleSpectrum: "eigenvalues phi",
     LimitCycleReport: "b_a eigenvalues phi gap propagator ledger",
     ThermoLedger: "q_hot q_cold w_ab w_ba power ds_ext ds_u_hot ds_u_cold ds_e_hot "
-                  "ds_e_cold ds_e_ab ds_e_ba b_a=None b_b=None b_c=None b_d=None",
+                  "ds_e_cold ds_e_ab ds_e_ba b_a b_b b_c b_d",
     TrajectorySample: "branch t omega state",
     RunConfig: "spec engine_raw run output",
 }
