@@ -5,10 +5,14 @@ branch): hot isochore A->B at field omega_b, sweep B->C down to omega_a,
 cold isochore C->D, sweep D->A back up.  The one-period map is the product
 of the branch propagators; its unit-eigenvalue eigenvector is the limit
 cycle and the remaining spectrum sets the relaxation rates toward it.  The
-map's closed-set part is a 3x3 block, so the fixed point is a 3x3 solve with
-partial pivoting and the spectrum shifted QR steps on its Hessenberg form,
-the first shifted by a real root of the characteristic cubic, until a 1x1
-and a 2x2 block split off.
+map's closed-set part is a 3x3 block M.  Without dephasing M = mu4 O, mu4 =
+g_hot g_cold and O a rotation, so the spectrum is mu4 and mu4 e^{+-i phi},
+phi O's angle from its quaternion, and the fixed point is solved along and
+across O's axis (:func:`_rotation_of`, :func:`_fixed_point`).  With
+dephasing the fixed point is a 3x3 solve with partial pivoting and the
+spectrum shifted QR steps on M's Hessenberg form, the first shifted by a
+real root of the characteristic cubic, until a 1x1 and a 2x2 block split
+off.  :func:`_spectrum_of` is the one place where the two paths part.
 :func:`compose_cycle` forms each stroke's whole map; :func:`_stroke_states`
 steps the previous stroke's last state through each stroke's per-time
 factors, the bath closed form or the sweep's blocks, which gives the states
@@ -23,8 +27,8 @@ A limit-cycle row is one flat pass: :class:`CycleSpec` checks every bound
 once, those of its four strokes with the checks their constructors run, so
 its stroke methods build the stroke records without the constructors;
 :func:`compose_cycle` takes the strokes from those methods, builds the
-branch records and composes the four maps; :func:`_fixed_point` runs the
-eigensolver, the solve and the physicality check, and :func:`_ledger` the
+branch records and composes the four maps; :func:`_fixed_point` reads the
+spectrum, solves and checks physicality, and :func:`_ledger` the
 corner entropies, all on unpacked floats.  Each step does the float
 operations of the generic loops it replaced, in their order, so no printed
 digit depends on the flattening.
@@ -38,6 +42,7 @@ from collections import namedtuple
 from .algebra import BlochVector, eigenvalue_tuple, is_physical
 from .measures import _state_entropies
 from .propagators import (
+    _ZERO3,
     AdiabatParams,
     BathParams,
     IsochoreParams,
@@ -163,8 +168,9 @@ class CyclePropagator(IdentityRecord, namedtuple("CyclePropagator", "cycle branc
 
 class CycleSpectrum(IdentityRecord, namedtuple("CycleSpectrum", "eigenvalues phi")):
     """Eigenvalues mu0..mu5 of the one-period map (six complex, in order)
-    and the transverse phase.  mu1 is real on every cycle (the eigensolver's
-    split-off root, or the largest when all three are real).  ``gap`` is
+    and the transverse phase.  mu1 is real on every cycle (mu4 itself
+    without dephasing; with it the eigensolver's split-off root, or the
+    largest when all three are real).  ``gap`` is
     1 - |mu4|: the b4 rate mu4 = g_hot g_cold bounds every modulus after mu0
     (:func:`_spectrum_of`)."""
 
@@ -201,7 +207,9 @@ class ThermoLedger(Record, namedtuple("ThermoLedger", (
     evaluated with von Neumann entropies, the ds_e entries their energy-basis
     counterparts, and ds_e_ab/ds_e_ba the energy-entropy changes across the
     sweeps.  b_a..b_d are the corner states (:class:`BlochVector`); the repr
-    leaves them out.
+    leaves them out.  A heat over its bath temperature can overflow (a
+    subnormal temperature): then ds_ext, that bath's ds_u and ds_e entries,
+    and ds_u_total, are +-inf; the CLI refuses such a row.
     """
 
     __slots__ = ()
@@ -378,12 +386,55 @@ def _eigenvalues3(a) -> tuple[complex, complex, complex]:
     return complex(x), complex(mid + root), complex(mid - root)
 
 
-def _spectrum_of(cycle) -> tuple:
-    """(eigenvalues mu0..mu5, phi, gap) of the one-period map ``cycle``, as
-    :class:`CycleSpectrum` defines them.  The roles come from the
-    eigensolver's split, with no tolerance: mu1 is the real root split off
-    first and mu2, mu3 the 2x2 block's pair, unless its discriminant is >= 0
-    (imaginary parts exactly 0.0); then all three are sorted by modulus.
+def _rotation_of(block, mu4: float) -> tuple:
+    """(phi, axis) of the rotation O = block / mu4: its angle in [0, pi]
+    and its unit axis, oriented so that O turns by +phi about it, or the
+    zero vector at phi = 0, where O is the identity and has no axis.  O's
+    quaternion (w, x, y, z) comes by Shepperd's method (J. Guidance Control
+    1, 223 (1978)): the component of largest modulus from a square root of
+    the diagonal, the other three from sums and differences of off-diagonal
+    pairs over it, so that none is read from a difference of near-equal
+    squares, near phi = pi included.  Then phi = 2 atan2(|(x, y, z)|, |w|).
+    Division by mu4 commutes with scaling by a power of two, so a block of
+    any size, a subnormal one included, needs no rescaling.  A NaN block
+    gives NaN."""
+    (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = block
+    o11, o12, o13 = a11 / mu4, a12 / mu4, a13 / mu4
+    o21, o22, o23 = a21 / mu4, a22 / mu4, a23 / mu4
+    o31, o32, o33 = a31 / mu4, a32 / mu4, a33 / mu4
+    trace = o11 + o22 + o33
+    sqrt = math.sqrt
+    if trace >= o11 and trace >= o22 and trace >= o33:
+        w = 0.5 * sqrt(1.0 + trace)
+        f = 0.25 / w
+        x, y, z = (o32 - o23) * f, (o13 - o31) * f, (o21 - o12) * f
+    elif o11 >= o22 and o11 >= o33:
+        x = 0.5 * sqrt(1.0 + o11 - o22 - o33)
+        f = 0.25 / x
+        w, y, z = (o32 - o23) * f, (o12 + o21) * f, (o13 + o31) * f
+    elif o22 >= o33:
+        y = 0.5 * sqrt(1.0 - o11 + o22 - o33)
+        f = 0.25 / y
+        w, x, z = (o13 - o31) * f, (o12 + o21) * f, (o23 + o32) * f
+    else:
+        z = 0.5 * sqrt(1.0 - o11 - o22 + o33)
+        f = 0.25 / z
+        w, x, y = (o21 - o12) * f, (o13 + o31) * f, (o23 + o32) * f
+    # (w, x, y, z) and its negative are the same rotation: take w >= 0
+    sin_half = math.copysign(math.hypot(x, y, z), w)
+    if sin_half == 0.0:
+        return 0.0, _ZERO3
+    return 2.0 * math.atan2(abs(sin_half), abs(w)), (
+        x / sin_half, y / sin_half, z / sin_half)
+
+
+def _spectrum_of(prop: CyclePropagator) -> tuple:
+    """(eigenvalues mu0..mu5, phi, gap, axis) of ``prop``'s one-period map,
+    as :class:`CycleSpectrum` defines them, and the axis of its rotation
+    without dephasing (:func:`_rotation_of`; :func:`_fixed_point` solves
+    along it), else None: the one place where the two eigen paths part, so
+    that :func:`spectrum` and :func:`limit_cycle` report the same
+    eigenvalues bit for bit and the solve takes the matching path.
 
     The gap is 1 - mu4, the map's b4 rate, read rather than searched for
     among the computed moduli, with this proof that mu4 = g_hot g_cold is
@@ -400,24 +451,47 @@ def _spectrum_of(cycle) -> tuple:
       and 1 on a sweep, so mu4 = g_hot g_cold is itself an eigenvalue, and
       the b5 rate is mu5 = g_hot^2 g_cold^2 = mu4^2 <= mu4.
     The gap thus depends on the spec alone, never on the eigensolver's
-    error, and is never negative."""
-    block = cycle.block
-    top = max(map(abs, (*block[0], *block[1], *block[2])))
-    if top < 2.0**-500:
-        # the 2x2 discriminant of so small a block underflows: solve it
-        # scaled by an exact power of two, which changes no digit
-        _, exponent = math.frexp(top)
-        eigs = [complex(math.ldexp(e.real, exponent), math.ldexp(e.imag, exponent))
-                for e in _eigenvalues3([[math.ldexp(x, -exponent) for x in row]
-                                        for row in block])]
+    error, and is never negative.
+
+    Without dephasing (gamma = 0 in both baths) k = g, so each bath block
+    is g times a rotation, and M = mu4 O with O a rotation by phi about an
+    axis n (:func:`_rotation_of`).  Its eigenvalues are mu1 = mu4 (along n)
+    and the pair mu2, mu3 = mu4 e^{+-i phi} (across n): the paper's
+    longitudinal mode and its transverse pair, with phi read from O's
+    quaternion.  mu4 = 0 gives M = 0: three zero eigenvalues, phi = 0 and
+    the zero axis.
+
+    With dephasing the roles come from the shifted-QR eigensolver's split
+    (:func:`_eigenvalues3`), with no tolerance: mu1 is the real root split
+    off first and mu2, mu3 the 2x2 block's pair, unless its discriminant is
+    >= 0 (imaginary parts exactly 0.0); then all three are sorted by
+    modulus."""
+    cycle = prop.cycle
+    block, mu4 = cycle.block, cycle.b4_scale
+    spec = prop.spec
+    axis = None
+    if spec.dephasing_hot == spec.dephasing_cold == 0.0:
+        phi, axis = _rotation_of(block, mu4) if mu4 else (0.0, _ZERO3)
+        re, im = mu4 * math.cos(phi), mu4 * math.sin(phi)
+        eigs = (complex(mu4), complex(re, im), complex(re, 0.0 - im))
     else:
-        eigs = _eigenvalues3(block)
-    if eigs[1].imag == 0.0:
-        # all real (strong dephasing or degenerate rotation); the largest
-        # modulus plays the longitudinal role
-        eigs = tuple(sorted(eigs, key=lambda e: -abs(e)))
-    mu = (1.0 + 0j, *eigs, complex(cycle.b4_scale), complex(cycle.b5_scale))
-    return mu, abs(math.atan2(mu[2].imag, mu[2].real)), 1.0 - cycle.b4_scale
+        top = max(map(abs, (*block[0], *block[1], *block[2])))
+        if top < 2.0**-500:
+            # the 2x2 discriminant of so small a block underflows: solve it
+            # scaled by an exact power of two, which changes no digit
+            _, exponent = math.frexp(top)
+            eigs = [complex(math.ldexp(e.real, exponent), math.ldexp(e.imag, exponent))
+                    for e in _eigenvalues3([[math.ldexp(x, -exponent) for x in row]
+                                            for row in block])]
+        else:
+            eigs = _eigenvalues3(block)
+        if eigs[1].imag == 0.0:
+            # all real (strong dephasing or degenerate rotation); the largest
+            # modulus plays the longitudinal role
+            eigs = tuple(sorted(eigs, key=lambda e: -abs(e)))
+        phi = abs(math.atan2(eigs[1].imag, eigs[1].real))
+    mu = (1.0 + 0j, *eigs, complex(mu4), complex(cycle.b5_scale))
+    return mu, phi, 1.0 - mu4, axis
 
 
 def spectrum(spec: CycleSpec) -> CycleSpectrum:
@@ -427,8 +501,9 @@ def spectrum(spec: CycleSpec) -> CycleSpectrum:
     eigenvalue of the closed-set block, mu2/mu3 the transverse conjugate
     pair, however close to real, mu4/mu5 the (b4, b5) block rates.  When
     all three block eigenvalues are real they come by decreasing modulus.
+    Without dephasing mu1 = mu4 and mu2, mu3 = mu4 e^{+-i phi}.
     """
-    mu, phi, _ = _spectrum_of(compose_cycle(spec).cycle)
+    mu, phi, _, _ = _spectrum_of(compose_cycle(spec))
     return CycleSpectrum(eigenvalues=mu, phi=phi)
 
 
@@ -474,24 +549,66 @@ def _solve3(a, b) -> list[float]:
 
 def _fixed_point(prop: CyclePropagator) -> tuple:
     """(b_a, eigenvalues, phi, gap): the fixed point at the anchor and the
-    spectrum (:func:`_spectrum_of`) of ``prop``'s one-period map.  Past the
-    gap test the solve is finite, so only the physicality test can refuse:
-    ||M||_2 <= mu4 (1 + 1.3e-15, measured) <= 1 - 0.99e-9, so sigma_min(I - M)
-    >= 0.99e-9 dwarfs the 1e-14 backward error of partial pivoting on a 3x3
-    (Higham, Accuracy and Stability, Thm 9.3): no pivot is 0, |b| <= 2e9 and
-    1 - mu4^2 >= 2e-9.  A NaN map gives a non-finite b_a, which is no state."""
-    cycle = prop.cycle
-    mu, phi, gap = _spectrum_of(cycle)
+    spectrum (:func:`_spectrum_of`) of ``prop``'s one-period map, whose
+    closed-set part is b -> M b + v.  Only the gap test and the physicality
+    test refuse; past the gap test the solve is finite.  A NaN map gives a
+    non-finite b_a, which is no state.
+
+    Without dephasing M = mu4 O, O a rotation by phi about the axis n, and
+    (I - M) b = v splits along n: there I - M is the number 1 - mu4, and
+    across n, in the coordinate v1 + i v2 of an orthonormal pair (e1, e2)
+    with e1 x e2 = n, it is 1 - mu4 e^{i phi} = (1 - mu4) + 2 mu4
+    sin^2(phi/2) - i mu4 sin phi, whose modulus is at least 1 - mu4.  So
+    b = (v . n) n / (1 - mu4) + (A v_perp + B n x v) / (A^2 + B^2), with
+    v_perp = v - (v . n) n, A = (1 - mu4) + 2 mu4 sin^2(phi/2) and B = mu4
+    sin phi, and 1 - mu4 formed as -expm1(-(Gamma_hot tau_hot + Gamma_cold
+    tau_cold)), zero-length strokes left out so that inf * 0 never enters
+    (1 - mu5 = 1 - mu4^2 likewise, for b5).  Past the gap test A >= 1 - mu4
+    >= 0.99e-9, so the solve is finite, and it never sees the
+    ill-conditioned direction, on which elimination loses digits in
+    proportion to 1 / (1 - mu4).  At phi = 0, where O = I has no axis, and
+    at mu4 = 0, where M = 0, the axis is the zero vector: then B = 0 and
+    b = A v / A^2 = v / (1 - mu4) = (I - M)^-1 v, exactly v at mu4 = 0
+    (A = 1 - mu4 = 1).
+
+    With dephasing the solve is Gaussian elimination with partial pivoting
+    (:func:`_solve3`): ||M||_2 <= mu4 (1 + 1.3e-15, measured) <= 1 - 0.99e-9,
+    so sigma_min(I - M) >= 0.99e-9 dwarfs the 1e-14 backward error of
+    partial pivoting on a 3x3 (Higham, Accuracy and Stability, Thm 9.3): no
+    pivot is 0 and |b| <= 2e9.  Either way 1 - mu4^2 >= 2e-9 divides b5."""
+    mu, phi, gap, axis = _spectrum_of(prop)
     if gap < UNIQUENESS_GAP:
         raise NonUniqueLimitCycleError(
             f"no unique limit cycle: spectral gap {gap:.3e} below {UNIQUENESS_GAP}",
             eigenvalues=mu,
         )
-    block, shift, _, b5_scale, (d1, d2, d3), b5_shift = cycle
-    b1, b2, b3 = _solve3(_diagonal_minus(1.0, block), shift)
+    block, shift, mu4, b5_scale, (d1, d2, d3), b5_shift = prop.cycle
+    if axis is None:
+        b1, b2, b3 = _solve3(_diagonal_minus(1.0, block), shift)
+        b5_relaxed = 1.0 - b5_scale
+    else:
+        spec = prop.spec
+        decay = 0.0
+        if spec.tau_hot > 0.0:
+            decay += spec.gamma_hot * spec.tau_hot
+        if spec.tau_cold > 0.0:
+            decay += spec.gamma_cold * spec.tau_cold
+        relaxed = -math.expm1(-decay)
+        b5_relaxed = -math.expm1(-2.0 * decay)  # 1 - mu5 = 1 - mu4^2
+        (n1, n2, n3), (v1, v2, v3) = axis, shift
+        along = n1 * v1 + n2 * v2 + n3 * v3
+        b_n = along / relaxed
+        sin_half = math.sin(0.5 * phi)
+        a = relaxed + 2.0 * mu4 * sin_half * sin_half
+        c = mu4 * math.sin(phi)
+        scale = a * a + c * c
+        a, c = a / scale, c / scale
+        b1 = b_n * n1 + a * (v1 - along * n1) + c * (n2 * v3 - n3 * v2)
+        b2 = b_n * n2 + a * (v2 - along * n2) + c * (n3 * v1 - n1 * v3)
+        b3 = b_n * n3 + a * (v3 - along * n3) + c * (n1 * v2 - n2 * v1)
     # b4 has no inhomogeneous term on any branch; its fixed point is 0
     b_a = tuple.__new__(BlochVector, (
-        b1, b2, b3, 0.0, (d1 * b1 + d2 * b2 + d3 * b3 + b5_shift) / (1.0 - b5_scale)))
+        b1, b2, b3, 0.0, (d1 * b1 + d2 * b2 + d3 * b3 + b5_shift) / b5_relaxed))
     if not is_physical(eigenvalue_tuple(b_a)):
         raise NonUniqueLimitCycleError(
             f"no unique limit cycle: the fixed point {tuple(b_a)} is not a physical "
@@ -506,7 +623,9 @@ def limit_cycle(spec: CycleSpec) -> LimitCycleReport:
 
     Raises :class:`NonUniqueLimitCycleError` for two reasons only: a spectral
     gap 1 - mu4 below 1e-9 (say, no time in either bath), or a fixed point
-    that is not a physical state.
+    that is not a physical state.  The ledger's ds_ext, ds_u and ds_e
+    entries can be +-inf where a heat divided by a bath temperature
+    overflows (:class:`ThermoLedger`); the limit cycle is still returned.
     """
     prop = compose_cycle(spec)
     b_a, mu, phi, gap = _fixed_point(prop)

@@ -1,5 +1,6 @@
 """Shared samplers and oracles for the test suite."""
 
+import functools
 import itertools
 import math
 import os
@@ -14,7 +15,9 @@ import scipy.linalg
 from hypothesis import assume, settings
 from hypothesis import strategies as st
 
-from spinotto import AdiabatParams, BlochVector, CycleSpec, adiabat_partials, energy_populations
+from spinotto import (
+    AdiabatParams, BlochVector, CycleSpec, IsochoreParams, adiabat_partials, energy_populations,
+)
 from spinotto import propagators
 from spinotto.algebra import LOG_EIGENVALUE_FLOOR, PHYSICALITY_TOL
 from spinotto.measures import _SUPPORT_TOL, _SUPPORT_WEIGHT
@@ -384,19 +387,20 @@ LZ_DIGITS = 30
 _LZ_NEGLIGIBLE = mpmath.mpf("1e-25")
 
 
-def _su2_to_so3(u) -> np.ndarray:
-    """R_ij = tr(s_i U s_j U^+)/2 with (s1, s2, s3) = (sz, sx, sy)."""
+def _su2_to_so3(u):
+    """R_ij = tr(s_i U s_j U^+)/2 with (s1, s2, s3) = (sz, sx, sy), as an
+    mpmath matrix at the working precision."""
     basis = (
         mpmath.matrix([[1, 0], [0, -1]]),
         mpmath.matrix([[0, 1], [1, 0]]),
         mpmath.matrix([[0, -1j], [1j, 0]]),
     )
     uh = u.H
-    out = np.empty((3, 3))
+    out = mpmath.matrix(3, 3)
     for i, si in enumerate(basis):
         for k, sk in enumerate(basis):
             m = si * u * sk * uh
-            out[i, k] = float(mpmath.re(m[0, 0] + m[1, 1]) / 2)
+            out[i, k] = mpmath.re(m[0, 0] + m[1, 1]) / 2
     return out
 
 
@@ -451,15 +455,17 @@ def _lz_taylor(w0, w1, beta, tau):
     return u
 
 
-def landau_zener_map(p: AdiabatParams, method: str = "auto") -> np.ndarray:
-    """Exact (b1, b2, b3) rotation of a linear sweep, at LZ_DIGITS digits.
+@functools.lru_cache(maxsize=64)
+def landau_zener_rotation_mp(p: AdiabatParams, method: str = "auto"):
+    """Exact (b1, b2, b3) rotation of a linear sweep as a 3x3 mpmath matrix,
+    at LZ_DIGITS digits; cached, so callers must not modify it.
 
     The float inputs are taken as exact.  J = 0 and omega_start = omega_end
     have closed forms; ``method`` ("auto", "pcfd" or "taylor") picks the
     solution of the general case.
     """
     if p.tau == 0.0:
-        return np.eye(3)
+        return mpmath.eye(3)
     with mpmath.workdps(LZ_DIGITS):
         w0, w1, j, tau = (mpmath.mpf(v) for v in (p.omega_start, p.omega_end, p.j, p.tau))
         s2 = mpmath.sqrt(2)
@@ -479,6 +485,112 @@ def landau_zener_map(p: AdiabatParams, method: str = "auto") -> np.ndarray:
             solve = _lz_parabolic_cylinder if method == "pcfd" else _lz_taylor
             u = solve(w0, w1, beta, tau)
         return _su2_to_so3(u)
+
+
+def landau_zener_map(p: AdiabatParams, method: str = "auto") -> np.ndarray:
+    """Exact (b1, b2, b3) rotation of a linear sweep, at LZ_DIGITS digits,
+    rounded to floats (:func:`landau_zener_rotation_mp`; ``method`` "auto",
+    "pcfd" or "taylor" picks the solution of the general case)."""
+    rotation = landau_zener_rotation_mp(p, method)
+    return np.array([[float(rotation[i, k]) for k in range(3)] for i in range(3)])
+
+
+# ---------------------------------------------------------------------------
+# 50-digit fixed-point oracle: the bath strokes' closed form evaluated in
+# mpmath, the sweeps' exact rotations (landau_zener_rotation_mp), their
+# composition and an mpmath solve of (I - M) b = v.  It checks the
+# arithmetic of the fixed point, not the model (the 16x16 Lindblad oracle
+# of the bath stroke does that)
+
+
+def _bath_map_mp(p: IsochoreParams) -> tuple:
+    """(block, shift, g, drive, h) of a whole bath stroke at the working
+    precision: the closed form of propagators.isochore_partials (b4 scale g,
+    b5 scale g^2, b5 drive and b5 shift), from the float inputs taken as
+    exact."""
+    if p.tau == 0.0:
+        return mpmath.eye(3), mpmath.zeros(3, 1), mpmath.mpf(1), mpmath.zeros(3, 1), 0
+    omega, j, tau = (mpmath.mpf(v) for v in (p.omega, p.j, p.tau))
+    gam, dephasing, temperature = (mpmath.mpf(v) for v in p.bath)
+    big = mpmath.sqrt(omega**2 + j**2)
+    g = mpmath.exp(-gam * tau)
+    k = mpmath.exp(-(gam + 2 * dephasing * big**2) * tau)
+    phase = mpmath.sqrt(2) * big * tau
+    c, s = mpmath.cos(phase), mpmath.sin(phase)
+    a11 = (g * omega**2 + k * c * j**2) / big**2
+    a12 = omega * j * (g - k * c) / big**2
+    a13 = k * j * s / big
+    a22 = (g * j**2 + k * c * omega**2) / big**2
+    a32 = k * omega * s / big
+    block = mpmath.matrix([[a11, a12, a13], [a12, a22, -a32], [-a13, a32, k * c]])
+    # the Gibbs state: (b1, b2) = (omega, J) e, e = -tanh(Omega / (2 sqrt(2)
+    # T)) / (sqrt(2) Omega), and b5 = tanh^2 / 2
+    t_th = mpmath.tanh(big / (2 * mpmath.sqrt(2) * temperature))
+    e = -t_th / (mpmath.sqrt(2) * big)
+    drive = -(mpmath.sqrt(2) * t_th / big) * g * (1 - g)
+    return (block, mpmath.matrix([omega * e * (1 - g), j * e * (1 - g), 0]), g,
+            mpmath.matrix([drive * omega, drive * j, 0]), t_th**2 / 2 * (1 - g) ** 2)
+
+
+@dataclass(frozen=True)
+class FixedPointOracle:
+    """The exact fixed point (b1, b2, b3, b5) of a dephasing-free cycle, as
+    floats (b4 is 0), and the factors by which errors of its cycle map move
+    it, to first order.  With M = mu4 O, O a rotation by phi about n, a
+    rotation error eps of the cycle block moves (b1, b2, b3) by at most
+    eps * along along n and eps * across across it, where along = |b_perp|
+    / (1 - mu4) and across = |b| / |1 - mu4 e^{i phi}|, b_perp the part of b
+    across n.  b5 = (d . b + h) / (1 - mu4^2), with the cycle's b5 drive d
+    and b5 shift h, moves by drive = |d| / (1 - mu4^2) times an error of b
+    and by eps * scale5, scale5 = (|d| |b| + |h|) / (1 - mu4^2) + |b5|, for
+    relative errors eps of d, h and 1 - mu4^2."""
+
+    b: tuple
+    along: float
+    across: float
+    drive: float
+    scale5: float
+
+
+def fixed_point_mp(spec: CycleSpec) -> FixedPointOracle:
+    """The 50-digit fixed point of a dephasing-free spec's cycle map: its
+    four strokes composed in time order, the b5 rule as
+    propagators.compose composes it."""
+    assert spec.dephasing_cold == spec.dephasing_hot == 0.0, spec
+    with mpmath.workdps(50):
+        block, shift, mu4 = mpmath.eye(3), mpmath.zeros(3, 1), mpmath.mpf(1)
+        drive, h = mpmath.zeros(3, 1), 0
+        for stroke in (spec.hot_isochore(), spec.adiabat_ba(), spec.cold_isochore(),
+                       spec.adiabat_ab()):
+            if isinstance(stroke, IsochoreParams):
+                u, t, g, d, h_stroke = _bath_map_mp(stroke)
+                # b5' = g^2 b5 + d . x + h_stroke after the map so far, x = block b + shift
+                drive = g**2 * drive + block.T * d
+                h = g**2 * h + (d.T * shift)[0] + h_stroke
+                mu4 *= g
+            else:
+                u, t = landau_zener_rotation_mp(stroke), mpmath.zeros(3, 1)
+            block, shift = u * block, u * shift + t
+        b = mpmath.lu_solve(mpmath.eye(3) - block, shift)
+        b5 = ((drive.T * b)[0] + h) / (1 - mu4**2)
+        # the axis: the null vector of M - mu4 I, the largest cross product of
+        # two of its rows; with none (phi = 0) every direction is the axis's
+        rows = [[block[i, k] - (mu4 if i == k else 0) for k in range(3)] for i in range(3)]
+        cross = max((mpmath.matrix([r[1] * q[2] - r[2] * q[1], r[2] * q[0] - r[0] * q[2],
+                                    r[0] * q[1] - r[1] * q[0]])
+                     for r, q in itertools.combinations(rows, 2)), key=mpmath.norm)
+        size = mpmath.norm(b)
+        if mpmath.norm(cross) > mpmath.mpf(10) ** -40:
+            b_perp = mpmath.sqrt(max(size**2 - (b.T * cross)[0] ** 2 / mpmath.norm(cross) ** 2, 0))
+        else:
+            b_perp = size
+        # |1 - mu4 e^{i phi}|^2 = (1 - mu4)^2 + 2 mu4 (1 - cos phi), tr M = mu4 (1 + 2 cos phi)
+        distance = mpmath.sqrt((1 - mu4) ** 2 + 3 * mu4 - sum(block[i, i] for i in range(3)))
+        relaxed5 = 1 - mu4**2
+        return FixedPointOracle(
+            (*(float(x) for x in b), float(b5)), float(b_perp / (1 - mu4)),
+            float(size / distance), float(mpmath.norm(drive) / relaxed5),
+            float((mpmath.norm(drive) * size + abs(h)) / relaxed5 + abs(b5)))
 
 
 def fig1_spec() -> CycleSpec:

@@ -36,7 +36,7 @@ from spinotto import (
     vn_entropy,
 )
 from spinotto import engine, propagators
-from spinotto.algebra import FIELD_RANGE, is_physical
+from spinotto.algebra import FIELD_RANGE, PHYSICALITY_TOL, is_physical
 from spinotto.cli import ITERATE_HEADER, TRAJECTORY_HEADER, iterate_rows, trajectory_rows
 from spinotto.engine import (
     UNIQUENESS_GAP,
@@ -45,7 +45,7 @@ from spinotto.engine import (
     _solve3,
     linspace,
 )
-from spinotto.propagators import MAX_SWEEP_ANGLE
+from spinotto.propagators import MAX_SWEEP_ANGLE, SWEEP_TOLERANCE
 from conftest import (
     EXAMPLE_SCALE,
     FIG5_TIMES,
@@ -57,6 +57,7 @@ from conftest import (
     fig3_spec,
     fig5_spec,
     fig6_spec,
+    fixed_point_mp,
     gibbs_matrix,
     hamiltonian_matrix,
     linear_fit,
@@ -324,6 +325,50 @@ def test_eigenvalues_match_the_oracle_property(spec):
     assert eigenvalue_error(mu[1:4], compose_cycle(spec).cycle.block) <= 2e-15, mu
 
 
+@st.composite
+def _scaled_rotations(draw):
+    """(block, mu4, phi, axis): mu4 times the rotation of a unit quaternion
+    with angle phi in [0, pi] about a unit axis; angles near 0 and pi, and
+    both ends, included."""
+    axis = [draw(st.floats(-1.0, 1.0)) for _ in range(3)]
+    norm = math.sqrt(sum(x * x for x in axis))
+    assume(norm > 1e-3)
+    axis = [x / norm for x in axis]
+    phi = draw(st.one_of(
+        st.floats(0.0, math.pi), st.sampled_from([0.0, math.pi]),
+        st.floats(-16.0, -1.0).map(lambda x: 10.0 ** x),
+        st.floats(-16.0, -1.0).map(lambda x: math.pi - 10.0 ** x)))
+    mu4 = 10.0 ** draw(st.floats(-300.0, 0.0))
+    w, s = math.cos(0.5 * phi), math.sin(0.5 * phi)
+    block = propagators._rotation_block(w, s * axis[0], s * axis[1], s * axis[2])
+    return tuple(tuple(x * mu4 for x in row) for row in block), mu4, phi, axis
+
+
+@settings(max_examples=300 * EXAMPLE_SCALE, deadline=None)
+@given(_scaled_rotations())
+def test_rotation_of_reads_the_angle_and_axis_property(rotation):
+    # Shepperd's method reads every quaternion component from the largest,
+    # so the angle is good to a few ulp near 0 and pi alike, at any scale
+    # (measured: 4 ulp over 20,000 rotations); the axis is undefined at 0
+    # and its sign at pi
+    block, mu4, phi, axis = rotation
+    got_phi, got_axis = engine._rotation_of(block, mu4)
+    eps = sys.float_info.epsilon
+    assert abs(got_phi - phi) <= 8 * eps
+    if got_axis == (0.0, 0.0, 0.0):
+        assert phi <= 8 * eps
+    elif math.sin(0.5 * phi) > 1e-3:
+        signs = (1.0,) if phi < 3.0 else (1.0, -1.0)
+        assert min(max(abs(g - sign * a) for g, a in zip(got_axis, axis))
+                   for sign in signs) <= 8 * eps / math.sin(0.5 * phi)
+
+
+def test_rotation_of_the_identity_and_of_nan():
+    assert engine._rotation_of(propagators._IDENTITY_BLOCK, 1.0) == (0.0, (0.0, 0.0, 0.0))
+    phi, axis = engine._rotation_of(((math.nan,) * 3,) * 3, 0.5)
+    assert math.isnan(phi) and all(map(math.isnan, axis))
+
+
 _ROOT3 = math.sqrt(3.0) / 2.0
 
 
@@ -523,8 +568,9 @@ def test_iterate_relative_entropy_finite_on_cold_limit_cycle(omega_b):
 
 
 # a hot stroke of 1e-308 and a cold conductance of 3e-9: a spectral gap of
-# 9e-9 (3e-8 at a cold conductance of 1e-8)
-NON_PHYSICAL_SPEC = CycleSpec(
+# 9e-9 (3e-8 at a cold conductance of 1e-8).  Its exact fixed point is a
+# state whose smallest eigenvalue is about 1e-9
+NEAR_GAP_SPEC = CycleSpec(
     t_cold=0.3423, t_hot=25.333123028855248, omega_a=3.9551421452880096,
     omega_b=4.456230175277123, j=3.2054447220535454, gamma_cold=3e-09,
     gamma_hot=1.9306825859232153, dephasing_cold=0.0, dephasing_hot=0.0,
@@ -532,16 +578,84 @@ NON_PHYSICAL_SPEC = CycleSpec(
     tau_ab=0.04745420709557888, tau_ba=0.006198670441568167)
 
 
-def test_limit_cycle_rejects_non_physical_fixed_point():
-    # at a gap of 9e-9 the fixed-point solve loses its accuracy and lands
-    # outside the state space, which is reported as no unique limit cycle
-    spec = NON_PHYSICAL_SPEC
-    with pytest.raises(NonUniqueLimitCycleError, match="not a physical state"):
-        limit_cycle(spec)
-    # at a cold conductance of 1e-8 (gap 3e-8) the solve lands inside the
-    # state space, by rounding: either outcome is one the contract allows
-    report = limit_cycle(replace(spec, gamma_cold=1e-08))
-    assert 0.0 <= min(eigenvalue_tuple(report.b_a)) and report.gap < 1e-7
+def _oracle_bounds(oracle) -> tuple:
+    """The bounds on the errors of (b1, b2, b3) and of b5 against the
+    50-digit fixed point (:func:`fixed_point_mp`), stated before any run and
+    never widened: to first order a rotation error of the cycle block of at
+    most eps = 4 SWEEP_TOLERANCE + 64 ulp (two sweeps, each within
+    SWEEP_TOLERANCE per entry, and rounding) moves each of b1, b2, b3 by at
+    most eps (along + across), and b5 by drive |delta b| + eps scale5; each
+    bound carries a factor 2 for the first-order neglect."""
+    eps = 4 * SWEEP_TOLERANCE + 64 * sys.float_info.epsilon
+    bound = 2 * eps * (oracle.along + oracle.across)
+    return bound, 2 * (oracle.drive * math.sqrt(3.0) * bound + eps * oracle.scale5)
+
+
+def _assert_oracle_fixed_point(b_a, spec):
+    """b_a is the dephasing-free spec's 50-digit fixed point within
+    :func:`_oracle_bounds`."""
+    oracle = fixed_point_mp(spec)
+    bound, bound5 = _oracle_bounds(oracle)
+    for got, exact, tol in zip((b_a.b1, b_a.b2, b_a.b3, b_a.b5), oracle.b,
+                               (bound, bound, bound, bound5)):
+        assert abs(got - exact) <= tol, (b_a, oracle)
+    assert b_a.b4 == 0.0
+
+
+def _dephasing_free(spec):
+    return replace(spec, dephasing_cold=0.0, dephasing_hot=0.0)
+
+
+@settings(max_examples=100 * EXAMPLE_SCALE, deadline=None)
+@given(st.one_of(cycle_specs(), near_identity_specs(-12.0, -1.0)).map(_dephasing_free))
+@example(fig1_spec())
+@example(fig6_spec())
+@example(fig5_spec(*FIG5_TIMES["3"]))
+@example(NEAR_IDENTITY_SPEC)
+@example(NEAR_GAP_SPEC)
+def test_fixed_point_matches_the_oracle_property(spec):
+    # without dephasing the fixed point is solved along and across the
+    # rotation axis of M = mu4 O; near the gap and near the identity it
+    # keeps the oracle's digits, where elimination lost 1 / (1 - mu4) ulp
+    try:
+        report = limit_cycle(spec)
+    except NonUniqueLimitCycleError as exc:
+        if "is not a physical state" not in str(exc):
+            assert 1.0 - compose_cycle(spec).cycle.b4_scale < UNIQUENESS_GAP
+            return
+        # the exact fixed point is a state: a refusal must lie within the
+        # solve's bound of the state space's edge
+        oracle = fixed_point_mp(spec)
+        bound, bound5 = _oracle_bounds(oracle)
+        b1, b2, b3, b5 = oracle.b
+        exact = eigenvalue_tuple(BlochVector(b1, b2, b3, 0.0, b5))
+        assert min(exact) < -PHYSICALITY_TOL + bound5 / 2 + math.sqrt(1.5) * bound, oracle
+    else:
+        _assert_oracle_fixed_point(report.b_a, spec)
+
+
+def test_limit_cycle_accepts_the_near_gap_fixed_point():
+    # at a gap of 9e-9 the axis split keeps the fixed point within 1.1e-14 of
+    # the 50-digit one, a state with a smallest eigenvalue of 1.3e-9;
+    # elimination erred by up to 2.6e-8 on this scan and refused this point
+    # as not a state (up to 4.0.0)
+    report = limit_cycle(NEAR_GAP_SPEC)
+    assert report.gap < 1e-8
+    _assert_oracle_fixed_point(report.b_a, NEAR_GAP_SPEC)
+    assert 1e-9 < min(eigenvalue_tuple(report.b_a)) < 2e-9
+
+
+# the 1.2.0 scan: 41 cold conductances 1e-9 to 1e-7 on NEAR_GAP_SPEC, gaps 3e-9
+# to 3e-7; elimination (4.0.0) read accept/refuse A R x19 A R R A x18 there,
+# with fixed points up to 2.6e-8 from the oracle's
+@pytest.mark.parametrize("gamma_cold", [10.0 ** x for x in linspace(-9.0, -7.0, 41)],
+                         ids=lambda x: f"{x:.3g}")
+def test_near_gap_scan_is_accepted_with_the_oracles_digits(gamma_cold):
+    spec = replace(NEAR_GAP_SPEC, gamma_cold=gamma_cold)
+    report = limit_cycle(spec)
+    assert report.gap < 3e-7
+    _assert_oracle_fixed_point(report.b_a, spec)
+    assert min(eigenvalue_tuple(report.b_a)) > 0.0
 
 
 def test_fixed_point_rejects_a_non_finite_solve():
@@ -555,11 +669,28 @@ def test_fixed_point_rejects_a_non_finite_solve():
     assert len(info.value.eigenvalues) == 6
 
 
+def test_fixed_point_at_a_zero_contraction_and_a_zero_angle():
+    # mu4 = 0 (the hot bath relaxes fully) makes M = 0 and b = v exactly; at
+    # phi = 0 (here a hand-built M = mu4 I) O has no axis and b = v / (1 - mu4)
+    prop = compose_cycle(replace(fig1_spec(), gamma_hot=300.0))
+    assert prop.cycle.b4_scale == 0.0
+    b_a, mu, phi, _ = _fixed_point(prop)
+    assert tuple(b_a)[:3] == prop.cycle.shift
+    assert mu[1:4] == (0j, 0j, 0j) and phi == 0.0
+    prop = compose_cycle(fig1_spec())
+    mu4 = prop.cycle.b4_scale
+    scaled = ((mu4, 0.0, 0.0), (0.0, mu4, 0.0), (0.0, 0.0, mu4))
+    b_a, mu, phi, _ = _fixed_point(replace(prop, cycle=replace(prop.cycle, block=scaled)))
+    assert mu[1:4] == (mu4, mu4, mu4) and phi == 0.0
+    for b, v in zip(b_a, prop.cycle.shift):
+        assert abs(b - v / (1.0 - mu4)) <= 4 * sys.float_info.epsilon * abs(b)
+
+
 @settings(max_examples=100 * EXAMPLE_SCALE, deadline=None)
 @given(cycle_specs())
 @example(NEAR_IDENTITY_SPEC)
-@example(NON_PHYSICAL_SPEC)
-@example(replace(NON_PHYSICAL_SPEC, gamma_cold=1e-8))
+@example(NEAR_GAP_SPEC)
+@example(replace(NEAR_GAP_SPEC, gamma_cold=1e-8))
 def test_fixed_point_solve_is_finite_past_the_gap_property(spec):
     # past the gap test ||M||_2 <= mu4 <= 1 - 1e-9 keeps I - M far from
     # singular, so the solve is finite (_fixed_point's proof), and limit_cycle
