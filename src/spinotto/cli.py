@@ -324,17 +324,23 @@ TRAJECTORY_HEADER = (
 def trajectory_rows(prop: CyclePropagator, b_start: BlochVector, samples: int) -> list[list]:
     """One TRAJECTORY_HEADER row per :func:`trajectory` sample, built from
     the strokes' states (``engine._stroke_states``) without a sample record.
-    s_vn, s_e and the energy come from one call of
+    s_vn, s_e and the energy come from one call per stroke of
     ``measures._state_entropies``, the implementation of :func:`vn_entropy`
     and :func:`energy_entropy`; it checks no sample, as the caller checked
-    b_start.  The energy basis is undefined at omega = J = 0 (a J = 0 sweep
-    through zero field); s_e takes its limit there, equal from either side."""
+    b_start.  A sweep is unitary, so on its rows s_vn is that of the
+    stroke's first state, constant bit for bit, as the paper's friction
+    signature has it: only s_e moves.  The energy basis is undefined at
+    omega = J = 0 (a J = 0 sweep through zero field); s_e takes its limit
+    there, equal from either side."""
     j = prop.spec.j
     rows = []
-    for branch, t0, times, states, omega_at in _stroke_states(prop, b_start, samples):
-        for t, b in zip(times, states):
-            omega = omega_at(t)
-            rows.append([branch, t0 + t, omega, *b, *_state_entropies(b, omega, j)])
+    for index, (branch, t0, times, states, omega_at) in enumerate(
+            _stroke_states(prop, b_start, samples)):
+        fields = [omega_at(t) for t in times]
+        # strokes 1 and 3 are the sweeps
+        entropies = _state_entropies(states, fields, j, unitary=index % 2 == 1)
+        rows += [[branch, t0 + t, omega, *b, *e]
+                 for t, omega, b, e in zip(times, fields, states, entropies)]
     return rows
 
 
@@ -419,10 +425,9 @@ def cmd_equilibrium_curve(config: RunConfig):
     temp = _require_number(run.get("temperature", config.spec.t_hot), "run.temperature")
     if temp <= 0.0:
         raise ConfigError("run.temperature must be > 0")
-    rows = [
-        [omega, _state_entropies(thermal_state(omega, j, temp), omega, j)[1]]
-        for omega in linspace(lo, hi, steps)
-    ]
+    omegas = linspace(lo, hi, steps)
+    states = [thermal_state(omega, j, temp) for omega in omegas]
+    rows = [[omega, e[1]] for omega, e in zip(omegas, _state_entropies(states, omegas, j))]
     return ["omega", "s_e_equilibrium"], rows
 
 

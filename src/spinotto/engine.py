@@ -722,10 +722,8 @@ def _ledger(prop: CyclePropagator, b_a: BlochVector) -> ThermoLedger:
     b_d = u_isc.apply(b_c)
 
     # von Neumann entropy, energy entropy and energy of each corner
-    s_a, se_a, e_a = _state_entropies(b_a, omega_b, j)
-    s_b, se_b, e_b = _state_entropies(b_b, omega_b, j)
-    s_c, se_c, e_c = _state_entropies(b_c, spec.omega_a, j)
-    s_d, se_d, e_d = _state_entropies(b_d, spec.omega_a, j)
+    (s_a, se_a, e_a), (s_b, se_b, e_b), (s_c, se_c, e_c), (s_d, se_d, e_d) = _state_entropies(
+        (b_a, b_b, b_c, b_d), (omega_b, omega_b, spec.omega_a, spec.omega_a), j)
 
     q_hot = e_b - e_a
     q_cold = e_d - e_c

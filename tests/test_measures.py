@@ -217,7 +217,9 @@ def test_row_kernels_check_no_state_property(b, field):
     # the states a row is computed from were checked where they entered, so
     # neither row kernel checks one again: each returns for any five floats,
     # a square past the float range included
-    assert len(_state_entropies(b, *field)) == 3
+    omega, j = field
+    for unitary in (False, True):
+        assert len(_state_entropies((b, b), (omega, omega), j, unitary)[1]) == 3
     assert len(_measures_to(BlochVector(0.1, -0.05, 0.02, 0.1, 0.05), 1.0, 0.5)(b)) == 3
 
 
@@ -263,7 +265,7 @@ def test_energy_entropy_checks_the_state():
     with pytest.raises(ValueError, match="omega = J = 0"):
         energy_entropy(b, 0.0, 0.0)
     # the row kernel takes the limit there
-    assert _state_entropies(b, 0.0, 0.0)[1] == energy_entropy(b, 1.0, 0.0)
+    assert _state_entropies((b,), (0.0,), 0.0)[0][1] == energy_entropy(b, 1.0, 0.0)
 
 
 def test_vn_entropy_thermal_matches_matrix_oracle(rng):
@@ -592,7 +594,7 @@ def test_row_kernels_equal_public_measures_property(b, spec, field):
     for _, _, omega, state in trajectory(compose_cycle(spec), b, 5):
         lam = np.linalg.eigvalsh(np.array(reconstruct_density(state)))
         for f in ((omega, spec.j), field):
-            s_vn, s_e, e = _state_entropies(state, *f)
+            (s_vn, s_e, e), = _state_entropies((state,), f[:1], f[1])
             populations = np.diag(to_energy_basis(state, *_unit_field(*f))).real
             assert abs(s_vn - measurement_entropy(lam)) < 1e-12
             assert abs(s_e - measurement_entropy(populations)) < 1e-12
@@ -644,7 +646,7 @@ def test_distance_and_relative_entropy_ignore_the_field_property(b, b_ref, field
 def test_row_kernel_examples_reach_their_edges():
     # the edges the examples above are there for
     zero = BlochVector(0.0, 0.0, 0.0, 0.0, 0.0)
-    assert _state_entropies(_PURE_INNER, 1.0, 0.5)[0] == 0.0  # only 0 log 0 and 1 log 1
+    assert _state_entropies((_PURE_INNER,), (1.0,), 0.5)[0][0] == 0.0  # 0 log 0 and 1 log 1
     b_ref = limit_cycle(_RANK_DEFICIENT).b_a
     assert min(eigenvalue_tuple(b_ref)) < _SUPPORT_TOL
     assert conditional_entropy(zero, b_ref) == math.inf
@@ -662,6 +664,36 @@ def test_row_kernel_examples_reach_their_edges():
             _measures_to(b_ref, *f)
         with pytest.raises(ValueError, match="omega = J = 0"):
             wootters_energy_distance(zero, b_ref, *f)
+
+
+# fields for one kernel call: omega = J = 0 (with J = 0), subnormal fields,
+# ones below and above FIELD_RANGE and ordinary ones, of both signs
+_CHANGING_FIELDS = st.lists(
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585e-313, -1e-200, 1e200, -1.5e308,
+                     3.0, -4.0]) | st.floats(-20.0, 20.0), min_size=1, max_size=8)
+
+
+@settings(max_examples=100 * EXAMPLE_SCALE, deadline=None)
+@given(st.lists(physical_states(), min_size=1, max_size=3), _CHANGING_FIELDS,
+       st.sampled_from([0.0, 5e-324, -1e-200, 2.0, 1e200]), st.booleans())
+@example([_PURE_OUTER, _PURE_INNER] * 4, [0.0, 0.0, 5e-324, 5e-324, 1e200, 1e200, 0.0, -0.0],
+         0.0, True)
+def test_state_entropies_over_changing_fields_property(states, omegas, j, repeat):
+    # the kernel forms the energy frame where the field changes; over a field
+    # that changes between states, through omega = J = 0, subnormal fields and
+    # ones outside FIELD_RANGE, or repeats (a frame formed before), one call
+    # equals one-state calls bit for bit
+    if repeat:
+        omegas = [omega for omega in omegas for _ in range(2)]
+    states = [states[i % len(states)] for i in range(len(omegas))]
+    one_each = [_state_entropies((b,), (omega,), j)[0] for b, omega in zip(states, omegas)]
+    together = _state_entropies(states, omegas, j)
+    assert [_bits(row) for row in together] == [_bits(row) for row in one_each]
+    # the one-state call is the public functions' kernel
+    for b, omega, (s_vn, s_e, e) in zip(states, omegas, together):
+        assert _bits([s_vn]) == _bits([vn_entropy(b)])
+        if omega or j:
+            assert _bits([s_e]) == _bits([energy_entropy(b, omega, j)])
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
