@@ -1011,17 +1011,17 @@ def test_sweeps_are_frictionless_in_von_neumann_entropy_property(spec, b0, symme
         assert abs(vn_entropy(ledger.b_a) - vn_entropy(ledger.b_d)) <= _UNITARY_ROUNDING
         starts.append(report.b_a)
     s_vn, s_e = TRAJECTORY_HEADER.index("s_vn"), TRAJECTORY_HEADER.index("s_e")
-    b = slice(TRAJECTORY_HEADER.index("b1"), TRAJECTORY_HEADER.index("b5") + 1)
+    bloch = slice(TRAJECTORY_HEADER.index("b1"), TRAJECTORY_HEADER.index("b5") + 1)
     for start in starts:
         rows = trajectory_rows(prop, start, 9)
         for row in rows:
             assert row[s_e] >= row[s_vn] - _UNITARY_ROUNDING
         for name in ("adiabat-hot-cold", "adiabat-cold-hot"):
             sweep = [row for row in rows if row[0] == name]
-            first = vn_entropy(BlochVector(*sweep[0][b]))
+            first = vn_entropy(BlochVector(*sweep[0][bloch]))
             for row in sweep:
                 assert row[s_vn] == first, name
-                assert abs(row[s_vn] - vn_entropy(BlochVector(*row[b]))) <= _UNITARY_ROUNDING
+                assert abs(row[s_vn] - vn_entropy(BlochVector(*row[bloch]))) <= _UNITARY_ROUNDING
 
 
 def test_energy_trivial_and_linear(rng):
