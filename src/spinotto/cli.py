@@ -36,6 +36,7 @@ import operator
 import os
 import sys
 from collections import namedtuple
+from itertools import repeat
 
 from .algebra import BlochVector, eigenvalue_tuple, field_magnitude, is_physical, thermal_state
 from .engine import (
@@ -213,9 +214,13 @@ def _initial_state(config: RunConfig) -> BlochVector:
 # CSV assembly
 
 
-def render_csv(command, config_echo, header, rows, precision, notes=()) -> str:
-    """CSV text; each column keeps its first-row type: text and integers as
-    they are, floats to `precision` digits (+ 0.0 prints -0.0 as 0)."""
+def render_csv(command, config_echo, header, blocks, precision, notes=()) -> str:
+    """CSV text of a table given as blocks of rows, each block one cell per
+    header column.  A list, tuple or range cell holds its column's values on
+    the block's rows; any other cell is shared by all of them and formatted
+    once, into the block's row template.  Each column takes the type of its
+    first value in the block: text and integers as they are, floats to
+    `precision` digits (+ 0.0 prints -0.0 as 0)."""
     lines = [
         f"# spinotto-csv schema-version {SCHEMA_VERSION}",
         f"# command: {command}",
@@ -223,21 +228,27 @@ def render_csv(command, config_echo, header, rows, precision, notes=()) -> str:
     ]
     lines.extend(f"# note: {note}" for note in notes)
     lines.append(",".join(header))
-    if rows:
-        fields, zeros = [], []
-        for value in rows[0]:
-            if isinstance(value, str):
-                fields.append("%s")
-                zeros.append("")
-            elif isinstance(value, int) and not isinstance(value, bool):
-                fields.append("%s")
-                zeros.append(0)
+    real = f"%.{precision}g"
+    add = operator.add
+    for block in blocks:
+        fields, columns = [], []
+        for cell in block:
+            if isinstance(cell, (list, tuple, range)):
+                first = cell[0]
+                if isinstance(first, (str, int)) and not isinstance(first, bool):
+                    fields.append("%s")
+                    columns.append(cell)
+                else:
+                    fields.append(real)
+                    columns.append(map(add, cell, repeat(0.0)))
+            elif isinstance(cell, str):
+                fields.append(cell.replace("%", "%%"))
+            elif isinstance(cell, int) and not isinstance(cell, bool):
+                fields.append(str(cell))
             else:
-                fields.append(f"%.{precision}g")
-                zeros.append(0.0)
+                fields.append(real % (cell + 0.0))
         template = ",".join(fields)
-        add = operator.add
-        lines.extend([template % tuple(map(add, row, zeros)) for row in rows])
+        lines += [template % t for t in zip(*columns)]
     return "\n".join(lines) + "\n"
 
 
@@ -262,7 +273,7 @@ def _emit(text: str, out_path):
 
 
 # ---------------------------------------------------------------------------
-# command row builders
+# command table builders: rows and blocks of render_csv
 
 _CORNER_COLS = [f"b{i}_{c}" for c in "abcd" for i in range(1, 6)]
 _MU_COLS = [f"mu{i}_{p}" for i in range(6) for p in ("re", "im")]
@@ -302,17 +313,18 @@ ITERATE_HEADER = (
 )
 
 
-def iterate_rows(report: LimitCycleReport, b0: BlochVector, n: int) -> list[list]:
-    """One ITERATE_HEADER row per anchor state b_k, k = 0..n: the distances
-    and the relative entropy to the limit cycle, the Wootters distance at
-    the anchor field omega_b.  The measures' one implementation
-    (``measures._measures_to``), bound once per table to the limit cycle
-    and that field, gives each row's three in one pass: those of
-    :func:`quantum_distance`, :func:`wootters_energy_distance` and
-    :func:`conditional_entropy`."""
+def iterate_block(report: LimitCycleReport, b0: BlochVector, n: int) -> list:
+    """The ITERATE_HEADER block of the anchor states b_k, k = 0..n, one
+    column per cell: the distances and the relative entropy to the limit
+    cycle, the Wootters distance at the anchor field omega_b.  The
+    measures' one implementation (``measures._measures_to``), bound once
+    per table to the limit cycle and that field, gives each state's three
+    in one pass: those of :func:`quantum_distance`,
+    :func:`wootters_energy_distance` and :func:`conditional_entropy`."""
     spec = report.propagator.spec
     measures = _measures_to(report.b_a, spec.omega_b, spec.j)
-    return [[k, *b, *measures(b)] for k, b in enumerate(iterate(report.propagator, b0, n))]
+    states = iterate(report.propagator, b0, n)
+    return [range(n + 1), *zip(*states), *zip(*map(measures, states))]
 
 
 TRAJECTORY_HEADER = (
@@ -321,27 +333,34 @@ TRAJECTORY_HEADER = (
 )
 
 
-def trajectory_rows(prop: CyclePropagator, b_start: BlochVector, samples: int) -> list[list]:
-    """One TRAJECTORY_HEADER row per :func:`trajectory` sample, built from
-    the strokes' states (``engine._stroke_states``) without a sample record.
-    s_vn, s_e and the energy come from one call per stroke of
-    ``measures._state_entropies``, the implementation of :func:`vn_entropy`
-    and :func:`energy_entropy`; it checks no sample, as the caller checked
-    b_start.  A sweep is unitary, so on its rows s_vn is that of the
-    stroke's first state, constant bit for bit, as the paper's friction
-    signature has it: only s_e moves.  The energy basis is undefined at
-    omega = J = 0 (a J = 0 sweep through zero field); s_e takes its limit
-    there, equal from either side."""
+def trajectory_blocks(prop: CyclePropagator, b_start: BlochVector, samples: int) -> list:
+    """One TRAJECTORY_HEADER block per stroke of :func:`trajectory`'s
+    samples, built from the strokes' states (``engine._stroke_states``)
+    without a sample record.  s_vn, s_e and the energy come from one call
+    per stroke of ``measures._state_entropies``, the implementation of
+    :func:`vn_entropy` and :func:`energy_entropy`; it checks no sample, as
+    the caller checked b_start.  A stroke's rows share its branch name, a
+    bath stroke's also its constant field.  A sweep is unitary: it rotates
+    (b1, b2, b3) and keeps b4 and b5, and its rows share s_vn, that of the
+    stroke's first state, as the paper's friction signature has it: only
+    s_e moves.  The energy basis is undefined at omega = J = 0 (a J = 0
+    sweep through zero field); s_e takes its limit there, equal from
+    either side."""
     j = prop.spec.j
-    rows = []
+    blocks = []
     for index, (branch, t0, times, states, omega_at) in enumerate(
             _stroke_states(prop, b_start, samples)):
-        fields = [omega_at(t) for t in times]
-        # strokes 1 and 3 are the sweeps
-        entropies = _state_entropies(states, fields, j, unitary=index % 2 == 1)
-        rows += [[branch, t0 + t, omega, *b, *e]
-                 for t, omega, b, e in zip(times, fields, states, entropies)]
-    return rows
+        ts = [t0 + t for t in times]
+        b1, b2, b3, b4, b5 = zip(*states)
+        if index % 2:  # strokes 1 and 3 are the sweeps
+            fields = list(map(omega_at, times))
+            s_vn, s_e, energy = zip(*_state_entropies(states, fields, j, unitary=True))
+            blocks.append((branch, ts, fields, b1, b2, b3, b4[0], b5[0], s_vn[0], s_e, energy))
+        else:
+            omega = omega_at(0.0)
+            s_vn, s_e, energy = zip(*_state_entropies(states, repeat(omega), j))
+            blocks.append((branch, ts, omega, b1, b2, b3, b4, b5, s_vn, s_e, energy))
+    return blocks
 
 
 SPECTRUM_HEADER = _MU_COLS + ["phi", "gap"]
@@ -361,12 +380,13 @@ def spectrum_row(spec: CycleSpec) -> list:
 
 
 def cmd_limit_cycle(config: RunConfig):
-    return LIMIT_CYCLE_HEADER, [limit_cycle_row(config.spec)]
+    # one block of one-element columns
+    return LIMIT_CYCLE_HEADER, [list(zip(limit_cycle_row(config.spec)))]
 
 
 def cmd_iterate(config: RunConfig):
     n = _require_int(config.run.get("n_cycles", 50), "run.n_cycles", 0)
-    return ITERATE_HEADER, iterate_rows(limit_cycle(config.spec), _initial_state(config), n)
+    return ITERATE_HEADER, [iterate_block(limit_cycle(config.spec), _initial_state(config), n)]
 
 
 def cmd_trajectory(config: RunConfig):
@@ -377,11 +397,11 @@ def cmd_trajectory(config: RunConfig):
     else:
         report = limit_cycle(config.spec)
         prop, b_start = report.propagator, report.b_a
-    return TRAJECTORY_HEADER, trajectory_rows(prop, b_start, samples)
+    return TRAJECTORY_HEADER, trajectory_blocks(prop, b_start, samples)
 
 
 def cmd_spectrum(config: RunConfig):
-    return SPECTRUM_HEADER, [spectrum_row(config.spec)]
+    return SPECTRUM_HEADER, [list(zip(spectrum_row(config.spec)))]
 
 
 def cmd_sweep(config: RunConfig):
@@ -403,7 +423,7 @@ def cmd_sweep(config: RunConfig):
         fields[index] = _require_number(value, path)
         return [value] + limit_cycle_row(_cycle_spec(fields))
 
-    return [key] + LIMIT_CYCLE_HEADER, [one(v) for v in linspace(start, stop, steps)]
+    return [key] + LIMIT_CYCLE_HEADER, [list(zip(*map(one, linspace(start, stop, steps))))]
 
 
 def cmd_equilibrium_curve(config: RunConfig):
@@ -427,8 +447,8 @@ def cmd_equilibrium_curve(config: RunConfig):
         raise ConfigError("run.temperature must be > 0")
     omegas = linspace(lo, hi, steps)
     states = [thermal_state(omega, j, temp) for omega in omegas]
-    rows = [[omega, e[1]] for omega, e in zip(omegas, _state_entropies(states, omegas, j))]
-    return ["omega", "s_e_equilibrium"], rows
+    _, s_e, _ = zip(*_state_entropies(states, omegas, j))
+    return ["omega", "s_e_equilibrium"], [[omegas, s_e]]
 
 
 # ---------------------------------------------------------------------------
@@ -488,37 +508,34 @@ def _fig3_engine(case: str) -> dict:
 
 
 def figure_preset(name: str):
-    """Run one benchmark preset: (config echo, header, rows, notes)."""
+    """Run one benchmark preset: (config echo, header, blocks, notes)."""
     if name == "fig1":
         report = limit_cycle(spec_from_engine_dict(_FIG1_ENGINE))
         return (
             {"preset": "fig1", "engine": _FIG1_ENGINE}, TRAJECTORY_HEADER,
-            trajectory_rows(report.propagator, report.b_a, 200),
+            trajectory_blocks(report.propagator, report.b_a, 200),
             ["limit-cycle trajectory in the (omega, entropy) plane"],
         )
     if name == "fig2":
         spec = spec_from_engine_dict(_FIG1_ENGINE)
         report = limit_cycle(spec)
-        rows = []
-        for label, temp in (("cold", spec.t_cold), ("hot", 100.0)):
-            b0 = thermal_state(spec.omega_b, spec.j, temp)
-            rows.extend([label] + row for row in iterate_rows(report, b0, 15))
+        blocks = [[label, *iterate_block(report, thermal_state(spec.omega_b, spec.j, temp), 15)]
+                  for label, temp in (("cold", spec.t_cold), ("hot", 100.0))]
         return (
-            {"preset": "fig2", "engine": _FIG1_ENGINE}, ["start"] + ITERATE_HEADER, rows,
+            {"preset": "fig2", "engine": _FIG1_ENGINE}, ["start"] + ITERATE_HEADER, blocks,
             ["two-start convergence; hot start is a thermal state at T=100"],
         )
     if name == "fig3":
-        rows = []
+        blocks = []
         for case in sorted(_FIG3_CASES):
             report = limit_cycle(spec_from_engine_dict(_fig3_engine(case)))
             # starting from the cycle's own mid-cycle state leaves a purely
             # coherent displacement, which exposes the projected-distance
             # oscillation of the dephasing-free cases
-            for row in iterate_rows(report, report.ledger.b_c, 40):
-                rows.append([case] + row)
+            blocks.append([case, *iterate_block(report, report.ledger.b_c, 40)])
         return (
             {"preset": "fig3", "cases": _FIG3_CASES, "engine_fallback": _FIG1_ENGINE},
-            ["case"] + ITERATE_HEADER, rows,
+            ["case"] + ITERATE_HEADER, blocks,
             [
                 "fields and bath couplings are not stated for these insets;"
                 " they fall back to the fig1 values",
@@ -533,12 +550,12 @@ def figure_preset(name: str):
             rows.append([label] + limit_cycle_row(spec_from_engine_dict(engine)))
         return (
             {"preset": "fig5", "engine_common": _FIG5_COMMON, "cycles": _FIG5_CYCLES},
-            ["cycle"] + LIMIT_CYCLE_HEADER, rows, [],
+            ["cycle"] + LIMIT_CYCLE_HEADER, [list(zip(*rows))], [],
         )
     if name == "fig6":
         return (
             {"preset": "fig6", "engine": _FIG6_ENGINE}, LIMIT_CYCLE_HEADER,
-            [limit_cycle_row(spec_from_engine_dict(_FIG6_ENGINE))],
+            [list(zip(limit_cycle_row(spec_from_engine_dict(_FIG6_ENGINE))))],
             ["gamma_hot_conductance is irrelevant here (tau_hot = 0)"],
         )
     raise ConfigError(f"unknown figure preset {name!r}")
@@ -659,15 +676,15 @@ def _run(argv) -> int:
         command, argument, out_path = parsed
         if command == "figure":
             command, precision = f"figure {argument}", 12
-            echo, header, rows, notes = figure_preset(argument)
+            echo, header, blocks, notes = figure_preset(argument)
         else:
             config = load_config(argument)
             precision = config.output.get("precision", 12)
             if out_path is None:
                 out_path = config.output.get("path")
             echo, notes = {"engine": config.engine_raw, "run": config.run}, ()
-            header, rows = _COMMANDS[command](config)
-        _emit(render_csv(command, echo, header, rows, precision, notes), out_path)
+            header, blocks = _COMMANDS[command](config)
+        _emit(render_csv(command, echo, header, blocks, precision, notes), out_path)
     except ConfigError as exc:
         print(_error_record("config", str(exc)), file=sys.stderr)
         return 2

@@ -633,17 +633,28 @@ def limit_cycle(spec: CycleSpec) -> LimitCycleReport:
 
 
 def iterate(prop: CyclePropagator, b0: BlochVector, n: int) -> list[BlochVector]:
-    """Anchor-point states b_k for k = 0..n under repeated cycle maps.
-    ValueError when n is not an integer >= 0 or a component of b0 is not
-    finite."""
+    """Anchor-point states b_k for k = 0..n under repeated cycle maps, each
+    stepped from the map's entries, unpacked once, in
+    :meth:`AffinePropagator.apply`'s order of operations, so bit for bit its
+    states.  ValueError when n is not an integer >= 0 or a component of b0
+    is not finite."""
     n = _count(n, "n")
     if n < 0:
         raise ValueError("n must be >= 0")
     _check_finite_state(b0, "b0")
+    block, (v1, v2, v3), b4_scale, b5_scale, (d1, d2, d3), b5_shift = prop.cycle
+    (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = block
+    new = tuple.__new__
     states = [b0]
-    b = b0
+    x, y, z, b4, b5 = b0
     for _ in range(n):
-        b = prop.cycle.apply(b)
+        x, y, z, b4, b5 = b = new(BlochVector, (
+            a11 * x + a12 * y + a13 * z + v1,
+            a21 * x + a22 * y + a23 * z + v2,
+            a31 * x + a32 * y + a33 * z + v3,
+            b4_scale * b4,
+            b5_scale * b5 + (d1 * x + d2 * y + d3 * z) + b5_shift,
+        ))
         states.append(b)
     return states
 

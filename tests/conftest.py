@@ -670,3 +670,17 @@ class StepCounter:
         adiabat_partials(p, 2)[-1]
         assert self.calls == 1, p
         return self.steps
+
+
+def expand_blocks(blocks) -> list:
+    """The rows of a table given as ``cli.render_csv`` blocks: a list, tuple
+    or range cell gives each row its own value, any other cell is every
+    row's.  A block's columns have one length, its number of rows."""
+    rows = []
+    for block in blocks:
+        is_column = [isinstance(cell, (list, tuple, range)) for cell in block]
+        lengths = {len(cell) for cell, column in zip(block, is_column) if column}
+        assert len(lengths) == 1, lengths
+        for i in range(lengths.pop()):
+            rows.append([cell[i] if column else cell for cell, column in zip(block, is_column)])
+    return rows

@@ -30,6 +30,8 @@ from spinotto import (
     quantum_distance,
     replace,
     thermal_state,
+    trajectory,
+    vn_entropy,
     wootters_energy_distance,
 )
 from spinotto.cli import (
@@ -39,15 +41,15 @@ from spinotto.cli import (
     TRAJECTORY_HEADER,
     ConfigError,
     figure_preset,
-    iterate_rows,
+    iterate_block,
     load_config,
     main,
     render_csv,
-    trajectory_rows,
+    trajectory_blocks,
 )
 from conftest import (
-    EXAMPLE_SCALE, SQRT2, cycle_specs, eigenvalues_mp, fig1_spec, fig6_spec, physical_states,
-    random_bloch, random_spec, wootters_distance_oracle,
+    EXAMPLE_SCALE, SQRT2, cycle_specs, eigenvalues_mp, expand_blocks, fig1_spec, fig6_spec,
+    physical_states, random_bloch, random_spec, wootters_distance_oracle,
 )
 
 FIG1_ENGINE = {
@@ -175,27 +177,70 @@ def _fmt_reference(value, spec):
 
 
 def test_render_csv_matches_per_cell_format():
+    # blocks against the per-cell format of their expanded rows: shared and
+    # varying cells of each type, a shared -0.0 and shared text holding % and
+    # %s, which the renderer folds into the block's row template
     spec = fig1_spec()
     report = limit_cycle(spec)
     b0 = thermal_state(spec.omega_b, spec.j, 100.0)
     tables = [
         (["text", "int", "a", "b", "c"], [
-            ["hot", 0, -0.0, 1.5, -2.5e-300],
-            ["cold", -12, 0.1, -0.0, math.inf],
-            ["x", 10**20, math.nan, 1.0 / 3.0, -1e300],
+            [["hot", "cold", "x"], [0, -12, 10**20], [-0.0, 0.1, math.nan],
+             (1.5, -0.0, 1.0 / 3.0), [-2.5e-300, math.inf, -1e300]],
+            ["50% %s %%d", 10**20, [-0.0, 5e-324], -0.0, (math.nan, -math.inf)],
+            [("a%b", "%s", "%%d"), range(-1, 2), math.nan, (5e-324, -5e-324, 2.2e-308), -math.inf],
+            ["cold", -12, math.inf, 5e-324, (1e20,)],
+            [("x",), (0,), (-0.0,), -2.5e-310, 1.0 / 3.0],
         ]),
-        (["start"] + ITERATE_HEADER, [["hot"] + row for row in iterate_rows(report, b0, 20)]),
-        (TRAJECTORY_HEADER, trajectory_rows(report.propagator, report.b_a, 20)),
+        (["start"] + ITERATE_HEADER, [["hot", *iterate_block(report, b0, 20)]]),
+        (TRAJECTORY_HEADER, trajectory_blocks(report.propagator, report.b_a, 20)),
     ]
-    for header, rows in tables:
+    for header, blocks in tables:
+        rows = expand_blocks(blocks)
         for precision in (1, 6, 12, 17):
-            text = render_csv("c", {"k": 1}, header, rows, precision)
+            text = render_csv("c", {"k": 1}, header, blocks, precision)
             lines = text.splitlines()
             assert lines[-len(rows) - 1] == ",".join(header)
             spec = f".{precision}g"
             assert lines[-len(rows):] == [
                 ",".join(_fmt_reference(v, spec) for v in row) for row in rows
             ]
+
+
+_SHARED_ON_SWEEPS = {"branch", "b4", "b5", "s_vn"}
+_SHARED_ON_BATHS = {"branch", "omega"}
+
+
+@settings(max_examples=50 * EXAMPLE_SCALE, deadline=None)
+@given(cycle_specs(), physical_states(), st.sampled_from([2, 3, 17]))
+def test_trajectory_blocks_share_exactly_the_stroke_invariants_property(spec, b0, samples):
+    # one block per stroke; a cell is shared by the stroke's rows exactly
+    # where its value cannot change along the stroke: the branch, a bath
+    # stroke's field, and a sweep's b4, b5 and s_vn (a sweep is unitary),
+    # each equal to every sample's value from the public trajectory
+    prop = compose_cycle(spec)
+    blocks = trajectory_blocks(prop, b0, samples)
+    points = trajectory(prop, b0, samples)
+    assert len(blocks) == len(prop.branches) == 4
+    for index, (block, branch) in enumerate(zip(blocks, prop.branches)):
+        cells = dict(zip(TRAJECTORY_HEADER, block, strict=True))
+        shared = {name for name, cell in cells.items()
+                  if not isinstance(cell, (list, tuple, range))}
+        sweep = index % 2 == 1
+        assert shared == (_SHARED_ON_SWEEPS if sweep else _SHARED_ON_BATHS), index
+        assert all(len(cells[name]) == samples for name in cells.keys() - shared)
+        stroke = points[index * samples:(index + 1) * samples]
+        assert cells["branch"] == branch.name
+        if sweep:
+            assert cells["s_vn"] == vn_entropy(stroke[0].state)
+        else:
+            assert cells["omega"] == branch.stroke.omega
+        for point in stroke:
+            assert point.branch == cells["branch"]
+            if sweep:
+                assert (point.state.b4, point.state.b5) == (cells["b4"], cells["b5"])
+            else:
+                assert point.omega == cells["omega"]
 
 
 @pytest.mark.parametrize("dephasing", [False, True])
@@ -216,7 +261,8 @@ def test_iterate_rows_measures_equal_public_functions(rng, dephasing):
     ]
     entropies = []
     for b_ref in references:
-        rows = iterate_rows(replace(report, b_a=b_ref), random_bloch(rng), 30)
+        block = iterate_block(replace(report, b_a=b_ref), random_bloch(rng), 30)
+        rows = expand_blocks([block])
         for row in rows:
             b = BlochVector(*row[1:6])
             assert row[6] == quantum_distance(b, b_ref)
@@ -1384,7 +1430,7 @@ def test_trajectory_through_zero_field_at_zero_coupling(tmp_path):
     # the limit along the sweep: at J = 0 both signs of omega give the same
     # populations with the outer pair swapped
     report = limit_cycle(load_config(config).spec)
-    table = trajectory_rows(report.propagator, report.b_a, 5)
+    table = expand_blocks(trajectory_blocks(report.propagator, report.b_a, 5))
     index = TRAJECTORY_HEADER.index("s_e")
     for i in zero:
         b = BlochVector(*table[i][3:8])
@@ -1458,6 +1504,34 @@ def test_sweep_rows_enter_each_traced_span_once(tmp_path, monkeypatch):
     config = write_config(tmp_path, {"engine": engine, "run": run})
     assert main(["sweep", "--config", config, "--out", str(tmp_path / "out.csv")]) == 0
     assert calls == {"limit_cycle": steps, "compose_cycle": steps, "compose": steps}
+
+
+def test_runs_enter_the_traced_cli_spans_once(tmp_path, monkeypatch):
+    # perfbench's tracer spans cli.render_csv, cli.load_config and
+    # engine.iterate by rebinding these spinotto.cli attributes: every
+    # command and preset renders once and every command loads its config
+    # once, through the module; iterate runs once per iterated table
+    # (figure has no config; fig2 iterates two starts, fig3 four cases)
+    import spinotto.cli
+
+    calls = {}
+    for name in ("render_csv", "load_config", "iterate"):
+        def counting(*args, _name=name, _fn=getattr(spinotto.cli, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+
+        monkeypatch.setattr(spinotto.cli, name, counting)
+    iterated = {"iterate": 1, "fig2": 2, "fig3": 4}
+    for section in ("command", "figure"):
+        for case, pin in CSV_PINS[section].items():
+            calls.clear()
+            assert main(_pin_argv(tmp_path, pin, tmp_path / "out.csv")) == 0
+            expected = {"render_csv": 1}
+            if section == "command":
+                expected["load_config"] = 1
+            if case in iterated:
+                expected["iterate"] = iterated[case]
+            assert calls == expected, case
 
 
 def test_spectrum_still_works_for_unitary_cycle(tmp_path):

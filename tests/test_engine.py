@@ -37,7 +37,7 @@ from spinotto import (
 )
 from spinotto import engine, propagators
 from spinotto.algebra import FIELD_RANGE, PHYSICALITY_TOL, is_physical
-from spinotto.cli import ITERATE_HEADER, TRAJECTORY_HEADER, iterate_rows, trajectory_rows
+from spinotto.cli import ITERATE_HEADER, TRAJECTORY_HEADER, iterate_block, trajectory_blocks
 from spinotto.engine import (
     UNIQUENESS_GAP,
     _diagonal_minus,
@@ -53,6 +53,7 @@ from conftest import (
     StepCounter,
     cycle_specs,
     eigenvalue_error,
+    expand_blocks,
     fig1_spec,
     fig3_spec,
     fig5_spec,
@@ -538,13 +539,31 @@ def test_iterate_approaches_limit_cycle_monotonically_property(spec, b0):
         report = limit_cycle(spec)
     except NonUniqueLimitCycleError:
         assume(False)
-    rows = iterate_rows(report, b0, 200)
+    rows = expand_blocks([iterate_block(report, b0, 200)])
     for name in ("quantum_distance", "conditional_entropy"):
         index = ITERATE_HEADER.index(name)
         values = [row[index] for row in rows]
         for k, (before, after) in enumerate(zip(values, values[1:])):
             assert after <= before + 1e-12, (name, k, before, after)
 
+
+
+@settings(max_examples=100 * EXAMPLE_SCALE, deadline=None)
+@given(cycle_specs(), physical_states(), st.lists(st.booleans(), min_size=5, max_size=5))
+@example(fig1_spec(), BlochVector(0.0, 0.0, 0.0, 0.0, 0.0), [True] * 5)
+def test_iterate_steps_equal_cycle_apply_property(spec, b0, negative_zeros):
+    # iterate steps the cycle map from its entries unpacked once: state k is
+    # k applications of prop.cycle.apply, bit for bit, signs of zero
+    # included, from starts with -0.0 components
+    b0 = BlochVector(*(-0.0 if flag else value for flag, value in zip(negative_zeros, b0)))
+    prop = compose_cycle(spec)
+    states = iterate(prop, b0, 12)
+    assert states[0] is b0
+    b = b0
+    for k, state in enumerate(states[1:], 1):
+        b = prop.cycle.apply(b)
+        assert type(state) is BlochVector
+        assert list(map(float.hex, state)) == list(map(float.hex, b)), k
 
 
 @pytest.mark.parametrize("omega_b", [7.0, 8.0])
@@ -561,7 +580,7 @@ def test_iterate_relative_entropy_finite_on_cold_limit_cycle(omega_b):
     assert min(eigenvalue_tuple(report.b_a)) < 1e-13
     b0 = BlochVector(0.0, 0.0, 0.0, -SQRT2 / 2, -0.5)
     index = ITERATE_HEADER.index("conditional_entropy")
-    values = [row[index] for row in iterate_rows(report, b0, 40)]
+    values = [row[index] for row in expand_blocks([iterate_block(report, b0, 40)])]
     assert all(math.isfinite(v) for v in values)
     assert all(after <= before + 1e-12 for before, after in zip(values, values[1:]))
     assert values[-1] < 1e-6
@@ -802,7 +821,7 @@ def test_trajectory_states_equal_public_maps_property(spec, b0, samples, symmetr
         spec = replace(spec, tau_ba=spec.tau_ab)
     prop = compose_cycle(spec)
     points = trajectory(prop, b0, samples)
-    rows = trajectory_rows(prop, b0, samples)
+    rows = expand_blocks(trajectory_blocks(prop, b0, samples))
     assert len(points) == len(rows) == 4 * samples
     s_vn, s_e = TRAJECTORY_HEADER.index("s_vn"), TRAJECTORY_HEADER.index("s_e")
     hot, hot_cold, cold, cold_hot = (branch.stroke for branch in prop.branches)
@@ -854,7 +873,7 @@ def test_trajectory_forms_no_map_and_no_sample_record(monkeypatch):
     spec = replace(fig1_spec(), tau_ab=0.7, tau_ba=0.3)
     prop = compose_cycle(spec)
     b0 = limit_cycle(spec).b_a
-    points, rows = trajectory(prop, b0, 9), trajectory_rows(prop, b0, 9)
+    points, blocks = trajectory(prop, b0, 9), trajectory_blocks(prop, b0, 9)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a map or sample record formed on the trajectory path")
@@ -865,7 +884,7 @@ def test_trajectory_forms_no_map_and_no_sample_record(monkeypatch):
         monkeypatch.setattr(engine, name, refuse)
     assert trajectory(prop, b0, 9) == points
     monkeypatch.setattr(engine, "TrajectorySample", None)  # tuple.__new__ would refuse it
-    assert trajectory_rows(prop, b0, 9) == rows
+    assert trajectory_blocks(prop, b0, 9) == blocks
 
 
 def test_trajectory_forms_one_product_per_ramp(monkeypatch):
@@ -894,7 +913,7 @@ _NAN_STATE = BlochVector(0.0, 0.0, 0.0, 0.0, math.nan)
 @pytest.mark.parametrize("call, message", [
     (lambda prop: trajectory(prop, BlochVector(math.inf, 0.0, 0.0, 0.0, 0.0), 2),
      "b_start must be a finite state"),
-    (lambda prop: trajectory_rows(prop, _NAN_STATE, 2), "b_start must be a finite state"),
+    (lambda prop: trajectory_blocks(prop, _NAN_STATE, 2), "b_start must be a finite state"),
     (lambda prop: iterate(prop, BlochVector(math.inf, 0.0, 0.0, 0.0, 0.0), 3),
      "b0 must be a finite state"),
     (lambda prop: iterate(prop, _NAN_STATE, 0), "b0 must be a finite state"),
@@ -908,7 +927,7 @@ _NAN_STATE = BlochVector(0.0, 0.0, 0.0, 0.0, math.nan)
      "energy overflows: omega * b1 + j * b2 is inf"),
     (lambda prop: energy(BlochVector(1e308, -1e308, 0.0, 0.0, 0.0), 10.0, 10.0),
      "energy overflows: omega * b1 + j * b2 is nan"),
-], ids=["trajectory", "trajectory_rows", "iterate", "iterate-0", "energy-omega", "energy-j",
+], ids=["trajectory", "trajectory_blocks", "iterate", "iterate-0", "energy-omega", "energy-j",
         "energy-b1", "energy-b2", "energy-overflow", "energy-overflow-nan"])
 def test_public_functions_refuse_non_finite_starts(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
@@ -1013,7 +1032,7 @@ def test_sweeps_are_frictionless_in_von_neumann_entropy_property(spec, b0, symme
     s_vn, s_e = TRAJECTORY_HEADER.index("s_vn"), TRAJECTORY_HEADER.index("s_e")
     bloch = slice(TRAJECTORY_HEADER.index("b1"), TRAJECTORY_HEADER.index("b5") + 1)
     for start in starts:
-        rows = trajectory_rows(prop, start, 9)
+        rows = expand_blocks(trajectory_blocks(prop, start, 9))
         for row in rows:
             assert row[s_e] >= row[s_vn] - _UNITARY_ROUNDING
         for name in ("adiabat-hot-cold", "adiabat-cold-hot"):
