@@ -27,7 +27,7 @@ import operator
 import sys
 from collections import namedtuple
 
-from .algebra import SQRT2, BlochVector, field_magnitude, thermal_state
+from .algebra import SQRT2, BlochVector, field_magnitude
 from .records import IdentityRecord, Record
 
 # Error target of the sweep integrator: a sweep takes the fewest steps whose
@@ -281,25 +281,26 @@ def _isochore_factors(p: IsochoreParams, times):
     b5 shift h (:func:`isochore_partials`).  Its two consumers build the
     maps or step one state through them."""
     omega, j = p.omega, p.j
-    gam = p.bath.conductance
+    gam, dephasing, temperature = p.bath
     big_omega = math.hypot(omega, j)
-    transverse_rate = gam + 2.0 * p.bath.dephasing * big_omega**2
-    eq = thermal_state(omega, j, p.bath.temperature)
-    eq1, eq2, eq5 = eq.b1, eq.b2, eq.b5
     om2 = big_omega**2
+    # the thermal state (b1, b2, b5), by thermal_state's operations in its order
+    t_th = math.tanh(big_omega / (2.0 * SQRT2 * temperature))
+    e_eq = -(big_omega / SQRT2) * t_th
+    eq1, eq2, eq5 = omega * e_eq / om2, j * e_eq / om2, t_th * t_th / 2.0
     omega_sq, j_sq, omega_j = omega**2, j**2, omega * j
     # Exact solution of db5/dt = -2 Gamma b5 + sqrt(2) (k_up - k_down) E(t) / Omega
     # with E(t) relaxing exponentially toward its thermal value.
-    t_th = math.tanh(big_omega / (2.0 * SQRT2 * p.bath.temperature))
     drive_scale = -(SQRT2 * t_th / big_omega)
     angular_rate = SQRT2 * big_omega
     exp, expm1, cos, sin = math.exp, math.expm1, math.cos, math.sin
     for tau in times:
         # tau = 0 is no decay even when a rate is or overflows to inf (inf * 0 is NaN)
         if tau > 0.0:
-            k = exp(-transverse_rate * tau)
             decay = -gam * tau
             g = exp(decay)
+            # without dephasing the transverse rate is gam + 0.0 = gam: k is g
+            k = exp(-(gam + 2.0 * dephasing * om2) * tau) if dephasing else g
             relaxed = -expm1(decay)  # 1 - g without losing digits as Gamma tau gets small
         else:
             k = g = 1.0
