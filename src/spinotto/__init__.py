@@ -49,4 +49,4 @@ from .propagators import (
 )
 from .records import replace
 
-__version__ = "4.3.0"
+__version__ = "4.4.0"

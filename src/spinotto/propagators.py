@@ -5,10 +5,10 @@ matrix whose bottom row is (0, 0, 0, 1), plus a closure rule for the (b4, b5)
 pair.  Constant-field bath branches have a closed form, evaluated at many
 times at once by :func:`_isochore_factors`.  The driven branches
 (linear field sweep, no bath) are rotations whose generator is linear in the
-field; they are integrated with an eighth-order Magnus product of unit
+field; they are integrated with a tenth-order Magnus product of unit
 quaternions (Blanes, Casas & Ros, BIT 40, 434 (2000); Blanes, Casas, Oteo &
 Ros, Phys. Rep. 470, 151 (2009)), one product per sweep, whose step count
-comes from an estimate of the leading, degree-9 term of its error.  Maps are
+comes from an estimate of the leading, degree-11 term of its error.  Maps are
 plain floats and tuples; only the ``m`` accessor and the brute-force
 midpoint-field oracle :func:`adiabat_propagator_direct` import numpy.  Maps
 have the one type :class:`AffinePropagator`.  Each branch has one source of
@@ -40,8 +40,8 @@ _ERROR_SAFETY = 1.25
 _MAX_STEP_ANGLE = 2.0
 
 # Largest accepted sweep rotation angle sqrt(2) * max Omega * tau in radians;
-# it bounds the integrator work: about 1e4 steps for a fast sweep at the
-# limit, about 1.9e4 for a slow one.
+# it bounds the integrator work: about 6,800 steps for a fast sweep at the
+# limit, about 11,500 for a slow one.
 MAX_SWEEP_ANGLE = 1e4
 
 
@@ -379,22 +379,52 @@ def _rotation_block(w: float, x: float, y: float, z: float) -> tuple:
     )
 
 
+def _step_coefficients(a_y, d) -> tuple:
+    """The coefficients (x_0, x_2, y_0, y_2, y_4, z_0, z_2, z_4, z_6) of the
+    tenth-order Magnus exponent of a sweep step (:func:`_sweep_blocks`) as
+    polynomials in the midpoint a_x: with |a|^2 = a_x^2 + a_y^2 it is
+
+        (a_x (x_0 + x_2 |a|^2),
+         y_0 + a_x^2 (y_2 + a_x^2 y_4),
+         z_0 + |a|^2 (z_2 + |a|^2 (z_4 + |a|^2 z_6))).
+
+    The constants are integers, so rational a_y and d give the exact
+    coefficients, and floats give what float constants would."""
+    a_y_sq = a_y * a_y
+    d_sq = d * d
+    y_d = a_y * d_sq
+    z_d = a_y * d
+    return (1 - a_y_sq * d_sq / 30240,
+            -(a_y_sq * d_sq) / 604800,
+            a_y - y_d * (1008 + 32 * a_y_sq - d_sq + a_y_sq * a_y_sq) / 241920,
+            -(y_d * (15 + a_y_sq)) / 151200,
+            -y_d / 403200,
+            z_d * (20160 - d_sq * (36 + a_y_sq)) / 241920,
+            z_d * (336 - d_sq) / 241920,
+            z_d / 30240,
+            z_d / 1209600)
+
+
 def _sweep_blocks(p: AdiabatParams, segments: int, per_segment: int) -> list[tuple]:
     """Rotation blocks of the first k segments, k = 0..segments.
 
     The generator sqrt(2) [(omega(t), J, 0)]_x is linear in t, so the
-    eighth-order Magnus exponent of a step of length h is a closed-form
+    tenth-order Magnus exponent of a step of length h is a closed-form
     rotation vector; its terms through h^5 are the sixth-order exponent of
-    Blanes, Casas & Ros, BIT 40, 434 (2000), and the h^7 terms come from the
-    same Magnus series (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151
-    (2009)); the h^8 terms vanish by time symmetry.  With
+    Blanes, Casas & Ros, BIT 40, 434 (2000), and the h^7 and h^9 terms come
+    from the same Magnus series (Blanes, Casas, Oteo & Ros, Phys. Rep. 470,
+    151 (2009)); the h^8 and h^10 terms vanish by time symmetry.  With
     a = sqrt(2) h (omega_mid, J, 0), |a|^2 = a_x^2 + a_y^2 and
-    d = sqrt(2) omega' h^2 it is
+    d = sqrt(2) omega' h^2 it is the part of degree <= 9 (a of degree 1, d
+    of degree 2) of the exact exponent,
 
-        x = a_x (1 - a_y^2 d^2/30240)
-        y = a_y (1 - d^2/240 - d^2 (3 a_x^2 + 4 a_y^2)/30240)
-        z = a_y d (1/12 + |a|^2/720 + |a|^4/30240 - d^2/6720)
+        x = a_x (1 - a_y^2 d^2/30240 - a_y^2 d^2 |a|^2/604800)
+        y = a_y (1 - d^2/240 - d^2 (3 a_x^2 + 4 a_y^2)/30240
+                 + d^2 (5 d^2 - (3 a_x^2 + 5 a_y^2) |a|^2)/1209600)
+        z = a_y d (1/12 + |a|^2/720 + |a|^4/30240 + |a|^6/1209600
+                   - d^2/6720 - d^2 (a_x^2 + 2 a_y^2)/241920),
 
+    evaluated through the coefficients of :func:`_step_coefficients`.
     Each step is the unit quaternion of that vector, and the steps are
     multiplied in time order, one at a time.
     """
@@ -406,14 +436,7 @@ def _sweep_blocks(p: AdiabatParams, segments: int, per_segment: int) -> list[tup
     # that may be subnormal
     d = SQRT2 * sweep * h / n
     a_y_sq = a_y * a_y
-    d_sq = d * d
-    x_scale = 1.0 - a_y_sq * d_sq / 30240.0
-    y_const = a_y * (1.0 - d_sq / 240.0 - a_y_sq * d_sq / 7560.0)
-    y_quad = a_y * d_sq / 10080.0
-    # z = z_0 + |a|^2 (z_2 + |a|^2 z_4)
-    z_0 = a_y * d * (1.0 / 12.0 - d_sq / 6720.0)
-    z_2 = a_y * d / 720.0
-    z_4 = a_y * d / 30240.0
+    x_0, x_2, y_0, y_2, y_4, z_0, z_2, z_4, z_6 = _step_coefficients(a_y, d)
     x_start = SQRT2 * h * p.omega_start
     sqrt, cos, sin = math.sqrt, math.cos, math.sin
     qw, qx, qy, qz = 1.0, 0.0, 0.0, 0.0
@@ -423,9 +446,9 @@ def _sweep_blocks(p: AdiabatParams, segments: int, per_segment: int) -> list[tup
             a_x = x_start + d * (k + 0.5)
             a_x_sq = a_x * a_x
             a_sq = a_x_sq + a_y_sq
-            x = a_x * x_scale
-            y = y_const - y_quad * a_x_sq
-            z = z_0 + a_sq * (z_2 + a_sq * z_4)
+            x = a_x * (x_0 + x_2 * a_sq)
+            y = y_0 + a_x_sq * (y_2 + a_x_sq * y_4)
+            z = z_0 + a_sq * (z_2 + a_sq * (z_4 + a_sq * z_6))
             theta = sqrt(x * x + y * y + z * z)
             half = 0.5 * theta
             c = cos(half)
@@ -452,38 +475,42 @@ _TURN_FACTOR = 0.5 * _MAX_STEP_ANGLE / math.sin(0.5 * _MAX_STEP_ANGLE)
 def _leading_error(p: AdiabatParams) -> float:
     """Estimated truncation error, in every block entry at every sample, of
     the one-step product of :func:`_sweep_blocks` for sweep p; the n-step
-    product's is this times n^-8.
+    product's is this times n^-10.
 
     A step's exact exponent solves Omega' = g - Omega x g / 2 +
     F(|Omega|^2) Omega x (Omega x g), F(u) = sum_k |B_2k| u^(k-1) / (2k)!,
     g = a + d (sigma - 1/2) e_x in step time sigma in [0, 1] (Blanes, Casas,
     Oteo & Ros, Phys. Rep. 470, 151 (2009), section 2).  The step's exponent
-    is its part of degree <= 8 (a of degree 1, d of degree 2), and its error
-    is led, for steps up to _MAX_STEP_ANGLE, by the part of degree 9, which
-    this recursion gives in exact rationals as
+    is its part of degree <= 9 (a of degree 1, d of degree 2), the part of
+    degree 10 vanishes, and its error is led, for steps up to
+    _MAX_STEP_ANGLE, by the part of degree 11, which this recursion gives in
+    exact rationals as
 
-        W_9 = a_y d / 1209600 (-2 a_x a_y d |a|^2,
-                               d (5 d^2 - (3 a_x^2 + 5 a_y^2) |a|^2),
-                               |a|^6 - 5 d^2 (a_x^2 + 2 a_y^2)).
+        W_11 = (a_x a_y^2 d^2 (2 d^2 - 5 |a|^4) / 79833600,
+                a_y d^2 (2 d^2 (a_x^2 + 3 a_y^2) - |a|^4 (a_x^2 + 2 a_y^2)) / 15966720,
+                a_y d (10 |a|^8 - d^2 (51 a_x^4 + 224 a_x^2 a_y^2 + 173 a_y^4)
+                       + 45 d^4) / 479001600).
 
-    W_9 is homogeneous of degree 9: in the one-step variables (a_x from
+    W_11 is homogeneous of degree 11: in the one-step variables (a_x from
     sqrt(2) tau omega_start over the span d = sqrt(2) tau (omega_end -
-    omega_start), a_y = sqrt(2) tau J) step k of n errs by n^-9 W_9 at its
-    midpoint, and the product by about |sum_k R_k^T W_9,k|, R_k the rotation
-    through step k.  Per n^-8 this returns the smaller of two estimates of
-    that sum:
-    - the mean of |W_9| along the ramp, which short sweeps reach;
-    - the mean of |W_9 . e|, e the field axis, plus the part across e, which
+    omega_start), a_y = sqrt(2) tau J) step k of n errs by n^-11 W_11 at its
+    midpoint, and the product by about |sum_k R_k^T W_11,k|, R_k the
+    rotation through step k.  Per n^-10 this returns the smaller of two
+    estimates of that sum:
+    - the mean of |W_11| along the ramp, which short sweeps reach;
+    - the mean of |W_11 . e|, e the field axis, plus the part across e, which
       R_k turns about e by theta = |a| / n per step: by Abel summation its
       sum is at most (c(0) + c(tau) + TV c) / (2 sin(theta / 2)),
-      c = n^-9 |W_9 x e|, so per n^-8 at most _TURN_FACTOR (f(0) + f(1) +
-      TV f), f = |W_9 x e| / |a|.  Sweeps of many turns reach it.
+      c = n^-11 |W_11 x e|, so per n^-10 at most _TURN_FACTOR (f(0) + f(1) +
+      TV f), f = |W_11 x e| / |a|.  Sweeps of many turns reach it.
     The means take the Gauss-Legendre nodes of _RAMP_POINTS, and TV f all
-    five points.  Dropping degrees from 11 up, sampling the ramp and turning
+    five points.  Dropping degrees from 13 up, sampling the ramp and turning
     about a moving axis as about a fixed one make this an estimate, not a
     bound: over 10,000 random sweeps (J of both signs, up to 1,000 rad,
     ramps up to 1e6 per unit time) the error of products of steps up to
-    _MAX_STEP_ANGLE was at most 1.013 times it.  J = 0 or a constant field
+    _MAX_STEP_ANGLE was at most 1.21 times it, and two steps of
+    _MAX_STEP_ANGLE on a ramp through zero field at small J reach about
+    1.26.  J = 0 or a constant field
     give 0.  Nothing is divided by tau or by zero, so a tiny or subnormal
     duration gives a finite value.
     """
@@ -492,7 +519,8 @@ def _leading_error(p: AdiabatParams) -> float:
     a_y = SQRT2 * p.tau * p.j
     a_y_sq = a_y * a_y
     d_sq = span * span
-    scale = a_y * span / 1209600.0
+    scale = a_y * d_sq / 79833600.0
+    normal = a_y * span / 479001600.0
     sqrt, hypot = math.sqrt, math.hypot
     whole = along = 0.0
     f = []
@@ -500,12 +528,17 @@ def _leading_error(p: AdiabatParams) -> float:
         a_x = x_start + span * t
         a_x_sq = a_x * a_x
         a_sq = a_x_sq + a_y_sq
-        a_4 = a_sq * a_sq
-        a = sqrt(a_sq) or 1.0  # a = 0 only where a_y^2 underflows, and W_9 with it
-        planar = scale * span / a  # W_9 . e = 5 planar a_y (d^2 - |a|^4)
-        axial = 5.0 * planar * a_y * (d_sq - a_4)
-        across = hypot(planar * a_x * (5.0 * d_sq - 3.0 * a_4),
-                       scale * (a_sq * a_4 - 5.0 * d_sq * (a_x_sq + 2.0 * a_y_sq)))
+        a_6 = a_sq * a_sq * a_sq
+        a = sqrt(a_sq) or 1.0  # a = 0 only where a_y^2 underflows, and W_11 with it
+        # |a| W_11 . e and |a| times W_11's in-plane part across e are
+        # a_y d^2 / 79833600 times polynomials; the rest of the part across e
+        # is W_11's z entry
+        planar = scale / a
+        axial = planar * a_y * (6.0 * d_sq * (2.0 * a_x_sq + 5.0 * a_y_sq) - 10.0 * a_6)
+        across = hypot(
+            planar * a_x * (2.0 * d_sq * (5.0 * a_x_sq + 14.0 * a_y_sq) - 5.0 * a_6),
+            normal * (10.0 * a_6 * a_sq + 45.0 * d_sq * d_sq
+                      - d_sq * (a_x_sq * (51.0 * a_x_sq + 224.0 * a_y_sq) + 173.0 * a_y_sq * a_y_sq)))
         whole += weight * hypot(axial, across)
         along += weight * abs(axial)
         f.append(across / a)
@@ -516,11 +549,11 @@ def _leading_error(p: AdiabatParams) -> float:
 
 def _sampled_blocks(p: AdiabatParams, samples: int) -> list[tuple]:
     """Rotation blocks of the sweep's first t time units at samples >= 2
-    evenly spaced t in [0, tau], from one eighth-order Magnus product
+    evenly spaced t in [0, tau], from one tenth-order Magnus product
     (:func:`_sweep_blocks`) over uniform steps, at least one per sample
     interval and each turning by at most _MAX_STEP_ANGLE.  Its error falls
-    as n^-8 in the step count n, which is the smallest whose estimated error
-    (:func:`_leading_error`), times _ERROR_SAFETY, is at most
+    as n^-10 in the step count n, which is the smallest whose estimated
+    error (:func:`_leading_error`), times _ERROR_SAFETY, is at most
     SWEEP_TOLERANCE: an estimate, not a bound.  J = 0 and a constant field
     give exact steps of any length, one per sample interval."""
     if p.tau == 0.0:
@@ -528,7 +561,7 @@ def _sampled_blocks(p: AdiabatParams, samples: int) -> list[tuple]:
     segments = samples - 1
     error = _leading_error(p)
     steps = max(p.rotation_angle / _MAX_STEP_ANGLE,
-                (_ERROR_SAFETY * error / SWEEP_TOLERANCE) ** 0.125) if error else 1
+                (_ERROR_SAFETY * error / SWEEP_TOLERANCE) ** 0.1) if error else 1
     return _sweep_blocks(p, segments, math.ceil(steps / segments))
 
 

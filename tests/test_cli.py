@@ -508,18 +508,20 @@ CSV_PINS = {
     # where the dephasing-free fixed point is solved along and across the
     # cycle's rotation axis (73 of 1,640 cells moved, all in the distances
     # and relative entropies of cases 1 and 3, by at most 2.2e-10, in a
-    # quantum distance near 1e-6)
+    # quantum distance near 1e-6); all five re-pinned in 4.4.0 for the
+    # tenth-order sweep step (fig3: 324 of 1,640 cells moved; none by more
+    # than 2.2e-10, in the distances near 1.5e-6; elsewhere by at most 1e-11)
     "figure": {
         "fig1": (["figure", "fig1"], None,
-                 "0f5ac4f103b73ee780e4ac4ccf899a91e09ff2e00f56cd99c9cfc8d59ee650bf"),
+                 "227588dade52d0561bddbf2d9ce69ff9c2ed4bde13b810df6fc91abf5d3bca16"),
         "fig2": (["figure", "fig2"], None,
-                 "f7884f38f15b137fb7f07e2aa207dcf2391c2497c13e1e502e833d4d6ac91ca5"),
+                 "15f28983325c3c2bc90e1ec922ceb8ca6241078536ccabd5a1a3ea28f925613a"),
         "fig3": (["figure", "fig3"], None,
-                 "f50959e7f8caae20ab45149dbb74826561e9ee9ce0288296718bdb9a2fee425b"),
+                 "cb6993c3c2bbf43a68463e53c1d3a0c40d00be20a86c8cd8cb7425e629e6d72b"),
         "fig5": (["figure", "fig5"], None,
-                 "ac025716fce1b1c378162a55c7096f8c445e805e6a3d577053e9674d4292d7d3"),
+                 "3642f1ca52a2f67d4f13d4690f0e824fd951e39f994b6b7688788dd745e9fd8a"),
         "fig6": (["figure", "fig6"], None,
-                 "b654a69640cee0a46c41a6d7d61765925fe57fc9aba9e24836bc8498d24ad259"),
+                 "ef7890e822e99970f9c1e0c9a89d8c350e9120318cd3bb18d3d633209aa5d79c"),
     },
     # one fixed config per command, computed before the commands handed their
     # tables to one render path in main (1.0.1); re-pinned in 1.2.0 for the
@@ -533,7 +535,10 @@ CSV_PINS = {
     # bath shift (at most 13 cells moved, none by more than 5.9e-11, in
     # iterate's distances near 4e-6); iterate re-pinned in 4.1.0 for the
     # dephasing-free fixed point along and across the rotation axis (one
-    # relative entropy near 4.6e-9 moved, by 5.5e-16)
+    # relative entropy near 4.6e-9 moved, by 5.5e-16); iterate, trajectory,
+    # spectrum and sweep re-pinned in 4.4.0 for the tenth-order sweep step
+    # (at most 29 cells moved, none by more than 5.9e-11, in iterate's
+    # distances near 3.8e-6; elsewhere by at most 1e-12)
     "command": {
         "limit-cycle": (
             ["limit-cycle"],
@@ -544,21 +549,21 @@ CSV_PINS = {
             {"engine": FIG1_ENGINE,
              "run": {"n_cycles": 12, "initial_state": {"kind": "thermal", "temperature": 40.0}},
              "output": {"precision": 9}},
-            "edff2a2e295e0559e6c3c08779e23a3a978ef99b33b186e41662ddf882be3c4b"),
+            "407101dd37561570392d31fa4d0b7c712b526c1fba25d146e9825049d5f6f79d"),
         "trajectory": (
             ["trajectory"],
             {"engine": dict(FIG1_ENGINE, dephasing_hot=0.02, tau_ab=0.5, tau_ba=0.5),
              "run": {"samples_per_branch": 9}},
-            "fed7db08b42e0fc7a04d8f95c307da80ac0be4d1b9f733568b70b99b81b962c6"),
+            "30d0e78ee16af36cf406739be46795e40a1ebf768dab547a8a8504cc2bad8460"),
         "spectrum": (
             ["spectrum"],
             {"engine": dict(FIG1_ENGINE, dephasing_cold=0.03, dephasing_hot=0.01)},
-            "b21b55e68128c76c93ab9ec41e2598bd1b94f8d616e828bbfed13e68ea413fd4"),
+            "c2b420e91f46fec72dab853db49b53686b8ffad897bc7076e82a0f206b0e3919"),
         "sweep": (
             ["sweep"],
             {"engine": FIG1_ENGINE,
              "run": {"sweep": {"key": "tau_cold", "from": 0.4, "to": 2.4, "steps": 4}}},
-            "318e9b620672b5786959af13e2be9acaad653ea69136da4fe001527ff55b97af"),
+            "537341a5cd03eba6ee03ecb8f11da9b7d500e1e10bec59099a70af3eec748902"),
         "equilibrium-curve": (
             ["equilibrium-curve"],
             {"engine": FIG1_ENGINE,
@@ -573,11 +578,14 @@ CSV_PINS = {
     # re-pinned in 3.8.0 for the one-product sweep and the expm1 bath shift
     # (none moved by more than 1e-11, but for the distances of iterate and
     # iterate-long near 1e-6, by at most 1.6e-10, and cells in the measures'
-    # noise floors below 1e-15)
+    # noise floors below 1e-15); all but trajectory-subnormal,
+    # trajectory-zero-field, spectrum and equilibrium-curve re-pinned in
+    # 4.4.0 for the tenth-order sweep step (none moved by more than 1e-11,
+    # but for iterate-long's distances near 6.6e-6, by at most 3.4e-11)
     "ci": {
         "trajectory": (
             ["trajectory"], _CI_TRAJECTORY,
-            "4fca2344cf68469c94629a9c9f0d745e3e7a3f08cb67c339c1365e673641ca4b"),
+            "a48a8a302e146d65154bba1d141cea7aac47817c2e9a39bedf97afbd2db27141"),
         # unequal sweeps: the hot->cold samples are the time reversals of a
         # second ascending ramp, run for tau_ba; re-pinned in 3.4.0, where
         # that ramp runs backwards from the stroke's end corner (2 of 4,040
@@ -585,7 +593,7 @@ CSV_PINS = {
         # twelfth digit)
         "trajectory-unequal": (
             ["trajectory"], dict(_CI_TRAJECTORY, engine=dict(_CI_ENGINE, tau_ba=0.8)),
-            "dadb5bc3a8c1d57a9403e1ed87cb18cfa5a57b19169278d36f761ab8e158288b"),
+            "f95ce9c43b3f283f68e5a0c74f0ff9c7cef7fcf1bccd1e30f524d95421b44b3c"),
         # subnormal sweep durations: the field is scaled before it divides
         "trajectory-subnormal": (
             ["trajectory"],
@@ -600,7 +608,7 @@ CSV_PINS = {
                             gamma_cold_conductance=1.7, gamma_hot_conductance=1.7,
                             tau_cold=0.6, tau_hot=0, tau_ab=0.03, tau_ba=0.03),
              "run": {"samples_per_branch": 101}},
-            "ead4645af7c9862e388d5e2f8eea0712d423f2ca9d03ef36d80abbdae63d1c35"),
+            "bf29370f16232dddb363f3853116466622df45eb7cc6a2776675c87eb9efe547"),
         # shaped like perfbench's trajectory-dense: 1000 samples of 1.0-long
         # sweeps, where the sweep is one product of one step per sample
         # interval; re-pinned in 3.4.0, where the hot->cold samples
@@ -610,7 +618,7 @@ CSV_PINS = {
             ["trajectory"],
             {"engine": dict(FIG1_ENGINE, tau_ab=1.0, tau_ba=1.0),
              "run": {"samples_per_branch": 1000}},
-            "cc2417e964c333c4a837a0670b8b71d526477e359a90f3957036cfa0cb90d3b8"),
+            "c834edf947c69bf8bf14a74a11c63f1cbebc4be5beda32a6eb529e27924188d4"),
         # J = 0 and sweeps through zero field: the sweeps' middle samples sit
         # at omega = 0, where s_e takes its limit
         "trajectory-zero-field": (
@@ -625,20 +633,20 @@ CSV_PINS = {
             ["sweep"],
             {"engine": dict(FIG1_ENGINE, tau_ab=0.5, tau_ba=0.5),
              "run": {"sweep": {"key": "omega_a", "from": 3.0, "to": 8.0, "steps": 20}}},
-            "4cd21649969fd364d2f0b5922da75afd0c256a388ce1997b5fa980ff2ca2d216"),
+            "8923749058d73f1de3f0d650ea2dd3dbf9c9753fa4eb9a22a398764ef7383af9"),
         # from the second row on the two sweeps differ: the hot->cold maps come
         # from a second ascending ramp, run for tau_ba
         "sweep-tau-ba": (
             ["sweep"],
             {"engine": dict(FIG1_ENGINE, tau_ab=0.5, tau_ba=0.5),
              "run": {"sweep": {"key": "tau_ba", "from": 0.5, "to": 0.8, "steps": 7}}},
-            "6b78f17fd9db4bb710113bcbfc7990b3329a22efd0265d2b85628fb53d249136"),
+            "b815d7ed586f8a67c09eac8224b3181a67050ab10c34483dbf5dfc5cd7c68cee"),
         # every row changes both sweeps and both bath strokes
         "sweep-j": (
             ["sweep"],
             {"engine": dict(FIG1_ENGINE, tau_ab=0.5, tau_ba=0.5),
              "run": {"sweep": {"key": "j", "from": 1.0, "to": 3.0, "steps": 7}}},
-            "0ce96b64ce190f16062a3b017458be86651999cb17fcdf5fe43076384d940071"),
+            "c313c921e5fe716a9b798697b1c4aff6cb12ffd1e56dd67b006314a1505e178f"),
         # the fig1 cycle for 3,000 cycles from a bloch start, far past
         # convergence, so most rows sit in the measures' noise floors
         "iterate-long": (
@@ -646,15 +654,15 @@ CSV_PINS = {
             {"engine": FIG1_ENGINE,
              "run": {"n_cycles": 3000,
                      "initial_state": {"kind": "bloch", "b": [0.12, -0.21, 0.05, 0.1, -0.03]}}},
-            "1404f67aa6627cee012e22d3a525193e39d483fdb2dc675530a439c43edae628"),
+            "e35a4bd1fbec5135d004e8d0c0eee0b43876feab5b4b9b315e0782b5685f6c66"),
         # one config for the other four commands, which each read only their
         # own run keys
         "limit-cycle": (
             ["limit-cycle"], _CI_COMMANDS,
-            "6654c24a0c2afe1533c74ab7e0831adea913b62ff74e24d860b520f770475ab0"),
+            "dc03612f1e7fc87a536cbfb8d208a558bebcedc89722be8a04fe38a6784eaa32"),
         "iterate": (
             ["iterate"], _CI_COMMANDS,
-            "d66a7c9780c63198d550b2065935796013786cbbae9d83718b77b3c4c4dd9f89"),
+            "e7d7e334d68974f4ed44e3c0c902172e2e5f3c0ee4ce0cab3b0f043bd60e2f7e"),
         "spectrum": (
             ["spectrum"], _CI_COMMANDS,
             "d5482d3ad076a4d6e47c5994773978f6786a0ae1f366b0533f2b78ea0057931b"),
@@ -667,22 +675,24 @@ CSV_PINS = {
     # with 3.1.3, each case named "<command>-engine<k>-<sha256 at 3.1.3>",
     # a name it keeps when its bytes move; re-pinned in 3.8.0, where the
     # 1.0-long sweep takes one 60-step product (at most 69 cells moved, none
-    # by more than 1e-12)
+    # by more than 1e-12); re-pinned in 4.4.0, where it takes one 33-step
+    # product of tenth-order steps (at most 32 cells moved, none by more
+    # than 1e-12)
     "tiny": {
         f"{argv[0]}-engine{k}-{first}": (argv, {"engine": engine}, digest)
         for k, (argv, engine, first, digest) in enumerate([
             (["limit-cycle"], dict(FIG1_ENGINE, tau_ab=1.0, tau_ba=5e-324),
              "4126a4d951639f20a5de35bd05f714a0db431546627c3a0fade54165c20b5b76",
-             "302c4078141ec445d0d727d6df9d796908fc611fb004ad55a2b99ebfb4f30102"),
+             "0842b71420614d70534b25d831bca542dae411234ded0d966d89ab8d321bfc45"),
             (["trajectory"], dict(FIG1_ENGINE, tau_ab=1.0, tau_ba=5e-324),
              "12280e57c3dca2b466fec5778c4143a117b98cc790e07e85a3e330ae36a83d77",
-             "9f9be569a5b8a816d9e2d6b55a6a6466052cb2fe561c3cf5a0151e1a5db317dd"),
+             "3739d142b6f46bf20f5cf9c62f69b16364d0bbfb381189cafed2520fb54f89d8"),
             (["limit-cycle"], dict(FIG1_ENGINE, tau_ab=1e-150, tau_ba=1.0),
              "78b18827f79382339a10dfe6d755aebe83975b55e32e9dacbc482f4a46b73077",
-             "70aaf64040539a60ec371fd8bae6f8ab918360fbefad98d8d229ff81e7170829"),
+             "b6fdd08ac1038ddc9faf4c188d8fe67d0ba974b373868d1db9feaebce7890d0c"),
             (["trajectory"], dict(FIG1_ENGINE, tau_ab=1e-150, tau_ba=1.0),
              "1da1f76c54c921ab5671134ee196b0366e58be459ec12cc7c0cbfe329e24a7d8",
-             "0560931cf4762b142127ebb9309e2967abaa7e099da814e31d28503cbc4b40f4"),
+             "34d1d79c353f1ca893e5f56797087fac49f6a0bb88199fdfd52acb54a01782b8"),
         ])
     },
 }

@@ -1,6 +1,7 @@
 """Branch maps: closed-form isochores, sweep propagators and their oracle."""
 
 import copy
+import functools
 import math
 import pickle
 from fractions import Fraction
@@ -354,71 +355,97 @@ def test_near_limit_sweep_matches_landau_zener_oracle():
     assert np.abs(block @ block.T - np.eye(3)).max() < 1e-14
 
 
-# |B_2k| for k = 1..4: the coefficients |B_2k| / (2k)! of F(u) through u^3
-_BERNOULLI = (Fraction(1, 6), Fraction(1, 30), Fraction(1, 42), Fraction(1, 30))
+# |B_2k| for k = 1..5: the coefficients |B_2k| / (2k)! of F(u) through u^4
+_BERNOULLI = (Fraction(1, 6), Fraction(1, 30), Fraction(1, 42), Fraction(1, 30),
+              Fraction(5, 66))
+
+
+def _poly_mul(p, q, out, factor=1):
+    """out += factor p q, for polynomials as dicts from exponents (i, j, k,
+    m) of a_x^i a_y^j d^k sigma^m to their rational coefficients."""
+    for (i, j, k, m), c in p.items():
+        c *= factor
+        for (r, s, t, n), e in q.items():
+            key = (i + r, j + s, k + t, m + n)
+            out[key] = out.get(key, 0) + c * e
+    return out
+
+
+def _poly_cross(u, v, out):
+    """out += u x v, for vectors of three polynomials."""
+    for o, (i, k) in zip(out, ((1, 2), (2, 0), (0, 1))):
+        _poly_mul(u[i], v[k], o)
+        _poly_mul(u[k], v[i], o, -1)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _dexp_inverse_polynomial(degree):
+    """The part of the given degree of a sweep step's exact exponent
+    Omega(1), as three polynomials in (a_x, a_y, d): dicts from exponents
+    (i, j, k) to exact rational coefficients.  Omega solves Omega' = g -
+    Omega x g / 2 + F(|Omega|^2) Omega x (Omega x g), F(u) = sum_k |B_2k|
+    u^(k-1) / (2k)!, with generator g = a + d (sigma - 1/2) e_x in step time
+    sigma and Omega(0) = 0.  With a of degree 1 and d of degree 2, each
+    degree's part of Omega' takes only lower parts of Omega, so the parts are
+    built in turn, each once, as polynomials in (a_x, a_y, d, sigma)."""
+    g = {1: ({(1, 0, 0, 0): Fraction(1)}, {(0, 1, 0, 0): Fraction(1)}, {}),
+         2: ({(0, 0, 1, 1): Fraction(1), (0, 0, 1, 0): Fraction(-1, 2)}, {}, {})}
+    omega = [({}, {}, {})]
+    twisted = [({}, {}, {})]  # Omega x g, by degree
+    square = [{}, {}]  # |Omega|^2, by degree
+    f = []  # F(|Omega|^2), by degree
+    for n in range(1, degree + 1):
+        twisted.append(({}, {}, {}))
+        for e in (1, 2):
+            if n > e:
+                _poly_cross(omega[n - e], g[e], twisted[n])
+        top = n - 3  # the highest degree of F that enters degree n
+        if top >= 2:
+            square.append({})
+            for i in range(1, top):
+                for u, v in zip(omega[i], omega[top - i]):
+                    _poly_mul(u, v, square[top])
+        if top >= 0:  # F by Horner's rule in |Omega|^2, through degree top
+            f = [{} for _ in range(top + 1)]
+            for k in range(len(_BERNOULLI), 0, -1):
+                inner, f = f, [{} for _ in range(top + 1)]
+                for i, p in enumerate(inner):
+                    for s in range(2, top + 1 - i):
+                        _poly_mul(p, square[s], f[i + s])
+                f[0][0, 0, 0, 0] = _BERNOULLI[k - 1] / math.factorial(2 * k)
+        rhs = tuple(dict(c) for c in g.get(n, ({}, {}, {})))
+        for r, t in zip(rhs, twisted[n]):
+            _poly_mul({(0, 0, 0, 0): Fraction(-1, 2)}, t, r)
+        for i in range(1, n - 1):  # F_m (Omega_i x (Omega x g)_j), m + i + j = n
+            for j in range(2, n - i + 1):
+                if f[n - i - j]:
+                    for r, v in zip(rhs, _poly_cross(omega[i], twisted[j], ({}, {}, {}))):
+                        _poly_mul(f[n - i - j], v, r)
+        omega.append(tuple({(i, j, k, m + 1): c / (m + 1) for (i, j, k, m), c in r.items()}
+                           for r in rhs))
+    parts = []
+    for component in omega[degree]:
+        at_one = {}
+        for (i, j, k, _), c in component.items():
+            at_one[i, j, k] = at_one.get((i, j, k), 0) + c
+        parts.append({key: c for key, c in at_one.items() if c})
+    return tuple(parts)
 
 
 def _dexp_inverse_part(a_x, a_y, d, degree):
-    """The part of the given degree (at most 9) of a sweep step's exact
-    exponent Omega(1), in exact rationals.  Omega solves Omega' = g -
-    Omega x g / 2 + F(|Omega|^2) Omega x (Omega x g), F(u) = sum_k |B_2k|
-    u^(k-1) / (2k)!, with generator g = a + d (sigma - 1/2) e_x in step time
-    sigma and Omega(0) = 0; each Picard pass below is exact one degree
-    further (a of degree 1, d of degree 2).  A series maps each degree to a
-    polynomial in sigma, its coefficients listed from sigma^0."""
-
-    def poly_sum(*polys):
-        out = [Fraction(0)] * max(map(len, polys), default=0)
-        for poly in polys:
-            for i, c in enumerate(poly):
-                out[i] += c
-        return out
-
-    def series_sum(*terms):  # (factor, series) pairs
-        out = {}
-        for factor, series in terms:
-            for k, poly in series.items():
-                out[k] = poly_sum(out.get(k, []), [factor * c for c in poly])
-        return out
-
-    def product(x, y):
-        out = {}
-        for i, p in x.items():
-            for k, q in y.items():
-                if i + k <= degree:
-                    pq = [Fraction(0)] * (len(p) + len(q) - 1)
-                    for m, c in enumerate(p):
-                        for n, e in enumerate(q):
-                            pq[m + n] += c * e
-                    out[i + k] = poly_sum(out.get(i + k, []), pq)
-        return out
-
-    def cross(u, v):
-        return tuple(series_sum((1, product(u[i], v[k])), (-1, product(u[k], v[i])))
-                     for i, k in ((1, 2), (2, 0), (0, 1)))
-
-    g = ({1: [a_x], 2: [-d / 2, d]}, {1: [a_y]}, {})
-    omega = ({}, {}, {})
-    for _ in range(degree):
-        square = series_sum(*((1, product(c, c)) for c in omega))
-        f, power = {}, {0: [Fraction(1)]}
-        for k, b in enumerate(_BERNOULLI, 1):
-            f = series_sum((1, f), (b / math.factorial(2 * k), power))
-            power = product(power, square)
-        twisted = cross(omega, g)
-        rhs = (series_sum((1, g_i), (Fraction(-1, 2), t_i), (1, product(f, w_i)))
-               for g_i, t_i, w_i in zip(g, twisted, cross(omega, twisted)))
-        omega = tuple({k: [Fraction(0)] + [c / (m + 1) for m, c in enumerate(poly)]
-                       for k, poly in r.items()} for r in rhs)
-    return tuple(sum(c.get(degree, []), Fraction(0)) for c in omega)
+    """The part of the given degree of a sweep step's exact exponent at
+    rational (a_x, a_y, d) (:func:`_dexp_inverse_polynomial`)."""
+    return tuple(sum((c * a_x**i * a_y**j * d**k for (i, j, k), c in poly.items()), Fraction(0))
+                 for poly in _dexp_inverse_polynomial(degree))
 
 
 @pytest.mark.parametrize("p", [AdiabatParams(5.08364, 12.6355, -2.0, 0.5),
                                AdiabatParams(-14.0, 3.0, 1.5, 12.0)])
-def test_leading_error_is_the_dexp_inverse_degree_9_part(p):
-    # _leading_error's W_9 against the exact degree-9 part of the dexp^-1
+def test_leading_error_is_the_dexp_inverse_degree_11_part(p):
+    # _leading_error's W_11 against the exact degree-11 part of the dexp^-1
     # recursion at the ramp's five points (floats are rationals), combined as
-    # its docstring says; the grid sweep takes the mean of |W_9| and the
+    # its docstring says; the grid sweep takes the mean of |W_11| and the
     # 12-long one, of about 200 rad, the axial mean plus the turned part
     x_start = SQRT2 * p.tau * p.omega_start
     span = SQRT2 * p.tau * (p.omega_end - p.omega_start)
@@ -428,7 +455,7 @@ def test_leading_error_is_the_dexp_inverse_degree_9_part(p):
     for t, weight in propagators._RAMP_POINTS:
         a_x = x_start + span * t
         w = np.array([float(c) for c in _dexp_inverse_part(
-            Fraction(a_x), Fraction(a_y), Fraction(span), 9)])
+            Fraction(a_x), Fraction(a_y), Fraction(span), 11)])
         axis = np.array([a_x, a_y, 0.0]) / math.hypot(a_x, a_y)
         whole += weight * np.linalg.norm(w)
         along += weight * abs(w @ axis)
@@ -437,6 +464,25 @@ def test_leading_error_is_the_dexp_inverse_degree_9_part(p):
     expected = min(whole, along + propagators._TURN_FACTOR * turned)
     assert (expected == whole) == (p.tau < 1.0)
     assert propagators._leading_error(p) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("a_x, a_y, d", [
+    (Fraction(3, 2), Fraction(-2, 3), Fraction(5, 7)),
+    (Fraction(-7, 3), Fraction(1, 5), Fraction(-9, 4)),
+    (Fraction(0), Fraction(3), Fraction(2)),
+])
+def test_sweep_step_is_the_dexp_inverse_exponent_through_degree_9(a_x, a_y, d):
+    # the step's folded coefficients, taken at rationals, give exactly the
+    # parts of degree <= 9 of the exact exponent; the part of degree 10,
+    # which the step leaves out, is zero
+    x_0, x_2, y_0, y_2, y_4, z_0, z_2, z_4, z_6 = propagators._step_coefficients(a_y, d)
+    a_sq = a_x * a_x + a_y * a_y
+    step = (a_x * (x_0 + x_2 * a_sq),
+            y_0 + a_x * a_x * (y_2 + a_x * a_x * y_4),
+            z_0 + a_sq * (z_2 + a_sq * (z_4 + a_sq * z_6)))
+    parts = [_dexp_inverse_part(a_x, a_y, d, degree) for degree in range(1, 10)]
+    assert step == tuple(map(sum, zip(*parts)))
+    assert _dexp_inverse_polynomial(10) == ({}, {}, {})
 
 
 @settings(max_examples=60 * EXAMPLE_SCALE, deadline=None)
@@ -448,14 +494,15 @@ def test_leading_error_is_the_dexp_inverse_degree_9_part(p):
 def test_leading_error_covers_fixed_step_products_property(p):
     # where every step turns by at most _MAX_STEP_ANGLE, the n-step product
     # lies within _ERROR_SAFETY times its estimated error of the exact map,
-    # up to the rounding of at most 200 steps and of the rotation angle
+    # which falls as n^-10, up to the rounding of at most 200 steps and of
+    # the rotation angle
     exact = landau_zener_map(p)
     error = propagators._leading_error(p)
     rounding = 1e-14 + 2e-16 * p.rotation_angle
     for n in (1, 3, 10, 40, 200):
         if p.rotation_angle <= n * propagators._MAX_STEP_ANGLE:
             block = np.array(propagators._sweep_blocks(p, 1, n)[-1])
-            bound = propagators._ERROR_SAFETY * error / n**8
+            bound = propagators._ERROR_SAFETY * error / n**10
             assert np.abs(block - exact).max() <= bound + rounding, (n, bound)
 
 
@@ -499,31 +546,33 @@ def test_dense_sweep_matches_landau_zener_oracle():
         assert np.abs(np.array(partials[k].block) - exact).max() <= 10 * SWEEP_TOLERANCE, t
 
 
-def test_sweep_step_is_eighth_order():
+def test_sweep_step_is_tenth_order():
     # fixed step counts, no error control: each halving of the step cuts
-    # the error against the exact map by about 2^8 = 256
+    # the error against the exact map by about 2^10 = 1024, within the band
+    # 2^10 (0.78, 1.25) that excludes 2^8 and 2^12; at 40 steps the error
+    # (about 1e-15) is rounding
     p = AdiabatParams(5.0, 12.6355, 2.0, 0.5)
     exact = landau_zener_map(p)
     errors = [np.abs(np.array(propagators._sweep_blocks(p, 1, n)[-1]) - exact).max()
-              for n in (10, 20, 40)]
+              for n in (5, 10, 20)]
     for coarse, fine in zip(errors, errors[1:]):
-        assert 200.0 <= coarse / fine <= 320.0, errors
+        assert 0.78 * 2**10 <= coarse / fine <= 1.25 * 2**10, errors
 
 
 def test_sweep_step_counts(monkeypatch):
     # a work count, not a timing: each sweep forms one product (count
-    # asserts it), in grid-long-sweep's shape of 31 or 32 steps
+    # asserts it), in grid-long-sweep's shape of 17 steps
     counter = StepCounter(monkeypatch)
     for w in (3.0, 4.5, 5.08364, 6.5, 8.0):
         for p in (AdiabatParams(w, 12.6355, 2.0, 0.5), AdiabatParams(12.6355, w, 2.0, 0.5)):
-            assert counter.count(p) <= 32, p
-    # near MAX_SWEEP_ANGLE: steps of about 1 rad, whose errors across the
+            assert counter.count(p) <= 17, p
+    # near MAX_SWEEP_ANGLE: steps of about 1.5 rad, whose errors across the
     # field axis cancel as the state turns
-    assert counter.count(AdiabatParams(1e3, -1e3, 1.0, 7.0)) <= 9900
+    assert counter.count(AdiabatParams(1e3, -1e3, 1.0, 7.0)) <= 6848
     # a slow sweep near MAX_SWEEP_ANGLE (9,990 rad) takes the most work
-    assert counter.count(AdiabatParams(1.0, 10.0, 10.0, 499.5)) <= 19000
+    assert counter.count(AdiabatParams(1.0, 10.0, 10.0, 499.5)) <= 11514
     # iterate-long's shape: fig1's 0.01-long sweep
-    assert counter.count(fig1_spec().adiabat_ab()) <= 2
+    assert counter.count(fig1_spec().adiabat_ab()) <= 1
     # trajectory-dense's shape: one step per sample interval
     counter.steps = counter.calls = 0
     adiabat_partials(replace(fig1_spec().adiabat_ab(), tau=1.0), 1000)
@@ -544,10 +593,10 @@ def test_compose_cycle_integrates_one_sweep_when_symmetric(monkeypatch):
     assert spec.tau_ab != spec.tau_ba
     compose_cycle(spec)
     assert counter.sweeps == _ascending_ramps(spec)
-    # a work count: a 1.0-long fig1 limit cycle takes one 60-step product
+    # a work count: a 1.0-long fig1 limit cycle takes one 33-step product
     counter.steps = 0
     limit_cycle(replace(fig1_spec(), tau_ab=1.0, tau_ba=1.0))
-    assert counter.steps <= 60
+    assert counter.steps <= 33
 
 
 @settings(max_examples=60 * EXAMPLE_SCALE, deadline=None)
