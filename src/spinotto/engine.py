@@ -7,12 +7,13 @@ of the branch propagators; its unit-eigenvalue eigenvector is the limit
 cycle and the remaining spectrum sets the relaxation rates toward it.  The
 map's closed-set part is a 3x3 block M.  Without dephasing M = mu4 O, mu4 =
 g_hot g_cold and O a rotation, so the spectrum is mu4 and mu4 e^{+-i phi},
-phi O's angle from its quaternion, and the fixed point is solved along and
-across O's axis (:func:`_rotation_of`, :func:`_fixed_point`).  With
-dephasing the fixed point is a 3x3 solve with partial pivoting and the
-spectrum shifted QR steps on M's Hessenberg form, the first shifted by a
-real root of the characteristic cubic, until a 1x1 and a 2x2 block split
-off.  :func:`_spectrum_of` is the one place where the two paths part.
+phi O's angle from the product of the strokes' quaternions
+(:func:`_cycle_rotation`), and the fixed point is solved along and across
+O's axis (:func:`_fixed_point`).  With dephasing the fixed point is a 3x3
+solve with partial pivoting and the spectrum shifted QR steps on M's
+Hessenberg form, the first shifted by a real root of the characteristic
+cubic, until a 1x1 and a 2x2 block split off.  :func:`_spectrum_of` is
+the one place where the two paths part.
 :func:`compose_cycle` forms each stroke's whole map; :func:`_stroke_states`
 steps the previous stroke's last state through each stroke's per-time
 factors, the bath closed form or the sweep's blocks, which gives the states
@@ -39,7 +40,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .algebra import BlochVector, eigenvalue_tuple, is_physical
+from .algebra import SQRT2, BlochVector, eigenvalue_tuple, is_physical
 from .measures import _state_entropies
 from .propagators import (
     _ZERO3,
@@ -50,10 +51,10 @@ from .propagators import (
     _check_sweep,
     _count,
     _isochore_states,
+    _rotation_block,
     _sampled_blocks,
     _sweep_map,
     _sweep_states,
-    _time_reversed,
     _time_reversed_states,
     compose,
     isochore_propagator,
@@ -155,12 +156,14 @@ class CycleBranch(IdentityRecord, namedtuple("CycleBranch", "name stroke prop"))
     __slots__ = ()
 
 
-class CyclePropagator(IdentityRecord, namedtuple("CyclePropagator", "cycle branches spec")):
+class CyclePropagator(IdentityRecord, namedtuple("CyclePropagator", "cycle branches spec rotation")):
     """One-period map anchored at point A, with its branches retained.
 
     ``cycle`` is the :class:`AffinePropagator` of the period, ``branches``
     the four :class:`CycleBranch` in time order (A->B, B->C, C->D, D->A)
-    and ``spec`` the :class:`CycleSpec` they were built from.
+    and ``spec`` the :class:`CycleSpec` they were built from.  Without
+    dephasing ``rotation`` is the unit quaternion (w, x, y, z) of the
+    period, whose block is ``b4_scale`` times its rotation; with it None.
     """
 
     __slots__ = ()
@@ -261,9 +264,9 @@ def energy(b: BlochVector, omega: float, j: float) -> float:
 
 
 def _ramps(hot_cold: AdiabatParams, cold_hot: AdiabatParams, samples: int) -> tuple:
-    """Rotation blocks of the cold->hot field ramp run for the hot->cold
-    duration and for the cold->hot one, each at samples evenly spaced t in
-    [0, tau] (:func:`_sampled_blocks`).  Only ascending ramps are
+    """Rotation blocks at samples evenly spaced t in [0, tau], and quaternion,
+    of the cold->hot field ramp run for the hot->cold duration and for the
+    cold->hot one (:func:`_sampled_blocks`).  Only ascending ramps are
     integrated, the hot->cold one for its consumers to run backwards; with
     equally long sweeps it is the cold->hot ramp itself, integrated once."""
     rise = _sampled_blocks(cold_hot, samples)
@@ -278,20 +281,54 @@ def compose_cycle(spec: CycleSpec) -> CyclePropagator:
     and the one-period product: the bath strokes' closed form
     (:func:`isochore_propagator`), the cold->hot ramp's last block and the
     reversed hot->cold one (:func:`_ramps` at two samples, the ramps
-    :func:`trajectory` samples)."""
+    :func:`trajectory` samples); without dephasing also the period's
+    quaternion (:func:`_cycle_rotation`).
+
+    Run backwards, a ramp U of quaternion (w, x, y, z) has the generator
+    G(tau - t), G = sqrt(2) [(omega, J, 0)]_x, and R G R = -G for R =
+    diag(1, 1, -1), so V(t) = R U(tau - t) U(tau)^T R solves V' = G(tau - t)
+    V from V(0) = I: the stroke is R U^T R, the rotation of (w, x, y, -z),
+    whose :func:`_rotation_block` entries are R U^T R's by exact sign
+    changes, bit for bit but for the sign of a zero."""
     new = tuple.__new__
     hot, hot_cold, cold, cold_hot = (
         spec.hot_isochore(), spec.adiabat_ba(), spec.cold_isochore(), spec.adiabat_ab())
-    ramp, rise = _ramps(hot_cold, cold_hot, 2)
+    (_, (w, x, y, z)), (rise, q_ab) = _ramps(hot_cold, cold_hot, 2)
+    q_ba = w, x, y, -z
     u_ish, u_isc = isochore_propagator(hot), isochore_propagator(cold)
-    u_ba, u_ab = _sweep_map(_time_reversed(ramp[-1])), _sweep_map(rise[-1])
+    u_ba, u_ab = _sweep_map(_rotation_block(*q_ba)), _sweep_map(rise[-1])
     branches = (
         new(CycleBranch, ("isochore-hot", hot, u_ish)),
         new(CycleBranch, ("adiabat-hot-cold", hot_cold, u_ba)),
         new(CycleBranch, ("isochore-cold", cold, u_isc)),
         new(CycleBranch, ("adiabat-cold-hot", cold_hot, u_ab)),
     )
-    return new(CyclePropagator, (compose(u_ab, u_isc, u_ba, u_ish), branches, spec))
+    rotation = (_cycle_rotation(hot, q_ba, cold, q_ab)
+                if spec.dephasing_hot == spec.dephasing_cold == 0.0 else None)
+    return new(CyclePropagator, (compose(u_ab, u_isc, u_ba, u_ish), branches, spec, rotation))
+
+
+def _cycle_rotation(hot: IsochoreParams, q_ba, cold: IsochoreParams, q_ab) -> tuple:
+    """The unit quaternion q_ab q_cold q_ba q_hot of a dephasing-free cycle,
+    whose block is mu4 times its rotation; a bath block is g times the
+    rotation of (cos(theta/2), sin(theta/2) (omega, J, 0) / Omega), theta =
+    sqrt(2) Omega tau the phase of :func:`_isochore_factors`."""
+    bath = []
+    for p in (hot, cold):
+        big_omega = math.hypot(p.omega, p.j)
+        half = 0.5 * (SQRT2 * big_omega * p.tau)
+        s = math.sin(half) / big_omega
+        bath += (math.cos(half), s * p.omega, s * p.j)
+    a, b, c, e, f, g = bath
+    w, x, y, z = q_ba
+    # q_ba q_hot, then q_cold times it, the bath quaternions' zero z dropped
+    w, x, y, z = (w * a - x * b - y * c, w * b + x * a - z * c,
+                  w * c + y * a + z * b, x * c - y * b + z * a)
+    w, x, y, z = (e * w - f * x - g * y, e * x + f * w + g * z,
+                  e * y - f * z + g * w, e * z + f * y - g * x)
+    qw, qx, qy, qz = q_ab
+    return (qw * w - qx * x - qy * y - qz * z, qw * x + qx * w + qy * z - qz * y,
+            qw * y - qx * z + qy * w + qz * x, qw * z + qx * y - qy * x + qz * w)
 
 
 def _diagonal_minus(x: float, a) -> tuple:
@@ -386,40 +423,13 @@ def _eigenvalues3(a) -> tuple[complex, complex, complex]:
     return complex(x), complex(mid + root), complex(mid - root)
 
 
-def _rotation_of(block, mu4: float) -> tuple:
-    """(phi, axis) of the rotation O = block / mu4: its angle in [0, pi]
-    and its unit axis, oriented so that O turns by +phi about it, or the
-    zero vector at phi = 0, where O is the identity and has no axis.  O's
-    quaternion (w, x, y, z) comes by Shepperd's method (J. Guidance Control
-    1, 223 (1978)): the component of largest modulus from a square root of
-    the diagonal, the other three from sums and differences of off-diagonal
-    pairs over it, so that none is read from a difference of near-equal
-    squares, near phi = pi included.  Then phi = 2 atan2(|(x, y, z)|, |w|).
-    Division by mu4 commutes with scaling by a power of two, so a block of
-    any size, a subnormal one included, needs no rescaling.  A NaN block
-    gives NaN."""
-    (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = block
-    o11, o12, o13 = a11 / mu4, a12 / mu4, a13 / mu4
-    o21, o22, o23 = a21 / mu4, a22 / mu4, a23 / mu4
-    o31, o32, o33 = a31 / mu4, a32 / mu4, a33 / mu4
-    trace = o11 + o22 + o33
-    sqrt = math.sqrt
-    if trace >= o11 and trace >= o22 and trace >= o33:
-        w = 0.5 * sqrt(1.0 + trace)
-        f = 0.25 / w
-        x, y, z = (o32 - o23) * f, (o13 - o31) * f, (o21 - o12) * f
-    elif o11 >= o22 and o11 >= o33:
-        x = 0.5 * sqrt(1.0 + o11 - o22 - o33)
-        f = 0.25 / x
-        w, y, z = (o32 - o23) * f, (o12 + o21) * f, (o13 + o31) * f
-    elif o22 >= o33:
-        y = 0.5 * sqrt(1.0 - o11 + o22 - o33)
-        f = 0.25 / y
-        w, x, z = (o13 - o31) * f, (o12 + o21) * f, (o23 + o32) * f
-    else:
-        z = 0.5 * sqrt(1.0 - o11 - o22 + o33)
-        f = 0.25 / z
-        w, x, y = (o21 - o12) * f, (o13 + o31) * f, (o23 + o32) * f
+def _angle_and_axis(q: tuple) -> tuple:
+    """(phi, axis) of the rotation of the quaternion q = (w, x, y, z): its
+    angle phi = 2 atan2(|(x, y, z)|, |w|) in [0, pi], which keeps its digits
+    near pi as near 0, and its unit axis, oriented so that the rotation
+    turns by +phi about it, or the zero vector at phi = 0, where it has no
+    axis.  A NaN quaternion gives NaN."""
+    w, x, y, z = q
     # (w, x, y, z) and its negative are the same rotation: take w >= 0
     sin_half = math.copysign(math.hypot(x, y, z), w)
     if sin_half == 0.0:
@@ -431,10 +441,10 @@ def _rotation_of(block, mu4: float) -> tuple:
 def _spectrum_of(prop: CyclePropagator) -> tuple:
     """(eigenvalues mu0..mu5, phi, gap, axis) of ``prop``'s one-period map,
     as :class:`CycleSpectrum` defines them, and the axis of its rotation
-    without dephasing (:func:`_rotation_of`; :func:`_fixed_point` solves
-    along it), else None: the one place where the two eigen paths part, so
-    that :func:`spectrum` and :func:`limit_cycle` report the same
-    eigenvalues bit for bit and the solve takes the matching path.
+    without dephasing (``prop.rotation``; :func:`_fixed_point` solves along
+    it), else None: the one place where the two eigen paths part, so that
+    :func:`spectrum` and :func:`limit_cycle` report the same eigenvalues bit
+    for bit and the solve takes the matching path.
 
     The gap is 1 - mu4, the map's b4 rate, read rather than searched for
     among the computed moduli, with this proof that mu4 = g_hot g_cold is
@@ -455,23 +465,23 @@ def _spectrum_of(prop: CyclePropagator) -> tuple:
 
     Without dephasing (gamma = 0 in both baths) k = g, so each bath block
     is g times a rotation, and M = mu4 O with O a rotation by phi about an
-    axis n (:func:`_rotation_of`).  Its eigenvalues are mu1 = mu4 (along n)
-    and the pair mu2, mu3 = mu4 e^{+-i phi} (across n): the paper's
-    longitudinal mode and its transverse pair, with phi read from O's
-    quaternion.  mu4 = 0 gives M = 0: three zero eigenvalues, phi = 0 and
-    the zero axis.
+    axis n.  Its eigenvalues are mu1 = mu4 (along n) and the pair mu2, mu3
+    = mu4 e^{+-i phi} (across n): the paper's longitudinal mode and its
+    transverse pair, with phi and n read from O's quaternion
+    (:func:`_angle_and_axis`), not from M, which a subnormal mu4 leaves a
+    few bits.  mu4 = 0 gives M = 0: three zero eigenvalues, phi = 0 and the
+    zero axis.
 
     With dephasing the roles come from the shifted-QR eigensolver's split
     (:func:`_eigenvalues3`), with no tolerance: mu1 is the real root split
     off first and mu2, mu3 the 2x2 block's pair, unless its discriminant is
     >= 0 (imaginary parts exactly 0.0); then all three are sorted by
     modulus."""
-    cycle = prop.cycle
+    cycle, rotation = prop.cycle, prop.rotation
     block, mu4 = cycle.block, cycle.b4_scale
-    spec = prop.spec
     axis = None
-    if spec.dephasing_hot == spec.dephasing_cold == 0.0:
-        phi, axis = _rotation_of(block, mu4) if mu4 else (0.0, _ZERO3)
+    if rotation is not None:
+        phi, axis = _angle_and_axis(rotation) if mu4 else (0.0, _ZERO3)
         re, im = mu4 * math.cos(phi), mu4 * math.sin(phi)
         eigs = (complex(mu4), complex(re, im), complex(re, 0.0 - im))
     else:
@@ -551,8 +561,9 @@ def _fixed_point(prop: CyclePropagator) -> tuple:
     """(b_a, eigenvalues, phi, gap): the fixed point at the anchor and the
     spectrum (:func:`_spectrum_of`) of ``prop``'s one-period map, whose
     closed-set part is b -> M b + v.  Only the gap test and the physicality
-    test refuse; past the gap test the solve is finite.  A NaN map gives a
-    non-finite b_a, which is no state.
+    test refuse; past the gap test the solve is finite.  A NaN in what the
+    solve reads (v, and M or ``prop.rotation``) gives a non-finite b_a,
+    which is no state.
 
     Without dephasing M = mu4 O, O a rotation by phi about the axis n, and
     (I - M) b = v splits along n: there I - M is the number 1 - mu4, and
@@ -680,7 +691,7 @@ def _stroke_states(prop: CyclePropagator, b_start: BlochVector, samples: int) ->
         raise ValueError("samples_per_branch must be >= 2")
     _check_finite_state(b_start, "b_start")
     branches = prop.branches
-    ramp, rise = _ramps(branches[1].stroke, branches[3].stroke, samples)
+    (ramp, _), (rise, _) = _ramps(branches[1].stroke, branches[3].stroke, samples)
     strokes = []
     t0 = 0.0
     start = b_start

@@ -405,8 +405,9 @@ def _step_coefficients(a_y, d) -> tuple:
             z_d / 1209600)
 
 
-def _sweep_blocks(p: AdiabatParams, segments: int, per_segment: int) -> list[tuple]:
-    """Rotation blocks of the first k segments, k = 0..segments.
+def _sweep_blocks(p: AdiabatParams, segments: int, per_segment: int) -> tuple:
+    """Rotation blocks of the first k segments, k = 0..segments, and the
+    unit quaternion (w, x, y, z) of the whole product, the last block's.
 
     The generator sqrt(2) [(omega(t), J, 0)]_x is linear in t, so the
     tenth-order Magnus exponent of a step of length h is a closed-form
@@ -426,7 +427,7 @@ def _sweep_blocks(p: AdiabatParams, segments: int, per_segment: int) -> list[tup
 
     evaluated through the coefficients of :func:`_step_coefficients`.
     Each step is the unit quaternion of that vector, and the steps are
-    multiplied in time order, one at a time.
+    multiplied in time order, one at a time, each on the left.
     """
     n = segments * per_segment
     h = p.tau / n
@@ -461,7 +462,7 @@ def _sweep_blocks(p: AdiabatParams, segments: int, per_segment: int) -> list[tup
                 c * qz + sx * qy - sy * qx + sz * qw,
             )
         blocks.append(_rotation_block(qw, qx, qy, qz))
-    return blocks
+    return blocks, (qw, qx, qy, qz)
 
 
 # Three-point Gauss-Legendre nodes and weights on [0, 1] between the ends
@@ -547,17 +548,18 @@ def _leading_error(p: AdiabatParams) -> float:
     return min(whole, along + _TURN_FACTOR * (f_0 + f_4 + variation))
 
 
-def _sampled_blocks(p: AdiabatParams, samples: int) -> list[tuple]:
+def _sampled_blocks(p: AdiabatParams, samples: int) -> tuple:
     """Rotation blocks of the sweep's first t time units at samples >= 2
-    evenly spaced t in [0, tau], from one tenth-order Magnus product
-    (:func:`_sweep_blocks`) over uniform steps, at least one per sample
-    interval and each turning by at most _MAX_STEP_ANGLE.  Its error falls
+    evenly spaced t in [0, tau], and the whole sweep's unit quaternion, from
+    one tenth-order Magnus product (:func:`_sweep_blocks`) over uniform
+    steps, at least one per sample interval and each turning by at most
+    _MAX_STEP_ANGLE.  Its error falls
     as n^-10 in the step count n, which is the smallest whose estimated
     error (:func:`_leading_error`), times _ERROR_SAFETY, is at most
     SWEEP_TOLERANCE: an estimate, not a bound.  J = 0 and a constant field
     give exact steps of any length, one per sample interval."""
     if p.tau == 0.0:
-        return [_IDENTITY_BLOCK] * samples
+        return [_IDENTITY_BLOCK] * samples, (1.0, 0.0, 0.0, 0.0)
     segments = samples - 1
     error = _leading_error(p)
     steps = max(p.rotation_angle / _MAX_STEP_ANGLE,
@@ -581,7 +583,7 @@ def adiabat_partials(p: AdiabatParams, samples: int) -> list[AffinePropagator]:
     samples = _count(samples, "samples")
     if samples < 2:
         raise ValueError("samples must be >= 2")
-    return [_sweep_map(block) for block in _sampled_blocks(p, samples)]
+    return [_sweep_map(block) for block in _sampled_blocks(p, samples)[0]]
 
 
 def _sweep_states(blocks, start: BlochVector) -> list:
@@ -601,29 +603,15 @@ def _sweep_states(blocks, start: BlochVector) -> list:
     return states
 
 
-def _time_reversed(block: tuple) -> tuple:
-    """R U^T R, R = diag(1, 1, -1), the block U transposed with entries
-    (0, 2), (1, 2), (2, 0) and (2, 1) negated: the block of the sweep with
-    block U (:func:`_sampled_blocks`) run backwards for its whole duration
-    tau.
-
-    Run backwards, the sweep's generator at time t is G(tau - t), where
-    G = sqrt(2) [(omega, J, 0)]_x and R G R = -G.  So, as U(tau)^T =
-    U(tau)^-1, V(t) = R U(tau - t) U(tau)^T R solves V' = G(tau - t) V from
-    V(0) = I: it is the block of the first t time units.  At t = tau it is
-    this block; on a state b it is R U(tau - t) R c from the end corner
-    c = R U(tau)^T R b, the state form of :func:`_time_reversed_states`."""
-    (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = block
-    return ((a11, a21, -a31), (a12, a22, -a32), (-a13, -a23, a33))
-
-
 def _time_reversed_states(ramp, start: BlochVector) -> list:
     """States of a sweep run backwards from start at n evenly spaced t_k in
     [0, tau], from the blocks U(t_k) of its ramp at t_k > 0
-    (:func:`_sampled_blocks`, :func:`_time_reversed`): start,
-    R U(tau - t_k) R c with U(tau - t_k) the block n - 1 - k, and the end
-    corner c, the reversed ramp's whole map applied to start."""
-    c = c1, c2, c3, b4, b5 = _sweep_states((_time_reversed(ramp[-1]),), start)[1]
+    (:func:`_sampled_blocks`): start, R U(tau - t_k) R c with U(tau - t_k)
+    the block n - 1 - k, and the end corner c, the reversed ramp's whole
+    map R U^T R (R = diag(1, 1, -1); ``engine.compose_cycle``) on start."""
+    (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = ramp[-1]
+    c = c1, c2, c3, b4, b5 = _sweep_states(
+        (((a11, a21, -a31), (a12, a22, -a32), (-a13, -a23, a33)),), start)[1]
     new = tuple.__new__
     states = [start]
     for (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) in ramp[-2::-1]:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from spinotto import (
     AdiabatParams, BlochVector, CycleSpec, IsochoreParams, adiabat_partials, energy_populations,
+    replace,
 )
 from spinotto import propagators
 from spinotto.algebra import LOG_EIGENVALUE_FLOOR, PHYSICALITY_TOL
@@ -591,6 +592,27 @@ def fixed_point_mp(spec: CycleSpec) -> FixedPointOracle:
             (*(float(x) for x in b), float(b5)), float(b_perp / (1 - mu4)),
             float(size / distance), float(mpmath.norm(drive) / relaxed5),
             float((mpmath.norm(drive) * size + abs(h)) / relaxed5 + abs(b5)))
+
+
+def cycle_angle_mp(spec: CycleSpec) -> float:
+    """The angle phi in [0, pi] of a dephasing-free cycle's rotation O (its
+    block is M = mu4 O): the four strokes' rotations composed at 50 digits
+    in time order, the bath strokes' closed form with g = 1 (no conductance)
+    and the sweeps' exact maps (landau_zener_rotation_mp), and phi from
+    tr O = 1 + 2 cos phi."""
+    assert spec.dephasing_cold == spec.dephasing_hot == 0.0, spec
+    with mpmath.workdps(50):
+        rotation = mpmath.eye(3)
+        for stroke in (spec.hot_isochore(), spec.adiabat_ba(), spec.cold_isochore(),
+                       spec.adiabat_ab()):
+            if isinstance(stroke, IsochoreParams):
+                unit = replace(stroke, bath=replace(stroke.bath, conductance=0.0))
+                u = _bath_map_mp(unit)[0]
+            else:
+                u = landau_zener_rotation_mp(stroke)
+            rotation = u * rotation
+        trace = rotation[0, 0] + rotation[1, 1] + rotation[2, 2]
+        return float(mpmath.acos((trace - 1) / 2))
 
 
 def fig1_spec() -> CycleSpec:

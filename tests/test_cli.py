@@ -510,14 +510,18 @@ CSV_PINS = {
     # and relative entropies of cases 1 and 3, by at most 2.2e-10, in a
     # quantum distance near 1e-6); all five re-pinned in 4.4.0 for the
     # tenth-order sweep step (fig3: 324 of 1,640 cells moved; none by more
-    # than 2.2e-10, in the distances near 1.5e-6; elsewhere by at most 1e-11)
+    # than 2.2e-10, in the distances near 1.5e-6; elsewhere by at most 1e-11);
+    # fig2 and fig3 re-pinned in 4.5.0, where the dephasing-free rotation is
+    # the product of the strokes' quaternions (fig2: 2 of 288 cells moved,
+    # fig3: 1 of 1,640, all relative entropies in their noise floor, by at
+    # most 6.1e-16)
     "figure": {
         "fig1": (["figure", "fig1"], None,
                  "227588dade52d0561bddbf2d9ce69ff9c2ed4bde13b810df6fc91abf5d3bca16"),
         "fig2": (["figure", "fig2"], None,
-                 "15f28983325c3c2bc90e1ec922ceb8ca6241078536ccabd5a1a3ea28f925613a"),
+                 "0c00951ba3ed34bf820113eaebe1e2fea87b061233d2a30af1cc0d7b02a2e0b8"),
         "fig3": (["figure", "fig3"], None,
-                 "cb6993c3c2bbf43a68463e53c1d3a0c40d00be20a86c8cd8cb7425e629e6d72b"),
+                 "8de78444258fb86630ab8e4893d59508ed49a38f72dc1d6837c8c717ed125203"),
         "fig5": (["figure", "fig5"], None,
                  "3642f1ca52a2f67d4f13d4690f0e824fd951e39f994b6b7688788dd745e9fd8a"),
         "fig6": (["figure", "fig6"], None,
@@ -538,7 +542,10 @@ CSV_PINS = {
     # relative entropy near 4.6e-9 moved, by 5.5e-16); iterate, trajectory,
     # spectrum and sweep re-pinned in 4.4.0 for the tenth-order sweep step
     # (at most 29 cells moved, none by more than 5.9e-11, in iterate's
-    # distances near 3.8e-6; elsewhere by at most 1e-12)
+    # distances near 3.8e-6; elsewhere by at most 1e-12); iterate re-pinned
+    # in 4.5.0 for the dephasing-free rotation as the product of the
+    # strokes' quaternions (one relative entropy near -1e-15 moved, by
+    # 6.1e-16)
     "command": {
         "limit-cycle": (
             ["limit-cycle"],
@@ -549,7 +556,7 @@ CSV_PINS = {
             {"engine": FIG1_ENGINE,
              "run": {"n_cycles": 12, "initial_state": {"kind": "thermal", "temperature": 40.0}},
              "output": {"precision": 9}},
-            "407101dd37561570392d31fa4d0b7c712b526c1fba25d146e9825049d5f6f79d"),
+            "c42a3623dcd0718ad1f47104aa8b665d70fa2db655027b9bcd0b4d95d70ca11c"),
         "trajectory": (
             ["trajectory"],
             {"engine": dict(FIG1_ENGINE, dephasing_hot=0.02, tau_ab=0.5, tau_ba=0.5),
@@ -581,7 +588,10 @@ CSV_PINS = {
     # noise floors below 1e-15); all but trajectory-subnormal,
     # trajectory-zero-field, spectrum and equilibrium-curve re-pinned in
     # 4.4.0 for the tenth-order sweep step (none moved by more than 1e-11,
-    # but for iterate-long's distances near 6.6e-6, by at most 3.4e-11)
+    # but for iterate-long's distances near 6.6e-6, by at most 3.4e-11);
+    # trajectory-fig6, trajectory-dense and iterate-long re-pinned in 4.5.0
+    # for the dephasing-free rotation as the product of the strokes'
+    # quaternions (at most 2 cells moved, none by more than 1e-15 printed)
     "ci": {
         "trajectory": (
             ["trajectory"], _CI_TRAJECTORY,
@@ -608,7 +618,7 @@ CSV_PINS = {
                             gamma_cold_conductance=1.7, gamma_hot_conductance=1.7,
                             tau_cold=0.6, tau_hot=0, tau_ab=0.03, tau_ba=0.03),
              "run": {"samples_per_branch": 101}},
-            "bf29370f16232dddb363f3853116466622df45eb7cc6a2776675c87eb9efe547"),
+            "55c651a4650684233fada2689e0145c8796f47103c99fc2374cf8eab5782eb89"),
         # shaped like perfbench's trajectory-dense: 1000 samples of 1.0-long
         # sweeps, where the sweep is one product of one step per sample
         # interval; re-pinned in 3.4.0, where the hot->cold samples
@@ -618,7 +628,7 @@ CSV_PINS = {
             ["trajectory"],
             {"engine": dict(FIG1_ENGINE, tau_ab=1.0, tau_ba=1.0),
              "run": {"samples_per_branch": 1000}},
-            "c834edf947c69bf8bf14a74a11c63f1cbebc4be5beda32a6eb529e27924188d4"),
+            "4aae23d734b43c1662a71ce6871db11e851b22ef09577c730bc36d9189b72446"),
         # J = 0 and sweeps through zero field: the sweeps' middle samples sit
         # at omega = 0, where s_e takes its limit
         "trajectory-zero-field": (
@@ -654,7 +664,7 @@ CSV_PINS = {
             {"engine": FIG1_ENGINE,
              "run": {"n_cycles": 3000,
                      "initial_state": {"kind": "bloch", "b": [0.12, -0.21, 0.05, 0.1, -0.03]}}},
-            "e35a4bd1fbec5135d004e8d0c0eee0b43876feab5b4b9b315e0782b5685f6c66"),
+            "3d445a7fb14f3d056fd8500396957545a044627caf25b46339a7ad5216684a8b"),
         # one config for the other four commands, which each read only their
         # own run keys
         "limit-cycle": (

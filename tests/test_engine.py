@@ -51,6 +51,7 @@ from conftest import (
     FIG5_TIMES,
     SQRT2,
     StepCounter,
+    cycle_angle_mp,
     cycle_specs,
     eigenvalue_error,
     expand_blocks,
@@ -327,10 +328,10 @@ def test_eigenvalues_match_the_oracle_property(spec):
 
 
 @st.composite
-def _scaled_rotations(draw):
-    """(block, mu4, phi, axis): mu4 times the rotation of a unit quaternion
-    with angle phi in [0, pi] about a unit axis; angles near 0 and pi, and
-    both ends, included."""
+def _quaternions(draw):
+    """(q, phi, axis): the unit quaternion of the rotation by phi in [0, pi]
+    about a unit axis, or its negative, the same rotation; angles near 0 and
+    pi, and both ends, included."""
     axis = [draw(st.floats(-1.0, 1.0)) for _ in range(3)]
     norm = math.sqrt(sum(x * x for x in axis))
     assume(norm > 1e-3)
@@ -339,21 +340,19 @@ def _scaled_rotations(draw):
         st.floats(0.0, math.pi), st.sampled_from([0.0, math.pi]),
         st.floats(-16.0, -1.0).map(lambda x: 10.0 ** x),
         st.floats(-16.0, -1.0).map(lambda x: math.pi - 10.0 ** x)))
-    mu4 = 10.0 ** draw(st.floats(-300.0, 0.0))
-    w, s = math.cos(0.5 * phi), math.sin(0.5 * phi)
-    block = propagators._rotation_block(w, s * axis[0], s * axis[1], s * axis[2])
-    return tuple(tuple(x * mu4 for x in row) for row in block), mu4, phi, axis
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    w, s = sign * math.cos(0.5 * phi), sign * math.sin(0.5 * phi)
+    return (w, s * axis[0], s * axis[1], s * axis[2]), phi, axis
 
 
 @settings(max_examples=300 * EXAMPLE_SCALE, deadline=None)
-@given(_scaled_rotations())
-def test_rotation_of_reads_the_angle_and_axis_property(rotation):
-    # Shepperd's method reads every quaternion component from the largest,
-    # so the angle is good to a few ulp near 0 and pi alike, at any scale
-    # (measured: 4 ulp over 20,000 rotations); the axis is undefined at 0
-    # and its sign at pi
-    block, mu4, phi, axis = rotation
-    got_phi, got_axis = engine._rotation_of(block, mu4)
+@given(_quaternions())
+def test_angle_and_axis_reads_the_quaternion_property(rotation):
+    # phi = 2 atan2(|(x, y, z)|, |w|) reads the angle from the components
+    # directly, so it is good to a few ulp near 0 and pi alike, and q and
+    # -q give the same rotation; the axis is undefined at 0 and its sign at pi
+    q, phi, axis = rotation
+    got_phi, got_axis = engine._angle_and_axis(q)
     eps = sys.float_info.epsilon
     assert abs(got_phi - phi) <= 8 * eps
     if got_axis == (0.0, 0.0, 0.0):
@@ -364,10 +363,26 @@ def test_rotation_of_reads_the_angle_and_axis_property(rotation):
                    for sign in signs) <= 8 * eps / math.sin(0.5 * phi)
 
 
-def test_rotation_of_the_identity_and_of_nan():
-    assert engine._rotation_of(propagators._IDENTITY_BLOCK, 1.0) == (0.0, (0.0, 0.0, 0.0))
-    phi, axis = engine._rotation_of(((math.nan,) * 3,) * 3, 0.5)
+def test_angle_and_axis_of_the_identity_and_of_nan():
+    for w in (1.0, -1.0):
+        assert engine._angle_and_axis((w, 0.0, 0.0, 0.0)) == (0.0, (0.0, 0.0, 0.0))
+    phi, axis = engine._angle_and_axis((math.nan,) * 4)
     assert math.isnan(phi) and all(map(math.isnan, axis))
+
+
+# fig1's engine without cold conductance: mu4 = exp(-2.5 gamma_hot) is 7e-142
+# at 130, 1e-304 at 280, subnormal at 290 (1.4e-315) and 297 (3.5e-323)
+@pytest.mark.parametrize("gamma_hot", [130.0, 280.0, 290.0, 297.0])
+def test_phi_is_the_composed_rotation_angle_at_a_subnormal_contraction(gamma_hot):
+    # phi comes from the strokes' composed quaternion, not from M = mu4 O,
+    # which keeps one or two bits of O when mu4 is subnormal: read from
+    # M / mu4 (up to 4.4) phi erred by 1.5e-9 at 290 and by 0.107 at 297.
+    # The bound, stated before any run: a rotation error E of the cycle
+    # block, each entry within eps as in _oracle_bounds, moves its angle by
+    # at most ||E||_2 <= 3 eps to first order, times 2 for the neglect
+    eps = 4 * SWEEP_TOLERANCE + 64 * sys.float_info.epsilon
+    spec = replace(fig1_spec(), gamma_cold=0.0, gamma_hot=gamma_hot)
+    assert abs(spectrum(spec).phi - cycle_angle_mp(spec)) <= 2 * 3 * eps
 
 
 _ROOT3 = math.sqrt(3.0) / 2.0
@@ -678,11 +693,12 @@ def test_near_gap_scan_is_accepted_with_the_oracles_digits(gamma_cold):
 
 
 def test_fixed_point_rejects_a_non_finite_solve():
-    # no spec gives a NaN in the cycle block, and the gap 1 - mu4 does not
-    # see it; the solve is then NaN, a fixed point that is not a state
+    # no spec gives a NaN in the cycle shift, which both solves read, and
+    # the gap 1 - mu4 does not see it; the solve is then NaN, a fixed point
+    # that is not a state
     prop = compose_cycle(fig1_spec())
-    r1, r2, r3 = prop.cycle.block
-    bad = replace(prop, cycle=replace(prop.cycle, block=((math.nan,) + r1[1:], r2, r3)))
+    v1, v2, v3 = prop.cycle.shift
+    bad = replace(prop, cycle=replace(prop.cycle, shift=(math.nan, v2, v3)))
     with pytest.raises(NonUniqueLimitCycleError, match="is not a physical state") as info:
         _fixed_point(bad)
     assert len(info.value.eigenvalues) == 6
@@ -690,7 +706,8 @@ def test_fixed_point_rejects_a_non_finite_solve():
 
 def test_fixed_point_at_a_zero_contraction_and_a_zero_angle():
     # mu4 = 0 (the hot bath relaxes fully) makes M = 0 and b = v exactly; at
-    # phi = 0 (here a hand-built M = mu4 I) O has no axis and b = v / (1 - mu4)
+    # phi = 0 (here a hand-built M = mu4 I, with the identity's quaternion)
+    # O has no axis and b = v / (1 - mu4)
     prop = compose_cycle(replace(fig1_spec(), gamma_hot=300.0))
     assert prop.cycle.b4_scale == 0.0
     b_a, mu, phi, _ = _fixed_point(prop)
@@ -699,7 +716,8 @@ def test_fixed_point_at_a_zero_contraction_and_a_zero_angle():
     prop = compose_cycle(fig1_spec())
     mu4 = prop.cycle.b4_scale
     scaled = ((mu4, 0.0, 0.0), (0.0, mu4, 0.0), (0.0, 0.0, mu4))
-    b_a, mu, phi, _ = _fixed_point(replace(prop, cycle=replace(prop.cycle, block=scaled)))
+    b_a, mu, phi, _ = _fixed_point(replace(prop, cycle=replace(prop.cycle, block=scaled),
+                                           rotation=(1.0, 0.0, 0.0, 0.0)))
     assert mu[1:4] == (mu4, mu4, mu4) and phi == 0.0
     for b, v in zip(b_a, prop.cycle.shift):
         assert abs(b - v / (1.0 - mu4)) <= 4 * sys.float_info.epsilon * abs(b)
@@ -880,7 +898,7 @@ def test_trajectory_forms_no_map_and_no_sample_record(monkeypatch):
 
     for name in ("isochore_partials", "adiabat_partials", "_sweep_map"):
         monkeypatch.setattr(propagators, name, refuse)
-    for name in ("isochore_propagator", "_sweep_map", "_time_reversed"):
+    for name in ("isochore_propagator", "_sweep_map", "_rotation_block"):
         monkeypatch.setattr(engine, name, refuse)
     assert trajectory(prop, b0, 9) == points
     monkeypatch.setattr(engine, "TrajectorySample", None)  # tuple.__new__ would refuse it

@@ -33,13 +33,19 @@ from spinotto import (
 )
 from spinotto import propagators
 from spinotto.engine import _ramps, linspace
-from spinotto.propagators import (
-    MAX_SWEEP_ANGLE, SWEEP_TOLERANCE, _time_reversed, _time_reversed_states,
-)
+from spinotto.propagators import MAX_SWEEP_ANGLE, SWEEP_TOLERANCE, _time_reversed_states
 from conftest import (
     EXAMPLE_SCALE, FIG5_TIMES, SQRT2, StepCounter, cycle_specs, fig1_spec, fig5_spec,
     landau_zener_map, physical_states, random_bloch,
 )
+
+
+def _time_reversed(block):
+    """R U^T R, R = diag(1, 1, -1): the block U transposed with entries
+    (0, 2), (1, 2), (2, 0) and (2, 1) negated, the map of a sweep of block U
+    run backwards."""
+    (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = block
+    return ((a11, a21, -a31), (a12, a22, -a32), (-a13, -a23, a33))
 
 
 def axis_angle_rotation(omega, j, angle):
@@ -213,7 +219,7 @@ def test_sweep_samples_end_at_branch_map():
     strokes = [branch.stroke for branch in prop.branches]
     b = BlochVector(0.1, -0.2, 0.3, 0.05, 0.1)
     for samples in (2, 7, 200):
-        ramp, rise = _ramps(strokes[1], strokes[3], samples)
+        (ramp, _), (rise, _) = _ramps(strokes[1], strokes[3], samples)
         assert len(ramp) == len(rise) == samples
         reverse = AffinePropagator(block=_time_reversed(ramp[-1]))
         assert np.abs(reverse.m - prop.branches[1].prop.m).max() < 1e-12
@@ -501,7 +507,7 @@ def test_leading_error_covers_fixed_step_products_property(p):
     rounding = 1e-14 + 2e-16 * p.rotation_angle
     for n in (1, 3, 10, 40, 200):
         if p.rotation_angle <= n * propagators._MAX_STEP_ANGLE:
-            block = np.array(propagators._sweep_blocks(p, 1, n)[-1])
+            block = np.array(propagators._sweep_blocks(p, 1, n)[0][-1])
             bound = propagators._ERROR_SAFETY * error / n**10
             assert np.abs(block - exact).max() <= bound + rounding, (n, bound)
 
@@ -553,7 +559,7 @@ def test_sweep_step_is_tenth_order():
     # (about 1e-15) is rounding
     p = AdiabatParams(5.0, 12.6355, 2.0, 0.5)
     exact = landau_zener_map(p)
-    errors = [np.abs(np.array(propagators._sweep_blocks(p, 1, n)[-1]) - exact).max()
+    errors = [np.abs(np.array(propagators._sweep_blocks(p, 1, n)[0][-1]) - exact).max()
               for n in (5, 10, 20)]
     for coarse, fine in zip(errors, errors[1:]):
         assert 0.78 * 2**10 <= coarse / fine <= 1.25 * 2**10, errors
@@ -597,6 +603,21 @@ def test_compose_cycle_integrates_one_sweep_when_symmetric(monkeypatch):
     counter.steps = 0
     limit_cycle(replace(fig1_spec(), tau_ab=1.0, tau_ba=1.0))
     assert counter.steps <= 33
+
+
+@settings(max_examples=300 * EXAMPLE_SCALE, deadline=None)
+@given(st.tuples(*[st.floats(-1.0, 1.0)] * 4))
+@example((1.0, 0.0, 0.0, 0.0))  # the identity: two zero entries change sign
+@example((0.5, -0.5, 0.5, -0.5))
+def test_negated_z_is_the_time_reversed_block_property(q):
+    # compose_cycle forms the reversed sweep as the rotation of (w, x, y, -z):
+    # entry by entry R U^T R bit for bit, but for the sign of a zero entry
+    w, x, y, z = q
+    assume(w * w + x * x + y * y + z * z > 1e-3)
+    reversed_rows = propagators._rotation_block(w, x, y, -z)
+    expected_rows = _time_reversed(propagators._rotation_block(w, x, y, z))
+    for got, expected in zip(chain(*reversed_rows), chain(*expected_rows)):
+        assert got.hex() == expected.hex() or got == expected == 0.0, (got, expected)
 
 
 @settings(max_examples=60 * EXAMPLE_SCALE, deadline=None)

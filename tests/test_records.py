@@ -41,7 +41,8 @@ from conftest import fig1_spec, fig6_spec
 _ZERO3 = (0.0, 0.0, 0.0)
 REQUIRED = inspect.Parameter.empty
 
-# constructor parameters as in 0.7.0 (CycleBranch's as in 2.0.0), "name"
+# constructor parameters as in 0.7.0 (CycleBranch's as in 2.0.0,
+# CyclePropagator's as in 4.5.0, which added rotation), "name"
 # (required) or "name=None"; every parameter is positional-or-keyword unless
 # listed in KEYWORD_ONLY
 SIGNATURES = {
@@ -55,7 +56,7 @@ SIGNATURES = {
     CycleSpec: "t_cold t_hot omega_a omega_b j gamma_cold gamma_hot dephasing_cold "
                "dephasing_hot tau_cold tau_hot tau_ab tau_ba",
     CycleBranch: "name stroke prop",
-    CyclePropagator: "cycle branches spec",
+    CyclePropagator: "cycle branches spec rotation",
     CycleSpectrum: "eigenvalues phi",
     LimitCycleReport: "b_a eigenvalues phi gap propagator ledger",
     ThermoLedger: "q_hot q_cold w_ab w_ba power ds_ext ds_u_hot ds_u_cold ds_e_hot "
