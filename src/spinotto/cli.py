@@ -239,8 +239,10 @@ def render_csv(command, config_echo, header, blocks, precision, notes=()) -> str
                     fields.append("%s")
                     columns.append(cell)
                 else:
+                    # + 0.0 prints -0.0 as 0; a column without a zero (of
+                    # either sign: -0.0 == 0.0) prints the same without it
                     fields.append(real)
-                    columns.append(map(add, cell, repeat(0.0)))
+                    columns.append(map(add, cell, repeat(0.0)) if 0.0 in cell else cell)
             elif isinstance(cell, str):
                 fields.append(cell.replace("%", "%%"))
             elif isinstance(cell, int) and not isinstance(cell, bool):
@@ -335,31 +337,25 @@ TRAJECTORY_HEADER = (
 
 def trajectory_blocks(prop: CyclePropagator, b_start: BlochVector, samples: int) -> list:
     """One TRAJECTORY_HEADER block per stroke of :func:`trajectory`'s
-    samples, built from the strokes' states (``engine._stroke_states``)
-    without a sample record.  s_vn, s_e and the energy come from one call
-    per stroke of ``measures._state_entropies``, the implementation of
-    :func:`vn_entropy` and :func:`energy_entropy`; it checks no sample, as
-    the caller checked b_start.  A stroke's rows share its branch name, a
+    samples, the strokes' columns (``engine._stroke_states``) placed as
+    they are, without a sample record.  s_vn, s_e and the energy come from
+    one call per stroke of ``measures._state_entropies``, the implementation
+    of :func:`vn_entropy` and :func:`energy_entropy`; it checks no sample,
+    as the caller checked b_start.  A stroke's rows share its branch name, a
     bath stroke's also its constant field.  A sweep is unitary: it rotates
-    (b1, b2, b3) and keeps b4 and b5, and its rows share s_vn, that of the
-    stroke's first state, as the paper's friction signature has it: only
-    s_e moves.  The energy basis is undefined at omega = J = 0 (a J = 0
-    sweep through zero field); s_e takes its limit there, equal from
-    either side."""
+    (b1, b2, b3) and keeps b4 and b5, its two constants, and its rows share
+    s_vn, that of the stroke's first state, as the paper's friction
+    signature has it: only s_e moves.  The energy basis is undefined at
+    omega = J = 0 (a J = 0 sweep through zero field); s_e takes its limit
+    there, equal from either side."""
     j = prop.spec.j
     blocks = []
-    for index, (branch, t0, times, states, omega_at) in enumerate(
+    for index, (branch, t0, times, columns, omega_at) in enumerate(
             _stroke_states(prop, b_start, samples)):
-        ts = [t0 + t for t in times]
-        b1, b2, b3, b4, b5 = zip(*states)
-        if index % 2:  # strokes 1 and 3 are the sweeps
-            fields = list(map(omega_at, times))
-            s_vn, s_e, energy = zip(*_state_entropies(states, fields, j, unitary=True))
-            blocks.append((branch, ts, fields, b1, b2, b3, b4[0], b5[0], s_vn[0], s_e, energy))
-        else:
-            omega = omega_at(0.0)
-            s_vn, s_e, energy = zip(*_state_entropies(states, repeat(omega), j))
-            blocks.append((branch, ts, omega, b1, b2, b3, b4, b5, s_vn, s_e, energy))
+        # strokes 1 and 3 are the sweeps; a bath stroke's field is constant
+        field = list(map(omega_at, times)) if index % 2 else omega_at(0.0)
+        entropies = _state_entropies(columns, field if index % 2 else repeat(field), j)
+        blocks.append((branch, [t0 + t for t in times], field, *columns, *entropies))
     return blocks
 
 
@@ -447,7 +443,7 @@ def cmd_equilibrium_curve(config: RunConfig):
         raise ConfigError("run.temperature must be > 0")
     omegas = linspace(lo, hi, steps)
     states = [thermal_state(omega, j, temp) for omega in omegas]
-    _, s_e, _ = zip(*_state_entropies(states, omegas, j))
+    _, s_e, _ = _state_entropies(tuple(zip(*states)), omegas, j)
     return ["omega", "s_e_equilibrium"], [[omegas, s_e]]
 
 

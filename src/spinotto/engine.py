@@ -17,12 +17,12 @@ the one place where the two paths part.
 :func:`compose_cycle` forms each stroke's whole map; :func:`_stroke_states`
 steps the previous stroke's last state through each stroke's per-time
 factors, the bath closed form or the sweep's blocks, which gives the states
-of :func:`trajectory` and of the CSV trajectory rows without forming a map
-per sample.  Only ascending field ramps are integrated (:func:`_ramps`): the
-hot->cold stroke reverses the cold->hot ramp run for its duration (with
-equally long sweeps, the cold->hot sweep itself), by its whole map or from
-the stroke's end corner.  Everything is plain floats, tuples and complex
-numbers.
+of :func:`trajectory` and of the CSV trajectory rows as columns, without
+forming a map or a state record per sample.  Only ascending field ramps
+are integrated (:func:`_ramps`): the hot->cold stroke reverses the
+cold->hot ramp run for its duration (with equally long sweeps, the
+cold->hot sweep itself), by its whole map or from the stroke's end corner.
+Everything is plain floats, tuples and complex numbers.
 
 A limit-cycle row is one flat pass: :class:`CycleSpec` checks every bound
 once, those of its four strokes with the checks their constructors run, so
@@ -51,7 +51,6 @@ from .propagators import (
     _check_sweep,
     _count,
     _isochore_states,
-    _rotation_block,
     _sampled_blocks,
     _sweep_map,
     _sweep_states,
@@ -287,16 +286,17 @@ def compose_cycle(spec: CycleSpec) -> CyclePropagator:
     Run backwards, a ramp U of quaternion (w, x, y, z) has the generator
     G(tau - t), G = sqrt(2) [(omega, J, 0)]_x, and R G R = -G for R =
     diag(1, 1, -1), so V(t) = R U(tau - t) U(tau)^T R solves V' = G(tau - t)
-    V from V(0) = I: the stroke is R U^T R, the rotation of (w, x, y, -z),
-    whose :func:`_rotation_block` entries are R U^T R's by exact sign
-    changes, bit for bit but for the sign of a zero."""
+    V from V(0) = I: the stroke is R U^T R, taken from the ramp's last
+    block by a transpose and exact sign changes, and the rotation of the
+    quaternion (w, x, y, -z)."""
     new = tuple.__new__
     hot, hot_cold, cold, cold_hot = (
         spec.hot_isochore(), spec.adiabat_ba(), spec.cold_isochore(), spec.adiabat_ab())
-    (_, (w, x, y, z)), (rise, q_ab) = _ramps(hot_cold, cold_hot, 2)
+    (fall, (w, x, y, z)), (rise, q_ab) = _ramps(hot_cold, cold_hot, 2)
     q_ba = w, x, y, -z
-    u_ish, u_isc = isochore_propagator(hot), isochore_propagator(cold)
-    u_ba, u_ab = _sweep_map(_rotation_block(*q_ba)), _sweep_map(rise[-1])
+    (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = fall[-1]
+    u_ish, u_isc, u_ab = isochore_propagator(hot), isochore_propagator(cold), _sweep_map(rise[-1])
+    u_ba = _sweep_map(((a11, a21, -a31), (a12, a22, -a32), (-a13, -a23, a33)))
     branches = (
         new(CycleBranch, ("isochore-hot", hot, u_ish)),
         new(CycleBranch, ("adiabat-hot-cold", hot_cold, u_ba)),
@@ -671,10 +671,10 @@ def iterate(prop: CyclePropagator, b0: BlochVector, n: int) -> list[BlochVector]
 
 
 def _stroke_states(prop: CyclePropagator, b_start: BlochVector, samples: int) -> list:
-    """(name, t0, times, states, omega_at) of each stroke in time order: its
-    name, start time t0 since A, samples evenly spaced times t in [0, tau]
-    (:func:`linspace`), its states at those times and its field
-    ``omega_at(t)``.
+    """(name, t0, times, columns, omega_at) of each stroke in time order:
+    its name, start time t0 since A, samples evenly spaced times t in [0,
+    tau] (:func:`linspace`), its states' columns (b1, b2, b3, b4, b5; a
+    sweep's b4 and b5 two constants) and its field ``omega_at(t)``.
 
     A stroke's first state is its start state itself: b_start for the first
     stroke, the previous stroke's last state for the others, so consecutive
@@ -698,13 +698,13 @@ def _stroke_states(prop: CyclePropagator, b_start: BlochVector, samples: int) ->
     for index, (name, stroke, _) in enumerate(branches):
         times = linspace(0.0, stroke.tau, samples)
         if index == 1:
-            states = _time_reversed_states(ramp[1:], start)
+            columns = _time_reversed_states(ramp[1:], start)
         elif index == 3:
-            states = _sweep_states(rise[1:], start)
+            columns = _sweep_states(rise[1:], start)
         else:
-            states = _isochore_states(stroke, times[1:], start)
-        strokes.append((name, t0, times, states, stroke.omega_at))
-        start = states[-1]
+            columns = _isochore_states(stroke, times[1:], start)
+        strokes.append((name, t0, times, columns, stroke.omega_at))
+        start = [c[-1] if isinstance(c, list) else c for c in columns]
         t0 += stroke.tau
     return strokes
 
@@ -722,17 +722,18 @@ def trajectory(
     """Densely sampled states over one period, branch by branch.
 
     Each branch contributes samples_per_branch points including both
-    endpoints, the states of :func:`_stroke_states`: a stroke's first is
-    its start state (b_start, then the previous stroke's last sample), and
-    each later one the stroke's map at that time applied to it.
-    ValueError when samples_per_branch is not an integer >= 2 or a
+    endpoints, zipped from the columns of :func:`_stroke_states`: a
+    stroke's first is its start state (b_start, then the previous stroke's
+    last sample), and each later one the stroke's map at that time applied
+    to it.  ValueError when samples_per_branch is not an integer >= 2 or a
     component of b_start is not finite.
     """
     new = tuple.__new__
-    return [new(TrajectorySample, (name, t0 + t, omega_at(t), state))
-            for name, t0, times, states, omega_at in _stroke_states(
+    return [new(TrajectorySample, (name, t0 + t, omega_at(t), new(BlochVector, b)))
+            for name, t0, times, columns, omega_at in _stroke_states(
                 prop, b_start, samples_per_branch)
-            for t, state in zip(times, states)]
+            for t, b in zip(times, zip(*(c if isinstance(c, list) else [c] * len(times)
+                                         for c in columns)))]
 
 
 def _ledger(prop: CyclePropagator, b_a: BlochVector) -> ThermoLedger:
@@ -744,8 +745,8 @@ def _ledger(prop: CyclePropagator, b_a: BlochVector) -> ThermoLedger:
     b_d = u_isc.apply(b_c)
 
     # von Neumann entropy, energy entropy and energy of each corner
-    (s_a, se_a, e_a), (s_b, se_b, e_b), (s_c, se_c, e_c), (s_d, se_d, e_d) = _state_entropies(
-        (b_a, b_b, b_c, b_d), (omega_b, omega_b, spec.omega_a, spec.omega_a), j)
+    (s_a, s_b, s_c, s_d), (se_a, se_b, se_c, se_d), (e_a, e_b, e_c, e_d) = _state_entropies(
+        tuple(zip(b_a, b_b, b_c, b_d)), (omega_b, omega_b, spec.omega_a, spec.omega_a), j)
 
     q_hot = e_b - e_a
     q_cold = e_d - e_c

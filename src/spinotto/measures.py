@@ -13,12 +13,12 @@ implementation, :func:`_measures_to`: bound to the reference and a field,
 it gives all three for a state in one pass.  An ``iterate`` table binds it
 once; each public function binds it per call and takes its own element.
 The two state entropies, :func:`vn_entropy` and :func:`energy_entropy`,
-have one implementation too, :func:`_state_entropies`: over a sequence of
-states, each at its own field, it gives both and the energy of each state,
-forming the energy frame only where the field changes, and on a sweep's
-states (unitary) the spectrum once.  A ``trajectory`` table calls it once
-per stroke, the ledger once for its four corners; each public function
-checks its argument and takes its own element of a one-state call.
+have one implementation too, :func:`_state_entropies`: over the columns
+of states, each at its own field, it gives the columns of both and of the
+energy, forming the energy frame only where the field changes, and on a
+sweep's states (unitary) the spectrum once.  A ``trajectory`` table calls
+it once per stroke, the ledger once for its four corners; each public
+function checks its argument and takes the element of a one-state call.
 Neither row kernel checks a state: the engine's states come from a start
 or fixed point checked where it entered.
 """
@@ -67,7 +67,7 @@ def vn_entropy(b: BlochVector) -> float:
     """Von Neumann entropy, the minimum over all complete measurements.
     ValueError for a non-physical state, or one with a NaN eigenvalue."""
     _physical_eigenvalues(b)
-    return _state_entropies((b,), (1.0,), 0.0)[0][0]
+    return _state_entropies(tuple(zip(b)), (1.0,), 0.0)[0][0]
 
 
 def energy_entropy(b: BlochVector, omega: float, j: float) -> float:
@@ -86,7 +86,7 @@ def energy_entropy(b: BlochVector, omega: float, j: float) -> float:
     p = energy_populations(b, omega, j)
     if not is_physical(p):
         raise ValueError(f"non-physical state: energy populations {p}")
-    return _state_entropies((b,), (omega,), j)[0][1]
+    return _state_entropies(tuple(zip(b)), (omega,), j)[1][0]
 
 
 def wootters_energy_distance(
@@ -193,34 +193,36 @@ def _checked_measures(b: BlochVector, b_ref: BlochVector, omega: float = 1.0,
     return measures(b)
 
 
-def _state_entropies(states, fields, j: float, unitary: bool = False) -> list:
-    """[(vn_entropy(b), energy_entropy(b, omega, j), omega*b1 + J*b2) for b,
-    omega in zip(states, fields)], the one implementation of both entropies.
-    Like the function :func:`_measures_to` returns, it does not check a
-    state, and a p log p term with p <= 0 enters as 0, so it raises only in
-    an infinite or NaN field; for a state the public functions accept, both
-    distributions sum to 1 within a few ulp.  The inner energy populations
-    are lam2 and lam3, so their p log p terms serve both entropies.  The
-    energy frame is formed where the field changes, once for a constant
-    one: a field outside FIELD_RANGE is scaled as in
-    :func:`energy_populations`, which refuses a non-finite one, and at
-    omega = J = 0 s_e is the limit energy_entropy(b, 1.0, 0.0).  With
-    unitary, the states are one sweep's, which rotates (b1, b2, b3) and
-    keeps b4 and b5 bit for bit: the spectrum, its inner p log p terms and
-    s_vn are those of states[0], and each state adds only its energy and
-    its two outer energy populations."""
+def _state_entropies(columns, fields, j: float) -> tuple:
+    """The columns (s_vn, s_e, energy) of vn_entropy(b), energy_entropy(b,
+    omega, j) and omega*b1 + J*b2 of the states b with the columns (b1, b2,
+    b3, b4, b5), each at its field in ``fields``: the one implementation of
+    both entropies.  Like the function :func:`_measures_to` returns, it
+    does not check a state, and a p log p term with p <= 0 enters as 0, so
+    it raises only in an infinite or NaN field; for a state the public
+    functions accept, both distributions sum to 1 within a few ulp.  The
+    inner energy populations are lam2 and lam3, so their p log p terms serve
+    both entropies.  The energy frame is formed where the field changes: a
+    field outside FIELD_RANGE is scaled as in :func:`energy_populations`,
+    which refuses a non-finite one, and at omega = J = 0 s_e is the limit
+    energy_entropy(b, 1.0, 0.0).  b4 and b5 given as two numbers are one
+    sweep's constants (it rotates (b1, b2, b3)): the spectrum, its inner p
+    log p terms and s_vn, one float, are the first state's, and each state
+    adds its energy and two outer populations."""
+    b1, b2, b3, b4, b5 = columns
+    unitary = not isinstance(b4, (list, tuple))  # a sweep's two constants
+    if unitary:
+        b4, b5 = [b4] * len(b1), [b5] * len(b1)
     log = math.log
-    out = []
-    field = s_vn = None
-    for b, omega in zip(states, fields):
-        b1, b2, b3, b4, b5 = b
-        half_b5 = b5 / 2.0
-        if s_vn is None or not unitary:
+    field, s_vn, s_e, energies = None, [], [], []
+    for x, y, z, u, v, omega in zip(b1, b2, b3, b4, b5, fields):
+        half_b5 = v / 2.0
+        if not (unitary and s_vn):
             try:  # BlochVector.d: inf when a square overflows
-                d_scaled = math.sqrt(b1**2 + b2**2 + b3**2) / SQRT2
+                d_scaled = math.sqrt(x**2 + y**2 + z**2) / SQRT2
             except OverflowError:
                 d_scaled = math.inf
-            b4_scaled = b4 / SQRT2
+            b4_scaled = u / SQRT2
             lam1 = 0.25 - d_scaled + half_b5
             lam2 = 0.25 + b4_scaled - half_b5
             lam3 = 0.25 - b4_scaled - half_b5
@@ -228,8 +230,8 @@ def _state_entropies(states, fields, j: float, unitary: bool = False) -> list:
             # a skipped 0 log 0 term enters as 0.0, which leaves the sum unchanged
             term2 = lam2 * log(lam2) if lam2 > 0.0 else 0.0
             term3 = lam3 * log(lam3) if lam3 > 0.0 else 0.0
-            s_vn = -((lam1 * log(lam1) if lam1 > 0.0 else 0.0) + term2 + term3
-                     + (lam4 * log(lam4) if lam4 > 0.0 else 0.0))
+            s_vn.append(-((lam1 * log(lam1) if lam1 > 0.0 else 0.0) + term2 + term3
+                          + (lam4 * log(lam4) if lam4 > 0.0 else 0.0)))
         if omega != field:  # the energy frame, once per field
             field = omega
             big_omega = math.hypot(omega, j)
@@ -238,13 +240,14 @@ def _state_entropies(states, fields, j: float, unitary: bool = False) -> list:
                 omega_f, j_f, scale = _energy_frame(omega, j) if big_omega else (1.0, 0.0, SQRT2)
             else:
                 scale = SQRT2 * big_omega
-        energy = omega * b1 + j * b2
-        e_scaled = (omega_f * b1 + j_f * b2) / scale if scaled else energy / scale
+        energy = omega * x + j * y
+        e_scaled = (omega_f * x + j_f * y) / scale if scaled else energy / scale
         p1 = 0.25 - e_scaled + half_b5
         p4 = 0.25 + e_scaled + half_b5
-        out.append((s_vn, -((p1 * log(p1) if p1 > 0.0 else 0.0) + term2 + term3
-                            + (p4 * log(p4) if p4 > 0.0 else 0.0)), energy))
-    return out
+        s_e.append(-((p1 * log(p1) if p1 > 0.0 else 0.0) + term2 + term3
+                     + (p4 * log(p4) if p4 > 0.0 else 0.0)))
+        energies.append(energy)
+    return (s_vn[0] if unitary else s_vn), s_e, energies
 
 
 def conditional_entropy(b: BlochVector, b_ref: BlochVector) -> float:

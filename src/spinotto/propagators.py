@@ -17,7 +17,8 @@ blocks (:func:`_sampled_blocks`), with two thin consumers: the samplers
 :func:`isochore_partials` and :func:`adiabat_partials` build maps from them,
 and :func:`_isochore_states` and :func:`_sweep_states` step one state
 through them, bit for bit as the maps would, without forming a map
-(:func:`_time_reversed_states` from a reversed sweep's end corner).
+(:func:`_time_reversed_states` from a reversed sweep's end corner), and
+hand out the stroke's states as columns, not one record per sample.
 """
 
 from __future__ import annotations
@@ -343,24 +344,22 @@ def isochore_partials(p: IsochoreParams, times) -> list[AffinePropagator]:
         in _isochore_factors(p, times)]
 
 
-def _isochore_states(p: IsochoreParams, times, start: BlochVector) -> list:
-    """start, then the states of the bath branch p from start at each t in
-    times: its maps (:func:`isochore_partials`) applied to start in
+def _isochore_states(p: IsochoreParams, times, start: BlochVector) -> tuple:
+    """The columns (b1, b2, b3, b4, b5) of start, then of the states of the
+    bath branch p from start at each t in times: its maps
+    (:func:`isochore_partials`) applied to start in
     :meth:`AffinePropagator.apply`'s order of operations, so bit for bit
-    their states, without forming a map."""
+    their states, without forming a map or a state record."""
     x, y, z, b4, b5 = start
     zero_z = 0.0 * z  # the zero third entry of the b5 drive, times b3
-    new = tuple.__new__
-    states = [start]
+    c1, c2, c3, c4, c5 = columns = [x], [y], [z], [b4], [b5]
     for a11, a12, a13, a22, a32, a33, g, g2, v1, v2, d1, d2, h in _isochore_factors(p, times):
-        states.append(new(BlochVector, (
-            a11 * x + a12 * y + a13 * z + v1,
-            a12 * x + a22 * y - a32 * z + v2,
-            -a13 * x + a32 * y + a33 * z + 0.0,
-            g * b4,
-            g2 * b5 + (d1 * x + d2 * y + zero_z) + h,
-        )))
-    return states
+        c1.append(a11 * x + a12 * y + a13 * z + v1)
+        c2.append(a12 * x + a22 * y - a32 * z + v2)
+        c3.append(-a13 * x + a32 * y + a33 * z + 0.0)
+        c4.append(g * b4)
+        c5.append(g2 * b5 + (d1 * x + d2 * y + zero_z) + h)
+    return columns
 
 
 def isochore_propagator(p: IsochoreParams) -> AffinePropagator:
@@ -586,39 +585,39 @@ def adiabat_partials(p: AdiabatParams, samples: int) -> list[AffinePropagator]:
     return [_sweep_map(block) for block in _sampled_blocks(p, samples)[0]]
 
 
-def _sweep_states(blocks, start: BlochVector) -> list:
-    """start, then the states of a sweep from start under its rotation
-    blocks after t = 0 (:func:`_sampled_blocks`): their maps applied to
-    start in :meth:`AffinePropagator.apply`'s order of operations, so bit
-    for bit their states, without forming a map."""
+def _sweep_states(blocks, start: BlochVector) -> tuple:
+    """The columns (b1, b2, b3) of start, then of the states of a sweep from
+    start under its rotation blocks after t = 0 (:func:`_sampled_blocks`),
+    by their maps in :meth:`AffinePropagator.apply`'s order of operations,
+    and start's b4 and b5, the stroke's two constants.  apply's zero b5
+    drive and shift would turn a b5 of -0.0, which no bath stroke leaves,
+    into 0.0, and a b5 beside an infinite component into NaN."""
     x, y, z, b4, b5 = start
-    # a sweep's zero b5 drive and shift, as apply adds them
-    b5 = b5 + (0.0 * x + 0.0 * y + 0.0 * z) + 0.0
-    new = tuple.__new__
-    states = [start]
-    for (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) in blocks:
-        states.append(new(BlochVector, (a11 * x + a12 * y + a13 * z + 0.0,
-                                        a21 * x + a22 * y + a23 * z + 0.0,
-                                        a31 * x + a32 * y + a33 * z + 0.0, b4, b5)))
-    return states
+    return ([x] + [a11 * x + a12 * y + a13 * z + 0.0 for (a11, a12, a13), _, _ in blocks],
+            [y] + [a21 * x + a22 * y + a23 * z + 0.0 for _, (a21, a22, a23), _ in blocks],
+            [z] + [a31 * x + a32 * y + a33 * z + 0.0 for _, _, (a31, a32, a33) in blocks],
+            b4, b5)
 
 
-def _time_reversed_states(ramp, start: BlochVector) -> list:
-    """States of a sweep run backwards from start at n evenly spaced t_k in
-    [0, tau], from the blocks U(t_k) of its ramp at t_k > 0
-    (:func:`_sampled_blocks`): start, R U(tau - t_k) R c with U(tau - t_k)
-    the block n - 1 - k, and the end corner c, the reversed ramp's whole
-    map R U^T R (R = diag(1, 1, -1); ``engine.compose_cycle``) on start."""
+def _time_reversed_states(ramp, start: BlochVector) -> tuple:
+    """The columns (b1, b2, b3) and the two constants b4, b5 (start's, as
+    in :func:`_sweep_states`) of a sweep run backwards from start at n
+    evenly spaced t_k in [0, tau], from the blocks U(t_k) of its ramp at
+    t_k > 0 (:func:`_sampled_blocks`): start, R U(tau - t_k) R c with
+    U(tau - t_k) the block n - 1 - k, and the end corner c, the reversed
+    ramp's whole map R U^T R (R = diag(1, 1, -1); ``engine.compose_cycle``)
+    applied to start."""
+    x, y, z, b4, b5 = start
     (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = ramp[-1]
-    c = c1, c2, c3, b4, b5 = _sweep_states(
-        (((a11, a21, -a31), (a12, a22, -a32), (-a13, -a23, a33)),), start)[1]
-    new = tuple.__new__
-    states = [start]
-    for (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) in ramp[-2::-1]:
-        states.append(new(BlochVector, (a11 * c1 + a12 * c2 - a13 * c3,
-                                        a21 * c1 + a22 * c2 - a23 * c3,
-                                        -(a31 * c1 + a32 * c2 - a33 * c3), b4, b5)))
-    return states + [c]
+    # c = R U^T R start, in apply's order of operations
+    c1 = a11 * x + a21 * y - a31 * z + 0.0
+    c2 = a12 * x + a22 * y - a32 * z + 0.0
+    c3 = -a13 * x - a23 * y + a33 * z + 0.0
+    back = ramp[-2::-1]
+    return ([x] + [a11 * c1 + a12 * c2 - a13 * c3 for (a11, a12, a13), _, _ in back] + [c1],
+            [y] + [a21 * c1 + a22 * c2 - a23 * c3 for _, (a21, a22, a23), _ in back] + [c2],
+            [z] + [-(a31 * c1 + a32 * c2 - a33 * c3) for _, _, (a31, a32, a33) in back] + [c3],
+            b4, b5)
 
 
 def adiabat_propagator_direct(p: AdiabatParams, n_steps: int) -> AffinePropagator:

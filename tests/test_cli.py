@@ -179,7 +179,9 @@ def _fmt_reference(value, spec):
 def test_render_csv_matches_per_cell_format():
     # blocks against the per-cell format of their expanded rows: shared and
     # varying cells of each type, a shared -0.0 and shared text holding % and
-    # %s, which the renderer folds into the block's row template
+    # %s, which the renderer folds into the block's row template; float
+    # columns with and without a zero, which the renderer formats with and
+    # without + 0.0
     spec = fig1_spec()
     report = limit_cycle(spec)
     b0 = thermal_state(spec.omega_b, spec.j, 100.0)
@@ -191,6 +193,10 @@ def test_render_csv_matches_per_cell_format():
             [("a%b", "%s", "%%d"), range(-1, 2), math.nan, (5e-324, -5e-324, 2.2e-308), -math.inf],
             ["cold", -12, math.inf, 5e-324, (1e20,)],
             [("x",), (0,), (-0.0,), -2.5e-310, 1.0 / 3.0],
+        ]),
+        (["no_zero", "trailing", "negative", "non_finite", "int_zero"], [
+            [[1.5, -2.25, 1e-300], (0.5, -1.5, -0.0), [-0.0, -0.0, -0.0],
+             [math.nan, math.inf, -math.inf], [2.5, 0, -1.25]],
         ]),
         (["start"] + ITERATE_HEADER, [["hot", *iterate_block(report, b0, 20)]]),
         (TRAJECTORY_HEADER, trajectory_blocks(report.propagator, report.b_a, 20)),

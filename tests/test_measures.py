@@ -218,8 +218,10 @@ def test_row_kernels_check_no_state_property(b, field):
     # neither row kernel checks one again: each returns for any five floats,
     # a square past the float range included
     omega, j = field
-    for unitary in (False, True):
-        assert len(_state_entropies((b, b), (omega, omega), j, unitary)[1]) == 3
+    columns = tuple(zip(b, b))
+    for b4_b5 in (columns[3:], (b.b4, b.b5)):  # columns, and a sweep's constants
+        assert [len(column) for column in _state_entropies(
+            columns[:3] + b4_b5, (omega, omega), j)[1:]] == [2, 2]
     assert len(_measures_to(BlochVector(0.1, -0.05, 0.02, 0.1, 0.05), 1.0, 0.5)(b)) == 3
 
 
@@ -265,7 +267,7 @@ def test_energy_entropy_checks_the_state():
     with pytest.raises(ValueError, match="omega = J = 0"):
         energy_entropy(b, 0.0, 0.0)
     # the row kernel takes the limit there
-    assert _state_entropies((b,), (0.0,), 0.0)[0][1] == energy_entropy(b, 1.0, 0.0)
+    assert _state_entropies(tuple(zip(b)), (0.0,), 0.0)[1][0] == energy_entropy(b, 1.0, 0.0)
 
 
 def test_vn_entropy_thermal_matches_matrix_oracle(rng):
@@ -594,7 +596,7 @@ def test_row_kernels_equal_public_measures_property(b, spec, field):
     for _, _, omega, state in trajectory(compose_cycle(spec), b, 5):
         lam = np.linalg.eigvalsh(np.array(reconstruct_density(state)))
         for f in ((omega, spec.j), field):
-            (s_vn, s_e, e), = _state_entropies((state,), f[:1], f[1])
+            (s_vn,), (s_e,), (e,) = _state_entropies(tuple(zip(state)), f[:1], f[1])
             populations = np.diag(to_energy_basis(state, *_unit_field(*f))).real
             assert abs(s_vn - measurement_entropy(lam)) < 1e-12
             assert abs(s_e - measurement_entropy(populations)) < 1e-12
@@ -646,7 +648,8 @@ def test_distance_and_relative_entropy_ignore_the_field_property(b, b_ref, field
 def test_row_kernel_examples_reach_their_edges():
     # the edges the examples above are there for
     zero = BlochVector(0.0, 0.0, 0.0, 0.0, 0.0)
-    assert _state_entropies((_PURE_INNER,), (1.0,), 0.5)[0][0] == 0.0  # 0 log 0 and 1 log 1
+    # 0 log 0 and 1 log 1
+    assert _state_entropies(tuple(zip(_PURE_INNER)), (1.0,), 0.5)[0][0] == 0.0
     b_ref = limit_cycle(_RANK_DEFICIENT).b_a
     assert min(eigenvalue_tuple(b_ref)) < _SUPPORT_TOL
     assert conditional_entropy(zero, b_ref) == math.inf
@@ -686,9 +689,19 @@ def test_state_entropies_over_changing_fields_property(states, omegas, j, repeat
     if repeat:
         omegas = [omega for omega in omegas for _ in range(2)]
     states = [states[i % len(states)] for i in range(len(omegas))]
-    one_each = [_state_entropies((b,), (omega,), j)[0] for b, omega in zip(states, omegas)]
-    together = _state_entropies(states, omegas, j)
+    one_each = [[column[0] for column in _state_entropies(tuple(zip(b)), (omega,), j)]
+                for b, omega in zip(states, omegas)]
+    columns = tuple(zip(*states))
+    together = list(zip(*_state_entropies(columns, omegas, j)))
     assert [_bits(row) for row in together] == [_bits(row) for row in one_each]
+    # a sweep's states, b4 and b5 given as its two constants: s_vn is the
+    # first state's, s_e and the energy are each state's, bit for bit
+    first = states[0]
+    swept = columns[:3] + ([first.b4] * len(states), [first.b5] * len(states))
+    s_vn, s_e, e = _state_entropies(columns[:3] + (first.b4, first.b5), omegas, j)
+    _, swept_s_e, swept_e = _state_entropies(swept, omegas, j)
+    assert _bits([s_vn]) == _bits([one_each[0][0]])
+    assert _bits(s_e + e) == _bits(swept_s_e + swept_e)
     # the one-state call is the public functions' kernel
     for b, omega, (s_vn, s_e, e) in zip(states, omegas, together):
         assert _bits([s_vn]) == _bits([vn_entropy(b)])

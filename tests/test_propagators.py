@@ -224,9 +224,10 @@ def test_sweep_samples_end_at_branch_map():
         reverse = AffinePropagator(block=_time_reversed(ramp[-1]))
         assert np.abs(reverse.m - prop.branches[1].prop.m).max() < 1e-12
         assert np.abs(AffinePropagator(block=rise[-1]).m - prop.branches[3].prop.m).max() < 1e-12
-        states = _time_reversed_states(ramp[1:], b)
-        assert len(states) == samples and states[0] is b
-        assert tuple(states[-1]) == tuple(reverse.apply(b))
+        b1, b2, b3, b4, b5 = _time_reversed_states(ramp[1:], b)
+        assert len(b1) == len(b2) == len(b3) == samples
+        assert (b1[0], b2[0], b3[0], b4, b5) == tuple(b)
+        assert (b1[-1], b2[-1], b3[-1], b4, b5) == tuple(reverse.apply(b))
         forward = adiabat_partials(strokes[3], samples)
         assert np.abs(forward[0].m - np.eye(4)).max() == 0.0
 
@@ -689,12 +690,12 @@ def test_time_reversed_partials_match_reverse_sweep_property(spec, samples):
     # is the state form run from the basis vector e_i
     reverse = replace(spec, tau_ba=spec.tau_ab).adiabat_ba()
     ramp = [u.block for u in adiabat_partials(spec.adiabat_ab(), samples)[1:]]
-    columns = [_time_reversed_states(ramp, BlochVector(*e, 0.0, 0.0))
-               for e in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))]
+    runs = [_time_reversed_states(ramp, BlochVector(*e, 0.0, 0.0))[:3]
+            for e in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))]
     integrated = adiabat_partials(reverse, samples)
     times = linspace(0.0, reverse.tau, samples)
     for k, (t, direct) in enumerate(zip(times, integrated)):
-        block = np.array([tuple(column[k])[:3] for column in columns]).T
+        block = np.array([[component[k] for component in run] for run in runs]).T
         assert np.abs(block @ block.T - np.eye(3)).max() < 1e-13, t
         assert np.abs(block - np.array(direct.block)).max() <= 2e-11, t
         exact = landau_zener_map(AdiabatParams(reverse.omega_start, reverse.omega_at(t),
