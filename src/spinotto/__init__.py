@@ -49,4 +49,4 @@ from .propagators import (
 )
 from .records import replace
 
-__version__ = "4.6.0"
+__version__ = "4.7.0"

@@ -44,9 +44,9 @@ from .engine import (
     CycleSpec,
     LimitCycleReport,
     NonUniqueLimitCycleError,
+    _iterate_columns,
     _stroke_states,
     compose_cycle,
-    iterate,
     limit_cycle,
     linspace,
     spectrum,
@@ -316,17 +316,17 @@ ITERATE_HEADER = (
 
 
 def iterate_block(report: LimitCycleReport, b0: BlochVector, n: int) -> list:
-    """The ITERATE_HEADER block of the anchor states b_k, k = 0..n, one
-    column per cell: the distances and the relative entropy to the limit
-    cycle, the Wootters distance at the anchor field omega_b.  The
-    measures' one implementation (``measures._measures_to``), bound once
-    per table to the limit cycle and that field, gives each state's three
-    in one pass: those of :func:`quantum_distance`,
+    """The ITERATE_HEADER block of the anchor states b_k, k = 0..n: the
+    states' columns (``engine._iterate_columns``) and those of their
+    distances and relative entropy to the limit cycle, the Wootters distance
+    at the anchor field omega_b, placed as they are.  The measures' one
+    implementation (``measures._measures_to``), bound once per table, gives
+    the last three, those of :func:`quantum_distance`,
     :func:`wootters_energy_distance` and :func:`conditional_entropy`."""
     spec = report.propagator.spec
     measures = _measures_to(report.b_a, spec.omega_b, spec.j)
-    states = iterate(report.propagator, b0, n)
-    return [range(n + 1), *zip(*states), *zip(*map(measures, states))]
+    columns = _iterate_columns(report.propagator, b0, n)
+    return [range(n + 1), *columns, *measures(columns)]
 
 
 TRAJECTORY_HEADER = (

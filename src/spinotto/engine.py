@@ -643,30 +643,41 @@ def limit_cycle(spec: CycleSpec) -> LimitCycleReport:
     return tuple.__new__(LimitCycleReport, (b_a, mu, phi, gap, prop, _ledger(prop, b_a)))
 
 
-def iterate(prop: CyclePropagator, b0: BlochVector, n: int) -> list[BlochVector]:
-    """Anchor-point states b_k for k = 0..n under repeated cycle maps, each
-    stepped from the map's entries, unpacked once, in
-    :meth:`AffinePropagator.apply`'s order of operations, so bit for bit its
-    states.  ValueError when n is not an integer >= 0 or a component of b0
-    is not finite."""
+def _iterate_columns(prop: CyclePropagator, b0: BlochVector, n: int) -> tuple:
+    """The columns (b1, b2, b3, b4, b5) of the anchor-point states b_k, k =
+    0..n, under repeated cycle maps, b0 first, each stepped from the map's
+    entries, unpacked once, in :meth:`AffinePropagator.apply`'s order of
+    operations, so bit for bit its states.  ValueError as from :func:`iterate`."""
     n = _count(n, "n")
     if n < 0:
         raise ValueError("n must be >= 0")
     _check_finite_state(b0, "b0")
     block, (v1, v2, v3), b4_scale, b5_scale, (d1, d2, d3), b5_shift = prop.cycle
     (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = block
-    new = tuple.__new__
-    states = [b0]
     x, y, z, b4, b5 = b0
+    c1, c2, c3, c4, c5 = columns = [x], [y], [z], [b4], [b5]
     for _ in range(n):
-        x, y, z, b4, b5 = b = new(BlochVector, (
+        x, y, z, b4, b5 = (
             a11 * x + a12 * y + a13 * z + v1,
             a21 * x + a22 * y + a23 * z + v2,
             a31 * x + a32 * y + a33 * z + v3,
             b4_scale * b4,
             b5_scale * b5 + (d1 * x + d2 * y + d3 * z) + b5_shift,
-        ))
-        states.append(b)
+        )
+        c1.append(x)
+        c2.append(y)
+        c3.append(z)
+        c4.append(b4)
+        c5.append(b5)
+    return columns
+
+
+def iterate(prop: CyclePropagator, b0: BlochVector, n: int) -> list[BlochVector]:
+    """Anchor-point states b_k for k = 0..n under repeated cycle maps: b0, then
+    the states of :func:`_iterate_columns` zipped.  ValueError when n is not
+    an integer >= 0 or a component of b0 is not finite."""
+    states = [tuple.__new__(BlochVector, b) for b in zip(*_iterate_columns(prop, b0, n))]
+    states[0] = b0
     return states
 
 

@@ -10,8 +10,9 @@ matrix is built.  The tests check both against density-matrix oracles.
 The three measures against a reference state, :func:`quantum_distance`,
 :func:`wootters_energy_distance` and :func:`conditional_entropy`, have one
 implementation, :func:`_measures_to`: bound to the reference and a field,
-it gives all three for a state in one pass.  An ``iterate`` table binds it
-once; each public function binds it per call and takes its own element.
+it gives the columns of all three over the columns of states in one loop.
+An ``iterate`` table binds it once for the stepper's columns; each public
+function binds it per call for one state's and takes its own element.
 The two state entropies, :func:`vn_entropy` and :func:`energy_entropy`,
 have one implementation too, :func:`_state_entropies`: over the columns
 of states, each at its own field, it gives the columns of both and of the
@@ -103,16 +104,16 @@ def wootters_energy_distance(
 
 
 def _measures_to(b_ref: BlochVector, omega: float, j: float):
-    """The reference measures of a state against b_ref as one function of
-    the state, b -> (quantum_distance, wootters_energy_distance,
-    conditional_entropy), the Wootters distance at the field (omega, j).
-    Binding takes what depends on b_ref alone once: its eigenvalues
-    (ValueError for a non-physical b_ref, as from :func:`vn_entropy`), their
-    floored logarithms, its outer half-trace r = 1/4 + b5/2 and its energy
-    populations clipped at 0, which raise as :func:`energy_populations` does.
-    For each state the function takes the eigenvalues and the outer overlap
-    tr(A A_ref) once, and lam2, lam3 as the inner energy populations.  It
-    does not check the state."""
+    """The reference measures against b_ref as one function of the columns
+    (b1, b2, b3, b4, b5) of states, giving the columns (quantum_distance,
+    wootters_energy_distance, conditional_entropy), the Wootters distance at
+    the field (omega, j).  Binding takes what depends on b_ref alone once:
+    its eigenvalues (ValueError for a non-physical b_ref, as from
+    :func:`vn_entropy`), their floored logarithms, its outer half-trace r =
+    1/4 + b5/2 and its energy populations clipped at 0, which raise as
+    :func:`energy_populations` does.  For each state the function takes the
+    eigenvalues and the outer overlap tr(A A_ref) once, and lam2, lam3 as the
+    inner energy populations.  It does not check a state."""
     lam_ref = _physical_eigenvalues(b_ref)
     ref1, ref2, ref3, ref4 = lam_ref
     log1, log2, log3, log4 = (math.log(max(q, LOG_EIGENVALUE_FLOOR)) for q in lam_ref)
@@ -124,73 +125,76 @@ def _measures_to(b_ref: BlochVector, omega: float, j: float):
     out1, out2, out3, out4 = (q < _SUPPORT_TOL for q in lam_ref)
     sqrt, log, acos, inf = math.sqrt, math.log, math.acos, math.inf
 
-    def measures(b: BlochVector) -> tuple:
-        b1, b2, b3, b4, b5 = b
-        try:  # BlochVector.d: inf when a square overflows
-            d_scaled = sqrt(b1**2 + b2**2 + b3**2) / SQRT2
-        except OverflowError:
-            d_scaled = inf
-        b4_scaled = b4 / SQRT2
-        half_b5 = b5 / 2.0
-        lam1 = 0.25 - d_scaled + half_b5
-        lam2 = 0.25 + b4_scaled - half_b5
-        lam3 = 0.25 - b4_scaled - half_b5
-        lam4 = 0.25 + d_scaled + half_b5
-        # tr(A A_ref) = 2 r r_ref + (b1, b2, b3) . (b1, b2, b3)_ref
-        overlap = 2.0 * (0.25 + half_b5) * r + b1 * rb1 + b2 * rb2 + b3 * rb3
+    def measures(columns) -> tuple:
+        distances, angles, entropies = [], [], []
+        for b1, b2, b3, b4, b5 in zip(*columns):
+            try:  # BlochVector.d: inf when a square overflows
+                d_scaled = sqrt(b1**2 + b2**2 + b3**2) / SQRT2
+            except OverflowError:
+                d_scaled = inf
+            b4_scaled = b4 / SQRT2
+            half_b5 = b5 / 2.0
+            lam1 = 0.25 - d_scaled + half_b5
+            lam2 = 0.25 + b4_scaled - half_b5
+            lam3 = 0.25 - b4_scaled - half_b5
+            lam4 = 0.25 + d_scaled + half_b5
+            # tr(A A_ref) = 2 r r_ref + (b1, b2, b3) . (b1, b2, b3)_ref
+            overlap = 2.0 * (0.25 + half_b5) * r + b1 * rb1 + b2 * rb2 + b3 * rb3
 
-        # (0.0 if x < 0.0 else x) is max(x, 0.0), NaN and -0.0 included,
-        # without the call
-        dets = lam1 * lam4 * ref1 * ref4
-        outer = overlap + 2.0 * sqrt(0.0 if dets < 0.0 else dets)
-        inner2, inner3 = lam2 * ref2, lam3 * ref3
-        fidelity = (
-            sqrt(0.0 if outer < 0.0 else outer)
-            + sqrt(0.0 if inner2 < 0.0 else inner2)
-            + sqrt(0.0 if inner3 < 0.0 else inner3)
-        )
-        deficit = 2.0 * (1.0 - fidelity)
-        distance = 0.0 if deficit < _OVERLAP_NOISE else sqrt(deficit)
+            # (0.0 if x < 0.0 else x) is max(x, 0.0), NaN and -0.0 included,
+            # without the call
+            dets = lam1 * lam4 * ref1 * ref4
+            outer = overlap + 2.0 * sqrt(0.0 if dets < 0.0 else dets)
+            inner2, inner3 = lam2 * ref2, lam3 * ref3
+            fidelity = (
+                sqrt(0.0 if outer < 0.0 else outer)
+                + sqrt(0.0 if inner2 < 0.0 else inner2)
+                + sqrt(0.0 if inner3 < 0.0 else inner3)
+            )
+            deficit = 2.0 * (1.0 - fidelity)
+            distances.append(0.0 if deficit < _OVERLAP_NOISE else sqrt(deficit))
 
-        e_scaled = (omega * b1 + j * b2) / e_scale
-        p1 = 0.25 - e_scaled + half_b5
-        p4 = 0.25 + e_scaled + half_b5
-        bhattacharyya = (
-            sqrt((0.0 if p1 < 0.0 else p1) * q1)
-            + sqrt((0.0 if lam2 < 0.0 else lam2) * q2)
-            + sqrt((0.0 if lam3 < 0.0 else lam3) * q3)
-            + sqrt((0.0 if p4 < 0.0 else p4) * q4)
-        )
-        angle = (0.0 if bhattacharyya >= 1.0 - _OVERLAP_NOISE
-                 else acos(max(bhattacharyya, -1.0)))
+            e_scaled = (omega * b1 + j * b2) / e_scale
+            p1 = 0.25 - e_scaled + half_b5
+            p4 = 0.25 + e_scaled + half_b5
+            bhattacharyya = (
+                sqrt((0.0 if p1 < 0.0 else p1) * q1)
+                + sqrt((0.0 if lam2 < 0.0 else lam2) * q2)
+                + sqrt((0.0 if lam3 < 0.0 else lam3) * q3)
+                + sqrt((0.0 if p4 < 0.0 else p4) * q4)
+            )
+            angles.append(0.0 if bhattacharyya >= 1.0 - _OVERLAP_NOISE
+                          else acos(max(bhattacharyya, -1.0)))
 
-        trace_outer = lam1 + lam4
-        w1 = (ref4 * trace_outer - overlap) / gap_ref if gap_ref > 0.0 else trace_outer / 2.0
-        w4 = trace_outer - w1
-        if ((out1 and w1 > _SUPPORT_WEIGHT) or (out2 and lam2 > _SUPPORT_WEIGHT)
-                or (out3 and lam3 > _SUPPORT_WEIGHT) or (out4 and w4 > _SUPPORT_WEIGHT)):
-            return distance, angle, inf
-        # a skipped 0 log 0 term enters as 0.0, which leaves the sum unchanged
-        entropy = (
-            0.0 + (lam1 * log(lam1) if lam1 > 0.0 else 0.0) - w1 * log1
-            + (lam2 * log(lam2) if lam2 > 0.0 else 0.0) - lam2 * log2
-            + (lam3 * log(lam3) if lam3 > 0.0 else 0.0) - lam3 * log3
-            + (lam4 * log(lam4) if lam4 > 0.0 else 0.0) - w4 * log4
-        )
-        return distance, angle, entropy
+            trace_outer = lam1 + lam4
+            w1 = (ref4 * trace_outer - overlap) / gap_ref if gap_ref > 0.0 else trace_outer / 2.0
+            w4 = trace_outer - w1
+            if ((out1 and w1 > _SUPPORT_WEIGHT) or (out2 and lam2 > _SUPPORT_WEIGHT)
+                    or (out3 and lam3 > _SUPPORT_WEIGHT) or (out4 and w4 > _SUPPORT_WEIGHT)):
+                entropies.append(inf)
+                continue
+            # a skipped 0 log 0 term enters as 0.0, which leaves the sum unchanged
+            entropies.append(
+                0.0 + (lam1 * log(lam1) if lam1 > 0.0 else 0.0) - w1 * log1
+                + (lam2 * log(lam2) if lam2 > 0.0 else 0.0) - lam2 * log2
+                + (lam3 * log(lam3) if lam3 > 0.0 else 0.0) - lam3 * log3
+                + (lam4 * log(lam4) if lam4 > 0.0 else 0.0) - w4 * log4
+            )
+        return distances, angles, entropies
 
     return measures
 
 
 def _checked_measures(b: BlochVector, b_ref: BlochVector, omega: float = 1.0,
                       j: float = 0.0) -> tuple:
-    """:func:`_measures_to` (b_ref, omega, j) of b, b checked after b_ref:
-    ValueError for a non-physical state, as from :func:`vn_entropy`.  The
-    quantum distance and the relative entropy do not depend on the field, so
-    they take any nonzero one, the default (1.0, 0.0)."""
+    """:func:`_measures_to` (b_ref, omega, j) of b's one-state columns, b
+    checked after b_ref (ValueError for a non-physical state, as from
+    :func:`vn_entropy`), as one tuple.  The quantum distance and the relative
+    entropy do not depend on the field, so they take any nonzero one, the
+    default (1.0, 0.0)."""
     measures = _measures_to(b_ref, omega, j)
     _physical_eigenvalues(b)
-    return measures(b)
+    return tuple(column[0] for column in measures(tuple(zip(b))))
 
 
 def _state_entropies(columns, fields, j: float) -> tuple:

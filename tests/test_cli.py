@@ -1533,21 +1533,21 @@ def test_sweep_rows_enter_each_traced_span_once(tmp_path, monkeypatch):
 
 
 def test_runs_enter_the_traced_cli_spans_once(tmp_path, monkeypatch):
-    # perfbench's tracer spans cli.render_csv, cli.load_config and
-    # engine.iterate by rebinding these spinotto.cli attributes: every
-    # command and preset renders once and every command loads its config
-    # once, through the module; iterate runs once per iterated table
-    # (figure has no config; fig2 iterates two starts, fig3 four cases)
+    # perfbench's tracer spans cli.render_csv and cli.load_config by
+    # rebinding these spinotto.cli attributes: every command and preset
+    # renders once and every command loads its config once, through the
+    # module (figure has no config).  The iterate tables step the cycle's
+    # columns (engine._iterate_columns), so the module no longer looks up
+    # engine.iterate; test_iterate_tables_form_no_state_record counts them
     import spinotto.cli
 
     calls = {}
-    for name in ("render_csv", "load_config", "iterate"):
+    for name in ("render_csv", "load_config"):
         def counting(*args, _name=name, _fn=getattr(spinotto.cli, name)):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args)
 
         monkeypatch.setattr(spinotto.cli, name, counting)
-    iterated = {"iterate": 1, "fig2": 2, "fig3": 4}
     for section in ("command", "figure"):
         for case, pin in CSV_PINS[section].items():
             calls.clear()
@@ -1555,9 +1555,35 @@ def test_runs_enter_the_traced_cli_spans_once(tmp_path, monkeypatch):
             expected = {"render_csv": 1}
             if section == "command":
                 expected["load_config"] = 1
-            if case in iterated:
-                expected["iterate"] = iterated[case]
             assert calls == expected, case
+
+
+def test_iterate_tables_form_no_state_record(tmp_path, monkeypatch):
+    # an iterate table is columns from the stepper to the renderer: no
+    # BlochVector is formed per state (tuple.__new__ would refuse None), and
+    # each table steps the cycle once and binds the measures kernel once to
+    # its limit cycle (fig2 has two tables, fig3 four)
+    import spinotto.cli
+    import spinotto.engine
+
+    report = limit_cycle(fig1_spec())
+    b0 = BlochVector(0.1, -0.05, 0.02, 0.1, 0.05)
+    block = iterate_block(report, b0, 40)
+    with monkeypatch.context() as patch:
+        patch.setattr(spinotto.engine, "BlochVector", None)
+        assert iterate_block(report, b0, 40) == block
+    calls = {}
+    for name in ("_iterate_columns", "_measures_to"):
+        def counting(*args, _name=name, _fn=getattr(spinotto.cli, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+
+        monkeypatch.setattr(spinotto.cli, name, counting)
+    for section, case, tables in (("command", "iterate", 1), ("ci", "iterate-long", 1),
+                                  ("figure", "fig2", 2), ("figure", "fig3", 4)):
+        calls.clear()
+        assert main(_pin_argv(tmp_path, CSV_PINS[section][case], tmp_path / "out.csv")) == 0
+        assert calls == {"_iterate_columns": tables, "_measures_to": tables}, case
 
 
 def test_spectrum_still_works_for_unitary_cycle(tmp_path):

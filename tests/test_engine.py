@@ -42,6 +42,7 @@ from spinotto.engine import (
     UNIQUENESS_GAP,
     _diagonal_minus,
     _fixed_point,
+    _iterate_columns,
     _solve3,
     linspace,
 )
@@ -562,25 +563,6 @@ def test_iterate_approaches_limit_cycle_monotonically_property(spec, b0):
             assert after <= before + 1e-12, (name, k, before, after)
 
 
-
-@settings(max_examples=100 * EXAMPLE_SCALE, deadline=None)
-@given(cycle_specs(), physical_states(), st.lists(st.booleans(), min_size=5, max_size=5))
-@example(fig1_spec(), BlochVector(0.0, 0.0, 0.0, 0.0, 0.0), [True] * 5)
-def test_iterate_steps_equal_cycle_apply_property(spec, b0, negative_zeros):
-    # iterate steps the cycle map from its entries unpacked once: state k is
-    # k applications of prop.cycle.apply, bit for bit, signs of zero
-    # included, from starts with -0.0 components
-    b0 = BlochVector(*(-0.0 if flag else value for flag, value in zip(negative_zeros, b0)))
-    prop = compose_cycle(spec)
-    states = iterate(prop, b0, 12)
-    assert states[0] is b0
-    b = b0
-    for k, state in enumerate(states[1:], 1):
-        b = prop.cycle.apply(b)
-        assert type(state) is BlochVector
-        assert list(map(float.hex, state)) == list(map(float.hex, b)), k
-
-
 @pytest.mark.parametrize("omega_b", [7.0, 8.0])
 def test_iterate_relative_entropy_finite_on_cold_limit_cycle(omega_b):
     # a hot stroke alone at T = 0.3125: the limit cycle's upper outer level
@@ -830,6 +812,30 @@ def _signed_zero_starts(draw) -> BlochVector:
         if zeroed and (i < 4 or is_physical(eigenvalue_tuple(BlochVector(*b[:4], -0.0)))):
             b[i] = -0.0
     return BlochVector(*b)
+
+
+@settings(max_examples=100 * EXAMPLE_SCALE, deadline=None)
+@given(st.one_of(cycle_specs(), strong_dephasing_specs()),
+       physical_states() | _signed_zero_starts(), st.sampled_from([0, 1, 40]))
+@example(fig1_spec(), _NEGATIVE_ZEROS, 40)
+@example(replace(fig1_spec(), dephasing_cold=0.01, tau_hot=0.0), _NEGATIVE_ZEROS, 40)
+def test_iterate_steps_equal_cycle_apply_property(spec, b0, n):
+    # iterate steps the cycle map from its entries unpacked once, as
+    # columns: state k of them is k applications of prop.cycle.apply, bit
+    # for bit, signs of zero included, from starts with -0.0 components,
+    # with or without dephasing; iterate is the same columns zipped into
+    # BlochVectors, b0 itself first
+    prop = compose_cycle(spec)
+    columns = _iterate_columns(prop, b0, n)
+    assert [len(column) for column in columns] == [n + 1] * 5
+    b = b0
+    for k, state in enumerate(zip(*columns)):
+        assert list(map(float.hex, state)) == list(map(float.hex, b)), k
+        b = prop.cycle.apply(b)
+    states = iterate(prop, b0, n)
+    assert states[0] is b0 and all(type(state) is BlochVector for state in states)
+    assert ([list(map(float.hex, state)) for state in states]
+            == [list(map(float.hex, state)) for state in zip(*columns)])
 
 
 @settings(max_examples=100 * EXAMPLE_SCALE, deadline=None)

@@ -222,7 +222,8 @@ def test_row_kernels_check_no_state_property(b, field):
     for b4_b5 in (columns[3:], (b.b4, b.b5)):  # columns, and a sweep's constants
         assert [len(column) for column in _state_entropies(
             columns[:3] + b4_b5, (omega, omega), j)[1:]] == [2, 2]
-    assert len(_measures_to(BlochVector(0.1, -0.05, 0.02, 0.1, 0.05), 1.0, 0.5)(b)) == 3
+    assert [len(column) for column in _measures_to(
+        BlochVector(0.1, -0.05, 0.02, 0.1, 0.05), 1.0, 0.5)(columns)] == [2, 2, 2]
 
 
 def test_vn_entropy_trivials():
@@ -641,7 +642,9 @@ def test_distance_and_relative_entropy_ignore_the_field_property(b, b_ref, field
         with pytest.raises(ValueError, match="omega = J = 0"):
             _measures_to(b_ref, *field)
         return
-    at_field, at_unit = _measures_to(b_ref, *field)(b), _measures_to(b_ref, 1.0, 0.0)(b)
+    # the kernel over one state's columns
+    at_field, at_unit = ([column[0] for column in _measures_to(b_ref, *f)(tuple(zip(b)))]
+                         for f in (field, (1.0, 0.0)))
     assert _bits(at_field[::2]) == _bits(at_unit[::2])
 
 
@@ -654,8 +657,8 @@ def test_row_kernel_examples_reach_their_edges():
     assert min(eigenvalue_tuple(b_ref)) < _SUPPORT_TOL
     assert conditional_entropy(zero, b_ref) == math.inf
     report = limit_cycle(fig1_spec())
-    rows = [_measures_to(report.b_a, 12.6355, 2.0)(b)
-            for b in iterate(report.propagator, _PURE_OUTER, 40)]
+    columns = tuple(zip(*iterate(report.propagator, _PURE_OUTER, 40)))
+    rows = list(zip(*_measures_to(report.b_a, 12.6355, 2.0)(columns)))
     assert rows[0][0] > 0.0 and rows[0][1] > 0.0
     assert rows[-1][:2] == (0.0, 0.0)  # within _OVERLAP_NOISE of 1
     samples = trajectory(compose_cycle(_ZERO_FIELD_SWEEPS), _PURE_INNER, 5)
