@@ -4,7 +4,9 @@ The working-medium state lives in five expectation values (a
 :class:`BlochVector`); branch evolutions are completely positive affine maps
 (:mod:`spinotto.propagators`); their one-period product has a unique fixed
 point, the limit cycle, whose spectrum and thermodynamics are analyzed in
-:mod:`spinotto.engine`; entropy and distance diagnostics live in
+:mod:`spinotto.engine`, which also samples the approach to it
+(:func:`iterate`) and its path through one period (:func:`trajectory`),
+both as columns of floats; entropy and distance diagnostics live in
 :mod:`spinotto.measures`; :mod:`spinotto.cli` is the batch CSV front end.
 The value types are immutable named tuples (:mod:`spinotto.records`);
 :func:`replace` copies one with fields changed, checking the new values.
@@ -21,7 +23,6 @@ from .engine import (
     LimitCycleReport,
     NonUniqueLimitCycleError,
     ThermoLedger,
-    TrajectorySample,
     compose_cycle,
     energy,
     iterate,
@@ -41,12 +42,10 @@ from .propagators import (
     AffinePropagator,
     BathParams,
     IsochoreParams,
-    adiabat_partials,
     adiabat_propagator_direct,
     compose,
-    isochore_partials,
     isochore_propagator,
 )
 from .records import replace
 
-__version__ = "4.7.0"
+__version__ = "5.0.0"

@@ -44,12 +44,12 @@ from .engine import (
     CycleSpec,
     LimitCycleReport,
     NonUniqueLimitCycleError,
-    _iterate_columns,
-    _stroke_states,
     compose_cycle,
+    iterate,
     limit_cycle,
     linspace,
     spectrum,
+    trajectory,
 )
 from .measures import _measures_to, _state_entropies
 from .records import Record
@@ -317,7 +317,7 @@ ITERATE_HEADER = (
 
 def iterate_block(report: LimitCycleReport, b0: BlochVector, n: int) -> list:
     """The ITERATE_HEADER block of the anchor states b_k, k = 0..n: the
-    states' columns (``engine._iterate_columns``) and those of their
+    states' columns (:func:`iterate`) and those of their
     distances and relative entropy to the limit cycle, the Wootters distance
     at the anchor field omega_b, placed as they are.  The measures' one
     implementation (``measures._measures_to``), bound once per table, gives
@@ -325,7 +325,7 @@ def iterate_block(report: LimitCycleReport, b0: BlochVector, n: int) -> list:
     :func:`wootters_energy_distance` and :func:`conditional_entropy`."""
     spec = report.propagator.spec
     measures = _measures_to(report.b_a, spec.omega_b, spec.j)
-    columns = _iterate_columns(report.propagator, b0, n)
+    columns = iterate(report.propagator, b0, n)
     return [range(n + 1), *columns, *measures(columns)]
 
 
@@ -336,26 +336,23 @@ TRAJECTORY_HEADER = (
 
 
 def trajectory_blocks(prop: CyclePropagator, b_start: BlochVector, samples: int) -> list:
-    """One TRAJECTORY_HEADER block per stroke of :func:`trajectory`'s
-    samples, the strokes' columns (``engine._stroke_states``) placed as
-    they are, without a sample record.  s_vn, s_e and the energy come from
-    one call per stroke of ``measures._state_entropies``, the implementation
-    of :func:`vn_entropy` and :func:`energy_entropy`; it checks no sample,
-    as the caller checked b_start.  A stroke's rows share its branch name, a
-    bath stroke's also its constant field.  A sweep is unitary: it rotates
-    (b1, b2, b3) and keeps b4 and b5, its two constants, and its rows share
-    s_vn, that of the stroke's first state, as the paper's friction
-    signature has it: only s_e moves.  The energy basis is undefined at
-    omega = J = 0 (a J = 0 sweep through zero field); s_e takes its limit
-    there, equal from either side."""
+    """One TRAJECTORY_HEADER block per stroke: the stroke's columns from
+    :func:`trajectory`, placed as they are, then s_vn, s_e and the energy
+    from one call per stroke of ``measures._state_entropies``, the
+    implementation of :func:`vn_entropy` and :func:`energy_entropy`; it
+    checks no sample, as :func:`trajectory` checked b_start.  A stroke's
+    rows share its branch name, a bath stroke's also its constant field.  A
+    sweep is unitary: it rotates (b1, b2, b3) and keeps b4 and b5, its two
+    constants, and its rows share s_vn, that of the stroke's first state, as
+    the paper's friction signature has it: only s_e moves.  The energy basis
+    is undefined at omega = J = 0 (a J = 0 sweep through zero field); s_e
+    takes its limit there, equal from either side."""
     j = prop.spec.j
     blocks = []
-    for index, (branch, t0, times, columns, omega_at) in enumerate(
-            _stroke_states(prop, b_start, samples)):
-        # strokes 1 and 3 are the sweeps; a bath stroke's field is constant
-        field = list(map(omega_at, times)) if index % 2 else omega_at(0.0)
-        entropies = _state_entropies(columns, field if index % 2 else repeat(field), j)
-        blocks.append((branch, [t0 + t for t in times], field, *columns, *entropies))
+    for stroke in trajectory(prop, b_start, samples):
+        omega = stroke[2]  # a sweep's field column, a bath stroke's one number
+        fields = omega if isinstance(omega, list) else repeat(omega)
+        blocks.append((*stroke, *_state_entropies(stroke[3:], fields, j)))
     return blocks
 
 

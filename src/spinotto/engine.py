@@ -14,11 +14,12 @@ solve with partial pivoting and the spectrum shifted QR steps on M's
 Hessenberg form, the first shifted by a real root of the characteristic
 cubic, until a 1x1 and a 2x2 block split off.  :func:`_spectrum_of` is
 the one place where the two paths part.
-:func:`compose_cycle` forms each stroke's whole map; :func:`_stroke_states`
+:func:`compose_cycle` forms each stroke's whole map; :func:`trajectory`
 steps the previous stroke's last state through each stroke's per-time
-factors, the bath closed form or the sweep's blocks, which gives the states
-of :func:`trajectory` and of the CSV trajectory rows as columns, without
-forming a map or a state record per sample.  Only ascending field ramps
+factors, the bath closed form or the sweep's blocks, and gives each
+stroke's states as columns, the CSV trajectory rows', without forming a map
+or a state record per sample; :func:`iterate` gives the anchor states of
+repeated periods as columns too.  Only ascending field ramps
 are integrated (:func:`_ramps`): the hot->cold stroke reverses the
 cold->hot ramp run for its duration (with equally long sweeps, the
 cold->hot sweep itself), by its whole map or from the stroke's end corner.
@@ -242,11 +243,12 @@ def linspace(start: float, stop: float, num: int) -> list[float]:
     return values
 
 
-def _check_finite_state(b: BlochVector, name: str) -> None:
-    """ValueError naming the argument when a component of the state b is
-    not finite."""
-    if not all(map(math.isfinite, b)):
-        raise ValueError(f"{name} must be a finite state, got {tuple(b)!r}")
+def _check_start(b: BlochVector, name: str) -> None:
+    """ValueError naming the argument when the start b is not a physical
+    state, by the CLI's check of a given start; a NaN or infinite component
+    fails it."""
+    if not is_physical(eigenvalue_tuple(b)):
+        raise ValueError(f"{name} must be a physical state, got {tuple(b)!r}")
 
 
 def energy(b: BlochVector, omega: float, j: float) -> float:
@@ -453,7 +455,7 @@ def _spectrum_of(prop: CyclePropagator) -> tuple:
     - a bath block is Q (g (+) k R(phi)) Q^T, with Q the orthogonal frame
       of the field axis (omega, J, 0) / Omega, its in-plane normal and the
       third axis, R(phi) a plane rotation and k = g exp(-2 gamma Omega^2
-      tau) <= g (:func:`isochore_partials`); so its 2-norm is g;
+      tau) <= g (:func:`isochore_propagator`); so its 2-norm is g;
     - a sweep block is a rotation, of 2-norm 1;
     - so the cycle block M, their product, has ||M||_2 <= g_hot g_cold,
       which bounds |mu1|, |mu2| and |mu3|;
@@ -643,15 +645,17 @@ def limit_cycle(spec: CycleSpec) -> LimitCycleReport:
     return tuple.__new__(LimitCycleReport, (b_a, mu, phi, gap, prop, _ledger(prop, b_a)))
 
 
-def _iterate_columns(prop: CyclePropagator, b0: BlochVector, n: int) -> tuple:
+def iterate(prop: CyclePropagator, b0: BlochVector, n: int) -> tuple:
     """The columns (b1, b2, b3, b4, b5) of the anchor-point states b_k, k =
-    0..n, under repeated cycle maps, b0 first, each stepped from the map's
-    entries, unpacked once, in :meth:`AffinePropagator.apply`'s order of
-    operations, so bit for bit its states.  ValueError as from :func:`iterate`."""
+    0..n, under repeated cycle maps, b0's components first, each state
+    stepped from the map's entries, unpacked once, in
+    :meth:`AffinePropagator.apply`'s order of operations, so bit for bit its
+    states; ``zip(*columns)`` gives them one per cycle.  ValueError when n
+    is not an integer >= 0 or b0 is not a physical state."""
     n = _count(n, "n")
     if n < 0:
         raise ValueError("n must be >= 0")
-    _check_finite_state(b0, "b0")
+    _check_start(b0, "b0")
     block, (v1, v2, v3), b4_scale, b5_scale, (d1, d2, d3), b5_shift = prop.cycle
     (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = block
     x, y, z, b4, b5 = b0
@@ -672,20 +676,13 @@ def _iterate_columns(prop: CyclePropagator, b0: BlochVector, n: int) -> tuple:
     return columns
 
 
-def iterate(prop: CyclePropagator, b0: BlochVector, n: int) -> list[BlochVector]:
-    """Anchor-point states b_k for k = 0..n under repeated cycle maps: b0, then
-    the states of :func:`_iterate_columns` zipped.  ValueError when n is not
-    an integer >= 0 or a component of b0 is not finite."""
-    states = [tuple.__new__(BlochVector, b) for b in zip(*_iterate_columns(prop, b0, n))]
-    states[0] = b0
-    return states
-
-
-def _stroke_states(prop: CyclePropagator, b_start: BlochVector, samples: int) -> list:
-    """(name, t0, times, columns, omega_at) of each stroke in time order:
-    its name, start time t0 since A, samples evenly spaced times t in [0,
-    tau] (:func:`linspace`), its states' columns (b1, b2, b3, b4, b5; a
-    sweep's b4 and b5 two constants) and its field ``omega_at(t)``.
+def trajectory(prop: CyclePropagator, b_start: BlochVector, samples_per_branch: int) -> list:
+    """Densely sampled states over one period: one tuple (branch, t, omega,
+    b1, b2, b3, b4, b5) per stroke in time order, the stroke's
+    samples_per_branch samples as columns, at evenly spaced times in [0,
+    tau] (:func:`linspace`) offset by the stroke's start time since A.  A
+    number in place of a column is shared by the stroke's samples: a bath
+    stroke's field, and a sweep's b4 and b5, which it keeps.
 
     A stroke's first state is its start state itself: b_start for the first
     stroke, the previous stroke's last state for the others, so consecutive
@@ -695,12 +692,13 @@ def _stroke_states(prop: CyclePropagator, b_start: BlochVector, samples: int) ->
     form (:func:`_isochore_states`), the cold->hot sweep's blocks
     (:func:`_sweep_states`) and the hot->cold stroke's ramp run backwards
     from its end corner (:func:`_time_reversed_states`), both ramps from
-    :func:`_ramps`.  ValueError when samples is not an integer >= 2 or a
-    component of b_start is not finite; no later state is checked."""
-    samples = _count(samples, "samples_per_branch")
+    :func:`_ramps`.  ValueError when samples_per_branch is not an integer
+    >= 2 or b_start is not a physical state; no later state is checked.
+    """
+    samples = _count(samples_per_branch, "samples_per_branch")
     if samples < 2:
         raise ValueError("samples_per_branch must be >= 2")
-    _check_finite_state(b_start, "b_start")
+    _check_start(b_start, "b_start")
     branches = prop.branches
     (ramp, _), (rise, _) = _ramps(branches[1].stroke, branches[3].stroke, samples)
     strokes = []
@@ -714,37 +712,12 @@ def _stroke_states(prop: CyclePropagator, b_start: BlochVector, samples: int) ->
             columns = _sweep_states(rise[1:], start)
         else:
             columns = _isochore_states(stroke, times[1:], start)
-        strokes.append((name, t0, times, columns, stroke.omega_at))
+        # strokes 1 and 3 are the sweeps; a bath stroke's field is constant
+        omega = list(map(stroke.omega_at, times)) if index % 2 else stroke.omega
+        strokes.append((name, [t0 + t for t in times], omega, *columns))
         start = [c[-1] if isinstance(c, list) else c for c in columns]
         t0 += stroke.tau
     return strokes
-
-
-class TrajectorySample(Record, namedtuple("TrajectorySample", "branch t omega state")):
-    """One sampled point along the cycle trajectory: the branch name, the
-    time since A, the field and the state (a :class:`BlochVector`)."""
-
-    __slots__ = ()
-
-
-def trajectory(
-    prop: CyclePropagator, b_start: BlochVector, samples_per_branch: int
-) -> list[TrajectorySample]:
-    """Densely sampled states over one period, branch by branch.
-
-    Each branch contributes samples_per_branch points including both
-    endpoints, zipped from the columns of :func:`_stroke_states`: a
-    stroke's first is its start state (b_start, then the previous stroke's
-    last sample), and each later one the stroke's map at that time applied
-    to it.  ValueError when samples_per_branch is not an integer >= 2 or a
-    component of b_start is not finite.
-    """
-    new = tuple.__new__
-    return [new(TrajectorySample, (name, t0 + t, omega_at(t), new(BlochVector, b)))
-            for name, t0, times, columns, omega_at in _stroke_states(
-                prop, b_start, samples_per_branch)
-            for t, b in zip(times, zip(*(c if isinstance(c, list) else [c] * len(times)
-                                         for c in columns)))]
 
 
 def _ledger(prop: CyclePropagator, b_a: BlochVector) -> ThermoLedger:

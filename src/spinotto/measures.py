@@ -11,15 +11,17 @@ The three measures against a reference state, :func:`quantum_distance`,
 :func:`wootters_energy_distance` and :func:`conditional_entropy`, have one
 implementation, :func:`_measures_to`: bound to the reference and a field,
 it gives the columns of all three over the columns of states in one loop.
-An ``iterate`` table binds it once for the stepper's columns; each public
-function binds it per call for one state's and takes its own element.
+An ``iterate`` table binds it once for the columns of ``engine.iterate``;
+each public function binds it per call for one state's and takes its own
+element.
 The two state entropies, :func:`vn_entropy` and :func:`energy_entropy`,
 have one implementation too, :func:`_state_entropies`: over the columns
 of states, each at its own field, it gives the columns of both and of the
 energy, forming the energy frame only where the field changes, and on a
 sweep's states (unitary) the spectrum once.  A ``trajectory`` table calls
-it once per stroke, the ledger once for its four corners; each public
-function checks its argument and takes the element of a one-state call.
+it once per stroke of ``engine.trajectory``, the ledger once for its four
+corners; each public function checks its argument and takes the element
+of a one-state call.
 Neither row kernel checks a state: the engine's states come from a start
 or fixed point checked where it entered.
 """

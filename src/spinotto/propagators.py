@@ -12,11 +12,12 @@ comes from an estimate of the leading, degree-11 term of its error.  Maps are
 plain floats and tuples; only the ``m`` accessor and the brute-force
 midpoint-field oracle :func:`adiabat_propagator_direct` import numpy.  Maps
 have the one type :class:`AffinePropagator`.  Each branch has one source of
-per-time factors, the bath closed form's entries or the sweep's rotation
-blocks (:func:`_sampled_blocks`), with two thin consumers: the samplers
-:func:`isochore_partials` and :func:`adiabat_partials` build maps from them,
-and :func:`_isochore_states` and :func:`_sweep_states` step one state
-through them, bit for bit as the maps would, without forming a map
+per-time factors, the bath closed form's entries (:func:`_isochore_factors`)
+or the sweep's rotation blocks (:func:`_sampled_blocks`).  The whole-stroke
+maps take its last factor (:func:`isochore_propagator`, and
+``engine.compose_cycle`` for the sweeps), and :func:`_isochore_states` and
+:func:`_sweep_states` step one state through all of them, bit for bit as
+the in-stroke maps would, without forming a map
 (:func:`_time_reversed_states` from a reversed sweep's end corner), and
 hand out the stroke's states as columns, not one record per sample.
 """
@@ -183,7 +184,7 @@ class AffinePropagator(
     ``block`` as three rows of three floats, ``shift`` and ``b5_drive`` as
     three floats and the scalars as floats, and raises ValueError naming a
     field of any other shape.  Maps compose; immutable and safe to share.
-    The map is the tuple of its fields in field order; the samplers and
+    The map is the tuple of its fields in field order; the stroke maps and
     :func:`compose` build it with ``tuple.__new__``, since their fields are
     already float tuples and the constructor would check nothing more.
     """
@@ -279,8 +280,8 @@ def _isochore_factors(p: IsochoreParams, times):
         ((a11, a12, a13), (a12, a22, -a32), (-a13, a32, a33)),
 
     shift (v1, v2, 0), b4 scale g, b5 scale g^2, b5 drive (d1, d2, 0) and
-    b5 shift h (:func:`isochore_partials`).  Its two consumers build the
-    maps or step one state through them."""
+    b5 shift h (:func:`isochore_propagator`).  Its two consumers build the
+    whole-stroke map or step one state through them."""
     omega, j = p.omega, p.j
     gam, dephasing, temperature = p.bath
     big_omega = math.hypot(omega, j)
@@ -322,32 +323,10 @@ def _isochore_factors(p: IsochoreParams, times):
                eq5 * relaxed ** 2)  # the b5 shift
 
 
-def isochore_partials(p: IsochoreParams, times) -> list[AffinePropagator]:
-    """Closed-form maps of the first t time units of a constant-field bath
-    branch, one for each t in times.
-
-    The (b1, b2, b3) block combines a rotation by sqrt(2)*Omega*t about the
-    field axis (omega, J, 0)/Omega with longitudinal decay at rate Gamma
-    toward the thermal values and transverse decay at Gamma + 2*gamma*Omega^2.
-    b4 decays at rate Gamma toward zero; b5 decays at 2*Gamma toward its
-    thermal value while driven by the decaying energy, which keeps the full
-    map completely positive.  The maps are built from the entries
-    :func:`_isochore_factors` gives, the closed form's one source.
-    """
-    if not all(t >= 0.0 for t in times):
-        raise ValueError("times must be >= 0")
-    new = tuple.__new__
-    return [new(AffinePropagator, (
-        ((a11, a12, a13), (a12, a22, -a32), (-a13, a32, a33)),
-        (v1, v2, 0.0), g, g2, (d1, d2, 0.0), h,
-    )) for a11, a12, a13, a22, a32, a33, g, g2, v1, v2, d1, d2, h
-        in _isochore_factors(p, times)]
-
-
 def _isochore_states(p: IsochoreParams, times, start: BlochVector) -> tuple:
     """The columns (b1, b2, b3, b4, b5) of start, then of the states of the
-    bath branch p from start at each t in times: its maps
-    (:func:`isochore_partials`) applied to start in
+    bath branch p from start at each t in times: its maps over the first t
+    time units (:func:`isochore_propagator`'s closed form) applied to start in
     :meth:`AffinePropagator.apply`'s order of operations, so bit for bit
     their states, without forming a map or a state record."""
     x, y, z, b4, b5 = start
@@ -363,9 +342,21 @@ def _isochore_states(p: IsochoreParams, times, start: BlochVector) -> tuple:
 
 
 def isochore_propagator(p: IsochoreParams) -> AffinePropagator:
-    """Closed-form map of a whole constant-field bath branch; see
-    :func:`isochore_partials`."""
-    return isochore_partials(p, (p.tau,))[0]
+    """Closed-form map of a whole constant-field bath branch.
+
+    The (b1, b2, b3) block combines a rotation by sqrt(2)*Omega*tau about the
+    field axis (omega, J, 0)/Omega with longitudinal decay at rate Gamma
+    toward the thermal values and transverse decay at Gamma + 2*gamma*Omega^2.
+    b4 decays at rate Gamma toward zero; b5 decays at 2*Gamma toward its
+    thermal value while driven by the decaying energy, which keeps the full
+    map completely positive.  The map is built from the entries
+    :func:`_isochore_factors` gives at tau, the closed form's one source.
+    """
+    (a11, a12, a13, a22, a32, a33, g, g2, v1, v2, d1, d2, h), = _isochore_factors(p, (p.tau,))
+    return tuple.__new__(AffinePropagator, (
+        ((a11, a12, a13), (a12, a22, -a32), (-a13, a32, a33)),
+        (v1, v2, 0.0), g, g2, (d1, d2, 0.0), h,
+    ))
 
 
 def _rotation_block(w: float, x: float, y: float, z: float) -> tuple:
@@ -572,19 +563,6 @@ def _sweep_map(block: tuple) -> AffinePropagator:
     return tuple.__new__(AffinePropagator, (block, _ZERO3, 1.0, 1.0, _ZERO3, 0.0))
 
 
-def adiabat_partials(p: AdiabatParams, samples: int) -> list[AffinePropagator]:
-    """Sweep maps of the first t time units at samples evenly spaced t in
-    [0, tau], the blocks of :func:`_sampled_blocks`.
-
-    The (b1, b2, b3) blocks are rotations to rounding; (b4, b5) commute with
-    the generator for every field value and stay constant.
-    """
-    samples = _count(samples, "samples")
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
-    return [_sweep_map(block) for block in _sampled_blocks(p, samples)[0]]
-
-
 def _sweep_states(blocks, start: BlochVector) -> tuple:
     """The columns (b1, b2, b3) of start, then of the states of a sweep from
     start under its rotation blocks after t = 0 (:func:`_sampled_blocks`),
@@ -627,8 +605,8 @@ def adiabat_propagator_direct(p: AdiabatParams, n_steps: int) -> AffinePropagato
     step midpoint; the product converges to the true propagator as
     O(1/n_steps^2).  The steps are multiplied as a pairwise tree in batched
     numpy matmuls, about log2(n_steps) passes.  It shares no code with the
-    Magnus integrator and is an oracle for :func:`adiabat_partials`
-    (imports numpy).
+    Magnus integrator and is an oracle for its blocks
+    (:func:`_sampled_blocks`; imports numpy).
     """
     import numpy as np
 

@@ -16,7 +16,7 @@ from hypothesis import assume, settings
 from hypothesis import strategies as st
 
 from spinotto import (
-    AdiabatParams, BlochVector, CycleSpec, IsochoreParams, adiabat_partials, energy_populations,
+    AdiabatParams, AffinePropagator, BlochVector, CycleSpec, IsochoreParams, energy_populations,
     replace,
 )
 from spinotto import propagators
@@ -506,7 +506,7 @@ def landau_zener_map(p: AdiabatParams, method: str = "auto") -> np.ndarray:
 
 def _bath_map_mp(p: IsochoreParams) -> tuple:
     """(block, shift, g, drive, h) of a whole bath stroke at the working
-    precision: the closed form of propagators.isochore_partials (b4 scale g,
+    precision: the closed form of propagators.isochore_propagator (b4 scale g,
     b5 scale g^2, b5 drive and b5 shift), from the float inputs taken as
     exact."""
     if p.tau == 0.0:
@@ -669,6 +669,23 @@ def linear_fit(x, y):
     return float(slope), float(intercept), 1.0 - ss_res / ss_tot
 
 
+def stroke_maps(p, at) -> list:
+    """In-stroke maps from the stroke's one source of per-time factors: a
+    bath stroke's (IsochoreParams) closed-form maps over the first t time
+    units for each t in ``at`` (propagators._isochore_factors), a sweep's
+    (AdiabatParams) at ``at`` >= 2 evenly spaced times in [0, tau]
+    (propagators._sampled_blocks).  A bath stroke's map at ``p.tau`` is
+    isochore_propagator(p), and ``stroke_maps(p, 2)[-1]`` is a sweep's
+    whole map, the one compose_cycle forms from an ascending ramp."""
+    if isinstance(p, AdiabatParams):
+        return [propagators._sweep_map(block) for block in propagators._sampled_blocks(p, at)[0]]
+    return [AffinePropagator(block=((a11, a12, a13), (a12, a22, -a32), (-a13, a32, a33)),
+                             shift=(v1, v2, 0.0), b4_scale=g, b5_scale=g2,
+                             b5_drive=(d1, d2, 0.0), b5_shift=h)
+            for a11, a12, a13, a22, a32, a33, g, g2, v1, v2, d1, d2, h
+            in propagators._isochore_factors(p, at)]
+
+
 class StepCounter:
     """Wraps the Magnus product: sums its steps, counts its calls and records
     the sweeps it integrates."""
@@ -689,7 +706,7 @@ class StepCounter:
     def count(self, p):
         """Steps of the whole-sweep map of p, which forms one product."""
         self.steps = self.calls = 0
-        adiabat_partials(p, 2)[-1]
+        stroke_maps(p, 2)[-1]
         assert self.calls == 1, p
         return self.steps
 

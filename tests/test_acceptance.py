@@ -31,8 +31,8 @@ from spinotto import (
     AdiabatParams,
     BathParams,
     IsochoreParams,
+    BlochVector,
     NonUniqueLimitCycleError,
-    adiabat_partials,
     adiabat_propagator_direct,
     compose_cycle,
     conditional_entropy,
@@ -60,6 +60,7 @@ from conftest import (
     random_bloch,
     random_spec,
     reconstruct_density,
+    stroke_maps,
 )
 
 
@@ -227,7 +228,8 @@ def test_criterion_6_monotonicity_suite():
     for _ in range(50):
         spec = random_spec(rng, dephasing=rng.uniform() < 0.3)
         b_lc = limit_cycle(spec).b_a
-        states = iterate(compose_cycle(spec), random_bloch(rng), 25)
+        states = [BlochVector(*b)
+                  for b in zip(*iterate(compose_cycle(spec), random_bloch(rng), 25))]
         cond = [conditional_entropy(b, b_lc) for b in states]
         dist = [quantum_distance(b, b_lc) for b in states]
         pairs += 1
@@ -239,8 +241,8 @@ def test_criterion_6_monotonicity_suite():
     osc_spec = fig3_spec(tau_adiabat=0.01, dephasing_hot=0.0, dephasing_cold=0.0)
     ledger = limit_cycle(osc_spec).ledger
     wd = [
-        wootters_energy_distance(b, ledger.b_a, osc_spec.omega_b, osc_spec.j)
-        for b in iterate(compose_cycle(osc_spec), ledger.b_c, 30)
+        wootters_energy_distance(BlochVector(*b), ledger.b_a, osc_spec.omega_b, osc_spec.j)
+        for b in zip(*iterate(compose_cycle(osc_spec), ledger.b_c, 30))
     ]
     oscillates = any(wd[k + 1] > wd[k] + 1e-12 for k in range(len(wd) - 1))
 
@@ -260,7 +262,7 @@ def test_criterion_7_oracle_equivalences():
             rng.uniform(2.0, 15.0), rng.uniform(2.0, 15.0),
             rng.uniform(0.5, 4.0), rng.uniform(0.005, 0.8),
         )
-        magnus = adiabat_partials(params, 2)[-1]
+        magnus = stroke_maps(params, 2)[-1]
         direct = adiabat_propagator_direct(params, 40000)
         worst_prop = max(worst_prop, float(np.linalg.norm(magnus.m - direct.m)))
 
@@ -301,7 +303,7 @@ def test_criterion_8_conservation_suite():
             ))
             is_adiabat = False
         else:
-            prop = adiabat_partials(AdiabatParams(
+            prop = stroke_maps(AdiabatParams(
                 rng.uniform(2.0, 14.0), rng.uniform(2.0, 14.0),
                 rng.uniform(0.3, 4.0), rng.uniform(0.0, 0.6),
             ), 2)[-1]

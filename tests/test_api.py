@@ -1,6 +1,6 @@
-"""The public API (its names as of 1.0 less the two removed in 3.0 and the
-two removed in 4.0, its branch shape as of 2.0), its documentation and its
-version number."""
+"""The public API (its names as of 1.0 less the two removed in 3.0, the
+two removed in 4.0 and the three removed in 5.0, its branch shape as of
+2.0), its documentation and its version number."""
 
 import ast
 import inspect
@@ -21,15 +21,14 @@ ROOT = Path(__file__).resolve().parent.parent
 PUBLIC_API = {
     "AdiabatParams", "AffinePropagator", "BathParams", "BlochVector", "CycleBranch",
     "CyclePropagator", "CycleSpec", "CycleSpectrum", "IsochoreParams", "LimitCycleReport",
-    "NonUniqueLimitCycleError", "ThermoLedger", "TrajectorySample",
-    "adiabat_partials", "adiabat_propagator_direct", "compose",
+    "NonUniqueLimitCycleError", "ThermoLedger", "adiabat_propagator_direct", "compose",
     "compose_cycle", "conditional_entropy", "eigenvalue_tuple", "energy", "energy_entropy",
-    "energy_populations", "isochore_partials", "isochore_propagator",
+    "energy_populations", "isochore_propagator",
     "iterate", "limit_cycle", "quantum_distance", "replace", "spectrum", "thermal_state",
     "trajectory", "vn_entropy", "wootters_energy_distance",
 }
 
-# name removed in 1.0, 3.0 or 4.0 -> the module that used to define it
+# name removed in 1.0, 3.0, 4.0 or 5.0 -> the module that used to define it
 REMOVED = {
     "SpectralInfo": "algebra",
     "vn_eigenvalues": "algebra",
@@ -41,6 +40,9 @@ REMOVED = {
     "wootters_distance_to": "measures",
     "identity_propagator": "propagators",
     "adiabat_propagator": "propagators",
+    "TrajectorySample": "engine",
+    "adiabat_partials": "propagators",
+    "isochore_partials": "propagators",
 }
 
 

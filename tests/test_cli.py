@@ -226,27 +226,30 @@ def test_trajectory_blocks_share_exactly_the_stroke_invariants_property(spec, b0
     # each equal to every sample's value from the public trajectory
     prop = compose_cycle(spec)
     blocks = trajectory_blocks(prop, b0, samples)
-    points = trajectory(prop, b0, samples)
-    assert len(blocks) == len(prop.branches) == 4
-    for index, (block, branch) in enumerate(zip(blocks, prop.branches)):
+    strokes = trajectory(prop, b0, samples)
+    assert len(blocks) == len(strokes) == len(prop.branches) == 4
+    for index, (block, stroke, branch) in enumerate(zip(blocks, strokes, prop.branches)):
         cells = dict(zip(TRAJECTORY_HEADER, block, strict=True))
         shared = {name for name, cell in cells.items()
                   if not isinstance(cell, (list, tuple, range))}
         sweep = index % 2 == 1
         assert shared == (_SHARED_ON_SWEEPS if sweep else _SHARED_ON_BATHS), index
         assert all(len(cells[name]) == samples for name in cells.keys() - shared)
-        stroke = points[index * samples:(index + 1) * samples]
+        # trajectory's stroke is the block's first eight cells, shared where
+        # the block's are
+        assert stroke == block[:8]
+        points = expand_blocks([stroke])
         assert cells["branch"] == branch.name
         if sweep:
-            assert cells["s_vn"] == vn_entropy(stroke[0].state)
+            assert cells["s_vn"] == vn_entropy(BlochVector(*points[0][3:]))
         else:
             assert cells["omega"] == branch.stroke.omega
-        for point in stroke:
-            assert point.branch == cells["branch"]
+        for point in points:
+            assert point[0] == cells["branch"]
             if sweep:
-                assert (point.state.b4, point.state.b5) == (cells["b4"], cells["b5"])
+                assert tuple(point[6:8]) == (cells["b4"], cells["b5"])
             else:
-                assert point.omega == cells["omega"]
+                assert point[2] == cells["omega"]
 
 
 @pytest.mark.parametrize("dephasing", [False, True])
@@ -1532,29 +1535,37 @@ def test_sweep_rows_enter_each_traced_span_once(tmp_path, monkeypatch):
     assert calls == {"limit_cycle": steps, "compose_cycle": steps, "compose": steps}
 
 
+# iterate tables and trajectories per figure preset: fig1 is one trajectory,
+# fig2 two iterate tables and fig3 four
+_FIGURE_TABLES = {"fig1": {"trajectory": 1}, "fig2": {"iterate": 2}, "fig3": {"iterate": 4}}
+
+
 def test_runs_enter_the_traced_cli_spans_once(tmp_path, monkeypatch):
-    # perfbench's tracer spans cli.render_csv and cli.load_config by
-    # rebinding these spinotto.cli attributes: every command and preset
-    # renders once and every command loads its config once, through the
-    # module (figure has no config).  The iterate tables step the cycle's
-    # columns (engine._iterate_columns), so the module no longer looks up
-    # engine.iterate; test_iterate_tables_form_no_state_record counts them
+    # perfbench's tracer spans cli.render_csv, cli.load_config, and
+    # engine.iterate and engine.trajectory, by rebinding these spinotto.cli
+    # attributes: every command and preset renders once and every command
+    # loads its config once, through the module (figure has no config), and
+    # each iterate table and each trajectory enters its span once
     import spinotto.cli
 
     calls = {}
-    for name in ("render_csv", "load_config"):
+    for name in ("render_csv", "load_config", "iterate", "trajectory"):
         def counting(*args, _name=name, _fn=getattr(spinotto.cli, name)):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args)
 
         monkeypatch.setattr(spinotto.cli, name, counting)
-    for section in ("command", "figure"):
+    for section in ("command", "figure", "ci"):
         for case, pin in CSV_PINS[section].items():
             calls.clear()
             assert main(_pin_argv(tmp_path, pin, tmp_path / "out.csv")) == 0
             expected = {"render_csv": 1}
-            if section == "command":
+            if section == "figure":
+                expected.update(_FIGURE_TABLES.get(case, {}))
+            else:
                 expected["load_config"] = 1
+                if pin[0][0] in ("iterate", "trajectory"):
+                    expected[pin[0][0]] = 1
             assert calls == expected, case
 
 
@@ -1573,7 +1584,7 @@ def test_iterate_tables_form_no_state_record(tmp_path, monkeypatch):
         patch.setattr(spinotto.engine, "BlochVector", None)
         assert iterate_block(report, b0, 40) == block
     calls = {}
-    for name in ("_iterate_columns", "_measures_to"):
+    for name in ("iterate", "_measures_to"):
         def counting(*args, _name=name, _fn=getattr(spinotto.cli, name)):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args)
@@ -1583,7 +1594,7 @@ def test_iterate_tables_form_no_state_record(tmp_path, monkeypatch):
                                   ("figure", "fig2", 2), ("figure", "fig3", 4)):
         calls.clear()
         assert main(_pin_argv(tmp_path, CSV_PINS[section][case], tmp_path / "out.csv")) == 0
-        assert calls == {"_iterate_columns": tables, "_measures_to": tables}, case
+        assert calls == {"iterate": tables, "_measures_to": tables}, case
 
 
 def test_spectrum_still_works_for_unitary_cycle(tmp_path):

@@ -19,13 +19,11 @@ from spinotto import (
     CycleSpec,
     IsochoreParams,
     NonUniqueLimitCycleError,
-    adiabat_partials,
     compose,
     compose_cycle,
     eigenvalue_tuple,
     energy,
     energy_entropy,
-    isochore_partials,
     isochore_propagator,
     iterate,
     limit_cycle,
@@ -42,7 +40,6 @@ from spinotto.engine import (
     UNIQUENESS_GAP,
     _diagonal_minus,
     _fixed_point,
-    _iterate_columns,
     _solve3,
     linspace,
 )
@@ -68,6 +65,7 @@ from conftest import (
     random_bloch,
     random_spec,
     reconstruct_density,
+    stroke_maps,
 )
 
 
@@ -511,7 +509,7 @@ def test_spectrum_and_fixed_point_match_numpy(rng):
 def test_iterate_fixed_point_is_constant():
     spec = fig1_spec()
     b_lc = limit_cycle(spec).b_a
-    states = iterate(compose_cycle(spec), b_lc, 5)
+    states = zip(*iterate(compose_cycle(spec), b_lc, 5))
     for b in states:
         assert np.abs(np.array(b) - np.array(b_lc)).max() < 1e-12
 
@@ -520,8 +518,8 @@ def test_iterate_two_starts_converge_to_same_point():
     spec = fig1_spec()
     cold = thermal_state(spec.omega_b, spec.j, spec.t_cold)
     hot = thermal_state(spec.omega_b, spec.j, 100.0)
-    end_cold = iterate(compose_cycle(spec), cold, 40)[-1]
-    end_hot = iterate(compose_cycle(spec), hot, 40)[-1]
+    end_cold = [column[-1] for column in iterate(compose_cycle(spec), cold, 40)]
+    end_hot = [column[-1] for column in iterate(compose_cycle(spec), hot, 40)]
     assert np.linalg.norm(np.array(end_cold) - np.array(end_hot)) < 1e-8
 
 
@@ -532,8 +530,8 @@ def test_iterate_convergence_rate_matches_spectrum(rng):
     report = limit_cycle(spec)
     rate = max(abs(report.eigenvalues[1]), abs(report.eigenvalues[2]))
     b_lc = np.array(report.b_a)
-    states = iterate(compose_cycle(spec), random_bloch(rng), 40)
-    err = [np.linalg.norm(np.array(b) - b_lc) for b in states]
+    states = np.array(iterate(compose_cycle(spec), random_bloch(rng), 40)).T
+    err = [np.linalg.norm(b - b_lc) for b in states]
     assert err[35] > 1e-9
     # geometric mean over several cycles averages out the rotating factor
     observed = (err[35] / err[25]) ** (1.0 / 10.0)
@@ -542,8 +540,8 @@ def test_iterate_convergence_rate_matches_spectrum(rng):
 
 def test_iterate_states_stay_physical(rng):
     spec = random_spec(rng)
-    for b in iterate(compose_cycle(spec), random_bloch(rng), 30):
-        assert np.min(eigenvalue_tuple(b)) >= -1e-12
+    for b in zip(*iterate(compose_cycle(spec), random_bloch(rng), 30)):
+        assert np.min(eigenvalue_tuple(BlochVector(*b))) >= -1e-12
 
 
 @settings(max_examples=100 * EXAMPLE_SCALE, deadline=None)
@@ -745,7 +743,6 @@ _COUNTED = {
                                count),
     "samples_per_branch": lambda count: trajectory(
         compose_cycle(fig1_spec()), BlochVector(0.0, 0.0, 0.0, 0.0, 0.0), count),
-    "samples": lambda count: adiabat_partials(AdiabatParams(5.0, 12.0, 2.0, 0.1), count),
 }
 
 
@@ -769,19 +766,18 @@ def test_linspace_equals_numpy(rng):
 
 
 def test_isochore_partials_equal_per_sample_maps(rng):
+    # the closed form's entries at many times at once (stroke_maps, from
+    # propagators._isochore_factors) against one whole-stroke map per
+    # sample, the per-sample path kept as the reference
     fields = ("block", "shift", "b4_scale", "b5_scale", "b5_drive", "b5_shift")
     for dephasing in (False, True):
         prop = compose_cycle(random_spec(rng, dephasing=dephasing))
         for branch in (prop.branches[0], prop.branches[2]):
             times = linspace(0.0, branch.stroke.tau, 40)
-            for t, partial in zip(times, isochore_partials(branch.stroke, times)):
-                # one bath-stroke map per sample, the per-sample path kept as
-                # the reference
+            for t, partial in zip(times, stroke_maps(branch.stroke, times)):
                 expected = isochore_propagator(replace(branch.stroke, tau=t))
                 for name in fields:
                     assert getattr(partial, name) == getattr(expected, name), (t, name)
-    with pytest.raises(ValueError, match="times"):
-        isochore_partials(prop.branches[0].stroke, [0.0, -1e-3])
 
 
 _MIXED = BlochVector(0.0, 0.0, 0.0, 0.0, 0.0)
@@ -823,19 +819,15 @@ def test_iterate_steps_equal_cycle_apply_property(spec, b0, n):
     # iterate steps the cycle map from its entries unpacked once, as
     # columns: state k of them is k applications of prop.cycle.apply, bit
     # for bit, signs of zero included, from starts with -0.0 components,
-    # with or without dephasing; iterate is the same columns zipped into
-    # BlochVectors, b0 itself first
+    # with or without dephasing, b0's components first
     prop = compose_cycle(spec)
-    columns = _iterate_columns(prop, b0, n)
+    columns = iterate(prop, b0, n)
+    assert len(columns) == 5 and all(type(column) is list for column in columns)
     assert [len(column) for column in columns] == [n + 1] * 5
     b = b0
     for k, state in enumerate(zip(*columns)):
         assert list(map(float.hex, state)) == list(map(float.hex, b)), k
         b = prop.cycle.apply(b)
-    states = iterate(prop, b0, n)
-    assert states[0] is b0 and all(type(state) is BlochVector for state in states)
-    assert ([list(map(float.hex, state)) for state in states]
-            == [list(map(float.hex, state)) for state in zip(*columns)])
 
 
 @settings(max_examples=100 * EXAMPLE_SCALE, deadline=None)
@@ -867,12 +859,12 @@ def test_trajectory_states_equal_public_maps_property(spec, b0, samples, symmetr
     if symmetric:
         spec = replace(spec, tau_ba=spec.tau_ab)
     prop = compose_cycle(spec)
-    points = trajectory(prop, b0, samples)
+    points = expand_blocks(trajectory(prop, b0, samples))
     rows = expand_blocks(trajectory_blocks(prop, b0, samples))
     assert len(points) == len(rows) == 4 * samples
     s_vn, s_e = TRAJECTORY_HEADER.index("s_vn"), TRAJECTORY_HEADER.index("s_e")
     hot, hot_cold, cold, cold_hot = (branch.stroke for branch in prop.branches)
-    ramp = adiabat_partials(replace(cold_hot, tau=hot_cold.tau), samples)
+    ramp = stroke_maps(replace(cold_hot, tau=hot_cold.tau), samples)
     flip = np.diag([1.0, 1.0, -1.0])
 
     def reflected(b):  # R b
@@ -888,52 +880,51 @@ def test_trajectory_states_equal_public_maps_property(spec, b0, samples, symmetr
         return lambda corner: [corner] + [m.apply(corner) for m in maps]
 
     public_states = (
-        applied(isochore_partials(hot, linspace(0.0, hot.tau, samples)[1:])),
+        applied(stroke_maps(hot, linspace(0.0, hot.tau, samples)[1:])),
         ramp_backwards,
-        applied(isochore_partials(cold, linspace(0.0, cold.tau, samples)[1:])),
-        applied(adiabat_partials(cold_hot, samples)[1:]),
+        applied(stroke_maps(cold, linspace(0.0, cold.tau, samples)[1:])),
+        applied(stroke_maps(cold_hot, samples)[1:]),
     )
     corner, t0 = b0, 0.0
     for index, (branch, states_from) in enumerate(zip(prop.branches, public_states)):
         times = linspace(0.0, branch.stroke.tau, samples)
         for i, expected in enumerate(states_from(corner)):
             point, row = points[index * samples + i], rows[index * samples + i]
-            assert (point.branch, point.t, point.omega) == (
-                branch.name, t0 + times[i], branch.stroke.omega_at(times[i])
-            )
+            assert point == row[:8]
+            assert point[:3] == [branch.name, t0 + times[i], branch.stroke.omega_at(times[i])]
+            state = point[3:]
             if index == 1:
-                assert tuple(point.state) == tuple(expected), (index, i)
+                assert tuple(state) == tuple(expected), (index, i)
             else:
-                assert list(map(float.hex, point.state)) == list(map(float.hex, expected)), (
-                    index, i)
+                assert list(map(float.hex, state)) == list(map(float.hex, expected)), (index, i)
             if index % 2:  # a sweep's rows carry its start corner's s_vn
                 assert row[s_vn] == vn_entropy(corner)
                 assert abs(row[s_vn] - vn_entropy(expected)) <= _UNITARY_ROUNDING
             else:
                 assert row[s_vn] == vn_entropy(expected)
-            assert row[s_e] == energy_entropy(expected, point.omega, spec.j)
+            assert row[s_e] == energy_entropy(expected, point[2], spec.j)
         corner = expected
         t0 += branch.stroke.tau
 
 
 def test_trajectory_forms_no_map_and_no_sample_record(monkeypatch):
     # the trajectory path steps one state through each stroke's per-time
-    # factors: no public sampler runs, no map is formed and the CSV rows
-    # take no TrajectorySample
+    # factors: no map is formed, and no state record per sample
+    # (tuple.__new__ would refuse None)
     spec = replace(fig1_spec(), tau_ab=0.7, tau_ba=0.3)
     prop = compose_cycle(spec)
     b0 = limit_cycle(spec).b_a
-    points, blocks = trajectory(prop, b0, 9), trajectory_blocks(prop, b0, 9)
+    strokes, blocks = trajectory(prop, b0, 9), trajectory_blocks(prop, b0, 9)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a map or sample record formed on the trajectory path")
+        raise AssertionError("a map formed on the trajectory path")
 
-    for name in ("isochore_partials", "adiabat_partials", "_sweep_map"):
-        monkeypatch.setattr(propagators, name, refuse)
     for name in ("isochore_propagator", "_sweep_map"):
+        monkeypatch.setattr(propagators, name, refuse)
         monkeypatch.setattr(engine, name, refuse)
-    assert trajectory(prop, b0, 9) == points
-    monkeypatch.setattr(engine, "TrajectorySample", None)  # tuple.__new__ would refuse it
+    monkeypatch.setattr(engine, "BlochVector", None)
+    monkeypatch.setattr(propagators, "BlochVector", None)
+    assert trajectory(prop, b0, 9) == strokes
     assert trajectory_blocks(prop, b0, 9) == blocks
 
 
@@ -958,15 +949,23 @@ def test_trajectory_forms_one_product_per_ramp(monkeypatch):
 
 
 _NAN_STATE = BlochVector(0.0, 0.0, 0.0, 0.0, math.nan)
+# each of b1..b3 the largest float: |(b1, b2, b3)| overflows, and from this
+# start the strokes' sums would reach inf and then NaN
+_OVERFLOWING_STATE = BlochVector(sys.float_info.max, sys.float_info.max, sys.float_info.max,
+                                 0.1, 0.2)
 
 
 @pytest.mark.parametrize("call, message", [
     (lambda prop: trajectory(prop, BlochVector(math.inf, 0.0, 0.0, 0.0, 0.0), 2),
-     "b_start must be a finite state"),
-    (lambda prop: trajectory_blocks(prop, _NAN_STATE, 2), "b_start must be a finite state"),
+     "b_start must be a physical state, got (inf, 0.0, 0.0, 0.0, 0.0)"),
+    (lambda prop: trajectory_blocks(prop, _NAN_STATE, 2), "b_start must be a physical state"),
+    (lambda prop: trajectory(compose_cycle(replace(fig1_spec(), tau_hot=1e-3)),
+                             _OVERFLOWING_STATE, 2), "b_start must be a physical state"),
     (lambda prop: iterate(prop, BlochVector(math.inf, 0.0, 0.0, 0.0, 0.0), 3),
-     "b0 must be a finite state"),
-    (lambda prop: iterate(prop, _NAN_STATE, 0), "b0 must be a finite state"),
+     "b0 must be a physical state"),
+    (lambda prop: iterate(prop, _NAN_STATE, 0), "b0 must be a physical state"),
+    (lambda prop: iterate(prop, BlochVector(1.0, 0.0, 0.0, 0.0, 0.0), 3),
+     "b0 must be a physical state, got (1.0, 0.0, 0.0, 0.0, 0.0)"),
     (lambda prop: energy(_MIXED, math.nan, 1.0), "omega must be finite, got nan"),
     (lambda prop: energy(_MIXED, 1.0, -math.inf), "j must be finite, got -inf"),
     (lambda prop: energy(BlochVector(math.inf, 0.0, 0.0, 0.0, 0.0), 1.0, 1.0),
@@ -977,8 +976,10 @@ _NAN_STATE = BlochVector(0.0, 0.0, 0.0, 0.0, math.nan)
      "energy overflows: omega * b1 + j * b2 is inf"),
     (lambda prop: energy(BlochVector(1e308, -1e308, 0.0, 0.0, 0.0), 10.0, 10.0),
      "energy overflows: omega * b1 + j * b2 is nan"),
-], ids=["trajectory", "trajectory_blocks", "iterate", "iterate-0", "energy-omega", "energy-j",
-        "energy-b1", "energy-b2", "energy-overflow", "energy-overflow-nan"])
+], ids=["trajectory", "trajectory_blocks", "trajectory-overflowing", "iterate", "iterate-0",
+        "iterate-non-physical",
+        "energy-omega", "energy-j", "energy-b1", "energy-b2", "energy-overflow",
+        "energy-overflow-nan"])
 def test_public_functions_refuse_non_finite_starts(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         call(compose_cycle(fig1_spec()))
@@ -1003,42 +1004,43 @@ def test_trajectory_bath_stroke_ends_where_next_sweep_starts_property(spec, b0, 
     # each stroke's last sample and the next stroke's first are equal in
     # every component, a zero-length bath stroke (fig6's shape) included
     spec = replace(spec, **{idle: 0.0})
-    points = trajectory(compose_cycle(spec), b0, samples)
+    strokes = trajectory(compose_cycle(spec), b0, samples)
     for index in (0, 1, 2):
-        end, start = points[(index + 1) * samples - 1], points[(index + 1) * samples]
-        assert tuple(end.state) == tuple(start.state), (index, end.state, start.state)
+        end = [c[-1] if isinstance(c, list) else c for c in strokes[index][3:]]
+        start = [c[0] if isinstance(c, list) else c for c in strokes[index + 1][3:]]
+        assert end == start, (index, end, start)
 
 
 def test_trajectory_branch_endpoints_coincide():
     spec = fig1_spec()
     b0 = limit_cycle(spec).b_a
-    samples = trajectory(compose_cycle(spec), b0, 7)
+    samples = expand_blocks(trajectory(compose_cycle(spec), b0, 7))
     for i in range(3):
         end = samples[(i + 1) * 7 - 1]
         start = samples[(i + 1) * 7]
-        assert np.abs(np.array(end.state) - np.array(start.state)).max() < 1e-12
-        assert abs(end.t - start.t) < 1e-12
+        assert np.abs(np.array(end[3:]) - np.array(start[3:])).max() < 1e-12
+        assert abs(end[1] - start[1]) < 1e-12
     closing = samples[-1]
-    assert np.abs(np.array(closing.state) - np.array(b0)).max() < 1e-10
-    assert abs(closing.t - spec.period) < 1e-12
+    assert np.abs(np.array(closing[3:]) - np.array(b0)).max() < 1e-10
+    assert abs(closing[1] - spec.period) < 1e-12
 
 
 def test_trajectory_vn_entropy_constant_on_sweeps():
     spec = fig1_spec()
     b0 = limit_cycle(spec).b_a
     for sample_count in (5,):
-        samples = trajectory(compose_cycle(spec), b0, sample_count)
+        samples = expand_blocks(trajectory(compose_cycle(spec), b0, sample_count))
         for branch_index in (1, 3):  # the two field sweeps
             branch = samples[branch_index * sample_count : (branch_index + 1) * sample_count]
-            entropies = [vn_entropy(p.state) for p in branch]
+            entropies = [vn_entropy(BlochVector(*p[3:])) for p in branch]
             assert max(entropies) - min(entropies) < 1e-10
 
 
 def test_trajectory_fig6_vn_entropy_flat_over_whole_cycle():
     spec = fig6_spec()
     b0 = limit_cycle(spec).b_a
-    samples = trajectory(compose_cycle(spec), b0, 40)
-    entropies = [vn_entropy(p.state) for p in samples]
+    samples = expand_blocks(trajectory(compose_cycle(spec), b0, 40))
+    entropies = [vn_entropy(BlochVector(*p[3:])) for p in samples]
     # cycle closure pins the corner entropies exactly; in between the
     # entropy may bow by a few 1e-3, far below the figure's resolution
     corners = [entropies[i * 40] for i in range(4)] + [entropies[-1]]

@@ -22,7 +22,6 @@ from spinotto import (
     replace,
     thermal_state,
     vn_entropy,
-    adiabat_partials,
     AdiabatParams,
     trajectory,
     wootters_energy_distance,
@@ -37,6 +36,7 @@ from conftest import (
     conditional_entropy_matrix,
     conditional_entropy_mp,
     cycle_specs,
+    expand_blocks,
     fig1_spec,
     fig3_spec,
     matrix_log,
@@ -49,6 +49,7 @@ from conftest import (
     energy_conditional_entropy,
     measurement_entropy,
     reconstruct_density,
+    stroke_maps,
     to_energy_basis,
     wootters_distance_oracle,
 )
@@ -386,7 +387,7 @@ def test_energy_conditional_entropy_vanishes_only_at_convergence(rng):
     spec = random_spec(rng)
     b_lc = limit_cycle(spec).b_a
     b0 = thermal_state(spec.omega_b, spec.j, spec.t_cold)
-    states = iterate(compose_cycle(spec), b0, 40)
+    states = [BlochVector(*b) for b in zip(*iterate(compose_cycle(spec), b0, 40))]
     first = energy_conditional_entropy(states[0], b_lc, spec.omega_b, spec.j)
     last = energy_conditional_entropy(states[-1], b_lc, spec.omega_b, spec.j)
     assert first > 1e-4
@@ -522,7 +523,7 @@ def test_quantum_distance_contracts_under_cycle_map(rng):
 
 
 def test_vn_entropy_invariant_under_sweep_propagation(rng):
-    prop = adiabat_partials(AdiabatParams(12.0, 5.0, 2.0, 0.3), 2)[-1]
+    prop = stroke_maps(AdiabatParams(12.0, 5.0, 2.0, 0.3), 2)[-1]
     for _ in range(50):
         b = random_bloch(rng)
         assert abs(vn_entropy(prop.apply(b)) - vn_entropy(b)) < 1e-12
@@ -534,7 +535,7 @@ def test_dephasing_collapses_the_two_distances():
     spec = fig3_spec(tau_adiabat=0.01, dephasing_hot=0.01, dephasing_cold=0.03)
     b_lc = limit_cycle(spec).b_a
     b0 = thermal_state(spec.omega_b, spec.j, spec.t_cold)
-    states = iterate(compose_cycle(spec), b0, 40)
+    states = [BlochVector(*b) for b in zip(*iterate(compose_cycle(spec), b0, 40))]
     for b in states[25:35]:
         qd = quantum_distance(b, b_lc)
         wd = wootters_energy_distance(b, b_lc, spec.omega_b, spec.j)
@@ -547,7 +548,7 @@ def test_energy_distance_oscillates_without_dephasing():
     # though the quantum distance contracts strictly
     spec = fig3_spec(tau_adiabat=0.01, dephasing_hot=0.0, dephasing_cold=0.0)
     ledger = limit_cycle(spec).ledger
-    states = iterate(compose_cycle(spec), ledger.b_c, 30)
+    states = [BlochVector(*b) for b in zip(*iterate(compose_cycle(spec), ledger.b_c, 30))]
     wd = [wootters_energy_distance(b, ledger.b_a, spec.omega_b, spec.j) for b in states]
     qd = [quantum_distance(b, ledger.b_a) for b in states]
     increases = sum(1 for k in range(len(wd) - 1) if wd[k + 1] > wd[k] + 1e-12)
@@ -594,7 +595,8 @@ def test_row_kernels_equal_public_measures_property(b, spec, field):
     # the trajectory kernel, which the public entropies index, on each sample
     # of a period from b at its own field and at the drawn one, against the
     # spectrum and the energy-basis diagonal of the density matrix
-    for _, _, omega, state in trajectory(compose_cycle(spec), b, 5):
+    for _, _, omega, *state in expand_blocks(trajectory(compose_cycle(spec), b, 5)):
+        state = BlochVector(*state)
         lam = np.linalg.eigvalsh(np.array(reconstruct_density(state)))
         for f in ((omega, spec.j), field):
             (s_vn,), (s_e,), (e,) = _state_entropies(tuple(zip(state)), f[:1], f[1])
@@ -616,8 +618,10 @@ def test_reference_measures_match_oracles_at_the_edges(edge):
     # reference eigenvalue within rounding of 0 puts the square root of that
     # rounding, about 1e-8, into sqrt(lam q)
     slack = 1e-12 if min(eigenvalue_tuple(b_ref)) >= _SUPPORT_TOL else 1e-8
-    states = (iterate(report.propagator, b, 40) + [b_ref]
-              + [sample.state for sample in trajectory(report.propagator, b, 5)])
+    states = ([BlochVector(*state) for state in zip(*iterate(report.propagator, b, 40))]
+              + [b_ref]
+              + [BlochVector(*row[3:])
+                 for row in expand_blocks(trajectory(report.propagator, b, 5))])
     for state in states:
         distance, oracle = quantum_distance(state, b_ref), quantum_distance_mp(state, b_ref)
         assert abs(distance**2 - oracle**2) <= _OVERLAP_NOISE + slack
@@ -657,13 +661,13 @@ def test_row_kernel_examples_reach_their_edges():
     assert min(eigenvalue_tuple(b_ref)) < _SUPPORT_TOL
     assert conditional_entropy(zero, b_ref) == math.inf
     report = limit_cycle(fig1_spec())
-    columns = tuple(zip(*iterate(report.propagator, _PURE_OUTER, 40)))
+    columns = iterate(report.propagator, _PURE_OUTER, 40)
     rows = list(zip(*_measures_to(report.b_a, 12.6355, 2.0)(columns)))
     assert rows[0][0] > 0.0 and rows[0][1] > 0.0
     assert rows[-1][:2] == (0.0, 0.0)  # within _OVERLAP_NOISE of 1
-    samples = trajectory(compose_cycle(_ZERO_FIELD_SWEEPS), _PURE_INNER, 5)
-    assert [s.branch for s in samples if s.omega == 0.0] == ["adiabat-hot-cold",
-                                                             "adiabat-cold-hot"]
+    samples = expand_blocks(trajectory(compose_cycle(_ZERO_FIELD_SWEEPS), _PURE_INNER, 5))
+    assert [branch for branch, _, omega, *_ in samples if omega == 0.0] == [
+        "adiabat-hot-cold", "adiabat-cold-hot"]
     # the field binding fails as energy_populations does
     for f in ((0.0, 0.0), (-0.0, 0.0)):
         with pytest.raises(ValueError, match="omega = J = 0"):

@@ -20,7 +20,6 @@ from spinotto import (
     BathParams,
     BlochVector,
     IsochoreParams,
-    adiabat_partials,
     adiabat_propagator_direct,
     compose,
     compose_cycle,
@@ -36,7 +35,7 @@ from spinotto.engine import _ramps, linspace
 from spinotto.propagators import MAX_SWEEP_ANGLE, SWEEP_TOLERANCE, _time_reversed_states
 from conftest import (
     EXAMPLE_SCALE, FIG5_TIMES, SQRT2, StepCounter, cycle_specs, fig1_spec, fig5_spec,
-    landau_zener_map, physical_states, random_bloch,
+    landau_zener_map, physical_states, random_bloch, stroke_maps,
 )
 
 
@@ -178,7 +177,7 @@ def test_reference_sweep_stays_regular():
     p = AdiabatParams(12.6355, 5.08364, 2.0, 0.01)
     block, max_abs_alpha2 = wei_norman_map(p)
     assert max_abs_alpha2 < math.pi / 2
-    assert np.abs(block - adiabat_partials(p, 2)[-1].m[:3, :3]).max() < 1e-9
+    assert np.abs(block - stroke_maps(p, 2)[-1].m[:3, :3]).max() < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +190,12 @@ def test_angles_decouple_for_zero_coupling():
     angle = SQRT2 * (4.0 + 10.0) * 0.5 / 2.0
     c, s = math.cos(angle), math.sin(angle)
     expected = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-    assert np.abs(adiabat_partials(p, 2)[-1].m[:3, :3] - expected).max() < 1e-12
+    assert np.abs(stroke_maps(p, 2)[-1].m[:3, :3] - expected).max() < 1e-12
 
 
 def test_constant_field_sweep_equals_isochore_rotation():
     omega, j, tau = 8.3, 2.0, 0.41
-    prop = adiabat_partials(AdiabatParams(omega, omega, j, tau), 2)[-1]
+    prop = stroke_maps(AdiabatParams(omega, omega, j, tau), 2)[-1]
     iso = isochore_propagator(IsochoreParams(omega, j, BathParams(0.0, 0.0, 1.0), tau))
     assert np.abs(prop.m - iso.m).max() < 1e-8
 
@@ -204,7 +203,7 @@ def test_constant_field_sweep_equals_isochore_rotation():
 def test_zero_field_sweep_integrates():
     # the Wei-Norman chart is singular here: the tilt angle reaches pi/2
     omega, j, tau = 0.0, 5.0, 0.4
-    prop = adiabat_partials(AdiabatParams(omega, omega, j, tau), 2)[-1]
+    prop = stroke_maps(AdiabatParams(omega, omega, j, tau), 2)[-1]
     iso = isochore_propagator(IsochoreParams(omega, j, BathParams(0.0, 0.0, 1.0), tau))
     assert np.abs(prop.m - iso.m).max() < 1e-12
 
@@ -228,7 +227,7 @@ def test_sweep_samples_end_at_branch_map():
         assert len(b1) == len(b2) == len(b3) == samples
         assert (b1[0], b2[0], b3[0], b4, b5) == tuple(b)
         assert (b1[-1], b2[-1], b3[-1], b4, b5) == tuple(reverse.apply(b))
-        forward = adiabat_partials(strokes[3], samples)
+        forward = stroke_maps(strokes[3], samples)
         assert np.abs(forward[0].m - np.eye(4)).max() == 0.0
 
 
@@ -260,7 +259,7 @@ def test_sweep_field_stays_on_the_ramp(tau, fields):
 
 
 def test_adiabat_zero_time_is_identity():
-    prop = adiabat_partials(AdiabatParams(5.0, 12.0, 2.0, 0.0), 2)[-1]
+    prop = stroke_maps(AdiabatParams(5.0, 12.0, 2.0, 0.0), 2)[-1]
     assert np.abs(prop.m - np.eye(4)).max() == 0.0
 
 
@@ -268,7 +267,7 @@ def test_adiabat_block_is_special_orthogonal(rng):
     for _ in range(50):
         p = AdiabatParams(rng.uniform(-15.0, 15.0), rng.uniform(-15.0, 15.0),
                           rng.uniform(0.0, 4.0), rng.uniform(0.0, 1.0))
-        block = adiabat_partials(p, 2)[-1].m[:3, :3]
+        block = stroke_maps(p, 2)[-1].m[:3, :3]
         assert np.abs(block @ block.T - np.eye(3)).max() < 1e-12
         assert abs(np.linalg.det(block) - 1.0) < 1e-12
 
@@ -327,7 +326,7 @@ def sweeps(draw):
 @given(sweeps())
 @example(AdiabatParams(0.0, 1.0, 2.0, 2.225073858507e-311))  # subnormal tau
 def test_adiabat_matches_richardson_oracle_property(p):
-    prop = adiabat_partials(p, 2)[-1]
+    prop = stroke_maps(p, 2)[-1]
     block = prop.m[:3, :3]
     assert np.abs(block @ block.T - np.eye(3)).max() < 1e-13
     assert np.abs(prop.m - _richardson_direct(p, 20000)).max() < 1e-9
@@ -337,7 +336,7 @@ def test_adiabat_matches_richardson_oracle_property(p):
 @given(sweeps())
 @example(AdiabatParams(0.0, 1.0, 2.0, 2.225073858507e-311))  # subnormal tau
 def test_adiabat_matches_landau_zener_oracle_property(p):
-    err = np.abs(adiabat_partials(p, 2)[-1].m[:3, :3] - landau_zener_map(p)).max()
+    err = np.abs(stroke_maps(p, 2)[-1].m[:3, :3] - landau_zener_map(p)).max()
     assert err <= 10 * SWEEP_TOLERANCE
 
 
@@ -348,7 +347,7 @@ def test_adiabat_interior_samples_match_landau_zener_oracle_property(p, samples)
     # off at t, at every sample and not only at the endpoints
     times = linspace(0.0, p.tau, samples)
     assume(all(math.hypot(p.omega_at(t), p.j) > 1e-6 for t in times))
-    for t, partial in zip(times, adiabat_partials(p, samples)):
+    for t, partial in zip(times, stroke_maps(p, samples)):
         exact = landau_zener_map(AdiabatParams(p.omega_start, p.omega_at(t), p.j, t))
         assert np.abs(np.array(partial.block) - exact).max() <= 10 * SWEEP_TOLERANCE, t
 
@@ -357,7 +356,7 @@ def test_near_limit_sweep_matches_landau_zener_oracle():
     # about 1e4 steps, near MAX_SWEEP_ANGLE
     p = AdiabatParams(1e3, -1e3, 1.0, 7.0)
     assert p.rotation_angle > 0.98 * MAX_SWEEP_ANGLE
-    block = adiabat_partials(p, 2)[-1].m[:3, :3]
+    block = stroke_maps(p, 2)[-1].m[:3, :3]
     assert np.abs(block - landau_zener_map(p)).max() <= SWEEP_TOLERANCE
     assert np.abs(block @ block.T - np.eye(3)).max() < 1e-14
 
@@ -520,7 +519,7 @@ def test_tiny_sweep_takes_one_step(tau, monkeypatch):
     p = AdiabatParams(5.08364, 12.6355, 2.0, tau)
     assert propagators._leading_error(p) == 0.0
     assert StepCounter(monkeypatch).count(p) == 1
-    assert np.abs(adiabat_partials(p, 2)[-1].m - np.eye(4)).max() <= p.rotation_angle
+    assert np.abs(stroke_maps(p, 2)[-1].m - np.eye(4)).max() <= p.rotation_angle
 
 
 @pytest.mark.parametrize("p", [
@@ -534,7 +533,7 @@ def test_exact_sweeps_take_one_step_per_sample(p, monkeypatch):
     counter = StepCounter(monkeypatch)
     for samples in (2, 5):
         counter.steps = 0
-        partials = adiabat_partials(p, samples)
+        partials = stroke_maps(p, samples)
         assert counter.steps == samples - 1
         for t, partial in zip(linspace(0.0, p.tau, samples), partials):
             exact = landau_zener_map(AdiabatParams(p.omega_start, p.omega_at(t), p.j, t))
@@ -545,7 +544,7 @@ def test_dense_sweep_matches_landau_zener_oracle():
     # trajectory-dense's sweep: 1000 samples of the 1.0-long fig1 sweep, one
     # step per sample interval
     p = replace(fig1_spec().adiabat_ab(), tau=1.0)
-    partials = adiabat_partials(p, 1000)
+    partials = stroke_maps(p, 1000)
     times = linspace(0.0, p.tau, 1000)
     for k in [*range(0, 1000, 100), 999]:
         t = times[k]
@@ -582,7 +581,7 @@ def test_sweep_step_counts(monkeypatch):
     assert counter.count(fig1_spec().adiabat_ab()) <= 1
     # trajectory-dense's shape: one step per sample interval
     counter.steps = counter.calls = 0
-    adiabat_partials(replace(fig1_spec().adiabat_ab(), tau=1.0), 1000)
+    stroke_maps(replace(fig1_spec().adiabat_ab(), tau=1.0), 1000)
     assert (counter.steps, counter.calls) == (999, 1)
 
 
@@ -626,7 +625,7 @@ def test_negated_z_is_the_time_reversed_block_property(q):
 @example(AdiabatParams(0.0, 1.0, 2.0, 2.225073858507e-311))  # subnormal tau
 def test_time_reversed_sweep_matches_landau_zener_oracle_property(p):
     # R U^T R, R = diag(1, 1, -1), is the map of the field ramp run backwards
-    reversed_block = np.array(_time_reversed(adiabat_partials(p, 2)[-1].block))
+    reversed_block = np.array(_time_reversed(stroke_maps(p, 2)[-1].block))
     reverse = AdiabatParams(p.omega_end, p.omega_start, p.j, p.tau)
     assert np.abs(reversed_block @ reversed_block.T - np.eye(3)).max() < 1e-13
     assert np.abs(reversed_block - landau_zener_map(reverse)).max() <= 10 * SWEEP_TOLERANCE
@@ -635,12 +634,12 @@ def test_time_reversed_sweep_matches_landau_zener_oracle_property(p):
 @settings(max_examples=60 * EXAMPLE_SCALE, deadline=None)
 @given(cycle_specs(), st.booleans())
 def test_compose_cycle_reverse_sweep_matches_integrated_property(spec, symmetric):
-    # the time-reversed ascending ramp against the descending sweep, which
-    # the public adiabat_partials still integrates
+    # the time-reversed ascending ramp against the descending sweep,
+    # integrated from its own blocks
     if symmetric:
         spec = replace(spec, tau_ba=spec.tau_ab)
     hot_cold = compose_cycle(spec).branches[1].prop
-    integrated = adiabat_partials(spec.adiabat_ba(), 2)[-1]
+    integrated = stroke_maps(spec.adiabat_ba(), 2)[-1]
     assert np.abs(hot_cold.m - integrated.m).max() <= 2e-11
 
 
@@ -689,10 +688,10 @@ def test_time_reversed_partials_match_reverse_sweep_property(spec, samples):
     # integrated reverse sweep and its exact map at t_k; column i of its map
     # is the state form run from the basis vector e_i
     reverse = replace(spec, tau_ba=spec.tau_ab).adiabat_ba()
-    ramp = [u.block for u in adiabat_partials(spec.adiabat_ab(), samples)[1:]]
+    ramp = [u.block for u in stroke_maps(spec.adiabat_ab(), samples)[1:]]
     runs = [_time_reversed_states(ramp, BlochVector(*e, 0.0, 0.0))[:3]
             for e in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))]
-    integrated = adiabat_partials(reverse, samples)
+    integrated = stroke_maps(reverse, samples)
     times = linspace(0.0, reverse.tau, samples)
     for k, (t, direct) in enumerate(zip(times, integrated)):
         block = np.array([[component[k] for component in run] for run in runs]).T
@@ -722,7 +721,7 @@ def test_landau_zener_oracle_solutions_agree():
 
 def test_adiabat_matches_direct_oracle_reference_sweep():
     p = AdiabatParams(12.6355, 5.08364, 2.0, 0.01)
-    magnus = adiabat_partials(p, 2)[-1]
+    magnus = stroke_maps(p, 2)[-1]
     direct = adiabat_propagator_direct(p, 100000)
     assert np.abs(magnus.m - direct.m).max() < 1e-8
 
@@ -734,7 +733,7 @@ def test_adiabat_matches_direct_oracle_random(rng):
             rng.uniform(2.0, 15.0), rng.uniform(2.0, 15.0),
             rng.uniform(0.5, 4.0), rng.uniform(0.005, 0.8),
         )
-        magnus = adiabat_partials(p, 2)[-1]
+        magnus = stroke_maps(p, 2)[-1]
         direct = adiabat_propagator_direct(p, 30000)
         worst = max(worst, float(np.linalg.norm(magnus.m - direct.m)))
     assert worst < 1e-7
@@ -742,7 +741,7 @@ def test_adiabat_matches_direct_oracle_random(rng):
 
 def test_direct_oracle_second_order_convergence():
     p = AdiabatParams(12.0, 5.0, 2.0, 0.4)
-    exact = adiabat_partials(p, 2)[-1].m
+    exact = stroke_maps(p, 2)[-1].m
     err = [np.linalg.norm(adiabat_propagator_direct(p, n).m - exact) for n in (200, 400, 800)]
     assert err[0] / err[1] == pytest.approx(4.0, rel=0.05)
     assert err[1] / err[2] == pytest.approx(4.0, rel=0.05)
@@ -763,7 +762,7 @@ def test_direct_oracle_zero_time_is_identity():
 
 def test_adiabat_preserves_spectrum(rng):
     p = AdiabatParams(11.0, 6.0, 2.0, 0.2)
-    prop = adiabat_partials(p, 2)[-1]
+    prop = stroke_maps(p, 2)[-1]
     for _ in range(50):
         b = random_bloch(rng)
         before = np.sort(eigenvalue_tuple(b))
@@ -790,7 +789,7 @@ def test_apply_thermal_fixed_point():
 
 def test_composition_associativity(rng):
     p1 = isochore_propagator(_iso(tau=0.3))
-    p2 = adiabat_partials(AdiabatParams(9.0, 4.0, 2.0, 0.1), 2)[-1]
+    p2 = stroke_maps(AdiabatParams(9.0, 4.0, 2.0, 0.1), 2)[-1]
     p3 = isochore_propagator(_iso(omega=4.0, temp=1.2, tau=0.5))
     chained = compose(p3, p2, p1)
     for _ in range(20):
@@ -810,7 +809,7 @@ def test_random_branches_preserve_physicality(rng):
                 rng.uniform(0.0, 3.0),
             ))
         else:
-            prop = adiabat_partials(AdiabatParams(
+            prop = stroke_maps(AdiabatParams(
                 rng.uniform(2.0, 14.0), rng.uniform(2.0, 14.0),
                 rng.uniform(0.3, 4.0), rng.uniform(0.0, 0.6),
             ), 2)[-1]
@@ -824,8 +823,8 @@ def test_cycle_b45_rates():
     gamma_c, tau_c = 0.3, 1.4
     u_h = isochore_propagator(_iso(omega=12.0, gamma=gamma_h, temp=7.0, tau=tau_h))
     u_c = isochore_propagator(_iso(omega=5.0, gamma=gamma_c, temp=1.5, tau=tau_c))
-    u_ba = adiabat_partials(AdiabatParams(12.0, 5.0, 2.0, 0.04), 2)[-1]
-    u_ab = adiabat_partials(AdiabatParams(5.0, 12.0, 2.0, 0.03), 2)[-1]
+    u_ba = stroke_maps(AdiabatParams(12.0, 5.0, 2.0, 0.04), 2)[-1]
+    u_ab = stroke_maps(AdiabatParams(5.0, 12.0, 2.0, 0.03), 2)[-1]
     cycle = compose(u_ab, u_c, u_ba, u_h)
     accumulated = gamma_h * tau_h + gamma_c * tau_c
     assert abs(cycle.b4_scale - math.exp(-accumulated)) < 1e-13
@@ -882,9 +881,8 @@ def test_affine_propagator_rejects_a_misshapen_field(fields, message):
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda p: adiabat_partials(p, 1), "samples must be >= 2"),
     (lambda p: adiabat_propagator_direct(p, 0), "n_steps must be >= 1"),
-], ids=["partials", "direct"])
+], ids=["direct"])
 def test_sweep_sample_counts_are_bounded(call, message):
     with pytest.raises(ValueError, match=message):
         call(AdiabatParams(5.0, 12.0, 2.0, 0.1))

@@ -23,20 +23,16 @@ from spinotto import (
     IsochoreParams,
     LimitCycleReport,
     ThermoLedger,
-    TrajectorySample,
-    adiabat_partials,
     compose_cycle,
     eigenvalue_tuple,
-    isochore_partials,
     isochore_propagator,
     limit_cycle,
     replace,
     spectrum,
-    trajectory,
 )
 from spinotto.algebra import is_physical
 from spinotto.cli import RunConfig
-from conftest import fig1_spec, fig6_spec
+from conftest import fig1_spec, fig6_spec, stroke_maps
 
 _ZERO3 = (0.0, 0.0, 0.0)
 REQUIRED = inspect.Parameter.empty
@@ -61,7 +57,6 @@ SIGNATURES = {
     LimitCycleReport: "b_a eigenvalues phi gap propagator ledger",
     ThermoLedger: "q_hot q_cold w_ab w_ba power ds_ext ds_u_hot ds_u_cold ds_e_hot "
                   "ds_e_cold ds_e_ab ds_e_ba b_a b_b b_c b_d",
-    TrajectorySample: "branch t omega state",
     RunConfig: "spec engine_raw run output",
 }
 KEYWORD_ONLY = {AffinePropagator: {"block", "shift"}}
@@ -109,16 +104,16 @@ def one_of_each():
         spectrum(spec),
         report,
         report.ledger,
-        trajectory(prop, report.b_a, 2)[0],
         RunConfig(spec, {"t_cold": 1.5}, {}, {}),
     ]
 
 
 def records():
-    """:func:`one_of_each`, then a sweep branch: its ``stroke`` is an
+    """:func:`one_of_each`, then the two sweep branches, the reversed
+    hot->cold one and the cold->hot one: their ``stroke`` is an
     :class:`AdiabatParams` where the bath branch's is an
     :class:`IsochoreParams`."""
-    return one_of_each() + [compose_cycle(fig1_spec()).branches[1]]
+    return one_of_each() + list(compose_cycle(fig1_spec()).branches[1::2])
 
 
 def test_one_of_each_type():
@@ -234,7 +229,7 @@ def test_equality_and_hash_as_before(index):
 def test_records_of_different_types_with_equal_fields_differ():
     a = AdiabatParams(12.0, 5.0, 2.0, 0.5)
     b = BlochVector(12.0, 5.0, 2.0, 0.5, 0.0)
-    t = TrajectorySample(12.0, 5.0, 2.0, 0.5)
+    t = IsochoreParams(12.0, 5.0, 2.0, 0.5)
     assert a != t and t != a and not a == t
     assert tuple(a) == tuple(t)
     assert b != a
@@ -262,13 +257,14 @@ def test_copy_and_pickle(index):
 
 
 def _sampled_maps():
-    """Maps from every sampler that builds them with tuple.__new__, past the
-    constructor: the public samplers and the whole-stroke maps of
-    compose_cycle, the reversed hot->cold sweep and the zero-duration branch
-    (fig6's hot stroke) among them."""
+    """Maps from every builder that forms them with tuple.__new__, past the
+    constructor: isochore_propagator, the sweep maps of the sampled blocks
+    and the whole-stroke maps of compose_cycle, the reversed hot->cold sweep
+    and the zero-duration branch (fig6's hot stroke) among them."""
     prop = compose_cycle(fig1_spec())
     hot, sweep = prop.branches[0].stroke, prop.branches[1].stroke
-    maps = isochore_partials(hot, [0.0, 0.7, hot.tau]) + adiabat_partials(sweep, 3)
+    maps = [isochore_propagator(replace(hot, tau=t)) for t in (0.0, 0.7, hot.tau)]
+    maps += stroke_maps(sweep, 3)
     for cycle in (prop, compose_cycle(fig6_spec())):
         maps += [branch.prop for branch in cycle.branches]
     return maps
