@@ -352,7 +352,7 @@ def isochore_propagator(p: IsochoreParams) -> AffinePropagator:
     map completely positive.  The map is built from the entries
     :func:`_isochore_factors` gives at tau, the closed form's one source.
     """
-    (a11, a12, a13, a22, a32, a33, g, g2, v1, v2, d1, d2, h), = _isochore_factors(p, (p.tau,))
+    a11, a12, a13, a22, a32, a33, g, g2, v1, v2, d1, d2, h = next(_isochore_factors(p, (p.tau,)))
     return tuple.__new__(AffinePropagator, (
         ((a11, a12, a13), (a12, a22, -a32), (-a13, a32, a33)),
         (v1, v2, 0.0), g, g2, (d1, d2, 0.0), h,
