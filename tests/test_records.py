@@ -257,7 +257,7 @@ def test_copy_and_pickle(index):
 
 
 def _sampled_maps():
-    """Maps from every builder that forms them with tuple.__new__, past the
+    """Maps from every function that forms them with tuple.__new__, past the
     constructor: isochore_propagator, the sweep maps of the sampled blocks
     and the whole-stroke maps of compose_cycle, the reversed hot->cold sweep
     and the zero-duration branch (fig6's hot stroke) among them."""
